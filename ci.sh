@@ -13,8 +13,9 @@
 # a stdin-scripted `p3c serve` session exercising the service line
 # protocol under a tight LRU cache budget, a crash-recovery smoke
 # (SIGKILL a durable serve mid-session, restart on the same data dir,
-# and require the recovered fingerprint to match the pre-kill one), and
-# a rustdoc pass with warnings denied (missing docs on the data-plane
+# and require the recovered fingerprint to match the pre-kill one), the
+# e2e benchmark's seven-workload smoke (its own workspace under e2e/),
+# and a rustdoc pass with warnings denied (missing docs on the data-plane
 # crates and broken intra-doc links fail the build).
 # Tier 2 (lint + formatting + invariants):
 #   cargo clippy --all-targets -- -D warnings
@@ -152,6 +153,14 @@ FP_AFTER=$(grep -o "fingerprint=[0-9a-f]*" target/ci/serve-crash-2.log | head -n
 test -n "$FP_BEFORE"
 test "$FP_BEFORE" = "$FP_AFTER"
 grep -q "incremental and batch models identical" target/ci/serve-crash-2.log
+
+# The repo benchmark's own smoke (e2e/README.md): all seven workloads at
+# 1/20 scale under structure seeds 7 and 8, asserting which layers each
+# workload exercises and bypasses, determinism across passes, E4SC and
+# the traced replay. The package is a workspace of its own (its build
+# lands in e2e/target), so the root `cargo test` never runs it.
+echo "==> e2e benchmark smoke: cargo test --manifest-path e2e/Cargo.toml"
+cargo test -q --offline --manifest-path e2e/Cargo.toml
 
 echo "==> rustdoc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

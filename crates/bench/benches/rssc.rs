@@ -1,17 +1,24 @@
-//! Section 5.3 ablation: the Rapid Signature Support Counter vs the naive
-//! per-candidate containment scan, across candidate-set sizes.
+//! Section 5.3 ablation: the production support counter (RSSC in
+//! vertical orientation, `p3c_core::support`) vs the naive per-candidate
+//! containment scan, across candidate-set sizes.
+//!
+//! Besides the criterion group, the bench prints a best-of-five wall
+//! time per case — the EXPERIMENTS.md §5.3 table — because the offline
+//! criterion stub runs each body once and reports nothing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use p3c_core::support::{count_supports_naive, count_supports_rssc};
+use p3c_core::support::{count_supports, count_supports_naive};
 use p3c_core::types::{Interval, Signature};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
+use std::time::Instant;
 
 const BINS: usize = 20;
 const DIMS: usize = 20;
 
 fn make_candidates(count: usize, rng: &mut StdRng) -> Vec<Signature> {
-    (0..count)
+    let mut candidates: Vec<Signature> = (0..count)
         .map(|_| {
             let p = rng.gen_range(1..=3usize);
             let mut attrs: Vec<usize> = (0..DIMS).collect();
@@ -29,7 +36,20 @@ fn make_candidates(count: usize, rng: &mut StdRng) -> Vec<Signature> {
                 .collect();
             Signature::new(intervals)
         })
-        .collect()
+        .collect();
+    // Apriori levels reach the counter lexicographically sorted.
+    candidates.sort();
+    candidates
+}
+
+fn best_of_five_ms(mut f: impl FnMut() -> Vec<u64>) -> f64 {
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn bench_rssc(c: &mut Criterion) {
@@ -41,15 +61,29 @@ fn bench_rssc(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("support_counting");
     group.sample_size(10);
-    for &count in &[64usize, 512, 4_096] {
+    println!("| candidates | naive scan (ms) | production counter (ms) |");
+    println!("|---|---|---|");
+    for &count in &[64usize, 512, 4_096, 32_768] {
         let candidates = make_candidates(count, &mut rng);
-        group.throughput(Throughput::Elements((rows.len() * count) as u64));
-        group.bench_with_input(BenchmarkId::new("rssc", count), &candidates, |b, cands| {
-            b.iter(|| count_supports_rssc(cands, &rows))
-        });
         // The naive oracle becomes unbearable past ~1k candidates; bench
         // it only where it finishes quickly, which is exactly the point.
-        if count <= 512 {
+        let naive = (count <= 512).then(|| {
+            best_of_five_ms(|| count_supports_naive(black_box(&candidates), black_box(&rows)))
+        });
+        let production =
+            best_of_five_ms(|| count_supports(black_box(&candidates), black_box(&rows)));
+        println!(
+            "| {count} | {} | {production:.2} |",
+            naive.map_or("(not run)".to_string(), |ms| format!("{ms:.1}"))
+        );
+
+        group.throughput(Throughput::Elements((rows.len() * count) as u64));
+        group.bench_with_input(
+            BenchmarkId::new("production", count),
+            &candidates,
+            |b, cands| b.iter(|| count_supports(cands, &rows)),
+        );
+        if naive.is_some() {
             group.bench_with_input(BenchmarkId::new("naive", count), &candidates, |b, cands| {
                 b.iter(|| count_supports_naive(cands, &rows))
             });

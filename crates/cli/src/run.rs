@@ -144,7 +144,7 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
             if let Some(t) = threads {
                 params.threads = *t;
             }
-            let (clustering, metrics) = run_algorithm(
+            let (clustering, truncated_levels, metrics) = run_algorithm(
                 *algorithm,
                 &params,
                 &dataset,
@@ -152,6 +152,9 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
                 *threads,
                 backend.clone(),
             )?;
+            if let Some(warning) = truncation_warning(truncated_levels, &params) {
+                eprintln!("{warning}");
+            }
             let mut text = render(&clustering, *output, *algorithm);
             if *evaluate {
                 if let Some(truth) = &truth {
@@ -177,6 +180,22 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
     }
 }
 
+/// The stderr line for a run whose core generation hit the
+/// `max_candidates_per_level` safety valve: the model was built from a
+/// cut-off candidate lattice and may differ from the untruncated one.
+fn truncation_warning(truncated_levels: usize, params: &P3cParams) -> Option<String> {
+    (truncated_levels > 0).then(|| {
+        format!(
+            "warning: core generation truncated {truncated_levels} candidate level(s) to \
+             max_candidates_per_level = {}; the clustering may differ from the untruncated result",
+            params.max_candidates_per_level
+        )
+    })
+}
+
+/// Runs `algorithm`, returning the clustering, the number of candidate
+/// levels core generation truncated (0 for BoW, whose partition runs
+/// keep no statistics), and the engine's job ledger.
 fn run_algorithm(
     algorithm: Algorithm,
     params: &P3cParams,
@@ -184,7 +203,7 @@ fn run_algorithm(
     scheduler: SchedulerChoice,
     threads: Option<usize>,
     backend: Option<BackendChoice>,
-) -> Result<(Clustering, p3c_mapreduce::ClusterMetrics), ExecError> {
+) -> Result<(Clustering, usize, p3c_mapreduce::ClusterMetrics), ExecError> {
     let mr_err = |e: p3c_mapreduce::MrError| ExecError::Mr(e.to_string());
     // The serial algorithms run no jobs; their metrics ledger stays empty.
     let engine = Engine::new(MrConfig {
@@ -192,39 +211,34 @@ fn run_algorithm(
         backend: backend.unwrap_or_default(),
         ..MrConfig::default()
     });
-    let clustering = match algorithm {
-        Algorithm::P3c => P3c::new(params.alpha_poisson).cluster(dataset).clustering,
-        Algorithm::P3cPlus => P3cPlus::new(params.clone()).cluster(dataset).clustering,
-        Algorithm::Light => {
-            P3cPlusLight::new(params.clone())
-                .cluster(dataset)
-                .clustering
-        }
-        Algorithm::Mr => {
-            P3cPlusMr::new(&engine, params.clone())
-                .cluster_with(dataset, scheduler)
-                .map_err(mr_err)?
-                .clustering
-        }
-        Algorithm::MrLight => {
-            P3cPlusMrLight::new(&engine, params.clone())
-                .cluster_with(dataset, scheduler)
-                .map_err(mr_err)?
-                .clustering
-        }
+    let result = match algorithm {
+        Algorithm::P3c => P3c::new(params.alpha_poisson).cluster(dataset),
+        Algorithm::P3cPlus => P3cPlus::new(params.clone()).cluster(dataset),
+        Algorithm::Light => P3cPlusLight::new(params.clone()).cluster(dataset),
+        Algorithm::Mr => P3cPlusMr::new(&engine, params.clone())
+            .cluster_with(dataset, scheduler)
+            .map_err(mr_err)?,
+        Algorithm::MrLight => P3cPlusMrLight::new(&engine, params.clone())
+            .cluster_with(dataset, scheduler)
+            .map_err(mr_err)?,
         Algorithm::Bow => {
             let config = BowConfig {
                 variant: BowVariant::Light,
                 params: params.clone(),
                 ..BowConfig::default()
             };
-            Bow::new(&engine, config)
+            let clustering = Bow::new(&engine, config)
                 .cluster_with(dataset, scheduler)
                 .map_err(mr_err)?
-                .clustering
+                .clustering;
+            return Ok((clustering, 0, engine.cluster_metrics()));
         }
     };
-    Ok((clustering, engine.cluster_metrics()))
+    Ok((
+        result.clustering,
+        result.stats.core_gen.truncated_levels,
+        engine.cluster_metrics(),
+    ))
 }
 
 fn render(clustering: &Clustering, format: OutputFormat, algorithm: Algorithm) -> String {

@@ -16,7 +16,7 @@
 //! subset-filtering over the complete proven set, as in the original P3C).
 
 use crate::config::P3cParams;
-use crate::support::{count_supports_rssc, SupportTable};
+use crate::support::{SupportIndex, SupportTable};
 use crate::types::Signature;
 use p3c_stats::effect::effect_is_strong;
 use p3c_stats::PoissonTest;
@@ -147,7 +147,7 @@ pub struct CoreGenResult {
 /// but costs `Σ bucket²` instead of `k²`.
 pub fn generate_candidates(
     level: &[Signature],
-    prune_against: &HashSet<Signature>,
+    prune_against: &HashSet<&Signature>,
 ) -> Vec<Signature> {
     let mut sorted: Vec<&Signature> = level.iter().collect();
     sorted.sort();
@@ -200,7 +200,7 @@ pub(crate) fn prefix_buckets<S: std::borrow::Borrow<Signature>>(
 pub(crate) fn join_in_bucket(
     a: &Signature,
     b: &Signature,
-    prune_against: &HashSet<Signature>,
+    prune_against: &HashSet<&Signature>,
 ) -> Option<Signature> {
     let p = a.len();
     debug_assert_eq!(p, b.len());
@@ -237,32 +237,39 @@ pub(crate) fn join_in_bucket(
 
 /// Resolves the supports of one level's candidates over the whole
 /// database — the seam between Algorithm 1's control flow and *how*
-/// supports are obtained. The batch pipelines scan the full row set per
-/// level ([`ScanCounter`]); the incremental service answers from its
-/// maintained support cache and scans only for candidates the cache has
-/// never seen (which may require fetching spilled data, hence the
-/// `Result`).
+/// supports are obtained. The batch pipelines bin the full row set once
+/// and answer every level from the bitmaps ([`ScanCounter`]); the
+/// incremental service answers from its maintained support cache and
+/// scans only for candidates the cache has never seen (which may require
+/// fetching spilled data, hence the `Result`).
 pub trait LevelCounter {
     /// Supports of `candidates`, in candidate order.
     fn count_level(&mut self, candidates: &[Signature]) -> Result<Vec<u64>, String>;
 }
 
-/// The batch [`LevelCounter`]: one RSSC pass over the full row set per
-/// level (paper Section 5.3). Infallible.
+/// The batch [`LevelCounter`] (paper Section 5.3): the rows are binned
+/// into per-interval bitmaps when level 1 — which contains every
+/// relevant interval — is counted, and every later Apriori level is
+/// answered from those bitmaps without touching the rows again.
+/// Infallible.
 pub struct ScanCounter<'a> {
     rows: &'a [&'a [f64]],
+    index: SupportIndex,
 }
 
 impl<'a> ScanCounter<'a> {
     /// Counter over the full row set.
     pub fn new(rows: &'a [&'a [f64]]) -> Self {
-        Self { rows }
+        Self {
+            rows,
+            index: SupportIndex::default(),
+        }
     }
 }
 
 impl LevelCounter for ScanCounter<'_> {
     fn count_level(&mut self, candidates: &[Signature]) -> Result<Vec<u64>, String> {
-        Ok(count_supports_rssc(candidates, self.rows))
+        Ok(self.index.count(self.rows, candidates))
     }
 }
 
@@ -330,8 +337,8 @@ pub fn generate_cluster_cores_with(
             .collect();
         stats.proven_per_level.push(proven.len());
 
-        let prev_proven_set: HashSet<Signature> = proven.iter().map(|(s, _)| s.clone()).collect();
         let prev_level: Vec<Signature> = proven.iter().map(|(s, _)| s.clone()).collect();
+        let prev_proven_set: HashSet<&Signature> = prev_level.iter().collect();
         all_proven.extend(proven);
 
         candidates = generate_candidates(&prev_level, &prev_proven_set);
@@ -557,13 +564,13 @@ mod tests {
         let b = Signature::singleton(iv(1, 2, 3));
         let c = Signature::singleton(iv(2, 4, 5));
         let level: Vec<Signature> = vec![a.clone(), b.clone(), c.clone()];
-        let proven: HashSet<Signature> = level.iter().cloned().collect();
+        let proven: HashSet<&Signature> = level.iter().collect();
         let cands = generate_candidates(&level, &proven);
         assert_eq!(cands.len(), 3); // ab, ac, bc
                                     // Drop b from the level (an unproven signature never reaches the
                                     // join): only the ac candidate remains.
         let level2: Vec<Signature> = vec![a.clone(), c.clone()];
-        let pruned: HashSet<Signature> = level2.iter().cloned().collect();
+        let pruned: HashSet<&Signature> = level2.iter().collect();
         let cands2 = generate_candidates(&level2, &pruned);
         assert_eq!(cands2.len(), 1);
         assert_eq!(cands2[0], a.join(&c).unwrap());
@@ -579,12 +586,12 @@ mod tests {
         let ab = Signature::new(vec![a, b]);
         let ac = Signature::new(vec![a, c]);
         let bc = Signature::new(vec![b, c]);
-        let with_all: HashSet<Signature> =
-            [ab.clone(), ac.clone(), bc.clone()].into_iter().collect();
-        let cands = generate_candidates(&[ab.clone(), ac.clone(), bc.clone()], &with_all);
+        let level = [ab, ac, bc];
+        let with_all: HashSet<&Signature> = level.iter().collect();
+        let cands = generate_candidates(&level, &with_all);
         assert_eq!(cands.len(), 1); // abc
-        let without_bc: HashSet<Signature> = [ab.clone(), ac.clone()].into_iter().collect();
-        let cands2 = generate_candidates(&[ab, ac], &without_bc);
+        let without_bc: HashSet<&Signature> = level[..2].iter().collect();
+        let cands2 = generate_candidates(&level[..2], &without_bc);
         assert!(
             cands2.is_empty(),
             "abc must be pruned without bc: {cands2:?}"

@@ -1180,10 +1180,10 @@ impl LevelCounter for CachedCounter<'_, '_> {
         let block = self.cum.fetch()?;
         let rows = block.row_refs();
         let miss_sigs: Vec<Signature> = missing.iter().map(|&i| candidates[i].clone()).collect();
-        let fresh = crate::support::count_supports_rssc(&miss_sigs, &rows);
-        for (&i, (sig, c)) in missing.iter().zip(miss_sigs.iter().zip(fresh)) {
+        let fresh = crate::support::count_supports(&miss_sigs, &rows);
+        for (&i, (sig, c)) in missing.iter().zip(miss_sigs.into_iter().zip(fresh)) {
             counts[i] = c;
-            self.cache.insert(sig.clone(), c);
+            self.cache.insert(sig, c);
         }
         self.scans += 1;
         Ok(counts)

@@ -11,42 +11,39 @@
 //!    every level; levels accumulate until the paper's stop heuristic
 //!    `|Cand_j| = 0 ∨ (c_sum > T_c ∧ |Cand_j| > |Cand_{j−1}|)` fires, then
 //!    one proving job validates the whole batch.
-//! 3. **RSSC candidate proving** — mappers bin each point per relevant
-//!    attribute and AND the precomputed bit masks ([`crate::support::Rssc`]),
-//!    emitting per-split support counts; reducers sum them.
+//! 3. **RSSC candidate proving** — the candidate batch ships through the
+//!    distributed cache as an interval table plus front-coded interval-id
+//!    lists; each mapper turns its split into per-interval point bitmaps
+//!    and walks the candidates with prefix-shared AND/popcount (the
+//!    vertical counter of [`crate::support`]), emitting per-split support
+//!    counts; reducers sum them.
 
 use crate::config::P3cParams;
 use crate::cores::{filter_maximal, ClusterCore, CoreGenStats, SupportTester};
 use crate::mr::SigMsg;
-use crate::support::{Rssc, SupportTable};
+use crate::support::{SupportPlan, SupportTable};
 use crate::types::{Interval, Signature};
 use p3c_mapreduce::{Emitter, Engine, Mapper, MrError, Reducer};
 // audit: unordered-ok — HashSet here backs membership probes only
 // (Apriori prune checks); every iterated/emitted collection below is a
 // BTreeSet or explicitly sorted Vec.
 use std::collections::{BTreeSet, HashSet};
-use std::sync::Arc;
 
 // ------------------------------------------------------------- proving --
 
-/// Mapper for the proving job: per-split RSSC support counting.
-struct ProveMapper {
-    rssc: Arc<Rssc>,
+/// Mapper for the proving job: per-split support counting.
+struct ProveMapper<'p> {
+    plan: &'p SupportPlan,
 }
 
-impl<'a> Mapper<&'a [f64], usize, u64> for ProveMapper {
+impl<'a> Mapper<&'a [f64], usize, u64> for ProveMapper<'_> {
     fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, u64>) {
-        for idx in self.rssc.candidates_of(row) {
-            out.emit(idx, 1);
-        }
+        self.map_split(std::slice::from_ref(row), out);
     }
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, u64>) {
-        let mut counts = vec![0u64; self.rssc.num_candidates()];
-        let mut scratch = Vec::new();
-        for row in split {
-            self.rssc.count_into(row, &mut counts, &mut scratch);
-        }
+        let mut counts = vec![0u64; self.plan.num_candidates()];
+        self.plan.count_rows(split, &mut counts);
         for (idx, c) in counts.into_iter().enumerate() {
             if c > 0 {
                 out.emit(idx, c);
@@ -68,19 +65,25 @@ pub fn proving_job(
     candidates: &[Signature],
     rows: &[&[f64]],
 ) -> Result<Vec<u64>, MrError> {
-    if candidates.is_empty() {
-        return Ok(Vec::new());
+    run_proving_job(engine, &SupportPlan::build(candidates), rows)
+}
+
+fn run_proving_job(
+    engine: &Engine,
+    plan: &SupportPlan,
+    rows: &[&[f64]],
+) -> Result<Vec<u64>, MrError> {
+    let mut counts = vec![0u64; plan.num_candidates()];
+    if counts.is_empty() {
+        return Ok(counts);
     }
-    let rssc = Arc::new(Rssc::build(candidates));
-    let cache_bytes = rssc.byte_size();
     let result = engine.run_with_cache(
         "p3c-prove-candidates",
         rows,
-        cache_bytes,
-        &ProveMapper { rssc },
+        plan.byte_size(),
+        &ProveMapper { plan },
         &SumReducer,
     )?;
-    let mut counts = vec![0u64; candidates.len()];
     for (idx, c) in result.output {
         counts[idx] = c;
     }
@@ -97,21 +100,21 @@ pub fn proving_job(
 /// candidates, we ship the same distributed-cache payload but let each
 /// mapper enumerate pairs *within its buckets* — identical output, far
 /// fewer wasted join attempts (see DESIGN.md §1).
-struct CandGenMapper {
+struct CandGenMapper<'s> {
     /// Sorted signature list.
-    level: Arc<Vec<Signature>>,
+    level: &'s [&'s Signature],
     // audit: unordered-ok — membership probes only, never iterated.
-    prune: Arc<HashSet<Signature>>,
+    prune: &'s HashSet<&'s Signature>,
 }
 
-impl Mapper<(usize, usize), (), SigMsg> for CandGenMapper {
+impl Mapper<(usize, usize), (), SigMsg> for CandGenMapper<'_> {
     /// A record `(i, end)` joins `sorted[i]` with every `sorted[j]`,
     /// `i < j < end` — one record per bucket row, so every in-bucket pair
     /// is enumerated exactly once and large buckets spread across tasks.
     fn map(&self, &(i, end): &(usize, usize), out: &mut Emitter<(), SigMsg>) {
         for j in (i + 1)..end {
             if let Some(cand) =
-                crate::cores::join_in_bucket(&self.level[i], &self.level[j], &self.prune)
+                crate::cores::join_in_bucket(self.level[i], self.level[j], self.prune)
             {
                 out.emit((), SigMsg(cand));
             }
@@ -128,11 +131,11 @@ pub fn generate_candidates_mr(
     engine: &Engine,
     level: &[Signature],
     // audit: unordered-ok — membership probes only, never iterated.
-    prune_against: &HashSet<Signature>,
+    prune_against: &HashSet<&Signature>,
     t_gen: usize,
 ) -> Result<Vec<Signature>, MrError> {
     // Sort and bucket by (p−1)-prefix.
-    let mut sorted: Vec<Signature> = level.to_vec();
+    let mut sorted: Vec<&Signature> = level.iter().collect();
     sorted.sort();
     sorted.dedup();
     let mut buckets = crate::cores::prefix_buckets(&sorted);
@@ -149,16 +152,14 @@ pub fn generate_candidates_mr(
         .into_iter()
         .flat_map(|(s, e)| (s..e).map(move |i| (i, e)))
         .collect();
-    let level_arc = Arc::new(sorted);
-    let prune_arc = Arc::new(prune_against.clone());
     let cache_bytes: usize = level.iter().map(|s| 4 + s.len() * 32).sum();
     let result = engine.run_map_only_with_cache(
         "p3c-candidate-generation",
         &buckets,
         cache_bytes,
         &CandGenMapper {
-            level: level_arc,
-            prune: prune_arc,
+            level: &sorted,
+            prune: prune_against,
         },
     )?;
     // BTreeSet: dedup and the output's sorted order in one structure —
@@ -219,78 +220,71 @@ pub fn generate_cluster_cores_mr(
     level1.sort();
     level1.dedup();
 
-    // The batch of levels collected since the last proving job.
+    // The levels collected since the last proving job — the one owned
+    // copy of every candidate until `prove_batch` moves it into the
+    // support table.
     let mut batch: Vec<Vec<Signature>> = Vec::new();
     let mut csum = 0usize;
     let mut current = level1;
     let mut level = 1usize;
-    // Proven signatures of the last *proven* level (for generation once a
-    // batch closes); while collecting, generation chains off candidates.
-    let mut generation_basis: Vec<Signature>;
 
     loop {
         if current.is_empty() || level > params.max_levels {
             // Close any open batch.
             if !batch.is_empty() {
-                let proven_now = prove_batch(
+                all_proven.extend(prove_batch(
                     engine,
-                    &batch,
+                    std::mem::take(&mut batch),
                     rows,
-                    n,
                     &tester,
                     &mut table,
                     &mut proven_set,
                     &mut stats,
-                )?;
+                )?);
                 proving_jobs += 1;
-                all_proven.extend(proven_now);
             }
             break;
         }
         crate::cores::truncate_level(&mut current, params, &mut stats);
         stats.candidates_per_level.push(current.len());
         csum += current.len();
-        batch.push(current.clone());
 
         // Stop-collection heuristic (Section 5.3): always prove when the
         // candidate set grew past the budget; otherwise keep collecting
         // while the set shrinks.
-        let grew = batch
-            .len()
-            .checked_sub(2)
-            .map(|i| current.len() > batch[i].len())
-            .unwrap_or(false);
+        let grew = batch.last().is_some_and(|prev| current.len() > prev.len());
+        batch.push(current);
         let close_batch = csum > params.t_c && (grew || batch.len() == 1);
 
-        if close_batch {
+        let proven_top: Vec<Signature>;
+        let generation_basis: &[Signature] = if close_batch {
             let proven_now = prove_batch(
                 engine,
-                &batch,
+                std::mem::take(&mut batch),
                 rows,
-                n,
                 &tester,
                 &mut table,
                 &mut proven_set,
                 &mut stats,
             )?;
             proving_jobs += 1;
+            csum = 0;
             // Next generation chains off the just-proven top level.
-            generation_basis = proven_now
+            proven_top = proven_now
                 .iter()
                 .filter(|(s, _)| s.len() == level)
                 .map(|(s, _)| s.clone())
                 .collect();
             all_proven.extend(proven_now);
-            batch.clear();
-            csum = 0;
+            &proven_top
         } else {
             // Keep collecting: generate from the *candidates*.
-            generation_basis = current.clone();
-        }
+            batch.last().expect("level just pushed")
+        };
 
         // audit: unordered-ok — membership probes only, never iterated.
-        let prune: HashSet<Signature> = generation_basis.iter().cloned().collect();
-        current = generate_candidates_mr(engine, &generation_basis, &prune, params.t_gen)?;
+        let prune: HashSet<&Signature> = generation_basis.iter().collect();
+        current = generate_candidates_mr(engine, generation_basis, &prune, params.t_gen)?;
         level += 1;
     }
 
@@ -309,54 +303,50 @@ pub fn generate_cluster_cores_mr(
 
 /// Proves a batch of levels with one MR support-counting job, evaluating
 /// Equation 1 level by level (a candidate needs all its subsignatures
-/// proven, so validation ascends).
-#[allow(clippy::too_many_arguments)]
+/// proven, so validation ascends). Consumes the batch: each level's
+/// signatures move into `table` once the level is validated.
 fn prove_batch(
     engine: &Engine,
-    batch: &[Vec<Signature>],
+    batch: Vec<Vec<Signature>>,
     rows: &[&[f64]],
-    n: usize,
     tester: &SupportTester,
     table: &mut SupportTable,
     // audit: unordered-ok — membership probes only, never iterated.
     proven_set: &mut HashSet<Signature>,
     stats: &mut CoreGenStats,
 ) -> Result<Vec<(Signature, f64)>, MrError> {
-    let flat: Vec<Signature> = batch.iter().flatten().cloned().collect();
-    let counts = proving_job(engine, &flat, rows)?;
-    for (sig, &c) in flat.iter().zip(&counts) {
-        table.insert(sig.clone(), c as f64);
-    }
+    let n = rows.len();
+    let plan = SupportPlan::build(batch.iter().flatten());
+    let mut counts = run_proving_job(engine, &plan, rows)?.into_iter();
     // Validate ascending by level; a signature is proven iff Equation 1
     // holds AND all its subsignatures are proven (matching the serial
-    // per-level semantics). `proven_set` persists across batches, so the
-    // downward-closure check is exact for subsignatures proved in earlier
-    // batches too. It must NOT be re-derived from the support table: the
-    // table already holds this batch's counts, and Equation 1 in
-    // isolation can accept a signature whose validation failed the
-    // closure check one level down.
+    // per-level semantics). Equation 1 reads only the supports of
+    // (p−1)-subsignatures, which an earlier level of this batch or an
+    // earlier batch put into `table`. `proven_set` persists across
+    // batches, so the downward-closure check is exact for subsignatures
+    // proved in earlier batches too. It must NOT be re-derived from the
+    // support table: Equation 1 in isolation can accept a signature
+    // whose validation failed the closure check one level down.
     let mut proven: Vec<(Signature, f64)> = Vec::new();
-    let mut by_level: Vec<Vec<(&Signature, f64)>> = Vec::new();
     for level_sigs in batch {
-        by_level.push(
-            level_sigs
-                .iter()
-                .map(|s| (s, table.get(s).unwrap_or(0.0)))
-                .collect(),
-        );
-    }
-    for level_sigs in by_level {
-        let mut proven_this_level = 0usize;
-        for (sig, support) in level_sigs {
+        let supports: Vec<f64> = counts
+            .by_ref()
+            .take(level_sigs.len())
+            .map(|c| c as f64)
+            .collect();
+        let proven_before = proven.len();
+        for (sig, &support) in level_sigs.iter().zip(&supports) {
             let subs_ok =
                 sig.len() == 1 || sig.subsignatures().all(|sub| proven_set.contains(&sub));
             if subs_ok && tester.passes_equation1(sig, support, n, table) {
                 proven_set.insert(sig.clone());
                 proven.push((sig.clone(), support));
-                proven_this_level += 1;
             }
         }
-        stats.proven_per_level.push(proven_this_level);
+        stats.proven_per_level.push(proven.len() - proven_before);
+        for (sig, support) in level_sigs.into_iter().zip(supports) {
+            table.insert(sig, support);
+        }
     }
     Ok(proven)
 }
@@ -377,7 +367,7 @@ mod tests {
         let level: Vec<Signature> = (0..40)
             .map(|i| Signature::singleton(Interval::new(i % 8, i / 8, i / 8, 10)))
             .collect();
-        let prune: HashSet<Signature> = level.iter().cloned().collect();
+        let prune: HashSet<&Signature> = level.iter().collect();
         let serial = crate::cores::generate_candidates(&level, &prune);
         let engine = Engine::new(MrConfig::default());
         let parallel = generate_candidates_mr(&engine, &level, &prune, 0).unwrap();
@@ -405,9 +395,37 @@ mod tests {
         let mr = proving_job(&engine, &candidates, &rows).unwrap();
         let serial = crate::support::count_supports_naive(&candidates, &rows);
         assert_eq!(mr, serial);
-        // Cache bytes were charged.
+        // Charged: what is shipped (interval table + candidate id
+        // lists), once per map task.
         let metrics = engine.cluster_metrics();
-        assert!(metrics.jobs()[0].broadcast_bytes > 0);
+        let job = &metrics.jobs()[0];
+        let shipped = SupportPlan::build(&candidates).byte_size() as u64;
+        assert_eq!(job.broadcast_bytes, shipped * job.map_tasks);
+    }
+
+    #[test]
+    fn per_record_map_is_the_one_row_split() {
+        let candidates = vec![
+            Signature::new(vec![iv(0, 0, 2)]),
+            Signature::new(vec![iv(0, 0, 2), iv(1, 5, 9)]),
+            Signature::new(vec![iv(1, 0, 4)]),
+        ];
+        let plan = SupportPlan::build(&candidates);
+        let mapper = ProveMapper { plan: &plan };
+        for row in [[0.15, 0.75], [0.15, 0.25], [0.95, 0.95]] {
+            let row: &[f64] = &row;
+            let (mut by_record, mut by_split) = (Emitter::new(), Emitter::new());
+            mapper.map(&row, &mut by_record);
+            mapper.map_split(&[row], &mut by_split);
+            let expected: Vec<(usize, u64)> = candidates
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.contains(row))
+                .map(|(i, _)| (i, 1))
+                .collect();
+            assert_eq!(by_record.into_parts().0, expected);
+            assert_eq!(by_split.into_parts().0, expected);
+        }
     }
 
     #[test]

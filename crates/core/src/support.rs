@@ -1,20 +1,30 @@
-//! Support counting: the naive scan and the Rapid Signature Support
-//! Counter (RSSC, paper Section 5.3).
+//! Support counting: the naive scan and the production block counter —
+//! the Rapid Signature Support Counter of paper Section 5.3 in vertical
+//! orientation.
 //!
-//! RSSC answers "which of these candidate signatures contain point x?"
-//! with a handful of AND operations over precomputed bit masks. Per
-//! relevant attribute `a`, each histogram bin stores a bit vector over the
-//! candidates: bit `j` is 0 iff candidate `j` has an interval on `a` that
-//! does **not** cover the bin (candidates without an interval on `a` keep
-//! bit 1, like `S2` in the paper's Figure 3). The candidate set of a point
-//! is the AND of its bins' vectors over all relevant attributes.
+//! RSSC answers "which candidate signatures contain which points?" with
+//! ANDs over precomputed bit masks. The paper keeps per attribute and
+//! bin a bit vector *over the candidates* and ANDs `|A_rel|` of them per
+//! point — `n · |A_rel| · ⌈|Cand|/64⌉` word operations and a mask
+//! broadcast that grows with the candidate count (DESIGN.md §1, "RSSC
+//! orientation"). Here the same masks are transposed: per distinct relevant
+//! interval a bit vector *over the points of one row block* (the MR
+//! input split; [`BLOCK_ROWS`] rows on the serial path), built in one
+//! row-outer pass that bins each relevant attribute once per row. A
+//! candidate's support over the block is the popcount of the AND of its
+//! intervals' bitmaps; candidates are walked in list order with a stack
+//! of prefix ANDs, so a candidate sharing its first `k` intervals with
+//! its predecessor costs `p − k` ANDs — ≈ 1 on the lexicographically
+//! sorted Apriori levels — for `|Cand| · ⌈n_block/64⌉` word operations
+//! per block. Counts are exact `u64`s, identical to the naive scan.
 //!
 //! Because relevant intervals are runs of histogram bins, using the base
-//! histogram binning as the RSSC binning is exact — no boundary
+//! histogram binning as the counter's binning is exact — no boundary
 //! subtleties. (The paper derives its binning from interval endpoints;
 //! those endpoints *are* bin edges here.)
 
-use crate::types::Signature;
+use crate::types::{Interval, Signature};
+use p3c_stats::histogram::BinIndexer;
 use std::collections::{BTreeMap, HashMap};
 
 /// A table of counted signature supports.
@@ -66,8 +76,8 @@ impl SupportTable {
 /// Invariant: every cached signature is stated against the *current*
 /// histogram discretization. When the bin rule steps (the bin count is
 /// a function of `n`), callers must [`SupportCache::clear`] — stale
-/// discretizations would make [`SupportCache::apply_delta`]'s RSSC pass
-/// disagree with the histograms.
+/// discretizations would make [`SupportCache::apply_delta`]'s counting
+/// pass disagree with the histograms.
 #[derive(Debug, Clone, Default)]
 pub struct SupportCache {
     // BTreeMap: apply_delta iterates the cache; deterministic order
@@ -112,7 +122,7 @@ impl SupportCache {
         self.counts.iter().map(|(sig, &c)| (sig, c))
     }
 
-    /// Folds a delta block into every cached support: one RSSC pass
+    /// Folds a delta block into every cached support: one counting pass
     /// over the delta rows, then an exact add (append) or subtract
     /// (retract) per signature. Cost is `O(|delta| · cached)` bit-ops —
     /// independent of the cumulative dataset size.
@@ -120,10 +130,9 @@ impl SupportCache {
         if self.counts.is_empty() || delta_rows.is_empty() {
             return;
         }
-        let sigs: Vec<Signature> = self.counts.keys().cloned().collect();
-        let delta = count_supports_rssc(&sigs, delta_rows);
-        for (sig, d) in sigs.iter().zip(delta) {
-            let entry = self.counts.get_mut(sig).expect("cached signature");
+        let mut delta = vec![0u64; self.counts.len()];
+        SupportPlan::build(self.counts.keys()).count_rows(delta_rows, &mut delta);
+        for (entry, d) in self.counts.values_mut().zip(delta) {
             if retract {
                 *entry = entry
                     .checked_sub(d)
@@ -143,173 +152,308 @@ impl SupportCache {
     }
 }
 
-/// The RSSC bit-mask structure for one candidate batch.
-#[derive(Debug, Clone)]
-pub struct Rssc {
-    /// Attributes that at least one candidate constrains (`A_rel` of the
-    /// batch).
-    attrs: Vec<usize>,
-    /// Per entry in `attrs`: the attribute's histogram bin count (bins may
-    /// differ across attributes under exact-IQR binning).
-    bins_of: Vec<usize>,
-    /// Per entry in `attrs`: `bins_of × words` mask words, row-major by bin.
-    masks: Vec<Vec<u64>>,
-    /// Number of candidates.
-    num_candidates: usize,
-    /// Words per bit vector.
-    words: usize,
-    /// All-valid-candidates mask (trailing bits cleared).
-    full: Vec<u64>,
+/// Rows per counting block on the serial path (the MR path counts one
+/// input split at a time and chunks longer splits the same way): 128
+/// words per interval bitmap, so a ten-deep prefix stack stays inside L1.
+pub const BLOCK_ROWS: usize = 8192;
+
+/// The distinct intervals of the candidates seen so far, numbered in
+/// first-seen order — the columns of the vertical layout.
+#[derive(Debug, Default)]
+pub(crate) struct IntervalTable {
+    ids: BTreeMap<Interval, u32>,
+    /// The constrained attributes (`A_rel`) in first-seen order.
+    attrs: Vec<AttrBins>,
+    /// Attribute → index into `attrs`.
+    slots: BTreeMap<usize, usize>,
+    /// Per column id, the interval's bin run as an inclusive range of
+    /// bin slots (see [`AttrBins::base`]).
+    spans: Vec<(usize, usize)>,
+    /// Bin slots over all attributes: `Σ bins`.
+    bin_slots: usize,
 }
 
-impl Rssc {
-    /// Builds masks for a candidate batch. Each attribute's bin count is
-    /// read from the candidate intervals themselves (every
-    /// [`Interval`](crate::types::Interval) carries its discretization).
+/// One relevant attribute's binning. Every `(attribute, bin)` pair owns
+/// one *bin slot*; the attribute's bins occupy `base..base + bins`.
+#[derive(Debug)]
+struct AttrBins {
+    attr: usize,
+    indexer: BinIndexer,
+    bins: usize,
+    base: usize,
+}
+
+impl IntervalTable {
+    /// Number of distinct intervals.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The column id of `iv`, assigned on first sight.
     ///
     /// # Panics
-    /// Panics if two candidate intervals on the same attribute disagree
-    /// about the attribute's bin count.
-    pub fn build(candidates: &[Signature]) -> Self {
-        let num_candidates = candidates.len();
-        let words = num_candidates.div_ceil(64).max(1);
-        // Which attributes are constrained at all, and with how many bins?
-        let mut attr_set: Vec<usize> = candidates.iter().flat_map(|s| s.attributes()).collect();
-        attr_set.sort_unstable();
-        attr_set.dedup();
-        let mut bins_of = vec![0usize; attr_set.len()];
-        for cand in candidates {
-            for iv in cand.intervals() {
-                let ai = attr_set.binary_search(&iv.attr).expect("attr present");
-                if bins_of[ai] == 0 {
-                    bins_of[ai] = iv.bins;
-                } else {
-                    assert_eq!(
-                        bins_of[ai], iv.bins,
-                        "inconsistent bin counts on attribute {}",
-                        iv.attr
-                    );
+    /// Panics if two intervals on the same attribute disagree about the
+    /// attribute's bin count.
+    fn intern(&mut self, iv: Interval) -> u32 {
+        if let Some(&id) = self.ids.get(&iv) {
+            return id;
+        }
+        let id = u32::try_from(self.ids.len()).expect("more than u32::MAX distinct intervals");
+        self.ids.insert(iv, id);
+        let slot = *self.slots.entry(iv.attr).or_insert_with(|| {
+            self.attrs.push(AttrBins {
+                attr: iv.attr,
+                indexer: BinIndexer::new(iv.bins),
+                bins: iv.bins,
+                base: self.bin_slots,
+            });
+            self.bin_slots += iv.bins;
+            self.attrs.len() - 1
+        });
+        let attr = &self.attrs[slot];
+        assert_eq!(
+            attr.bins, iv.bins,
+            "inconsistent bin counts on attribute {}",
+            iv.attr
+        );
+        self.spans
+            .push((attr.base + iv.bin_lo, attr.base + iv.bin_hi));
+        id
+    }
+}
+
+/// The vertical layout of one row block: per interval of an
+/// [`IntervalTable`] a bit vector over the block's rows, bit `r` set iff
+/// row `r` lies in the interval. Padding bits of the last word stay 0.
+#[derive(Debug, Default)]
+pub(crate) struct BlockBitmaps {
+    rows: usize,
+    words: usize,
+    /// `table.len() × words`, column-major.
+    bits: Vec<u64>,
+}
+
+impl BlockBitmaps {
+    /// Rebuilds the bitmaps over `rows` in one row-outer pass. Each
+    /// relevant attribute is binned once per row into a 64-row bit word
+    /// per bin; an interval's word is the OR over its bin run — no
+    /// data-dependent branch, and a cost per row that does not grow with
+    /// the number of intervals.
+    pub(crate) fn fill(&mut self, table: &IntervalTable, rows: &[&[f64]]) {
+        self.rows = rows.len();
+        self.words = rows.len().div_ceil(64);
+        self.bits.resize(table.len() * self.words, 0);
+        // Per bin slot, which of the current 64 rows fell into the bin.
+        let mut bin_rows = vec![0u64; table.bin_slots];
+        for (word, group) in rows.chunks(64).enumerate() {
+            bin_rows.fill(0);
+            for (r, row) in group.iter().enumerate() {
+                for attr in &table.attrs {
+                    bin_rows[attr.base + attr.indexer.index(row[attr.attr])] |= 1u64 << r;
                 }
             }
+            for (id, &(lo, hi)) in table.spans.iter().enumerate() {
+                self.bits[id * self.words + word] =
+                    bin_rows[lo..=hi].iter().fold(0, |acc, &w| acc | w);
+            }
         }
+    }
 
-        // Initialize all-ones (valid candidate bits only).
-        let full = full_mask(num_candidates, words);
-        let mut masks: Vec<Vec<u64>> = bins_of
-            .iter()
-            .map(|&bins| {
-                let mut m = Vec::with_capacity(bins * words);
-                for _ in 0..bins {
-                    m.extend_from_slice(&full);
-                }
-                m
-            })
-            .collect();
+    fn column(&self, id: u32) -> &[u64] {
+        &self.bits[id as usize * self.words..][..self.words]
+    }
+}
 
-        // Clear bit j on bins outside candidate j's interval on a.
-        for (j, cand) in candidates.iter().enumerate() {
-            for iv in cand.intervals() {
-                let ai = attr_set.binary_search(&iv.attr).expect("attr present");
-                let mask = &mut masks[ai];
-                for bin in 0..bins_of[ai] {
-                    if bin < iv.bin_lo || bin > iv.bin_hi {
-                        mask[bin * words + j / 64] &= !(1u64 << (j % 64));
+/// A candidate list stated against an [`IntervalTable`], front-coded:
+/// each candidate records how many leading intervals it shares with its
+/// predecessor and the column ids of the rest. Levels arrive
+/// lexicographically sorted, so the rest is ≈ 1 id per candidate.
+#[derive(Debug, Default)]
+pub(crate) struct CandidateList {
+    /// Per candidate `(keep, len)`: `keep` leading intervals are the
+    /// predecessor's, capped below both lengths so that the prefix
+    /// stack (which never holds a candidate's last level) covers them.
+    heads: Vec<(u32, u32)>,
+    /// The `len − keep` remaining column ids of every candidate.
+    rest: Vec<u32>,
+    max_len: usize,
+}
+
+/// Reusable working memory of [`CandidateList::count_block`].
+#[derive(Debug, Default)]
+pub(crate) struct CountScratch {
+    /// Level `j` holds the AND of the current candidate's first `j + 1`
+    /// columns.
+    stack: Vec<u64>,
+    /// Column ids of the current candidate.
+    path: Vec<u32>,
+}
+
+impl CandidateList {
+    /// Encodes `candidates`, interning their intervals into `table`.
+    pub(crate) fn encode<'s>(
+        table: &mut IntervalTable,
+        candidates: impl IntoIterator<Item = &'s Signature>,
+    ) -> Self {
+        let mut list = Self::default();
+        let mut prev: &[Interval] = &[];
+        for sig in candidates {
+            let ivs = sig.intervals();
+            let cap = prev.len().min(ivs.len()).saturating_sub(1);
+            let keep = prev
+                .iter()
+                .zip(ivs)
+                .take(cap)
+                .take_while(|(a, b)| a == b)
+                .count();
+            let len = u32::try_from(ivs.len()).expect("signature with over u32::MAX intervals");
+            list.heads.push((keep as u32, len));
+            list.rest
+                .extend(ivs[keep..].iter().map(|&iv| table.intern(iv)));
+            list.max_len = list.max_len.max(ivs.len());
+            prev = ivs;
+        }
+        list
+    }
+
+    /// Adds every candidate's support over the block to `counts`: a
+    /// candidate costs `len − keep` ANDs off its prefix's bitmap, the
+    /// last of them fused with the popcount.
+    pub(crate) fn count_block(
+        &self,
+        block: &BlockBitmaps,
+        counts: &mut [u64],
+        scratch: &mut CountScratch,
+    ) {
+        assert_eq!(counts.len(), self.heads.len(), "one count per candidate");
+        let words = block.words;
+        let CountScratch { stack, path } = scratch;
+        stack.resize(self.max_len.saturating_sub(1) * words, 0);
+        path.clear();
+        let mut rest = self.rest.iter();
+        for (count, &(keep, len)) in counts.iter_mut().zip(&self.heads) {
+            let (keep, len) = (keep as usize, len as usize);
+            path.truncate(keep);
+            path.extend(rest.by_ref().take(len - keep));
+            let Some((&last, prefix)) = path.split_last() else {
+                // The empty signature contains every row.
+                *count += block.rows as u64;
+                continue;
+            };
+            for (j, &id) in prefix.iter().enumerate().skip(keep) {
+                let (below, level) = stack.split_at_mut(j * words);
+                let level = &mut level[..words];
+                match j {
+                    0 => level.copy_from_slice(block.column(id)),
+                    _ => {
+                        let parent = &below[(j - 1) * words..];
+                        for ((out, &p), &c) in level.iter_mut().zip(parent).zip(block.column(id)) {
+                            *out = p & c;
+                        }
                     }
                 }
             }
+            let last = block.column(last);
+            *count += match prefix.len() {
+                0 => popcount(last.iter().copied()),
+                p => popcount(
+                    stack[(p - 1) * words..]
+                        .iter()
+                        .zip(last)
+                        .map(|(&a, &b)| a & b),
+                ),
+            };
         }
-        Self {
-            attrs: attr_set,
-            bins_of,
-            masks,
-            num_candidates,
-            words,
-            full,
-        }
-    }
-
-    /// Number of candidate signatures this plan covers.
-    pub fn num_candidates(&self) -> usize {
-        self.num_candidates
-    }
-
-    /// Estimated broadcast size in bytes (for distributed-cache costing).
-    pub fn byte_size(&self) -> usize {
-        self.masks.iter().map(|m| m.len() * 8).sum::<usize>() + self.attrs.len() * 8
-    }
-
-    /// Writes the candidate-membership bit vector of `point` into `acc`
-    /// (`acc.len() == words`); returns false if there are no candidates.
-    pub fn membership_into(&self, point: &[f64], acc: &mut [u64]) -> bool {
-        if self.num_candidates == 0 {
-            return false;
-        }
-        debug_assert_eq!(acc.len(), self.words);
-        acc.copy_from_slice(&self.full);
-        for (ai, &attr) in self.attrs.iter().enumerate() {
-            let bin = p3c_stats::histogram::bin_index(point[attr], self.bins_of[ai]);
-            let row = &self.masks[ai][bin * self.words..(bin + 1) * self.words];
-            let mut any = 0u64;
-            for (a, &r) in acc.iter_mut().zip(row) {
-                *a &= r;
-                any |= *a;
-            }
-            if any == 0 {
-                return false; // early exit: point in no candidate
-            }
-        }
-        true
-    }
-
-    /// Adds 1 to `counts[j]` for every candidate j containing `point`.
-    pub fn count_into(&self, point: &[f64], counts: &mut [u64], scratch: &mut Vec<u64>) {
-        debug_assert_eq!(counts.len(), self.num_candidates);
-        scratch.resize(self.words, 0);
-        if !self.membership_into(point, scratch) {
-            return;
-        }
-        for (w, &word) in scratch.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let j = w * 64 + bits.trailing_zeros() as usize;
-                counts[j] += 1;
-                bits &= bits - 1;
-            }
-        }
-    }
-
-    /// The candidate indices containing `point` (allocating convenience).
-    pub fn candidates_of(&self, point: &[f64]) -> Vec<usize> {
-        let mut scratch = vec![0u64; self.words];
-        let mut out = Vec::new();
-        if !self.membership_into(point, &mut scratch) {
-            return out;
-        }
-        for (w, &word) in scratch.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                out.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
-        out
     }
 }
 
-fn full_mask(num_candidates: usize, words: usize) -> Vec<u64> {
-    let mut m = vec![u64::MAX; words];
-    let tail = num_candidates % 64;
-    if tail != 0 {
-        m[words - 1] = (1u64 << tail) - 1;
+fn popcount(words: impl Iterator<Item = u64>) -> u64 {
+    words.map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// A candidate batch ready to be counted against any number of row
+/// blocks: the interval table plus the front-coded candidate list. This
+/// is what the proving job ships through the distributed cache.
+#[derive(Debug, Default)]
+pub(crate) struct SupportPlan {
+    table: IntervalTable,
+    candidates: CandidateList,
+}
+
+impl SupportPlan {
+    /// Plans the counting of `candidates` (any order, duplicates allowed;
+    /// sorted input shares the most prefix work).
+    pub(crate) fn build<'s>(candidates: impl IntoIterator<Item = &'s Signature>) -> Self {
+        let mut table = IntervalTable::default();
+        let candidates = CandidateList::encode(&mut table, candidates);
+        Self { table, candidates }
     }
-    if num_candidates == 0 {
-        m.fill(0);
+
+    /// Number of candidates.
+    pub(crate) fn num_candidates(&self) -> usize {
+        self.candidates.heads.len()
     }
-    m
+
+    /// Bytes shipped per map task: the interval table and the candidate
+    /// id lists.
+    pub(crate) fn byte_size(&self) -> usize {
+        self.table.len() * std::mem::size_of::<Interval>()
+            + std::mem::size_of_val(&self.candidates.heads[..])
+            + std::mem::size_of_val(&self.candidates.rest[..])
+    }
+
+    /// Adds the supports over `rows` to `counts`, one [`BLOCK_ROWS`]
+    /// block at a time.
+    pub(crate) fn count_rows(&self, rows: &[&[f64]], counts: &mut [u64]) {
+        let mut block = BlockBitmaps::default();
+        let mut scratch = CountScratch::default();
+        for chunk in rows.chunks(BLOCK_ROWS) {
+            block.fill(&self.table, chunk);
+            self.candidates.count_block(&block, counts, &mut scratch);
+        }
+    }
+}
+
+/// Interval bitmaps over a fixed row set, kept across candidate levels:
+/// Algorithm 1's level 1 contains every relevant interval, so the rows
+/// are binned once and every later level is pure AND/popcount work.
+/// Holds `intervals × ⌈n/64⌉` words — under 1/64 of the row data per
+/// interval-bearing attribute.
+#[derive(Debug, Default)]
+pub(crate) struct SupportIndex {
+    table: IntervalTable,
+    blocks: Vec<BlockBitmaps>,
+    scratch: CountScratch,
+}
+
+impl SupportIndex {
+    /// Supports of `candidates` over `rows` (the same row set on every
+    /// call). Rows are scanned only when a candidate brings an interval
+    /// no earlier call has seen.
+    pub(crate) fn count(&mut self, rows: &[&[f64]], candidates: &[Signature]) -> Vec<u64> {
+        let known = self.table.len();
+        let list = CandidateList::encode(&mut self.table, candidates);
+        if self.table.len() != known {
+            self.blocks = rows
+                .chunks(BLOCK_ROWS)
+                .map(|chunk| {
+                    let mut block = BlockBitmaps::default();
+                    block.fill(&self.table, chunk);
+                    block
+                })
+                .collect();
+        }
+        let mut counts = vec![0u64; candidates.len()];
+        for block in &self.blocks {
+            list.count_block(block, &mut counts, &mut self.scratch);
+        }
+        counts
+    }
 }
 
 /// Naive support counting: query every candidate for every point.
-/// Kept as the correctness oracle for RSSC and for the ablation benchmark.
+/// Kept as the correctness oracle for [`count_supports`] and for the
+/// ablation benchmark.
 pub fn count_supports_naive(candidates: &[Signature], rows: &[&[f64]]) -> Vec<u64> {
     let mut counts = vec![0u64; candidates.len()];
     for row in rows {
@@ -322,21 +466,17 @@ pub fn count_supports_naive(candidates: &[Signature], rows: &[&[f64]]) -> Vec<u6
     counts
 }
 
-/// RSSC-accelerated support counting over a row set.
-pub fn count_supports_rssc(candidates: &[Signature], rows: &[&[f64]]) -> Vec<u64> {
-    let rssc = Rssc::build(candidates);
+/// Exact supports of `candidates` over `rows` — the production counter
+/// (module docs).
+pub fn count_supports(candidates: &[Signature], rows: &[&[f64]]) -> Vec<u64> {
     let mut counts = vec![0u64; candidates.len()];
-    let mut scratch = Vec::new();
-    for row in rows {
-        rssc.count_into(row, &mut counts, &mut scratch);
-    }
+    SupportPlan::build(candidates).count_rows(rows, &mut counts);
     counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Interval;
 
     fn iv(attr: usize, lo: usize, hi: usize) -> Interval {
         Interval::new(attr, lo, hi, 10)
@@ -347,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn rssc_matches_naive_on_small_case() {
+    fn counter_matches_naive_on_small_case() {
         let candidates = vec![
             Signature::new(vec![iv(0, 0, 2)]),
             Signature::new(vec![iv(0, 0, 2), iv(1, 5, 9)]),
@@ -361,24 +501,22 @@ mod tests {
         ];
         let r = rows(&data);
         assert_eq!(
-            count_supports_rssc(&candidates, &r),
+            count_supports(&candidates, &r),
             count_supports_naive(&candidates, &r)
         );
     }
 
     #[test]
-    fn unconstrained_attribute_keeps_bit_set() {
-        // Candidate 0 constrains attr 0 only; a point anywhere on attr 1
+    fn unconstrained_attribute_does_not_restrict() {
+        // The candidate constrains attr 0 only; a point anywhere on attr 1
         // must still match (the paper's S2-in-Figure-3 case).
         let candidates = vec![Signature::new(vec![iv(0, 0, 4)])];
-        let rssc = Rssc::build(&candidates);
-        assert_eq!(rssc.candidates_of(&[0.3, 0.99]), vec![0]);
-        assert_eq!(rssc.candidates_of(&[0.9, 0.99]), Vec::<usize>::new());
+        let data = vec![vec![0.3, 0.99], vec![0.9, 0.99]];
+        assert_eq!(count_supports(&candidates, &rows(&data)), vec![1]);
     }
 
     #[test]
     fn more_than_64_candidates() {
-        // Cross the word boundary: 130 single-interval candidates.
         let candidates: Vec<Signature> = (0..130)
             .map(|j| Signature::new(vec![Interval::new(j % 5, (j / 5) % 10, (j / 5) % 10, 10)]))
             .collect();
@@ -391,17 +529,22 @@ mod tests {
             .collect();
         let r = rows(&data);
         assert_eq!(
-            count_supports_rssc(&candidates, &r),
+            count_supports(&candidates, &r),
             count_supports_naive(&candidates, &r)
         );
     }
 
     #[test]
-    fn empty_candidates() {
-        let r: Vec<&[f64]> = vec![];
-        assert!(count_supports_rssc(&[], &r).is_empty());
-        let rssc = Rssc::build(&[]);
-        assert_eq!(rssc.candidates_of(&[0.5]), Vec::<usize>::new());
+    fn empty_candidates_and_empty_signature() {
+        let none: Vec<&[f64]> = vec![];
+        assert!(count_supports(&[], &none).is_empty());
+        // The empty signature contains every row.
+        let data = vec![vec![0.5]; 70];
+        let empty = Signature::new(vec![]);
+        assert_eq!(
+            count_supports(std::slice::from_ref(&empty), &rows(&data)),
+            vec![70]
+        );
     }
 
     #[test]
@@ -415,14 +558,31 @@ mod tests {
     }
 
     #[test]
-    fn byte_size_is_positive_and_scales() {
-        let small = Rssc::build(&[Signature::new(vec![iv(0, 0, 1)])]);
-        let big_cands: Vec<Signature> = (0..200)
-            .map(|j| Signature::new(vec![Interval::new(j % 3, 0, 1, 10)]))
-            .collect();
-        let big = Rssc::build(&big_cands);
-        assert!(small.byte_size() > 0);
-        assert!(big.byte_size() > small.byte_size());
+    fn front_coding_shares_prefixes_and_sizes_the_broadcast() {
+        let (a, b, c, d) = (iv(0, 0, 1), iv(1, 2, 3), iv(2, 4, 5), iv(3, 6, 7));
+        let sorted = vec![
+            Signature::new(vec![a, b]),
+            Signature::new(vec![a, b, c]),
+            Signature::new(vec![a, b, d]),
+            Signature::new(vec![a, c]),
+        ];
+        let plan = SupportPlan::build(&sorted);
+        // keep is capped below both lengths: the stack never holds a
+        // candidate's last level.
+        assert_eq!(plan.candidates.heads, vec![(0, 2), (1, 3), (2, 3), (1, 2)]);
+        assert_eq!(plan.candidates.rest.len(), 2 + 2 + 1 + 1);
+        assert_eq!(plan.table.len(), 4);
+        assert_eq!(plan.byte_size(), 4 * 32 + 4 * 8 + 6 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent bin counts")]
+    fn inconsistent_bin_counts_are_rejected() {
+        let candidates = vec![
+            Signature::new(vec![Interval::new(0, 0, 1, 4)]),
+            Signature::new(vec![Interval::new(0, 0, 1, 8)]),
+        ];
+        SupportPlan::build(&candidates);
     }
 
     #[test]
@@ -433,17 +593,17 @@ mod tests {
             Signature::new(vec![Interval::new(0, 0, 1, 4), Interval::new(1, 8, 11, 16)]),
             Signature::new(vec![Interval::new(1, 0, 3, 16)]),
         ];
-        let data = vec![
+        let data = [
             vec![0.3, 0.6], // in cand 0 (bin0 attr0 ∈ [0,1]; attr1 bin 9)
             vec![0.3, 0.1], // in cand 1 only
             vec![0.9, 0.6], // attr0 bin 3 → outside cand 0
         ];
         let r: Vec<&[f64]> = data.iter().map(|x| x.as_slice()).collect();
         assert_eq!(
-            count_supports_rssc(&candidates, &r),
+            count_supports(&candidates, &r),
             count_supports_naive(&candidates, &r)
         );
-        assert_eq!(count_supports_rssc(&candidates, &r), vec![1, 1]);
+        assert_eq!(count_supports(&candidates, &r), vec![1, 1]);
     }
 
     #[test]
@@ -455,32 +615,31 @@ mod tests {
         let first = vec![vec![0.15, 0.75], vec![0.15, 0.25], vec![0.95, 0.15]];
         let second = vec![vec![0.25, 0.95], vec![0.05, 0.55]];
         let mut cache = SupportCache::new();
-        for (sig, c) in sigs.iter().zip(count_supports_rssc(&sigs, &rows(&first))) {
+        for (sig, c) in sigs.iter().zip(count_supports(&sigs, &rows(&first))) {
             cache.insert(sig.clone(), c);
         }
         cache.apply_delta(&rows(&second), false);
         let mut cumulative = first.clone();
         cumulative.extend(second.iter().cloned());
-        let full = count_supports_rssc(&sigs, &rows(&cumulative));
+        let full = count_supports(&sigs, &rows(&cumulative));
         for (sig, c) in sigs.iter().zip(full) {
             assert_eq!(cache.get(sig), Some(c));
         }
         // Retracting the delta restores the original counts exactly.
         cache.apply_delta(&rows(&second), true);
-        for (sig, c) in sigs.iter().zip(count_supports_rssc(&sigs, &rows(&first))) {
+        for (sig, c) in sigs.iter().zip(count_supports(&sigs, &rows(&first))) {
             assert_eq!(cache.get(sig), Some(c));
         }
     }
 
     #[test]
-    fn count_into_accumulates_across_points() {
+    fn count_rows_accumulates_across_calls() {
         let candidates = vec![Signature::new(vec![iv(0, 0, 4)])];
-        let rssc = Rssc::build(&candidates);
+        let plan = SupportPlan::build(&candidates);
         let mut counts = vec![0u64; 1];
-        let mut scratch = Vec::new();
-        rssc.count_into(&[0.1], &mut counts, &mut scratch);
-        rssc.count_into(&[0.3], &mut counts, &mut scratch);
-        rssc.count_into(&[0.9], &mut counts, &mut scratch);
+        for point in [[0.1], [0.3], [0.9]] {
+            plan.count_rows(&[&point], &mut counts);
+        }
         assert_eq!(counts, vec![2]);
     }
 }
