@@ -520,10 +520,10 @@ pub fn stragglers(_scale: &Scale) -> Report {
 
 // ------------------------------------------------------------------- dag --
 
-/// Scheduler ablation: every large-scale pipeline run job-by-job (serial)
-/// vs on the DAG scheduler with materialized datasets — wall time, the
-/// number of jobs observed executing concurrently, and how often a
-/// materialized dataset was served from the in-memory cache.
+/// Executor ablation: every large-scale pipeline's job graphs walked
+/// inline (serial) vs run on the DAG scheduler — wall time, the number of
+/// nodes observed executing concurrently, and how often an intermediate
+/// dataset was served from the store's in-memory cache.
 pub fn dag(scale: &Scale) -> Report {
     let mut report = Report::new(
         "dag",
@@ -580,9 +580,8 @@ pub fn dag(scale: &Scale) -> Report {
         ]);
     }
     report.push_note(
-        "The P3C+-MR pipelines are byte-identical under both schedulers; BoW \
-         merges per-partition rectangles in a different (but fixed) order on \
-         the DAG, so only cluster counts are compared there.",
+        "Each pipeline is one job-graph definition run by two executors, so \
+         every row must read `identical` (ci.sh fails otherwise).",
     );
     report
 }
@@ -1150,11 +1149,35 @@ pub fn kernels(scale: &Scale) -> Report {
 /// cost, and the bytes a projected reload of 2 of 20 columns avoids
 /// reading. Emits `BENCH_codec.json`.
 pub fn codec(scale: &Scale) -> Report {
-    use p3c_core::mr::pipeline::{row_block_codec, row_block_seg_codec};
+    use p3c_core::incremental::row_block_seg_codec;
     use p3c_dataset::{ColumnSet, RowBlock};
-    use p3c_mapreduce::{DatasetHandle, DatasetStore};
+    use p3c_mapreduce::{DatasetCodec, DatasetHandle, DatasetStore};
     use std::hint::black_box;
     use std::sync::Arc;
+
+    /// The baseline: the legacy whole-buffer spill layout — `u64` LE row
+    /// and attribute counts, then the flat row-major values as `f64` LE.
+    /// Only ever decodes what `encode` wrote.
+    fn row_block_codec() -> DatasetCodec<RowBlock> {
+        fn encode(block: &RowBlock) -> Vec<u8> {
+            let mut out = Vec::with_capacity(16 + 8 * block.as_slice().len());
+            out.extend_from_slice(&(block.len() as u64).to_le_bytes());
+            out.extend_from_slice(&(block.dim() as u64).to_le_bytes());
+            for v in block.as_slice() {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            out
+        }
+        fn decode(bytes: &[u8]) -> RowBlock {
+            let mut words = bytes
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+            let n = words.next().expect("row count") as usize;
+            let d = words.next().expect("attribute count") as usize;
+            RowBlock::new(n, d, words.map(f64::from_bits).collect())
+        }
+        DatasetCodec { encode, decode }
+    }
 
     let mut report = Report::new(
         "BENCH_codec",

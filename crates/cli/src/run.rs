@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn dag_scheduler_matches_serial_output() {
-        for algo in ["mr", "mr-light"] {
+        for algo in ["mr", "mr-light", "bow"] {
             let serial = run(&format!(
                 "cluster --synthetic 1500x8 -k 2 --seed 3 -a {algo} --scheduler serial"
             ))

@@ -51,7 +51,6 @@ use crate::config::{BinRuleChoice, P3cParams};
 use crate::cores::{ClusterCore, LevelCounter};
 use crate::histogram::{build_histograms_columnar_threads, AttributeHistograms};
 use crate::inspect::inspect_from_histograms;
-use crate::mr::pipeline::row_block_seg_codec;
 use crate::p3cplus::{
     core_phase_from_histograms, empty_result, light_finalize, light_membership, LightMembership,
     P3cResult,
@@ -59,12 +58,38 @@ use crate::p3cplus::{
 use crate::support::SupportCache;
 use crate::types::{Interval, Signature};
 use p3c_dataset::journal::{self, ByteReader};
-use p3c_dataset::{AttrInterval, BlockEntry, BlockLog, Clustering, ProjectedCluster, RowBlock};
-use p3c_mapreduce::{DatasetHandle, DatasetStore};
+use p3c_dataset::{
+    colseg, AttrInterval, BlockEntry, BlockLog, Clustering, ColumnSet, ProjectedCluster, RowBlock,
+};
+use p3c_mapreduce::{DatasetHandle, DatasetStore, SegmentedCodec};
 use p3c_stats::{bin_rows, Histogram};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// Segmented columnar codec the tenant's row blocks spill through: a
+/// tiny `(n, d)` header plus one independently-encoded segment per
+/// attribute column (XOR-delta + byte-shuffle + zero-RLE, see
+/// `p3c_dataset::colseg`), so a scan of a few attributes can reload just
+/// those columns as a [`ColumnSet`] through
+/// [`p3c_mapreduce::DatasetStore::get_columns`].
+pub fn row_block_seg_codec() -> SegmentedCodec<RowBlock, Vec<f64>, ColumnSet> {
+    fn decode_segment(bytes: &[u8], _j: usize, _header: &[u8]) -> Vec<f64> {
+        colseg::decode_column(bytes)
+    }
+    fn project(block: &RowBlock, attrs: &[usize]) -> ColumnSet {
+        ColumnSet::from_block(block, attrs)
+    }
+    SegmentedCodec {
+        num_segments: RowBlock::dim,
+        encode_header: colseg::block_header,
+        encode_segment: colseg::encode_block_column,
+        decode_segment,
+        assemble_view: colseg::assemble_column_set,
+        assemble_full: colseg::assemble_block,
+        project,
+    }
+}
 
 /// Which lineage path a recluster took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,20 +14,12 @@ use std::sync::Arc;
 struct HistMapper {
     /// Per-attribute bin counts (uniform rules: a constant vector).
     bins: Arc<Vec<usize>>,
-    /// Attribute sub-range covered by this job. The full histogram job
-    /// uses `0..usize::MAX`; DAG histogram shards each take a slice of
-    /// the attribute space and run concurrently.
-    attr_lo: usize,
-    attr_hi: usize,
 }
 
 impl<'a> Mapper<&'a [f64], usize, Vec<f64>> for HistMapper {
     fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, Vec<f64>>) {
         // Only used for 1-record splits; map_split is the real path.
         for (attr, &v) in row.iter().enumerate() {
-            if attr < self.attr_lo || attr >= self.attr_hi {
-                continue;
-            }
             let bins = self.bins[attr];
             let mut counts = vec![0.0; bins];
             counts[p3c_stats::histogram::bin_index(v, bins)] = 1.0;
@@ -37,57 +29,15 @@ impl<'a> Mapper<&'a [f64], usize, Vec<f64>> for HistMapper {
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, Vec<f64>>) {
         let d = split.first().map_or(0, |r| r.len());
-        let lo = self.attr_lo.min(d);
-        let hi = self.attr_hi.min(d);
         let mut partials: Vec<Vec<f64>> =
-            (lo..hi).map(|attr| vec![0.0f64; self.bins[attr]]).collect();
+            (0..d).map(|attr| vec![0.0f64; self.bins[attr]]).collect();
         for row in split {
-            for attr in lo..hi {
-                partials[attr - lo][p3c_stats::histogram::bin_index(row[attr], self.bins[attr])] +=
-                    1.0;
+            for attr in 0..d {
+                partials[attr][p3c_stats::histogram::bin_index(row[attr], self.bins[attr])] += 1.0;
             }
         }
-        for (i, counts) in partials.into_iter().enumerate() {
-            out.emit(lo + i, counts);
-        }
-    }
-}
-
-/// Mapper over *projected* rows: each split row holds only the shard's
-/// attribute slice (decoded from the columnar spill segments), and keys
-/// are rebased to global attribute indices, so the reduce output is
-/// identical to [`HistMapper`] scanning full-width rows.
-struct ProjectedHistMapper {
-    /// Per-attribute bin counts, indexed by *global* attribute.
-    bins: Arc<Vec<usize>>,
-    /// Global attribute index of the slice's first column.
-    attr_lo: usize,
-}
-
-impl<'a> Mapper<&'a [f64], usize, Vec<f64>> for ProjectedHistMapper {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, Vec<f64>>) {
-        for (local, &v) in row.iter().enumerate() {
-            let attr = self.attr_lo + local;
-            let bins = self.bins[attr];
-            let mut counts = vec![0.0; bins];
-            counts[p3c_stats::histogram::bin_index(v, bins)] = 1.0;
+        for (attr, counts) in partials.into_iter().enumerate() {
             out.emit(attr, counts);
-        }
-    }
-
-    fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, Vec<f64>>) {
-        let w = split.first().map_or(0, |r| r.len());
-        let mut partials: Vec<Vec<f64>> = (0..w)
-            .map(|local| vec![0.0f64; self.bins[self.attr_lo + local]])
-            .collect();
-        for row in split {
-            for (local, &v) in row.iter().enumerate() {
-                partials[local]
-                    [p3c_stats::histogram::bin_index(v, self.bins[self.attr_lo + local])] += 1.0;
-            }
-        }
-        for (local, counts) in partials.into_iter().enumerate() {
-            out.emit(self.attr_lo + local, counts);
         }
     }
 }
@@ -120,51 +70,14 @@ pub fn histogram_job(
         rows,
         &HistMapper {
             bins: Arc::new(bins_per_attr.to_vec()),
-            attr_lo: 0,
-            attr_hi: usize::MAX,
         },
         &HistReducer,
     )?;
-    Ok(assemble_histograms(bins_per_attr, result.output))
-}
-
-/// Runs the histogram job over the attribute slice `attrs` only,
-/// returning the raw per-attribute bin counts. The DAG driver runs one
-/// shard job per attribute range concurrently; merging the shard outputs
-/// with [`assemble_histograms`] is *exact* — the reducer's per-attribute
-/// sums are integer-valued, so they do not depend on how attributes are
-/// grouped into jobs.
-pub fn histogram_shard_job(
-    engine: &Engine,
-    rows: &[&[f64]],
-    bins_per_attr: &[usize],
-    attrs: std::ops::Range<usize>,
-    job_name: &str,
-) -> Result<Vec<(usize, Vec<f64>)>, MrError> {
-    let result = engine.run(
-        job_name,
-        rows,
-        &HistMapper {
-            bins: Arc::new(bins_per_attr.to_vec()),
-            attr_lo: attrs.start,
-            attr_hi: attrs.end,
-        },
-        &HistReducer,
-    )?;
-    Ok(result.output)
-}
-
-/// Assembles reduced `(attribute, bin counts)` pairs — from one full job
-/// or from the union of shard jobs — into [`AttributeHistograms`].
-pub fn assemble_histograms(
-    bins_per_attr: &[usize],
-    parts: Vec<(usize, Vec<f64>)>,
-) -> AttributeHistograms {
     let mut histograms: Vec<Histogram> = bins_per_attr
         .iter()
         .map(|&b| Histogram::new(b.max(1)))
         .collect();
-    for (attr, counts) in parts {
+    for (attr, counts) in result.output {
         let bins = counts.len();
         let mut h = Histogram::new(bins);
         for (bin, &c) in counts.iter().enumerate() {
@@ -174,31 +87,7 @@ pub fn assemble_histograms(
         histograms[attr] = h;
     }
     let bins = bins_per_attr.iter().copied().max().unwrap_or(1).max(1);
-    AttributeHistograms { histograms, bins }
-}
-
-/// [`histogram_shard_job`] over rows already narrowed to the shard's
-/// attribute slice `attrs` (width `attrs.len()`), as produced by a
-/// projected columnar reload: the mapper rebases its keys by
-/// `attrs.start`, so the output is identical to the full-width shard job
-/// while only the shard's columns were ever decoded.
-pub fn histogram_shard_job_projected(
-    engine: &Engine,
-    projected_rows: &[&[f64]],
-    bins_per_attr: &[usize],
-    attrs: std::ops::Range<usize>,
-    job_name: &str,
-) -> Result<Vec<(usize, Vec<f64>)>, MrError> {
-    let result = engine.run(
-        job_name,
-        projected_rows,
-        &ProjectedHistMapper {
-            bins: Arc::new(bins_per_attr.to_vec()),
-            attr_lo: attrs.start,
-        },
-        &HistReducer,
-    )?;
-    Ok(result.output)
+    Ok(AttributeHistograms { histograms, bins })
 }
 
 /// The IQR job of the exact-IQR Freedman–Diaconis extension: mappers
@@ -337,8 +226,6 @@ mod tests {
         // Exercise the per-record `map` implementation directly.
         let mapper = HistMapper {
             bins: Arc::new(vec![4, 4]),
-            attr_lo: 0,
-            attr_hi: usize::MAX,
         };
         let row: &[f64] = &[0.1, 0.9];
         let mut em = p3c_mapreduce::Emitter::new();
@@ -346,59 +233,5 @@ mod tests {
         let (pairs, _) = em.into_parts();
         assert_eq!(pairs.len(), 2);
         assert_eq!(pairs[0].1.iter().sum::<f64>(), 1.0);
-        // A sharded mapper only emits its attribute slice.
-        let sharded = HistMapper {
-            bins: Arc::new(vec![4, 4]),
-            attr_lo: 1,
-            attr_hi: 2,
-        };
-        let mut em = p3c_mapreduce::Emitter::new();
-        sharded.map(&row, &mut em);
-        let (pairs, _) = em.into_parts();
-        assert_eq!(pairs.len(), 1);
-        assert_eq!(pairs[0].0, 1);
-    }
-
-    #[test]
-    fn projected_shard_equals_full_width_shard() {
-        let data = sample_rows();
-        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        let bins = [8, 16, 4];
-        let engine = Engine::new(MrConfig {
-            split_size: 64,
-            ..MrConfig::default()
-        });
-        let full = histogram_shard_job(&engine, &rows, &bins, 1..3, "wide").unwrap();
-        // The same shard over rows narrowed to attributes 1..3.
-        let narrowed: Vec<Vec<f64>> = data.iter().map(|r| r[1..3].to_vec()).collect();
-        let narrow_refs: Vec<&[f64]> = narrowed.iter().map(|r| r.as_slice()).collect();
-        let engine2 = Engine::new(MrConfig {
-            split_size: 64,
-            ..MrConfig::default()
-        });
-        let projected =
-            histogram_shard_job_projected(&engine2, &narrow_refs, &bins, 1..3, "narrow").unwrap();
-        assert_eq!(projected, full);
-    }
-
-    #[test]
-    fn shard_jobs_merge_to_the_full_histograms() {
-        let data = sample_rows();
-        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        let bins = [8, 8, 8];
-        let engine = Engine::new(MrConfig {
-            split_size: 64,
-            ..MrConfig::default()
-        });
-        let full = histogram_job(&engine, &rows, &bins).unwrap();
-        let sharded = Engine::new(MrConfig {
-            split_size: 64,
-            ..MrConfig::default()
-        });
-        let mut parts = histogram_shard_job(&sharded, &rows, &bins, 0..2, "shard-0").unwrap();
-        parts.extend(histogram_shard_job(&sharded, &rows, &bins, 2..3, "shard-1").unwrap());
-        let merged = assemble_histograms(&bins, parts);
-        assert_eq!(merged.histograms, full.histograms);
-        assert_eq!(merged.bins, full.bins);
     }
 }

@@ -18,7 +18,7 @@ use crate::outlier::{
 };
 use crate::redundancy::filter_redundant_proven;
 use crate::relevance::relevant_intervals;
-use p3c_dataset::{Clustering, Dataset, ProjectedCluster};
+use p3c_dataset::{split_assignment, Clustering, Dataset, ProjectedCluster};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -318,26 +318,20 @@ fn finalize_partitioned(
     cores: &[ClusterCore],
     params: &P3cParams,
 ) -> Clustering {
-    let k = cores.len();
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut outliers = Vec::new();
-    for (i, &a) in assignment.iter().enumerate() {
-        if a < 0 {
-            outliers.push(i);
-        } else {
-            members[a as usize].push(i);
-        }
-    }
-    let mut clusters = Vec::with_capacity(k);
-    for (c, core) in cores.iter().enumerate() {
-        let member_rows: Vec<&[f64]> = members[c].iter().map(|&i| rows[i]).collect();
-        let core_attrs = core.signature.attributes();
-        let extra = inspect_attributes(&member_rows, &core_attrs, params);
-        let mut attrs = core_attrs;
-        attrs.extend(extra.iter().map(|iv| iv.attr));
-        let intervals = tighten_intervals(&member_rows, &attrs);
-        clusters.push(ProjectedCluster::new(members[c].clone(), attrs, intervals));
-    }
+    let (members, outliers) = split_assignment(assignment, cores.len());
+    let clusters = cores
+        .iter()
+        .zip(members)
+        .map(|(core, points)| {
+            let member_rows: Vec<&[f64]> = points.iter().map(|&i| rows[i]).collect();
+            let core_attrs = core.signature.attributes();
+            let extra = inspect_attributes(&member_rows, &core_attrs, params);
+            let mut attrs = core_attrs;
+            attrs.extend(extra.iter().map(|iv| iv.attr));
+            let intervals = tighten_intervals(&member_rows, &attrs);
+            ProjectedCluster::new(points, attrs, intervals)
+        })
+        .collect();
     Clustering::new(clusters, outliers)
 }
 

@@ -34,5 +34,5 @@ pub mod rowblock;
 pub use blocklog::{BlockEntry, BlockLog};
 pub use colseg::ColumnSet;
 pub use data::{Dataset, NormalizationMap};
-pub use model::{AttrInterval, Clustering, ProjectedCluster};
+pub use model::{split_assignment, AttrInterval, Clustering, ProjectedCluster};
 pub use rowblock::{Columns, RowBlock};

@@ -147,12 +147,34 @@ impl Clustering {
     }
 }
 
+/// Splits a hard assignment — `labels[i]` is point `i`'s cluster index,
+/// negative for an outlier — into the `k` per-cluster member lists and
+/// the outlier list, all ascending by point id.
+pub fn split_assignment(labels: &[i64], k: usize) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
+    let mut outliers = Vec::new();
+    for (i, &label) in labels.iter().enumerate() {
+        match usize::try_from(label) {
+            Ok(c) => members[c].push(i),
+            Err(_) => outliers.push(i),
+        }
+    }
+    (members, outliers)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn interval(attr: usize, lo: f64, hi: f64) -> AttrInterval {
         AttrInterval::new(attr, lo, hi)
+    }
+
+    #[test]
+    fn split_assignment_partitions_ids() {
+        let (members, outliers) = split_assignment(&[1, -1, 0, 1, -1], 3);
+        assert_eq!(members, vec![vec![2], vec![0, 3], vec![]]);
+        assert_eq!(outliers, vec![1, 4]);
     }
 
     #[test]

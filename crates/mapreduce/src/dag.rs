@@ -1,8 +1,9 @@
-//! A DAG scheduler for MapReduce jobs over materialized datasets.
+//! Job graphs of MapReduce jobs over materialized datasets, and their
+//! two executors.
 //!
-//! The paper decomposes P3C+ into a *sequence* of MR jobs, but many of
-//! those jobs are independent (per-attribute histogram shards, BoW's
-//! per-partition clusterings). This module schedules them as a
+//! The paper decomposes P3C+ into a *sequence* of MR jobs, but some of
+//! those jobs are independent (MR-Light's attribute inspection and core
+//! tightening). This module lets a pipeline state its jobs as a
 //! dependency graph instead, Spark-style:
 //!
 //! * [`JobGraph`] — named nodes ([`JobNode`]), each an MR job (map-only,
@@ -18,6 +19,13 @@
 //! * **Metrics** — per-node timings, the concurrency high-water mark and
 //!   the store's cache/spill counters are recorded as a
 //!   [`DagMetrics`] entry in the engine's [`crate::ClusterMetrics`].
+//!
+//! A pipeline defines its job graph once; [`JobGraph::run`] hands it to
+//! the executor a [`SchedulerChoice`] names — the [`DagScheduler`], or an
+//! inline walk of the same topological order on the calling thread.
+//! Node bodies may borrow from the caller's stack (both executors finish
+//! every node before returning), so the bulk row set is borrowed by the
+//! nodes and only the small intermediates travel through the store.
 
 use crate::dataset::{DatasetError, DatasetHandle, DatasetStore};
 use crate::engine::{Engine, MrError};
@@ -31,13 +39,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which driver code path executes a pipeline.
+/// Which executor runs a pipeline's [`JobGraph`]s (see [`JobGraph::run`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SchedulerChoice {
-    /// Chain the jobs sequentially (the paper's literal structure).
+    /// Run the nodes one after another on the calling thread, in
+    /// topological order (the paper's literal job chain). Records no
+    /// [`DagMetrics`].
     #[default]
     Serial,
-    /// Run the jobs as a dependency DAG with materialized datasets.
+    /// Run the graph on the [`DagScheduler`]: ready nodes overlap, failed
+    /// nodes retry, lost datasets are rebuilt through lineage.
     Dag,
 }
 
@@ -159,17 +170,19 @@ impl DagError {
             _ => None,
         }
     }
+}
 
-    /// Collapses the error onto [`MrError`] for drivers whose public
-    /// result type predates the DAG scheduler: engine failures pass
-    /// through untouched, scheduler-level failures keep the failing
-    /// node's name in [`MrError::Dag`].
-    pub fn into_mr(self) -> MrError {
-        match self.root_mr() {
+/// Collapses the error onto [`MrError`] for drivers whose public result
+/// type predates the job graphs: engine failures pass through untouched,
+/// executor-level failures keep the failing node's name in
+/// [`MrError::Dag`].
+impl From<DagError> for MrError {
+    fn from(e: DagError) -> Self {
+        match e.root_mr() {
             Some(mr) => mr.clone(),
             None => MrError::Dag {
-                node: self.node_name().unwrap_or("<graph>").to_string(),
-                message: self.to_string(),
+                node: e.node_name().unwrap_or("<graph>").to_string(),
+                message: e.to_string(),
             },
         }
     }
@@ -258,22 +271,6 @@ impl NodeCtx<'_> {
         self.store.get(handle).map_err(DagError::from)
     }
 
-    /// Reads a projected view of a segmented input dataset, decoding
-    /// only the requested column segments when the dataset is spilled
-    /// (see [`DatasetStore::get_columns`]). `V` is the view type of the
-    /// codec the dataset was registered with.
-    pub fn fetch_columns<T, V>(
-        &self,
-        handle: &DatasetHandle<T>,
-        cols: &[usize],
-    ) -> Result<Arc<V>, DagError>
-    where
-        T: Send + Sync + 'static,
-        V: Send + Sync + 'static,
-    {
-        self.store.get_columns(handle, cols).map_err(DagError::from)
-    }
-
     /// Materializes an output dataset. Node outputs are registered as
     /// *recomputable*: under memory pressure the store may drop them,
     /// and lineage re-executes this node to rebuild them.
@@ -292,24 +289,25 @@ impl NodeCtx<'_> {
     }
 }
 
-type NodeBody = Box<dyn Fn(&NodeCtx) -> Result<(), DagError> + Send + Sync>;
+type NodeBody<'a> = Box<dyn Fn(&NodeCtx) -> Result<(), DagError> + Send + Sync + 'a>;
 
-/// One node of a [`JobGraph`]: an MR job with declared dataset I/O.
-pub struct JobNode {
+/// One node of a [`JobGraph`]: an MR job with declared dataset I/O. The
+/// body may borrow for `'a` — the caller's rows, parameters and handles.
+pub struct JobNode<'a> {
     name: String,
     kind: JobKind,
     inputs: Vec<String>,
     outputs: Vec<String>,
-    run: NodeBody,
+    run: NodeBody<'a>,
 }
 
-impl JobNode {
+impl<'a> JobNode<'a> {
     /// Creates a node from its name, kind and body. Dataset I/O is
     /// declared afterwards with [`JobNode::input`] / [`JobNode::output`].
     pub fn new(
         name: impl Into<String>,
         kind: JobKind,
-        run: impl Fn(&NodeCtx) -> Result<(), DagError> + Send + Sync + 'static,
+        run: impl Fn(&NodeCtx) -> Result<(), DagError> + Send + Sync + 'a,
     ) -> Self {
         Self {
             name: name.into(),
@@ -341,9 +339,30 @@ impl JobNode {
     pub fn kind(&self) -> JobKind {
         self.kind
     }
+
+    /// Runs the body once.
+    fn run_body(&self, engine: &Engine, store: &DatasetStore) -> Result<(), DagError> {
+        (self.run)(&NodeCtx {
+            engine,
+            store,
+            node_name: &self.name,
+        })
+    }
+
+    /// Checks that every declared output is materialized — what both
+    /// executors demand of a body that returned `Ok`.
+    fn check_outputs(&self, store: &DatasetStore) -> Result<(), DagError> {
+        match self.outputs.iter().find(|out| !store.has(out)) {
+            Some(out) => Err(DagError::OutputNotMaterialized {
+                node: self.name.clone(),
+                dataset: out.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
-impl fmt::Debug for JobNode {
+impl fmt::Debug for JobNode<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JobNode")
             .field("name", &self.name)
@@ -354,16 +373,15 @@ impl fmt::Debug for JobNode {
     }
 }
 
-/// A named DAG of [`JobNode`]s.
 /// A named set of [`JobNode`]s; edges are implied by matching dataset
 /// declarations (a node consuming `x` depends on the node producing `x`).
 #[derive(Debug, Default)]
-pub struct JobGraph {
+pub struct JobGraph<'a> {
     name: String,
-    nodes: Vec<JobNode>,
+    nodes: Vec<JobNode<'a>>,
 }
 
-impl JobGraph {
+impl<'a> JobGraph<'a> {
     /// Creates an empty graph with the given name.
     pub fn new(name: impl Into<String>) -> Self {
         Self {
@@ -373,7 +391,7 @@ impl JobGraph {
     }
 
     /// Adds a node; declaration order breaks scheduling ties.
-    pub fn add(&mut self, node: JobNode) -> &mut Self {
+    pub fn add(&mut self, node: JobNode<'a>) -> &mut Self {
         self.nodes.push(node);
         self
     }
@@ -397,6 +415,121 @@ impl JobGraph {
     pub fn node_names(&self) -> Vec<&str> {
         self.nodes.iter().map(|n| n.name.as_str()).collect()
     }
+
+    /// Runs the graph to completion on the executor `scheduler` names —
+    /// the one place a [`SchedulerChoice`] is acted on. On success every
+    /// declared output is materialized in `store`.
+    ///
+    /// [`SchedulerChoice::Dag`] is [`DagScheduler::run`] with the default
+    /// [`DagConfig`]. [`SchedulerChoice::Serial`] validates the graph the
+    /// same way, then runs each node once, in topological order, on the
+    /// calling thread: no node retries or lineage recovery (the engine
+    /// still retries tasks) and no [`DagMetrics`] in the ledger.
+    pub fn run(
+        &self,
+        engine: &Engine,
+        store: &DatasetStore,
+        scheduler: SchedulerChoice,
+    ) -> Result<(), DagError> {
+        match scheduler {
+            SchedulerChoice::Dag => DagScheduler::new(engine).run(self, store).map(|_| ()),
+            SchedulerChoice::Serial => {
+                for idx in self.plan(store)?.order {
+                    let node = &self.nodes[idx];
+                    node.run_body(engine, store)?;
+                    node.check_outputs(store)?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Validates the graph — unique node names, one producer per
+    /// dataset, every sourceless input pre-seeded in `store`, no cycle —
+    /// and derives its edges and a topological order.
+    fn plan(&self, store: &DatasetStore) -> Result<Plan<'_>, DagError> {
+        let n = self.nodes.len();
+        let mut producer: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut names: BTreeSet<&str> = BTreeSet::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            if !names.insert(node.name.as_str()) {
+                return Err(DagError::DuplicateNode {
+                    name: node.name.clone(),
+                });
+            }
+            for out in &node.outputs {
+                if producer.insert(out.as_str(), i).is_some() {
+                    return Err(DagError::DuplicateProducer {
+                        dataset: out.clone(),
+                    });
+                }
+            }
+        }
+
+        // Edges: producer → consumer.
+        let mut dependents: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        let mut indeg = vec![0usize; n];
+        for (i, node) in self.nodes.iter().enumerate() {
+            for input in &node.inputs {
+                match producer.get(input.as_str()) {
+                    Some(&p) => {
+                        if dependents[p].insert(i) {
+                            indeg[i] += 1;
+                        }
+                    }
+                    None => {
+                        if !store.has(input) {
+                            return Err(DagError::MissingInput {
+                                node: node.name.clone(),
+                                dataset: input.clone(),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+
+        // Kahn pass over a FIFO queue: rejects cycles before anything
+        // runs, and yields the order the scheduler's ready queue would
+        // produce with a single job slot.
+        let mut deg = indeg.clone();
+        let mut queue: VecDeque<usize> = (0..n).filter(|&i| deg[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(i) = queue.pop_front() {
+            order.push(i);
+            for &d in &dependents[i] {
+                deg[d] -= 1;
+                if deg[d] == 0 {
+                    queue.push_back(d);
+                }
+            }
+        }
+        if order.len() < n {
+            let stuck = (0..n)
+                .filter(|&i| deg[i] > 0)
+                .map(|i| self.nodes[i].name.clone())
+                .collect();
+            return Err(DagError::Cycle { nodes: stuck });
+        }
+        Ok(Plan {
+            producer,
+            dependents,
+            indeg,
+            order,
+        })
+    }
+}
+
+/// A validated [`JobGraph`]: its edges and one topological order.
+struct Plan<'g> {
+    /// Dataset name → producing node index.
+    producer: BTreeMap<&'g str, usize>,
+    /// Node index → the nodes consuming one of its outputs.
+    dependents: Vec<BTreeSet<usize>>,
+    /// Node index → number of producers it waits on.
+    indeg: Vec<usize>,
+    /// All node indices, producers first; declaration order breaks ties.
+    order: Vec<usize>,
 }
 
 /// Scheduler configuration.
@@ -448,7 +581,7 @@ struct NodeRun {
 
 /// Shared, read-mostly context of one `run` invocation.
 struct RunShared<'g> {
-    graph: &'g JobGraph,
+    graph: &'g JobGraph<'g>,
     store: &'g DatasetStore,
     /// dataset name → producing node index.
     producer: BTreeMap<&'g str, usize>,
@@ -489,77 +622,19 @@ impl<'e> DagScheduler<'e> {
 
     /// Runs the graph to completion; on success every declared output is
     /// materialized in `store`.
-    pub fn run(&self, graph: &JobGraph, store: &DatasetStore) -> Result<DagReport, DagError> {
+    pub fn run(&self, graph: &JobGraph<'_>, store: &DatasetStore) -> Result<DagReport, DagError> {
         // audit: time-ok — wall time feeds DagMetrics only, never results.
         let started = Instant::now();
         let n = graph.nodes.len();
         let store_before = store.stats();
         let jobs_before = self.engine.cluster_metrics().num_jobs();
 
-        // ---- validate: unique names, unique producers ----
-        let mut producer: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut names: BTreeSet<&str> = BTreeSet::new();
-        for (i, node) in graph.nodes.iter().enumerate() {
-            if !names.insert(node.name.as_str()) {
-                return Err(DagError::DuplicateNode {
-                    name: node.name.clone(),
-                });
-            }
-            for out in &node.outputs {
-                if producer.insert(out.as_str(), i).is_some() {
-                    return Err(DagError::DuplicateProducer {
-                        dataset: out.clone(),
-                    });
-                }
-            }
-        }
-
-        // ---- edges: producer → consumer; sourceless inputs must be
-        // pre-seeded in the store ----
-        let mut dependents: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-        let mut indeg = vec![0usize; n];
-        for (i, node) in graph.nodes.iter().enumerate() {
-            for input in &node.inputs {
-                match producer.get(input.as_str()) {
-                    Some(&p) => {
-                        if dependents[p].insert(i) {
-                            indeg[i] += 1;
-                        }
-                    }
-                    None => {
-                        if !store.has(input) {
-                            return Err(DagError::MissingInput {
-                                node: node.name.clone(),
-                                dataset: input.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- Kahn pass: reject cycles before running anything ----
-        {
-            let mut deg = indeg.clone();
-            let mut queue: Vec<usize> = (0..n).filter(|&i| deg[i] == 0).collect();
-            let mut visited = 0usize;
-            while let Some(i) = queue.pop() {
-                visited += 1;
-                for &d in &dependents[i] {
-                    deg[d] -= 1;
-                    if deg[d] == 0 {
-                        queue.push(d);
-                    }
-                }
-            }
-            if visited < n {
-                let stuck = (0..n)
-                    .filter(|&i| deg[i] > 0)
-                    .map(|i| graph.nodes[i].name.clone())
-                    .collect();
-                return Err(DagError::Cycle { nodes: stuck });
-            }
-        }
+        let Plan {
+            producer,
+            dependents,
+            indeg,
+            ..
+        } = graph.plan(store)?;
 
         let shared = RunShared {
             graph,
@@ -737,11 +812,7 @@ impl<'e> DagScheduler<'e> {
                     node: node.name.clone(),
                 })
             } else {
-                (node.run)(&NodeCtx {
-                    engine: self.engine,
-                    store: shared.store,
-                    node_name: &node.name,
-                })
+                node.run_body(self.engine, shared.store)
             };
             for input in &node.inputs {
                 shared.store.unpin(input);
@@ -753,17 +824,7 @@ impl<'e> DagScheduler<'e> {
                 run.wall += t0.elapsed();
             }
             match result {
-                Ok(()) => {
-                    for out in &node.outputs {
-                        if !shared.store.has(out) {
-                            return Err(DagError::OutputNotMaterialized {
-                                node: node.name.clone(),
-                                dataset: out.clone(),
-                            });
-                        }
-                    }
-                    return Ok(());
-                }
+                Ok(()) => return node.check_outputs(shared.store),
                 Err(e) => {
                     // audit: relaxed-ok — monotonic metric counter.
                     shared.failed_attempts.fetch_add(1, Ordering::Relaxed);
@@ -820,11 +881,7 @@ impl<'e> DagScheduler<'e> {
         shared.recovered.fetch_add(1, Ordering::Relaxed);
         // audit: time-ok — recovery wall time feeds metrics only.
         let t0 = Instant::now();
-        let result = (pnode.run)(&NodeCtx {
-            engine: self.engine,
-            store: shared.store,
-            node_name: &pnode.name,
-        });
+        let result = pnode.run_body(self.engine, shared.store);
         {
             let mut run = shared.node_runs[p].lock();
             run.executions += 1;
@@ -836,15 +893,7 @@ impl<'e> DagScheduler<'e> {
             attempts: 1,
             source: Box::new(e),
         })?;
-        for out in &pnode.outputs {
-            if !shared.store.has(out) {
-                return Err(DagError::OutputNotMaterialized {
-                    node: pnode.name.clone(),
-                    dataset: out.clone(),
-                });
-            }
-        }
-        Ok(())
+        pnode.check_outputs(shared.store)
     }
 }
 
@@ -1034,6 +1083,103 @@ mod tests {
         assert_eq!(order.first(), Some(&"root"));
         assert_eq!(order.last(), Some(&"join"));
         assert_eq!(order.len(), 4);
+    }
+
+    #[test]
+    fn serial_executor_walks_topological_order_and_records_no_dag_metrics() {
+        // Node bodies borrow these locals: nothing here is `'static`.
+        let order: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+        let a: DatasetHandle<u64> = DatasetHandle::new("a");
+        let b: DatasetHandle<u64> = DatasetHandle::new("b");
+        let c: DatasetHandle<u64> = DatasetHandle::new("c");
+        let sum: DatasetHandle<u64> = DatasetHandle::new("sum");
+        fn step<'a>(
+            name: &'static str,
+            from: &'a DatasetHandle<u64>,
+            to: &'a DatasetHandle<u64>,
+            order: &'a Mutex<Vec<&'static str>>,
+        ) -> JobNode<'a> {
+            JobNode::new(name, JobKind::MapOnly, move |ctx: &NodeCtx| {
+                order.lock().push(name);
+                let v = *ctx.fetch(from)?;
+                ctx.put(to, v + 1, 8);
+                Ok(())
+            })
+            .input(from)
+            .output(to)
+        }
+        // Declared out of dependency order on purpose.
+        let mut graph = JobGraph::new("inline");
+        graph.add(
+            JobNode::new("join", JobKind::MapOnly, |ctx: &NodeCtx| {
+                order.lock().push("join");
+                let total = *ctx.fetch(&b)? + *ctx.fetch(&c)?;
+                ctx.put(&sum, total, 8);
+                Ok(())
+            })
+            .input(&b)
+            .input(&c)
+            .output(&sum),
+        );
+        graph.add(step("left", &a, &b, &order));
+        graph.add(step("right", &a, &c, &order));
+        for scheduler in [SchedulerChoice::Serial, SchedulerChoice::Dag] {
+            let eng = engine();
+            let store = DatasetStore::new();
+            store.put(&a, 1u64, 8);
+            order.lock().clear();
+            graph.run(&eng, &store, scheduler).unwrap();
+            assert_eq!(*store.get(&sum).unwrap(), 4, "{scheduler:?}");
+            assert_eq!(order.lock().last(), Some(&"join"), "{scheduler:?}");
+            let dag_runs = eng.cluster_metrics().dag_runs().len();
+            match scheduler {
+                SchedulerChoice::Serial => {
+                    assert_eq!(*order.lock(), ["left", "right", "join"]);
+                    assert_eq!(dag_runs, 0);
+                }
+                SchedulerChoice::Dag => assert_eq!(dag_runs, 1),
+            }
+        }
+    }
+
+    #[test]
+    fn serial_executor_validates_and_stops_at_the_first_failure() {
+        let eng = engine();
+        let store = DatasetStore::new();
+        let x: DatasetHandle<u64> = DatasetHandle::new("x");
+        let y: DatasetHandle<u64> = DatasetHandle::new("y");
+        let ran_second = AtomicUsize::new(0);
+        let mut graph = JobGraph::new("liar-then-reader");
+        graph.add(JobNode::new("liar", JobKind::MapOnly, |_: &NodeCtx| Ok(())).output(&x));
+        graph.add(
+            JobNode::new("reader", JobKind::MapOnly, |_: &NodeCtx| {
+                ran_second.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            })
+            .input(&x)
+            .output(&y),
+        );
+        let err = graph
+            .run(&eng, &store, SchedulerChoice::Serial)
+            .unwrap_err();
+        assert!(matches!(err, DagError::OutputNotMaterialized { ref node, .. } if node == "liar"));
+        assert_eq!(ran_second.load(Ordering::SeqCst), 0);
+
+        let mut cyclic = JobGraph::new("cyclic");
+        cyclic.add(
+            JobNode::new("n1", JobKind::MapOnly, |_: &NodeCtx| Ok(()))
+                .input(&y)
+                .output(&x),
+        );
+        cyclic.add(
+            JobNode::new("n2", JobKind::MapOnly, |_: &NodeCtx| Ok(()))
+                .input(&x)
+                .output(&y),
+        );
+        let err = cyclic
+            .run(&eng, &store, SchedulerChoice::Serial)
+            .unwrap_err();
+        assert!(matches!(err, DagError::Cycle { .. }));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Named, materialized datasets shared between the jobs of a DAG.
 //!
 //! A [`DatasetStore`] is the "distributed file system + block cache" of
-//! the DAG scheduler ([`crate::dag`]): every job node reads its inputs
-//! from the store and materializes its outputs back into it, so shared
-//! inputs (e.g. the normalized row set) are loaded **once per pipeline**
-//! instead of once per job. The store is in-memory first; under a byte
+//! a job graph ([`crate::dag`]): every job node reads its intermediate
+//! inputs from the store and materializes its outputs back into it (the
+//! bulk row set is borrowed by the nodes, not stored). It is also where
+//! the clustering service keeps its tenants' row blocks, under a byte
+//! budget. The store is in-memory first; under a byte
 //! budget it evicts least-recently-used entries, *spilling* entries that
 //! carry a codec to the [`crate::BlockStore`] "HDFS-lite" and *dropping*
 //! entries marked recomputable (lineage re-executes their producer on
@@ -122,60 +123,6 @@ pub struct SegmentedCodec<T, C, V> {
     pub project: fn(&T, &[usize]) -> V,
 }
 
-/// Takes a finished dataset out of the store after a DAG run, mapping a
-/// missing or mistyped entry onto [`MrError::Dag`] for drivers whose
-/// public result type is `Result<_, MrError>`.
-pub fn take_dataset<T: Clone + Send + Sync + 'static>(
-    store: &DatasetStore,
-    handle: &DatasetHandle<T>,
-) -> Result<T, MrError> {
-    store
-        .get(handle)
-        .map(|v| (*v).clone())
-        .map_err(|e| MrError::Dag {
-            node: "<driver>".to_string(),
-            message: e.to_string(),
-        })
-}
-
-/// Built-in codec for the row-set dataset shared by the pipelines.
-pub fn rows_codec() -> DatasetCodec<Vec<Vec<f64>>> {
-    // The codec's `fn(&T)` shape forces `&Vec`, not `&[_]`.
-    #[allow(clippy::ptr_arg)]
-    fn encode(rows: &Vec<Vec<f64>>) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-        for row in rows {
-            out.extend_from_slice(&(row.len() as u64).to_le_bytes());
-            for v in row {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        out
-    }
-    fn decode(bytes: &[u8]) -> Vec<Vec<f64>> {
-        let mut at = 0usize;
-        let mut take8 = |buf: &[u8]| -> [u8; 8] {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&buf[at..at + 8]);
-            at += 8;
-            b
-        };
-        let n = u64::from_le_bytes(take8(bytes)) as usize;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let d = u64::from_le_bytes(take8(bytes)) as usize;
-            let mut row = Vec::with_capacity(d);
-            for _ in 0..d {
-                row.push(f64::from_le_bytes(take8(bytes)));
-            }
-            rows.push(row);
-        }
-        rows
-    }
-    DatasetCodec { encode, decode }
-}
-
 /// Store access errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DatasetError {
@@ -246,6 +193,18 @@ impl fmt::Display for DatasetError {
 }
 
 impl std::error::Error for DatasetError {}
+
+/// A pipeline driver reading a finished dataset back after
+/// [`crate::JobGraph::run`]: a missing or mistyped entry is a
+/// driver-side [`MrError::Dag`].
+impl From<DatasetError> for MrError {
+    fn from(e: DatasetError) -> Self {
+        MrError::Dag {
+            node: "<driver>".to_string(),
+            message: e.to_string(),
+        }
+    }
+}
 
 /// Counters describing cache behaviour since the store was created.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -1025,6 +984,44 @@ mod tests {
 
     fn rows(k: usize) -> Vec<Vec<f64>> {
         (0..4).map(|i| vec![i as f64 + k as f64, 0.5]).collect()
+    }
+
+    /// Whole-buffer codec for the test row sets.
+    fn rows_codec() -> DatasetCodec<Vec<Vec<f64>>> {
+        // The codec's `fn(&T)` shape forces `&Vec`, not `&[_]`.
+        #[allow(clippy::ptr_arg)]
+        fn encode(rows: &Vec<Vec<f64>>) -> Vec<u8> {
+            let mut out = Vec::new();
+            out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+            for row in rows {
+                out.extend_from_slice(&(row.len() as u64).to_le_bytes());
+                for v in row {
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            out
+        }
+        fn decode(bytes: &[u8]) -> Vec<Vec<f64>> {
+            let mut at = 0usize;
+            let mut take8 = |buf: &[u8]| -> [u8; 8] {
+                let mut b = [0u8; 8];
+                b.copy_from_slice(&buf[at..at + 8]);
+                at += 8;
+                b
+            };
+            let n = u64::from_le_bytes(take8(bytes)) as usize;
+            let mut rows = Vec::with_capacity(n);
+            for _ in 0..n {
+                let d = u64::from_le_bytes(take8(bytes)) as usize;
+                let mut row = Vec::with_capacity(d);
+                for _ in 0..d {
+                    row.push(f64::from_le_bytes(take8(bytes)));
+                }
+                rows.push(row);
+            }
+            rows
+        }
+        DatasetCodec { encode, decode }
     }
 
     /// View type of the test segmented codec: `(attr, column)` pairs.

@@ -21,10 +21,11 @@
 //!   ([`metrics`]); these drive the runtime/I/O figures of the evaluation.
 //! * **Block storage** — a tiny "HDFS-lite" ([`blockstore`]) used by the
 //!   examples to stage datasets as replicated blocks.
-//! * **DAG scheduling** — a [`JobGraph`] of MR jobs over named, cached
-//!   datasets ([`dag`], [`dataset`]): ready jobs run concurrently, shared
-//!   inputs load once, and lineage re-executes only lost ancestors after
-//!   a failure.
+//! * **Job graphs** — a pipeline is one [`JobGraph`] of MR jobs passing
+//!   named intermediate datasets ([`dag`], [`dataset`]), run by either of
+//!   two executors ([`JobGraph::run`]): an inline walk in topological
+//!   order, or the [`DagScheduler`], where ready jobs run concurrently
+//!   and lineage re-executes only lost ancestors after a failure.
 //! * **Distributed backends** — a [`Backend`] seam over the shuffle data
 //!   plane ([`distrib`]): the in-process engine, an in-process shuffle
 //!   service, and a multi-process backend whose spawned workers serve
@@ -127,8 +128,7 @@ pub use dag::{
     SchedulerChoice,
 };
 pub use dataset::{
-    rows_codec, take_dataset, DatasetCodec, DatasetError, DatasetHandle, DatasetStore,
-    DatasetStoreStats, SegmentedCodec,
+    DatasetCodec, DatasetError, DatasetHandle, DatasetStore, DatasetStoreStats, SegmentedCodec,
 };
 pub use distrib::{
     Backend, BackendChoice, BackendError, LocalBackend, MapOutputTracker, ProcessBackend,

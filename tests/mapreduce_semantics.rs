@@ -1,12 +1,14 @@
 //! Integration tests of the MapReduce substrate under realistic use:
-//! fault tolerance through a full pipeline, metrics plausibility, and the
-//! block-store staging path.
+//! fault tolerance through a full pipeline, metrics plausibility, the
+//! one-definition / two-executors ledger contract, and the block-store
+//! staging path.
 
+use p3c_suite::bow::{Bow, BowConfig};
 use p3c_suite::core::config::P3cParams;
 use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_suite::datagen::{generate, SyntheticSpec};
-use p3c_suite::dataset::persist;
-use p3c_suite::mapreduce::{BlockStore, Engine, FaultPlan, MrConfig};
+use p3c_suite::dataset::{persist, Clustering, Dataset};
+use p3c_suite::mapreduce::{BlockStore, Engine, FaultPlan, MrConfig, SchedulerChoice};
 
 fn data() -> p3c_suite::datagen::GeneratedData {
     generate(&SyntheticSpec {
@@ -132,6 +134,87 @@ fn light_pipeline_moves_less_data_than_full() {
         light.total_map_input_records(),
         full.total_map_input_records()
     );
+}
+
+/// "One definition": a pipeline is a single job graph, so the two
+/// executors must run the same jobs over the same inputs and return the
+/// same clustering. `Serial` leaves no DAG rows in the ledger, `Dag`
+/// records its runs, and both ledgers hold the same multiset of
+/// (job name, records read) — only the order may differ under `Dag`.
+fn assert_one_definition(
+    pipeline: &str,
+    cluster: impl Fn(&Engine, &Dataset, SchedulerChoice) -> Clustering,
+) {
+    let d = data();
+    let run = |scheduler| {
+        let engine = Engine::new(MrConfig {
+            num_reducers: 4,
+            split_size: 512,
+            ..MrConfig::default()
+        });
+        let clustering = cluster(&engine, &d.dataset, scheduler);
+        (clustering, engine.cluster_metrics())
+    };
+    let (serial, serial_ledger) = run(SchedulerChoice::Serial);
+    let (dag, dag_ledger) = run(SchedulerChoice::Dag);
+    assert_eq!(serial, dag, "{pipeline}: executors disagree");
+    assert!(
+        serial_ledger.dag_runs().is_empty(),
+        "{pipeline}: a Serial run recorded DAG metrics"
+    );
+    assert!(
+        !dag_ledger.dag_runs().is_empty(),
+        "{pipeline}: a Dag run recorded no DAG metrics"
+    );
+    let jobs = |ledger: &p3c_suite::mapreduce::ClusterMetrics| {
+        let mut jobs: Vec<(String, u64)> = ledger
+            .jobs()
+            .iter()
+            .map(|j| (j.job_name.clone(), j.map_input_records))
+            .collect();
+        jobs.sort();
+        jobs
+    };
+    assert!(!serial_ledger.jobs().is_empty(), "{pipeline}: no jobs ran");
+    assert_eq!(
+        jobs(&serial_ledger),
+        jobs(&dag_ledger),
+        "{pipeline}: the executors ran different jobs"
+    );
+}
+
+#[test]
+fn p3cplus_mr_is_one_definition_under_both_executors() {
+    assert_one_definition("P3C+-MR", |engine, data, scheduler| {
+        P3cPlusMr::new(engine, P3cParams::default())
+            .cluster_with(data, scheduler)
+            .unwrap()
+            .clustering
+    });
+}
+
+#[test]
+fn mr_light_is_one_definition_under_both_executors() {
+    assert_one_definition("P3C+-MR-Light", |engine, data, scheduler| {
+        P3cPlusMrLight::new(engine, P3cParams::default())
+            .cluster_with(data, scheduler)
+            .unwrap()
+            .clustering
+    });
+}
+
+#[test]
+fn bow_is_one_definition_under_both_executors() {
+    assert_one_definition("BoW", |engine, data, scheduler| {
+        let config = BowConfig {
+            sample_size: 1000,
+            ..BowConfig::default()
+        };
+        Bow::new(engine, config)
+            .cluster_with(data, scheduler)
+            .unwrap()
+            .clustering
+    });
 }
 
 #[test]
