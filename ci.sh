@@ -6,10 +6,10 @@
 #   cargo test -q
 # Then: the tier-1 suite re-run under the multi-process shuffle backend
 # (P3C_BACKEND=process:2), the parallel-kernel bit-identity tests swept
-# over P3C_THREADS, the lane-kernel bit-identity tests swept over
-# P3C_LANES, the kernels/codec/backend/service/recovery benchmarks at
-# smoke scale, archiving target/ci/BENCH_*.json (results/ keeps the
-# committed full-scale numbers; the smoke runs must not overwrite them),
+# over P3C_THREADS, the kernels/codec/backend/service/recovery
+# benchmarks at smoke scale, archiving target/ci/BENCH_*.json (results/
+# keeps the committed full-scale numbers; the smoke runs must not
+# overwrite them),
 # the serial-vs-DAG executor table (every verdict must be `identical`),
 # a stdin-scripted `p3c serve` session exercising the service line
 # protocol under a tight LRU cache budget, a crash-recovery smoke
@@ -62,22 +62,9 @@ for t in 1 2 8; do
     P3C_THREADS=$t cargo test -q --test parallel_kernels > /dev/null
 done
 
-# The lane-batched kernels must be bit-identical to the scalar family
-# for every lane mode × thread count (DESIGN.md §13). The tests pin
-# both families internally via set_lane_mode; the env sweep additionally
-# pins the P3C_LANES-driven default path on both settings.
-echo "==> lane matrix: lane-kernel bit-identity under P3C_LANES"
-for lanes in 0 1; do
-    P3C_LANES=$lanes cargo test -q --test lane_kernels > /dev/null
-done
-
 echo "==> kernels microbenchmark (smoke) -> target/ci/BENCH_kernels.json"
 ./target/release/experiments --smoke --out target/ci kernels > /dev/null
 test -s target/ci/BENCH_kernels.json
-# The lane rows must exist in the report: their in-bench asserts are the
-# smoke-scale guard that both kernel families agree bit-for-bit.
-grep -q "lanes vs scalar blocked (1 worker)" target/ci/BENCH_kernels.json
-grep -q "lanes vs scalar blocked (8 workers)" target/ci/BENCH_kernels.json
 
 echo "==> codec microbenchmark (smoke) -> target/ci/BENCH_codec.json"
 ./target/release/experiments --smoke --out target/ci codec > /dev/null

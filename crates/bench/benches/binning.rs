@@ -2,7 +2,7 @@
 //! Freedman–Diaconis bin counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use p3c_core::histogram::build_histograms_rows;
+use p3c_core::histogram::build_histograms_columnar_threads;
 use p3c_datagen::{generate, SyntheticSpec};
 use p3c_stats::BinRule;
 
@@ -18,15 +18,18 @@ fn bench_binning(c: &mut Criterion) {
             seed: 1,
             ..SyntheticSpec::default()
         });
-        let rows = data.dataset.row_refs();
+        let ds = &data.dataset;
         group.throughput(Throughput::Elements(n as u64));
         for (rule, name) in [
             (BinRule::Sturges, "sturges"),
             (BinRule::FreedmanDiaconis, "fd"),
         ] {
             let bins = rule.num_bins(n);
-            group.bench_with_input(BenchmarkId::new(name, n), &rows, |b, rows| {
-                b.iter(|| build_histograms_rows(rows, bins))
+            let per_attr = vec![bins; ds.dim()];
+            group.bench_with_input(BenchmarkId::new(name, n), ds, |b, ds| {
+                b.iter(|| {
+                    build_histograms_columnar_threads(n, ds.dim(), ds.as_slice(), &per_attr, 1)
+                })
             });
         }
     }

@@ -4,11 +4,17 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use p3c_core::config::P3cParams;
 use p3c_core::cores::generate_cluster_cores;
-use p3c_core::histogram::build_histograms_rows;
+use p3c_core::histogram::{build_histograms_columnar_threads, AttributeHistograms};
 use p3c_core::redundancy::filter_redundant;
 use p3c_core::relevance::relevant_intervals;
 use p3c_datagen::{generate, SyntheticSpec};
+use p3c_dataset::Dataset;
 use p3c_stats::BinRule;
+
+fn fd_histograms(ds: &Dataset) -> AttributeHistograms {
+    let bins = vec![BinRule::FreedmanDiaconis.num_bins(ds.len()); ds.dim()];
+    build_histograms_columnar_threads(ds.len(), ds.dim(), ds.as_slice(), &bins, 1)
+}
 
 fn bench_core_generation(c: &mut Criterion) {
     let params = P3cParams::default();
@@ -26,8 +32,7 @@ fn bench_core_generation(c: &mut Criterion) {
                 ..SyntheticSpec::default()
             });
             let rows = data.dataset.row_refs();
-            let bins = BinRule::FreedmanDiaconis.num_bins(n);
-            let hists = build_histograms_rows(&rows, bins);
+            let hists = fd_histograms(&data.dataset);
             let intervals = relevant_intervals(&hists.histograms, params.alpha_chi2);
             group.throughput(Throughput::Elements(n as u64));
             group.bench_with_input(
@@ -49,8 +54,7 @@ fn bench_core_generation(c: &mut Criterion) {
         ..SyntheticSpec::default()
     });
     let rows = data.dataset.row_refs();
-    let bins = BinRule::FreedmanDiaconis.num_bins(rows.len());
-    let hists = build_histograms_rows(&rows, bins);
+    let hists = fd_histograms(&data.dataset);
     let intervals = relevant_intervals(&hists.histograms, params.alpha_chi2);
     let no_filter = P3cParams {
         use_redundancy_filter: false,

@@ -683,9 +683,8 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> std::time::Duration {
     best
 }
 
-/// The old shuffle partitioner: per-process-seeded SipHash via std's
-/// `DefaultHasher`. Kept here (not in the engine) purely as the
-/// before-side of the `kernels` microbenchmark.
+/// A shuffle partitioner on std's per-process-seeded SipHash
+/// (`DefaultHasher`) — the baseline side of the `kernels` partition row.
 fn sip_partition<K: std::hash::Hash>(key: &K, parts: usize) -> usize {
     use std::hash::Hasher as _;
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -693,20 +692,21 @@ fn sip_partition<K: std::hash::Hash>(key: &K, parts: usize) -> usize {
     (h.finish() % parts as u64) as usize
 }
 
-/// Microbenchmarks the three allocation-free kernels of the columnar
-/// data plane against their row-oriented / allocating predecessors:
-/// the EM E-step (responsibilities over the A_rel projection), histogram
-/// binning, and the shuffle hash partitioner. Emits `BENCH_kernels.json`
-/// with the before/after numbers.
+/// Microbenchmarks the kernels that run today: the blocked E-step and
+/// the histogram block scan on the engine worker pool (1 vs 8 workers),
+/// the shuffle hash partitioner against std's SipHash, and the engine's
+/// map + shuffle + reduce throughput. Emits `BENCH_kernels.json`; the
+/// committed `results/BENCH_kernels.*` is the frozen PR 7 record of the
+/// deleted row-oriented / scalar baselines (EXPERIMENTS.md).
 pub fn kernels(scale: &Scale) -> Report {
-    use p3c_core::em::{Component, MixtureModel};
-    use p3c_core::histogram::{build_histograms_columnar, build_histograms_per_attr};
+    use p3c_core::em::{estep_blocked, Component, MixtureModel};
+    use p3c_core::histogram::build_histograms_columnar_threads;
     use p3c_linalg::Matrix;
     use std::hint::black_box;
 
     let mut report = Report::new(
         "BENCH_kernels",
-        "Allocation-free kernels vs row-oriented baselines",
+        "Pooled kernels, shuffle partitioner and engine throughput",
         &["kernel", "unit", "baseline", "optimized", "speedup"],
     );
     let n = scale.size(100_000);
@@ -721,15 +721,10 @@ pub fn kernels(scale: &Scale) -> Report {
         ..SyntheticSpec::default()
     })
     .dataset;
-    // The row-oriented baselines iterate owned per-row vectors — the
-    // pre-columnar storage layout.
-    let owned: Vec<Vec<f64>> = data.rows().map(|r| r.to_vec()).collect();
-    let refs: Vec<&[f64]> = owned.iter().map(|r| r.as_slice()).collect();
 
-    // EM E-step: k = 5 unit-covariance components over a 10-attribute
-    // A_rel. Baseline: project-per-row allocation + per-component
-    // allocating density calls (the pre-optimization shape of `em_fit`).
-    // Optimized: one flat A_rel projection + scratch-buffer kernel.
+    // The full E-step — densities, responsibilities and moment
+    // accumulation — over k = 5 unit-covariance components in a
+    // 10-attribute A_rel, on one vs eight pool workers.
     let arel: Vec<usize> = (0..d).step_by(2).collect();
     let k = 5;
     let components: Vec<Component> = (0..k)
@@ -739,301 +734,57 @@ pub fn kernels(scale: &Scale) -> Report {
             weight: 1.0 / k as f64,
         })
         .collect();
-    let model = MixtureModel {
+    let eval = MixtureModel {
         arel: arel.clone(),
         components,
-    };
-    let eval = model.evaluator();
-    // The baseline's per-component state reproduces the *historical*
-    // density path inline — allocating `diff` collect, allocating
-    // forward substitution, and per-element division by `L_ii` (today's
-    // `Cholesky` precomputes reciprocals, which the old code did not
-    // have) — so the baseline keeps the pre-optimization cost profile
-    // even as the product `Cholesky` improves.
-    fn old_cholesky(a: &Matrix) -> Vec<f64> {
-        let nn = a.rows();
-        let mut l = vec![0.0; nn * nn];
-        for i in 0..nn {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[i * nn + k] * l[j * nn + k];
-                }
-                l[i * nn + j] = if i == j {
-                    sum.sqrt()
-                } else {
-                    sum / l[j * nn + j]
-                };
-            }
-        }
-        l
     }
-    #[allow(clippy::needless_range_loop)] // historical indexed form
-    fn old_mahalanobis_sq(l: &[f64], nn: usize, diff: &[f64]) -> f64 {
-        let mut y = vec![0.0; nn];
-        for i in 0..nn {
-            let mut sum = diff[i];
-            for k in 0..i {
-                sum -= l[i * nn + k] * y[k];
-            }
-            y[i] = sum / l[i * nn + i];
-        }
-        y.iter().map(|v| v * v).sum()
-    }
-    let old_comps: Vec<(Vec<f64>, Vec<f64>, f64)> = model
-        .components
-        .iter()
-        .map(|c| {
-            let l = old_cholesky(&c.cov);
-            let sub = arel.len();
-            let log_det: f64 = (0..sub).map(|i| l[i * sub + i].ln()).sum::<f64>() * 2.0;
-            let log_norm =
-                c.weight.ln() - 0.5 * (sub as f64 * (2.0 * std::f64::consts::PI).ln() + log_det);
-            (c.mean.clone(), l, log_norm)
-        })
-        .collect();
-
-    let base = best_of(reps, || {
-        let mut acc = 0.0;
-        let mut resp: Vec<f64> = Vec::with_capacity(k);
-        for row in &owned {
-            let x: Vec<f64> = arel.iter().map(|&a| row[a]).collect();
-            resp.clear();
-            resp.extend(old_comps.iter().map(|(mean, l, log_norm)| {
-                let diff: Vec<f64> = x.iter().zip(mean).map(|(v, m)| v - m).collect();
-                log_norm - 0.5 * old_mahalanobis_sq(l, arel.len(), &diff)
-            }));
-            let max = resp.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let mut sum = 0.0;
-            for v in resp.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in resp.iter_mut() {
-                *v /= sum;
-            }
-            acc += max + sum.ln();
-            black_box(&resp);
-        }
-        black_box(acc);
-    });
-    // The columnar `em_fit` gathers the A_rel sub-matrix once per fit
-    // and reuses it across every EM iteration (the old code re-projected
-    // each row on each iteration, which the baseline above still pays),
-    // so the per-iteration E-step is timed over the prebuilt projection.
-    let sub = arel.len();
-    let mut proj = Vec::with_capacity(n * sub);
+    .evaluator();
+    let mut proj = Vec::with_capacity(n * arel.len());
     for row in data.rows() {
         proj.extend(arel.iter().map(|&a| row[a]));
     }
-    let opt = best_of(reps, || {
-        let mut dens = Vec::new();
-        let mut y = Vec::new();
-        let mut acc = 0.0;
-        for chunk in proj.chunks(128 * sub) {
-            eval.log_densities_block(chunk, &mut dens, &mut y);
-            for resp in dens.chunks_exact_mut(k) {
-                acc += p3c_core::em::softmax_in_place(resp);
-            }
-        }
-        black_box(acc);
-    });
-    let em_speedup = base.as_secs_f64() / opt.as_secs_f64();
-    report.push_row(vec![
-        "EM E-step".into(),
-        "ns/point".into(),
-        format!("{:.0}", base.as_secs_f64() * 1e9 / n as f64),
-        format!("{:.0}", opt.as_secs_f64() * 1e9 / n as f64),
-        format!("{em_speedup:.2}x"),
-    ]);
-
-    // The *full* E-step `em_fit` now runs — densities, responsibilities
-    // and moment accumulation — as the block-parallel `estep_blocked`
-    // kernel on the engine worker pool, vs the row-oriented
-    // pre-columnar E-step doing the same work: per-row projection and
-    // density allocs, plus the indexed bounds-checked scatter push the
-    // accumulator had before its iterator rewrite (reproduced inline so
-    // the baseline keeps the historical shape).
-    struct OldAcc {
-        linear: Vec<f64>,
-        scatter: Vec<f64>,
-        weight: f64,
-        weight_sq: f64,
-        count: u64,
-    }
-    impl OldAcc {
-        fn new(dim: usize) -> Self {
-            OldAcc {
-                linear: vec![0.0; dim],
-                scatter: vec![0.0; dim * dim],
-                weight: 0.0,
-                weight_sq: 0.0,
-                count: 0,
-            }
-        }
-        #[allow(clippy::needless_range_loop)] // historical indexed form
-        fn push(&mut self, x: &[f64], w: f64) {
-            let dim = self.linear.len();
-            for (li, &xi) in self.linear.iter_mut().zip(x) {
-                *li += w * xi;
-            }
-            for i in 0..dim {
-                let wxi = w * x[i];
-                for j in 0..dim {
-                    self.scatter[i * dim + j] += wxi * x[j];
-                }
-            }
-            self.weight += w;
-            self.weight_sq += w * w;
-            self.count += 1;
-        }
-    }
-    let full_base = best_of(reps, || {
-        let mut accs: Vec<OldAcc> = (0..k).map(|_| OldAcc::new(sub)).collect();
-        let mut resp: Vec<f64> = Vec::with_capacity(k);
-        let mut acc = 0.0;
-        for row in &owned {
-            let x: Vec<f64> = arel.iter().map(|&a| row[a]).collect();
-            resp.clear();
-            resp.extend(old_comps.iter().map(|(mean, l, log_norm)| {
-                let diff: Vec<f64> = x.iter().zip(mean).map(|(v, m)| v - m).collect();
-                log_norm - 0.5 * old_mahalanobis_sq(l, arel.len(), &diff)
-            }));
-            let max = resp.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let mut sum = 0.0;
-            for v in resp.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in resp.iter_mut() {
-                *v /= sum;
-            }
-            acc += max + sum.ln();
-            for (c, &r) in resp.iter().enumerate() {
-                if r > 1e-12 {
-                    accs[c].push(&x, r);
-                }
-            }
-        }
-        black_box((accs, acc));
-    });
     let par1 = best_of(reps, || {
-        black_box(p3c_core::em::estep_blocked(&eval, &proj, 1));
+        black_box(estep_blocked(&eval, &proj, 1));
     });
     let par8 = best_of(reps, || {
-        black_box(p3c_core::em::estep_blocked(&eval, &proj, 8));
+        black_box(estep_blocked(&eval, &proj, 8));
     });
-    let (_, ll1) = p3c_core::em::estep_blocked(&eval, &proj, 1);
-    let (_, ll8) = p3c_core::em::estep_blocked(&eval, &proj, 8);
+    let (_, ll1) = estep_blocked(&eval, &proj, 1);
+    let (_, ll8) = estep_blocked(&eval, &proj, 8);
     assert_eq!(
         ll1.to_bits(),
         ll8.to_bits(),
         "parallel E-step not bit-identical across thread counts"
     );
-    let em_par_speedup = full_base.as_secs_f64() / par8.as_secs_f64();
-    for (label, wall) in [("1 worker", par1), ("8 workers", par8)] {
-        report.push_row(vec![
-            format!("EM E-step full, pool ({label})"),
-            "ns/point".into(),
-            format!("{:.0}", full_base.as_secs_f64() * 1e9 / n as f64),
-            format!("{:.0}", wall.as_secs_f64() * 1e9 / n as f64),
-            format!("{:.2}x", full_base.as_secs_f64() / wall.as_secs_f64()),
-        ]);
-    }
+    report.push_row(vec![
+        "EM E-step full, pool (1 vs 8 workers)".into(),
+        "ns/point".into(),
+        format!("{:.0}", par1.as_secs_f64() * 1e9 / n as f64),
+        format!("{:.0}", par8.as_secs_f64() * 1e9 / n as f64),
+        format!("{:.2}x", par1.as_secs_f64() / par8.as_secs_f64()),
+    ]);
 
-    // Lane-batched (8-wide) blocked E-step vs the scalar blocked kernel
-    // — both sides the *current* code, pinned explicitly via
-    // `estep_blocked_with_lanes` so the comparison is independent of
-    // the `P3C_LANES` default. Outputs are bit-identical (asserted).
-    use p3c_core::em::estep_blocked_with_lanes;
-    let mut lane_speedup_1w = 0.0;
-    for (label, threads) in [("1 worker", 1usize), ("8 workers", 8)] {
-        let scalar = best_of(reps, || {
-            black_box(estep_blocked_with_lanes(&eval, &proj, threads, false));
-        });
-        let lanes = best_of(reps, || {
-            black_box(estep_blocked_with_lanes(&eval, &proj, threads, true));
-        });
-        let (_, ll_s) = estep_blocked_with_lanes(&eval, &proj, threads, false);
-        let (_, ll_l) = estep_blocked_with_lanes(&eval, &proj, threads, true);
-        assert_eq!(
-            ll_s.to_bits(),
-            ll_l.to_bits(),
-            "lane E-step not bit-identical to scalar at {threads} threads"
-        );
-        let speedup = scalar.as_secs_f64() / lanes.as_secs_f64();
-        if threads == 1 {
-            lane_speedup_1w = speedup;
-        }
-        report.push_row(vec![
-            format!("EM E-step, lanes vs scalar blocked ({label})"),
-            "ns/point".into(),
-            format!("{:.0}", scalar.as_secs_f64() * 1e9 / n as f64),
-            format!("{:.0}", lanes.as_secs_f64() * 1e9 / n as f64),
-            format!("{speedup:.2}x"),
-        ]);
-    }
-
-    // Histogram binning: per-row dispatch across d histograms vs one
-    // strided column scan per attribute over the flat buffer.
+    // The histogram block scan, same two pool sizes.
     let bins_per_attr = vec![10usize; d];
-    let base = best_of(reps, || {
-        black_box(build_histograms_per_attr(&refs, &bins_per_attr));
+    let hist =
+        |threads| build_histograms_columnar_threads(n, d, data.as_slice(), &bins_per_attr, threads);
+    let hist1 = best_of(reps, || {
+        black_box(hist(1));
     });
-    let opt = best_of(reps, || {
-        black_box(build_histograms_columnar(
-            n,
-            d,
-            data.as_slice(),
-            &bins_per_attr,
-        ));
-    });
-    assert_eq!(
-        build_histograms_per_attr(&refs, &bins_per_attr),
-        build_histograms_columnar(n, d, data.as_slice(), &bins_per_attr),
-        "binning kernels disagree"
-    );
-    report.push_row(vec![
-        "histogram binning".into(),
-        "ns/value".into(),
-        format!("{:.1}", base.as_secs_f64() * 1e9 / (n * d) as f64),
-        format!("{:.1}", opt.as_secs_f64() * 1e9 / (n * d) as f64),
-        format!("{:.2}x", base.as_secs_f64() / opt.as_secs_f64()),
-    ]);
-
-    // The column scan on the worker pool (8 workers), vs the same
-    // per-row baseline; output is bit-identical to the serial scan.
     let hist8 = best_of(reps, || {
-        black_box(p3c_core::histogram::build_histograms_columnar_threads(
-            n,
-            d,
-            data.as_slice(),
-            &bins_per_attr,
-            8,
-        ));
+        black_box(hist(8));
     });
-    assert_eq!(
-        build_histograms_columnar(n, d, data.as_slice(), &bins_per_attr),
-        p3c_core::histogram::build_histograms_columnar_threads(
-            n,
-            d,
-            data.as_slice(),
-            &bins_per_attr,
-            8
-        ),
-        "parallel binning not bit-identical to serial"
-    );
+    assert_eq!(hist(1), hist(8), "parallel binning not bit-identical");
     report.push_row(vec![
-        "histogram binning, pool (8 workers)".into(),
+        "histogram binning, pool (1 vs 8 workers)".into(),
         "ns/value".into(),
-        format!("{:.1}", base.as_secs_f64() * 1e9 / (n * d) as f64),
+        format!("{:.1}", hist1.as_secs_f64() * 1e9 / (n * d) as f64),
         format!("{:.1}", hist8.as_secs_f64() * 1e9 / (n * d) as f64),
-        format!("{:.2}x", base.as_secs_f64() / hist8.as_secs_f64()),
+        format!("{:.2}x", hist1.as_secs_f64() / hist8.as_secs_f64()),
     ]);
-    let hist_scaling = opt.as_secs_f64() / hist8.as_secs_f64();
 
-    // Shuffle partitioner: std SipHash (`DefaultHasher`, the old engine
-    // partitioner) vs the seeded word-at-a-time stable hash.
+    // Shuffle partitioner: std SipHash (`DefaultHasher`) vs the seeded
+    // word-at-a-time stable hash the engine partitions with.
     let keys: Vec<(u64, u64)> = (0..(4 * n) as u64).map(|i| (i % 997, i)).collect();
     let base = best_of(reps, || {
         let mut acc = 0usize;
@@ -1058,9 +809,8 @@ pub fn kernels(scale: &Scale) -> Report {
     ]);
 
     // End-to-end shuffle throughput through the engine fast path
-    // (exact-capacity buckets + run-length reduce grouping); no
-    // in-process baseline survives to compare against, so this row
-    // tracks absolute throughput across PRs instead.
+    // (exact-capacity buckets + run-length reduce grouping); this row
+    // tracks absolute throughput across PRs.
     use p3c_mapreduce::Emitter;
     let records: Vec<u64> = (0..(4 * n) as u64).collect();
     let mapper = |r: &u64, out: &mut Emitter<u64, u64>| out.emit(r % 512, 1);
@@ -1090,70 +840,35 @@ pub fn kernels(scale: &Scale) -> Report {
         "n = {n}, d = {d}, best of {reps} runs; EM E-step over a \
          10-attribute A_rel with 5 components."
     ));
-    report.push_note(
-        "Baselines reproduce the pre-columnar code shape: owned row \
-         vectors, per-row projection allocs, per-component density \
-         allocs, SipHash partitioning.",
-    );
-    report.push_note(
-        "Binning is bin-index-conversion-bound. The optimized side is \
-         the single-pass flat-buffer scan (p3c_stats::bin_rows): \
-         per-attribute BinIndexer state hoisted out of the loop, the \
-         one-conversion index_scan form of the branchless bin index, \
-         and a provably-in-range increment (no bounds check). Counts \
-         agree bit-for-bit with the per-row kernel the MR mappers \
-         use (asserted here).",
-    );
-    report.push_note(
-        "Lane rows compare the scalar blocked E-step against the \
-         8-wide lane-batched kernel (point-major SoA lane groups, \
-         fused softmax; DESIGN.md §13). Both sides are the current \
-         code, pinned via estep_blocked_with_lanes; outputs are \
-         bit-identical (asserted).",
-    );
     let host_par = std::thread::available_parallelism().map_or(1, |p| p.get());
     report.push_note(format!(
         "Pool rows run the full E-step / binning scan on the engine \
-         worker pool; outputs are bit-identical across thread counts \
-         (asserted here and in tests/parallel_kernels.rs). Thread \
-         scaling 1→8 workers: EM {:.2}x, binning {:.2}x on a host with \
-         {host_par} available core(s) — wall-clock scaling requires \
-         real cores, determinism does not.",
-        par1.as_secs_f64() / par8.as_secs_f64(),
-        hist_scaling,
+         worker pool, baseline = 1 worker, optimized = 8 workers; \
+         outputs are bit-identical across thread counts (asserted here \
+         and in tests/parallel_kernels.rs). Host has {host_par} \
+         available core(s) — wall-clock scaling requires real cores, \
+         determinism does not."
     ));
-    if em_speedup < 2.0 {
-        report.push_note(format!(
-            "WARNING: EM E-step speedup {em_speedup:.2}x below the 2x target."
-        ));
-    }
-    if em_par_speedup < 2.0 {
-        report.push_note(format!(
-            "WARNING: pooled EM E-step speedup {em_par_speedup:.2}x (8 workers \
-             vs row-oriented baseline) below the 2x target."
-        ));
-    }
-    if lane_speedup_1w < 1.4 {
-        report.push_note(format!(
-            "WARNING: lane-batched E-step speedup {lane_speedup_1w:.2}x (1 \
-             worker vs scalar blocked) below the 1.4x target."
-        ));
-    }
+    report.push_note(
+        "The partition baseline is std's per-process-seeded SipHash \
+         (DefaultHasher), the engine's partitioner before the stable \
+         hash.",
+    );
     report
 }
 
 // ----------------------------------------------------------------- codec --
 
 /// Microbenchmarks the segmented columnar spill codec (DESIGN.md §9)
-/// against the legacy whole-buffer codec: encoded size, full-reload
-/// cost, and the bytes a projected reload of 2 of 20 columns avoids
-/// reading. Emits `BENCH_codec.json`.
+/// against the legacy whole-buffer codec: encoded size and full-reload
+/// cost. Emits `BENCH_codec.json`; the committed `results/BENCH_codec.*`
+/// also keeps the projected-reload figure of the removed column-subset
+/// read path.
 pub fn codec(scale: &Scale) -> Report {
     use p3c_core::incremental::row_block_seg_codec;
-    use p3c_dataset::{ColumnSet, RowBlock};
+    use p3c_dataset::RowBlock;
     use p3c_mapreduce::{DatasetCodec, DatasetHandle, DatasetStore};
     use std::hint::black_box;
-    use std::sync::Arc;
 
     /// The baseline: the legacy whole-buffer spill layout — `u64` LE row
     /// and attribute counts, then the flat row-major values as `f64` LE.
@@ -1219,8 +934,7 @@ pub fn codec(scale: &Scale) -> Report {
 
     // Reload cost, measured as block-store read bytes through a
     // zero-budget store (every put spills immediately).
-    let projection = [3usize, 11];
-    let reload = |segmented: bool, cols: Option<&[usize]>| -> (u64, std::time::Duration) {
+    let reload = |segmented: bool| -> (u64, std::time::Duration) {
         let mut bytes = 0u64;
         let mut best = std::time::Duration::MAX;
         for _ in 0..reps {
@@ -1237,25 +951,14 @@ pub fn codec(scale: &Scale) -> Report {
             assert_eq!(store.stats().spills, 1, "block did not spill");
             let before = store.blockstore().bytes_read();
             let start = Instant::now();
-            match cols {
-                Some(attrs) => {
-                    let view: Arc<ColumnSet> =
-                        store.get_columns(&handle, attrs).expect("projected reload");
-                    black_box(&view);
-                }
-                None => {
-                    let full = store.get(&handle).expect("full reload");
-                    black_box(&full);
-                }
-            }
+            black_box(store.get(&handle).expect("full reload"));
             best = best.min(start.elapsed());
             bytes = store.blockstore().bytes_read() - before;
         }
         (bytes, best)
     };
-    let (whole_read, whole_reload_wall) = reload(false, None);
-    let (seg_read, seg_reload_wall) = reload(true, None);
-    let (proj_read, proj_reload_wall) = reload(true, Some(&projection));
+    let (whole_read, whole_reload_wall) = reload(false);
+    let (seg_read, seg_reload_wall) = reload(true);
 
     let frac = |b: u64| format!("{:.3}", b as f64 / seg_read as f64);
     report.push_row(vec![
@@ -1282,12 +985,6 @@ pub fn codec(scale: &Scale) -> Report {
         frac(seg_read),
         secs(seg_reload_wall),
     ]);
-    report.push_row(vec![
-        format!("projected reload ({}/{d} columns)", projection.len()),
-        proj_read.to_string(),
-        frac(proj_read),
-        secs(proj_reload_wall),
-    ]);
 
     report.push_note(format!(
         "n = {n}, d = {d}, raw size {raw_bytes} bytes, best of {reps} \
@@ -1295,20 +992,6 @@ pub fn codec(scale: &Scale) -> Report {
          rows report block-store bytes read relative to the segmented \
          full reload."
     ));
-    let target = proj_read as f64 / seg_read as f64;
-    if target < 0.20 {
-        report.push_note(format!(
-            "Projection pushdown reads {:.1}% of the full-reload bytes \
-             for a 2-of-20-column scan (target: < 20%).",
-            100.0 * target
-        ));
-    } else {
-        report.push_note(format!(
-            "WARNING: projected reload reads {:.1}% of the full-reload \
-             bytes, above the 20% target.",
-            100.0 * target
-        ));
-    }
     report
 }
 
@@ -1326,7 +1009,8 @@ pub fn codec(scale: &Scale) -> Report {
 /// `P3C_WORKER_BIN`); when it is missing they degrade to a note instead
 /// of failing the suite.
 pub fn backend(scale: &Scale) -> Report {
-    use p3c_mapreduce::distrib::BackendChoice;
+    use p3c_mapreduce::distrib::{Backend, BackendChoice, LocalBackend};
+    use std::sync::Arc;
 
     let mut report = Report::new(
         "BENCH_backend",
@@ -1342,32 +1026,24 @@ pub fn backend(scale: &Scale) -> Report {
     );
     let data = generate(&spec(scale, scale.size(50_000), 5, 0.10, 77)).dataset;
     let params = experiment_params();
-    let choices = [
-        ("local", BackendChoice::Local),
-        ("local-shuffle", BackendChoice::LocalShuffle),
-        (
-            "process:2",
-            BackendChoice::Process {
-                workers: 2,
-                kill: None,
-            },
-        ),
-        (
-            "process:4",
-            BackendChoice::Process {
-                workers: 4,
-                kill: None,
-            },
-        ),
+    let process = |workers| BackendChoice::Process {
+        workers,
+        kill: None,
+    };
+    let backends: [(&str, Arc<dyn Backend>); 4] = [
+        ("local", BackendChoice::Local.build()),
+        ("shuffle-service", Arc::new(LocalBackend::shuffle_service())),
+        ("process:2", process(2).build()),
+        ("process:4", process(4).build()),
     ];
     let mut baseline: Option<Clustering> = None;
-    for (label, choice) in choices {
-        let eng = Engine::new(MrConfig {
+    for (label, backend) in backends {
+        let config = MrConfig {
             num_reducers: 8,
             split_size: 8192,
-            backend: choice,
             ..MrConfig::default()
-        });
+        };
+        let eng = Engine::with_backend(config, backend);
         let start = Instant::now();
         let result = P3cPlusMrLight::new(&eng, params.clone()).cluster(&data);
         let wall = start.elapsed();
@@ -1716,14 +1392,14 @@ mod tests {
     #[test]
     fn codec_smoke() {
         let r = codec(&Scale::smoke());
-        assert_eq!(r.rows.len(), 5);
-        // A 2-of-20-column projected reload must read far fewer bytes
-        // than the segmented full reload (acceptance: < 20%).
+        assert_eq!(r.rows.len(), 4);
+        // A segmented full reload reads every segment it wrote, and the
+        // per-column encoding undercuts the raw whole-buffer dump.
+        let whole_read: u64 = r.rows[2][1].parse().unwrap();
         let seg_read: u64 = r.rows[3][1].parse().unwrap();
-        let proj_read: u64 = r.rows[4][1].parse().unwrap();
         assert!(
-            (proj_read as f64) < 0.20 * seg_read as f64,
-            "projected {proj_read} vs full {seg_read}"
+            seg_read < whole_read,
+            "segmented {seg_read} vs whole {whole_read}"
         );
     }
 

@@ -103,7 +103,7 @@ pub enum Command {
         /// are bit-identical for every value.
         threads: Option<usize>,
         /// Execution backend for the MR algorithms (`local`,
-        /// `local-shuffle`, `process[:N]`). `None` keeps the default
+        /// `process[:N]`). `None` keeps the default
         /// (`P3C_BACKEND` env or the in-process engine). Results are
         /// byte-identical across backends and worker counts.
         backend: Option<BackendChoice>,
@@ -498,8 +498,8 @@ CLUSTER OPTIONS:
       --metrics-json F   dump job + DAG metrics as JSON to file F
   -t, --threads N        worker threads for the engine and kernels
                          (0 = all cores; results are bit-identical)
-      --backend B        local | local-shuffle | process[:N] — MR
-                         execution backend (byte-identical results;
+      --backend B        local | process[:N] — MR execution
+                         backend (byte-identical results;
                          default honours P3C_BACKEND)
 
 GENERATE OPTIONS:

@@ -10,58 +10,16 @@
 use crate::cores::ClusterCore;
 use p3c_linalg::cholesky::transpose_lane_group;
 use p3c_linalg::{Cholesky, CovarianceAccumulator, LaneScratch, Matrix, LANES};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
-/// Process-global lane-kernel selector: `0` follows the `P3C_LANES`
-/// environment variable (default on), `1` forces the scalar kernels,
-/// `2` forces the lane-batched kernels. Written only by
-/// [`set_lane_mode`]; both kernel families are bit-identical
-/// (DESIGN.md §13), so the flag never changes results — only which
-/// code path computes them.
-static LANE_MODE: AtomicU8 = AtomicU8::new(0);
-static LANE_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Overrides the lane-kernel selection process-wide: `Some(true)`
-/// forces the 8-lane kernels, `Some(false)` forces the scalar kernels,
-/// `None` restores the `P3C_LANES` environment default. Exists so
-/// in-process test matrices can flip kernels without the data race of
-/// mutating the environment after threads have started.
-pub fn set_lane_mode(force: Option<bool>) {
-    let v = match force {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    // audit: relaxed-ok — the flag selects between bit-identical kernel
-    // implementations and publishes no data; any interleaving of the
-    // store with concurrent loads yields the same numerical results.
-    LANE_MODE.store(v, Ordering::Relaxed);
-}
-
-/// Whether the lane-batched (8-wide) E-step kernels are selected: the
-/// [`set_lane_mode`] override if set, else `P3C_LANES` (any value but
-/// `"0"` enables; unset enables).
-pub fn lanes_enabled() -> bool {
-    // audit: relaxed-ok — see `set_lane_mode`: the flag only selects
-    // between bit-identical kernels, so load ordering cannot affect
-    // results.
-    match LANE_MODE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => *LANE_ENV.get_or_init(|| std::env::var("P3C_LANES").map_or(true, |v| v != "0")),
-    }
-}
-
-/// Per-worker scratch for the E-step kernels: the lane transpose /
+/// Per-worker scratch for the density kernels: the lane transpose /
 /// forward-substitution buffers, the k×[`LANES`] point-major density
-/// tile of one lane group, and the scalar-path scratch.
+/// tile of one lane group, and the block's density / responsibility
+/// buffer.
 #[derive(Debug, Default)]
 pub struct EstepScratch {
     lanes: LaneScratch,
     tile: Vec<f64>,
     dens: Vec<f64>,
-    y: Vec<f64>,
     /// Gathered significant points / weights for one component's
     /// [`CovarianceAccumulator::push_block`] call.
     xs: Vec<f64>,
@@ -104,7 +62,15 @@ pub struct DensityEvaluator {
 
 impl MixtureModel {
     /// Builds the evaluator (factorizes every covariance once).
+    ///
+    /// # Panics
+    /// Panics on a mixture without components or with an empty `arel` —
+    /// the block kernels lay points out `arel.len()` values apiece.
     pub fn evaluator(&self) -> DensityEvaluator {
+        assert!(
+            !self.arel.is_empty() && !self.components.is_empty(),
+            "a mixture needs a component and a relevant attribute"
+        );
         let d = self.arel.len() as f64;
         let comps = self
             .components
@@ -152,55 +118,42 @@ impl DensityEvaluator {
         buf.extend(self.arel.iter().map(|&a| row[a]));
     }
 
-    /// Log of `π_k · N(x | μ_k, Σ_k)` for the projected point.
-    pub fn log_weighted_density(&self, k: usize, x_sub: &[f64]) -> f64 {
-        let mut y = Vec::with_capacity(x_sub.len());
-        self.log_weighted_density_scratch(k, x_sub, &mut y)
+    /// Projects a split of rows into one contiguous row-major block of
+    /// `A_rel` coordinates — the input form of the block kernels.
+    pub fn project_block(&self, rows: &[&[f64]]) -> Vec<f64> {
+        let mut block = Vec::with_capacity(rows.len() * self.arel.len());
+        for row in rows {
+            self.project_append(row, &mut block);
+        }
+        block
     }
 
-    /// Allocation-free [`DensityEvaluator::log_weighted_density`]: the
+    /// Log of `π_k · N(x | μ_k, Σ_k)` for the projected point; the
     /// offset and forward substitution are fused over the caller-owned
-    /// scratch buffer, bit-identical to the allocating path.
+    /// scratch buffer `y`.
     pub fn log_weighted_density_scratch(&self, k: usize, x_sub: &[f64], y: &mut Vec<f64>) -> f64 {
         let (mean, chol, log_norm) = &self.comps[k];
         log_norm - 0.5 * chol.mahalanobis_sq_scratch(x_sub, mean, y)
     }
 
-    /// Squared Mahalanobis distance of the projected point to component k.
-    pub fn mahalanobis_sq(&self, k: usize, x_sub: &[f64]) -> f64 {
-        let mut y = Vec::with_capacity(x_sub.len());
-        self.mahalanobis_sq_scratch(k, x_sub, &mut y)
-    }
-
-    /// Allocation-free [`DensityEvaluator::mahalanobis_sq`].
+    /// Squared Mahalanobis distance of the projected point to component
+    /// `k`; `y` is the forward-substitution scratch.
     pub fn mahalanobis_sq_scratch(&self, k: usize, x_sub: &[f64], y: &mut Vec<f64>) -> f64 {
         let (mean, chol, _) = &self.comps[k];
         chol.mahalanobis_sq_scratch(x_sub, mean, y)
     }
 
-    /// Squared Mahalanobis distances of a contiguous block of projected
-    /// points to component `k`, through the lane-batched block kernel
-    /// ([`Cholesky::mahalanobis_sq_block`]) — bit-identical per point to
-    /// [`DensityEvaluator::mahalanobis_sq_scratch`].
-    pub fn mahalanobis_sq_component_block(
-        &self,
-        k: usize,
-        block: &[f64],
-        scratch: &mut LaneScratch,
-        out: &mut Vec<f64>,
-    ) {
+    /// Component `k`'s Mahalanobis geometry: its mean and the Cholesky
+    /// factor of its covariance, in `A_rel` coordinates.
+    pub(crate) fn geometry(&self, k: usize) -> (&[f64], &Cholesky) {
         let (mean, chol, _) = &self.comps[k];
-        chol.mahalanobis_sq_block(block, mean, scratch, out);
+        (mean, chol)
     }
 
-    /// Responsibilities γ_k(x) (softmax over components) and the point's
-    /// log-likelihood contribution.
-    pub fn responsibilities(&self, x_sub: &[f64], out: &mut Vec<f64>) -> f64 {
-        let mut y = Vec::with_capacity(x_sub.len());
-        self.responsibilities_scratch(x_sub, out, &mut y)
-    }
-
-    /// Allocation-free [`DensityEvaluator::responsibilities`]: `y` is the
+    /// Responsibilities γ_k(x) (softmax over components) of one
+    /// projected point and the point's log-likelihood contribution —
+    /// the 1-point case of
+    /// [`DensityEvaluator::responsibilities_block_lanes`]. `y` is the
     /// forward-substitution scratch, reused across calls.
     pub fn responsibilities_scratch(
         &self,
@@ -222,59 +175,16 @@ impl DensityEvaluator {
                 log_norm - 0.5 * chol.mahalanobis_sq_slice(x_sub, mean, &mut ybuf[..x_sub.len()])
             },
         ));
-        // audit: order-exact — f64::max is associative and commutative
-        // (no NaNs on this path), so fold order cannot change the result.
-        let max = out.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
-        for v in out.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        for v in out.iter_mut() {
-            *v /= sum;
-        }
-        max + sum.ln()
+        softmax_in_place(out)
     }
 
     /// Log weighted densities for a contiguous block of projected
     /// points (`arel.len()` values per point, row-major):
-    /// `out[p * k + c] = log(pi_c N(x_p | mu_c, Sigma_c))`.
-    ///
-    /// Component-outer, point-inner iteration keeps each factor's
-    /// triangular matrix hot and gives every point in the block its own
-    /// scratch region in `y`, so the CPU can overlap the independent
-    /// forward-substitution chains instead of serializing on one
-    /// buffer. Each (point, component) density runs exactly the
-    /// per-point operation sequence, so values are bit-identical to
-    /// [`DensityEvaluator::log_weighted_density`].
-    pub fn log_densities_block(&self, block: &[f64], out: &mut Vec<f64>, y: &mut Vec<f64>) {
-        let d = self.arel.len();
-        let k = self.comps.len();
-        if d == 0 {
-            out.clear();
-            return;
-        }
-        let npts = block.len() / d;
-        assert_eq!(
-            block.len(),
-            npts * d,
-            "block is not a whole number of points"
-        );
-        out.clear();
-        out.resize(npts * k, 0.0);
-        y.clear();
-        y.resize(npts * d, 0.0);
-        for (c, (mean, chol, log_norm)) in self.comps.iter().enumerate() {
-            for (p, (x, ybuf)) in block.chunks_exact(d).zip(y.chunks_exact_mut(d)).enumerate() {
-                out[p * k + c] = log_norm - 0.5 * chol.mahalanobis_sq_slice(x, mean, ybuf);
-            }
-        }
-    }
-
-    /// Lane-batched [`DensityEvaluator::log_densities_block`]: the same
-    /// `out[p * k + c]` log weighted densities, computed 8 points per
-    /// triangular-solve step with a scalar tail for ragged blocks —
-    /// bit-identical to the scalar kernel (DESIGN.md §13).
+    /// `out[p * k + c] = log(π_c N(x_p | μ_c, Σ_c))`, computed 8 points
+    /// per triangular-solve step with the per-point kernel
+    /// ([`Cholesky::mahalanobis_sq_slice`]) on the ragged tail — each
+    /// value is bit-identical to
+    /// [`DensityEvaluator::log_weighted_density_scratch`] (DESIGN.md §13).
     pub fn log_densities_block_lanes(
         &self,
         block: &[f64],
@@ -283,10 +193,6 @@ impl DensityEvaluator {
     ) {
         let d = self.arel.len();
         let k = self.comps.len();
-        if d == 0 {
-            out.clear();
-            return;
-        }
         let npts = block.len() / d;
         assert_eq!(
             block.len(),
@@ -315,12 +221,12 @@ impl DensityEvaluator {
         }
     }
 
-    /// Lane-batched hard assignment of a contiguous block of projected
-    /// points: densities through
+    /// Hard assignment of a contiguous block of projected points:
+    /// densities through
     /// [`DensityEvaluator::log_densities_block_lanes`], then per point
     /// the same `total_cmp`-based keep-last argmax over ascending
     /// components as [`DensityEvaluator::assign_scratch`] — so the
-    /// assignments are bit-identical to the per-point path.
+    /// assignments equal the per-point path's.
     pub fn assign_block_lanes(
         &self,
         block: &[f64],
@@ -346,7 +252,7 @@ impl DensityEvaluator {
         scratch.dens = dens;
     }
 
-    /// Lane-batched fused E-step kernel: responsibilities and the
+    /// The fused density kernel of the E-step: responsibilities and the
     /// block's log-likelihood for a contiguous block of projected
     /// points, 8 points per step (DESIGN.md §13).
     ///
@@ -355,14 +261,14 @@ impl DensityEvaluator {
     /// triangular solve runs [`LANES`] independent points per
     /// recurrence step, and the softmax reduces lane-parallel over the
     /// group's k×[`LANES`] density tile. Ragged tails (`npts` not a
-    /// multiple of [`LANES`]) fall back to the exact scalar per-point
-    /// kernels. Every per-point float operation sequence — offset,
-    /// ascending-k subtraction, reciprocal multiply, ascending-i
-    /// squared-sum, ascending-c max/exp-sum/divide, point-ascending
-    /// log-likelihood addition — matches the scalar path, so `out` and
-    /// the returned log-likelihood are bit-identical to
-    /// [`DensityEvaluator::log_densities_block`] + [`softmax_in_place`]
-    /// per point.
+    /// multiple of [`LANES`]) run the per-point kernels. Every
+    /// per-point float operation sequence — offset, ascending-k
+    /// subtraction, reciprocal multiply, ascending-i squared-sum,
+    /// ascending-c max/exp-sum/divide, point-ascending log-likelihood
+    /// addition — is that of
+    /// [`DensityEvaluator::responsibilities_scratch`], so `out` and the
+    /// returned log-likelihood are bit-identical to a per-point loop
+    /// over it.
     pub fn responsibilities_block_lanes(
         &self,
         block: &[f64],
@@ -371,10 +277,6 @@ impl DensityEvaluator {
     ) -> f64 {
         let d = self.arel.len();
         let k = self.comps.len();
-        if d == 0 {
-            out.clear();
-            return 0.0;
-        }
         let npts = block.len() / d;
         assert_eq!(
             block.len(),
@@ -440,14 +342,86 @@ impl DensityEvaluator {
         loglik
     }
 
-    /// Hard assignment: the component maximizing the weighted density.
-    pub fn assign(&self, row: &[f64]) -> usize {
-        let mut x = Vec::with_capacity(self.arel.len());
-        let mut y = Vec::with_capacity(self.arel.len());
-        self.assign_scratch(row, &mut x, &mut y)
+    /// The E-step over one contiguous block of projected points — a
+    /// 512-point block of the serial scan ([`estep_blocked`]) or a whole
+    /// input split of the MR job: responsibility-weighted moment
+    /// accumulators per component and the block's log-likelihood.
+    ///
+    /// Accumulation is component-outer: each accumulator receives its
+    /// significant points (γ > 1e-12) in block point order — the same
+    /// per-entry add sequence as a point-outer loop of
+    /// [`CovarianceAccumulator::push`] (bit-identical) — folded in with
+    /// one [`CovarianceAccumulator::push_block`] per component, whose
+    /// row-outer scatter update keeps each triangular row's partial
+    /// sums in registers across the block.
+    pub(crate) fn estep_block(
+        &self,
+        block: &[f64],
+        scratch: &mut EstepScratch,
+    ) -> (Vec<CovarianceAccumulator>, f64) {
+        let d = self.arel.len();
+        let k = self.comps.len();
+        let mut resp = std::mem::take(&mut scratch.dens);
+        let loglik = self.responsibilities_block_lanes(block, &mut resp, scratch);
+        let mut accs: Vec<CovarianceAccumulator> =
+            (0..k).map(|_| CovarianceAccumulator::new(d)).collect();
+        let npts = block.len() / d;
+        for (c, acc) in accs.iter_mut().enumerate() {
+            scratch.ws.clear();
+            scratch
+                .ws
+                .extend(resp.chunks_exact(k).map(|r| r[c]).filter(|&r| r > 1e-12));
+            if scratch.ws.len() == npts {
+                // Every point significant (the common case): fold the
+                // block in directly, no gather copy.
+                acc.push_block(block, &scratch.ws);
+            } else {
+                scratch.xs.clear();
+                for (x, r) in block.chunks_exact(d).zip(resp.chunks_exact(k)) {
+                    if r[c] > 1e-12 {
+                        scratch.xs.extend_from_slice(x);
+                    }
+                }
+                acc.push_block(&scratch.xs, &scratch.ws);
+            }
+        }
+        scratch.dens = resp;
+        (accs, loglik)
     }
 
-    /// Allocation-free [`DensityEvaluator::assign`]: `x` receives the
+    /// Round 2 of the EM initialization over one contiguous block of
+    /// projected points (a 512-point block of the serial scan or the
+    /// uncovered points of one MR split): every point is pushed, with
+    /// unit weight and in block order, onto the accumulator of its
+    /// Mahalanobis-nearest component. The nearest-component scan scores
+    /// the block against each component through
+    /// [`Cholesky::mahalanobis_sq_block`] and keeps the first minimum
+    /// over ascending components (strict `<` under `total_cmp`, like
+    /// `Iterator::min_by`) — the choice a per-point loop over
+    /// [`DensityEvaluator::mahalanobis_sq_scratch`] makes.
+    pub(crate) fn attach_block(
+        &self,
+        block: &[f64],
+        scratch: &mut EstepScratch,
+        accs: &mut [CovarianceAccumulator],
+    ) {
+        let d = self.arel.len();
+        let mut nearest = vec![(f64::INFINITY, 0usize); block.len() / d];
+        for (c, (mean, chol, _)) in self.comps.iter().enumerate() {
+            chol.mahalanobis_sq_block(block, mean, &mut scratch.lanes, &mut scratch.dens);
+            for (best, &dist) in nearest.iter_mut().zip(&scratch.dens) {
+                if dist.total_cmp(&best.0).is_lt() {
+                    *best = (dist, c);
+                }
+            }
+        }
+        for (x, &(_, c)) in block.chunks_exact(d).zip(&nearest) {
+            accs[c].push(x, 1.0);
+        }
+    }
+
+    /// Hard assignment of one full-dimensional row — the 1-point case
+    /// of [`DensityEvaluator::assign_block_lanes`]: `x` receives the
     /// projected point, `y` is the forward-substitution scratch.
     pub fn assign_scratch(&self, row: &[f64], x: &mut Vec<f64>, y: &mut Vec<f64>) -> usize {
         self.project_into(row, x);
@@ -465,12 +439,9 @@ impl DensityEvaluator {
     }
 }
 
-/// Converts one point's `k` log weighted densities (e.g. one row of
-/// [`DensityEvaluator::log_densities_block`] output) into
+/// Converts one point's `k` log weighted densities into
 /// responsibilities in place, returning the point's log-likelihood
-/// contribution. The operation sequence is exactly the second half of
-/// [`DensityEvaluator::responsibilities_scratch`], so results are
-/// bit-identical.
+/// contribution.
 pub fn softmax_in_place(logs: &mut [f64]) -> f64 {
     // audit: order-exact — f64::max is associative and commutative
     // (no NaNs on this path), so fold order cannot change the result.
@@ -521,26 +492,21 @@ pub fn initialize_from_cores(
     }
     let round1 = finish_components(&accs);
 
-    // Round 2: attach uncovered points to the Mahalanobis-nearest core.
+    // Round 2: attach uncovered points to the Mahalanobis-nearest core,
+    // one gathered block at a time.
     let eval = MixtureModel {
         arel: arel.to_vec(),
         components: round1,
     }
     .evaluator();
-    let mut y = Vec::with_capacity(d);
-    for &i in &uncovered {
-        eval.project_into(rows[i], &mut x);
-        let mut nearest = 0;
-        let mut best = f64::INFINITY;
-        for c in 0..k {
-            let dist = eval.mahalanobis_sq_scratch(c, &x, &mut y);
-            // Strict `<` keeps the first minimum, matching `Iterator::min_by`.
-            if dist.total_cmp(&best).is_lt() {
-                nearest = c;
-                best = dist;
-            }
+    let mut scratch = EstepScratch::new();
+    let mut block = Vec::with_capacity(EM_BLOCK_POINTS * d);
+    for chunk in uncovered.chunks(EM_BLOCK_POINTS) {
+        block.clear();
+        for &i in chunk {
+            eval.project_append(rows[i], &mut block);
         }
-        accs[nearest].push(&x, 1.0);
+        eval.attach_block(&block, &mut scratch, &mut accs);
     }
     MixtureModel {
         arel: arel.to_vec(),
@@ -550,7 +516,7 @@ pub fn initialize_from_cores(
 
 /// Converts accumulators into components with safe fallbacks for
 /// degenerate (empty / single-point) cores.
-fn finish_components(accs: &[CovarianceAccumulator]) -> Vec<Component> {
+pub fn finish_components(accs: &[CovarianceAccumulator]) -> Vec<Component> {
     let d = accs.first().map_or(0, |a| a.dim());
     // audit: order-exact — ascending component index over the merged
     // accumulators, the same order on every path.
@@ -577,11 +543,12 @@ pub struct EmFit {
     pub iterations: usize,
 }
 
-/// Points per E-step block of [`em_fit`]: big enough to amortize
+/// Points per block of the serial density scans ([`estep_blocked`],
+/// round 2 of [`initialize_from_cores`]): big enough to amortize
 /// dispatch, the per-block accumulator allocations, and the row-outer
 /// [`CovarianceAccumulator::push_block`] setup, small enough that the
 /// block's density/solve scratch stays cache-resident. Also the
-/// work-unit granularity of the parallel E-step — see [`estep_blocked`].
+/// work-unit granularity of the parallel E-step.
 const EM_BLOCK_POINTS: usize = 512;
 
 /// One E-step over the pre-projected sub-matrix `proj` (row-major,
@@ -592,91 +559,27 @@ const EM_BLOCK_POINTS: usize = 512;
 /// The scan is blocked at `EM_BLOCK_POINTS` (512-point) granularity
 /// and runs on the engine worker pool
 /// ([`p3c_mapreduce::parallel_for_blocks_with`]): each worker owns
-/// private density/solve scratch, produces one `(accumulators, loglik)`
-/// partial per claimed block, and the partials merge in **fixed
-/// block-index order**. The block structure and merge order are
-/// identical for every `threads` value — including the inline
-/// `threads == 1` path — so the result is bit-identical across thread
-/// counts (DESIGN.md §11).
+/// private density/solve scratch, produces one
+/// `DensityEvaluator::estep_block` partial per claimed block, and the
+/// partials merge in **fixed block-index order**. The block structure
+/// and merge order are identical for every `threads` value — including
+/// the inline `threads == 1` path — so the result is bit-identical
+/// across thread counts (DESIGN.md §11).
 pub fn estep_blocked(
     eval: &DensityEvaluator,
     proj: &[f64],
     threads: usize,
 ) -> (Vec<CovarianceAccumulator>, f64) {
-    estep_blocked_with_lanes(eval, proj, threads, lanes_enabled())
-}
-
-/// [`estep_blocked`] with the kernel family chosen explicitly: `lanes`
-/// selects the 8-wide fused kernel
-/// ([`DensityEvaluator::responsibilities_block_lanes`]) or the scalar
-/// blocked kernel ([`DensityEvaluator::log_densities_block`] +
-/// [`softmax_in_place`]). The two families are bit-identical
-/// (DESIGN.md §13); this entry point exists so tests and benchmarks
-/// can pin a family regardless of `P3C_LANES`.
-pub fn estep_blocked_with_lanes(
-    eval: &DensityEvaluator,
-    proj: &[f64],
-    threads: usize,
-    lanes: bool,
-) -> (Vec<CovarianceAccumulator>, f64) {
     let k = eval.num_components();
     let d = eval.arel.len();
-    let dd = d.max(1);
-    let npts = proj.len() / dd;
-    let num_blocks = npts.div_ceil(EM_BLOCK_POINTS);
     let partials = p3c_mapreduce::parallel_for_blocks_with(
         threads,
-        num_blocks,
-        // Per-worker scratch: the block's density/responsibility buffer
-        // and the kernel scratch, reused across claimed blocks.
-        || (Vec::with_capacity(EM_BLOCK_POINTS * k), EstepScratch::new()),
-        |(dens, scratch), block| {
-            let start = block * EM_BLOCK_POINTS * dd;
-            let end = (start + EM_BLOCK_POINTS * dd).min(proj.len());
-            let chunk = &proj[start..end];
-            let mut accs: Vec<CovarianceAccumulator> =
-                (0..k).map(|_| CovarianceAccumulator::new(d)).collect();
-            let loglik = if lanes {
-                eval.responsibilities_block_lanes(chunk, dens, scratch)
-            } else {
-                let mut ll = 0.0;
-                eval.log_densities_block(chunk, dens, &mut scratch.y);
-                for resp in dens.chunks_exact_mut(k.max(1)) {
-                    ll += softmax_in_place(resp);
-                }
-                ll
-            };
-            // Component-outer accumulation: each accumulator receives
-            // its pushes in block point order — the same per-entry add
-            // sequence as a point-outer loop (bit-identical). The
-            // significant points are gathered densely so the whole
-            // block folds in with one `push_block` per component,
-            // whose row-outer scatter update keeps each triangular
-            // row's partial sums in registers across the block.
-            let block_pts = chunk.len() / dd;
-            for (c, acc) in accs.iter_mut().enumerate() {
-                scratch.ws.clear();
-                for resp in dens.chunks_exact(k.max(1)) {
-                    let r = resp[c];
-                    if r > 1e-12 {
-                        scratch.ws.push(r);
-                    }
-                }
-                if d > 0 && scratch.ws.len() == block_pts {
-                    // Every point significant (the common case): fold
-                    // the chunk in directly, no gather copy.
-                    acc.push_block(chunk, &scratch.ws);
-                } else {
-                    scratch.xs.clear();
-                    for (x, resp) in chunk.chunks_exact(dd).zip(dens.chunks_exact(k.max(1))) {
-                        if resp[c] > 1e-12 {
-                            scratch.xs.extend_from_slice(&x[..d]);
-                        }
-                    }
-                    acc.push_block(&scratch.xs, &scratch.ws);
-                }
-            }
-            (accs, loglik)
+        (proj.len() / d).div_ceil(EM_BLOCK_POINTS),
+        EstepScratch::new,
+        |scratch, block| {
+            let start = block * EM_BLOCK_POINTS * d;
+            let end = (start + EM_BLOCK_POINTS * d).min(proj.len());
+            eval.estep_block(&proj[start..end], scratch)
         },
     );
     let mut accs: Vec<CovarianceAccumulator> =
@@ -865,17 +768,14 @@ mod tests {
         let init = initialize_from_cores(&cores_for_blobs(), &rows, &[0, 1]);
         let fit = em_fit(init, &rows, 10, 1e-6);
         let eval = fit.model.evaluator();
-        let a = eval.assign(&[0.2, 0.2]);
-        let b = eval.assign(&[0.8, 0.8]);
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        let a = eval.assign_scratch(&[0.2, 0.2], &mut x, &mut y);
+        let b = eval.assign_scratch(&[0.8, 0.8], &mut x, &mut y);
         assert_ne!(a, b);
         // Every even row (blob A) goes with `a`, odd with `b`.
         for (i, row) in rows.iter().enumerate() {
-            let got = eval.assign(row);
-            if i % 2 == 0 {
-                assert_eq!(got, a, "row {i}");
-            } else {
-                assert_eq!(got, b, "row {i}");
-            }
+            let got = eval.assign_scratch(row, &mut x, &mut y);
+            assert_eq!(got, if i % 2 == 0 { a } else { b }, "row {i}");
         }
     }
 
@@ -885,10 +785,10 @@ mod tests {
         let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
         let model = initialize_from_cores(&cores_for_blobs(), &rows, &[0, 1]);
         let eval = model.evaluator();
-        let mut resp = Vec::new();
+        let (mut resp, mut y) = (Vec::new(), Vec::new());
         for row in rows.iter().take(10) {
             let x = eval.project(row);
-            eval.responsibilities(&x, &mut resp);
+            eval.responsibilities_scratch(&x, &mut resp, &mut y);
             let s: f64 = resp.iter().sum();
             assert!((s - 1.0).abs() < 1e-12);
             assert!(resp.iter().all(|&r| (0.0..=1.0).contains(&r)));
@@ -910,65 +810,46 @@ mod tests {
     }
 
     #[test]
-    fn lane_estep_is_bit_identical_to_scalar() {
+    fn block_kernels_match_the_per_point_functions() {
+        // The full oracle matrix (threads, every `npts mod 8` residue,
+        // the 512-point block boundaries, the MR jobs) lives in
+        // `tests/lane_kernels.rs`; this pins the two block bodies at
+        // sub-group, exact-group and ragged-group sizes.
         let data = two_blob_rows();
         let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
         let model = initialize_from_cores(&cores_for_blobs(), &rows, &[0, 1]);
         let eval = model.evaluator();
-        // Cover sub-lane-group, exact-group and ragged-group sizes.
-        for npts in [1usize, 5, 8, 9, 24, 200] {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for npts in [1usize, 3, 5, 8, 9, 11, 24, 40, 200] {
             let proj: Vec<f64> = rows[..npts]
                 .iter()
                 .flat_map(|r| r.iter().copied())
                 .collect();
-            let (acc_s, ll_s) = estep_blocked_with_lanes(&eval, &proj, 1, false);
-            let (acc_l, ll_l) = estep_blocked_with_lanes(&eval, &proj, 1, true);
-            assert_eq!(ll_l.to_bits(), ll_s.to_bits(), "loglik at npts={npts}");
-            for (a, b) in acc_l.iter().zip(&acc_s) {
-                assert_eq!(a.total_weight().to_bits(), b.total_weight().to_bits());
-                let ma: Vec<u64> = a
-                    .mean()
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                let mb: Vec<u64> = b
-                    .mean()
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                assert_eq!(ma, mb, "means at npts={npts}");
-            }
-        }
-    }
-
-    #[test]
-    fn lane_responsibilities_match_scalar_softmax() {
-        let data = two_blob_rows();
-        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        let model = initialize_from_cores(&cores_for_blobs(), &rows, &[0, 1]);
-        let eval = model.evaluator();
-        let k = eval.num_components();
-        for npts in [3usize, 8, 11, 40] {
-            let proj: Vec<f64> = rows[..npts]
-                .iter()
-                .flat_map(|r| r.iter().copied())
-                .collect();
-            let mut dens = Vec::new();
-            let mut y = Vec::new();
-            eval.log_densities_block(&proj, &mut dens, &mut y);
-            let mut ll_s = 0.0;
-            for resp in dens.chunks_exact_mut(k) {
-                ll_s += softmax_in_place(resp);
-            }
-            let mut out = Vec::new();
             let mut scratch = EstepScratch::new();
-            let ll_l = eval.responsibilities_block_lanes(&proj, &mut out, &mut scratch);
-            assert_eq!(ll_l.to_bits(), ll_s.to_bits(), "loglik at npts={npts}");
-            let bits_s: Vec<u64> = dens.iter().map(|v| v.to_bits()).collect();
-            let bits_l: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits_l, bits_s, "responsibilities at npts={npts}");
+            let (accs, loglik) = eval.estep_block(&proj, &mut scratch);
+            let mut want: Vec<CovarianceAccumulator> =
+                (0..2).map(|_| CovarianceAccumulator::new(2)).collect();
+            let mut want_ll = 0.0;
+            let (mut resp, mut y) = (Vec::new(), Vec::new());
+            for x in proj.chunks_exact(2) {
+                want_ll += eval.responsibilities_scratch(x, &mut resp, &mut y);
+                for (acc, &r) in want.iter_mut().zip(&resp) {
+                    if r > 1e-12 {
+                        acc.push(x, r);
+                    }
+                }
+            }
+            assert_eq!(loglik.to_bits(), want_ll.to_bits(), "loglik at npts={npts}");
+            for (a, b) in accs.iter().zip(&want) {
+                let (_, la, sa, wa, wsa, ca) = a.to_parts();
+                let (_, lb, sb, wb, wsb, cb) = b.to_parts();
+                assert_eq!(
+                    (wa.to_bits(), wsa.to_bits(), ca),
+                    (wb.to_bits(), wsb.to_bits(), cb)
+                );
+                assert_eq!(bits(la), bits(lb), "linear sums at npts={npts}");
+                assert_eq!(bits(sa), bits(sb), "scatter at npts={npts}");
+            }
         }
     }
 
@@ -985,6 +866,6 @@ mod tests {
         // Should not panic, and covariance must be factorizable.
         let eval = model.evaluator();
         assert_eq!(eval.num_components(), 1);
-        let _ = eval.assign(&[0.5, 0.5]);
+        let _ = eval.assign_scratch(&[0.5, 0.5], &mut Vec::new(), &mut Vec::new());
     }
 }

@@ -1,12 +1,11 @@
 //! Serial histogram building over all attributes (paper Section 5.1).
 //!
-//! For a dataset of `n` points and `d` attributes, one `m`-bin histogram
-//! per attribute is built, with `m` decided by the configured bin rule.
-//! The MapReduce variant lives in [`crate::mr::histogram`] and must
-//! produce bit-identical counts (tested there).
+//! For a dataset of `n` points and `d` attributes, one histogram per
+//! attribute is built, with the bin counts decided by the configured bin
+//! rule. The MapReduce variant lives in [`crate::mr::histogram`] and
+//! must produce bit-identical counts (tested there).
 
-use p3c_dataset::Dataset;
-use p3c_stats::{BinRule, Histogram};
+use p3c_stats::Histogram;
 
 /// All per-attribute histograms of a dataset.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,46 +25,22 @@ impl AttributeHistograms {
     }
 }
 
-/// Builds per-attribute histograms with the bin count given by `rule`.
-pub fn build_histograms(data: &Dataset, rule: BinRule) -> AttributeHistograms {
-    let bins = rule.num_bins(data.len()).max(1);
-    build_histograms_with_bins(data, bins)
-}
-
-/// Builds per-attribute histograms with an explicit bin count.
-pub fn build_histograms_with_bins(data: &Dataset, bins: usize) -> AttributeHistograms {
-    build_histograms_columnar(
-        data.len(),
-        data.dim(),
-        data.as_slice(),
-        &vec![bins; data.dim()],
-    )
-}
-
-/// Flat-buffer histogram kernel over a row-major buffer: each block of
-/// rows is binned in one streaming pass ([`p3c_stats::bin_rows`]) with
-/// the bin-index conversion state hoisted per attribute, reading every
-/// cache line exactly once (a per-attribute strided re-scan was tried
-/// and re-reads each line `d` times, losing to per-row dispatch).
-/// Counts are exact `+1.0` increments, so the result is bit-identical
-/// to the per-row path regardless of scan order.
-pub fn build_histograms_columnar(
-    n: usize,
-    d: usize,
-    data: &[f64],
-    bins_per_attr: &[usize],
-) -> AttributeHistograms {
-    build_histograms_columnar_threads(n, d, data, bins_per_attr, 1)
-}
-
-/// [`build_histograms_columnar`] with the block scan parallelized over
-/// `threads` workers on the engine worker pool
-/// ([`p3c_mapreduce::parallel_for_blocks`]). Each worker bins its
-/// claimed blocks into private per-attribute histograms; the per-block
+/// Builds one histogram per attribute over a row-major `n × d` buffer,
+/// attribute `j` with `bins_per_attr[j]` bins (uniform rules pass a
+/// constant vector; the exact-IQR Freedman–Diaconis extension does not).
+///
+/// Each block of rows is binned in one streaming pass
+/// ([`p3c_stats::bin_rows`]) with the bin-index conversion state hoisted
+/// per attribute, reading every cache line exactly once (a
+/// per-attribute strided re-scan was tried and re-reads each line `d`
+/// times). The block scan runs on the engine worker pool
+/// ([`p3c_mapreduce::parallel_for_blocks`]) over `threads` workers
+/// (`1` = inline on the calling thread): each worker bins its claimed
+/// blocks into private per-attribute histograms and the per-block
 /// partials merge in fixed block-index order. Counts are exact `+1.0`
 /// sums (far below 2^53), so every merge order — and every thread
-/// count, including the inline serial path — yields bit-identical
-/// histograms (DESIGN.md §11).
+/// count — yields histograms bit-identical to adding the values one by
+/// one with [`Histogram::add`] (DESIGN.md §11).
 pub fn build_histograms_columnar_threads(
     n: usize,
     d: usize,
@@ -101,32 +76,11 @@ pub fn build_histograms_columnar_threads(
     AttributeHistograms { histograms, bins }
 }
 
-/// Builds per-attribute histograms over row slices (no dataset needed).
-pub fn build_histograms_rows(rows: &[&[f64]], bins: usize) -> AttributeHistograms {
-    let d = rows.first().map_or(0, |r| r.len());
-    build_histograms_per_attr(rows, &vec![bins; d])
-}
-
-/// Builds histograms with a per-attribute bin count (the exact-IQR
-/// Freedman–Diaconis extension; see `config::BinRuleChoice`).
-pub fn build_histograms_per_attr(rows: &[&[f64]], bins_per_attr: &[usize]) -> AttributeHistograms {
-    let mut histograms: Vec<Histogram> = bins_per_attr
-        .iter()
-        .map(|&b| Histogram::new(b.max(1)))
-        .collect();
-    for row in rows {
-        for (j, &v) in row.iter().enumerate() {
-            histograms[j].add(v);
-        }
-    }
-    let bins = bins_per_attr.iter().copied().max().unwrap_or(1).max(1);
-    AttributeHistograms { histograms, bins }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use p3c_dataset::Dataset;
+    use p3c_stats::BinRule;
 
     fn grid_dataset(n: usize) -> Dataset {
         // Attribute 0: uniform grid; attribute 1: everything in one spot.
@@ -136,10 +90,15 @@ mod tests {
         Dataset::from_rows(rows)
     }
 
+    /// The serial case of the one builder: `bins` per attribute, inline.
+    fn build(data: &Dataset, bins: &[usize]) -> AttributeHistograms {
+        build_histograms_columnar_threads(data.len(), data.dim(), data.as_slice(), bins, 1)
+    }
+
     #[test]
     fn counts_sum_to_n_per_attribute() {
         let ds = grid_dataset(100);
-        let h = build_histograms(&ds, BinRule::FreedmanDiaconis);
+        let h = build(&ds, &[BinRule::FreedmanDiaconis.num_bins(100); 2]);
         for hist in &h.histograms {
             assert_eq!(hist.total(), 100.0);
         }
@@ -147,36 +106,20 @@ mod tests {
     }
 
     #[test]
-    fn uniform_attribute_is_flat() {
+    fn uniform_attribute_is_flat_and_concentrated_attribute_spikes() {
         let ds = grid_dataset(1000);
-        let h = build_histograms_with_bins(&ds, 10);
+        let h = build(&ds, &[10, 10]);
         for i in 0..10 {
             assert_eq!(h.histograms[0].count(i), 100.0);
         }
-    }
-
-    #[test]
-    fn concentrated_attribute_spikes() {
-        let ds = grid_dataset(1000);
-        let h = build_histograms_with_bins(&ds, 10);
         // 0.42 → bin ⌈4.2⌉−1 = 4.
         assert_eq!(h.histograms[1].count(4), 1000.0);
     }
 
     #[test]
-    fn bin_rule_decides_bin_count() {
-        let ds = grid_dataset(1000);
-        let fd = build_histograms(&ds, BinRule::FreedmanDiaconis);
-        let st = build_histograms(&ds, BinRule::Sturges);
-        assert_eq!(fd.bins, 10); // 1000^(1/3)
-        assert_eq!(st.bins, 11); // ⌈1+log2(1000)⌉
-    }
-
-    #[test]
     fn per_attribute_bin_counts() {
         let ds = grid_dataset(100);
-        let rows: Vec<&[f64]> = ds.rows().collect();
-        let h = build_histograms_per_attr(&rows, &[4, 16]);
+        let h = build(&ds, &[4, 16]);
         assert_eq!(h.histograms[0].num_bins(), 4);
         assert_eq!(h.histograms[1].num_bins(), 16);
         assert_eq!(h.bins, 16);
@@ -186,14 +129,13 @@ mod tests {
 
     #[test]
     fn empty_dataset() {
-        let ds = Dataset::from_rows(vec![]);
-        let h = build_histograms(&ds, BinRule::Sturges);
+        let h = build(&Dataset::from_rows(vec![]), &[]);
         assert_eq!(h.dim(), 0);
         assert_eq!(h.bins, 1);
     }
 
     #[test]
-    fn columnar_scan_matches_per_row_binning() {
+    fn block_scan_matches_per_value_adds() {
         // Awkward values near bin edges; counts must agree exactly.
         let rows: Vec<Vec<f64>> = (0..257)
             .map(|i| {
@@ -202,12 +144,15 @@ mod tests {
             })
             .collect();
         let ds = Dataset::from_rows(rows.clone());
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
         for bins in [2usize, 7, 16] {
-            let per_attr = vec![bins; ds.dim()];
-            let columnar = build_histograms_columnar(ds.len(), ds.dim(), ds.as_slice(), &per_attr);
-            let per_row = build_histograms_per_attr(&refs, &per_attr);
-            assert_eq!(columnar, per_row, "bins = {bins}");
+            let mut per_row = vec![Histogram::new(bins); ds.dim()];
+            for row in &rows {
+                for (hist, &v) in per_row.iter_mut().zip(row) {
+                    hist.add(v);
+                }
+            }
+            let scanned = build(&ds, &vec![bins; ds.dim()]);
+            assert_eq!(scanned.histograms, per_row, "bins = {bins}");
         }
     }
 }

@@ -59,7 +59,7 @@ use crate::support::SupportCache;
 use crate::types::{Interval, Signature};
 use p3c_dataset::journal::{self, ByteReader};
 use p3c_dataset::{
-    colseg, AttrInterval, BlockEntry, BlockLog, Clustering, ColumnSet, ProjectedCluster, RowBlock,
+    colseg, AttrInterval, BlockEntry, BlockLog, Clustering, ProjectedCluster, RowBlock,
 };
 use p3c_mapreduce::{DatasetHandle, DatasetStore, SegmentedCodec};
 use p3c_stats::{bin_rows, Histogram};
@@ -70,24 +70,17 @@ use std::sync::Arc;
 /// Segmented columnar codec the tenant's row blocks spill through: a
 /// tiny `(n, d)` header plus one independently-encoded segment per
 /// attribute column (XOR-delta + byte-shuffle + zero-RLE, see
-/// `p3c_dataset::colseg`), so a scan of a few attributes can reload just
-/// those columns as a [`ColumnSet`] through
-/// [`p3c_mapreduce::DatasetStore::get_columns`].
-pub fn row_block_seg_codec() -> SegmentedCodec<RowBlock, Vec<f64>, ColumnSet> {
+/// `p3c_dataset::colseg`).
+pub fn row_block_seg_codec() -> SegmentedCodec<RowBlock, Vec<f64>> {
     fn decode_segment(bytes: &[u8], _j: usize, _header: &[u8]) -> Vec<f64> {
         colseg::decode_column(bytes)
-    }
-    fn project(block: &RowBlock, attrs: &[usize]) -> ColumnSet {
-        ColumnSet::from_block(block, attrs)
     }
     SegmentedCodec {
         num_segments: RowBlock::dim,
         encode_header: colseg::block_header,
         encode_segment: colseg::encode_block_column,
         decode_segment,
-        assemble_view: colseg::assemble_column_set,
         assemble_full: colseg::assemble_block,
-        project,
     }
 }
 

@@ -10,15 +10,14 @@
 //!   previous parameters.
 
 use crate::cores::ClusterCore;
-use crate::em::{lanes_enabled, Component, DensityEvaluator, EstepScratch, MixtureModel};
+use crate::em::{finish_components, DensityEvaluator, EstepScratch, MixtureModel};
 use crate::mr::AccMsg;
-use p3c_linalg::LaneScratch;
-use p3c_linalg::{CovarianceAccumulator, Matrix};
+use p3c_linalg::CovarianceAccumulator;
 use p3c_mapreduce::{Emitter, Engine, Mapper, MrError, Reducer};
 use std::sync::Arc;
 
 /// Reducer merging per-split covariance accumulators of one cluster.
-struct AccReducer;
+pub(crate) struct AccReducer;
 impl Reducer<usize, AccMsg, (usize, AccMsg)> for AccReducer {
     fn reduce(&self, key: &usize, values: Vec<AccMsg>, out: &mut Vec<(usize, AccMsg)>) {
         let mut iter = values.into_iter();
@@ -27,6 +26,15 @@ impl Reducer<usize, AccMsg, (usize, AccMsg)> for AccReducer {
             first.merge(&acc);
         }
         out.push((*key, AccMsg(first)));
+    }
+}
+
+/// Emits the non-empty per-cluster accumulators of a split.
+pub(crate) fn emit_accs(accs: Vec<CovarianceAccumulator>, out: &mut Emitter<usize, AccMsg>) {
+    for (c, acc) in accs.into_iter().enumerate() {
+        if acc.count() > 0 {
+            out.emit(c, AccMsg(acc));
+        }
     }
 }
 
@@ -72,11 +80,7 @@ impl<'a> Mapper<&'a [f64], usize, AccMsg> for CoreStatsMapper {
                 }
             }
         }
-        for (c, acc) in accs.into_iter().enumerate() {
-            if acc.count() > 0 {
-                out.emit(c, AccMsg(acc));
-            }
-        }
+        emit_accs(accs, out);
     }
 }
 
@@ -93,70 +97,21 @@ impl<'a> Mapper<&'a [f64], usize, AccMsg> for AttachMapper {
     }
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, AccMsg>) {
-        let d = self
-            .eval
-            .project(split.first().map_or(&[][..], |r| r))
-            .len();
-        let k = self.eval.num_components();
-        let mut accs: Vec<CovarianceAccumulator> =
-            (0..k).map(|_| CovarianceAccumulator::new(d)).collect();
-        if lanes_enabled() && d > 0 {
-            // Lane path: gather the uncovered points (in row order) into
-            // one contiguous block and score it against every component
-            // through the 8-wide kernel. The nearest-component scan
-            // iterates components ascending with the same strict-`<`
-            // `total_cmp` comparison as the per-point loop below, over
-            // bit-identical distances — so the attachments (and hence
-            // the per-accumulator push sequences) are byte-identical.
-            let mut buf = Vec::new();
-            for row in split {
-                if self.cores.iter().any(|core| core.signature.contains(row)) {
-                    continue;
-                }
-                self.eval.project_append(row, &mut buf);
-            }
-            let npts = buf.len() / d;
-            let mut best = vec![(f64::INFINITY, 0usize); npts];
-            let mut scratch = LaneScratch::new();
-            let mut out = Vec::new();
-            for c in 0..k {
-                self.eval
-                    .mahalanobis_sq_component_block(c, &buf, &mut scratch, &mut out);
-                for (b, &d2) in best.iter_mut().zip(&out) {
-                    if d2.total_cmp(&b.0).is_lt() {
-                        *b = (d2, c);
-                    }
-                }
-            }
-            for (x, &(_, nearest)) in buf.chunks_exact(d).zip(&best) {
-                accs[nearest].push(x, 1.0);
-            }
-        } else {
-            let mut x = Vec::with_capacity(d);
-            let mut y = Vec::with_capacity(d);
-            for row in split {
-                if self.cores.iter().any(|core| core.signature.contains(row)) {
-                    continue;
-                }
-                self.eval.project_into(row, &mut x);
-                let mut nearest = 0;
-                let mut best = f64::INFINITY;
-                for c in 0..k {
-                    let dist = self.eval.mahalanobis_sq_scratch(c, &x, &mut y);
-                    // Strict `<` keeps the first minimum, like `Iterator::min_by`.
-                    if dist.total_cmp(&best).is_lt() {
-                        nearest = c;
-                        best = dist;
-                    }
-                }
-                accs[nearest].push(&x, 1.0);
+        let d = self.eval.arel_len();
+        let mut accs: Vec<CovarianceAccumulator> = (0..self.eval.num_components())
+            .map(|_| CovarianceAccumulator::new(d))
+            .collect();
+        // The split's uncovered points, in row order, are one block of
+        // the attach scan.
+        let mut block = Vec::new();
+        for row in split {
+            if !self.cores.iter().any(|core| core.signature.contains(row)) {
+                self.eval.project_append(row, &mut block);
             }
         }
-        for (c, acc) in accs.into_iter().enumerate() {
-            if acc.count() > 0 {
-                out.emit(c, AccMsg(acc));
-            }
-        }
+        self.eval
+            .attach_block(&block, &mut EstepScratch::new(), &mut accs);
+        emit_accs(accs, out);
     }
 }
 
@@ -174,73 +129,12 @@ impl<'a> Mapper<&'a [f64], usize, (AccMsg, f64)> for EmStepMapper {
     }
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, (AccMsg, f64)>) {
-        let k = self.eval.num_components();
-        let d = self
-            .eval
-            .project(split.first().map_or(&[][..], |r| r))
-            .len();
-        let mut accs: Vec<CovarianceAccumulator> =
-            (0..k).map(|_| CovarianceAccumulator::new(d)).collect();
-        let mut loglik = 0.0;
-        if lanes_enabled() && d > 0 {
-            // Lane path: project the whole split into one contiguous
-            // block and run the fused 8-wide kernel over it. The
-            // kernel's log-likelihood adds point-ascending over the
-            // split — the same sequential sum as the per-row loop below
-            // — and the component-outer accumulation pushes each
-            // accumulator's points in the same row order, so the
-            // emitted statistics are byte-identical.
-            let mut proj = Vec::with_capacity(split.len() * d);
-            for row in split {
-                self.eval.project_append(row, &mut proj);
-            }
-            let mut resp_all = Vec::new();
-            let mut scratch = EstepScratch::new();
-            loglik = self
-                .eval
-                .responsibilities_block_lanes(&proj, &mut resp_all, &mut scratch);
-            // Gather each component's significant points densely and
-            // fold them in with one `push_block` — the same per-entry
-            // add sequence as per-point pushes (bit-identical), with
-            // the scatter rows register-resident across the split.
-            let npts = proj.len() / d;
-            let (mut xs, mut ws) = (Vec::new(), Vec::new());
-            for (c, acc) in accs.iter_mut().enumerate() {
-                ws.clear();
-                for resp in resp_all.chunks_exact(k.max(1)) {
-                    let r = resp[c];
-                    if r > 1e-12 {
-                        ws.push(r);
-                    }
-                }
-                if ws.len() == npts {
-                    // Every point significant: fold the projected
-                    // split in directly, no gather copy.
-                    acc.push_block(&proj, &ws);
-                } else {
-                    xs.clear();
-                    for (x, resp) in proj.chunks_exact(d).zip(resp_all.chunks_exact(k.max(1))) {
-                        if resp[c] > 1e-12 {
-                            xs.extend_from_slice(x);
-                        }
-                    }
-                    acc.push_block(&xs, &ws);
-                }
-            }
-        } else {
-            let mut resp = Vec::with_capacity(k);
-            let mut x = Vec::with_capacity(d);
-            let mut y = Vec::with_capacity(d);
-            for row in split {
-                self.eval.project_into(row, &mut x);
-                loglik += self.eval.responsibilities_scratch(&x, &mut resp, &mut y);
-                for (c, &r) in resp.iter().enumerate() {
-                    if r > 1e-12 {
-                        accs[c].push(&x, r);
-                    }
-                }
-            }
-        }
+        // The projected split is one block of the E-step: the kernel's
+        // log-likelihood adds point-ascending over the split and each
+        // accumulator receives its points in row order.
+        let proj = self.eval.project_block(split);
+        let (accs, loglik) = self.eval.estep_block(&proj, &mut EstepScratch::new());
+        let k = accs.len();
         for (c, acc) in accs.into_iter().enumerate() {
             if acc.count() > 0 {
                 out.emit(c, (AccMsg(acc), 0.0));
@@ -292,7 +186,7 @@ pub fn initialize_from_cores_mr(
     }
     let model1 = MixtureModel {
         arel: arel.to_vec(),
-        components: components_from_accs(&accs, d),
+        components: finish_components(&accs),
     };
 
     // Round 2: attach uncovered points to their nearest component.
@@ -312,7 +206,7 @@ pub fn initialize_from_cores_mr(
     }
     Ok(MixtureModel {
         arel: arel.to_vec(),
-        components: components_from_accs(&accs, d),
+        components: finish_components(&accs),
     })
 }
 
@@ -388,7 +282,7 @@ pub fn em_fit_mr(
         }
         model = MixtureModel {
             arel: model.arel,
-            components: components_from_accs(&accs, d),
+            components: finish_components(&accs),
         };
     }
     Ok(MrEmFit {
@@ -396,22 +290,6 @@ pub fn em_fit_mr(
         loglik_history: history,
         iterations,
     })
-}
-
-/// Accumulators → components (ML covariance, ridge, normalized weights).
-fn components_from_accs(accs: &[CovarianceAccumulator], d: usize) -> Vec<Component> {
-    // audit: order-exact — ascending component index over the merged
-    // accumulators, the same order on every path.
-    let total: f64 = accs.iter().map(|a| a.total_weight()).sum::<f64>().max(1.0);
-    accs.iter()
-        .map(|acc| {
-            let mean = acc.mean().unwrap_or_else(|| vec![0.5; d]);
-            let mut cov = acc.covariance_ml().unwrap_or_else(|| Matrix::identity(d));
-            cov.add_ridge(1e-9);
-            let weight = (acc.total_weight() / total).max(1e-12);
-            Component { mean, cov, weight }
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //!
 //! Mappers aggregate their split into per-attribute partial histograms;
 //! the reducer for attribute `a` sums the partial counts. Produces counts
-//! bit-identical to the serial [`crate::histogram::build_histograms`].
+//! bit-identical to the serial
+//! [`crate::histogram::build_histograms_columnar_threads`].
 
 use crate::histogram::AttributeHistograms;
 use p3c_mapreduce::{Emitter, Engine, Mapper, MrError, Reducer};
@@ -18,13 +19,7 @@ struct HistMapper {
 
 impl<'a> Mapper<&'a [f64], usize, Vec<f64>> for HistMapper {
     fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, Vec<f64>>) {
-        // Only used for 1-record splits; map_split is the real path.
-        for (attr, &v) in row.iter().enumerate() {
-            let bins = self.bins[attr];
-            let mut counts = vec![0.0; bins];
-            counts[p3c_stats::histogram::bin_index(v, bins)] = 1.0;
-            out.emit(attr, counts);
-        }
+        self.map_split(std::slice::from_ref(row), out);
     }
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, Vec<f64>>) {
@@ -132,7 +127,7 @@ pub fn iqr_job(engine: &Engine, rows: &[&[f64]]) -> Result<Vec<(f64, f64)>, MrEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::build_histograms_rows;
+    use crate::histogram::build_histograms_columnar_threads;
     use p3c_mapreduce::MrConfig;
 
     fn sample_rows() -> Vec<Vec<f64>> {
@@ -153,7 +148,8 @@ mod tests {
             ..MrConfig::default()
         });
         let mr = histogram_job(&engine, &rows, &[8, 8, 8]).unwrap();
-        let serial = build_histograms_rows(&rows, 8);
+        let flat: Vec<f64> = data.iter().flatten().copied().collect();
+        let serial = build_histograms_columnar_threads(rows.len(), 3, &flat, &[8, 8, 8], 1);
         assert_eq!(mr.histograms, serial.histograms);
         assert_eq!(mr.bins, 8);
     }

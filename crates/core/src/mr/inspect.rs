@@ -20,23 +20,25 @@ impl<'a> Mapper<(i64, &'a [f64]), (usize, usize), Vec<f64>> for AiHistMapper {
     }
 
     fn map_split(&self, split: &[(i64, &'a [f64])], out: &mut Emitter<(usize, usize), Vec<f64>>) {
-        // BTreeMap so emission is key-sorted by construction — the
-        // emitted order feeds the shuffle and must not vary run-to-run.
-        use std::collections::BTreeMap;
-        let mut partials: BTreeMap<(usize, usize), Vec<f64>> = BTreeMap::new();
+        // One histogram set per cluster seen in the split, resolved once
+        // per row; the row is then binned as a 1-row block of the
+        // histogram kernel.
+        let mut partials: Vec<Option<Vec<Histogram>>> = vec![None; self.bins.len()];
         for (label, row) in split {
             if *label < 0 {
                 continue;
             }
             let c = *label as usize;
-            let bins = self.bins[c];
-            for (attr, &v) in row.iter().enumerate() {
-                let counts = partials.entry((c, attr)).or_insert_with(|| vec![0.0; bins]);
-                counts[p3c_stats::histogram::bin_index(v, bins)] += 1.0;
-            }
+            let hists =
+                partials[c].get_or_insert_with(|| vec![Histogram::new(self.bins[c]); row.len()]);
+            p3c_stats::bin_rows(hists, row.len(), row);
         }
-        for (key, counts) in partials {
-            out.emit(key, counts);
+        // Ascending (cluster, attr): the emitted order feeds the shuffle
+        // and must not vary run-to-run.
+        for (c, hists) in partials.into_iter().enumerate() {
+            for (attr, hist) in hists.into_iter().flatten().enumerate() {
+                out.emit((c, attr), hist.counts().to_vec());
+            }
         }
     }
 }
@@ -230,6 +232,40 @@ mod tests {
         // Outlier records contribute nowhere.
         let members1 = labels.iter().filter(|&&l| l == 1).count() as f64;
         assert_eq!(hists[1][0].total(), members1);
+    }
+
+    #[test]
+    fn ai_mapper_output_equals_the_per_value_map() {
+        // One split, three clusters: cluster 1 has no members (emits
+        // nothing), cluster 2 differs in bin count, `-1` rows are
+        // skipped. The reference is the previous mapper's algorithm — a
+        // `(cluster, attr)`-keyed BTreeMap updated value by value.
+        use std::collections::BTreeMap;
+        let (rows, mut labels) = labelled_rows();
+        for l in labels.iter_mut().filter(|l| **l == 1) {
+            *l = 2;
+        }
+        let it = items(&rows, &labels);
+        let bins = [5usize, 9, 3];
+        let mut expected: BTreeMap<(usize, usize), Vec<f64>> = BTreeMap::new();
+        for (label, row) in it.iter().filter(|(l, _)| *l >= 0) {
+            let c = *label as usize;
+            for (attr, &v) in row.iter().enumerate() {
+                let counts = expected
+                    .entry((c, attr))
+                    .or_insert_with(|| vec![0.0; bins[c]]);
+                counts[p3c_stats::histogram::bin_index(v, bins[c])] += 1.0;
+            }
+        }
+        let mapper = AiHistMapper {
+            bins: Arc::new(bins.to_vec()),
+        };
+        let mut em = Emitter::new();
+        mapper.map_split(&it, &mut em);
+        let (pairs, _) = em.into_parts();
+        assert_eq!(pairs, expected.into_iter().collect::<Vec<_>>());
+        let keys: Vec<(usize, usize)> = pairs.iter().map(|(key, _)| *key).collect();
+        assert_eq!(keys, vec![(0, 0), (0, 1), (2, 0), (2, 1)]);
     }
 
     #[test]

@@ -9,9 +9,13 @@
 //!   split estimates; (2)+(3) mean and covariance over the points inside
 //!   each cluster's ball, as in the EM initialization.
 
-use crate::em::{lanes_enabled, DensityEvaluator, EstepScratch};
+use crate::em::DensityEvaluator;
+use crate::mr::em::{emit_accs, AccReducer};
 use crate::mr::AccMsg;
-use p3c_linalg::{Cholesky, CovarianceAccumulator, LaneScratch};
+use crate::outlier::{
+    cluster_distances, fit_geometry, project_and_assign, robust_geometry, verdicts, Geometry,
+};
+use p3c_linalg::{Cholesky, CovarianceAccumulator};
 use p3c_mapreduce::{Emitter, Engine, Mapper, MrError, Reducer};
 use p3c_stats::descriptive::{dimensionwise_median, median_in_place};
 use p3c_stats::ChiSquared;
@@ -22,123 +26,55 @@ fn eval_cache_bytes(eval: &DensityEvaluator, d: usize) -> usize {
     eval.num_components() * (d * d + d + 2) * 8
 }
 
-// ------------------------------------------------------------ OD (naive) --
+/// Per-cluster robust `(mean, Cholesky)` estimates broadcast to the
+/// mappers; `None` marks a degenerate cluster.
+type RobustEstimates = Arc<Vec<Option<(Vec<f64>, Cholesky)>>>;
 
-/// Mapper for the naive OD job: assign to the best component, compare the
-/// Mahalanobis distance against the χ² critical value.
+/// [`cluster_distances`] over a split already projected and assigned by
+/// [`project_and_assign`].
+fn split_distances<'g>(
+    eval: &DensityEvaluator,
+    proj: &[f64],
+    hard: &[usize],
+    geometry: impl Fn(usize) -> Option<Geometry<'g>>,
+) -> Vec<f64> {
+    let d = eval.arel_len();
+    cluster_distances(
+        hard,
+        eval.num_components(),
+        |i, buf| buf.extend_from_slice(&proj[i * d..(i + 1) * d]),
+        geometry,
+    )
+}
+
+// --------------------------------------------------------------- OD job --
+
+/// Mapper of the OD jobs: assign every point of the split to its best
+/// component and compare its Mahalanobis distance — under the EM
+/// component itself (naive, no `estimates`) or under the cluster's
+/// robust estimate (degenerate clusters keep their points) — against
+/// the χ² critical value. Verdicts are emitted in row order.
 struct OdMapper {
     eval: Arc<DensityEvaluator>,
+    estimates: Option<RobustEstimates>,
     crit: f64,
 }
 
 impl<'a> Mapper<&'a [f64], (), i64> for OdMapper {
     fn map(&self, row: &&'a [f64], out: &mut Emitter<(), i64>) {
-        let x = self.eval.project(row);
-        let k = self.eval.assign(row);
-        if self.eval.mahalanobis_sq(k, &x) > self.crit {
-            out.emit((), -1);
-        } else {
-            out.emit((), k as i64);
-        }
+        self.map_split(std::slice::from_ref(row), out);
     }
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<(), i64>) {
-        let d = self.eval.arel_len();
-        if !lanes_enabled() || d == 0 {
-            for row in split {
-                self.map(row, out);
-            }
-            return;
-        }
-        // Lane path: assign the whole split through the 8-wide density
-        // kernel, then score each cluster's members as one contiguous
-        // block. Distances and argmax comparisons are bit-identical to
-        // the per-row path, and verdicts are emitted in row order, so
-        // the map output is byte-identical.
-        let (proj, assignment) = assign_split_lanes(&self.eval, split);
-        let verdicts = split_cluster_distances(&self.eval, &proj, &assignment, |c| {
-            DistanceSource::Component(c)
+        let (proj, hard) = project_and_assign(&self.eval, split);
+        let dists = split_distances(&self.eval, &proj, &hard, |c| match &self.estimates {
+            None => Some(self.eval.geometry(c)),
+            Some(estimates) => robust_geometry(estimates, c),
         });
-        for (&c, &d2) in assignment.iter().zip(&verdicts) {
-            if d2 > self.crit {
-                out.emit((), -1);
-            } else {
-                out.emit((), c as i64);
-            }
+        for verdict in verdicts(&hard, &dists, self.crit) {
+            out.emit((), verdict);
         }
     }
-}
-
-/// Lane-batched split assignment: projects every row into one
-/// contiguous buffer and hard-assigns each point via
-/// [`DensityEvaluator::assign_block_lanes`] — bit-identical to per-row
-/// [`DensityEvaluator::assign`].
-fn assign_split_lanes(eval: &DensityEvaluator, split: &[&[f64]]) -> (Vec<f64>, Vec<usize>) {
-    let mut proj = Vec::with_capacity(split.len() * eval.arel_len());
-    for row in split {
-        eval.project_append(row, &mut proj);
-    }
-    let mut scratch = EstepScratch::new();
-    let mut assignment = Vec::new();
-    eval.assign_block_lanes(&proj, &mut scratch, &mut assignment);
-    (proj, assignment)
-}
-
-/// Which geometry scores a cluster's points in the grouped scans.
-enum DistanceSource<'e> {
-    /// The EM component's own parameters.
-    Component(usize),
-    /// A robust `(mean, Cholesky)` estimate.
-    Robust(&'e (Vec<f64>, Cholesky)),
-    /// No estimate: the points are never outliers.
-    Keep,
-}
-
-/// Squared Mahalanobis distance of every projected point to its
-/// cluster's geometry (chosen by `source`), computed per cluster
-/// through the lane-batched block kernel and scattered back to row
-/// order. `Keep` clusters score `NEG_INFINITY` (never above a
-/// threshold).
-fn split_cluster_distances<'e>(
-    eval: &DensityEvaluator,
-    proj: &[f64],
-    assignment: &[usize],
-    source: impl Fn(usize) -> DistanceSource<'e>,
-) -> Vec<f64> {
-    let d = eval.arel_len();
-    let npts = assignment.len();
-    let mut dists = vec![f64::NEG_INFINITY; npts];
-    let mut buf = Vec::new();
-    let mut idx = Vec::new();
-    let mut scratch = LaneScratch::new();
-    let mut out = Vec::new();
-    for c in 0..eval.num_components() {
-        let src = source(c);
-        if matches!(src, DistanceSource::Keep) {
-            continue;
-        }
-        buf.clear();
-        idx.clear();
-        for (i, (x, &a)) in proj.chunks_exact(d).zip(assignment).enumerate() {
-            if a == c {
-                buf.extend_from_slice(x);
-                idx.push(i);
-            }
-        }
-        match src {
-            DistanceSource::Component(k) => {
-                eval.mahalanobis_sq_component_block(k, &buf, &mut scratch, &mut out);
-            }
-            DistanceSource::Robust((mean, chol)) => {
-                chol.mahalanobis_sq_block(&buf, mean, &mut scratch, &mut out);
-            }
-            DistanceSource::Keep => unreachable!(),
-        }
-        for (&i, &d2) in idx.iter().zip(&out) {
-            dists[i] = d2;
-        }
-    }
-    dists
 }
 
 /// Runs the naive OD job; output is ordered like `rows`.
@@ -149,11 +85,44 @@ pub fn od_job_naive(
     alpha: f64,
     arel_len: usize,
 ) -> Result<Vec<i64>, MrError> {
-    let crit = ChiSquared::new(arel_len.max(1) as f64).critical_value(alpha);
-    let cache = eval_cache_bytes(&eval, arel_len);
-    let result =
-        engine.run_map_only_with_cache("p3c-od-naive", rows, cache, &OdMapper { eval, crit })?;
+    let mapper = OdMapper {
+        crit: ChiSquared::new(arel_len.max(1) as f64).critical_value(alpha),
+        estimates: None,
+        eval,
+    };
+    let cache = eval_cache_bytes(&mapper.eval, arel_len);
+    let result = engine.run_map_only_with_cache("p3c-od-naive", rows, cache, &mapper)?;
     Ok(result.output)
+}
+
+/// Runs the final OD job of a robust pipeline under its estimates.
+fn od_job_robust(
+    engine: &Engine,
+    name: &str,
+    eval: Arc<DensityEvaluator>,
+    estimates: RobustEstimates,
+    rows: &[&[f64]],
+    alpha: f64,
+    d: usize,
+) -> Result<Vec<i64>, MrError> {
+    let cache = eval_cache_bytes(&eval, d) + eval.num_components() * (d * d + d) * 8;
+    let mapper = OdMapper {
+        crit: ChiSquared::new(d.max(1) as f64).critical_value(alpha),
+        estimates: Some(estimates),
+        eval,
+    };
+    let result = engine.run_map_only_with_cache(name, rows, cache, &mapper)?;
+    Ok(result.output)
+}
+
+/// Per-cluster robust estimates from the merged moment accumulators of a
+/// moments job; clusters without output stay `None`.
+fn estimates_from(moments: Vec<(usize, AccMsg)>, k: usize) -> RobustEstimates {
+    let mut estimates = vec![None; k];
+    for (c, AccMsg(acc)) in moments {
+        estimates[c] = fit_geometry(&acc);
+    }
+    Arc::new(estimates)
 }
 
 // -------------------------------------------------------------- MVB jobs --
@@ -171,19 +140,16 @@ impl<'a> Mapper<&'a [f64], usize, (Vec<f64>, f64)> for MvbStatsMapper {
     }
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, (Vec<f64>, f64)>) {
-        let k = self.eval.num_components();
-        let mut members: Vec<Vec<Vec<f64>>> = vec![Vec::new(); k];
-        for row in split {
-            let c = self.eval.assign(row);
-            members[c].push(self.eval.project(row));
+        let (proj, hard) = project_and_assign(&self.eval, split);
+        let mut members: Vec<Vec<&[f64]>> = vec![Vec::new(); self.eval.num_components()];
+        for (x, &c) in proj.chunks_exact(self.eval.arel_len()).zip(&hard) {
+            members[c].push(x);
         }
         for (c, pts) in members.iter().enumerate() {
-            if pts.is_empty() {
+            let Some(center) = dimensionwise_median(pts) else {
                 continue;
-            }
-            let refs: Vec<&[f64]> = pts.iter().map(|p| p.as_slice()).collect();
-            let center = dimensionwise_median(&refs).expect("nonempty");
-            let mut dists: Vec<f64> = refs.iter().map(|p| p3c_linalg::dist(p, &center)).collect();
+            };
+            let mut dists: Vec<f64> = pts.iter().map(|p| p3c_linalg::dist(p, &center)).collect();
             let radius = median_in_place(&mut dists);
             out.emit(c, (center, radius));
         }
@@ -222,94 +188,19 @@ impl<'a> Mapper<&'a [f64], usize, AccMsg> for BallStatsMapper {
     }
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, AccMsg>) {
-        let k = self.eval.num_components();
-        let d = self
-            .eval
-            .project(split.first().map_or(&[][..], |r| r))
-            .len();
-        let mut accs: Vec<CovarianceAccumulator> =
-            (0..k).map(|_| CovarianceAccumulator::new(d)).collect();
-        for row in split {
-            let c = self.eval.assign(row);
-            if let Some((center, radius)) = &self.balls[c] {
-                let x = self.eval.project(row);
-                if p3c_linalg::dist(&x, center) <= radius + 1e-12 {
-                    accs[c].push(&x, 1.0);
-                }
-            }
-        }
-        for (c, acc) in accs.into_iter().enumerate() {
-            if acc.count() > 0 {
-                out.emit(c, AccMsg(acc));
-            }
-        }
-    }
-}
-
-struct AccReducer;
-impl Reducer<usize, AccMsg, (usize, AccMsg)> for AccReducer {
-    fn reduce(&self, key: &usize, values: Vec<AccMsg>, out: &mut Vec<(usize, AccMsg)>) {
-        let mut iter = values.into_iter();
-        let mut first = iter.next().expect("group nonempty").0;
-        for AccMsg(acc) in iter {
-            first.merge(&acc);
-        }
-        out.push((*key, AccMsg(first)));
-    }
-}
-
-/// Mapper of the final (robust) OD job.
-struct RobustOdMapper {
-    eval: Arc<DensityEvaluator>,
-    estimates: RobustEstimates,
-    crit: f64,
-}
-
-impl<'a> Mapper<&'a [f64], (), i64> for RobustOdMapper {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<(), i64>) {
-        let c = self.eval.assign(row);
-        let x = self.eval.project(row);
-        match &self.estimates[c] {
-            Some((mean, chol)) => {
-                let diff: Vec<f64> = x.iter().zip(mean).map(|(a, b)| a - b).collect();
-                if chol.mahalanobis_sq(&diff) > self.crit {
-                    out.emit((), -1);
-                } else {
-                    out.emit((), c as i64);
-                }
-            }
-            None => out.emit((), c as i64),
-        }
-    }
-
-    fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<(), i64>) {
         let d = self.eval.arel_len();
-        if !lanes_enabled() || d == 0 {
-            for row in split {
-                self.map(row, out);
-            }
-            return;
-        }
-        // Lane path: grouped per-cluster block scans under the robust
-        // estimates; degenerate clusters keep their points. The fused
-        // block kernel's offset-into-substitution sequence is
-        // bit-identical to the per-row `diff` + `mahalanobis_sq` path
-        // (see `Cholesky::mahalanobis_sq_scratch`), and verdicts are
-        // emitted in row order — byte-identical map output.
-        let (proj, assignment) = assign_split_lanes(&self.eval, split);
-        let verdicts = split_cluster_distances(&self.eval, &proj, &assignment, |c| {
-            match &self.estimates[c] {
-                Some(est) => DistanceSource::Robust(est),
-                None => DistanceSource::Keep,
-            }
-        });
-        for (&c, &d2) in assignment.iter().zip(&verdicts) {
-            if d2 > self.crit {
-                out.emit((), -1);
-            } else {
-                out.emit((), c as i64);
+        let (proj, hard) = project_and_assign(&self.eval, split);
+        let mut accs: Vec<CovarianceAccumulator> = (0..self.eval.num_components())
+            .map(|_| CovarianceAccumulator::new(d))
+            .collect();
+        for (x, &c) in proj.chunks_exact(d).zip(&hard) {
+            if let Some((center, radius)) = &self.balls[c] {
+                if p3c_linalg::dist(x, center) <= radius + 1e-12 {
+                    accs[c].push(x, 1.0);
+                }
             }
         }
+        emit_accs(accs, out);
     }
 }
 
@@ -340,7 +231,6 @@ pub fn od_job_mvb(
     for (c, center, radius) in stats.output {
         balls[c] = Some((center, radius));
     }
-    let balls = Arc::new(balls);
 
     // Job 2: moments of the in-ball points (plus the paper's bookkeeping
     // second job for covariances).
@@ -350,7 +240,7 @@ pub fn od_job_mvb(
         cache + k * (d + 1) * 8,
         &BallStatsMapper {
             eval: Arc::clone(&eval),
-            balls: Arc::clone(&balls),
+            balls: Arc::new(balls),
         },
         &AccReducer,
     )?;
@@ -359,51 +249,27 @@ pub fn od_job_mvb(
         &[] as &[u8],
         &|_r: &u8, _o: &mut Emitter<(), ()>| {},
     )?;
-    let mut estimates: Vec<Option<(Vec<f64>, Cholesky)>> = vec![None; k];
-    for (c, AccMsg(acc)) in moments.output {
-        estimates[c] = (|| {
-            let mean = acc.mean()?;
-            let mut cov = acc.covariance()?;
-            cov.add_ridge(1e-9);
-            let chol = Cholesky::new_regularized(&cov)?;
-            Some((mean, chol))
-        })();
-    }
 
     // Final OD job with the robust parameters.
-    let crit = ChiSquared::new(arel_len.max(1) as f64).critical_value(alpha);
-    let result = engine.run_map_only_with_cache(
-        "p3c-od-mvb",
-        rows,
-        cache + k * (d * d + d) * 8,
-        &RobustOdMapper {
-            eval,
-            estimates: Arc::new(estimates),
-            crit,
-        },
-    )?;
-    Ok(result.output)
+    let estimates = estimates_from(moments.output, k);
+    od_job_robust(engine, "p3c-od-mvb", eval, estimates, rows, alpha, d)
 }
 
 // -------------------------------------------------------------- MCD jobs --
 
-/// Per-cluster robust state threaded through the MCD concentration jobs:
-/// `None` falls back to the EM component's own Mahalanobis geometry.
-type RobustEstimates = Arc<Vec<Option<(Vec<f64>, Cholesky)>>>;
-
-fn robust_mahalanobis_sq(
+/// A split assigned and scored under the current concentration
+/// estimates; clusters without one fall back to the EM component's own
+/// geometry. Returns the projected split, its assignment and distances.
+fn concentration_distances(
     eval: &DensityEvaluator,
     estimates: &[Option<(Vec<f64>, Cholesky)>],
-    c: usize,
-    x: &[f64],
-) -> f64 {
-    match &estimates[c] {
-        Some((mean, chol)) => {
-            let diff: Vec<f64> = x.iter().zip(mean).map(|(a, b)| a - b).collect();
-            chol.mahalanobis_sq(&diff)
-        }
-        None => eval.mahalanobis_sq(c, x),
-    }
+    split: &[&[f64]],
+) -> (Vec<f64>, Vec<usize>, Vec<f64>) {
+    let (proj, hard) = project_and_assign(eval, split);
+    let dists = split_distances(eval, &proj, &hard, |c| {
+        robust_geometry(estimates, c).or(Some(eval.geometry(c)))
+    });
+    (proj, hard, dists)
 }
 
 /// Mapper of the MCD threshold job: split-local median of squared
@@ -421,14 +287,12 @@ impl<'a> Mapper<&'a [f64], usize, f64> for McdThresholdMapper {
     }
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, f64>) {
-        let k = self.eval.num_components();
-        let mut dists: Vec<Vec<f64>> = vec![Vec::new(); k];
-        for row in split {
-            let c = self.eval.assign(row);
-            let x = self.eval.project(row);
-            dists[c].push(robust_mahalanobis_sq(&self.eval, &self.estimates, c, &x));
+        let (_, hard, dists) = concentration_distances(&self.eval, &self.estimates, split);
+        let mut per_cluster: Vec<Vec<f64>> = vec![Vec::new(); self.eval.num_components()];
+        for (&c, &d2) in hard.iter().zip(&dists) {
+            per_cluster[c].push(d2);
         }
-        for (c, mut d) in dists.into_iter().enumerate() {
+        for (c, mut d) in per_cluster.into_iter().enumerate() {
             if !d.is_empty() {
                 out.emit(c, median_in_place(&mut d));
             }
@@ -457,28 +321,17 @@ impl<'a> Mapper<&'a [f64], usize, AccMsg> for McdMomentsMapper {
     }
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, AccMsg>) {
-        let k = self.eval.num_components();
-        let d = self
-            .eval
-            .project(split.first().map_or(&[][..], |r| r))
-            .len();
-        let mut accs: Vec<CovarianceAccumulator> =
-            (0..k).map(|_| CovarianceAccumulator::new(d)).collect();
-        for row in split {
-            let c = self.eval.assign(row);
-            let Some(threshold) = self.thresholds[c] else {
-                continue;
-            };
-            let x = self.eval.project(row);
-            if robust_mahalanobis_sq(&self.eval, &self.estimates, c, &x) <= threshold {
-                accs[c].push(&x, 1.0);
+        let d = self.eval.arel_len();
+        let (proj, hard, dists) = concentration_distances(&self.eval, &self.estimates, split);
+        let mut accs: Vec<CovarianceAccumulator> = (0..self.eval.num_components())
+            .map(|_| CovarianceAccumulator::new(d))
+            .collect();
+        for ((x, &c), &d2) in proj.chunks_exact(d).zip(&hard).zip(&dists) {
+            if self.thresholds[c].is_some_and(|threshold| d2 <= threshold) {
+                accs[c].push(x, 1.0);
             }
         }
-        for (c, acc) in accs.into_iter().enumerate() {
-            if acc.count() > 0 {
-                out.emit(c, AccMsg(acc));
-            }
-        }
+        emit_accs(accs, out);
     }
 }
 
@@ -500,8 +353,7 @@ pub fn od_job_mcd(
     let d = arel_len;
     let cache = eval_cache_bytes(&eval, d);
     let mut estimates: RobustEstimates = Arc::new(vec![None; k]);
-    for step in 0..concentration_steps.max(1) {
-        let _ = step;
+    for _ in 0..concentration_steps.max(1) {
         let thresholds_out = engine.run_with_cache(
             "p3c-mcd-threshold",
             rows,
@@ -527,31 +379,9 @@ pub fn od_job_mcd(
             },
             &AccReducer,
         )?;
-        let mut next: Vec<Option<(Vec<f64>, Cholesky)>> = vec![None; k];
-        for (c, AccMsg(acc)) in moments.output {
-            next[c] = (|| {
-                let mean = acc.mean()?;
-                let mut cov = acc.covariance()?;
-                cov.add_ridge(1e-9);
-                let chol = Cholesky::new_regularized(&cov)?;
-                Some((mean, chol))
-            })();
-        }
-        estimates = Arc::new(next);
+        estimates = estimates_from(moments.output, k);
     }
-
-    let crit = ChiSquared::new(arel_len.max(1) as f64).critical_value(alpha);
-    let result = engine.run_map_only_with_cache(
-        "p3c-od-mcd",
-        rows,
-        cache + k * (d * d + d) * 8,
-        &RobustOdMapper {
-            eval,
-            estimates,
-            crit,
-        },
-    )?;
-    Ok(result.output)
+    od_job_robust(engine, "p3c-od-mcd", eval, estimates, rows, alpha, d)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //!   then computed from the points *inside the ball* only (the paper's
 //!   tractable approximation of the minimum-volume-ellipsoid estimator).
 
-use crate::em::{lanes_enabled, DensityEvaluator, EstepScratch};
+use crate::em::{DensityEvaluator, EstepScratch};
 use p3c_linalg::{Cholesky, CovarianceAccumulator, LaneScratch};
 use p3c_stats::descriptive::{dimensionwise_median, median_in_place};
 use p3c_stats::ChiSquared;
@@ -19,23 +19,96 @@ use p3c_stats::ChiSquared;
 /// Per-point result: the EM cluster (index) or `-1` for outliers.
 pub type Assignment = Vec<i64>;
 
+/// The assign scan over one input split (serially: the whole input):
+/// projects every row into one contiguous `A_rel` block and
+/// hard-assigns each point to its maximum-density component
+/// ([`DensityEvaluator::assign_block_lanes`]). Returns the projected
+/// block with the assignment so a following
+/// [`cluster_distances`] scan does not project again.
+pub(crate) fn project_and_assign(
+    eval: &DensityEvaluator,
+    rows: &[&[f64]],
+) -> (Vec<f64>, Vec<usize>) {
+    let proj = eval.project_block(rows);
+    let mut assignment = Vec::new();
+    eval.assign_block_lanes(&proj, &mut EstepScratch::new(), &mut assignment);
+    (proj, assignment)
+}
+
 /// Hard-assigns every row to its maximum-density component.
 pub fn assign_clusters(eval: &DensityEvaluator, rows: &[&[f64]]) -> Vec<usize> {
-    if lanes_enabled() && eval.arel_len() > 0 {
-        let mut proj = Vec::with_capacity(rows.len() * eval.arel_len());
-        for row in rows {
-            eval.project_append(row, &mut proj);
+    project_and_assign(eval, rows).1
+}
+
+/// A cluster's Mahalanobis geometry: mean and covariance factor.
+pub(crate) type Geometry<'g> = (&'g [f64], &'g Cholesky);
+
+/// The grouped cluster-distance scan: the squared Mahalanobis distance
+/// of every point of a split to the geometry of *its own* cluster.
+///
+/// Per cluster `c < k`, the members (`assignment[i] == c`) are packed
+/// in point order into one contiguous block — `gather(i, buf)` appends
+/// point `i`'s `A_rel` coordinates — scored through
+/// [`Cholesky::mahalanobis_sq_block`], and scattered back to point
+/// order; per point that is the float operation sequence of
+/// [`Cholesky::mahalanobis_sq_scratch`]. Clusters without a geometry
+/// (`None`: a degenerate robust estimate) score `NEG_INFINITY`, which no
+/// threshold exceeds, so their points are never outliers.
+pub(crate) fn cluster_distances<'g>(
+    assignment: &[usize],
+    k: usize,
+    mut gather: impl FnMut(usize, &mut Vec<f64>),
+    geometry: impl Fn(usize) -> Option<Geometry<'g>>,
+) -> Vec<f64> {
+    let mut dists = vec![f64::NEG_INFINITY; assignment.len()];
+    let (mut buf, mut idx, mut out) = (Vec::new(), Vec::new(), Vec::new());
+    let mut scratch = LaneScratch::new();
+    for c in 0..k {
+        let Some((mean, chol)) = geometry(c) else {
+            continue;
+        };
+        buf.clear();
+        idx.clear();
+        for (i, _) in assignment.iter().enumerate().filter(|&(_, &a)| a == c) {
+            gather(i, &mut buf);
+            idx.push(i);
         }
-        let mut scratch = EstepScratch::new();
-        let mut out = Vec::new();
-        eval.assign_block_lanes(&proj, &mut scratch, &mut out);
-        return out;
+        chol.mahalanobis_sq_block(&buf, mean, &mut scratch, &mut out);
+        for (&i, &d2) in idx.iter().zip(&out) {
+            dists[i] = d2;
+        }
     }
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    rows.iter()
-        .map(|row| eval.assign_scratch(row, &mut x, &mut y))
+    dists
+}
+
+/// Final verdicts: a point whose distance exceeds `crit` is an outlier
+/// (`-1`), every other point keeps its cluster.
+pub(crate) fn verdicts(assignment: &[usize], dists: &[f64], crit: f64) -> Assignment {
+    assignment
+        .iter()
+        .zip(dists)
+        .map(|(&c, &d2)| if d2 > crit { -1 } else { c as i64 })
         .collect()
+}
+
+/// Flags every row whose distance to its cluster's geometry exceeds the
+/// χ² critical value at `alpha`.
+fn detect<'g>(
+    eval: &DensityEvaluator,
+    rows: &[&[f64]],
+    assignment: &[usize],
+    geometry: impl Fn(usize) -> Option<Geometry<'g>>,
+    alpha: f64,
+    arel_len: usize,
+) -> Assignment {
+    let crit = ChiSquared::new(arel_len.max(1) as f64).critical_value(alpha);
+    let dists = cluster_distances(
+        assignment,
+        eval.num_components(),
+        |i, buf| eval.project_append(rows[i], buf),
+        geometry,
+    );
+    verdicts(assignment, &dists, crit)
 }
 
 /// Naive outlier detection: Mahalanobis against the EM parameters.
@@ -46,86 +119,8 @@ pub fn detect_outliers_naive(
     alpha: f64,
     arel_len: usize,
 ) -> Assignment {
-    let crit = ChiSquared::new(arel_len.max(1) as f64).critical_value(alpha);
-    if lanes_enabled() {
-        // Lane path: group each cluster's projected members (in row
-        // order) into one contiguous block, score the block through the
-        // 8-wide kernel, and scatter the distances back to row order.
-        // Per point the kernel runs the exact scalar operation
-        // sequence, so the verdicts are bit-identical to the per-point
-        // loop below.
-        let mut dists = vec![0.0; rows.len()];
-        let mut gather = ClusterGather::default();
-        for c in 0..eval.num_components() {
-            gather.collect(rows, assignment, c, |row, buf| {
-                eval.project_append(row, buf);
-            });
-            eval.mahalanobis_sq_component_block(
-                c,
-                &gather.buf,
-                &mut gather.scratch,
-                &mut gather.out,
-            );
-            gather.scatter(&mut dists);
-        }
-        return rows
-            .iter()
-            .zip(assignment)
-            .zip(&dists)
-            .map(|((_, &k), &d2)| if d2 > crit { -1 } else { k as i64 })
-            .collect();
-    }
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    rows.iter()
-        .zip(assignment)
-        .map(|(row, &k)| {
-            eval.project_into(row, &mut x);
-            if eval.mahalanobis_sq_scratch(k, &x, &mut y) > crit {
-                -1
-            } else {
-                k as i64
-            }
-        })
-        .collect()
-}
-
-/// Gather/scatter state for the grouped lane-batched cluster scans: one
-/// cluster's projected members packed contiguously (`buf`), their row
-/// indices (`idx`), the kernel scratch, and the distances (`out`).
-#[derive(Default)]
-struct ClusterGather {
-    buf: Vec<f64>,
-    idx: Vec<usize>,
-    scratch: LaneScratch,
-    out: Vec<f64>,
-}
-
-impl ClusterGather {
-    /// Packs cluster `c`'s rows (in row order) via `project`.
-    fn collect(
-        &mut self,
-        rows: &[&[f64]],
-        assignment: &[usize],
-        c: usize,
-        mut project: impl FnMut(&[f64], &mut Vec<f64>),
-    ) {
-        self.buf.clear();
-        self.idx.clear();
-        for (i, (row, &a)) in rows.iter().zip(assignment).enumerate() {
-            if a == c {
-                project(row, &mut self.buf);
-                self.idx.push(i);
-            }
-        }
-    }
-
-    /// Writes the block kernel's distances back to row positions.
-    fn scatter(&self, dists: &mut [f64]) {
-        for (&i, &d2) in self.idx.iter().zip(&self.out) {
-            dists[i] = d2;
-        }
-    }
+    let geometry = |c| Some(eval.geometry(c));
+    detect(eval, rows, assignment, geometry, alpha, arel_len)
 }
 
 /// The MVB (minimum volume ball) statistics of one cluster, in `A_rel`
@@ -177,13 +172,19 @@ pub fn robust_cluster_estimates(
                     acc.push(p, 1.0);
                 }
             }
-            let mean = acc.mean()?;
-            let mut cov = acc.covariance()?;
-            cov.add_ridge(1e-9);
-            let chol = Cholesky::new_regularized(&cov)?;
-            Some((mean, chol))
+            fit_geometry(&acc)
         })
         .collect()
+}
+
+/// The `(mean, Cholesky)` geometry of a robust subset's moments
+/// (unbiased covariance, ridged); `None` when they are degenerate.
+pub(crate) fn fit_geometry(acc: &CovarianceAccumulator) -> Option<(Vec<f64>, Cholesky)> {
+    let mean = acc.mean()?;
+    let mut cov = acc.covariance()?;
+    cov.add_ridge(1e-9);
+    let chol = Cholesky::new_regularized(&cov)?;
+    Some((mean, chol))
 }
 
 /// One MCD concentration step (FastMCD's C-step): fit mean/covariance on
@@ -208,36 +209,22 @@ pub fn mcd_estimate(
     // Start from the full set.
     let mut subset: Vec<usize> = (0..n).collect();
     let mut current: Option<(Vec<f64>, Cholesky)> = None;
+    // The C-step scores one cluster holding every point.
+    let one_cluster = vec![0; n];
     for _ in 0..max_steps.max(1) {
         let mut acc = CovarianceAccumulator::new(d);
         for &i in &subset {
             acc.push(&points[i], 1.0);
         }
-        let mean = acc.mean()?;
-        let mut cov = acc.covariance()?;
-        cov.add_ridge(1e-9);
-        let chol = Cholesky::new_regularized(&cov)?;
+        let (mean, chol) = fit_geometry(&acc)?;
         // Order all cluster points by Mahalanobis distance; keep h.
-        let mut dists: Vec<(f64, usize)> = if lanes_enabled() {
-            // Lane path: score the whole cluster through the 8-wide
-            // block kernel (bit-identical per point to the scalar
-            // scratch loop below).
-            let mut flat = Vec::with_capacity(n * d);
-            for p in points {
-                flat.extend_from_slice(p);
-            }
-            let mut lane_scratch = LaneScratch::new();
-            let mut out = Vec::new();
-            chol.mahalanobis_sq_block(&flat, &mean, &mut lane_scratch, &mut out);
-            out.iter().copied().zip(0..n).collect()
-        } else {
-            let mut scratch = Vec::with_capacity(d);
-            points
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (chol.mahalanobis_sq_scratch(p, &mean, &mut scratch), i))
-                .collect()
-        };
+        let scores = cluster_distances(
+            &one_cluster,
+            1,
+            |i, buf| buf.extend_from_slice(&points[i]),
+            |_| Some((&mean[..], &chol)),
+        );
+        let mut dists: Vec<(f64, usize)> = scores.into_iter().zip(0..n).collect();
         dists.sort_by(|a, b| a.0.total_cmp(&b.0));
         let next: Vec<usize> = dists.iter().take(h).map(|&(_, i)| i).collect();
         let converged = {
@@ -267,56 +254,13 @@ pub fn mcd_estimate(
     }
 }
 
-/// Scores every row against its cluster's robust `(mean, Cholesky)`
-/// estimate and flags outliers above `crit`; clusters with `None`
-/// estimates (degenerate) keep all their points. Dispatches between
-/// the grouped lane-batched block scan and the per-point scalar loop —
-/// bit-identical verdicts either way (each point's distance runs the
-/// same float operation sequence).
-fn detect_with_estimates(
-    eval: &DensityEvaluator,
-    rows: &[&[f64]],
-    assignment: &[usize],
+/// A robust per-cluster `(mean, Cholesky)` estimate as a scan geometry;
+/// degenerate clusters (`None`) keep all their points.
+pub(crate) fn robust_geometry(
     estimates: &[Option<(Vec<f64>, Cholesky)>],
-    crit: f64,
-) -> Assignment {
-    if lanes_enabled() {
-        // NEG_INFINITY never exceeds `crit`, so rows of degenerate
-        // clusters (no estimate, hence never scattered) stay members.
-        let mut dists = vec![f64::NEG_INFINITY; rows.len()];
-        let mut gather = ClusterGather::default();
-        for (c, est) in estimates.iter().enumerate() {
-            let Some((mean, chol)) = est else { continue };
-            gather.collect(rows, assignment, c, |row, buf| {
-                eval.project_append(row, buf);
-            });
-            chol.mahalanobis_sq_block(&gather.buf, mean, &mut gather.scratch, &mut gather.out);
-            gather.scatter(&mut dists);
-        }
-        return assignment
-            .iter()
-            .zip(&dists)
-            .map(|(&c, &d2)| if d2 > crit { -1 } else { c as i64 })
-            .collect();
-    }
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    rows.iter()
-        .zip(assignment)
-        .map(|(row, &c)| {
-            eval.project_into(row, &mut x);
-            match &estimates[c] {
-                Some((mean, chol)) => {
-                    if chol.mahalanobis_sq_scratch(&x, mean, &mut y) > crit {
-                        -1
-                    } else {
-                        c as i64
-                    }
-                }
-                None => c as i64, // degenerate cluster: keep its points
-            }
-        })
-        .collect()
+    c: usize,
+) -> Option<Geometry<'_>> {
+    estimates[c].as_ref().map(|(mean, chol)| (&mean[..], chol))
 }
 
 /// MCD-based outlier detection (extension; see [`mcd_estimate`]).
@@ -327,9 +271,7 @@ pub fn detect_outliers_mcd(
     alpha: f64,
     arel_len: usize,
 ) -> Assignment {
-    let k = eval.num_components();
-    let crit = ChiSquared::new(arel_len.max(1) as f64).critical_value(alpha);
-    let mut members: Vec<Vec<Vec<f64>>> = vec![Vec::new(); k];
+    let mut members: Vec<Vec<Vec<f64>>> = vec![Vec::new(); eval.num_components()];
     for (row, &c) in rows.iter().zip(assignment) {
         members[c].push(eval.project(row));
     }
@@ -337,7 +279,8 @@ pub fn detect_outliers_mcd(
         .iter()
         .map(|pts| mcd_estimate(pts, 0.5, 4))
         .collect();
-    detect_with_estimates(eval, rows, assignment, &estimates, crit)
+    let geometry = |c| robust_geometry(&estimates, c);
+    detect(eval, rows, assignment, geometry, alpha, arel_len)
 }
 
 /// MVB-based outlier detection.
@@ -348,10 +291,9 @@ pub fn detect_outliers_mvb(
     alpha: f64,
     arel_len: usize,
 ) -> Assignment {
-    let k = eval.num_components();
-    let crit = ChiSquared::new(arel_len.max(1) as f64).critical_value(alpha);
-    let estimates = robust_cluster_estimates(eval, rows, assignment, k);
-    detect_with_estimates(eval, rows, assignment, &estimates, crit)
+    let estimates = robust_cluster_estimates(eval, rows, assignment, eval.num_components());
+    let geometry = |c| robust_geometry(&estimates, c);
+    detect(eval, rows, assignment, geometry, alpha, arel_len)
 }
 
 #[cfg(test)]
@@ -545,28 +487,6 @@ mod tests {
     #[test]
     fn mvb_of_empty_is_none() {
         assert!(mvb_of(&[]).is_none());
-    }
-
-    #[test]
-    fn lane_and_scalar_outlier_scans_agree() {
-        let data = rows_with_outliers();
-        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        let eval = single_component_model().evaluator();
-        let assignment = assign_clusters(&eval, &rows);
-        type Detect = fn(&DensityEvaluator, &[&[f64]], &[usize], f64, usize) -> Assignment;
-        let detectors: [Detect; 3] = [
-            detect_outliers_naive,
-            detect_outliers_mvb,
-            detect_outliers_mcd,
-        ];
-        for detect in detectors {
-            crate::em::set_lane_mode(Some(false));
-            let scalar = detect(&eval, &rows, &assignment, 0.001, 2);
-            crate::em::set_lane_mode(Some(true));
-            let lanes = detect(&eval, &rows, &assignment, 0.001, 2);
-            crate::em::set_lane_mode(None);
-            assert_eq!(scalar, lanes);
-        }
     }
 
     #[test]

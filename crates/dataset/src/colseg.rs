@@ -4,10 +4,9 @@
 //! This is the on-disk form the MapReduce `DatasetStore` uses when it
 //! spills a [`RowBlock`] to the block store. Instead of one opaque
 //! whole-buffer file, a spilled block becomes a tiny *header* (`n`, `d`)
-//! plus `d` independent *column segments*, so a partially-relevant job —
-//! the histogram scan reads a few attributes, RSSC proving touches only a
-//! candidate's subspace — can reload exactly the columns it scans and
-//! skip the rest (DESIGN.md §9).
+//! plus `d` independent *column segments*: values of one attribute are
+//! neighbours in the encoder's input, which is what the delta coding
+//! below compresses (DESIGN.md §9).
 //!
 //! The encoding is deliberately dependency-free and **bit-exact**: every
 //! `f64` is treated as its IEEE-754 bit pattern, so NaN payloads and
@@ -209,100 +208,6 @@ pub fn decode_column(bytes: &[u8]) -> Vec<f64> {
     values
 }
 
-/// A projected, column-oriented view of a [`RowBlock`]: the subset of
-/// attribute columns a partially-relevant job asked for, each as one
-/// contiguous slice in row order.
-///
-/// Produced either by projecting an in-memory block
-/// ([`ColumnSet::from_block`]) or by decoding only the requested
-/// segments of a spilled one (`DatasetStore::get_columns`); both paths
-/// yield bit-identical values, so consumers cannot tell which served
-/// them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnSet {
-    n: usize,
-    d: usize,
-    cols: Vec<(usize, Arc<Vec<f64>>)>,
-}
-
-impl ColumnSet {
-    /// Builds a view over the given `(attribute index, column)` pairs of
-    /// an `n × d` block. Columns are kept sorted by attribute index.
-    ///
-    /// # Panics
-    /// Panics if an attribute index repeats or is `≥ d`, or if a column's
-    /// length is not `n`.
-    pub fn new(n: usize, d: usize, mut cols: Vec<(usize, Arc<Vec<f64>>)>) -> Self {
-        cols.sort_by_key(|&(j, _)| j);
-        for w in cols.windows(2) {
-            assert_ne!(w[0].0, w[1].0, "duplicate attribute {}", w[0].0);
-        }
-        for (j, col) in &cols {
-            assert!(*j < d, "attribute {j} out of range (d = {d})");
-            assert_eq!(col.len(), n, "column {j} has wrong length");
-        }
-        Self { n, d, cols }
-    }
-
-    /// Projects `attrs` out of an in-memory block — the cache-hit
-    /// counterpart of decoding spilled segments.
-    pub fn from_block(block: &RowBlock, attrs: &[usize]) -> Self {
-        let cols = attrs
-            .iter()
-            .map(|&j| (j, Arc::new(block.column(j).collect::<Vec<f64>>())))
-            .collect();
-        Self::new(block.len(), block.dim(), cols)
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the view holds zero rows.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Dimensionality of the *originating* block (not the projection).
-    pub fn dim(&self) -> usize {
-        self.d
-    }
-
-    /// Number of projected columns.
-    pub fn width(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// The projected attribute indices, ascending.
-    pub fn attrs(&self) -> impl Iterator<Item = usize> + '_ {
-        self.cols.iter().map(|&(j, _)| j)
-    }
-
-    /// Attribute `j`'s values as a contiguous slice in row order; `None`
-    /// if `j` was not part of the projection.
-    pub fn col(&self, j: usize) -> Option<&[f64]> {
-        self.cols
-            .binary_search_by_key(&j, |&(attr, _)| attr)
-            .ok()
-            .map(|idx| self.cols[idx].1.as_slice())
-    }
-
-    /// Transposes the projection into a row-major `n × width` buffer
-    /// (columns in ascending attribute order) — the bridge back to the
-    /// MapReduce engine's row-slice split inputs.
-    pub fn projected_rows(&self) -> Vec<f64> {
-        let w = self.cols.len();
-        let mut out = vec![0.0; self.n * w];
-        for (k, (_, col)) in self.cols.iter().enumerate() {
-            for (i, &v) in col.iter().enumerate() {
-                out[i * w + k] = v;
-            }
-        }
-        out
-    }
-}
-
 /// [`encode_header`] for a block — the shape half of the segmented form.
 pub fn block_header(block: &RowBlock) -> Vec<u8> {
     encode_header(block.len(), block.dim())
@@ -314,8 +219,8 @@ pub fn encode_block_column(block: &RowBlock, j: usize) -> Vec<u8> {
 }
 
 /// Reassembles a full [`RowBlock`] from its header and *all* `d` decoded
-/// columns (in attribute order) — the spill-reload "upgrade" path. The
-/// result is byte-identical to the block that was encoded.
+/// columns (in attribute order) — the spill-reload path. The result is
+/// byte-identical to the block that was encoded.
 ///
 /// # Panics
 /// Panics if the column count or any column length disagrees with the
@@ -331,13 +236,6 @@ pub fn assemble_block(header: &[u8], cols: Vec<Arc<Vec<f64>>>) -> RowBlock {
         }
     }
     RowBlock::new(n, d, data)
-}
-
-/// Builds a [`ColumnSet`] from a header and a subset of decoded columns
-/// — the projected spill-reload path.
-pub fn assemble_column_set(header: &[u8], cols: Vec<(usize, Arc<Vec<f64>>)>) -> ColumnSet {
-    let (n, d) = decode_header(header);
-    ColumnSet::new(n, d, cols)
 }
 
 #[cfg(test)]
@@ -412,24 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn column_set_projection_matches_block() {
-        let block = RowBlock::new(4, 3, (0..12).map(f64::from).collect());
-        let set = ColumnSet::from_block(&block, &[2, 0]);
-        assert_eq!(set.len(), 4);
-        assert_eq!(set.dim(), 3);
-        assert_eq!(set.width(), 2);
-        assert_eq!(set.attrs().collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(set.col(0).unwrap(), &[0.0, 3.0, 6.0, 9.0]);
-        assert_eq!(set.col(2).unwrap(), &[2.0, 5.0, 8.0, 11.0]);
-        assert!(set.col(1).is_none());
-        // Projected row-major transpose keeps ascending attribute order.
-        assert_eq!(
-            set.projected_rows(),
-            vec![0.0, 2.0, 3.0, 5.0, 6.0, 8.0, 9.0, 11.0]
-        );
-    }
-
-    #[test]
     fn full_assembly_is_byte_identical() {
         let data: Vec<f64> = (0..40).map(|i| (i as f64).sin()).collect();
         let block = RowBlock::new(8, 5, data);
@@ -441,25 +321,6 @@ mod tests {
         assert_eq!(back.as_slice(), block.as_slice());
         assert_eq!(back.len(), block.len());
         assert_eq!(back.dim(), block.dim());
-    }
-
-    #[test]
-    fn projection_equals_full_decode() {
-        let data: Vec<f64> = (0..60).map(|i| (i as f64 * 0.37).fract()).collect();
-        let block = RowBlock::new(12, 5, data);
-        let header = block_header(&block);
-        let attrs = [1usize, 4];
-        // Spilled-projection path: decode only the requested segments.
-        let spilled = assemble_column_set(
-            &header,
-            attrs
-                .iter()
-                .map(|&j| (j, Arc::new(decode_column(&encode_block_column(&block, j)))))
-                .collect(),
-        );
-        // In-memory path: project the live block.
-        let live = ColumnSet::from_block(&block, &attrs);
-        assert_eq!(spilled, live);
     }
 
     #[test]
@@ -508,32 +369,6 @@ mod tests {
             let decoded = decode_column(&encode_column(&values));
             let back: Vec<u64> = decoded.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(bits, back);
-        }
-
-        #[test]
-        fn prop_projection_equals_full_decode(
-            n in 0usize..40,
-            d in 1usize..8,
-            seed in any::<u64>(),
-        ) {
-            // Cheap deterministic data from the seed.
-            let mut state = seed | 1;
-            let mut next = || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 11) as f64 / (1u64 << 53) as f64
-            };
-            let data: Vec<f64> = (0..n * d).map(|_| next()).collect();
-            let block = RowBlock::new(n, d, data);
-            let header = block_header(&block);
-            let attrs: Vec<usize> = (0..d).filter(|j| j % 2 == 0).collect();
-            let spilled = assemble_column_set(
-                &header,
-                attrs.iter()
-                    .map(|&j| (j, Arc::new(decode_column(&encode_block_column(&block, j)))))
-                    .collect(),
-            );
-            let live = ColumnSet::from_block(&block, &attrs);
-            prop_assert_eq!(spilled, live);
         }
     }
 }

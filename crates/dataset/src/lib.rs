@@ -7,9 +7,7 @@
 //!   same flat buffer with free row views and materializable contiguous
 //!   columns, seeded once per pipeline into the MapReduce `DatasetStore`.
 //! * [`colseg`] — the segmented columnar spill codec (per-attribute
-//!   column segments, XOR-delta + byte-shuffle + zero-RLE) and the
-//!   [`ColumnSet`] projection view it decodes into, letting
-//!   partially-relevant jobs reload only the columns they scan.
+//!   column segments, XOR-delta + byte-shuffle + zero-RLE).
 //! * [`AttrInterval`], [`ProjectedCluster`], [`Clustering`] — the result
 //!   model shared by the algorithms (`p3c-core`), the baseline
 //!   (`p3c-bow`), the generator's ground truth (`p3c-datagen`) and the
@@ -32,7 +30,6 @@ pub mod persist;
 pub mod rowblock;
 
 pub use blocklog::{BlockEntry, BlockLog};
-pub use colseg::ColumnSet;
 pub use data::{Dataset, NormalizationMap};
 pub use model::{split_assignment, AttrInterval, Clustering, ProjectedCluster};
 pub use rowblock::{Columns, RowBlock};

@@ -760,8 +760,6 @@ impl<'e> DagScheduler<'e> {
             spill_loads: store_after.spill_loads - store_before.spill_loads,
             segment_reads: store_after.segment_reads - store_before.segment_reads,
             segment_bytes_read: store_after.segment_bytes_read - store_before.segment_bytes_read,
-            bytes_saved_by_projection: store_after.bytes_saved_by_projection
-                - store_before.bytes_saved_by_projection,
             evictions: store_after.evictions - store_before.evictions,
             shuffle_fetches: 0,
             fetch_retries: 0,

@@ -17,14 +17,10 @@
 //!   — one opaque encoded file; a reload decodes everything.
 //! * **Segmented** ([`SegmentedCodec`], [`DatasetStore::put_segmented`])
 //!   — a small header plus one independently-encoded file per segment
-//!   (for a row block: per attribute column). A projection-aware read
-//!   ([`DatasetStore::get_columns`]) decodes *only the requested
-//!   segments* into a view, caches the decoded columns for later calls,
-//!   and a plain [`DatasetStore::get`] upgrades to the full value on
-//!   demand, reusing whatever columns are already cached. Per-segment
-//!   traffic is metered (`segment_reads`, `segment_bytes_read`,
-//!   `bytes_saved_by_projection` in [`DatasetStoreStats`]) so the DAG
-//!   metrics can show what projection pushdown saved.
+//!   (for a row block: per attribute column), so each column compresses
+//!   on its own; a [`DatasetStore::get`] reloads and reassembles all of
+//!   them. Per-segment traffic is metered (`segment_reads`,
+//!   `segment_bytes_read` in [`DatasetStoreStats`]).
 
 use crate::blockstore::BlockStore;
 use crate::engine::MrError;
@@ -87,20 +83,14 @@ pub struct DatasetCodec<T> {
     pub decode: fn(&[u8]) -> T,
 }
 
-/// Decoded `(segment index, segment)` pairs handed to a
-/// [`SegmentedCodec`]'s `assemble_view`, in ascending index order.
-pub type SegmentCols<C> = Vec<(usize, Arc<C>)>;
-
 /// Serialization functions for the *segmented* spill format: the value
 /// splits into a small header plus independently-encoded segments (for
-/// a row block: one per attribute column), so a projection-aware reload
-/// can decode only the segments a job scans.
+/// a row block: one per attribute column).
 ///
 /// Type parameters: `T` is the stored value, `C` one decoded segment
-/// (e.g. a column `Vec<f64>`), `V` the projected view assembled from a
-/// subset of segments. Like [`DatasetCodec`], all functions are
+/// (e.g. a column `Vec<f64>`). Like [`DatasetCodec`], all functions are
 /// capture-free function pointers.
-pub struct SegmentedCodec<T, C, V> {
+pub struct SegmentedCodec<T, C> {
     /// Number of independently-encoded segments of a value.
     pub num_segments: fn(&T) -> usize,
     /// Encodes the small shape header written alongside the segments.
@@ -110,17 +100,10 @@ pub struct SegmentedCodec<T, C, V> {
     /// Decodes segment `j` (`(segment bytes, j, header bytes)`) back
     /// into a column.
     pub decode_segment: fn(&[u8], usize, &[u8]) -> C,
-    /// Builds the projected view from the header and the decoded
-    /// `(segment index, column)` pairs a caller requested.
-    pub assemble_view: fn(&[u8], SegmentCols<C>) -> V,
     /// Reassembles the full value from the header and *all* segments in
-    /// index order — the spill-reload "upgrade" path. Must reproduce the
-    /// encoded value exactly (the DAG byte-identity guarantee).
+    /// index order — the spill-reload path. Must reproduce the encoded
+    /// value exactly (the DAG byte-identity guarantee).
     pub assemble_full: fn(&[u8], Vec<Arc<C>>) -> T,
-    /// Projects the requested segments out of an in-memory value — the
-    /// cache-hit counterpart of decoding spilled segments. Must yield a
-    /// view indistinguishable from the spilled path's.
-    pub project: fn(&T, &[usize]) -> V,
 }
 
 /// Store access errors.
@@ -135,21 +118,6 @@ pub enum DatasetError {
     WrongType {
         /// The dataset name that was requested.
         name: String,
-    },
-    /// A projected read was attempted on a dataset that did not register
-    /// a [`SegmentedCodec`].
-    NotSegmented {
-        /// The dataset name that was requested.
-        name: String,
-    },
-    /// A projected read asked for a column the dataset does not have.
-    ColumnOutOfRange {
-        /// The dataset name that was requested.
-        name: String,
-        /// The out-of-range column index.
-        column: usize,
-        /// How many column segments the dataset actually has.
-        segments: usize,
     },
     /// Store bookkeeping for this entry is inconsistent (e.g. a spilled
     /// entry with no codec or no cached header). Indicates a store bug,
@@ -168,22 +136,6 @@ impl fmt::Display for DatasetError {
             DatasetError::Missing { name } => write!(f, "dataset '{name}' is not materialized"),
             DatasetError::WrongType { name } => {
                 write!(f, "dataset '{name}' requested with the wrong type")
-            }
-            DatasetError::NotSegmented { name } => {
-                write!(
-                    f,
-                    "dataset '{name}' has no segmented codec for projected reads"
-                )
-            }
-            DatasetError::ColumnOutOfRange {
-                name,
-                column,
-                segments,
-            } => {
-                write!(
-                    f,
-                    "dataset '{name}': column {column} out of range ({segments} segments)"
-                )
             }
             DatasetError::Corrupt { name, detail } => {
                 write!(f, "dataset '{name}': inconsistent store entry — {detail}")
@@ -209,11 +161,10 @@ impl From<DatasetError> for MrError {
 /// Counters describing cache behaviour since the store was created.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DatasetStoreStats {
-    /// `get`/`get_columns` calls served from memory (including projected
-    /// reads fully covered by the partial-column cache).
+    /// `get` calls served from memory.
     pub hits: u64,
-    /// `get`/`get_columns` calls that had to touch the block store or
-    /// found nothing (missing or spilled).
+    /// `get` calls that had to touch the block store or found nothing
+    /// (missing or spilled).
     pub misses: u64,
     /// Datasets written to the block store by eviction.
     pub spills: u64,
@@ -229,17 +180,11 @@ pub struct DatasetStoreStats {
     pub spill_raw_bytes: u64,
     /// Spilled datasets decoded back into memory on demand.
     pub spill_loads: u64,
-    /// Column segments read from the block store by projected reads and
-    /// segmented full reloads.
+    /// Column segments read from the block store by segmented reloads.
     pub segment_reads: u64,
     /// Encoded bytes of those segment reads.
     pub segment_bytes_read: u64,
-    /// Encoded bytes that projected reads did *not* have to fetch
-    /// (total segment bytes of the dataset minus the bytes each
-    /// `get_columns` call actually read).
-    pub bytes_saved_by_projection: u64,
-    /// Datasets removed from memory by the budget (spilled or dropped;
-    /// clearing a partial-column cache counts too).
+    /// Datasets removed from memory by the budget (spilled or dropped).
     pub evictions: u64,
 }
 
@@ -249,9 +194,7 @@ type DecodeFn = Box<dyn Fn(&[u8]) -> AnyArc + Send + Sync>;
 type SegCountFn = Box<dyn Fn(&AnyArc) -> usize + Send + Sync>;
 type SegEncodeFn = Box<dyn Fn(&AnyArc, usize) -> Vec<u8> + Send + Sync>;
 type SegDecodeFn = Box<dyn Fn(&[u8], usize, &[u8]) -> AnyArc + Send + Sync>;
-type AssembleViewFn = Box<dyn Fn(&[u8], Vec<(usize, AnyArc)>) -> AnyArc + Send + Sync>;
 type AssembleFullFn = Box<dyn Fn(&[u8], Vec<AnyArc>) -> AnyArc + Send + Sync>;
-type ProjectFn = Box<dyn Fn(&AnyArc, &[usize]) -> AnyArc + Send + Sync>;
 
 struct ErasedCodec {
     encode: EncodeFn,
@@ -263,9 +206,7 @@ struct ErasedSegCodec {
     encode_header: EncodeFn,
     encode_segment: SegEncodeFn,
     decode_segment: SegDecodeFn,
-    assemble_view: AssembleViewFn,
     assemble_full: AssembleFullFn,
-    project: ProjectFn,
 }
 
 enum Codec {
@@ -294,14 +235,9 @@ struct Entry {
     /// Encoded size of each segment, recorded at spill time (segmented
     /// entries only).
     seg_sizes: Vec<usize>,
-    /// Header bytes, cached at spill time so projected reads don't
-    /// re-fetch the (tiny) header file.
+    /// Header bytes, cached at spill time so reloads don't re-fetch
+    /// the (tiny) header file.
     header: Option<Vec<u8>>,
-    /// Decoded columns of a spilled segmented entry, kept for reuse by
-    /// later projected reads and the full-reload upgrade.
-    partial: BTreeMap<usize, AnyArc>,
-    /// Estimated in-memory bytes of `partial` (counted in `mem_bytes`).
-    partial_bytes: usize,
 }
 
 struct Inner {
@@ -416,18 +352,16 @@ impl DatasetStore {
     }
 
     /// Materializes a dataset the budget may spill in *segmented*
-    /// columnar form, enabling projected reads via
-    /// [`DatasetStore::get_columns`].
-    pub fn put_segmented<T, C, V>(
+    /// columnar form.
+    pub fn put_segmented<T, C>(
         &self,
         handle: &DatasetHandle<T>,
         value: T,
         bytes: usize,
-        codec: SegmentedCodec<T, C, V>,
+        codec: SegmentedCodec<T, C>,
     ) where
         T: Send + Sync + 'static,
         C: Send + Sync + 'static,
-        V: Send + Sync + 'static,
     {
         fn typed<T: Send + Sync + 'static>(any: &AnyArc) -> Arc<T> {
             // audit: panic-ok — value and codec are installed together
@@ -442,9 +376,7 @@ impl DatasetStore {
             encode_header,
             encode_segment,
             decode_segment,
-            assemble_view,
             assemble_full,
-            project,
         } = codec;
         let erased = ErasedSegCodec {
             num_segments: Box::new(move |any| num_segments(&typed::<T>(any))),
@@ -452,15 +384,6 @@ impl DatasetStore {
             encode_segment: Box::new(move |any, j| encode_segment(&typed::<T>(any), j)),
             decode_segment: Box::new(move |bytes, j, header| {
                 Arc::new(decode_segment(bytes, j, header)) as AnyArc
-            }),
-            assemble_view: Box::new(move |header, cols| {
-                let cols = cols
-                    .into_iter()
-                    // audit: panic-ok — segments were decoded by this
-                    // same codec's decode_segment, so C always matches.
-                    .map(|(j, c)| (j, c.downcast::<C>().expect("segment type matches codec")))
-                    .collect();
-                Arc::new(assemble_view(header, cols)) as AnyArc
             }),
             assemble_full: Box::new(move |header, cols| {
                 let cols = cols
@@ -470,9 +393,6 @@ impl DatasetStore {
                     .map(|c| c.downcast::<C>().expect("segment type matches codec"))
                     .collect();
                 Arc::new(assemble_full(header, cols)) as AnyArc
-            }),
-            project: Box::new(move |any, attrs| {
-                Arc::new(project(&typed::<T>(any), attrs)) as AnyArc
             }),
         };
         self.insert(
@@ -499,7 +419,6 @@ impl DatasetStore {
             if old.value.is_some() {
                 inner.mem_bytes -= old.bytes;
             }
-            inner.mem_bytes -= old.partial_bytes;
             if old.spilled {
                 self.delete_spill(name);
                 inner.stats.live_spill_bytes = inner
@@ -521,17 +440,13 @@ impl DatasetStore {
                 spilled_total: 0,
                 seg_sizes: Vec::new(),
                 header: None,
-                partial: BTreeMap::new(),
-                partial_bytes: 0,
             },
         );
         inner.mem_bytes += bytes;
         self.enforce_budget(&mut inner, name);
     }
 
-    /// Fetches a dataset, loading it back from spill if necessary. A
-    /// segmented spill reload reuses columns already decoded by earlier
-    /// [`DatasetStore::get_columns`] calls and reads only the rest.
+    /// Fetches a dataset, loading it back from spill if necessary.
     pub fn get<T: Send + Sync + 'static>(
         &self,
         handle: &DatasetHandle<T>,
@@ -570,14 +485,7 @@ impl DatasetStore {
         let mut seg_reads = 0u64;
         let mut seg_bytes = 0u64;
         let decoded = {
-            let Entry {
-                codec,
-                partial,
-                header,
-                seg_sizes,
-                ..
-            } = entry;
-            let Some(codec) = codec.as_ref() else {
+            let Some(codec) = entry.codec.as_ref() else {
                 return Err(DatasetError::Corrupt {
                     name: name.to_string(),
                     detail: "spilled entry has no codec to decode with",
@@ -592,174 +500,34 @@ impl DatasetStore {
                     (codec.decode)(&bytes)
                 }
                 Codec::Segmented(codec) => {
-                    let Some(header) = header.as_ref() else {
+                    let Some(header) = entry.header.as_ref() else {
                         return Err(DatasetError::Corrupt {
                             name: name.to_string(),
                             detail: "segmented spill is missing its cached header",
                         });
                     };
-                    let d = seg_sizes.len();
+                    let d = entry.seg_sizes.len();
                     let mut cols = Vec::with_capacity(d);
                     for j in 0..d {
-                        if let Some(col) = partial.get(&j) {
-                            cols.push(Arc::clone(col));
-                        } else {
-                            let bytes = self
-                                .blockstore
-                                .read(&seg_file(name, j))
-                                .ok_or_else(missing)?;
-                            seg_reads += 1;
-                            seg_bytes += bytes.len() as u64;
-                            cols.push((codec.decode_segment)(&bytes, j, header));
-                        }
+                        let bytes = self
+                            .blockstore
+                            .read(&seg_file(name, j))
+                            .ok_or_else(missing)?;
+                        seg_reads += 1;
+                        seg_bytes += bytes.len() as u64;
+                        cols.push((codec.decode_segment)(&bytes, j, header));
                     }
                     (codec.assemble_full)(header, cols)
                 }
             }
         };
         entry.value = Some(Arc::clone(&decoded));
-        entry.partial.clear();
-        let freed = std::mem::take(&mut entry.partial_bytes);
-        let entry_bytes = entry.bytes;
+        inner.mem_bytes += entry.bytes;
         inner.stats.spill_loads += 1;
         inner.stats.segment_reads += seg_reads;
         inner.stats.segment_bytes_read += seg_bytes;
-        inner.mem_bytes += entry_bytes;
-        inner.mem_bytes -= freed;
         self.enforce_budget(inner, name);
         Ok(decoded)
-    }
-
-    /// Fetches a projected view of a segmented dataset, decoding only
-    /// the requested columns when the dataset is spilled.
-    ///
-    /// `cols` must be distinct, in-range segment indices. `V` is the
-    /// codec's view type (for row blocks: `ColumnSet`). In-memory
-    /// entries are projected directly (a hit); spilled entries read only
-    /// the segments not already in the partial-column cache, and a call
-    /// fully covered by that cache counts as a hit too.
-    pub fn get_columns<T, V>(
-        &self,
-        handle: &DatasetHandle<T>,
-        cols: &[usize],
-    ) -> Result<Arc<V>, DatasetError>
-    where
-        T: Send + Sync + 'static,
-        V: Send + Sync + 'static,
-    {
-        let any = self.get_columns_any(handle.name(), cols)?;
-        any.downcast::<V>().map_err(|_| DatasetError::WrongType {
-            name: handle.name().to_string(),
-        })
-    }
-
-    fn get_columns_any(&self, name: &str, cols: &[usize]) -> Result<AnyArc, DatasetError> {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        inner.clock += 1;
-        let seq = inner.clock;
-        let missing = || DatasetError::Missing {
-            name: name.to_string(),
-        };
-        let Some(entry) = inner.entries.get_mut(name) else {
-            inner.stats.misses += 1;
-            return Err(missing());
-        };
-        entry.seq = seq;
-        if !matches!(entry.codec, Some(Codec::Segmented(_))) {
-            return Err(DatasetError::NotSegmented {
-                name: name.to_string(),
-            });
-        }
-        // `seg_sizes` is only recorded at spill time, so the range check
-        // applies to spilled entries; in-memory projection delegates to
-        // the codec, which sees the live value's true segment count.
-        if entry.spilled {
-            if let Some(&column) = cols.iter().find(|&&j| j >= entry.seg_sizes.len()) {
-                return Err(DatasetError::ColumnOutOfRange {
-                    name: name.to_string(),
-                    column,
-                    segments: entry.seg_sizes.len(),
-                });
-            }
-        }
-        if let Some(value) = entry.value.as_ref() {
-            // The `matches!` check above guarantees a segmented codec;
-            // re-match instead of unwrapping so a bookkeeping bug
-            // surfaces as an error, not a worker panic.
-            let Some(Codec::Segmented(codec)) = entry.codec.as_ref() else {
-                return Err(DatasetError::Corrupt {
-                    name: name.to_string(),
-                    detail: "segmented codec vanished between checks",
-                });
-            };
-            let view = (codec.project)(value, cols);
-            inner.stats.hits += 1;
-            return Ok(view);
-        }
-        if !entry.spilled {
-            inner.stats.misses += 1;
-            return Err(missing());
-        }
-        // Spilled: decode the requested segments, reusing cached columns.
-        let mut fresh: Vec<(usize, AnyArc)> = Vec::new();
-        let mut read_bytes = 0u64;
-        let view = {
-            let Entry {
-                codec,
-                partial,
-                header,
-                ..
-            } = entry;
-            let Some(Codec::Segmented(codec)) = codec.as_ref() else {
-                return Err(DatasetError::Corrupt {
-                    name: name.to_string(),
-                    detail: "segmented codec vanished between checks",
-                });
-            };
-            let Some(header) = header.as_ref() else {
-                return Err(DatasetError::Corrupt {
-                    name: name.to_string(),
-                    detail: "segmented spill is missing its cached header",
-                });
-            };
-            let mut pairs = Vec::with_capacity(cols.len());
-            // Column range was validated against `seg_sizes` up front.
-            for &j in cols {
-                if let Some(col) = partial.get(&j) {
-                    pairs.push((j, Arc::clone(col)));
-                } else {
-                    let bytes = self
-                        .blockstore
-                        .read(&seg_file(name, j))
-                        .ok_or_else(missing)?;
-                    read_bytes += bytes.len() as u64;
-                    let col = (codec.decode_segment)(&bytes, j, header);
-                    fresh.push((j, Arc::clone(&col)));
-                    pairs.push((j, col));
-                }
-            }
-            (codec.assemble_view)(header, pairs)
-        };
-        let read_count = fresh.len() as u64;
-        let num_segments = entry.seg_sizes.len();
-        let per_col = entry.bytes / num_segments.max(1);
-        for (j, col) in fresh {
-            entry.partial.insert(j, col);
-            entry.partial_bytes += per_col;
-        }
-        let total_seg_bytes: u64 = entry.seg_sizes.iter().map(|&s| s as u64).sum();
-        if read_count == 0 {
-            inner.stats.hits += 1;
-        } else {
-            inner.stats.misses += 1;
-            inner.stats.segment_reads += read_count;
-            inner.stats.segment_bytes_read += read_bytes;
-            inner.stats.bytes_saved_by_projection += total_seg_bytes.saturating_sub(read_bytes);
-            inner.mem_bytes += per_col * read_count as usize;
-        }
-        self.enforce_budget(inner, name);
-        Ok(view)
     }
 
     /// Whether the dataset is materialized (in memory or spilled).
@@ -793,7 +561,6 @@ impl DatasetStore {
                 if e.value.is_some() {
                     inner.mem_bytes -= e.bytes;
                 }
-                inner.mem_bytes -= e.partial_bytes;
                 if e.spilled {
                     self.delete_spill(name);
                     inner.stats.live_spill_bytes = inner
@@ -819,8 +586,6 @@ impl DatasetStore {
                 if e.value.take().is_some() {
                     inner.mem_bytes -= e.bytes;
                 }
-                e.partial.clear();
-                inner.mem_bytes -= std::mem::take(&mut e.partial_bytes);
                 if e.spilled {
                     e.spilled = false;
                     let dead = std::mem::take(&mut e.spilled_total);
@@ -836,8 +601,7 @@ impl DatasetStore {
         }
     }
 
-    /// Bytes of datasets currently held in memory (partial-column caches
-    /// included).
+    /// Bytes of datasets currently held in memory.
     pub fn mem_bytes(&self) -> usize {
         self.inner.lock().mem_bytes
     }
@@ -862,8 +626,7 @@ impl DatasetStore {
     /// Evicts LRU entries until the budget holds. `exempt` (the entry
     /// just inserted or reloaded) is never evicted, so a single oversized
     /// dataset still materializes. Victims are in-memory entries that can
-    /// be spilled or recomputed, plus partial-column caches of spilled
-    /// entries (clearing one loses nothing — the segments stay on disk).
+    /// be spilled or recomputed.
     fn enforce_budget(&self, inner: &mut Inner, exempt: &str) {
         let Some(budget) = self.budget else { return };
         while inner.mem_bytes > budget {
@@ -873,8 +636,8 @@ impl DatasetStore {
                 .filter(|(name, e)| {
                     name.as_str() != exempt
                         && e.pins == 0
-                        && ((e.value.is_some() && (e.codec.is_some() || e.recomputable))
-                            || (e.value.is_none() && e.partial_bytes > 0))
+                        && e.value.is_some()
+                        && (e.codec.is_some() || e.recomputable)
                 })
                 .min_by_key(|(_, e)| e.seq)
                 .map(|(name, _)| name.clone());
@@ -943,13 +706,8 @@ impl DatasetStore {
                     stats.spill_raw_bytes += entry.bytes as u64;
                 }
             }
-            if entry.value.take().is_some() {
-                *mem_bytes -= entry.bytes;
-            } else {
-                // Partial-only victim: clear the decoded-column cache.
-                entry.partial.clear();
-                *mem_bytes -= std::mem::take(&mut entry.partial_bytes);
-            }
+            entry.value = None;
+            *mem_bytes -= entry.bytes;
             stats.evictions += 1;
         }
     }
@@ -1024,12 +782,9 @@ mod tests {
         DatasetCodec { encode, decode }
     }
 
-    /// View type of the test segmented codec: `(attr, column)` pairs.
-    type ColsView = Vec<(usize, Vec<f64>)>;
-
     /// A toy segmented codec over row vectors: one raw-LE segment per
     /// column, an `(n, d)` header.
-    fn seg_codec() -> SegmentedCodec<Vec<Vec<f64>>, Vec<f64>, ColsView> {
+    fn seg_codec() -> SegmentedCodec<Vec<Vec<f64>>, Vec<f64>> {
         #[allow(clippy::ptr_arg)]
         fn header(rows: &Vec<Vec<f64>>) -> Vec<u8> {
             let d = rows.first().map_or(0, Vec::len);
@@ -1052,17 +807,10 @@ mod tests {
             encode_header: header,
             encode_segment: segment,
             decode_segment: decode,
-            assemble_view: |_h, cols| cols.into_iter().map(|(j, c)| (j, (*c).clone())).collect(),
             assemble_full: |h, cols| {
                 let n = u64::from_le_bytes(h[..8].try_into().unwrap()) as usize;
                 (0..n)
                     .map(|i| cols.iter().map(|c| c[i]).collect())
-                    .collect()
-            },
-            project: |rows, attrs| {
-                attrs
-                    .iter()
-                    .map(|&j| (j, rows.iter().map(|r| r[j]).collect()))
                     .collect()
             },
         }
@@ -1246,107 +994,6 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.spill_loads, 1);
         assert_eq!(stats.segment_reads, 2);
-    }
-
-    #[test]
-    fn get_columns_projects_in_memory_values() {
-        let store = DatasetStore::new();
-        store.put_segmented(&h("a"), rows(0), 64, seg_codec());
-        let view: Arc<ColsView> = store.get_columns(&h("a"), &[1]).unwrap();
-        assert_eq!(*view, vec![(1, vec![0.5; 4])]);
-        let stats = store.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.segment_reads, 0, "no disk traffic for a hit");
-    }
-
-    #[test]
-    fn get_columns_from_spill_reads_only_requested_segments() {
-        let store = DatasetStore::with_budget(100);
-        store.put_segmented(&h("data"), rows(1), 64, seg_codec());
-        store.put(&h("filler"), rows(2), 64); // spills "data"
-        let before = store.blockstore().bytes_read();
-        let view: Arc<ColsView> = store.get_columns(&h("data"), &[0]).unwrap();
-        assert_eq!(*view, vec![(0, vec![1.0, 2.0, 3.0, 4.0])]);
-        let stats = store.stats();
-        assert_eq!(stats.segment_reads, 1, "only the requested segment");
-        assert_eq!(stats.segment_bytes_read, 32); // 4 rows × 8 bytes
-        assert!(stats.bytes_saved_by_projection >= 32, "skipped segment 1");
-        assert_eq!(store.blockstore().bytes_read() - before, 32);
-        // A second read of the same column is served from the partial
-        // cache: a hit, no extra segment reads.
-        let again: Arc<ColsView> = store.get_columns(&h("data"), &[0]).unwrap();
-        assert_eq!(*again, *view);
-        let stats2 = store.stats();
-        assert_eq!(stats2.segment_reads, 1);
-        assert_eq!(stats2.hits, 1);
-    }
-
-    #[test]
-    fn out_of_range_column_is_an_error_not_a_panic() {
-        let store = DatasetStore::with_budget(100);
-        store.put_segmented(&h("data"), rows(1), 64, seg_codec());
-        store.put(&h("filler"), rows(2), 64); // spills "data"
-        let err = store
-            .get_columns::<Vec<Vec<f64>>, ColsView>(&h("data"), &[7])
-            .unwrap_err();
-        assert_eq!(
-            err,
-            DatasetError::ColumnOutOfRange {
-                name: "data".to_string(),
-                column: 7,
-                segments: 2,
-            }
-        );
-        assert!(err.to_string().contains("column 7 out of range"));
-    }
-
-    #[test]
-    fn full_reload_reuses_partially_decoded_columns() {
-        let store = DatasetStore::with_budget(100);
-        store.put_segmented(&h("data"), rows(1), 64, seg_codec());
-        store.put(&h("filler"), rows(2), 64); // spills "data"
-        let _view: Arc<ColsView> = store.get_columns(&h("data"), &[0]).unwrap();
-        assert_eq!(store.stats().segment_reads, 1);
-        // Upgrading to the full value reads only the missing segment.
-        let back = store.get(&h("data")).unwrap();
-        assert_eq!(*back, rows(1));
-        let stats = store.stats();
-        assert_eq!(stats.segment_reads, 2, "cached column not re-read");
-        assert_eq!(stats.spill_loads, 1);
-    }
-
-    #[test]
-    fn partial_column_cache_is_evictable() {
-        // Budget sized so the partial column of "data" (32 = 64/2) must
-        // be cleared when "big" lands.
-        let store = DatasetStore::with_budget(100);
-        store.put_segmented(&h("data"), rows(1), 64, seg_codec());
-        store.put(&h("filler"), rows(2), 64); // spills "data"
-        let _view: Arc<ColsView> = store.get_columns(&h("data"), &[0]).unwrap();
-        let mem_with_partial = store.mem_bytes();
-        assert!(mem_with_partial > 64, "partial cache counts into memory");
-        store.put(&h("big"), rows(3), 90);
-        // The partial cache was the only evictable memory.
-        let evicted = store.stats();
-        assert!(evicted.evictions >= 2);
-        // The segments are still on disk, so the data is not lost.
-        let back = store.get(&h("data")).unwrap();
-        assert_eq!(*back, rows(1));
-    }
-
-    #[test]
-    fn get_columns_requires_a_segmented_codec() {
-        let store = DatasetStore::new();
-        store.put_spillable(&h("whole"), rows(1), 64, rows_codec());
-        let err = store
-            .get_columns::<Vec<Vec<f64>>, ColsView>(&h("whole"), &[0])
-            .unwrap_err();
-        assert_eq!(
-            err,
-            DatasetError::NotSegmented {
-                name: "whole".into()
-            }
-        );
     }
 
     #[test]

@@ -242,7 +242,7 @@ impl Backend for LocalBackend {
     fn name(&self) -> &str {
         match self.service {
             None => "local",
-            Some(_) => "local-shuffle",
+            Some(_) => "shuffle-service",
         }
     }
 
@@ -327,15 +327,14 @@ impl Backend for LocalBackend {
 
 /// Which backend an engine should execute on. Parsed from
 /// [`MrConfig`](crate::MrConfig)'s `backend` field or the
-/// `P3C_BACKEND` environment variable (`local`, `local-shuffle`,
-/// `process:N`).
+/// `P3C_BACKEND` environment variable (`local`, `process[:N]`). The
+/// in-process shuffle service ([`LocalBackend::shuffle_service`]) is a
+/// test double, reached through
+/// [`Engine::with_backend`](crate::Engine::with_backend) only.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BackendChoice {
     /// In-process threaded engine, zero-copy shuffle (the default).
     Local,
-    /// In-process shuffle service: full distributed data plane in one
-    /// process.
-    LocalShuffle,
     /// Spawned worker subprocesses holding the shuffle, reached over
     /// the length-prefixed TCP protocol.
     Process {
@@ -349,11 +348,10 @@ pub enum BackendChoice {
 }
 
 impl BackendChoice {
-    /// Parses `local`, `local-shuffle`, or `process:N`.
+    /// Parses `local`, `process` or `process:N`.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "local" => Ok(BackendChoice::Local),
-            "local-shuffle" => Ok(BackendChoice::LocalShuffle),
             other => {
                 if let Some(n) = other.strip_prefix("process:") {
                     let workers: usize = n
@@ -373,7 +371,7 @@ impl BackendChoice {
                     })
                 } else {
                     Err(format!(
-                        "unknown backend '{other}' (expected local, local-shuffle, process[:N])"
+                        "unknown backend '{other}' (expected local, process[:N])"
                     ))
                 }
             }
@@ -394,7 +392,6 @@ impl BackendChoice {
     pub fn build(&self) -> Arc<dyn Backend> {
         match self {
             BackendChoice::Local => Arc::new(LocalBackend::new()),
-            BackendChoice::LocalShuffle => Arc::new(LocalBackend::shuffle_service()),
             BackendChoice::Process { workers, kill } => {
                 Arc::new(super::process::ProcessBackend::new(*workers, *kill))
             }
@@ -487,10 +484,6 @@ mod tests {
     fn choice_parsing() {
         assert_eq!(BackendChoice::parse("local"), Ok(BackendChoice::Local));
         assert_eq!(
-            BackendChoice::parse("local-shuffle"),
-            Ok(BackendChoice::LocalShuffle)
-        );
-        assert_eq!(
             BackendChoice::parse("process:4"),
             Ok(BackendChoice::Process {
                 workers: 4,
@@ -506,6 +499,10 @@ mod tests {
         );
         assert!(BackendChoice::parse("process:0").is_err());
         assert!(BackendChoice::parse("process:x").is_err());
-        assert!(BackendChoice::parse("threads").is_err());
+        let unknown = BackendChoice::parse("threads").unwrap_err();
+        assert!(
+            unknown.ends_with("(expected local, process[:N])"),
+            "{unknown}"
+        );
     }
 }

@@ -1475,16 +1475,13 @@ mod tests {
 
     #[test]
     fn shuffle_service_backend_is_byte_identical_and_metered() {
-        use crate::distrib::BackendChoice;
-        let local = Engine::new(MrConfig {
+        use crate::distrib::LocalBackend;
+        let config = MrConfig {
             split_size: 1,
             ..MrConfig::default()
-        });
-        let shuffled = Engine::new(MrConfig {
-            split_size: 1,
-            backend: BackendChoice::LocalShuffle,
-            ..MrConfig::default()
-        });
+        };
+        let local = Engine::new(config.clone());
+        let shuffled = Engine::with_backend(config, Arc::new(LocalBackend::shuffle_service()));
         let a = local
             .run("wc", &lines(), &TokenMapper, &SumReducer)
             .unwrap();

@@ -131,16 +131,12 @@ pub struct DagMetrics {
     /// Spilled datasets loaded back into memory during this run.
     pub spill_loads: u64,
     /// Column segments read from the block store during this run
-    /// (projected reads and segmented full reloads).
+    /// (segmented spill reloads).
     #[serde(default)]
     pub segment_reads: u64,
     /// Encoded bytes of those segment reads.
     #[serde(default)]
     pub segment_bytes_read: u64,
-    /// Encoded bytes that projected reads did not have to fetch during
-    /// this run — what column-projection pushdown saved.
-    #[serde(default)]
-    pub bytes_saved_by_projection: u64,
     /// Datasets evicted from memory (spilled or dropped) during this run.
     pub evictions: u64,
     /// Shuffle-backend partition fetches across the run's jobs.

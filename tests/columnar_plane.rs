@@ -4,11 +4,12 @@
 //! agrees exactly with the per-row path.
 
 use p3c_suite::core::config::P3cParams;
-use p3c_suite::core::histogram::{build_histograms_columnar, build_histograms_per_attr};
+use p3c_suite::core::histogram::build_histograms_columnar_threads;
 use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_suite::datagen::{generate, SyntheticSpec};
 use p3c_suite::dataset::{Dataset, RowBlock};
 use p3c_suite::mapreduce::{Engine, MrConfig, SchedulerChoice};
+use p3c_suite::stats::Histogram;
 use proptest::prelude::*;
 
 fn spec(n: usize, k: usize, seed: u64) -> SyntheticSpec {
@@ -89,6 +90,18 @@ fn mr_pipelines_byte_identical_on_row_and_columnar_input() {
     }
 }
 
+/// The per-row oracle of the block scan: every value added one by one.
+fn per_row_histograms(rows: &[&[f64]], bins: usize) -> Vec<Histogram> {
+    let d = rows.first().map_or(0, |r| r.len());
+    let mut hists = vec![Histogram::new(bins); d];
+    for row in rows {
+        for (hist, &v) in hists.iter_mut().zip(*row) {
+            hist.add(v);
+        }
+    }
+    hists
+}
+
 /// Seeded twin of the property below, immune to proptest configuration.
 #[test]
 fn column_scan_binning_matches_per_row_seeded() {
@@ -97,8 +110,15 @@ fn column_scan_binning_matches_per_row_seeded() {
     for bins in [2usize, 5, 13, 32] {
         let per_attr = vec![bins; data.dim()];
         assert_eq!(
-            build_histograms_columnar(data.len(), data.dim(), data.as_slice(), &per_attr),
-            build_histograms_per_attr(&rows, &per_attr),
+            build_histograms_columnar_threads(
+                data.len(),
+                data.dim(),
+                data.as_slice(),
+                &per_attr,
+                1
+            )
+            .histograms,
+            per_row_histograms(&rows, bins),
             "bins = {bins}"
         );
     }
@@ -120,10 +140,9 @@ proptest! {
         prop_assume!(n > 0);
         let flat = &values[..n * d];
         let rows: Vec<&[f64]> = flat.chunks_exact(d).collect();
-        let per_attr = vec![bins; d];
         prop_assert_eq!(
-            build_histograms_columnar(n, d, flat, &per_attr),
-            build_histograms_per_attr(&rows, &per_attr)
+            build_histograms_columnar_threads(n, d, flat, &vec![bins; d], 1).histograms,
+            per_row_histograms(&rows, bins)
         );
     }
 }

@@ -1,25 +1,37 @@
-//! Bit-identity of the lane-batched (8-wide) E-step kernels against
-//! the scalar blocked kernels (DESIGN.md §13): for every kernel family
-//! × thread count, the serial E-step, the MR EM pipeline, and the MR
-//! outlier pipelines must produce **bit-for-bit identical** outputs.
-//! Both families bin points into the same lane groups and merge
-//! per-block partials in fixed block-index order, and the lane kernels
-//! keep each lane's accumulation chain in the scalar order, so neither
-//! the kernel choice nor the scheduling may change a single bit.
+//! The density kernels against their per-point oracle (DESIGN.md §13).
+//!
+//! Every stage that scores points against Gaussians — the E-step, the
+//! attach round of the EM initialization, hard assignment and the three
+//! outlier detectors, serial and as MapReduce jobs — runs one 8-lane
+//! block kernel. The functions it is the batched form of
+//! ([`DensityEvaluator::responsibilities_scratch`],
+//! [`DensityEvaluator::mahalanobis_sq_scratch`],
+//! [`DensityEvaluator::assign_scratch`],
+//! [`Cholesky::mahalanobis_sq_scratch`]) are the oracle: a plain loop
+//! over them, point by point, must reproduce every stage **bit for bit**
+//! at every thread count.
 //!
 //! Sizes exercise the tail contract: fewer points than one lane group
-//! (`npts < 8`), ragged lane groups (`npts % 8 != 0`), and E-step block
+//! (`npts < 8`), every residue `npts mod 8`, and the E-step block
 //! boundaries (the 512-point block: one-under, exact, one-over).
 
 use p3c_suite::core::cores::ClusterCore;
-use p3c_suite::core::em::{estep_blocked_with_lanes, set_lane_mode, Component, MixtureModel};
+use p3c_suite::core::em::{
+    estep_blocked, finish_components, initialize_from_cores, Component, DensityEvaluator,
+    MixtureModel,
+};
 use p3c_suite::core::mr::em::{em_fit_mr, initialize_from_cores_mr};
-use p3c_suite::core::mr::outlier::{od_job_mvb, od_job_naive};
-use p3c_suite::core::outlier::{assign_clusters, detect_outliers_naive};
+use p3c_suite::core::mr::outlier::{od_job_mcd, od_job_mvb, od_job_naive};
+use p3c_suite::core::outlier::{
+    assign_clusters, detect_outliers_mcd, detect_outliers_mvb, detect_outliers_naive,
+    robust_cluster_estimates,
+};
 use p3c_suite::core::{Interval, Signature};
-use p3c_suite::linalg::{CovarianceAccumulator, Matrix};
+use p3c_suite::linalg::{Cholesky, CovarianceAccumulator, Matrix};
 use p3c_suite::mapreduce::{Engine, MrConfig};
-use std::sync::{Arc, Mutex};
+use p3c_suite::stats::descriptive::median_in_place;
+use p3c_suite::stats::ChiSquared;
+use std::sync::Arc;
 
 /// Cheap deterministic value stream (xorshift64*) — no RNG crate needed
 /// and stable across platforms.
@@ -33,28 +45,44 @@ fn stream(seed: u64) -> impl FnMut() -> f64 {
     }
 }
 
-fn accs_bits(accs: &[CovarianceAccumulator]) -> Vec<(u64, Vec<u64>, Vec<u64>)> {
+const THREADS: [usize; 3] = [1, 2, 8];
+
+/// Points per serial E-step block (`EM_BLOCK_POINTS` in `em.rs`).
+const BLOCK: usize = 512;
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every raw sum of every accumulator, as bit patterns (the scalar
+/// weight sums and the count ride at the end of the vector).
+fn accs_bits(accs: &[CovarianceAccumulator]) -> Vec<Vec<u64>> {
     accs.iter()
         .map(|a| {
-            let mean: Vec<u64> = a
-                .mean()
-                .unwrap_or_default()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            let cov = a.covariance_ml();
-            let d = a.dim();
-            let mut cov_bits = Vec::new();
-            if let Some(cov) = cov {
-                for i in 0..d {
-                    for j in 0..d {
-                        cov_bits.push(cov[(i, j)].to_bits());
-                    }
-                }
-            }
-            (a.total_weight().to_bits(), mean, cov_bits)
+            let (_, linear, scatter, w, w_sq, count) = a.to_parts();
+            let mut all = bits(linear);
+            all.extend(bits(scatter));
+            all.extend([w.to_bits(), w_sq.to_bits(), count]);
+            all
         })
         .collect()
+}
+
+/// `(weight, mean, cov)` bit patterns of every component.
+fn model_bits(model: &MixtureModel) -> Vec<(u64, Vec<u64>, Vec<u64>)> {
+    model
+        .components
+        .iter()
+        .map(|c| {
+            let d = c.mean.len();
+            let cov: Vec<f64> = (0..d * d).map(|e| c.cov[(e / d, e % d)]).collect();
+            (c.weight.to_bits(), bits(&c.mean), bits(&cov))
+        })
+        .collect()
+}
+
+fn fresh(k: usize, d: usize) -> Vec<CovarianceAccumulator> {
+    (0..k).map(|_| CovarianceAccumulator::new(d)).collect()
 }
 
 /// A 3-component mixture over 2 of 4 attributes, away from the trivial
@@ -81,93 +109,66 @@ fn test_model() -> MixtureModel {
     }
 }
 
-/// The lane-mode override is process-global ([`set_lane_mode`]); tests
-/// that flip it must not interleave. The guard also restores the
-/// environment default on drop, so a panicking assertion cannot leak a
-/// forced mode into unrelated tests.
-static LANE_MODE_LOCK: Mutex<()> = Mutex::new(());
+// ---------------------------------------------------------------- E-step --
 
-struct LaneModeGuard<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-impl<'a> LaneModeGuard<'a> {
-    fn lock() -> Self {
-        // A poisoned lock only means another lane test failed; the
-        // guard below still restores the mode, so proceed.
-        Self(
-            LANE_MODE_LOCK
-                .lock()
-                .unwrap_or_else(|poison| poison.into_inner()),
-        )
+/// The E-step over one block (a serial 512-point block or an MR split),
+/// point by point.
+fn oracle_estep_block(eval: &DensityEvaluator, block: &[f64]) -> (Vec<CovarianceAccumulator>, f64) {
+    let d = eval.arel_len();
+    let mut accs = fresh(eval.num_components(), d);
+    let (mut resp, mut y) = (Vec::new(), Vec::new());
+    let mut loglik = 0.0;
+    for x in block.chunks_exact(d) {
+        loglik += eval.responsibilities_scratch(x, &mut resp, &mut y);
+        for (acc, &r) in accs.iter_mut().zip(&resp) {
+            if r > 1e-12 {
+                acc.push(x, r);
+            }
+        }
     }
-}
-
-impl Drop for LaneModeGuard<'_> {
-    fn drop(&mut self) {
-        set_lane_mode(None);
-    }
+    (accs, loglik)
 }
 
 #[test]
-fn serial_estep_matrix_is_bit_identical_across_lanes_and_threads() {
-    let model = test_model();
-    let eval = model.evaluator();
-    // Lane groups are 8 points, E-step blocks 512: cover sub-lane-group,
-    // ragged lane groups, block boundaries, and a large ragged case.
-    for n in [1usize, 7, 8, 9, 511, 512, 513, 2500] {
+fn serial_estep_equals_the_per_point_loop_at_every_size_and_thread_count() {
+    let eval = test_model().evaluator();
+    // Every residue mod 8 several times over (including all sizes below
+    // one lane group), the block boundaries, and a large ragged case.
+    for n in (1usize..=33).chain([511, 512, 513, 2500]) {
         let mut next = stream(n as u64 + 7);
         let proj: Vec<f64> = (0..n * 2).map(|_| next()).collect();
-        let (base_accs, base_ll) = estep_blocked_with_lanes(&eval, &proj, 1, false);
-        let base_bits = accs_bits(&base_accs);
-        for lanes in [false, true] {
-            for threads in [1usize, 2, 8] {
-                let (accs, ll) = estep_blocked_with_lanes(&eval, &proj, threads, lanes);
-                assert_eq!(
-                    ll.to_bits(),
-                    base_ll.to_bits(),
-                    "loglik differs at n={n}, lanes={lanes}, threads={threads}"
-                );
-                assert_eq!(
-                    accs_bits(&accs),
-                    base_bits,
-                    "accumulators differ at n={n}, lanes={lanes}, threads={threads}"
-                );
+        // The serial contract: per-block partials merged in block order.
+        let mut want = fresh(3, 2);
+        let mut want_ll = 0.0;
+        for block in proj.chunks(BLOCK * 2) {
+            let (accs, ll) = oracle_estep_block(&eval, block);
+            for (total, part) in want.iter_mut().zip(&accs) {
+                total.merge(part);
             }
+            want_ll += ll;
+        }
+        for threads in THREADS {
+            let (accs, ll) = estep_blocked(&eval, &proj, threads);
+            assert_eq!(ll.to_bits(), want_ll.to_bits(), "n={n}, threads={threads}");
+            assert_eq!(
+                accs_bits(&accs),
+                accs_bits(&want),
+                "n={n}, threads={threads}"
+            );
         }
     }
 }
 
-#[test]
-fn lane_tail_blocks_match_scalar_at_every_size() {
-    // Property sweep over every residue class mod 8 (several times
-    // over), including all sizes below one lane group: the masked tail
-    // path must agree with the scalar kernel point for point.
-    let model = test_model();
-    let eval = model.evaluator();
-    for n in 1usize..=33 {
-        let mut next = stream(0xC0FFEE + n as u64);
-        let proj: Vec<f64> = (0..n * 2).map(|_| next()).collect();
-        let (scalar_accs, scalar_ll) = estep_blocked_with_lanes(&eval, &proj, 1, false);
-        let (lane_accs, lane_ll) = estep_blocked_with_lanes(&eval, &proj, 1, true);
-        assert_eq!(
-            lane_ll.to_bits(),
-            scalar_ll.to_bits(),
-            "tail loglik differs at n={n}"
-        );
-        assert_eq!(
-            accs_bits(&lane_accs),
-            accs_bits(&scalar_accs),
-            "tail accumulators differ at n={n}"
-        );
-    }
-}
-
-/// Two separable blobs in attributes {1, 3} of a 4-dim dataset, plus
-/// the cores that seed EM on them (same layout as the thread-count
-/// matrix in `parallel_kernels.rs`).
-fn blob_rows() -> Vec<Vec<f64>> {
+/// Two separable blobs in attributes {1, 3} of a 4-dim dataset — every
+/// fifth row uniform noise no core covers — plus the cores that seed EM
+/// on them.
+fn blob_rows(n: usize) -> Vec<Vec<f64>> {
     let mut next = stream(42);
-    (0..600)
+    (0..n)
         .map(|i| {
+            if i % 5 == 4 {
+                return vec![next(), next(), next(), next()];
+            }
             let (cx, cy) = if i % 2 == 0 { (0.2, 0.25) } else { (0.75, 0.8) };
             vec![
                 next(),
@@ -200,117 +201,389 @@ fn blob_cores() -> Vec<ClusterCore> {
     ]
 }
 
-/// `(weight, mean, cov)` bit patterns of one component.
-type ComponentBits = (u64, Vec<u64>, Vec<u64>);
-
-fn model_bits(model: &MixtureModel) -> Vec<ComponentBits> {
-    model
-        .components
-        .iter()
-        .map(|c| {
-            let mean: Vec<u64> = c.mean.iter().map(|v| v.to_bits()).collect();
-            let d = c.mean.len();
-            let mut cov = Vec::new();
-            for i in 0..d {
-                for j in 0..d {
-                    cov.push(c.cov[(i, j)].to_bits());
+/// `em_fit_mr` with the per-point E-step: per split one partial, the
+/// partials of a component folded in split order by the reducer (first
+/// value, then `merge`), the driver merging the fold into an empty
+/// accumulator; convergence is checked before the M-step.
+fn oracle_em_fit_mr(
+    init: MixtureModel,
+    rows: &[&[f64]],
+    split_size: usize,
+    max_iters: usize,
+    tol: f64,
+) -> (Vec<f64>, MixtureModel) {
+    let mut model = init;
+    let (k, d) = (model.components.len(), model.arel.len());
+    let mut history: Vec<f64> = Vec::new();
+    for _ in 0..max_iters {
+        let eval = model.evaluator();
+        let mut folded: Vec<Option<CovarianceAccumulator>> = vec![None; k];
+        let mut loglik: Option<f64> = None;
+        for split in rows.chunks(split_size) {
+            let (accs, ll) = oracle_estep_block(&eval, &eval.project_block(split));
+            for (fold, acc) in folded.iter_mut().zip(accs) {
+                match fold {
+                    _ if acc.count() == 0 => {}
+                    None => *fold = Some(acc),
+                    Some(first) => first.merge(&acc),
                 }
             }
-            (c.weight.to_bits(), mean, cov)
-        })
-        .collect()
+            loglik = Some(loglik.map_or(ll, |sum| sum + ll));
+        }
+        let mut accs = fresh(k, d);
+        for (total, fold) in accs.iter_mut().zip(&folded) {
+            if let Some(fold) = fold {
+                total.merge(fold);
+            }
+        }
+        let loglik = 0.0 + loglik.unwrap();
+        let converged = history
+            .last()
+            .is_some_and(|&prev| (loglik - prev).abs() <= tol * prev.abs().max(1.0));
+        history.push(loglik);
+        if converged {
+            break;
+        }
+        model = MixtureModel {
+            arel: model.arel,
+            components: finish_components(&accs),
+        };
+    }
+    (history, model)
 }
 
 #[test]
-fn mr_em_pipeline_is_bit_identical_across_lanes_and_threads() {
-    let _guard = LaneModeGuard::lock();
-    let data = blob_rows();
+fn mr_em_job_equals_the_per_point_loop_at_every_split_residue_and_thread_count() {
+    let data = blob_rows(600);
     let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-
-    let mut baseline: Option<(Vec<u64>, Vec<ComponentBits>)> = None;
-    for lanes in [false, true] {
-        set_lane_mode(Some(lanes));
-        for threads in [1usize, 2, 8] {
-            // split_size 71: ragged splits whose point counts are not
-            // lane-group multiples, so the mapper tail path runs.
+    // Splits of 64..=71 records: every lane-group residue in the mapper's
+    // one-block-per-split scan, with a ragged last split.
+    for split_size in 64..=71 {
+        for threads in THREADS {
             let engine = Engine::new(MrConfig {
-                split_size: 71,
+                split_size,
                 threads,
                 ..MrConfig::default()
             });
             let init = initialize_from_cores_mr(&engine, &blob_cores(), &rows, &[1, 3]).unwrap();
+            let (want_history, want_model) =
+                oracle_em_fit_mr(init.clone(), &rows, split_size, 5, 1e-8);
             let fit = em_fit_mr(&engine, init, &rows, 5, 1e-8).unwrap();
-            let ll_bits: Vec<u64> = fit.loglik_history.iter().map(|v| v.to_bits()).collect();
-            let bits = (ll_bits, model_bits(&fit.model));
-            match &baseline {
-                None => baseline = Some(bits),
-                Some(base) => assert_eq!(
-                    &bits, base,
-                    "MR EM differs at lanes={lanes}, threads={threads}"
-                ),
+            assert_eq!(
+                bits(&fit.loglik_history),
+                bits(&want_history),
+                "split_size={split_size}, threads={threads}"
+            );
+            assert_eq!(
+                model_bits(&fit.model),
+                model_bits(&want_model),
+                "split_size={split_size}, threads={threads}"
+            );
+        }
+    }
+}
+
+// ------------------------------------------------------------ attach/init --
+
+/// The two-round initialization, point by point: support-set moments,
+/// then every uncovered point pushed onto the accumulator of its
+/// Mahalanobis-nearest round-1 component (first minimum).
+fn oracle_initialize(cores: &[ClusterCore], rows: &[&[f64]], arel: &[usize]) -> MixtureModel {
+    let mut accs = fresh(cores.len(), arel.len());
+    let project = |row: &[f64]| -> Vec<f64> { arel.iter().map(|&a| row[a]).collect() };
+    let mut uncovered = Vec::new();
+    for row in rows {
+        let mut in_any = false;
+        for (acc, core) in accs.iter_mut().zip(cores) {
+            if core.signature.contains(row) {
+                acc.push(&project(row), 1.0);
+                in_any = true;
             }
+        }
+        if !in_any {
+            uncovered.push(project(row));
+        }
+    }
+    let eval = MixtureModel {
+        arel: arel.to_vec(),
+        components: finish_components(&accs),
+    }
+    .evaluator();
+    let mut y = Vec::new();
+    for x in &uncovered {
+        let mut nearest = 0;
+        let mut best = f64::INFINITY;
+        for c in 0..cores.len() {
+            let dist = eval.mahalanobis_sq_scratch(c, x, &mut y);
+            if dist.total_cmp(&best).is_lt() {
+                nearest = c;
+                best = dist;
+            }
+        }
+        accs[nearest].push(x, 1.0);
+    }
+    MixtureModel {
+        arel: arel.to_vec(),
+        components: finish_components(&accs),
+    }
+}
+
+#[test]
+fn initialization_attaches_like_the_per_point_loop() {
+    // A fifth of the rows is uncovered: the sizes put every residue
+    // mod 8 and the 512-point block boundary into the attach scan.
+    for n in (40usize..=80).step_by(5).chain([2555, 2560, 2565, 6000]) {
+        let data = blob_rows(n);
+        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+        // Twin cores tie on every distance: the first minimum must win.
+        let twins = vec![blob_cores().remove(0); 2];
+        for cores in [blob_cores(), twins] {
+            let got = initialize_from_cores(&cores, &rows, &[1, 3]);
+            let want = oracle_initialize(&cores, &rows, &[1, 3]);
+            assert_eq!(model_bits(&got), model_bits(&want), "n={n}");
         }
     }
 }
 
 #[test]
-fn mr_outlier_pipelines_are_bit_identical_across_lanes_and_threads() {
-    let _guard = LaneModeGuard::lock();
+fn serial_and_single_split_mr_initialization_agree_bit_for_bit() {
+    // The two sides attach through the same scan but sum differently:
+    // serial pushes the attached points onto the round-1 sums, the MR
+    // driver merges a separate round-2 partial into them. Snapping the
+    // data to a 2⁻¹⁰ grid makes every sum exact, so the summation order
+    // drops out and the models must be equal to the last bit.
+    let data: Vec<Vec<f64>> = blob_rows(3000)
+        .iter()
+        .map(|row| row.iter().map(|v| (v * 1024.0).round() / 1024.0).collect())
+        .collect();
+    let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+    let serial = initialize_from_cores(&blob_cores(), &rows, &[1, 3]);
+    for threads in THREADS {
+        let engine = Engine::new(MrConfig {
+            split_size: 100_000,
+            threads,
+            ..MrConfig::default()
+        });
+        let mr = initialize_from_cores_mr(&engine, &blob_cores(), &rows, &[1, 3]).unwrap();
+        assert_eq!(model_bits(&mr), model_bits(&serial), "threads={threads}");
+    }
+}
+
+// --------------------------------------------------------------- outliers --
+
+/// Mixture samples near the component means plus far planted points, so
+/// the χ² gate fires in both directions.
+fn outlier_rows(n: usize) -> Vec<Vec<f64>> {
     let model = test_model();
     let mut next = stream(1337);
-    // Mixture samples live near the component means; plant a few far
-    // points so the χ² gate actually fires in both directions.
-    let mut data: Vec<Vec<f64>> = (0..300)
+    let mut data: Vec<Vec<f64>> = (0..n)
         .map(|i| {
             let c = &model.components[i % 3];
             vec![
                 next(),
-                c.mean[0] + (next() - 0.5) * 0.2,
+                c.mean[0] + (next() - 0.5) * 0.4,
                 next(),
-                c.mean[1] + (next() - 0.5) * 0.2,
+                c.mean[1] + (next() - 0.5) * 0.4,
             ]
         })
         .collect();
     data.push(vec![0.5, 60.0, 0.5, -60.0]);
     data.push(vec![0.5, -45.0, 0.5, 45.0]);
-    let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-    let eval = Arc::new(model.evaluator());
+    data
+}
 
-    // Serial scalar reference, computed once with the mode pinned off.
-    set_lane_mode(Some(false));
-    let assignment = assign_clusters(&eval, &rows);
-    let serial = detect_outliers_naive(&eval, &rows, &assignment, 0.001, 2);
+type Estimates = Vec<Option<(Vec<f64>, Cholesky)>>;
 
-    let mut mvb_base: Option<Vec<i64>> = None;
-    for lanes in [false, true] {
-        set_lane_mode(Some(lanes));
-        for threads in [1usize, 2, 8] {
+/// `(mean, Cholesky)` of a robust subset's moments.
+fn fit(acc: &CovarianceAccumulator) -> Option<(Vec<f64>, Cholesky)> {
+    let mean = acc.mean()?;
+    let mut cov = acc.covariance()?;
+    cov.add_ridge(1e-9);
+    Some((mean, Cholesky::new_regularized(&cov)?))
+}
+
+fn oracle_assign(eval: &DensityEvaluator, rows: &[&[f64]]) -> Vec<usize> {
+    let (mut x, mut y) = (Vec::new(), Vec::new());
+    rows.iter()
+        .map(|row| eval.assign_scratch(row, &mut x, &mut y))
+        .collect()
+}
+
+/// One point's distance under its cluster's robust estimate, or under
+/// the EM component itself where there is none.
+fn oracle_distance(eval: &DensityEvaluator, estimates: &Estimates, c: usize, x: &[f64]) -> f64 {
+    let mut y = Vec::new();
+    match &estimates[c] {
+        Some((mean, chol)) => chol.mahalanobis_sq_scratch(x, mean, &mut y),
+        None => eval.mahalanobis_sq_scratch(c, x, &mut y),
+    }
+}
+
+/// Final verdicts, point by point; `keep_degenerate` clusters without an
+/// estimate keep all their points (the robust detectors), otherwise they
+/// are scored under the EM component (naive: pass no estimates at all).
+fn oracle_flag(
+    eval: &DensityEvaluator,
+    rows: &[&[f64]],
+    hard: &[usize],
+    estimates: &Estimates,
+    keep_degenerate: bool,
+) -> Vec<i64> {
+    let crit = ChiSquared::new(2.0).critical_value(0.001);
+    rows.iter()
+        .zip(hard)
+        .map(|(row, &c)| {
+            let keep = keep_degenerate && estimates[c].is_none();
+            let d2 = oracle_distance(eval, estimates, c, &eval.project(row));
+            if !keep && d2 > crit {
+                -1
+            } else {
+                c as i64
+            }
+        })
+        .collect()
+}
+
+/// `mcd_estimate(points, 0.5, 4)` with the cluster scored point by point.
+fn oracle_mcd_estimate(points: &[Vec<f64>]) -> Option<(Vec<f64>, Cholesky)> {
+    let n = points.len();
+    let d = points.first()?.len();
+    if n < d + 2 {
+        return None;
+    }
+    let h = ((n as f64 * 0.5).ceil() as usize).clamp(d + 1, n);
+    let moments = |subset: &[usize]| {
+        let mut acc = CovarianceAccumulator::new(d);
+        for &i in subset {
+            acc.push(&points[i], 1.0);
+        }
+        acc
+    };
+    let mut subset: Vec<usize> = (0..n).collect();
+    let mut current = None;
+    for _ in 0..4 {
+        let (mean, chol) = fit(&moments(&subset))?;
+        let mut y = Vec::new();
+        let mut dists: Vec<(f64, usize)> = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (chol.mahalanobis_sq_scratch(p, &mean, &mut y), i))
+            .collect();
+        dists.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let next: Vec<usize> = dists.iter().take(h).map(|&(_, i)| i).collect();
+        let sorted = |s: &[usize]| {
+            let mut s = s.to_vec();
+            s.sort_unstable();
+            s
+        };
+        let converged = sorted(&subset) == sorted(&next);
+        current = Some((mean, chol));
+        subset = next;
+        if converged {
+            break;
+        }
+    }
+    let acc = moments(&subset);
+    let mean = acc.mean()?;
+    let mut cov = acc.covariance()?;
+    cov.add_ridge(1e-9);
+    match Cholesky::new_regularized(&cov) {
+        Some(chol) => Some((mean, chol)),
+        None => current,
+    }
+}
+
+/// The estimates `od_job_mcd` reaches on a single split after `steps`
+/// concentration steps: per cluster the median distance is the
+/// threshold, the moments of the points at or below it the next fit.
+fn oracle_mcd_job_estimates(
+    eval: &DensityEvaluator,
+    rows: &[&[f64]],
+    hard: &[usize],
+    steps: usize,
+) -> Estimates {
+    let k = eval.num_components();
+    let mut estimates: Estimates = vec![None; k];
+    for _ in 0..steps {
+        let dists: Vec<f64> = rows
+            .iter()
+            .zip(hard)
+            .map(|(row, &c)| oracle_distance(eval, &estimates, c, &eval.project(row)))
+            .collect();
+        let mut accs = fresh(k, eval.arel_len());
+        for (c, acc) in accs.iter_mut().enumerate() {
+            let mut own: Vec<f64> = (0..rows.len())
+                .filter(|&i| hard[i] == c)
+                .map(|i| dists[i])
+                .collect();
+            if own.is_empty() {
+                continue;
+            }
+            let threshold = median_in_place(&mut own);
+            for (i, row) in rows.iter().enumerate() {
+                if hard[i] == c && dists[i] <= threshold {
+                    acc.push(&eval.project(row), 1.0);
+                }
+            }
+        }
+        estimates = accs
+            .iter()
+            .map(|acc| if acc.count() > 0 { fit(acc) } else { None })
+            .collect();
+    }
+    estimates
+}
+
+#[test]
+fn outlier_scans_equal_the_per_point_loop_serial_and_mr() {
+    let eval = Arc::new(test_model().evaluator());
+    let k = eval.num_components();
+    // 302 and 307 rows: different residues in every per-cluster block.
+    for n in [300usize, 305] {
+        let data = outlier_rows(n);
+        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+
+        let hard = oracle_assign(&eval, &rows);
+        assert_eq!(assign_clusters(&eval, &rows), hard);
+        let naive = oracle_flag(&eval, &rows, &hard, &vec![None; k], false);
+        let mvb_estimates = robust_cluster_estimates(&eval, &rows, &hard, k);
+        let mvb = oracle_flag(&eval, &rows, &hard, &mvb_estimates, true);
+        let mut members: Vec<Vec<Vec<f64>>> = vec![Vec::new(); k];
+        for (row, &c) in rows.iter().zip(&hard) {
+            members[c].push(eval.project(row));
+        }
+        let mcd_estimates: Estimates = members.iter().map(|m| oracle_mcd_estimate(m)).collect();
+        let mcd = oracle_flag(&eval, &rows, &hard, &mcd_estimates, true);
+        let mcd_job_estimates = oracle_mcd_job_estimates(&eval, &rows, &hard, 2);
+        let mcd_job = oracle_flag(&eval, &rows, &hard, &mcd_job_estimates, true);
+        for verdicts in [&naive, &mvb, &mcd, &mcd_job] {
+            assert!(verdicts.contains(&-1) && verdicts.iter().any(|&v| v >= 0));
+        }
+
+        assert_eq!(detect_outliers_naive(&eval, &rows, &hard, 0.001, 2), naive);
+        assert_eq!(detect_outliers_mvb(&eval, &rows, &hard, 0.001, 2), mvb);
+        assert_eq!(detect_outliers_mcd(&eval, &rows, &hard, 0.001, 2), mcd);
+
+        for threads in THREADS {
             // 47-record splits: ragged lane-group tails in every mapper.
             let engine = Engine::new(MrConfig {
                 split_size: 47,
                 threads,
                 ..MrConfig::default()
             });
-            let naive = od_job_naive(&engine, Arc::clone(&eval), &rows, 0.001, 2).unwrap();
-            assert_eq!(
-                naive, serial,
-                "naive OD differs at lanes={lanes}, threads={threads}"
-            );
-            // MVB medians split-local medians, so it is only pinned
-            // against itself across the matrix, not against serial.
+            let got = od_job_naive(&engine, Arc::clone(&eval), &rows, 0.001, 2).unwrap();
+            assert_eq!(got, naive, "naive OD job, n={n}, threads={threads}");
+            // The robust jobs median split-local statistics; on a single
+            // split those are the exact statistics of the oracle.
             let single = Engine::new(MrConfig {
                 split_size: 100_000,
                 threads,
                 ..MrConfig::default()
             });
-            let mvb: Vec<i64> = od_job_mvb(&single, Arc::clone(&eval), &rows, 0.001, 2).unwrap();
-            match &mvb_base {
-                None => mvb_base = Some(mvb),
-                Some(base) => assert_eq!(
-                    &mvb, base,
-                    "MVB OD differs at lanes={lanes}, threads={threads}"
-                ),
-            }
+            let got = od_job_mvb(&single, Arc::clone(&eval), &rows, 0.001, 2).unwrap();
+            assert_eq!(got, mvb, "MVB OD job, n={n}, threads={threads}");
+            let got = od_job_mcd(&single, Arc::clone(&eval), &rows, 0.001, 2, 2).unwrap();
+            assert_eq!(got, mcd_job, "MCD OD job, n={n}, threads={threads}");
         }
     }
 }

@@ -17,7 +17,7 @@ use p3c_suite::core::em::{
     em_fit, em_fit_threads, estep_blocked, initialize_from_cores, project_rows_blocked, Component,
     MixtureModel,
 };
-use p3c_suite::core::histogram::{build_histograms_columnar, build_histograms_columnar_threads};
+use p3c_suite::core::histogram::build_histograms_columnar_threads;
 use p3c_suite::core::{Interval, Signature};
 use p3c_suite::linalg::{CovarianceAccumulator, Matrix};
 
@@ -263,7 +263,7 @@ fn columnar_histograms_are_bit_identical_across_thread_counts() {
         let mut next = stream((n + d) as u64);
         let data: Vec<f64> = (0..n * d).map(|_| next()).collect();
         let bins: Vec<usize> = (0..d).map(|j| 5 + j).collect();
-        let base = build_histograms_columnar(n, d, &data, &bins);
+        let base = build_histograms_columnar_threads(n, d, &data, &bins, 1);
         for threads in [2usize, 8] {
             let par = build_histograms_columnar_threads(n, d, &data, &bins, threads);
             assert_eq!(
