@@ -154,4 +154,30 @@ mod tests {
         assert_eq!(w0.to_bits(), w1.to_bits());
         assert_eq!(q0.to_bits(), q1.to_bits());
     }
+
+    /// Pinned wire bytes of the two message types (DESIGN.md "Byte
+    /// formats"): a reducer in another process decodes exactly these.
+    #[test]
+    fn shuffle_messages_encode_to_golden_bytes() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let sig = SigMsg(Signature::new(vec![
+            Interval::new(3, 2, 7, 12),
+            Interval::new(0, 0, 1, 10),
+        ]));
+        assert_eq!(hex(&encode_to_vec(&sig)), SIG_GOLDEN);
+        let acc = AccMsg(CovarianceAccumulator::from_parts(
+            2,
+            vec![1.5, -0.0],
+            vec![0.25, 1e-300, f64::INFINITY, 3.0],
+            2.0,
+            2.5,
+            7,
+        ));
+        assert_eq!(hex(&encode_to_vec(&acc)), ACC_GOLDEN);
+    }
+
+    const SIG_GOLDEN: &str = "020000000000000000000000000000000000000001000000000000000a000000000000000300000000000000020000000000000007000000000000000c00000000000000";
+    const ACC_GOLDEN: &str = "020000000000000002000000000000000000f83f000000000000008004000000000000000000d03f59f3f8c21f6ea501000000000000f07f0000000000000840000000000000004000000000000004400700000000000000";
 }
