@@ -181,13 +181,20 @@ cargo run -q -p p3c-audit
 echo "==> tier 2: lockcheck (runtime lock-rank assertions) tier-1 rerun"
 cargo test -q --features lockcheck
 
-# The durability invariants, explicitly: the journal/snapshot codec
-# property tests (torn tails, checksum rejection, tmp+rename atomicity)
-# and the randomized crash-recovery suite (random cut offsets, recovered
-# prefix byte-identical to batch). Both already run inside tier 1; this
-# leg keeps them visible and independently runnable.
-echo "==> tier 2: durability: journal codec + crash-recovery tests"
+# The byte and durability invariants, explicitly: the shared byte layer
+# (appenders, bounds-checked reader, FNV-1a, frame head), the journal and
+# snapshot files built on it (torn tails, checksum rejection, tmp+rename
+# atomicity), the decoder gauntlet that drives every format through
+# truncation, bit flips and hostile prefixes under an allocation gauge,
+# the golden bytes of every format, and the randomized crash-recovery
+# suite (random cut offsets, recovered prefix byte-identical to batch).
+# All of them already run inside tier 1 or the workspace tests; this leg
+# keeps them visible and independently runnable.
+echo "==> tier 2: durability: byte layer, journal, decoder gauntlet, crash recovery"
+cargo test -q -p p3c-dataset bytes > /dev/null
 cargo test -q -p p3c-dataset journal > /dev/null
+cargo test -q --test decoder_gauntlet > /dev/null
+cargo test -q --test golden_bytes > /dev/null
 cargo test -q --test durability_recovery > /dev/null
 
 echo "==> tier 2: loom models (engine kernel + admission condvar)"

@@ -1,4 +1,4 @@
-//! The invariant catalog: five families of lexical rules over the
+//! The invariant catalog: six families of lexical rules over the
 //! production regions of scoped source files (see DESIGN.md §10).
 //!
 //! Each rule names the waiver key that can suppress it. A waiver only
@@ -17,6 +17,7 @@ pub const KNOWN_KEYS: &[&str] = &[
     "rng-ok",
     "relaxed-ok",
     "order-exact",
+    "bytes-ok",
     "lock-order-ok",
     "lock-blocking-ok",
     "lock-guard-ok",
@@ -39,7 +40,8 @@ struct Rule {
     id: &'static str,
     waiver_key: &'static str,
     /// Path scopes: a file is in scope if its repo-relative path starts
-    /// with any of these prefixes (exact file paths work too).
+    /// with any of these prefixes (exact file paths work too); a `*`
+    /// stands for exactly one path component.
     scopes: &'static [&'static str],
     /// Paths excluded even when a scope matches.
     excludes: &'static [&'static str],
@@ -140,6 +142,27 @@ fn check_float_reduction(code: &str) -> Option<String> {
     })
 }
 
+/// Rule 6 — one byte layer. What a byte on the wire or on disk *is* —
+/// endianness, integer width, the checksum — is decided in
+/// `p3c_dataset::bytes` alone; a hand-rolled conversion or a second
+/// FNV-1a elsewhere is a format fork waiting to drift.
+fn check_raw_bytes(code: &str) -> Option<String> {
+    for token in ["to_le_bytes", "from_le_bytes"] {
+        if has_token(code, token) {
+            return Some(format!(
+                "{token} outside the byte layer — use p3c_dataset::bytes \
+                 (put_*/Reader) or waive with `audit: bytes-ok`"
+            ));
+        }
+    }
+    let digits = code.replace('_', "").to_ascii_lowercase();
+    digits.contains("0xcbf29ce484222325").then(|| {
+        "FNV-1a offset basis outside the byte layer — use \
+         p3c_dataset::bytes::{fnv1a64, Fnv1a} or waive with `audit: bytes-ok`"
+            .to_string()
+    })
+}
+
 /// True if `token` occurs delimited by non-identifier characters (so
 /// `HashMap` does not match `MyHashMapLike`).
 fn has_token(code: &str, token: &str) -> bool {
@@ -234,10 +257,27 @@ const RULES: &[Rule] = &[
         excludes: &[],
         check: check_float_reduction,
     },
+    Rule {
+        id: "raw-bytes",
+        waiver_key: "bytes-ok",
+        scopes: &["crates/*/src/", "src/"],
+        excludes: &["crates/dataset/src/bytes.rs"],
+        check: check_raw_bytes,
+    },
 ];
 
+fn scope_matches(scope: &str, path: &str) -> bool {
+    match scope.split_once('*') {
+        None => path.starts_with(scope),
+        Some((head, tail)) => path
+            .strip_prefix(head)
+            .and_then(|rest| rest.find('/').map(|at| &rest[at..]))
+            .is_some_and(|rest| rest.starts_with(tail)),
+    }
+}
+
 fn in_scope(rule: &Rule, path: &str) -> bool {
-    rule.scopes.iter().any(|s| path.starts_with(s))
+    rule.scopes.iter().any(|s| scope_matches(s, path))
         && !rule.excludes.iter().any(|e| path.starts_with(e))
 }
 
@@ -496,6 +536,31 @@ let s = r#\"panic!()\"#;
         // The density-kernel host in p3c-linalg is in scope too.
         assert_eq!(check("crates/linalg/src/cholesky.rs", float).len(), 1);
         assert!(check("crates/linalg/src/matrix.rs", float).is_empty());
+    }
+
+    #[test]
+    fn raw_bytes_flagged_outside_the_byte_layer_in_production_code_only() {
+        let le = "buf.extend_from_slice(&v.to_le_bytes());\n";
+        let fnv = "let mut h: u64 = 0xCBF2_9ce4_8422_2325;\n";
+        for src in [le, fnv, "let v = u64::from_le_bytes(word);\n"] {
+            for path in ["crates/mapreduce/src/distrib/wire.rs", "src/lib.rs"] {
+                let v = check(path, src);
+                assert_eq!(v.len(), 1, "{path}: {src}");
+                assert_eq!(v[0].rule, "raw-bytes");
+            }
+            // The layer itself, integration tests and unit-test modules
+            // are out of scope.
+            assert!(check("crates/dataset/src/bytes.rs", src).is_empty());
+            assert!(check("crates/mapreduce/tests/properties.rs", src).is_empty());
+            let in_tests = format!("fn prod() {{}}\n#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(check("crates/core/src/em.rs", &in_tests).is_empty());
+        }
+        let waived = "\
+// audit: bytes-ok — in-memory hash mixing, not a byte format.
+self.add_word(u64::from_le_bytes(word));
+";
+        assert!(check("crates/mapreduce/src/engine.rs", waived).is_empty());
+        assert!(check("crates/core/src/em.rs", "let my_to_le_bytes_like = 1;\n").is_empty());
     }
 
     #[test]

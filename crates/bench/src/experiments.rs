@@ -859,50 +859,25 @@ pub fn kernels(scale: &Scale) -> Report {
 
 // ----------------------------------------------------------------- codec --
 
-/// Microbenchmarks the segmented columnar spill codec (DESIGN.md §9)
-/// against the legacy whole-buffer codec: encoded size and full-reload
-/// cost. Emits `BENCH_codec.json`; the committed `results/BENCH_codec.*`
-/// also keeps the projected-reload figure of the removed column-subset
-/// read path.
+/// Microbenchmarks the segmented columnar spill codec (DESIGN.md §9):
+/// encoded size against the raw block encoding, and full-reload cost.
+/// Emits `BENCH_codec.json`; the committed `results/BENCH_codec.*` is
+/// the frozen record of the comparison against the removed whole-buffer
+/// spill path (and of the removed column-subset reload).
 pub fn codec(scale: &Scale) -> Report {
     use p3c_core::incremental::row_block_seg_codec;
-    use p3c_dataset::RowBlock;
-    use p3c_mapreduce::{DatasetCodec, DatasetHandle, DatasetStore};
+    use p3c_mapreduce::{DatasetHandle, DatasetStore};
     use std::hint::black_box;
-
-    /// The baseline: the legacy whole-buffer spill layout — `u64` LE row
-    /// and attribute counts, then the flat row-major values as `f64` LE.
-    /// Only ever decodes what `encode` wrote.
-    fn row_block_codec() -> DatasetCodec<RowBlock> {
-        fn encode(block: &RowBlock) -> Vec<u8> {
-            let mut out = Vec::with_capacity(16 + 8 * block.as_slice().len());
-            out.extend_from_slice(&(block.len() as u64).to_le_bytes());
-            out.extend_from_slice(&(block.dim() as u64).to_le_bytes());
-            for v in block.as_slice() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            out
-        }
-        fn decode(bytes: &[u8]) -> RowBlock {
-            let mut words = bytes
-                .chunks_exact(8)
-                .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-            let n = words.next().expect("row count") as usize;
-            let d = words.next().expect("attribute count") as usize;
-            RowBlock::new(n, d, words.map(f64::from_bits).collect())
-        }
-        DatasetCodec { encode, decode }
-    }
 
     let mut report = Report::new(
         "BENCH_codec",
-        "Segmented columnar spill codec vs whole-buffer baseline",
-        &["scenario", "bytes", "fraction of full reload", "wall"],
+        "Segmented columnar spill codec",
+        &["scenario", "bytes", "fraction of raw", "wall"],
     );
     let n = scale.size(100_000);
     let d = 20;
     let reps = 3;
-    let data = generate(&SyntheticSpec {
+    let block = generate(&SyntheticSpec {
         n,
         d,
         num_clusters: 5,
@@ -911,16 +886,9 @@ pub fn codec(scale: &Scale) -> Report {
         ..SyntheticSpec::default()
     })
     .dataset;
-    let block = RowBlock::new(n, d, data.as_slice().to_vec());
-    let raw_bytes = 8 * n * d;
+    let raw_bytes = block.to_bytes().len();
 
-    // Encoded sizes, measured directly through the two codecs.
-    let whole = row_block_codec();
     let seg = row_block_seg_codec();
-    let whole_wall = best_of(reps, || {
-        black_box((whole.encode)(&block));
-    });
-    let whole_bytes = (whole.encode)(&block).len();
     let seg_wall = best_of(reps, || {
         black_box((seg.encode_header)(&block));
         for j in 0..d {
@@ -934,63 +902,41 @@ pub fn codec(scale: &Scale) -> Report {
 
     // Reload cost, measured as block-store read bytes through a
     // zero-budget store (every put spills immediately).
-    let reload = |segmented: bool| -> (u64, std::time::Duration) {
-        let mut bytes = 0u64;
-        let mut best = std::time::Duration::MAX;
-        for _ in 0..reps {
-            let store = DatasetStore::with_budget(0);
-            let handle: DatasetHandle<RowBlock> = DatasetHandle::new("bench-rows");
-            if segmented {
-                store.put_segmented(&handle, block.clone(), raw_bytes, row_block_seg_codec());
-            } else {
-                store.put_spillable(&handle, block.clone(), raw_bytes, row_block_codec());
-            }
-            // A put never evicts itself; a follow-up put pushes the
-            // block out to the block store.
-            store.put(&DatasetHandle::<u8>::new("bench-nudge"), 0u8, 1);
-            assert_eq!(store.stats().spills, 1, "block did not spill");
-            let before = store.blockstore().bytes_read();
-            let start = Instant::now();
-            black_box(store.get(&handle).expect("full reload"));
-            best = best.min(start.elapsed());
-            bytes = store.blockstore().bytes_read() - before;
-        }
-        (bytes, best)
-    };
-    let (whole_read, whole_reload_wall) = reload(false);
-    let (seg_read, seg_reload_wall) = reload(true);
+    let mut seg_read = 0u64;
+    let mut seg_reload_wall = std::time::Duration::MAX;
+    for _ in 0..reps {
+        let store = DatasetStore::with_budget(0);
+        let handle: DatasetHandle<p3c_dataset::RowBlock> = DatasetHandle::new("bench-rows");
+        store.put_segmented(&handle, block.clone(), raw_bytes, row_block_seg_codec());
+        // A put never evicts itself; a follow-up put pushes the
+        // block out to the block store.
+        store.put(&DatasetHandle::<u8>::new("bench-nudge"), 0u8, 1);
+        assert_eq!(store.stats().spills, 1, "block did not spill");
+        let before = store.blockstore().bytes_read();
+        let start = Instant::now();
+        black_box(store.get(&handle).expect("full reload"));
+        seg_reload_wall = seg_reload_wall.min(start.elapsed());
+        seg_read = store.blockstore().bytes_read() - before;
+    }
 
-    let frac = |b: u64| format!("{:.3}", b as f64 / seg_read as f64);
-    report.push_row(vec![
-        "spill write (whole-buffer)".into(),
-        whole_bytes.to_string(),
-        format!("{:.3} of raw", whole_bytes as f64 / raw_bytes as f64),
-        secs(whole_wall),
-    ]);
+    let of_raw = |b: u64| format!("{:.3}", b as f64 / raw_bytes as f64);
     report.push_row(vec![
         "spill write (segmented)".into(),
         seg_bytes.to_string(),
-        format!("{:.3} of raw", seg_bytes as f64 / raw_bytes as f64),
+        of_raw(seg_bytes as u64),
         secs(seg_wall),
-    ]);
-    report.push_row(vec![
-        "full reload (whole-buffer)".into(),
-        whole_read.to_string(),
-        frac(whole_read),
-        secs(whole_reload_wall),
     ]);
     report.push_row(vec![
         "full reload (segmented)".into(),
         seg_read.to_string(),
-        frac(seg_read),
+        of_raw(seg_read),
         secs(seg_reload_wall),
     ]);
 
     report.push_note(format!(
-        "n = {n}, d = {d}, raw size {raw_bytes} bytes, best of {reps} \
-         runs; write rows report encoded size relative to raw, reload \
-         rows report block-store bytes read relative to the segmented \
-         full reload."
+        "n = {n}, d = {d}, raw block encoding (`Dataset::to_bytes`) \
+         {raw_bytes} bytes, best of {reps} runs; the write row reports \
+         encoded size, the reload row block-store bytes read."
     ));
     report
 }
@@ -1091,7 +1037,7 @@ pub fn backend(scale: &Scale) -> Report {
 /// Emits `BENCH_service.json`.
 pub fn service(scale: &Scale) -> Report {
     use p3c_core::incremental::IncrementalLight;
-    use p3c_dataset::{Dataset, RowBlock};
+    use p3c_dataset::RowBlock;
     use p3c_mapreduce::DatasetStore;
 
     let mut report = Report::new(
@@ -1135,10 +1081,9 @@ pub fn service(scale: &Scale) -> Report {
         seed: scale.seed,
         ..SyntheticSpec::default()
     });
-    let all = RowBlock::from(data.dataset);
+    let all = data.dataset;
     let chunk = |start: usize, len: usize| -> RowBlock {
-        let rows: Vec<Vec<f64>> = (start..start + len).map(|i| all.row(i).to_vec()).collect();
-        RowBlock::from_rows(&rows)
+        all.subset(&(start..start + len).collect::<Vec<_>>())
     };
 
     let store = DatasetStore::new();
@@ -1157,7 +1102,7 @@ pub fn service(scale: &Scale) -> Report {
         let outcome = eng.recluster(&store).expect("recluster");
         let inc_wall = inc_start.elapsed();
 
-        let cumulative = Dataset::from(chunk(0, fed));
+        let cumulative = chunk(0, fed);
         let batch_start = Instant::now();
         let expected = P3cPlusLight::new(params.clone()).cluster(&cumulative);
         let batch_wall = batch_start.elapsed();
@@ -1204,7 +1149,7 @@ pub fn service(scale: &Scale) -> Report {
 /// timings are reported. Emits `BENCH_recovery.json`.
 pub fn recovery(scale: &Scale) -> Report {
     use p3c_core::incremental::IncrementalLight;
-    use p3c_dataset::{Dataset, RowBlock};
+    use p3c_dataset::RowBlock;
     use p3c_mapreduce::{ClusterService, DatasetStore};
     use std::sync::Arc;
 
@@ -1236,10 +1181,9 @@ pub fn recovery(scale: &Scale) -> Report {
         seed: scale.seed,
         ..SyntheticSpec::default()
     });
-    let all = RowBlock::from(data.dataset);
+    let all = data.dataset;
     let chunk = |start: usize, len: usize| -> RowBlock {
-        let rows: Vec<Vec<f64>> = (start..start + len).map(|i| all.row(i).to_vec()).collect();
-        RowBlock::from_rows(&rows)
+        all.subset(&(start..start + len).collect::<Vec<_>>())
     };
 
     // Volatile baseline: the same append schedule with no durability.
@@ -1258,7 +1202,7 @@ pub fn recovery(scale: &Scale) -> Report {
 
     let base = std::env::temp_dir().join(format!("p3c-bench-recovery-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    let cumulative = Dataset::from(chunk(0, appends * step));
+    let cumulative = chunk(0, appends * step);
     let batch_start = Instant::now();
     let expected = P3cPlusLight::new(params.clone()).cluster(&cumulative);
     let batch_wall = batch_start.elapsed();
@@ -1392,15 +1336,17 @@ mod tests {
     #[test]
     fn codec_smoke() {
         let r = codec(&Scale::smoke());
-        assert_eq!(r.rows.len(), 4);
-        // A segmented full reload reads every segment it wrote, and the
-        // per-column encoding undercuts the raw whole-buffer dump.
-        let whole_read: u64 = r.rows[2][1].parse().unwrap();
-        let seg_read: u64 = r.rows[3][1].parse().unwrap();
+        assert_eq!(r.rows.len(), 2);
+        // A segmented full reload reads back the column segments it
+        // wrote, and the per-column encoding undercuts the raw block.
+        let written: u64 = r.rows[0][1].parse().unwrap();
+        let reloaded: u64 = r.rows[1][1].parse().unwrap();
+        let of_raw: f64 = r.rows[0][2].parse().unwrap();
         assert!(
-            seg_read < whole_read,
-            "segmented {seg_read} vs whole {whole_read}"
+            reloaded > 0 && reloaded <= written,
+            "{reloaded} of {written}"
         );
+        assert!(of_raw < 1.0, "segmented spill is {of_raw} of raw");
     }
 
     #[test]

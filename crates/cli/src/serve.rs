@@ -19,7 +19,8 @@ use p3c_core::config::P3cParams;
 use p3c_core::incremental::IncrementalLight;
 use p3c_core::p3cplus::P3cPlusLight;
 use p3c_datagen::{generate, SyntheticSpec};
-use p3c_dataset::{persist, Clustering, Dataset, RowBlock};
+use p3c_dataset::bytes::Fnv1a;
+use p3c_dataset::{persist, Clustering};
 use p3c_mapreduce::{ClusterService, DatasetStore};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -162,31 +163,25 @@ fn parse_shape(v: &str) -> Result<(usize, usize), String> {
 /// FNV-1a over a canonical byte rendering of a clustering — a compact
 /// fingerprint two shells can compare for the byte-identity contract.
 fn fingerprint(clustering: &Clustering) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv1a::new();
     for cluster in &clustering.clusters {
         for &p in &cluster.points {
-            eat(&(p as u64).to_le_bytes());
+            hash.write_u64(p as u64);
         }
         for &a in &cluster.attributes {
-            eat(&(a as u64).to_le_bytes());
+            hash.write_u64(a as u64);
         }
         for iv in &cluster.intervals {
-            eat(&(iv.attr as u64).to_le_bytes());
-            eat(&iv.lo.to_bits().to_le_bytes());
-            eat(&iv.hi.to_bits().to_le_bytes());
+            hash.write_u64(iv.attr as u64);
+            hash.write_u64(iv.lo.to_bits());
+            hash.write_u64(iv.hi.to_bits());
         }
-        eat(b"|");
+        hash.write(b"|");
     }
     for &o in &clustering.outliers {
-        eat(&(o as u64).to_le_bytes());
+        hash.write_u64(o as u64);
     }
-    hash
+    hash.finish()
 }
 
 fn cmd_create(state: &ServerState, name: &str, rest: &[&str]) -> Result<String, String> {
@@ -242,7 +237,7 @@ fn cmd_append(state: &ServerState, name: &str, rest: &[&str]) -> Result<String, 
                 seed,
                 ..SyntheticSpec::default()
             });
-            RowBlock::from(data.dataset)
+            data.dataset
         }
         (None, Some(path)) => {
             let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
@@ -253,7 +248,7 @@ fn cmd_append(state: &ServerState, name: &str, rest: &[&str]) -> Result<String, 
                      normalization, so pre-normalize the whole stream"
                 ));
             }
-            RowBlock::from(ds)
+            ds
         }
         _ => return Err("append needs exactly one of --synthetic NxD or --file PATH".into()),
     };
@@ -290,7 +285,7 @@ fn cmd_verify(state: &ServerState, name: &str) -> Result<String, String> {
         })
         .map_err(|e| e.to_string())?;
     let cumulative = cumulative?;
-    let batch = P3cPlusLight::new(params).cluster(&Dataset::from(cumulative));
+    let batch = P3cPlusLight::new(params).cluster(&cumulative);
     let identical =
         outcome.result.clustering == batch.clustering && outcome.result.cores == batch.cores;
     if identical {

@@ -166,21 +166,32 @@ impl P3cParams {
     }
 
     /// Checks internal consistency; called by pipeline constructors.
+    ///
+    /// # Panics
+    /// Panics, naming the violated condition.
     pub fn validate(&self) {
-        assert!(
-            self.alpha_chi2 > 0.0 && self.alpha_chi2 < 1.0,
-            "alpha_chi2 out of range"
-        );
-        assert!(
-            self.alpha_poisson > 0.0 && self.alpha_poisson < 1.0,
-            "alpha_poisson out of range"
-        );
-        assert!(
-            self.alpha_outlier > 0.0 && self.alpha_outlier < 1.0,
-            "alpha_outlier out of range"
-        );
-        assert!(self.theta_cc >= 0.0, "theta_cc must be nonnegative");
-        assert!(self.max_levels >= 1, "max_levels must be at least 1");
+        if let Err(what) = self.check() {
+            panic!("{what}");
+        }
+    }
+
+    /// [`P3cParams::validate`] for params decoded from bytes: the
+    /// violated condition instead of a panic.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        let unit = |alpha: f64| alpha > 0.0 && alpha < 1.0;
+        if !unit(self.alpha_chi2) {
+            Err("alpha_chi2 out of range")
+        } else if !unit(self.alpha_poisson) {
+            Err("alpha_poisson out of range")
+        } else if !unit(self.alpha_outlier) {
+            Err("alpha_outlier out of range")
+        } else if self.theta_cc.is_nan() || self.theta_cc < 0.0 {
+            Err("theta_cc must be nonnegative")
+        } else if self.max_levels < 1 {
+            Err("max_levels must be at least 1")
+        } else {
+            Ok(())
+        }
     }
 }
 

@@ -63,7 +63,7 @@ pub fn build_histograms_columnar_threads(
     let partials = p3c_mapreduce::parallel_for_blocks(threads, num_blocks, |b| {
         let chunk = &data[b * block..(b * block + block).min(data.len())];
         let mut hists = fresh();
-        p3c_stats::bin_rows(&mut hists, stride, chunk);
+        p3c_stats::bin_rows(&mut hists, chunk.chunks_exact(stride));
         hists
     });
     let mut histograms = fresh();

@@ -57,7 +57,7 @@ use crate::p3cplus::{
 };
 use crate::support::SupportCache;
 use crate::types::{Interval, Signature};
-use p3c_dataset::journal::{self, ByteReader};
+use p3c_dataset::bytes::{self, DecodeError, Reader};
 use p3c_dataset::{
     colseg, AttrInterval, BlockEntry, BlockLog, Clustering, ProjectedCluster, RowBlock,
 };
@@ -341,7 +341,7 @@ impl IncrementalLight {
         if new_bins != self.bins {
             self.invalidate_stats(new_bins);
         } else if self.hists_valid {
-            bin_rows(&mut self.hists.histograms, d, block.as_slice());
+            bin_rows(&mut self.hists.histograms, block.rows());
             self.supports.apply_delta(&block.row_refs(), false);
             self.stats.delta_rows += block.len() as u64;
         }
@@ -414,7 +414,7 @@ impl IncrementalLight {
                 self.invalidate_stats(new_bins);
             } else if self.hists_valid {
                 let mut delta = vec![Histogram::new(self.bins); d];
-                bin_rows(&mut delta, d, block.as_slice());
+                bin_rows(&mut delta, block.rows());
                 for (h, dh) in self.hists.histograms.iter_mut().zip(&delta) {
                     h.subtract(dh);
                 }
@@ -660,9 +660,9 @@ impl p3c_mapreduce::service::Tenant for IncrementalLight {
 
 // ---- Durable snapshot codec (service crash recovery, DESIGN.md §16) ----
 //
-// Hand-rolled little-endian encoding over the `p3c_dataset::journal`
-// primitives. The snapshot captures *everything* a restarted process
-// needs to continue byte-identically: params, block log, maintained
+// Little-endian encoding over the `p3c_dataset::bytes` primitives. The
+// snapshot captures *everything* a restarted process needs to continue
+// byte-identically: params, block log, maintained
 // histograms, support cache, model state, stats — and the live block
 // payloads themselves, because the `DatasetStore` is volatile.
 
@@ -670,12 +670,12 @@ impl p3c_mapreduce::service::Tenant for IncrementalLight {
 const STATE_VERSION: u32 = 1;
 
 fn put_params(buf: &mut Vec<u8>, p: &P3cParams) {
-    journal::put_f64(buf, p.alpha_chi2);
-    journal::put_f64(buf, p.alpha_poisson);
-    journal::put_f64(buf, p.theta_cc);
-    journal::put_bool(buf, p.use_effect_size);
-    journal::put_bool(buf, p.use_redundancy_filter);
-    journal::put_bool(buf, p.use_ai_proving);
+    bytes::put_f64(buf, p.alpha_chi2);
+    bytes::put_f64(buf, p.alpha_poisson);
+    bytes::put_f64(buf, p.theta_cc);
+    bytes::put_bool(buf, p.use_effect_size);
+    bytes::put_bool(buf, p.use_redundancy_filter);
+    bytes::put_bool(buf, p.use_ai_proving);
     buf.push(match p.bin_rule {
         BinRuleChoice::Sturges => 0,
         BinRuleChoice::FreedmanDiaconis => 1,
@@ -686,17 +686,19 @@ fn put_params(buf: &mut Vec<u8>, p: &P3cParams) {
         crate::config::OutlierMethod::Mvb => 1,
         crate::config::OutlierMethod::Mcd => 2,
     });
-    journal::put_f64(buf, p.alpha_outlier);
-    journal::put_usize(buf, p.em_max_iters);
-    journal::put_f64(buf, p.em_tol);
-    journal::put_usize(buf, p.t_gen);
-    journal::put_usize(buf, p.t_c);
-    journal::put_usize(buf, p.max_levels);
-    journal::put_usize(buf, p.max_candidates_per_level);
-    journal::put_usize(buf, p.threads);
+    bytes::put_f64(buf, p.alpha_outlier);
+    bytes::put_usize(buf, p.em_max_iters);
+    bytes::put_f64(buf, p.em_tol);
+    bytes::put_usize(buf, p.t_gen);
+    bytes::put_usize(buf, p.t_c);
+    bytes::put_usize(buf, p.max_levels);
+    bytes::put_usize(buf, p.max_candidates_per_level);
+    bytes::put_usize(buf, p.threads);
 }
 
-fn read_params(r: &mut ByteReader) -> Result<P3cParams, String> {
+/// Decodes params written by [`put_params`], rejecting any the engine's
+/// constructor would (an out-of-range level, the exact-IQR bin rule).
+fn read_params(r: &mut Reader<'_>) -> Result<P3cParams, DecodeError> {
     let alpha_chi2 = r.f64()?;
     let alpha_poisson = r.f64()?;
     let theta_cc = r.f64()?;
@@ -706,16 +708,15 @@ fn read_params(r: &mut ByteReader) -> Result<P3cParams, String> {
     let bin_rule = match r.u8()? {
         0 => BinRuleChoice::Sturges,
         1 => BinRuleChoice::FreedmanDiaconis,
-        2 => BinRuleChoice::FreedmanDiaconisIqr,
-        t => return Err(format!("unknown bin rule tag {t}")),
+        _ => return Err(DecodeError::Malformed("bin rule tag")),
     };
     let outlier = match r.u8()? {
         0 => crate::config::OutlierMethod::Naive,
         1 => crate::config::OutlierMethod::Mvb,
         2 => crate::config::OutlierMethod::Mcd,
-        t => return Err(format!("unknown outlier method tag {t}")),
+        _ => return Err(DecodeError::Malformed("outlier method tag")),
     };
-    Ok(P3cParams {
+    let params = P3cParams {
         alpha_chi2,
         alpha_poisson,
         theta_cc,
@@ -732,90 +733,39 @@ fn read_params(r: &mut ByteReader) -> Result<P3cParams, String> {
         max_levels: r.usize()?,
         max_candidates_per_level: r.usize()?,
         threads: r.usize()?,
-    })
+    };
+    params.check().map_err(DecodeError::Malformed)?;
+    Ok(params)
 }
 
 fn put_signature(buf: &mut Vec<u8>, sig: &Signature) {
-    journal::put_usize(buf, sig.intervals().len());
+    bytes::put_usize(buf, sig.intervals().len());
     for iv in sig.intervals() {
-        journal::put_usize(buf, iv.attr);
-        journal::put_usize(buf, iv.bin_lo);
-        journal::put_usize(buf, iv.bin_hi);
-        journal::put_usize(buf, iv.bins);
+        iv.encode_into(buf);
     }
 }
 
-fn read_signature(r: &mut ByteReader) -> Result<Signature, String> {
-    let k = r.usize()?;
-    let mut intervals = Vec::with_capacity(k.min(1 << 16));
-    for _ in 0..k {
-        let attr = r.usize()?;
-        let bin_lo = r.usize()?;
-        let bin_hi = r.usize()?;
-        let bins = r.usize()?;
-        intervals.push(Interval::new(attr, bin_lo, bin_hi, bins));
-    }
-    Ok(Signature::new(intervals))
-}
-
-fn put_f64s(buf: &mut Vec<u8>, values: &[f64]) {
-    journal::put_usize(buf, values.len());
-    for &v in values {
-        journal::put_f64(buf, v);
-    }
-}
-
-fn read_f64s(r: &mut ByteReader) -> Result<Vec<f64>, String> {
-    let n = r.usize()?;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(r.f64()?);
-    }
-    Ok(out)
+fn read_signature(r: &mut Reader<'_>) -> Result<Signature, DecodeError> {
+    Signature::from_decoded(r.seq(Interval::ENCODED_BYTES, Interval::decode)?)
 }
 
 fn put_histogram(buf: &mut Vec<u8>, h: &Histogram) {
-    put_f64s(buf, h.counts());
+    bytes::put_f64s(buf, h.counts());
 }
 
-fn read_histogram(r: &mut ByteReader) -> Result<Histogram, String> {
-    let counts = read_f64s(r)?;
+fn read_histogram(r: &mut Reader<'_>) -> Result<Histogram, DecodeError> {
+    let counts = r.f64s()?;
     if counts.is_empty() {
-        return Err("histogram with zero bins".to_string());
+        return Err(DecodeError::Malformed("histogram with zero bins"));
     }
     Ok(Histogram::from_counts(counts))
 }
 
-fn put_ids(buf: &mut Vec<u8>, ids: &[usize]) {
-    journal::put_usize(buf, ids.len());
-    for &i in ids {
-        journal::put_usize(buf, i);
-    }
-}
-
-fn read_ids(r: &mut ByteReader) -> Result<Vec<usize>, String> {
-    let n = r.usize()?;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(r.usize()?);
-    }
-    Ok(out)
-}
-
 fn put_id_lists(buf: &mut Vec<u8>, lists: &[Vec<usize>]) {
-    journal::put_usize(buf, lists.len());
+    bytes::put_usize(buf, lists.len());
     for ids in lists {
-        put_ids(buf, ids);
+        bytes::put_usizes(buf, ids);
     }
-}
-
-fn read_id_lists(r: &mut ByteReader) -> Result<Vec<Vec<usize>>, String> {
-    let k = r.usize()?;
-    let mut out = Vec::with_capacity(k.min(1 << 16));
-    for _ in 0..k {
-        out.push(read_ids(r)?);
-    }
-    Ok(out)
 }
 
 impl IncrementalLight {
@@ -824,58 +774,58 @@ impl IncrementalLight {
     /// for the service's durable snapshot.
     pub fn snapshot_bytes(&self, store: &DatasetStore) -> Result<Vec<u8>, String> {
         let buf = &mut Vec::new();
-        journal::put_u32(buf, STATE_VERSION);
+        bytes::put_u32(buf, STATE_VERSION);
         put_params(buf, &self.params);
 
-        journal::put_usize(buf, self.log.entries().len());
+        bytes::put_usize(buf, self.log.entries().len());
         for e in self.log.entries() {
-            journal::put_u64(buf, e.id);
-            journal::put_usize(buf, e.rows);
+            bytes::put_u64(buf, e.id);
+            bytes::put_usize(buf, e.rows);
         }
-        journal::put_u64(buf, self.log.next_id());
-        journal::put_bool(buf, self.log.dim().is_some());
-        journal::put_usize(buf, self.log.dim().unwrap_or(0));
+        bytes::put_u64(buf, self.log.next_id());
+        bytes::put_bool(buf, self.log.dim().is_some());
+        bytes::put_usize(buf, self.log.dim().unwrap_or(0));
 
-        journal::put_usize(buf, self.hists.histograms.len());
+        bytes::put_usize(buf, self.hists.histograms.len());
         for h in &self.hists.histograms {
             put_histogram(buf, h);
         }
-        journal::put_usize(buf, self.hists.bins);
-        journal::put_bool(buf, self.hists_valid);
-        journal::put_usize(buf, self.bins);
+        bytes::put_usize(buf, self.hists.bins);
+        bytes::put_bool(buf, self.hists_valid);
+        bytes::put_usize(buf, self.bins);
 
-        journal::put_usize(buf, self.supports.len());
+        bytes::put_usize(buf, self.supports.len());
         for (sig, count) in self.supports.iter() {
             put_signature(buf, sig);
-            journal::put_u64(buf, count);
+            bytes::put_u64(buf, count);
         }
 
-        journal::put_bool(buf, self.model.is_some());
+        bytes::put_bool(buf, self.model.is_some());
         if let Some(m) = &self.model {
-            journal::put_usize(buf, m.cores.len());
+            bytes::put_usize(buf, m.cores.len());
             for core in &m.cores {
                 put_signature(buf, &core.signature);
-                journal::put_f64(buf, core.support);
-                journal::put_f64(buf, core.expected);
+                bytes::put_f64(buf, core.support);
+                bytes::put_f64(buf, core.expected);
             }
             put_id_lists(buf, &m.membership.members);
             put_id_lists(buf, &m.membership.unique_members);
-            put_ids(buf, &m.membership.outliers);
-            journal::put_usize(buf, m.per_core.len());
+            bytes::put_usizes(buf, &m.membership.outliers);
+            bytes::put_usize(buf, m.per_core.len());
             for cs in &m.per_core {
-                put_f64s(buf, &cs.member_min);
-                put_f64s(buf, &cs.member_max);
-                put_f64s(buf, &cs.unique_min);
-                put_f64s(buf, &cs.unique_max);
-                journal::put_usize(buf, cs.unique_hists.len());
+                bytes::put_f64s(buf, &cs.member_min);
+                bytes::put_f64s(buf, &cs.member_max);
+                bytes::put_f64s(buf, &cs.unique_min);
+                bytes::put_f64s(buf, &cs.unique_max);
+                bytes::put_usize(buf, cs.unique_hists.len());
                 for h in &cs.unique_hists {
                     put_histogram(buf, h);
                 }
-                journal::put_bool(buf, cs.unique_hists_stale);
+                bytes::put_bool(buf, cs.unique_hists_stale);
             }
         }
 
-        journal::put_bool(buf, self.dirty_full);
+        bytes::put_bool(buf, self.dirty_full);
         let s = &self.stats;
         for v in [
             s.appends,
@@ -888,21 +838,17 @@ impl IncrementalLight {
             s.support_scans,
             s.cached_levels,
         ] {
-            journal::put_u64(buf, v);
+            bytes::put_u64(buf, v);
         }
 
         // Live block payloads, log order; zero-row blocks have none.
         let live: Vec<&BlockEntry> = self.log.entries().iter().filter(|e| e.rows > 0).collect();
-        journal::put_usize(buf, live.len());
+        bytes::put_usize(buf, live.len());
         for e in live {
             let handle: DatasetHandle<RowBlock> = DatasetHandle::new(self.block_name(e.id));
             let block = store.get(&handle).map_err(|e| e.to_string())?;
-            journal::put_u64(buf, e.id);
-            journal::put_usize(buf, block.len());
-            journal::put_usize(buf, block.dim());
-            for &v in block.as_slice() {
-                journal::put_f64(buf, v);
-            }
+            bytes::put_u64(buf, e.id);
+            block.encode_into(buf);
         }
         Ok(std::mem::take(buf))
     }
@@ -915,35 +861,30 @@ impl IncrementalLight {
         bytes: &[u8],
         store: &DatasetStore,
     ) -> Result<Self, String> {
-        let mut r = ByteReader::new(bytes);
+        let mut r = Reader::new(bytes);
         let version = r.u32()?;
         if version != STATE_VERSION {
             return Err(format!("unsupported engine snapshot version {version}"));
         }
         let params = read_params(&mut r)?;
 
-        let num_entries = r.usize()?;
-        let mut entries = Vec::with_capacity(num_entries.min(1 << 20));
-        for _ in 0..num_entries {
-            let id = r.u64()?;
-            let rows = r.usize()?;
-            entries.push(BlockEntry { id, rows });
-        }
+        let entries = r.seq(16, |r| -> Result<_, DecodeError> {
+            Ok(BlockEntry {
+                id: r.u64()?,
+                rows: r.usize()?,
+            })
+        })?;
         let next_id = r.u64()?;
         let has_dim = r.bool()?;
         let dim_val = r.usize()?;
         let log = BlockLog::from_parts(entries, next_id, has_dim.then_some(dim_val))?;
 
-        let num_hists = r.usize()?;
-        let mut histograms = Vec::with_capacity(num_hists.min(1 << 16));
-        for _ in 0..num_hists {
-            histograms.push(read_histogram(&mut r)?);
-        }
+        let histograms = r.seq(8, read_histogram)?;
         let hist_bins = r.usize()?;
         let hists_valid = r.bool()?;
         let bins = r.usize()?;
 
-        let num_supports = r.usize()?;
+        let num_supports = r.seq_len(16)?;
         let mut supports = SupportCache::new();
         for _ in 0..num_supports {
             let sig = read_signature(&mut r)?;
@@ -952,43 +893,26 @@ impl IncrementalLight {
         }
 
         let model = if r.bool()? {
-            let num_cores = r.usize()?;
-            let mut cores = Vec::with_capacity(num_cores.min(1 << 16));
-            for _ in 0..num_cores {
-                let signature = read_signature(&mut r)?;
-                let support = r.f64()?;
-                let expected = r.f64()?;
-                cores.push(ClusterCore {
-                    signature,
-                    support,
-                    expected,
-                });
-            }
-            let members = read_id_lists(&mut r)?;
-            let unique_members = read_id_lists(&mut r)?;
-            let outliers = read_ids(&mut r)?;
-            let num_per_core = r.usize()?;
-            let mut per_core = Vec::with_capacity(num_per_core.min(1 << 16));
-            for _ in 0..num_per_core {
-                let member_min = read_f64s(&mut r)?;
-                let member_max = read_f64s(&mut r)?;
-                let unique_min = read_f64s(&mut r)?;
-                let unique_max = read_f64s(&mut r)?;
-                let num_uh = r.usize()?;
-                let mut unique_hists = Vec::with_capacity(num_uh.min(1 << 16));
-                for _ in 0..num_uh {
-                    unique_hists.push(read_histogram(&mut r)?);
-                }
-                let unique_hists_stale = r.bool()?;
-                per_core.push(CoreFinalizeState {
-                    member_min,
-                    member_max,
-                    unique_min,
-                    unique_max,
-                    unique_hists,
-                    unique_hists_stale,
-                });
-            }
+            let cores = r.seq(24, |r| -> Result<_, DecodeError> {
+                Ok(ClusterCore {
+                    signature: read_signature(r)?,
+                    support: r.f64()?,
+                    expected: r.f64()?,
+                })
+            })?;
+            let members = r.seq(8, Reader::usizes)?;
+            let unique_members = r.seq(8, Reader::usizes)?;
+            let outliers = r.usizes()?;
+            let per_core = r.seq(41, |r| -> Result<_, DecodeError> {
+                Ok(CoreFinalizeState {
+                    member_min: r.f64s()?,
+                    member_max: r.f64s()?,
+                    unique_min: r.f64s()?,
+                    unique_max: r.f64s()?,
+                    unique_hists: r.seq(8, read_histogram)?,
+                    unique_hists_stale: r.bool()?,
+                })
+            })?;
             if members.len() != cores.len()
                 || unique_members.len() != cores.len()
                 || per_core.len() != cores.len()
@@ -1038,29 +962,16 @@ impl IncrementalLight {
         engine.dirty_full = dirty_full;
         engine.stats = stats;
 
-        let num_blocks = r.usize()?;
+        let num_blocks = r.seq_len(24)?;
         for _ in 0..num_blocks {
             let id = r.u64()?;
-            let rows = r.usize()?;
-            let d = r.usize()?;
-            let len = rows
-                .checked_mul(d)
-                .ok_or_else(|| "block payload size overflow".to_string())?;
-            let mut data = Vec::with_capacity(len.min(1 << 24));
-            for _ in 0..len {
-                data.push(r.f64()?);
-            }
+            let block = RowBlock::decode(&mut r)?;
             if !engine.log.contains(id) {
                 return Err(format!("payload for block {id} not in the log"));
             }
-            let bytes = 16 + 8 * data.len();
+            let bytes = 16 + 8 * block.as_slice().len();
             let handle: DatasetHandle<RowBlock> = DatasetHandle::new(engine.block_name(id));
-            store.put_segmented(
-                &handle,
-                RowBlock::new(rows, d, data),
-                bytes,
-                row_block_seg_codec(),
-            );
+            store.put_segmented(&handle, block, bytes, row_block_seg_codec());
         }
         r.finish()?;
         Ok(engine)
@@ -1074,13 +985,13 @@ impl IncrementalLight {
 impl p3c_mapreduce::service::DurableTenant for IncrementalLight {
     fn encode_create(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        journal::put_u32(&mut buf, STATE_VERSION);
+        bytes::put_u32(&mut buf, STATE_VERSION);
         put_params(&mut buf, &self.params);
         buf
     }
 
     fn decode_create(name: &str, bytes: &[u8]) -> Result<Self, String> {
-        let mut r = ByteReader::new(bytes);
+        let mut r = Reader::new(bytes);
         let version = r.u32()?;
         if version != STATE_VERSION {
             return Err(format!("unsupported create record version {version}"));
@@ -1091,28 +1002,11 @@ impl p3c_mapreduce::service::DurableTenant for IncrementalLight {
     }
 
     fn encode_block(block: &RowBlock) -> Vec<u8> {
-        let mut buf = Vec::new();
-        journal::put_usize(&mut buf, block.len());
-        journal::put_usize(&mut buf, block.dim());
-        for &v in block.as_slice() {
-            journal::put_f64(&mut buf, v);
-        }
-        buf
+        block.to_bytes()
     }
 
     fn decode_block(bytes: &[u8]) -> Result<RowBlock, String> {
-        let mut r = ByteReader::new(bytes);
-        let rows = r.usize()?;
-        let d = r.usize()?;
-        let len = rows
-            .checked_mul(d)
-            .ok_or_else(|| "block size overflow".to_string())?;
-        let mut data = Vec::with_capacity(len.min(1 << 24));
-        for _ in 0..len {
-            data.push(r.f64()?);
-        }
-        r.finish()?;
-        Ok(RowBlock::new(rows, d, data))
+        Ok(RowBlock::from_bytes(bytes)?)
     }
 
     fn snapshot_state(&self, store: &DatasetStore) -> Result<Vec<u8>, String> {
@@ -1378,7 +1272,6 @@ fn build_finalize_state(
 mod tests {
     use super::*;
     use p3c_datagen::{generate, SyntheticSpec};
-    use p3c_dataset::Dataset;
 
     fn spec(n: usize, seed: u64) -> SyntheticSpec {
         SyntheticSpec {
@@ -1393,15 +1286,11 @@ mod tests {
     }
 
     fn chunk(block: &RowBlock, start: usize, len: usize) -> RowBlock {
-        let rows: Vec<Vec<f64>> = (start..start + len)
-            .map(|i| block.row(i).to_vec())
-            .collect();
-        RowBlock::from_rows(&rows)
+        block.subset(&(start..start + len).collect::<Vec<_>>())
     }
 
     fn batch(cumulative: &RowBlock, params: &P3cParams) -> P3cResult {
-        let ds = Dataset::from(cumulative.clone());
-        crate::p3cplus::P3cPlusLight::new(params.clone()).cluster(&ds)
+        crate::p3cplus::P3cPlusLight::new(params.clone()).cluster(cumulative)
     }
 
     fn assert_identical(inc: &P3cResult, bat: &P3cResult) {
@@ -1425,7 +1314,7 @@ mod tests {
     #[test]
     fn append_stream_matches_batch_and_goes_fast() {
         let data = generate(&spec(4000, 7));
-        let all = RowBlock::from(data.dataset.clone());
+        let all = data.dataset.clone();
         let store = DatasetStore::new();
         let params = P3cParams::default();
         let mut eng = IncrementalLight::new("t", params.clone());
@@ -1446,7 +1335,7 @@ mod tests {
     #[test]
     fn retract_falls_back_but_stays_identical() {
         let data = generate(&spec(3000, 13));
-        let all = RowBlock::from(data.dataset.clone());
+        let all = data.dataset.clone();
         let store = DatasetStore::new();
         let params = P3cParams::default();
         let mut eng = IncrementalLight::new("t", params.clone());
@@ -1459,17 +1348,11 @@ mod tests {
         let outcome = eng.recluster(&store).unwrap();
         assert_eq!(outcome.path, ReclusterPath::Full);
         // Cumulative is now blocks b then c.
-        let mut rows: Vec<Vec<f64>> = (1000..3000).map(|i| all.row(i).to_vec()).collect();
-        let cumulative = RowBlock::from_rows(&rows);
-        assert_identical(&outcome.result, &batch(&cumulative, &params));
+        assert_identical(&outcome.result, &batch(&chunk(&all, 1000, 2000), &params));
         // Retract down to one block, then to nothing.
         assert!(eng.retract(&store, c).unwrap());
-        rows.truncate(1000);
         let outcome = eng.recluster(&store).unwrap();
-        assert_identical(
-            &outcome.result,
-            &batch(&RowBlock::from_rows(&rows), &params),
-        );
+        assert_identical(&outcome.result, &batch(&chunk(&all, 1000, 1000), &params));
     }
 
     #[test]
@@ -1480,7 +1363,7 @@ mod tests {
         assert_eq!(outcome.path, ReclusterPath::Empty);
         assert_eq!(outcome.result.clustering.num_clusters(), 0);
         // Append everything, retract everything: back to empty.
-        let block = RowBlock::from_rows(&[vec![0.5, 0.5], vec![0.2, 0.8]]);
+        let block = RowBlock::from_rows(vec![vec![0.5, 0.5], vec![0.2, 0.8]]);
         let id = eng.append(&store, block).unwrap();
         assert!(eng.retract(&store, id).unwrap());
         let outcome = eng.recluster(&store).unwrap();
@@ -1492,10 +1375,10 @@ mod tests {
     fn width_mismatch_is_an_error() {
         let store = DatasetStore::new();
         let mut eng = IncrementalLight::new("t", P3cParams::default());
-        eng.append(&store, RowBlock::from_rows(&[vec![0.1, 0.2]]))
+        eng.append(&store, RowBlock::from_rows(vec![vec![0.1, 0.2]]))
             .unwrap();
         assert!(eng
-            .append(&store, RowBlock::from_rows(&[vec![0.1, 0.2, 0.3]]))
+            .append(&store, RowBlock::from_rows(vec![vec![0.1, 0.2, 0.3]]))
             .is_err());
     }
 
@@ -1503,7 +1386,7 @@ mod tests {
     fn snapshot_roundtrip_continues_byte_identically() {
         use p3c_mapreduce::service::DurableTenant;
         let data = generate(&spec(2500, 21));
-        let all = RowBlock::from(data.dataset.clone());
+        let all = data.dataset.clone();
         let params = P3cParams::default();
         let store = DatasetStore::new();
         let mut eng = IncrementalLight::new("t", params.clone());
@@ -1530,18 +1413,14 @@ mod tests {
         // Retract through the restored engine too.
         let first = back.block_ids()[0];
         assert!(back.retract(&store2, first).unwrap());
-        let rows: Vec<Vec<f64>> = (1000..2500).map(|i| all.row(i).to_vec()).collect();
         let outcome = back.recluster(&store2).unwrap();
-        assert_identical(
-            &outcome.result,
-            &batch(&RowBlock::from_rows(&rows), &params),
-        );
+        assert_identical(&outcome.result, &batch(&chunk(&all, 1000, 1500), &params));
     }
 
     #[test]
     fn block_codec_roundtrips_and_rejects_garbage() {
         use p3c_mapreduce::service::DurableTenant;
-        let block = RowBlock::from_rows(&[vec![0.25, 0.5], vec![0.75, 1.0]]);
+        let block = RowBlock::from_rows(vec![vec![0.25, 0.5], vec![0.75, 1.0]]);
         let bytes = IncrementalLight::encode_block(&block);
         let back = IncrementalLight::decode_block(&bytes).unwrap();
         assert_eq!(back.as_slice(), block.as_slice());

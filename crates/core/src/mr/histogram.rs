@@ -24,15 +24,11 @@ impl<'a> Mapper<&'a [f64], usize, Vec<f64>> for HistMapper {
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, Vec<f64>>) {
         let d = split.first().map_or(0, |r| r.len());
-        let mut partials: Vec<Vec<f64>> =
-            (0..d).map(|attr| vec![0.0f64; self.bins[attr]]).collect();
-        for row in split {
-            for attr in 0..d {
-                partials[attr][p3c_stats::histogram::bin_index(row[attr], self.bins[attr])] += 1.0;
-            }
-        }
-        for (attr, counts) in partials.into_iter().enumerate() {
-            out.emit(attr, counts);
+        let mut partials: Vec<Histogram> =
+            self.bins[..d].iter().map(|&b| Histogram::new(b)).collect();
+        p3c_stats::bin_rows(&mut partials, split.iter().copied());
+        for (attr, partial) in partials.iter().enumerate() {
+            out.emit(attr, partial.counts().to_vec());
         }
     }
 }
@@ -141,17 +137,27 @@ mod tests {
 
     #[test]
     fn job_matches_serial_histograms() {
-        let data = sample_rows();
+        // Bin edges, the closed ends, out-of-range values and NaN ride
+        // along: mapper and serial builder share one binning kernel, so
+        // the counts agree bit for bit on every one of them.
+        let mut data = sample_rows();
+        data.extend([
+            vec![0.0, 1.0, 0.125],
+            vec![0.25, 0.5, 0.75],
+            vec![-0.5, 1.5, f64::NAN],
+        ]);
         let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        let engine = Engine::new(MrConfig {
-            split_size: 64,
-            ..MrConfig::default()
-        });
-        let mr = histogram_job(&engine, &rows, &[8, 8, 8]).unwrap();
         let flat: Vec<f64> = data.iter().flatten().copied().collect();
-        let serial = build_histograms_columnar_threads(rows.len(), 3, &flat, &[8, 8, 8], 1);
-        assert_eq!(mr.histograms, serial.histograms);
-        assert_eq!(mr.bins, 8);
+        for bins in [[8, 8, 8], [4, 16, 2]] {
+            let engine = Engine::new(MrConfig {
+                split_size: 64,
+                ..MrConfig::default()
+            });
+            let mr = histogram_job(&engine, &rows, &bins).unwrap();
+            let serial = build_histograms_columnar_threads(rows.len(), 3, &flat, &bins, 1);
+            assert_eq!(mr.histograms, serial.histograms, "{bins:?}");
+            assert_eq!(mr.bins, serial.bins);
+        }
     }
 
     #[test]

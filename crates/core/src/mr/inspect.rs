@@ -21,8 +21,7 @@ impl<'a> Mapper<(i64, &'a [f64]), (usize, usize), Vec<f64>> for AiHistMapper {
 
     fn map_split(&self, split: &[(i64, &'a [f64])], out: &mut Emitter<(usize, usize), Vec<f64>>) {
         // One histogram set per cluster seen in the split, resolved once
-        // per row; the row is then binned as a 1-row block of the
-        // histogram kernel.
+        // per row; the row is then binned by the histogram kernel.
         let mut partials: Vec<Option<Vec<Histogram>>> = vec![None; self.bins.len()];
         for (label, row) in split {
             if *label < 0 {
@@ -31,7 +30,7 @@ impl<'a> Mapper<(i64, &'a [f64]), (usize, usize), Vec<f64>> for AiHistMapper {
             let c = *label as usize;
             let hists =
                 partials[c].get_or_insert_with(|| vec![Histogram::new(self.bins[c]); row.len()]);
-            p3c_stats::bin_rows(hists, row.len(), row);
+            p3c_stats::bin_rows(hists, [*row]);
         }
         // Ascending (cluster, attr): the emitted order feeds the shuffle
         // and must not vary run-to-run.

@@ -29,13 +29,14 @@ pub mod pipeline;
 pub use pipeline::{P3cPlusMr, P3cPlusMrLight};
 
 use crate::types::{Interval, Signature};
+use p3c_dataset::bytes::{self, DecodeError, Reader};
 use p3c_linalg::CovarianceAccumulator;
-use p3c_mapreduce::distrib::{Wire, WireError, WireReader};
+use p3c_mapreduce::distrib::Wire;
 use p3c_mapreduce::Weighable;
 
 /// A signature as a shuffle message (candidate generation output).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct SigMsg(pub Signature);
+pub struct SigMsg(pub Signature);
 
 impl Weighable for SigMsg {
     fn weight(&self) -> usize {
@@ -46,7 +47,7 @@ impl Weighable for SigMsg {
 
 /// A covariance accumulator as a shuffle message (EM/OD statistics jobs).
 #[derive(Debug, Clone)]
-pub(crate) struct AccMsg(pub CovarianceAccumulator);
+pub struct AccMsg(pub CovarianceAccumulator);
 
 impl Weighable for AccMsg {
     fn weight(&self) -> usize {
@@ -58,28 +59,13 @@ impl Weighable for AccMsg {
 
 impl Wire for SigMsg {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.0.len() as u32).to_le_bytes());
+        bytes::put_len32(buf, self.0.len());
         for iv in self.0.intervals() {
-            iv.attr.encode(buf);
-            iv.bin_lo.encode(buf);
-            iv.bin_hi.encode(buf);
-            iv.bins.encode(buf);
+            iv.encode_into(buf);
         }
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = r.u32()? as usize;
-        if n > r.remaining() {
-            return Err(WireError::Malformed("signature length exceeds payload"));
-        }
-        let mut intervals = Vec::with_capacity(n);
-        for _ in 0..n {
-            let attr = usize::decode(r)?;
-            let bin_lo = usize::decode(r)?;
-            let bin_hi = usize::decode(r)?;
-            let bins = usize::decode(r)?;
-            intervals.push(Interval::new(attr, bin_lo, bin_hi, bins));
-        }
-        Ok(SigMsg(Signature::new(intervals)))
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Signature::from_decoded(r.seq32(Interval::ENCODED_BYTES, Interval::decode)?).map(SigMsg)
     }
 }
 
@@ -88,24 +74,22 @@ impl Wire for AccMsg {
         let (dim, linear, scatter, weight, weight_sq, count) = self.0.to_parts();
         dim.encode(buf);
         for seq in [linear, scatter] {
-            buf.extend_from_slice(&(seq.len() as u32).to_le_bytes());
-            for v in seq {
-                v.encode(buf);
-            }
+            bytes::put_len32(buf, seq.len());
+            bytes::put_f64_run(buf, seq);
         }
         weight.encode(buf);
         weight_sq.encode(buf);
         count.encode(buf);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let dim = usize::decode(r)?;
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let dim = r.usize()?;
         let linear = Vec::<f64>::decode(r)?;
         let scatter = Vec::<f64>::decode(r)?;
-        let weight = f64::decode(r)?;
-        let weight_sq = f64::decode(r)?;
-        let count = u64::decode(r)?;
-        if linear.len() != dim || scatter.len() != dim * dim {
-            return Err(WireError::Malformed("accumulator shape mismatch"));
+        let weight = r.f64()?;
+        let weight_sq = r.f64()?;
+        let count = r.u64()?;
+        if linear.len() != dim || Some(scatter.len()) != dim.checked_mul(dim) {
+            return Err(DecodeError::Malformed("accumulator shape mismatch"));
         }
         Ok(AccMsg(CovarianceAccumulator::from_parts(
             dim, linear, scatter, weight, weight_sq, count,

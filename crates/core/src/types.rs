@@ -7,6 +7,7 @@
 //! which keeps the support arithmetic exactly consistent with the
 //! histogram counts the statistical tests are computed from.
 
+use p3c_dataset::bytes::{self, DecodeError, Reader};
 use p3c_stats::histogram::bin_index;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -39,6 +40,33 @@ impl Interval {
             bin_lo,
             bin_hi,
             bins,
+        }
+    }
+
+    /// Bytes of one encoded interval.
+    pub(crate) const ENCODED_BYTES: usize = 32;
+
+    /// Appends the four fields as `u64`s — the interval layout of both
+    /// a shuffled `SigMsg` and the incremental engine's state blob.
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
+        for v in [self.attr, self.bin_lo, self.bin_hi, self.bins] {
+            bytes::put_usize(buf, v);
+        }
+    }
+
+    /// Decodes [`Interval::encode_into`] output, rejecting a bin run
+    /// [`Interval::new`] would panic on.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let (attr, bin_lo, bin_hi, bins) = (r.usize()?, r.usize()?, r.usize()?, r.usize()?);
+        if bin_lo <= bin_hi && bin_hi < bins {
+            Ok(Self {
+                attr,
+                bin_lo,
+                bin_hi,
+                bins,
+            })
+        } else {
+            Err(DecodeError::Malformed("interval bin range"))
         }
     }
 
@@ -90,12 +118,19 @@ impl Signature {
     /// # Panics
     /// Panics if two intervals share an attribute (Definition 2 requires
     /// disjunct attributes).
-    pub fn new(mut intervals: Vec<Interval>) -> Self {
+    pub fn new(intervals: Vec<Interval>) -> Self {
+        Self::from_decoded(intervals).expect("signature with duplicate attribute")
+    }
+
+    /// [`Signature::new`] for intervals decoded from bytes: an error
+    /// where `new` would panic.
+    pub(crate) fn from_decoded(mut intervals: Vec<Interval>) -> Result<Self, DecodeError> {
         intervals.sort_by_key(|iv| iv.attr);
-        for w in intervals.windows(2) {
-            assert_ne!(w[0].attr, w[1].attr, "signature with duplicate attribute");
+        if intervals.windows(2).all(|w| w[0].attr != w[1].attr) {
+            Ok(Self { intervals })
+        } else {
+            Err(DecodeError::Malformed("signature repeats an attribute"))
         }
-        Self { intervals }
     }
 
     /// Single-interval signature.

@@ -2,11 +2,10 @@
 //! XOR-delta + byte-shuffle + zero-RLE encoding.
 //!
 //! This is the on-disk form the MapReduce `DatasetStore` uses when it
-//! spills a [`RowBlock`] to the block store. Instead of one opaque
-//! whole-buffer file, a spilled block becomes a tiny *header* (`n`, `d`)
-//! plus `d` independent *column segments*: values of one attribute are
-//! neighbours in the encoder's input, which is what the delta coding
-//! below compresses (DESIGN.md §9).
+//! spills a [`RowBlock`] to the block store: a spilled block becomes a
+//! tiny *header* (`n`, `d`) plus `d` independent *column segments* —
+//! values of one attribute are neighbours in the encoder's input, which
+//! is what the delta coding below compresses (DESIGN.md §9).
 //!
 //! The encoding is deliberately dependency-free and **bit-exact**: every
 //! `f64` is treated as its IEEE-754 bit pattern, so NaN payloads and

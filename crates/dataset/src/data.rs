@@ -1,5 +1,12 @@
-//! The row-major dataset container.
+//! The row-major dataset container — also the columnar data plane's
+//! carrier ([`RowBlock`](crate::RowBlock) is this type): produced by
+//! `p3c-datagen`, appended block by block to the clustering service,
+//! kept in the MapReduce `DatasetStore`, scanned by the histogram and EM
+//! kernels. Row views are free (`&data[i*d..(i+1)*d]`), per-attribute
+//! scans are strided iterators, and [`Dataset::columns`] materializes a
+//! column-major transpose when a kernel wants contiguous attributes.
 
+use crate::bytes::{self, DecodeError, Reader};
 use serde::{Deserialize, Serialize};
 
 /// An `n × d` dataset stored row-major in one contiguous allocation.
@@ -46,6 +53,24 @@ impl Dataset {
         Self { n, d, data }
     }
 
+    /// Concatenates blocks (all of equal dimensionality) into one
+    /// contiguous dataset, rows in argument order — how the incremental
+    /// service materializes a cumulative dataset from its append log.
+    /// Empty blocks are dimension-neutral; an empty input list yields
+    /// the `0 × 0` dataset.
+    pub fn concat(blocks: &[&Dataset]) -> Dataset {
+        let d = blocks.iter().find(|b| b.n > 0).map_or(0, |b| b.d);
+        let n: usize = blocks.iter().map(|b| b.n).sum();
+        let mut data = Vec::with_capacity(n * d);
+        for block in blocks {
+            if block.n > 0 {
+                assert_eq!(block.d, d, "concatenating blocks of different widths");
+                data.extend_from_slice(&block.data);
+            }
+        }
+        Dataset::new(n, d, data)
+    }
+
     /// Number of points.
     pub fn len(&self) -> usize {
         self.n
@@ -90,10 +115,71 @@ impl Dataset {
     }
 
     /// Strided iterator over attribute `j`'s values, in row order — the
-    /// column-scan access path of the histogram kernels.
+    /// column-scan access path of the histogram kernels. Empty on an
+    /// empty dataset.
     pub fn column(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
         assert!(j < self.d, "attribute {j} out of range (d = {})", self.d);
-        self.data[j..].iter().step_by(self.d).copied()
+        self.data
+            .get(j..)
+            .unwrap_or(&[])
+            .iter()
+            .step_by(self.d)
+            .copied()
+    }
+
+    /// Materializes the column-major transpose, giving each attribute a
+    /// contiguous slice (see [`Columns::col`]).
+    pub fn columns(&self) -> Columns {
+        let (n, d) = (self.n, self.d);
+        let mut data = vec![0.0; n * d];
+        for (i, row) in self.rows().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                data[j * n + i] = v;
+            }
+        }
+        Columns { n, d, data }
+    }
+
+    /// Appends the raw block encoding — `u64 n`, `u64 d`, then the `n·d`
+    /// values as `f64` bits, all little-endian. The one layout of a row
+    /// block at rest: journal append records, snapshot payloads and
+    /// staged block-store files all carry exactly these bytes.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        bytes::put_usize(buf, self.n);
+        bytes::put_usize(buf, self.d);
+        bytes::put_f64_run(buf, &self.data);
+    }
+
+    /// Decodes one raw block from the reader (see
+    /// [`Dataset::encode_into`]). The claimed `n · d` is overflow-checked
+    /// and compared against the bytes remaining before anything is
+    /// allocated.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Dataset, DecodeError> {
+        let n = r.usize()?;
+        let d = r.usize()?;
+        let len = n
+            .checked_mul(d)
+            .ok_or(DecodeError::Malformed("block size overflow"))?;
+        Ok(Dataset {
+            n,
+            d,
+            data: r.f64_run(len)?,
+        })
+    }
+
+    /// The raw block encoding as a fresh buffer.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(16 + self.data.len() * 8);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Decodes exactly one raw block; trailing bytes are an error.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Dataset, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let ds = Dataset::decode(&mut r)?;
+        r.finish()?;
+        Ok(ds)
     }
 
     /// Consumes the dataset, returning `(n, d, row-major buffer)`.
@@ -166,6 +252,37 @@ impl Dataset {
             data.extend_from_slice(self.row(i));
         }
         Dataset::new(ids.len(), self.d, data)
+    }
+}
+
+/// A column-major `d × n` transpose of a [`Dataset`]: attribute `j` is
+/// the contiguous slice `data[j*n..(j+1)*n]`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Columns {
+    n: usize,
+    d: usize,
+    data: Vec<f64>,
+}
+
+impl Columns {
+    /// Number of rows in the originating dataset.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Whether the originating dataset had no rows.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Number of attributes.
+    pub fn dim(&self) -> usize {
+        self.d
+    }
+
+    /// Attribute `j`'s values as one contiguous slice, in row order.
+    pub fn col(&self, j: usize) -> &[f64] {
+        &self.data[j * self.n..(j + 1) * self.n]
     }
 }
 
@@ -266,6 +383,77 @@ mod tests {
         let splits: Vec<&[&[f64]]> = refs.chunks(2).collect();
         assert_eq!(splits.len(), 2);
         assert_eq!(splits[0][1], ds.row(1));
+    }
+
+    #[test]
+    fn column_iteration_and_transpose_match_rows() {
+        let ds = sample();
+        assert_eq!(ds.column(1).collect::<Vec<_>>(), vec![10.0, 20.0, 40.0]);
+        let cols = ds.columns();
+        assert_eq!(cols.col(0), &[0.0, 5.0, 10.0]);
+        assert_eq!(cols.col(1), &[10.0, 20.0, 40.0]);
+        assert_eq!((cols.len(), cols.dim()), (3, 2));
+        // A zero-row dataset of positive width scans as empty columns.
+        let empty = Dataset::new(0, 2, vec![]);
+        assert_eq!(empty.column(1).count(), 0);
+        assert!(empty.columns().is_empty());
+    }
+
+    #[test]
+    fn concat_keeps_row_order_and_ignores_empty_blocks() {
+        let a = sample();
+        let b = Dataset::from_rows(vec![vec![1.0, 2.0]]);
+        let empty = Dataset::new(0, 7, vec![]);
+        let all = Dataset::concat(&[&a, &empty, &b]);
+        assert_eq!((all.len(), all.dim()), (4, 2));
+        assert_eq!(all.row(3), &[1.0, 2.0]);
+        assert_eq!(Dataset::concat(&[]), Dataset::new(0, 0, vec![]));
+    }
+
+    #[test]
+    fn raw_block_bytes_roundtrip_bit_exactly() {
+        let ds = Dataset::new(
+            2,
+            2,
+            vec![-0.0, f64::from_bits(0x7ff8_dead_beef_0001), 1.0, 0.5],
+        );
+        let bytes = ds.to_bytes();
+        assert_eq!(bytes.len(), 16 + 4 * 8);
+        assert_eq!(
+            &bytes[..16],
+            &[2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+        );
+        let back = Dataset::from_bytes(&bytes).unwrap();
+        let bits = |d: &Dataset| d.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!((back.len(), back.dim()), (2, 2));
+        assert_eq!(bits(&back), bits(&ds));
+        let empty = Dataset::from_rows(vec![]);
+        assert_eq!(Dataset::from_bytes(&empty.to_bytes()).unwrap(), empty);
+    }
+
+    #[test]
+    fn raw_block_decoder_rejects_hostile_and_malformed_bytes() {
+        // Sixteen hostile bytes: `n · d · 8` overflows (and `n · d`
+        // alone would be an absurd reservation).
+        for (n, d) in [
+            (1u64 << 61, 1u64),
+            (u64::MAX, u64::MAX),
+            (1 << 40, 1 << 40),
+            (3, 1),
+        ] {
+            let mut bytes = n.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&d.to_le_bytes());
+            assert!(Dataset::from_bytes(&bytes).is_err(), "n={n} d={d}");
+        }
+        assert_eq!(Dataset::from_bytes(&[0u8; 8]), Err(DecodeError::Truncated));
+        let mut bytes = sample().to_bytes();
+        bytes.push(0);
+        assert!(matches!(
+            Dataset::from_bytes(&bytes),
+            Err(DecodeError::Malformed(_))
+        ));
+        bytes.truncate(bytes.len() - 2);
+        assert!(Dataset::from_bytes(&bytes).is_err());
     }
 
     #[test]

@@ -24,178 +24,26 @@
 //! is a hard error: the journal records it covered were truncated, so
 //! there is nothing left to replay from.
 //!
-//! The byte codec ([`put_u64`], [`ByteReader`], …) is deliberately the
-//! same shape as `distrib/wire.rs`: little-endian integers, `f64` as raw
-//! IEEE-754 bits, length-prefixed strings — exact round-trips so the
-//! service's byte-identity contract survives a crash.
+//! Every byte here is written and read through [`crate::bytes`] — the
+//! same appenders, cursor, checksum, payload cap and frame head as the
+//! wire protocol (DESIGN.md "Byte formats").
 
+use crate::bytes::{self, DecodeError, Fnv1a, Reader};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Upper bound on a single record's payload (256 MiB). A longer length
-/// prefix is treated as corruption, not an allocation request.
-pub const MAX_RECORD_LEN: usize = 1 << 28;
+/// Appends a `u64`-length-prefixed byte string — how the service nests
+/// a tenant-encoded blob inside a record payload.
+pub use crate::bytes::put_bytes;
 
-/// Magic number opening a snapshot file (`b"P3CSNAP1"`).
-pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"P3CSNAP1");
+/// Magic bytes opening a snapshot file.
+pub const SNAPSHOT_MAGIC: [u8; 8] = *b"P3CSNAP1";
 
 /// File name of the journal within a tenant directory.
 pub const JOURNAL_FILE: &str = "journal.bin";
 /// File name of the snapshot within a tenant directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
-
-// ----------------------------------------------------------- checksum ---
-
-/// FNV-1a over a byte slice — same function the distributed backend
-/// uses for shuffle partitions; pinned by tests, must never drift.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-// --------------------------------------------------------- byte codec ---
-
-/// Appends a `u32`, little-endian.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u64`, little-endian.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `usize` as 8 bytes so layouts agree across platforms.
-pub fn put_usize(buf: &mut Vec<u8>, v: usize) {
-    put_u64(buf, v as u64);
-}
-
-/// Appends an `f64` as its raw IEEE-754 bits — exact round-trip.
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-/// Appends a `bool` as one byte.
-pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(v as u8);
-}
-
-/// Appends a length-prefixed byte string.
-pub fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
-    put_u64(buf, v.len() as u64);
-    buf.extend_from_slice(v);
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, v: &str) {
-    put_bytes(buf, v.as_bytes());
-}
-
-/// Bounded cursor over an encoded payload. Every read is
-/// bounds-checked; errors are strings so callers can wrap them with
-/// tenant context without an error-type dependency.
-#[derive(Debug)]
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// A reader over the whole buffer.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Takes the next `n` bytes, or errors if the buffer is short.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.remaining() < n {
-            return Err(format!(
-                "payload truncated: wanted {n} bytes, {} remain",
-                self.remaining()
-            ));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], String> {
-        let mut a = [0u8; N];
-        a.copy_from_slice(self.take(N)?);
-        Ok(a)
-    }
-
-    /// Reads one `u8`.
-    pub fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take_array::<1>()?[0])
-    }
-
-    /// Reads one little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take_array()?))
-    }
-
-    /// Reads one little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take_array()?))
-    }
-
-    /// Reads a `usize` that traveled as 8 bytes.
-    pub fn usize(&mut self) -> Result<usize, String> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| format!("value {v} overflows usize"))
-    }
-
-    /// Reads an `f64` from raw bits.
-    pub fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `bool`, rejecting tags other than 0/1.
-    pub fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(format!("bad bool tag {t}")),
-        }
-    }
-
-    /// Reads a length-prefixed byte string; the prefix is checked
-    /// against the bytes actually remaining before any allocation.
-    pub fn bytes(&mut self) -> Result<&'a [u8], String> {
-        let n = self.usize()?;
-        if n > self.remaining() {
-            return Err(format!(
-                "length prefix {n} exceeds remaining payload {}",
-                self.remaining()
-            ));
-        }
-        self.take(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, String> {
-        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| "invalid utf-8 string".to_string())
-    }
-
-    /// Errors unless the buffer is fully consumed.
-    pub fn finish(&self) -> Result<(), String> {
-        if self.remaining() != 0 {
-            return Err(format!("{} trailing bytes after value", self.remaining()));
-        }
-        Ok(())
-    }
-}
 
 // ------------------------------------------------------------ journal ---
 
@@ -207,26 +55,47 @@ pub struct JournalRecord {
     pub seq: u64,
     /// Operation tag — opaque to this module, owned by the service.
     pub op: u8,
-    /// Operation payload, encoded with the byte codec above.
+    /// Operation payload, encoded with [`crate::bytes`].
     pub payload: Vec<u8>,
 }
 
+/// Bytes of a record around its payload: the frame head, the sequence
+/// number and the trailing checksum.
+const RECORD_OVERHEAD: usize = bytes::FRAME_HEAD_LEN + 8 + 8;
+
+/// The record checksum: FNV-1a over `op ‖ seq ‖ payload`.
 fn record_checksum(op: u8, seq: u64, payload: &[u8]) -> u64 {
-    let mut head = Vec::with_capacity(9 + payload.len());
-    head.push(op);
-    put_u64(&mut head, seq);
-    head.extend_from_slice(payload);
-    fnv1a64(&head)
+    let mut h = Fnv1a::new();
+    h.write(&[op]);
+    h.write_u64(seq);
+    h.write(payload);
+    h.finish()
 }
 
-fn encode_record(op: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(4 + 1 + 8 + payload.len() + 8);
-    put_u32(&mut frame, payload.len() as u32);
-    frame.push(op);
-    put_u64(&mut frame, seq);
+fn encode_record(op: u8, seq: u64, payload: &[u8]) -> io::Result<Vec<u8>> {
+    let head = bytes::frame_head(payload.len(), op)?;
+    let mut frame = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
+    frame.extend_from_slice(&head);
+    bytes::put_u64(&mut frame, seq);
     frame.extend_from_slice(payload);
-    put_u64(&mut frame, record_checksum(op, seq, payload));
-    frame
+    bytes::put_u64(&mut frame, record_checksum(op, seq, payload));
+    Ok(frame)
+}
+
+/// Decodes the record at the reader's position, or says why the bytes
+/// there are not one (torn, oversized, or failing their checksum).
+fn decode_record(r: &mut Reader<'_>) -> Result<JournalRecord, DecodeError> {
+    let (len, op) = bytes::parse_frame_head(r.array()?)?;
+    let seq = r.u64()?;
+    let payload = r.take(len)?;
+    if r.u64()? != record_checksum(op, seq, payload) {
+        return Err(DecodeError::Malformed("record checksum mismatch"));
+    }
+    Ok(JournalRecord {
+        seq,
+        op,
+        payload: payload.to_vec(),
+    })
 }
 
 /// Reads every intact record of a journal file.
@@ -245,31 +114,13 @@ pub fn read_journal(path: &Path) -> io::Result<(Vec<JournalRecord>, u64)> {
         Err(e) => return Err(e),
     };
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        let rest = &buf[pos..];
-        if rest.len() < 4 + 1 + 8 {
-            break;
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        if len > MAX_RECORD_LEN || rest.len() < 4 + 1 + 8 + len + 8 {
-            break;
-        }
-        let op = rest[4];
-        let seq = u64::from_le_bytes(rest[5..13].try_into().unwrap());
-        let payload = &rest[13..13 + len];
-        let stored = u64::from_le_bytes(rest[13 + len..13 + len + 8].try_into().unwrap());
-        if stored != record_checksum(op, seq, payload) {
-            break;
-        }
-        records.push(JournalRecord {
-            seq,
-            op,
-            payload: payload.to_vec(),
-        });
-        pos += 4 + 1 + 8 + len + 8;
+    let mut r = Reader::new(&buf);
+    let mut valid = 0;
+    while let Ok(record) = decode_record(&mut r) {
+        records.push(record);
+        valid = buf.len() - r.remaining();
     }
-    Ok((records, pos as u64))
+    Ok((records, valid as u64))
 }
 
 /// Appending side of a tenant's journal.
@@ -318,7 +169,7 @@ impl JournalWriter {
     /// sequence number it was stamped with.
     pub fn record(&mut self, op: u8, payload: &[u8]) -> io::Result<u64> {
         let seq = self.next_seq;
-        let frame = encode_record(op, seq, payload);
+        let frame = encode_record(op, seq, payload)?;
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
         self.next_seq += 1;
@@ -339,6 +190,14 @@ impl JournalWriter {
 
 const SNAPSHOT_VERSION: u32 = 1;
 
+/// The snapshot checksum: FNV-1a over `covered_seq ‖ state`.
+fn snapshot_checksum(covered_seq: u64, state: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(covered_seq);
+    h.write(state);
+    h.finish()
+}
+
 /// Atomically replaces the snapshot at `path` with `state`, stamped as
 /// covering every journal record with `seq <= covered_seq`.
 ///
@@ -347,14 +206,11 @@ const SNAPSHOT_VERSION: u32 = 1;
 /// the old snapshot or the new one, never a torn hybrid.
 pub fn write_snapshot(path: &Path, covered_seq: u64, state: &[u8]) -> io::Result<()> {
     let mut body = Vec::with_capacity(8 + 4 + 8 + 8 + state.len() + 8);
-    put_u64(&mut body, SNAPSHOT_MAGIC);
-    put_u32(&mut body, SNAPSHOT_VERSION);
-    put_u64(&mut body, covered_seq);
+    body.extend_from_slice(&SNAPSHOT_MAGIC);
+    bytes::put_u32(&mut body, SNAPSHOT_VERSION);
+    bytes::put_u64(&mut body, covered_seq);
     put_bytes(&mut body, state);
-    let mut check = Vec::with_capacity(8 + state.len());
-    put_u64(&mut check, covered_seq);
-    check.extend_from_slice(state);
-    put_u64(&mut body, fnv1a64(&check));
+    bytes::put_u64(&mut body, snapshot_checksum(covered_seq, state));
 
     let tmp = path.with_extension("tmp");
     {
@@ -385,34 +241,29 @@ pub fn read_snapshot(path: &Path) -> io::Result<Option<(u64, Vec<u8>)>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let corrupt = |what: &str| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("corrupt snapshot {}: {what}", path.display()),
-        )
-    };
-    let mut r = ByteReader::new(&buf);
-    let parse = (|| -> Result<(u64, Vec<u8>), String> {
-        if r.u64()? != SNAPSHOT_MAGIC {
-            return Err("bad magic".into());
+    let mut r = Reader::new(&buf);
+    let parse = (|| -> Result<(u64, Vec<u8>), DecodeError> {
+        if r.array::<8>()? != SNAPSHOT_MAGIC {
+            return Err(DecodeError::Malformed("bad magic"));
         }
-        let version = r.u32()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(format!("unsupported version {version}"));
+        if r.u32()? != SNAPSHOT_VERSION {
+            return Err(DecodeError::Malformed("unsupported version"));
         }
         let covered_seq = r.u64()?;
-        let state = r.bytes()?.to_vec();
+        let state = r.bytes()?;
         let stored = r.u64()?;
         r.finish()?;
-        let mut check = Vec::with_capacity(8 + state.len());
-        put_u64(&mut check, covered_seq);
-        check.extend_from_slice(&state);
-        if stored != fnv1a64(&check) {
-            return Err("checksum mismatch".into());
+        if stored != snapshot_checksum(covered_seq, state) {
+            return Err(DecodeError::Malformed("checksum mismatch"));
         }
-        Ok((covered_seq, state))
+        Ok((covered_seq, state.to_vec()))
     })();
-    parse.map(Some).map_err(|e| corrupt(&e))
+    parse.map(Some).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("corrupt snapshot {}: {e}", path.display()),
+        )
+    })
 }
 
 // ---------------------------------------------------------- dir names ---
@@ -465,41 +316,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn byte_codec_roundtrips_exactly() {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 7);
-        put_u64(&mut buf, u64::MAX);
-        put_usize(&mut buf, 42);
-        put_f64(&mut buf, -0.0);
-        put_f64(&mut buf, f64::from_bits(0x7ff8_dead_beef_0001));
-        put_bool(&mut buf, true);
-        put_str(&mut buf, "héllo");
-        put_bytes(&mut buf, b"");
-        let mut r = ByteReader::new(&buf);
-        assert_eq!(r.u32().unwrap(), 7);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.usize().unwrap(), 42);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.f64().unwrap().to_bits(), 0x7ff8_dead_beef_0001);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.bytes().unwrap(), b"");
-        r.finish().unwrap();
-    }
-
-    #[test]
-    fn byte_reader_rejects_truncation_and_hostile_prefixes() {
-        let mut r = ByteReader::new(&[1, 2, 3]);
-        assert!(r.u64().is_err());
-        let mut buf = Vec::new();
-        put_u64(&mut buf, u64::MAX); // length prefix far beyond payload
-        let mut r = ByteReader::new(&buf);
-        assert!(r.bytes().is_err());
-        let mut r = ByteReader::new(&[9]);
-        assert!(r.bool().is_err());
     }
 
     #[test]
@@ -597,7 +413,7 @@ mod tests {
         let dir = tmpdir("oversized");
         let path = dir.join(JOURNAL_FILE);
         let mut bytes = Vec::new();
-        put_u32(&mut bytes, (MAX_RECORD_LEN + 1) as u32);
+        bytes::put_u32(&mut bytes, (bytes::MAX_PAYLOAD_LEN + 1) as u32);
         bytes.extend_from_slice(&[0u8; 64]);
         fs::write(&path, &bytes).unwrap();
         let (records, valid) = read_journal(&path).unwrap();

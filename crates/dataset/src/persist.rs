@@ -1,16 +1,14 @@
-//! Dataset persistence: a plain-text format and a compact binary format.
-//!
-//! The text format is one point per line, attributes space-separated, with
-//! a `n d` header line — convenient for eyeballing small sets. The binary
-//! format is a little-endian `u64 n`, `u64 d` header followed by `n·d`
-//! `f64` values — the staging format for the block store.
+//! The plain-text dataset format: one point per line, attributes
+//! space-separated, after an `n d` header line — what `p3c generate`
+//! writes and `--input` reads. (The binary block layout is
+//! [`Dataset::to_bytes`].)
 
 use crate::data::Dataset;
 use std::fmt::Write as _;
 
-/// Errors when decoding persisted datasets.
+/// Errors when parsing the text format.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
+pub enum TextError {
     /// The text input had no `n d` header line.
     MissingHeader,
     /// The header line did not parse as two integers.
@@ -29,27 +27,24 @@ pub enum DecodeError {
         /// Values actually present.
         got: usize,
     },
-    /// The binary input ended before the header or values were complete.
-    TooShort,
 }
 
-impl std::fmt::Display for DecodeError {
+impl std::fmt::Display for TextError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::MissingHeader => write!(f, "missing header line"),
-            DecodeError::BadHeader(h) => write!(f, "unparsable header: {h:?}"),
-            DecodeError::BadValue { line, token } => {
+            TextError::MissingHeader => write!(f, "missing header line"),
+            TextError::BadHeader(h) => write!(f, "unparsable header: {h:?}"),
+            TextError::BadValue { line, token } => {
                 write!(f, "unparsable value {token:?} on line {line}")
             }
-            DecodeError::WrongCount { expected, got } => {
+            TextError::WrongCount { expected, got } => {
                 write!(f, "expected {expected} values, found {got}")
             }
-            DecodeError::TooShort => write!(f, "binary buffer shorter than its header claims"),
         }
     }
 }
 
-impl std::error::Error for DecodeError {}
+impl std::error::Error for TextError {}
 
 /// Encodes a dataset as text (`n d` header + one row per line).
 pub fn to_text(ds: &Dataset) -> String {
@@ -68,20 +63,20 @@ pub fn to_text(ds: &Dataset) -> String {
 }
 
 /// Decodes the text format produced by [`to_text`].
-pub fn from_text(text: &str) -> Result<Dataset, DecodeError> {
+pub fn from_text(text: &str) -> Result<Dataset, TextError> {
     let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or(DecodeError::MissingHeader)?;
+    let (_, header) = lines.next().ok_or(TextError::MissingHeader)?;
     let mut parts = header.split_whitespace();
-    let parse_dim = |s: Option<&str>| -> Result<usize, DecodeError> {
+    let parse_dim = |s: Option<&str>| -> Result<usize, TextError> {
         s.and_then(|t| t.parse().ok())
-            .ok_or_else(|| DecodeError::BadHeader(header.to_string()))
+            .ok_or_else(|| TextError::BadHeader(header.to_string()))
     };
     let n = parse_dim(parts.next())?;
     let d = parse_dim(parts.next())?;
     let mut data = Vec::with_capacity(n * d);
     for (lineno, line) in lines {
         for token in line.split_whitespace() {
-            let v: f64 = token.parse().map_err(|_| DecodeError::BadValue {
+            let v: f64 = token.parse().map_err(|_| TextError::BadValue {
                 line: lineno + 1,
                 token: token.to_string(),
             })?;
@@ -89,39 +84,10 @@ pub fn from_text(text: &str) -> Result<Dataset, DecodeError> {
         }
     }
     if data.len() != n * d {
-        return Err(DecodeError::WrongCount {
+        return Err(TextError::WrongCount {
             expected: n * d,
             got: data.len(),
         });
-    }
-    Ok(Dataset::new(n, d, data))
-}
-
-/// Encodes a dataset as little-endian binary (`u64 n, u64 d, n·d f64`).
-pub fn to_bytes(ds: &Dataset) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + ds.as_slice().len() * 8);
-    out.extend_from_slice(&(ds.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(ds.dim() as u64).to_le_bytes());
-    for v in ds.as_slice() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes the binary format produced by [`to_bytes`].
-pub fn from_bytes(bytes: &[u8]) -> Result<Dataset, DecodeError> {
-    if bytes.len() < 16 {
-        return Err(DecodeError::TooShort);
-    }
-    let n = u64::from_le_bytes(bytes[0..8].try_into().unwrap()) as usize;
-    let d = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    let need = 16 + n * d * 8;
-    if bytes.len() < need {
-        return Err(DecodeError::TooShort);
-    }
-    let mut data = Vec::with_capacity(n * d);
-    for chunk in bytes[16..need].chunks_exact(8) {
-        data.push(f64::from_le_bytes(chunk.try_into().unwrap()));
     }
     Ok(Dataset::new(n, d, data))
 }
@@ -143,28 +109,19 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let ds = sample();
-        let bytes = to_bytes(&ds);
-        assert_eq!(bytes.len(), 16 + 6 * 8);
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(ds, back);
-    }
-
-    #[test]
     fn text_errors() {
-        assert_eq!(from_text("").unwrap_err(), DecodeError::MissingHeader);
+        assert_eq!(from_text("").unwrap_err(), TextError::MissingHeader);
         assert!(matches!(
             from_text("x y\n").unwrap_err(),
-            DecodeError::BadHeader(_)
+            TextError::BadHeader(_)
         ));
         assert!(matches!(
             from_text("1 2\n0.5 oops\n").unwrap_err(),
-            DecodeError::BadValue { .. }
+            TextError::BadValue { .. }
         ));
         assert!(matches!(
             from_text("2 2\n0.5 0.5\n").unwrap_err(),
-            DecodeError::WrongCount {
+            TextError::WrongCount {
                 expected: 4,
                 got: 2
             }
@@ -172,17 +129,8 @@ mod tests {
     }
 
     #[test]
-    fn binary_errors() {
-        assert_eq!(from_bytes(&[0u8; 8]).unwrap_err(), DecodeError::TooShort);
-        let mut bytes = to_bytes(&sample());
-        bytes.truncate(bytes.len() - 1);
-        assert_eq!(from_bytes(&bytes).unwrap_err(), DecodeError::TooShort);
-    }
-
-    #[test]
     fn empty_dataset_roundtrips() {
         let ds = Dataset::from_rows(vec![]);
         assert_eq!(from_text(&to_text(&ds)).unwrap(), ds);
-        assert_eq!(from_bytes(&to_bytes(&ds)).unwrap(), ds);
     }
 }

@@ -45,8 +45,8 @@ proptest! {
 
     #[test]
     fn binary_roundtrip_is_exact(ds in arb_dataset()) {
-        let bytes = persist::to_bytes(&ds);
-        let back = persist::from_bytes(&bytes).unwrap();
+        let bytes = ds.to_bytes();
+        let back = Dataset::from_bytes(&bytes).unwrap();
         prop_assert_eq!(back, ds);
     }
 

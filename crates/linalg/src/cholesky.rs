@@ -236,39 +236,6 @@ impl Cholesky {
         dist
     }
 
-    /// Forward-substitutes `L y = b` for [`LANES`] right-hand sides at
-    /// once. `bt` and `y` are coordinate-major lane-groups
-    /// (`buf[i * LANES + lane]`, see [`transpose_lane_group`]): at step
-    /// `i` the recurrence subtracts `L_ik · y_k` from all lanes with one
-    /// broadcast load of `L_ik`, so the otherwise latency-bound scalar
-    /// chain becomes [`LANES`] independent chains the CPU overlaps and
-    /// vectorizes. Each lane runs exactly the floating-point sequence of
-    /// [`Cholesky::solve_lower`], so per-lane results are bit-identical
-    /// to the scalar path.
-    pub fn solve_lower_lanes(&self, bt: &[f64], y: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(bt.len(), n * LANES);
-        assert_eq!(y.len(), n * LANES);
-        for i in 0..n {
-            let mut sum = [0.0f64; LANES];
-            sum.copy_from_slice(&bt[i * LANES..(i + 1) * LANES]);
-            let row = &self.l[i * n..i * n + i];
-            // `split_at_mut` + `chunks_exact` prove the lane-group
-            // bounds once, keeping the recurrence free of per-step
-            // bounds checks so it vectorizes cleanly.
-            let (done, rest) = y.split_at_mut(i * LANES);
-            for (yk, &lik) in done.chunks_exact(LANES).zip(row) {
-                for lane in 0..LANES {
-                    sum[lane] -= lik * yk[lane];
-                }
-            }
-            let inv = self.inv_diag[i];
-            for (yi, s) in rest[..LANES].iter_mut().zip(sum) {
-                *yi = s * inv;
-            }
-        }
-    }
-
     /// Squared Mahalanobis distances of a full lane-group of [`LANES`]
     /// points, fusing the mean offset into the batched forward
     /// substitution. `xt` and `y` are coordinate-major lane-groups
@@ -291,7 +258,9 @@ impl Cholesky {
                 sum[lane] = xi[lane] - mi;
             }
             let row = &self.l[i * n..i * n + i];
-            // Same bounds-check-free shape as `solve_lower_lanes`.
+            // `split_at_mut` + `chunks_exact` prove the lane-group
+            // bounds once, keeping the recurrence free of per-step
+            // bounds checks so it vectorizes cleanly.
             let (done, rest) = y.split_at_mut(i * LANES);
             for (yk, &lik) in done.chunks_exact(LANES).zip(row) {
                 for lane in 0..LANES {
@@ -496,35 +465,6 @@ mod tests {
             a[(i, i)] = 1.0 + next();
         }
         a
-    }
-
-    #[test]
-    fn lane_solve_is_bit_identical_to_scalar() {
-        for n in [1usize, 2, 3, 5, 10, 13] {
-            let c = Cholesky::new(&spd(n, n as u64 + 1)).unwrap();
-            let mut next = stream(7 * n as u64 + 3);
-            let points: Vec<Vec<f64>> = (0..LANES)
-                .map(|_| (0..n).map(|_| next() * 4.0 - 2.0).collect())
-                .collect();
-            let mut bt = vec![0.0; n * LANES];
-            for (lane, p) in points.iter().enumerate() {
-                for (i, &v) in p.iter().enumerate() {
-                    bt[i * LANES + lane] = v;
-                }
-            }
-            let mut y = vec![0.0; n * LANES];
-            c.solve_lower_lanes(&bt, &mut y);
-            for (lane, p) in points.iter().enumerate() {
-                let scalar = c.solve_lower(p);
-                for i in 0..n {
-                    assert_eq!(
-                        y[i * LANES + lane].to_bits(),
-                        scalar[i].to_bits(),
-                        "n={n}, lane={lane}, i={i}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

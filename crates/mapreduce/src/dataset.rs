@@ -11,16 +11,13 @@
 //! entries marked recomputable (lineage re-executes their producer on
 //! the next read — Spark's RDD cache semantics).
 //!
-//! Spilling comes in two shapes:
-//!
-//! * **Whole-buffer** ([`DatasetCodec`], [`DatasetStore::put_spillable`])
-//!   — one opaque encoded file; a reload decodes everything.
-//! * **Segmented** ([`SegmentedCodec`], [`DatasetStore::put_segmented`])
-//!   — a small header plus one independently-encoded file per segment
-//!   (for a row block: per attribute column), so each column compresses
-//!   on its own; a [`DatasetStore::get`] reloads and reassembles all of
-//!   them. Per-segment traffic is metered (`segment_reads`,
-//!   `segment_bytes_read` in [`DatasetStoreStats`]).
+//! The spill format is *segmented* ([`SegmentedCodec`],
+//! [`DatasetStore::put_segmented`]): a small header plus one
+//! independently-encoded file per segment (for a row block: per
+//! attribute column), so each column compresses on its own; a
+//! [`DatasetStore::get`] reloads and reassembles all of them.
+//! Per-segment traffic is metered (`segment_reads`,
+//! `segment_bytes_read` in [`DatasetStoreStats`]).
 
 use crate::blockstore::BlockStore;
 use crate::engine::MrError;
@@ -72,24 +69,14 @@ impl<T> fmt::Debug for DatasetHandle<T> {
     }
 }
 
-/// Serialization functions that let the store spill a dataset to the
-/// block store as one opaque file and load it back. Plain function
-/// pointers: codecs must not capture state, which keeps spilled bytes
-/// self-describing.
-pub struct DatasetCodec<T> {
-    /// Encodes the whole value into one buffer.
-    pub encode: fn(&T) -> Vec<u8>,
-    /// Decodes a buffer written by `encode` back into the value.
-    pub decode: fn(&[u8]) -> T,
-}
-
 /// Serialization functions for the *segmented* spill format: the value
 /// splits into a small header plus independently-encoded segments (for
 /// a row block: one per attribute column).
 ///
 /// Type parameters: `T` is the stored value, `C` one decoded segment
-/// (e.g. a column `Vec<f64>`). Like [`DatasetCodec`], all functions are
-/// capture-free function pointers.
+/// (e.g. a column `Vec<f64>`). All functions are plain function
+/// pointers: codecs must not capture state, which keeps spilled bytes
+/// self-describing.
 pub struct SegmentedCodec<T, C> {
     /// Number of independently-encoded segments of a value.
     pub num_segments: fn(&T) -> usize,
@@ -190,16 +177,10 @@ pub struct DatasetStoreStats {
 
 type AnyArc = Arc<dyn Any + Send + Sync>;
 type EncodeFn = Box<dyn Fn(&AnyArc) -> Vec<u8> + Send + Sync>;
-type DecodeFn = Box<dyn Fn(&[u8]) -> AnyArc + Send + Sync>;
 type SegCountFn = Box<dyn Fn(&AnyArc) -> usize + Send + Sync>;
 type SegEncodeFn = Box<dyn Fn(&AnyArc, usize) -> Vec<u8> + Send + Sync>;
 type SegDecodeFn = Box<dyn Fn(&[u8], usize, &[u8]) -> AnyArc + Send + Sync>;
 type AssembleFullFn = Box<dyn Fn(&[u8], Vec<AnyArc>) -> AnyArc + Send + Sync>;
-
-struct ErasedCodec {
-    encode: EncodeFn,
-    decode: DecodeFn,
-}
 
 struct ErasedSegCodec {
     num_segments: SegCountFn,
@@ -207,11 +188,6 @@ struct ErasedSegCodec {
     encode_segment: SegEncodeFn,
     decode_segment: SegDecodeFn,
     assemble_full: AssembleFullFn,
-}
-
-enum Codec {
-    Whole(ErasedCodec),
-    Segmented(ErasedSegCodec),
 }
 
 struct Entry {
@@ -226,14 +202,13 @@ struct Entry {
     /// Lineage can rebuild this dataset by re-running its producer, so
     /// the budget may drop it without spilling.
     recomputable: bool,
-    codec: Option<Codec>,
+    codec: Option<ErasedSegCodec>,
     /// The block store holds an up-to-date encoded copy.
     spilled: bool,
-    /// Total encoded bytes of the live spill (header + segments, or the
-    /// whole-buffer file); 0 when not spilled.
+    /// Total encoded bytes of the live spill (header + segments); 0
+    /// when not spilled.
     spilled_total: usize,
-    /// Encoded size of each segment, recorded at spill time (segmented
-    /// entries only).
+    /// Encoded size of each segment, recorded at spill time.
     seg_sizes: Vec<usize>,
     /// Header bytes, cached at spill time so reloads don't re-fetch
     /// the (tiny) header file.
@@ -245,14 +220,6 @@ struct Inner {
     mem_bytes: usize,
     clock: u64,
     stats: DatasetStoreStats,
-}
-
-/// What `enforce_budget` decided to write out for a victim, computed
-/// while the entry is immutably borrowed and applied afterwards.
-enum SpillPlan {
-    Nothing,
-    Whole(Vec<u8>),
-    Segmented { header: Vec<u8>, segs: Vec<Vec<u8>> },
 }
 
 /// The materialized-dataset store shared by all nodes of a DAG run.
@@ -319,40 +286,8 @@ impl DatasetStore {
         self.insert(handle.name(), Arc::new(value), bytes, true, None);
     }
 
-    /// Materializes a dataset the budget may *spill* to the block store
-    /// as one whole-buffer file.
-    pub fn put_spillable<T: Send + Sync + 'static>(
-        &self,
-        handle: &DatasetHandle<T>,
-        value: T,
-        bytes: usize,
-        codec: DatasetCodec<T>,
-    ) {
-        let DatasetCodec { encode, decode } = codec;
-        let erased = ErasedCodec {
-            encode: Box::new(move |any: &AnyArc| {
-                // audit: panic-ok — the value and this codec are
-                // installed by the same put call, so the downcast
-                // cannot fail; the closure signature has no Result.
-                let typed = any
-                    .clone()
-                    .downcast::<T>()
-                    .expect("codec type matches entry");
-                encode(&typed)
-            }),
-            decode: Box::new(move |bytes: &[u8]| Arc::new(decode(bytes)) as AnyArc),
-        };
-        self.insert(
-            handle.name(),
-            Arc::new(value),
-            bytes,
-            false,
-            Some(Codec::Whole(erased)),
-        );
-    }
-
-    /// Materializes a dataset the budget may spill in *segmented*
-    /// columnar form.
+    /// Materializes a dataset the budget may *spill* to the block store,
+    /// in segmented columnar form.
     pub fn put_segmented<T, C>(
         &self,
         handle: &DatasetHandle<T>,
@@ -395,13 +330,7 @@ impl DatasetStore {
                 Arc::new(assemble_full(header, cols)) as AnyArc
             }),
         };
-        self.insert(
-            handle.name(),
-            Arc::new(value),
-            bytes,
-            false,
-            Some(Codec::Segmented(erased)),
-        );
+        self.insert(handle.name(), Arc::new(value), bytes, false, Some(erased));
     }
 
     fn insert(
@@ -410,7 +339,7 @@ impl DatasetStore {
         value: AnyArc,
         bytes: usize,
         recomputable: bool,
-        codec: Option<Codec>,
+        codec: Option<ErasedSegCodec>,
     ) {
         let mut inner = self.inner.lock();
         inner.clock += 1;
@@ -491,35 +420,24 @@ impl DatasetStore {
                     detail: "spilled entry has no codec to decode with",
                 });
             };
-            match codec {
-                Codec::Whole(codec) => {
-                    let bytes = self
-                        .blockstore
-                        .read(&spill_file(name))
-                        .ok_or_else(missing)?;
-                    (codec.decode)(&bytes)
-                }
-                Codec::Segmented(codec) => {
-                    let Some(header) = entry.header.as_ref() else {
-                        return Err(DatasetError::Corrupt {
-                            name: name.to_string(),
-                            detail: "segmented spill is missing its cached header",
-                        });
-                    };
-                    let d = entry.seg_sizes.len();
-                    let mut cols = Vec::with_capacity(d);
-                    for j in 0..d {
-                        let bytes = self
-                            .blockstore
-                            .read(&seg_file(name, j))
-                            .ok_or_else(missing)?;
-                        seg_reads += 1;
-                        seg_bytes += bytes.len() as u64;
-                        cols.push((codec.decode_segment)(&bytes, j, header));
-                    }
-                    (codec.assemble_full)(header, cols)
-                }
+            let Some(header) = entry.header.as_ref() else {
+                return Err(DatasetError::Corrupt {
+                    name: name.to_string(),
+                    detail: "spilled entry is missing its cached header",
+                });
+            };
+            let d = entry.seg_sizes.len();
+            let mut cols = Vec::with_capacity(d);
+            for j in 0..d {
+                let bytes = self
+                    .blockstore
+                    .read(&seg_file(name, j))
+                    .ok_or_else(missing)?;
+                seg_reads += 1;
+                seg_bytes += bytes.len() as u64;
+                cols.push((codec.decode_segment)(&bytes, j, header));
             }
+            (codec.assemble_full)(header, cols)
         };
         entry.value = Some(Arc::clone(&decoded));
         inner.mem_bytes += entry.bytes;
@@ -616,10 +534,8 @@ impl DatasetStore {
         self.inner.lock().stats
     }
 
-    /// Deletes a dataset's spill artifacts in either layout (the
-    /// whole-buffer file and the segmented `<name>/` directory).
+    /// Deletes a dataset's spill artifacts (its `<name>/` directory).
     fn delete_spill(&self, name: &str) {
-        self.blockstore.delete(&spill_file(name));
         self.blockstore.delete_prefix(&spill_dir(name));
     }
 
@@ -657,64 +573,34 @@ impl DatasetStore {
                 // rather than panic a worker if it ever does.
                 break;
             };
-            let plan = {
-                let value = if entry.spilled { &None } else { &entry.value };
-                match (value, &entry.codec) {
-                    (Some(value), Some(Codec::Whole(codec))) => {
-                        SpillPlan::Whole((codec.encode)(value))
-                    }
-                    (Some(value), Some(Codec::Segmented(codec))) => {
-                        let d = (codec.num_segments)(value);
-                        SpillPlan::Segmented {
-                            header: (codec.encode_header)(value),
-                            segs: (0..d).map(|j| (codec.encode_segment)(value, j)).collect(),
-                        }
-                    }
-                    // No codec (recomputable) or already spilled: drop
-                    // the in-memory copy outright.
-                    _ => SpillPlan::Nothing,
-                }
-            };
-            match plan {
-                SpillPlan::Nothing => {}
-                SpillPlan::Whole(encoded) => {
-                    let len = encoded.len();
-                    self.blockstore.write(&spill_file(&name), &encoded);
-                    entry.spilled = true;
-                    entry.spilled_total = len;
-                    stats.spills += 1;
-                    stats.spill_bytes += len as u64;
-                    stats.live_spill_bytes += len as u64;
-                    stats.spill_raw_bytes += entry.bytes as u64;
-                }
-                SpillPlan::Segmented { header, segs } => {
-                    let seg_sizes: Vec<usize> = segs.iter().map(Vec::len).collect();
-                    let total = header.len() + seg_sizes.iter().sum::<usize>();
-                    let mut files = Vec::with_capacity(segs.len() + 1);
-                    files.push((header_file(&name), header.clone()));
-                    for (j, seg) in segs.into_iter().enumerate() {
-                        files.push((seg_file(&name, j), seg));
-                    }
-                    self.blockstore.write_many(&files);
-                    entry.spilled = true;
-                    entry.spilled_total = total;
-                    entry.seg_sizes = seg_sizes;
-                    entry.header = Some(header);
-                    stats.spills += 1;
-                    stats.spill_bytes += total as u64;
-                    stats.live_spill_bytes += total as u64;
-                    stats.spill_raw_bytes += entry.bytes as u64;
-                }
+            // An unspilled value with a codec is written out; one with
+            // no codec (recomputable) or an up-to-date spilled copy just
+            // drops its in-memory value.
+            let to_spill = if entry.spilled { &None } else { &entry.value };
+            if let (Some(value), Some(codec)) = (to_spill, &entry.codec) {
+                let header = (codec.encode_header)(value);
+                let d = (codec.num_segments)(value);
+                let mut files = Vec::with_capacity(d + 1);
+                files.push((header_file(&name), header.clone()));
+                files
+                    .extend((0..d).map(|j| (seg_file(&name, j), (codec.encode_segment)(value, j))));
+                let seg_sizes: Vec<usize> = files[1..].iter().map(|(_, seg)| seg.len()).collect();
+                let total = header.len() + seg_sizes.iter().sum::<usize>();
+                self.blockstore.write_many(&files);
+                entry.spilled = true;
+                entry.spilled_total = total;
+                entry.seg_sizes = seg_sizes;
+                entry.header = Some(header);
+                stats.spills += 1;
+                stats.spill_bytes += total as u64;
+                stats.live_spill_bytes += total as u64;
+                stats.spill_raw_bytes += entry.bytes as u64;
             }
             entry.value = None;
             *mem_bytes -= entry.bytes;
             stats.evictions += 1;
         }
     }
-}
-
-fn spill_file(name: &str) -> String {
-    format!("dataset/{name}")
 }
 
 /// Directory prefix of a segmented spill. The trailing slash keeps
@@ -744,71 +630,33 @@ mod tests {
         (0..4).map(|i| vec![i as f64 + k as f64, 0.5]).collect()
     }
 
-    /// Whole-buffer codec for the test row sets.
-    fn rows_codec() -> DatasetCodec<Vec<Vec<f64>>> {
-        // The codec's `fn(&T)` shape forces `&Vec`, not `&[_]`.
-        #[allow(clippy::ptr_arg)]
-        fn encode(rows: &Vec<Vec<f64>>) -> Vec<u8> {
-            let mut out = Vec::new();
-            out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-            for row in rows {
-                out.extend_from_slice(&(row.len() as u64).to_le_bytes());
-                for v in row {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            out
-        }
-        fn decode(bytes: &[u8]) -> Vec<Vec<f64>> {
-            let mut at = 0usize;
-            let mut take8 = |buf: &[u8]| -> [u8; 8] {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&buf[at..at + 8]);
-                at += 8;
-                b
-            };
-            let n = u64::from_le_bytes(take8(bytes)) as usize;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                let d = u64::from_le_bytes(take8(bytes)) as usize;
-                let mut row = Vec::with_capacity(d);
-                for _ in 0..d {
-                    row.push(f64::from_le_bytes(take8(bytes)));
-                }
-                rows.push(row);
-            }
-            rows
-        }
-        DatasetCodec { encode, decode }
-    }
-
     /// A toy segmented codec over row vectors: one raw-LE segment per
     /// column, an `(n, d)` header.
     fn seg_codec() -> SegmentedCodec<Vec<Vec<f64>>, Vec<f64>> {
+        use p3c_dataset::bytes::{self, Reader};
         #[allow(clippy::ptr_arg)]
         fn header(rows: &Vec<Vec<f64>>) -> Vec<u8> {
-            let d = rows.first().map_or(0, Vec::len);
-            let mut out = (rows.len() as u64).to_le_bytes().to_vec();
-            out.extend_from_slice(&(d as u64).to_le_bytes());
+            let mut out = Vec::new();
+            bytes::put_usize(&mut out, rows.len());
+            bytes::put_usize(&mut out, rows.first().map_or(0, Vec::len));
             out
         }
         #[allow(clippy::ptr_arg)]
         fn segment(rows: &Vec<Vec<f64>>, j: usize) -> Vec<u8> {
-            rows.iter().flat_map(|r| r[j].to_le_bytes()).collect()
-        }
-        fn decode(bytes: &[u8], _j: usize, _header: &[u8]) -> Vec<f64> {
-            bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                .collect()
+            let column: Vec<f64> = rows.iter().map(|r| r[j]).collect();
+            let mut out = Vec::new();
+            bytes::put_f64_run(&mut out, &column);
+            out
         }
         SegmentedCodec {
             num_segments: |rows| rows.first().map_or(0, Vec::len),
             encode_header: header,
             encode_segment: segment,
-            decode_segment: decode,
+            decode_segment: |bytes, _j, _header| {
+                Reader::new(bytes).f64_run(bytes.len() / 8).unwrap()
+            },
             assemble_full: |h, cols| {
-                let n = u64::from_le_bytes(h[..8].try_into().unwrap()) as usize;
+                let n = Reader::new(h).usize().unwrap();
                 (0..n)
                     .map(|i| cols.iter().map(|c| c[i]).collect())
                     .collect()
@@ -850,9 +698,10 @@ mod tests {
     #[test]
     fn budget_spills_lru_and_reloads() {
         let store = DatasetStore::with_budget(100);
-        store.put_spillable(&h("old"), rows(1), 64, rows_codec());
-        store.put_spillable(&h("new"), rows(2), 64, rows_codec());
-        // 128 > 100: the LRU entry ("old") spills to the block store.
+        store.put_segmented(&h("old"), rows(1), 64, seg_codec());
+        store.put_segmented(&h("new"), rows(2), 64, seg_codec());
+        // 128 > 100: the LRU entry ("old") spills to the block store,
+        // as a header plus one segment per column.
         let stats = store.stats();
         assert_eq!(stats.spills, 1);
         assert_eq!(stats.evictions, 1);
@@ -861,11 +710,18 @@ mod tests {
         assert_eq!(stats.spill_raw_bytes, 64);
         assert!(store.mem_bytes() <= 100);
         assert!(store.has("old"), "spilled datasets stay materialized");
-        // Reading it back decodes the spilled copy (a miss + a load)...
+        for file in ["header", "seg-0", "seg-1"] {
+            let path = format!("dataset/old/{file}");
+            assert!(store.blockstore().read(&path).is_some(), "{path}");
+        }
+        // Reading it back reassembles the exact value from all of its
+        // segments (a miss + a load)...
         assert_eq!(*store.get(&h("old")).unwrap(), rows(1));
         let stats = store.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.spill_loads, 1);
+        assert_eq!(stats.segment_reads, 2);
+        assert_eq!(stats.segment_bytes_read, 2 * 4 * 8);
         // ...and pushes "new" out in turn (already-spilled page-out is
         // counted as an eviction, not a second spill of "old").
         assert!(store.mem_bytes() <= 100);
@@ -898,14 +754,14 @@ mod tests {
     #[test]
     fn pinned_entries_are_not_evicted() {
         let store = DatasetStore::with_budget(100);
-        store.put_spillable(&h("hot"), rows(1), 64, rows_codec());
+        store.put_segmented(&h("hot"), rows(1), 64, seg_codec());
         store.pin("hot");
-        store.put_spillable(&h("cold"), rows(2), 64, rows_codec());
+        store.put_segmented(&h("cold"), rows(2), 64, seg_codec());
         // "hot" is older but pinned; nothing else is evictable ("cold"
         // is exempt as the fresh insert), so memory stays over budget.
         assert_eq!(store.stats().evictions, 0);
         store.unpin("hot");
-        store.put_spillable(&h("third"), rows(3), 64, rows_codec());
+        store.put_segmented(&h("third"), rows(3), 64, seg_codec());
         assert!(store.stats().evictions > 0);
     }
 
@@ -934,8 +790,8 @@ mod tests {
         // entry deletes the spill file but used to keep counting its
         // bytes as live.
         let store = DatasetStore::with_budget(100);
-        store.put_spillable(&h("a"), rows(1), 64, rows_codec());
-        store.put_spillable(&h("b"), rows(2), 64, rows_codec());
+        store.put_segmented(&h("a"), rows(1), 64, seg_codec());
+        store.put_segmented(&h("b"), rows(2), 64, seg_codec());
         let spilled = store.stats();
         assert!(spilled.live_spill_bytes > 0);
         // Overwrite the spilled "a" with a small in-memory version.
@@ -946,66 +802,26 @@ mod tests {
             stats.spill_bytes, spilled.spill_bytes,
             "cumulative spill volume must not decrease"
         );
-        assert!(store.blockstore().read(&spill_file("a")).is_none());
+        for file in ["header", "seg-0", "seg-1"] {
+            let path = format!("dataset/a/{file}");
+            assert!(store.blockstore().read(&path).is_none(), "{path}");
+        }
         // remove() and drop_cached() free live bytes the same way.
         let store = DatasetStore::with_budget(100);
-        store.put_spillable(&h("a"), rows(1), 64, rows_codec());
-        store.put_spillable(&h("b"), rows(2), 64, rows_codec());
+        store.put_segmented(&h("a"), rows(1), 64, seg_codec());
+        store.put_segmented(&h("b"), rows(2), 64, seg_codec());
         assert!(store.stats().live_spill_bytes > 0);
         store.remove("a");
         assert_eq!(store.stats().live_spill_bytes, 0);
     }
 
     #[test]
-    fn rows_codec_roundtrip() {
-        let codec = rows_codec();
-        let data = vec![vec![0.25, -1.5, 3.0], vec![], vec![42.0]];
-        let encoded = (codec.encode)(&data);
-        assert_eq!((codec.decode)(&encoded), data);
-        let empty: Vec<Vec<f64>> = Vec::new();
-        assert_eq!((codec.decode)(&(codec.encode)(&empty)), empty);
-    }
-
-    #[test]
     fn remove_deletes_everything() {
         let store = DatasetStore::with_budget(60);
-        store.put_spillable(&h("a"), rows(1), 64, rows_codec());
-        store.put_spillable(&h("b"), rows(2), 64, rows_codec());
+        store.put_segmented(&h("a"), rows(1), 64, seg_codec());
+        store.put_segmented(&h("b"), rows(2), 64, seg_codec());
         assert!(store.remove("a"));
         assert!(!store.has("a"));
         assert!(!store.remove("a"));
-    }
-
-    #[test]
-    fn segmented_spill_reloads_byte_identically() {
-        let store = DatasetStore::with_budget(100);
-        store.put_segmented(&h("old"), rows(1), 64, seg_codec());
-        store.put(&h("filler"), rows(2), 64);
-        let stats = store.stats();
-        assert_eq!(stats.spills, 1);
-        assert!(stats.live_spill_bytes > 0);
-        // Header + 2 column segments exist in the block store.
-        assert!(store.blockstore().read("dataset/old/header").is_some());
-        assert!(store.blockstore().read("dataset/old/seg-0").is_some());
-        assert!(store.blockstore().read("dataset/old/seg-1").is_some());
-        // Full reload reassembles the exact value.
-        let back = store.get(&h("old")).unwrap();
-        assert_eq!(*back, rows(1));
-        let stats = store.stats();
-        assert_eq!(stats.spill_loads, 1);
-        assert_eq!(stats.segment_reads, 2);
-    }
-
-    #[test]
-    fn segmented_overwrite_deletes_all_segment_files() {
-        let store = DatasetStore::with_budget(100);
-        store.put_segmented(&h("data"), rows(1), 64, seg_codec());
-        store.put(&h("filler"), rows(2), 64); // spills "data"
-        assert!(store.blockstore().read("dataset/data/seg-0").is_some());
-        store.put(&h("data"), rows(9), 8);
-        assert!(store.blockstore().read("dataset/data/header").is_none());
-        assert!(store.blockstore().read("dataset/data/seg-0").is_none());
-        assert!(store.blockstore().read("dataset/data/seg-1").is_none());
-        assert_eq!(store.stats().live_spill_bytes, 0);
     }
 }

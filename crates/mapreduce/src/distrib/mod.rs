@@ -44,5 +44,5 @@ pub use backend::{
 pub use process::ProcessBackend;
 pub use shuffle::{shuffle_key, ShuffleError, ShuffleManager};
 pub use tracker::{BlockLocation, MapOutputTracker};
-pub use wire::{decode_from_slice, encode_to_vec, fnv1a64, Wire, WireError, WireReader};
+pub use wire::{decode_from_slice, encode_to_vec, Wire};
 pub use worker::run_worker;

@@ -21,10 +21,11 @@
 use super::backend::{Backend, BackendError, MapOutput, ShuffleStats, StageSpec};
 use super::tracker::{BlockLocation, MapOutputTracker};
 use super::wire::{
-    self, fnv1a64, read_frame, write_frame, WireReader, ERR_NOT_FOUND, OP_DELETE_SID, OP_ERR,
-    OP_FETCH, OP_FETCH_OK, OP_HELLO, OP_KILL, OP_SHUTDOWN, OP_STORE, OP_STORE_OK,
+    read_frame, write_frame, ERR_NOT_FOUND, OP_DELETE_SID, OP_ERR, OP_FETCH, OP_FETCH_OK, OP_HELLO,
+    OP_KILL, OP_SHUTDOWN, OP_STORE, OP_STORE_OK,
 };
 use crate::fault::FaultPlan;
+use p3c_dataset::bytes::{self, fnv1a64, Reader};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -172,10 +173,10 @@ impl ProcessBackend {
         for (reduce_id, data) in output.partitions.iter().enumerate() {
             let checksum = fnv1a64(data);
             let mut payload = Vec::with_capacity(32 + data.len());
-            spec.shuffle_id.encode_into(&mut payload);
-            (output.map_id as u64).encode_into(&mut payload);
-            (reduce_id as u64).encode_into(&mut payload);
-            checksum.encode_into(&mut payload);
+            bytes::put_u64(&mut payload, spec.shuffle_id);
+            bytes::put_usize(&mut payload, output.map_id);
+            bytes::put_usize(&mut payload, reduce_id);
+            bytes::put_u64(&mut payload, checksum);
             payload.extend_from_slice(data);
 
             let mut stored = false;
@@ -248,17 +249,6 @@ impl ProcessBackend {
     }
 }
 
-/// Little-endian u64 append, used for hand-built frame payloads.
-trait EncodeInto {
-    fn encode_into(self, buf: &mut Vec<u8>);
-}
-
-impl EncodeInto for u64 {
-    fn encode_into(self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.to_le_bytes());
-    }
-}
-
 impl Backend for ProcessBackend {
     fn name(&self) -> &str {
         "process"
@@ -306,9 +296,9 @@ impl Backend for ProcessBackend {
             return Err(BackendError::Lost { map_id });
         };
         let mut payload = Vec::with_capacity(24);
-        spec.shuffle_id.encode_into(&mut payload);
-        (map_id as u64).encode_into(&mut payload);
-        (reduce_id as u64).encode_into(&mut payload);
+        bytes::put_u64(&mut payload, spec.shuffle_id);
+        bytes::put_usize(&mut payload, map_id);
+        bytes::put_usize(&mut payload, reduce_id);
 
         for attempt in 0..FETCH_ATTEMPTS {
             if attempt > 0 {
@@ -321,11 +311,11 @@ impl Backend for ProcessBackend {
             // audit: lock-blocking-ok — fetch RPC under `backend.state`: the control plane is intentionally serialized (§15).
             match Self::call(cluster, loc.worker, OP_FETCH, &payload) {
                 Ok((OP_FETCH_OK, body)) => {
-                    let mut r = WireReader::new(&body);
+                    let mut r = Reader::new(&body);
                     let Ok(checksum) = r.u64() else {
                         return Err(BackendError::Protocol("short FETCH_OK frame".to_string()));
                     };
-                    let data = body[8..].to_vec();
+                    let data = r.rest().to_vec();
                     if checksum != loc.checksum || fnv1a64(&data) != checksum {
                         // Bytes mutated in storage or transit; retry,
                         // then report corruption.
@@ -379,7 +369,7 @@ impl Backend for ProcessBackend {
         let mut state = self.state.lock();
         if let ClusterState::Up(cluster) = &mut *state {
             let mut payload = Vec::with_capacity(8);
-            spec.shuffle_id.encode_into(&mut payload);
+            bytes::put_u64(&mut payload, spec.shuffle_id);
             for w in 0..cluster.workers.len() {
                 // Best-effort cleanup; a dead worker has nothing to
                 // delete anyway.
@@ -419,9 +409,9 @@ impl Drop for ProcessBackend {
 
 /// Decodes an `OP_ERR` payload for diagnostics.
 fn decode_err_parts(body: &[u8]) -> (u64, String) {
-    let mut r = WireReader::new(body);
+    let mut r = Reader::new(body);
     let code = r.u64().unwrap_or(0);
-    let msg = <String as wire::Wire>::decode(&mut r).unwrap_or_default();
+    let msg = r.str32().unwrap_or_default();
     (code, msg)
 }
 
@@ -516,16 +506,13 @@ fn spawn_worker(
 
     let mut stream = stream;
     match read_frame(&mut stream) {
-        Ok((OP_HELLO, body)) => {
-            let mut r = WireReader::new(&body);
-            match r.u64() {
-                Ok(hello_id) if hello_id == id as u64 => Ok(WorkerConn { child, stream }),
-                Ok(hello_id) => Err(BackendError::Protocol(format!(
-                    "worker handshake id mismatch: expected {id}, got {hello_id}"
-                ))),
-                Err(e) => Err(BackendError::Protocol(format!("short HELLO: {e}"))),
-            }
-        }
+        Ok((OP_HELLO, body)) => match Reader::new(&body).u64() {
+            Ok(hello_id) if hello_id == id as u64 => Ok(WorkerConn { child, stream }),
+            Ok(hello_id) => Err(BackendError::Protocol(format!(
+                "worker handshake id mismatch: expected {id}, got {hello_id}"
+            ))),
+            Err(e) => Err(BackendError::Protocol(format!("short HELLO: {e}"))),
+        },
         Ok((op, _)) => Err(BackendError::Protocol(format!(
             "expected HELLO, got opcode {op}"
         ))),

@@ -8,8 +8,8 @@
 //! so corruption surfaces as a retryable error instead of silently
 //! wrong reducer input.
 
-use super::wire::fnv1a64;
 use crate::blockstore::BlockStore;
+use p3c_dataset::bytes::fnv1a64;
 
 /// Storage-side shuffle failures, reported over the wire as `OP_ERR`.
 #[derive(Debug, Clone, PartialEq, Eq)]

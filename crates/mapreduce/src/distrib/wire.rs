@@ -3,24 +3,20 @@
 //! Shuffle payloads cross a process boundary, so keys and values need a
 //! real serialized form (the in-process engine only ever *estimates*
 //! bytes via [`crate::weight::Weighable`]). [`Wire`] is that form: a
-//! tiny, hand-rolled, little-endian binary codec with one non-negotiable
-//! property — **exact round-trips**. Floats travel as raw IEEE-754 bits
-//! (`to_bits`/`from_bits`), never through text, so a value decoded on
-//! the reducer side is bit-identical to what the mapper emitted. That is
-//! what lets the distributed path keep the engine's byte-determinism
-//! contract (DESIGN.md §5, §12).
+//! tiny little-endian binary codec over the shared byte layer
+//! ([`p3c_dataset::bytes`]) with one non-negotiable property — **exact
+//! round-trips**. Floats travel as raw IEEE-754 bits, never through
+//! text, so a value decoded on the reducer side is bit-identical to
+//! what the mapper emitted. That is what lets the distributed path keep
+//! the engine's byte-determinism contract (DESIGN.md §5, §12).
 //!
 //! The module also defines the framing used on the master↔worker socket:
-//! `[u32 length][u8 opcode][payload]`, little-endian, with an FNV-1a
-//! checksum over every shuffle partition (see [`fnv1a64`]).
+//! `[u32 length][u8 opcode][payload]` (the byte layer's frame head, the
+//! same one that opens a journal record), with an FNV-1a checksum over
+//! every shuffle partition.
 
-use std::fmt;
+use p3c_dataset::bytes::{self, DecodeError, Reader};
 use std::io::{self, Read, Write};
-
-/// Upper bound on a single frame's payload (256 MiB); anything larger
-/// is treated as a corrupt stream rather than an allocation request —
-/// a reader must never allocate on the say-so of four wire bytes.
-pub const MAX_FRAME_LEN: usize = 1 << 28;
 
 // ------------------------------------------------------------ opcodes ---
 
@@ -55,90 +51,7 @@ pub const ERR_CORRUPT: u64 = 2;
 /// `OP_ERR` code: the request frame itself could not be decoded.
 pub const ERR_MALFORMED: u64 = 3;
 
-// ------------------------------------------------------------- errors ---
-
-/// Decoding failures of the [`Wire`] codec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The buffer ended before the value was complete.
-    Truncated,
-    /// The bytes decoded to an invalid value (bad tag, bad length, or
-    /// trailing garbage).
-    Malformed(&'static str),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "wire payload truncated"),
-            WireError::Malformed(what) => write!(f, "malformed wire payload: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
 // -------------------------------------------------------------- codec ---
-
-/// Bounded cursor over a received payload.
-#[derive(Debug)]
-pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> WireReader<'a> {
-    /// A reader over the whole buffer.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Takes the next `n` bytes, or errors if the buffer is short.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let mut a = [0u8; N];
-        a.copy_from_slice(self.take(N)?);
-        Ok(a)
-    }
-
-    /// Reads one `u8`.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take_array::<1>()?[0])
-    }
-
-    /// Reads one little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take_array()?))
-    }
-
-    /// Reads one little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take_array()?))
-    }
-
-    /// Reads a `u32` length prefix, bounds-checked against the bytes
-    /// actually remaining so corrupt prefixes cannot drive allocation.
-    pub fn len_prefix(&mut self) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n > self.remaining() {
-            return Err(WireError::Malformed("length prefix exceeds payload"));
-        }
-        Ok(n)
-    }
-}
 
 /// Exact binary serialization for values that cross the wire.
 ///
@@ -150,7 +63,7 @@ pub trait Wire: Sized {
     /// Appends the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
     /// Decodes one value from the reader.
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
 }
 
 /// Encodes a value into a fresh buffer.
@@ -161,111 +74,96 @@ pub fn encode_to_vec<T: Wire>(value: &T) -> Vec<u8> {
 }
 
 /// Decodes exactly one value from `buf`; trailing bytes are an error.
-pub fn decode_from_slice<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
-    let mut r = WireReader::new(buf);
+pub fn decode_from_slice<T: Wire>(buf: &[u8]) -> Result<T, DecodeError> {
+    let mut r = Reader::new(buf);
     let value = T::decode(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed("trailing bytes after value"));
-    }
+    r.finish()?;
     Ok(value)
 }
 
 macro_rules! int_wire {
-    ($($t:ty => $u:ty),* $(,)?) => {
+    ($($t:ty => $u:ty, $put:ident, $get:ident);* $(;)?) => {
         $(impl Wire for $t {
             #[inline]
             fn encode(&self, buf: &mut Vec<u8>) {
-                buf.extend_from_slice(&(*self as $u).to_le_bytes());
+                bytes::$put(buf, *self as $u);
             }
             #[inline]
-            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                Ok(<$u>::from_le_bytes(r.take_array()?) as $t)
+            fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(r.$get()? as $t)
             }
         })*
     };
 }
 
 int_wire!(
-    u8 => u8, i8 => u8,
-    u16 => u16, i16 => u16,
-    u32 => u32, i32 => u32,
-    u64 => u64, i64 => u64,
+    u8 => u8, put_u8, u8; i8 => u8, put_u8, u8;
+    u16 => u16, put_u16, u16; i16 => u16, put_u16, u16;
+    u32 => u32, put_u32, u32; i32 => u32, put_u32, u32;
+    u64 => u64, put_u64, u64; i64 => u64, put_u64, u64;
     // usize travels as 8 bytes so layouts agree across platforms.
-    usize => u64, isize => u64,
+    usize => u64, put_u64, u64; isize => u64, put_u64, u64;
 );
 
 impl Wire for f64 {
     #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.to_bits().to_le_bytes());
+        bytes::put_f64(buf, *self);
     }
     #[inline]
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(f64::from_bits(u64::from_le_bytes(r.take_array()?)))
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.f64()
     }
 }
 
 impl Wire for f32 {
     #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.to_bits().to_le_bytes());
+        bytes::put_u32(buf, self.to_bits());
     }
     #[inline]
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(f32::from_bits(u32::from_le_bytes(r.take_array()?)))
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(f32::from_bits(r.u32()?))
     }
 }
 
 impl Wire for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(*self as u8);
+        bytes::put_bool(buf, *self);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::Malformed("bool tag")),
-        }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.bool()
     }
 }
 
 impl Wire for () {
     fn encode(&self, _buf: &mut Vec<u8>) {}
-    fn decode(_r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn decode(_r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(())
     }
 }
 
 impl Wire for String {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        buf.extend_from_slice(self.as_bytes());
+        bytes::put_str32(buf, self);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = r.len_prefix()?;
-        String::from_utf8(r.take(n)?.to_vec()).map_err(|_| WireError::Malformed("utf-8 string"))
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.str32()
     }
 }
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.len() as u32).to_le_bytes());
+        bytes::put_len32(buf, self.len());
         for item in self {
             item.encode(buf);
         }
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = r.u32()? as usize;
-        // Elements are at least one byte each; reject prefixes that the
-        // remaining payload can't possibly satisfy before allocating.
-        if n > r.remaining() && std::mem::size_of::<T>() > 0 {
-            return Err(WireError::Malformed("vec length exceeds payload"));
-        }
-        let mut out = Vec::with_capacity(n.min(r.remaining().max(1)));
-        for _ in 0..n {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        // Every element but a zero-sized one encodes to at least one
+        // byte; a count the remaining payload cannot hold is rejected
+        // before anything is reserved.
+        r.seq32(std::mem::size_of::<T>().min(1), T::decode)
     }
 }
 
@@ -279,11 +177,11 @@ impl<T: Wire> Wire for Option<T> {
             }
         }
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         match r.u8()? {
             0 => Ok(None),
             1 => Ok(Some(T::decode(r)?)),
-            _ => Err(WireError::Malformed("option tag")),
+            _ => Err(DecodeError::Malformed("option tag")),
         }
     }
 }
@@ -292,7 +190,7 @@ impl<T: Wire> Wire for Box<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         (**self).encode(buf);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Box::new(T::decode(r)?))
     }
 }
@@ -302,7 +200,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok((A::decode(r)?, B::decode(r)?))
     }
 }
@@ -313,7 +211,7 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
         self.1.encode(buf);
         self.2.encode(buf);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
     }
 }
@@ -325,49 +223,40 @@ impl<A: Wire, B: Wire, C: Wire, D: Wire> Wire for (A, B, C, D) {
         self.2.encode(buf);
         self.3.encode(buf);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?, D::decode(r)?))
     }
 }
 
-// ----------------------------------------------------------- checksum ---
-
-/// FNV-1a over a byte slice — the partition checksum recorded by the
-/// `MapOutputTracker` and verified on every store and fetch.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 // ------------------------------------------------------------- frames ---
 
+/// What [`read_frame`] reserves before any payload byte has arrived; a
+/// longer payload grows the buffer only as its bytes actually come in,
+/// so five hostile header bytes cannot size an allocation.
+const FRAME_READ_CHUNK: usize = 64 << 10;
+
 /// Writes one `[u32 len][u8 opcode][payload]` frame.
+///
+/// # Errors
+/// `InvalidInput` for a payload past [`bytes::MAX_PAYLOAD_LEN`] — every
+/// reader would reject the frame.
 pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result<()> {
-    let len = payload.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&[opcode])?;
+    w.write_all(&bytes::frame_head(payload.len(), opcode)?)?;
     w.write_all(payload)?;
     w.flush()
 }
 
 /// Reads one frame; errors on EOF, short reads, or oversized lengths.
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
-    let mut head = [0u8; 5];
+    let mut head = [0u8; bytes::FRAME_HEAD_LEN];
     r.read_exact(&mut head)?;
-    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap"),
-        ));
+    let (len, opcode) = bytes::parse_frame_head(head)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let mut payload = Vec::with_capacity(len.min(FRAME_READ_CHUNK));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
     }
-    let opcode = head[4];
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
     Ok((opcode, payload))
 }
 
@@ -455,27 +344,25 @@ mod tests {
     fn malformed_payloads_are_errors_not_panics() {
         assert_eq!(
             decode_from_slice::<u64>(&[1, 2, 3]),
-            Err(WireError::Truncated)
+            Err(DecodeError::Truncated)
         );
         assert!(matches!(
             decode_from_slice::<bool>(&[9]),
-            Err(WireError::Malformed(_))
+            Err(DecodeError::Malformed(_))
         ));
         // Truncated string body.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&10u32.to_le_bytes());
+        let mut buf = encode_to_vec(&10u32);
         buf.extend_from_slice(b"ab");
         assert!(decode_from_slice::<String>(&buf).is_err());
         // Hostile vec length prefix must not allocate or panic.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        let buf = encode_to_vec(&u32::MAX);
         assert!(decode_from_slice::<Vec<u64>>(&buf).is_err());
         // Trailing garbage rejected.
         let mut buf = encode_to_vec(&1u64);
         buf.push(0);
         assert!(matches!(
             decode_from_slice::<u64>(&buf),
-            Err(WireError::Malformed(_))
+            Err(DecodeError::Malformed(_))
         ));
     }
 
@@ -494,20 +381,27 @@ mod tests {
 
     #[test]
     fn oversized_frame_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(u32::MAX).to_le_bytes());
+        let mut buf = encode_to_vec(&u32::MAX);
         buf.push(OP_STORE);
         let mut cursor = std::io::Cursor::new(buf);
         let err = read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // ...and a writer refuses to produce what no reader accepts.
+        let too_long = vec![0u8; bytes::MAX_PAYLOAD_LEN + 1];
+        let err = write_frame(&mut io::sink(), OP_STORE, &too_long).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
-    fn fnv_checksum_is_stable_and_sensitive() {
-        // Pinned value: the tracker persists checksums, so the function
-        // must never drift.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));
+    fn a_frame_longer_than_the_first_reservation_reads_whole() {
+        let payload: Vec<u8> = (0..3 * FRAME_READ_CHUNK + 17).map(|i| i as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, OP_STORE, &payload).unwrap();
+        let (op, body) = read_frame(&mut buf.as_slice()).unwrap();
+        assert_eq!(op, OP_STORE);
+        assert_eq!(body, payload);
+        // Cut short anywhere, it is an EOF — never a partial frame.
+        let err = read_frame(&mut &buf[..buf.len() - 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

@@ -10,10 +10,10 @@
 
 use super::shuffle::ShuffleManager;
 use super::wire::{
-    fnv1a64, read_frame, write_frame, Wire, WireReader, ERR_CORRUPT, ERR_MALFORMED, ERR_NOT_FOUND,
-    OP_DELETE_SID, OP_ERR, OP_FETCH, OP_FETCH_OK, OP_HELLO, OP_KILL, OP_PING, OP_PONG, OP_SHUTDOWN,
-    OP_STORE, OP_STORE_OK,
+    read_frame, write_frame, ERR_CORRUPT, ERR_MALFORMED, ERR_NOT_FOUND, OP_DELETE_SID, OP_ERR,
+    OP_FETCH, OP_FETCH_OK, OP_HELLO, OP_KILL, OP_PING, OP_PONG, OP_SHUTDOWN, OP_STORE, OP_STORE_OK,
 };
+use p3c_dataset::bytes::{self, fnv1a64, DecodeError, Reader};
 use std::io::{self, Write as _};
 use std::net::TcpStream;
 
@@ -30,7 +30,7 @@ pub fn run_worker(connect: &str, id: u64) -> io::Result<()> {
     let mut stream = TcpStream::connect(connect)?;
     stream.set_nodelay(true)?;
     let mut hello = Vec::with_capacity(8);
-    id.encode(&mut hello);
+    bytes::put_u64(&mut hello, id);
     write_frame(&mut stream, OP_HELLO, &hello)?;
 
     let manager = ShuffleManager::new(crate::blockstore::DEFAULT_BLOCK_SIZE);
@@ -52,8 +52,7 @@ pub fn run_worker(connect: &str, id: u64) -> io::Result<()> {
                 send_reply(&mut stream, reply)?;
             }
             OP_DELETE_SID => {
-                let mut r = WireReader::new(&payload);
-                if let Ok(sid) = r.u64() {
+                if let Ok(sid) = Reader::new(&payload).u64() {
                     manager.delete_shuffle(sid);
                 }
                 write_frame(&mut stream, OP_PONG, &[])?;
@@ -87,8 +86,8 @@ fn send_reply(stream: &mut TcpStream, reply: Reply) -> io::Result<()> {
         Reply::Ok(opcode, payload) => write_frame(stream, opcode, &payload),
         Reply::Err(code, msg) => {
             let mut payload = Vec::with_capacity(12 + msg.len());
-            code.encode(&mut payload);
-            msg.encode(&mut payload);
+            bytes::put_u64(&mut payload, code);
+            bytes::put_str32(&mut payload, &msg);
             write_frame(stream, OP_ERR, &payload)
         }
     }
@@ -98,14 +97,14 @@ fn send_reply(stream: &mut TcpStream, reply: Reply) -> io::Result<()> {
 /// The checksum is verified *before* storing, so a partition mangled in
 /// transit is rejected at the door.
 fn handle_store(manager: &ShuffleManager, payload: &[u8]) -> Reply {
-    let mut r = WireReader::new(payload);
-    let header = (|| -> Result<(u64, u64, u64, u64), super::wire::WireError> {
+    let mut r = Reader::new(payload);
+    let header = (|| -> Result<(u64, u64, u64, u64), DecodeError> {
         Ok((r.u64()?, r.u64()?, r.u64()?, r.u64()?))
     })();
     let Ok((sid, map_id, reduce_id, checksum)) = header else {
         return Reply::Err(ERR_MALFORMED, "short STORE header".to_string());
     };
-    let data = &payload[32..];
+    let data = r.rest();
     if fnv1a64(data) != checksum {
         return Reply::Err(
             ERR_CORRUPT,
@@ -118,10 +117,9 @@ fn handle_store(manager: &ShuffleManager, payload: &[u8]) -> Reply {
 
 /// `FETCH {sid, map, reduce}` → `FETCH_OK {checksum, data…}` | `ERR`.
 fn handle_fetch(manager: &ShuffleManager, payload: &[u8]) -> Reply {
-    let mut r = WireReader::new(payload);
-    let header = (|| -> Result<(u64, u64, u64), super::wire::WireError> {
-        Ok((r.u64()?, r.u64()?, r.u64()?))
-    })();
+    let mut r = Reader::new(payload);
+    let header =
+        (|| -> Result<(u64, u64, u64), DecodeError> { Ok((r.u64()?, r.u64()?, r.u64()?)) })();
     let Ok((sid, map_id, reduce_id)) = header else {
         return Reply::Err(ERR_MALFORMED, "short FETCH header".to_string());
     };
@@ -134,7 +132,7 @@ fn handle_fetch(manager: &ShuffleManager, payload: &[u8]) -> Reply {
         None => return Reply::Err(ERR_NOT_FOUND, format!("no partition '{key}'")),
     };
     let mut body = Vec::with_capacity(8 + data.len());
-    fnv1a64(&data).encode(&mut body);
+    bytes::put_u64(&mut body, fnv1a64(&data));
     body.extend_from_slice(&data);
     Reply::Ok(OP_FETCH_OK, body)
 }
@@ -149,7 +147,7 @@ mod tests {
         let data = b"the partition";
         let mut payload = Vec::new();
         for v in [3u64, 1, 2, fnv1a64(data)] {
-            v.encode(&mut payload);
+            bytes::put_u64(&mut payload, v);
         }
         payload.extend_from_slice(data);
         assert!(matches!(
@@ -159,16 +157,14 @@ mod tests {
 
         let mut fetch = Vec::new();
         for v in [3u64, 1, 2] {
-            v.encode(&mut fetch);
+            bytes::put_u64(&mut fetch, v);
         }
         match handle_fetch(&manager, &fetch) {
             Reply::Ok(op, body) => {
                 assert_eq!(op, OP_FETCH_OK);
-                assert_eq!(&body[8..], data);
-                assert_eq!(
-                    u64::from_le_bytes(body[..8].try_into().unwrap()),
-                    fnv1a64(data)
-                );
+                let mut r = Reader::new(&body);
+                assert_eq!(r.u64().unwrap(), fnv1a64(data));
+                assert_eq!(r.rest(), data);
             }
             Reply::Err(code, msg) => panic!("fetch failed: {code} {msg}"),
         }
@@ -179,7 +175,7 @@ mod tests {
         let manager = ShuffleManager::new(64);
         let mut payload = Vec::new();
         for v in [1u64, 0, 0, 0xdead_beef] {
-            v.encode(&mut payload);
+            bytes::put_u64(&mut payload, v);
         }
         payload.extend_from_slice(b"data");
         assert!(matches!(
@@ -193,7 +189,7 @@ mod tests {
         let manager = ShuffleManager::new(64);
         let mut fetch = Vec::new();
         for v in [9u64, 0, 0] {
-            v.encode(&mut fetch);
+            bytes::put_u64(&mut fetch, v);
         }
         assert!(matches!(
             handle_fetch(&manager, &fetch),

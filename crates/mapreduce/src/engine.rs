@@ -777,12 +777,14 @@ impl Hasher for FxStyleHasher {
         for chunk in chunks.by_ref() {
             let mut word = [0u8; 8];
             word.copy_from_slice(chunk);
+            // audit: bytes-ok — in-memory hash mixing of a key's bytes; nothing here is a stored or transmitted format.
             self.add_word(u64::from_le_bytes(word));
         }
         let tail = chunks.remainder();
         if !tail.is_empty() {
             let mut word = [0u8; 8];
             word[..tail.len()].copy_from_slice(tail);
+            // audit: bytes-ok — as above.
             self.add_word(u64::from_le_bytes(word) | ((tail.len() as u64) << 56));
         }
     }

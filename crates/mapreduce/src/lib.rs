@@ -127,9 +127,7 @@ pub use dag::{
     DagConfig, DagError, DagReport, DagScheduler, JobGraph, JobKind, JobNode, NodeCtx,
     SchedulerChoice,
 };
-pub use dataset::{
-    DatasetCodec, DatasetError, DatasetHandle, DatasetStore, DatasetStoreStats, SegmentedCodec,
-};
+pub use dataset::{DatasetError, DatasetHandle, DatasetStore, DatasetStoreStats, SegmentedCodec};
 pub use distrib::{
     Backend, BackendChoice, BackendError, LocalBackend, MapOutputTracker, ProcessBackend,
     ShuffleManager, Wire,

@@ -28,6 +28,7 @@
 
 use crate::dataset::DatasetStore;
 use crate::sync::{rank, RankedCondvar, RankedMutex};
+use p3c_dataset::bytes::{self, DecodeError, Reader};
 use p3c_dataset::journal::{self, JournalWriter};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -409,8 +410,8 @@ impl<T: Tenant> ClusterService<T> {
                         ServiceError::Durability(format!("open journal for `{name}`: {e}"))
                     })?;
                 let mut payload = Vec::new();
-                journal::put_str(&mut payload, name);
-                journal::put_bytes(&mut payload, &(d.hooks.encode_create)(&tenant));
+                bytes::put_str(&mut payload, name);
+                bytes::put_bytes(&mut payload, &(d.hooks.encode_create)(&tenant));
                 let mut wal = TenantWal {
                     writer,
                     name: name.to_string(),
@@ -458,7 +459,7 @@ impl<T: Tenant> ClusterService<T> {
         let mut slot = tenant.lock();
         if let (Some(d), Some(wal)) = (self.durability.as_ref(), slot.wal.as_mut()) {
             let mut payload = Vec::new();
-            journal::put_bytes(&mut payload, &(d.hooks.encode_block)(&block));
+            bytes::put_bytes(&mut payload, &(d.hooks.encode_block)(&block));
             wal_log(wal, OP_APPEND, &payload)?;
         }
         let id = slot
@@ -479,7 +480,7 @@ impl<T: Tenant> ClusterService<T> {
         let mut slot = tenant.lock();
         if let Some(wal) = slot.wal.as_mut() {
             let mut payload = Vec::new();
-            journal::put_u64(&mut payload, id);
+            bytes::put_u64(&mut payload, id);
             wal_log(wal, OP_RETRACT, &payload)?;
         }
         let hit = slot
@@ -508,7 +509,7 @@ impl<T: Tenant> ClusterService<T> {
         let stamp = (d.hooks.discretization_stamp)(tenant);
         if stamp != wal.stamp {
             let mut payload = Vec::new();
-            journal::put_u64(&mut payload, stamp);
+            bytes::put_u64(&mut payload, stamp);
             wal_log(wal, OP_BINSTEP, &payload)?;
             wal.stamp = stamp;
         }
@@ -516,8 +517,8 @@ impl<T: Tenant> ClusterService<T> {
             let state =
                 (d.hooks.snapshot_state)(tenant, &self.store).map_err(ServiceError::Durability)?;
             let mut body = Vec::new();
-            journal::put_str(&mut body, &wal.name);
-            journal::put_bytes(&mut body, &state);
+            bytes::put_str(&mut body, &wal.name);
+            bytes::put_bytes(&mut body, &state);
             // The snapshot covers every record written so far; only
             // after it is durably renamed into place is the journal
             // truncated, so a crash in between merely replays records
@@ -677,6 +678,25 @@ impl<T: DurableTenant> ClusterService<T> {
     }
 }
 
+/// Decodes `name ‖ blob` — the layout of a create record's payload and
+/// of a snapshot body (both written with `put_str` + `put_bytes`).
+fn named_blob(bytes: &[u8]) -> Result<(String, &[u8]), DecodeError> {
+    let mut r = Reader::new(bytes);
+    let name = r.str()?;
+    let blob = r.bytes()?;
+    r.finish()?;
+    Ok((name, blob))
+}
+
+/// Decodes a payload that is exactly one `u64` (a retracted block id, a
+/// discretization stamp).
+fn single_u64(payload: &[u8]) -> Result<u64, DecodeError> {
+    let mut r = Reader::new(payload);
+    let v = r.u64()?;
+    r.finish()?;
+    Ok(v)
+}
+
 /// Rehydrates one tenant directory: snapshot (if any), then the journal
 /// tail with `seq > covered_seq`. Returns `None` for a directory with
 /// nothing durable in it (e.g. a crash before the create record hit the
@@ -695,18 +715,11 @@ fn recover_tenant<T: DurableTenant>(
     let mut covered = 0u64;
     let mut loaded = None;
     if let Some((cov, body)) = snap {
-        let mut r = journal::ByteReader::new(&body);
-        let parsed = (|| -> Result<(String, T), String> {
-            let name = r.str()?;
-            let state = r.bytes()?;
-            r.finish()?;
-            let tenant = T::restore_state(&name, state, store)?;
-            Ok((name, tenant))
-        })()
-        .map_err(ctx)?;
+        let (name, state) = named_blob(&body).map_err(|e| ctx(e.into()))?;
+        let tenant = T::restore_state(&name, state, store).map_err(ctx)?;
         covered = cov;
         report.snapshots_loaded += 1;
-        loaded = Some(parsed);
+        loaded = Some((name, tenant));
     }
     // Records at or below the snapshot's covered seq are already
     // folded into the snapshot state; without a snapshot nothing is
@@ -725,23 +738,16 @@ fn recover_tenant<T: DurableTenant>(
                     first.op
                 )));
             }
-            let mut r = journal::ByteReader::new(&first.payload);
-            let parsed = (|| -> Result<(String, T), String> {
-                let name = r.str()?;
-                let bytes = r.bytes()?;
-                r.finish()?;
-                let tenant = T::decode_create(&name, bytes)?;
-                Ok((name, tenant))
-            })()
-            .map_err(ctx)?;
+            let (name, create) = named_blob(&first.payload).map_err(|e| ctx(e.into()))?;
+            let tenant = T::decode_create(&name, create).map_err(ctx)?;
             report.records_replayed += 1;
-            parsed
+            (name, tenant)
         }
     };
     for rec in tail {
         match rec.op {
             OP_APPEND => {
-                let mut r = journal::ByteReader::new(&rec.payload);
+                let mut r = Reader::new(&rec.payload);
                 let block = (|| -> Result<T::Block, String> {
                     let bytes = r.bytes()?;
                     r.finish()?;
@@ -753,23 +759,11 @@ fn recover_tenant<T: DurableTenant>(
                 let _ = tenant.append(store, block);
             }
             OP_RETRACT => {
-                let mut r = journal::ByteReader::new(&rec.payload);
-                let id = (|| -> Result<u64, String> {
-                    let id = r.u64()?;
-                    r.finish()?;
-                    Ok(id)
-                })()
-                .map_err(ctx)?;
+                let id = single_u64(&rec.payload).map_err(|e| ctx(e.into()))?;
                 let _ = tenant.retract(store, id);
             }
             OP_BINSTEP => {
-                let mut r = journal::ByteReader::new(&rec.payload);
-                let stamp = (|| -> Result<u64, String> {
-                    let stamp = r.u64()?;
-                    r.finish()?;
-                    Ok(stamp)
-                })()
-                .map_err(ctx)?;
+                let stamp = single_u64(&rec.payload).map_err(|e| ctx(e.into()))?;
                 let replayed = T::discretization_stamp(&tenant);
                 if replayed != stamp {
                     return Err(ctx(format!(
@@ -892,12 +886,12 @@ mod tests {
     impl DurableTenant for FakeTenant {
         fn encode_create(&self) -> Vec<u8> {
             let mut buf = Vec::new();
-            journal::put_u64(&mut buf, self.estimates[0] as u64);
+            bytes::put_u64(&mut buf, self.estimates[0] as u64);
             buf
         }
 
         fn decode_create(_name: &str, bytes: &[u8]) -> Result<Self, String> {
-            let mut r = journal::ByteReader::new(bytes);
+            let mut r = Reader::new(bytes);
             let estimate = r.u64()? as usize;
             r.finish()?;
             Ok(FakeTenant::new(estimate))
@@ -905,12 +899,12 @@ mod tests {
 
         fn encode_block(block: &usize) -> Vec<u8> {
             let mut buf = Vec::new();
-            journal::put_usize(&mut buf, *block);
+            bytes::put_usize(&mut buf, *block);
             buf
         }
 
         fn decode_block(bytes: &[u8]) -> Result<usize, String> {
-            let mut r = journal::ByteReader::new(bytes);
+            let mut r = Reader::new(bytes);
             let block = r.usize()?;
             r.finish()?;
             Ok(block)
@@ -918,18 +912,18 @@ mod tests {
 
         fn snapshot_state(&self, _store: &DatasetStore) -> Result<Vec<u8>, String> {
             let mut buf = Vec::new();
-            journal::put_u64(&mut buf, self.estimates[0] as u64);
-            journal::put_u64(&mut buf, self.next_id);
-            journal::put_usize(&mut buf, self.blocks.len());
+            bytes::put_u64(&mut buf, self.estimates[0] as u64);
+            bytes::put_u64(&mut buf, self.next_id);
+            bytes::put_usize(&mut buf, self.blocks.len());
             for (id, rows) in &self.blocks {
-                journal::put_u64(&mut buf, *id);
-                journal::put_usize(&mut buf, *rows);
+                bytes::put_u64(&mut buf, *id);
+                bytes::put_usize(&mut buf, *rows);
             }
             Ok(buf)
         }
 
         fn restore_state(_name: &str, bytes: &[u8], _store: &DatasetStore) -> Result<Self, String> {
-            let mut r = journal::ByteReader::new(bytes);
+            let mut r = Reader::new(bytes);
             let estimate = r.u64()? as usize;
             let next_id = r.u64()?;
             let n = r.usize()?;

@@ -66,24 +66,23 @@ impl BinIndexer {
     }
 }
 
-/// Bins a row-major block of values into one histogram per attribute in
-/// a single streaming pass: `data` holds rows of `stride` values, and
-/// value `j` of each row lands in `hists[j]` (rows must be at least as
-/// wide as `hists`; `stride ≥ hists.len()`). The [`BinIndexer`] state is
-/// hoisted per attribute, the row is read once (each cache line is
-/// touched a single time, unlike a per-attribute strided re-scan), and
-/// consecutive increments hit different histograms so the
-/// store-to-load chains of repeated bins interleave. Counts are exact
-/// `+1.0` increments — bit-identical to calling [`Histogram::add`]
-/// value by value in any order.
-pub fn bin_rows(hists: &mut [Histogram], stride: usize, data: &[f64]) {
-    assert!(stride >= hists.len(), "rows narrower than histogram set");
-    assert_eq!(data.len() % stride.max(1), 0, "partial trailing row");
+/// Bins rows of values into one histogram per attribute in a single
+/// streaming pass: value `j` of each row lands in `hists[j]` (rows must
+/// be at least as wide as `hists`). A flat row-major block passes
+/// `data.chunks_exact(stride)`, an MR split its row slices. The
+/// [`BinIndexer`] state is hoisted per attribute, each row is read once
+/// (each cache line is touched a single time, unlike a per-attribute
+/// strided re-scan), and consecutive increments hit different histograms
+/// so the store-to-load chains of repeated bins interleave. Counts are
+/// exact `+1.0` increments — bit-identical to calling
+/// [`Histogram::add`] value by value in any order.
+pub fn bin_rows<'a>(hists: &mut [Histogram], rows: impl IntoIterator<Item = &'a [f64]>) {
     let indexers: Vec<BinIndexer> = hists
         .iter()
         .map(|h| BinIndexer::new(h.num_bins()))
         .collect();
-    for row in data.chunks_exact(stride.max(1)) {
+    for row in rows {
+        assert!(row.len() >= hists.len(), "row narrower than histogram set");
         for ((hist, indexer), &v) in hists.iter_mut().zip(&indexers).zip(row) {
             // `index_scan` already returns < num_bins; the redundant
             // clamp makes that provable so the increment needs no
@@ -291,7 +290,7 @@ mod tests {
         let data: Vec<f64> = (0..60).map(|i| (i as f64 * 0.37).fract()).collect();
         for (nhist, stride) in [(3usize, 3usize), (2, 3), (0, 2)] {
             let mut scanned: Vec<Histogram> = (0..nhist).map(|j| Histogram::new(4 + j)).collect();
-            bin_rows(&mut scanned, stride, &data);
+            bin_rows(&mut scanned, data.chunks_exact(stride));
             let mut reference: Vec<Histogram> = (0..nhist).map(|j| Histogram::new(4 + j)).collect();
             for row in data.chunks_exact(stride) {
                 for (hist, &v) in reference.iter_mut().zip(row) {

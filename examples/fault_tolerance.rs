@@ -12,7 +12,7 @@
 use p3c_core::config::P3cParams;
 use p3c_core::mr::P3cPlusMrLight;
 use p3c_datagen::{generate, SyntheticSpec};
-use p3c_dataset::persist;
+use p3c_dataset::Dataset;
 use p3c_mapreduce::fault::StragglerPlan;
 use p3c_mapreduce::{BlockStore, Engine, FaultPlan, MrConfig};
 use std::time::Instant;
@@ -30,13 +30,13 @@ fn main() {
         ..SyntheticSpec::default()
     });
     let store = BlockStore::new(256 * 1024, 3);
-    store.write("dataset.bin", &persist::to_bytes(&data.dataset));
+    store.write("dataset.bin", &data.dataset.to_bytes());
     println!(
         "staged dataset.bin: {} blocks, {} bytes written (×3 replication)",
         store.num_blocks("dataset.bin").unwrap(),
         store.bytes_written()
     );
-    let dataset = persist::from_bytes(&store.read("dataset.bin").unwrap()).unwrap();
+    let dataset = Dataset::from_bytes(&store.read("dataset.bin").unwrap()).unwrap();
 
     // Model an 8-worker cluster explicitly: straggler mitigation needs
     // idle workers to launch backups (with `threads: 0` the engine sizes

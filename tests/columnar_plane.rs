@@ -1,13 +1,14 @@
-//! The columnar data plane: `RowBlock` round trips are lossless, both
-//! MapReduce pipelines are byte-identical on row-oriented and columnar
-//! input under both schedulers, and the column-scan binning kernel
-//! agrees exactly with the per-row path.
+//! The columnar data plane: a dataset rebuilt from owned rows or from
+//! its raw block bytes is lossless, both MapReduce pipelines are
+//! byte-identical on the original and the rebuilt input under both
+//! schedulers, and the column-scan binning kernel agrees exactly with
+//! the per-row path.
 
 use p3c_suite::core::config::P3cParams;
 use p3c_suite::core::histogram::build_histograms_columnar_threads;
 use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_suite::datagen::{generate, SyntheticSpec};
-use p3c_suite::dataset::{Dataset, RowBlock};
+use p3c_suite::dataset::Dataset;
 use p3c_suite::mapreduce::{Engine, MrConfig, SchedulerChoice};
 use p3c_suite::stats::Histogram;
 use proptest::prelude::*;
@@ -32,37 +33,32 @@ fn engine() -> Engine {
     })
 }
 
-/// Rebuilds the dataset through an owned-rows detour and a `RowBlock`
-/// round trip; both must reproduce the original flat buffer exactly.
-fn columnar_round_trip(data: &Dataset) -> Dataset {
-    let block = RowBlock::from(data.clone());
-    assert_eq!(block.len(), data.len());
-    assert_eq!(block.dim(), data.dim());
-    Dataset::from(block)
+/// Rebuilds the dataset through the raw block encoding — what a
+/// journaled, snapshotted or staged block goes through.
+fn byte_round_trip(data: &Dataset) -> Dataset {
+    Dataset::from_bytes(&data.to_bytes()).unwrap()
 }
 
 #[test]
-fn row_block_round_trip_is_lossless() {
+fn rebuilt_datasets_are_lossless() {
     let data = generate(&spec(1500, 2, 5)).dataset;
     let rows: Vec<Vec<f64>> = data.rows().map(|r| r.to_vec()).collect();
-    let via_rows = Dataset::from_rows(rows);
-    let via_block = columnar_round_trip(&data);
-    assert_eq!(via_rows, data);
-    assert_eq!(via_block, data);
+    assert_eq!(Dataset::from_rows(rows), data);
+    assert_eq!(byte_round_trip(&data), data);
 
     // Column views agree with a per-row gather, value for value.
-    let block = RowBlock::from(data.clone());
+    let columns = data.columns();
     for j in 0..data.dim() {
-        let col: Vec<f64> = block.columns().col(j).to_vec();
+        let col: Vec<f64> = columns.col(j).to_vec();
         let gathered: Vec<f64> = data.rows().map(|r| r[j]).collect();
         assert_eq!(col, gathered, "column {j}");
     }
 }
 
 #[test]
-fn mr_pipelines_byte_identical_on_row_and_columnar_input() {
+fn mr_pipelines_byte_identical_on_original_and_rebuilt_input() {
     let data = generate(&spec(2500, 3, 19)).dataset;
-    let columnar = columnar_round_trip(&data);
+    let columnar = byte_round_trip(&data);
     for scheduler in [SchedulerChoice::Serial, SchedulerChoice::Dag] {
         let full_rows = P3cPlusMr::new(&engine(), P3cParams::default())
             .cluster_with(&data, scheduler)

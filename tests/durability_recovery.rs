@@ -19,7 +19,7 @@ use p3c_suite::core::incremental::IncrementalLight;
 use p3c_suite::core::p3cplus::{P3cPlusLight, P3cResult};
 use p3c_suite::datagen::{generate, SyntheticSpec};
 use p3c_suite::dataset::journal;
-use p3c_suite::dataset::{Dataset, RowBlock};
+use p3c_suite::dataset::RowBlock;
 use p3c_suite::mapreduce::{ClusterService, DatasetStore};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -37,14 +37,11 @@ fn spec(n: usize, d: usize, seed: u64) -> SyntheticSpec {
 }
 
 fn chunk(block: &RowBlock, start: usize, len: usize) -> RowBlock {
-    let rows: Vec<Vec<f64>> = (start..start + len)
-        .map(|i| block.row(i).to_vec())
-        .collect();
-    RowBlock::from_rows(&rows)
+    block.subset(&(start..start + len).collect::<Vec<_>>())
 }
 
 fn batch(cumulative: RowBlock, params: &P3cParams) -> P3cResult {
-    P3cPlusLight::new(params.clone()).cluster(&Dataset::from(cumulative))
+    P3cPlusLight::new(params.clone()).cluster(&cumulative)
 }
 
 fn assert_identical(tag: &str, inc: &P3cResult, bat: &P3cResult) {
@@ -89,7 +86,7 @@ fn recovered_service_reclusters_byte_identically() {
     let dir = tmpdir("identity");
     let params = P3cParams::default();
     let data = generate(&spec(3000, 8, 11));
-    let all = RowBlock::from(data.dataset);
+    let all = data.dataset;
 
     // Pre-crash: appends, a retract, and a recluster, with snapshots
     // rolling every 2 records.
@@ -148,7 +145,7 @@ fn replay_is_bounded_by_the_snapshot_interval() {
     let dir = tmpdir("bounded");
     let params = P3cParams::default();
     let data = generate(&spec(4000, 6, 23));
-    let all = RowBlock::from(data.dataset);
+    let all = data.dataset;
     let every = 4u64;
     {
         let svc = durable(&dir, every);
@@ -185,7 +182,7 @@ fn torn_journal_tail_recovers_the_valid_prefix() {
     let base = tmpdir("torn");
     let params = P3cParams::default();
     let data = generate(&spec(1800, 6, 31));
-    let all = RowBlock::from(data.dataset);
+    let all = data.dataset;
     let blocks = 6usize;
     let rows_per = 300usize;
 

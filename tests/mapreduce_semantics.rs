@@ -7,7 +7,7 @@ use p3c_suite::bow::{Bow, BowConfig};
 use p3c_suite::core::config::P3cParams;
 use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_suite::datagen::{generate, SyntheticSpec};
-use p3c_suite::dataset::{persist, Clustering, Dataset};
+use p3c_suite::dataset::{Clustering, Dataset};
 use p3c_suite::mapreduce::{BlockStore, Engine, FaultPlan, MrConfig, SchedulerChoice};
 
 fn data() -> p3c_suite::datagen::GeneratedData {
@@ -223,12 +223,12 @@ fn dataset_stages_through_the_block_store() {
     // blocks, read it back, cluster it — identical results.
     let d = data();
     let store = BlockStore::new(64 * 1024, 3);
-    let bytes = persist::to_bytes(&d.dataset);
+    let bytes = d.dataset.to_bytes();
     store.write("dataset.bin", &bytes);
     assert!(store.num_blocks("dataset.bin").unwrap() > 1);
     assert_eq!(store.bytes_written(), (bytes.len() * 3) as u64);
 
-    let restored = persist::from_bytes(&store.read("dataset.bin").unwrap()).unwrap();
+    let restored = Dataset::from_bytes(&store.read("dataset.bin").unwrap()).unwrap();
     assert_eq!(restored, d.dataset);
 
     let engine = Engine::with_defaults();

@@ -16,7 +16,7 @@ use p3c_suite::core::config::P3cParams;
 use p3c_suite::core::incremental::{IncrementalLight, ReclusterPath};
 use p3c_suite::core::p3cplus::{P3cPlusLight, P3cResult};
 use p3c_suite::datagen::{generate, SyntheticSpec};
-use p3c_suite::dataset::{Dataset, RowBlock};
+use p3c_suite::dataset::RowBlock;
 use p3c_suite::mapreduce::{ClusterService, DatasetStore};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -34,14 +34,11 @@ fn spec(n: usize, d: usize, k: usize, seed: u64) -> SyntheticSpec {
 }
 
 fn chunk(block: &RowBlock, start: usize, len: usize) -> RowBlock {
-    let rows: Vec<Vec<f64>> = (start..start + len)
-        .map(|i| block.row(i).to_vec())
-        .collect();
-    RowBlock::from_rows(&rows)
+    block.subset(&(start..start + len).collect::<Vec<_>>())
 }
 
 fn batch(cumulative: RowBlock, params: &P3cParams) -> P3cResult {
-    P3cPlusLight::new(params.clone()).cluster(&Dataset::from(cumulative))
+    P3cPlusLight::new(params.clone()).cluster(&cumulative)
 }
 
 /// Full-result equality: clustering (memberships, subspaces, interval
@@ -85,7 +82,7 @@ fn run_schedule(steps: &[Step], d: usize, seed: u64, store: &DatasetStore) {
         })
         .sum();
     let data = generate(&spec(total.max(1), d, 3, seed));
-    let all = RowBlock::from(data.dataset);
+    let all = data.dataset;
     let mut eng = IncrementalLight::new(format!("sched-{seed}"), params.clone());
     let mut fed = 0usize;
     // (id, start, len) of live blocks, oldest first.
@@ -156,7 +153,7 @@ fn append_only_stream_goes_fast_and_sublinear_in_scans() {
         ..P3cParams::default()
     };
     let data = generate(&spec(8000, 8, 3, 42));
-    let all = RowBlock::from(data.dataset);
+    let all = data.dataset;
     let store = DatasetStore::new();
     let mut eng = IncrementalLight::new("stream", params.clone());
     eng.append(&store, chunk(&all, 0, 4500)).unwrap();
@@ -194,8 +191,8 @@ fn lru_eviction_reload_stays_identical() {
     let service: ClusterService<IncrementalLight> = ClusterService::new(Arc::clone(&store), None);
     let data_a = generate(&spec(3000, 8, 3, 1));
     let data_b = generate(&spec(3000, 8, 3, 2));
-    let all_a = RowBlock::from(data_a.dataset);
-    let all_b = RowBlock::from(data_b.dataset);
+    let all_a = data_a.dataset;
+    let all_b = data_b.dataset;
     service
         .create("a", IncrementalLight::new("a", params.clone()))
         .unwrap();
@@ -248,7 +245,7 @@ fn concurrent_tenants_cluster_independently() {
         handles.push(std::thread::spawn(move || {
             let name = format!("tenant-{t}");
             let data = generate(&spec(2400, 6, 2, 100 + t));
-            let all = RowBlock::from(data.dataset);
+            let all = data.dataset;
             service
                 .create(&name, IncrementalLight::new(&name, params.clone()))
                 .unwrap();
@@ -275,7 +272,7 @@ fn retract_then_append_recovers_fast_path_eventually() {
     // reclusters may re-arm the fast path once the state is rebuilt.
     let params = P3cParams::default();
     let data = generate(&spec(5000, 8, 3, 9));
-    let all = RowBlock::from(data.dataset);
+    let all = data.dataset;
     let store = DatasetStore::new();
     let mut eng = IncrementalLight::new("t", params.clone());
     let a = eng.append(&store, chunk(&all, 0, 1000)).unwrap();
