@@ -19,7 +19,7 @@
 # and a rustdoc pass with warnings denied (missing docs on the data-plane
 # crates and broken intra-doc links fail the build).
 # Tier 2 (lint + formatting + invariants):
-#   cargo clippy --all-targets -- -D warnings
+#   cargo clippy --workspace --all-targets -- -D warnings
 #   cargo fmt --check
 #   cargo run -p p3c-audit          (determinism/concurrency/lock invariants)
 #   cargo test --features lockcheck (tier-1 under runtime lock-rank asserts)
@@ -162,8 +162,10 @@ cargo test -q --offline --manifest-path e2e/Cargo.toml
 echo "==> rustdoc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> tier 2: cargo clippy -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+# The whole workspace, not just the root package: the member crates'
+# own test and bench targets are linted too.
+echo "==> tier 2: cargo clippy --workspace -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tier 2: cargo fmt --check"
 cargo fmt --check
@@ -182,7 +184,7 @@ echo "==> tier 2: lockcheck (runtime lock-rank assertions) tier-1 rerun"
 cargo test -q --features lockcheck
 
 # The byte and durability invariants, explicitly: the shared byte layer
-# (appenders, bounds-checked reader, FNV-1a, frame head), the journal and
+# (appenders, bounds-checked reader, both checksums, frame head), the journal and
 # snapshot files built on it (torn tails, checksum rejection, tmp+rename
 # atomicity), the decoder gauntlet that drives every format through
 # truncation, bit flips and hostile prefixes under an allocation gauge,

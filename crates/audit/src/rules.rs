@@ -143,9 +143,10 @@ fn check_float_reduction(code: &str) -> Option<String> {
 }
 
 /// Rule 6 — one byte layer. What a byte on the wire or on disk *is* —
-/// endianness, integer width, the checksum — is decided in
+/// endianness, integer width, the checksums — is decided in
 /// `p3c_dataset::bytes` alone; a hand-rolled conversion or a second
-/// FNV-1a elsewhere is a format fork waiting to drift.
+/// FNV-1a or `wordsum64` elsewhere is a format fork waiting to drift
+/// (master and worker must hash a partition alike).
 fn check_raw_bytes(code: &str) -> Option<String> {
     for token in ["to_le_bytes", "from_le_bytes"] {
         if has_token(code, token) {
@@ -156,11 +157,22 @@ fn check_raw_bytes(code: &str) -> Option<String> {
         }
     }
     let digits = code.replace('_', "").to_ascii_lowercase();
-    digits.contains("0xcbf29ce484222325").then(|| {
-        "FNV-1a offset basis outside the byte layer — use \
-         p3c_dataset::bytes::{fnv1a64, Fnv1a} or waive with `audit: bytes-ok`"
-            .to_string()
-    })
+    for (constant, what, instead) in [
+        (
+            "0xcbf29ce484222325",
+            "FNV-1a offset basis",
+            "{fnv1a64, Fnv1a}",
+        ),
+        ("0x27d4eb2f165667c5", "wordsum64 multiplier", "wordsum64"),
+    ] {
+        if digits.contains(constant) {
+            return Some(format!(
+                "{what} outside the byte layer — use \
+                 p3c_dataset::bytes::{instead} or waive with `audit: bytes-ok`"
+            ));
+        }
+    }
+    None
 }
 
 /// True if `token` occurs delimited by non-identifier characters (so
@@ -542,7 +554,8 @@ let s = r#\"panic!()\"#;
     fn raw_bytes_flagged_outside_the_byte_layer_in_production_code_only() {
         let le = "buf.extend_from_slice(&v.to_le_bytes());\n";
         let fnv = "let mut h: u64 = 0xCBF2_9ce4_8422_2325;\n";
-        for src in [le, fnv, "let v = u64::from_le_bytes(word);\n"] {
+        let wordsum = "lane = (lane ^ w).wrapping_mul(0x27D4_eb2f_1656_67c5);\n";
+        for src in [le, fnv, wordsum, "let v = u64::from_le_bytes(word);\n"] {
             for path in ["crates/mapreduce/src/distrib/wire.rs", "src/lib.rs"] {
                 let v = check(path, src);
                 assert_eq!(v.len(), 1, "{path}: {src}");

@@ -1090,7 +1090,7 @@ pub fn service(scale: &Scale) -> Report {
     let mut eng = IncrementalLight::new("bench", params.clone());
     let mut fed = 0usize;
     let mut sizes = vec![initial];
-    sizes.extend(std::iter::repeat(step).take(appends));
+    sizes.resize(1 + appends, step);
     for len in sizes {
         let block = chunk(fed, len);
         let append_start = Instant::now();

@@ -12,7 +12,12 @@
 //! * [`Reader`], the one bounds-checked cursor, with the one
 //!   [`DecodeError`]; every count it reads is checked against the bytes
 //!   actually remaining **before** anything is allocated for it;
-//! * [`fnv1a64`] / [`Fnv1a`], the one checksum;
+//! * the two checksums and which bytes get which: [`fnv1a64`] /
+//!   [`Fnv1a`] for everything **persisted** (journal records, snapshot
+//!   files, the state blob, segment files, model fingerprints — their
+//!   sums are on disk and must never drift), [`wordsum64`] for shuffle
+//!   partitions **in flight** (hashed once per hop, never stored, so it
+//!   is free to run at memory speed);
 //! * [`MAX_PAYLOAD_LEN`] and the `[u32 len][u8 op]` frame head shared by
 //!   the wire protocol and the journal.
 
@@ -350,11 +355,12 @@ fn utf8(bytes: &[u8]) -> Result<String, DecodeError> {
         .map_err(|_| DecodeError::Malformed("utf-8 string"))
 }
 
-// ----------------------------------------------------------- checksum ---
+// ---------------------------------------------------------- checksums ---
 
-/// Streaming FNV-1a (64-bit): feeding a message in pieces hashes the
-/// same as feeding it whole, so a checksum over `a ‖ b` needs no
-/// scratch copy. Pinned by tests — persisted checksums must never drift.
+/// Streaming FNV-1a (64-bit), the checksum of every persisted format:
+/// feeding a message in pieces hashes the same as feeding it whole, so
+/// a checksum over `a ‖ b` needs no scratch copy. Pinned by tests —
+/// persisted checksums must never drift.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
@@ -393,12 +399,83 @@ impl Default for Fnv1a {
     }
 }
 
-/// FNV-1a over one byte slice — the checksum of shuffle partitions,
-/// journal records and snapshot files.
+/// FNV-1a over one byte slice — the checksum of journal records,
+/// snapshot files and every other persisted format. One byte per
+/// multiply (≈0.7 GB/s), which is why in-flight shuffle partitions use
+/// [`wordsum64`] instead.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.write(bytes);
     h.finish()
+}
+
+/// Initial lane states of [`wordsum64`]: four distinct odd constants, so
+/// equal words in different lanes never hash alike.
+const WORDSUM_LANES: [u64; 4] = [
+    0x9e37_79b1_85eb_ca87,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x85eb_ca77_c2b2_ae63,
+];
+
+/// Odd, so multiplying by it permutes the `u64`s.
+const WORDSUM_MUL: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// One absorption step of [`wordsum64`]. For a fixed `state` it is a
+/// bijection of `word`, and for a fixed `word` a bijection of `state`
+/// (xor, odd multiply and rotate each are), so two inputs that differ in
+/// exactly one step can never meet again.
+#[inline(always)]
+fn wordsum_absorb(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(WORDSUM_MUL).rotate_left(29)
+}
+
+/// Up to 8 message bytes as one little-endian word, zero-padded.
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(w)
+}
+
+/// Word-wise 64-bit checksum of one shuffle partition in flight — what
+/// the producer records in the tracker, the storage node verifies at the
+/// door and the consumer re-verifies after the fetch. Never persisted.
+///
+/// The message is cut into little-endian `u64` words (the last one
+/// zero-padded); word `i` is absorbed into lane `i % 4`, so four
+/// independent multiply chains run side by side and the sum moves at
+/// memory speed instead of one byte per multiply. The lanes are then
+/// folded, in order, into the message length and the result is
+/// avalanched. Guarantees (`tests/decoder_gauntlet.rs` tries each at
+/// every offset of every length up to 100):
+///
+/// * changing any single byte always changes the sum — the byte lands in
+///   exactly one word of exactly one lane, and every later step
+///   (absorption, fold, avalanche) is a bijection of that lane's state;
+/// * the length is part of the sum, so appending or cutting zero bytes
+///   changes it even where the zero-padded words stay equal;
+/// * lanes start from different constants and are folded in order, so
+///   moving a word to another lane is not invisible the way it is to a
+///   plain sum or xor of lanes.
+pub fn wordsum64(bytes: &[u8]) -> u64 {
+    let mut lanes = WORDSUM_LANES;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in blocks.by_ref() {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = wordsum_absorb(*lane, le_word(word));
+        }
+    }
+    for (lane, word) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        *lane = wordsum_absorb(*lane, le_word(word));
+    }
+    let mut h = bytes.len() as u64;
+    for lane in lanes {
+        h = wordsum_absorb(h, lane);
+    }
+    h ^= h >> 32;
+    h = h.wrapping_mul(WORDSUM_MUL);
+    h ^ (h >> 29)
 }
 
 // -------------------------------------------------------------- frame ---
@@ -547,6 +624,29 @@ mod tests {
         h.write(b"pay");
         h.write(b"load");
         assert_eq!(h.finish(), fnv1a64(&whole));
+    }
+
+    /// `len` bytes of a fixed, position-dependent pattern.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn wordsum_is_pinned_at_the_lane_and_tail_boundaries() {
+        // Not persisted, but master and worker are separate processes
+        // that may be separate builds: the definition must not drift.
+        // (`tests/golden_bytes.rs` pins the same values.)
+        for (len, sum) in [
+            (0usize, 0x0601_f8d5_ba64_0cfeu64),
+            (1, 0x7c06_d23c_9d25_cdf4),
+            (31, 0x5919_f410_c82a_d221),
+            (32, 0xa11d_a961_73e7_891d),
+            (33, 0xbca8_0720_c502_4019),
+            (1500, 0xc901_5d10_69f2_f308),
+        ] {
+            assert_eq!(wordsum64(&pattern(len)), sum, "len {len}");
+        }
+        assert_eq!(wordsum64(b"a"), 0x7174_e239_f580_d7ad);
     }
 
     #[test]

@@ -367,7 +367,7 @@ mod tests {
         assert_eq!(full.len() as u64, total);
         let mut rng = SplitMix64(0xfeed_beef);
         for _ in 0..40 {
-            let cut = (rng.next() % (total + 1)) as u64;
+            let cut = rng.next() % (total + 1);
             let chopped = dir.join("chopped.bin");
             fs::write(&chopped, &full[..cut as usize]).unwrap();
             let (records, valid) = read_journal(&chopped).unwrap();

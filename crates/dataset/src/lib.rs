@@ -9,8 +9,10 @@
 //!   block.
 //! * [`bytes`] — the byte layer under every binary format: `put_*`
 //!   appenders, the bounds-checked [`bytes::Reader`] with its one
-//!   [`bytes::DecodeError`], the FNV-1a checksum, the payload cap and
-//!   the `[u32 len][u8 op]` frame head (DESIGN.md "Byte formats").
+//!   [`bytes::DecodeError`], the two checksums (FNV-1a for persisted
+//!   formats, `wordsum64` for shuffle partitions in flight), the payload
+//!   cap and the `[u32 len][u8 op]` frame head (DESIGN.md "Byte
+//!   formats").
 //! * [`colseg`] — the segmented columnar spill codec (per-attribute
 //!   column segments, XOR-delta + byte-shuffle + zero-RLE).
 //! * [`AttrInterval`], [`ProjectedCluster`], [`Clustering`] — the result

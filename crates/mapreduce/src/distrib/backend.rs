@@ -18,9 +18,10 @@
 //! therefore the final output — is byte-identical across backends and
 //! worker counts.
 
-use super::shuffle::{ShuffleError, ShuffleManager};
+use super::shuffle::ShuffleManager;
 use super::tracker::{BlockLocation, MapOutputTracker};
 use crate::fault::FaultPlan;
+use p3c_dataset::bytes::wordsum64;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -57,7 +58,9 @@ pub enum BackendError {
         /// The map task whose output was lost.
         map_id: usize,
     },
-    /// Fetched bytes failed checksum verification even after retries.
+    /// A partition failed checksum verification even after a retry: as
+    /// fetched (against the tracker's record), or as stored (refused at
+    /// the storage node's door).
     Corrupt {
         /// The producing map task.
         map_id: usize,
@@ -94,8 +97,8 @@ impl std::error::Error for BackendError {}
 pub struct ShuffleStats {
     /// Partition fetches served to reducers.
     pub fetches: u64,
-    /// Fetch attempts that had to be retried (timeouts, dead workers,
-    /// checksum failures).
+    /// Transfers that had to be retried (timeouts, dead workers,
+    /// checksum failures on a fetch or at a worker's door).
     pub retries: u64,
     /// Worker processes (re)started while the stage ran.
     pub worker_restarts: u64,
@@ -160,7 +163,7 @@ pub struct LocalBackend {
 }
 
 struct ServiceState {
-    manager: ShuffleManager,
+    manager: Mutex<ShuffleManager>,
     tracker: MapOutputTracker,
     /// Maps whose stored output has been "lost" by injection; fetches
     /// return [`BackendError::Lost`] until the map is restored.
@@ -192,7 +195,7 @@ impl LocalBackend {
     fn shuffle_service_inner(loss_plan: Option<FaultPlan>) -> Self {
         Self {
             service: Some(ServiceState {
-                manager: ShuffleManager::new(crate::blockstore::DEFAULT_BLOCK_SIZE),
+                manager: Mutex::new(ShuffleManager::new()),
                 tracker: MapOutputTracker::new(),
                 lost: Mutex::new(BTreeSet::new()),
                 loss_plan,
@@ -208,27 +211,35 @@ impl LocalBackend {
             .expect("passthrough LocalBackend never routes bytes")
     }
 
-    fn store_output(&self, spec: &StageSpec, output: MapOutput, count_bytes: bool) {
+    /// The same three hops as the process backend, in one address space:
+    /// hashed by the producer, verified at the manager's door, and
+    /// re-verified against the tracker by the consumer in `fetch_shuffle`.
+    fn store_output(
+        &self,
+        spec: &StageSpec,
+        output: MapOutput,
+        count_bytes: bool,
+    ) -> Result<(), BackendError> {
         let svc = self.service();
-        for (reduce_id, data) in output.partitions.iter().enumerate() {
-            let checksum =
-                svc.manager
-                    .store_partition(spec.shuffle_id, output.map_id, reduce_id, data);
-            svc.tracker.register(
-                spec.shuffle_id,
-                output.map_id,
-                reduce_id,
-                BlockLocation {
-                    worker: 0,
-                    len: data.len() as u64,
-                    checksum,
-                },
-            );
+        let map_id = output.map_id;
+        for (reduce_id, data) in output.partitions.into_iter().enumerate() {
+            let loc = BlockLocation {
+                worker: 0,
+                len: data.len() as u64,
+                checksum: wordsum64(&data),
+            };
+            svc.tracker
+                .register(spec.shuffle_id, map_id, reduce_id, loc);
+            svc.manager
+                .lock()
+                .store_partition(spec.shuffle_id, map_id, reduce_id, loc.checksum, data, 0)
+                .map_err(|_| BackendError::Corrupt { map_id, reduce_id })?;
             if count_bytes {
                 let mut stats = svc.stats.lock();
-                stats.entry(spec.shuffle_id).or_default().bytes_stored += data.len() as u64;
+                stats.entry(spec.shuffle_id).or_default().bytes_stored += loc.len;
             }
         }
+        Ok(())
     }
 }
 
@@ -263,7 +274,7 @@ impl Backend for LocalBackend {
                 svc.lost.lock().insert((spec.shuffle_id, output.map_id));
                 continue;
             }
-            self.store_output(spec, output, true);
+            self.store_output(spec, output, true)?;
         }
         Ok(())
     }
@@ -271,8 +282,7 @@ impl Backend for LocalBackend {
     fn restore_map(&self, spec: &StageSpec, output: MapOutput) -> Result<(), BackendError> {
         let svc = self.service();
         svc.lost.lock().remove(&(spec.shuffle_id, output.map_id));
-        self.store_output(spec, output, false);
-        Ok(())
+        self.store_output(spec, output, false)
     }
 
     fn fetch_shuffle(
@@ -291,13 +301,16 @@ impl Backend for LocalBackend {
             .tracker
             .lookup(spec.shuffle_id, map_id, reduce_id)
             .ok_or(BackendError::Lost { map_id })?;
-        let data = svc
-            .manager
-            .fetch_partition(spec.shuffle_id, map_id, reduce_id, loc.checksum)
-            .map_err(|e| match e {
-                ShuffleError::Missing { .. } => BackendError::Lost { map_id },
-                ShuffleError::Corrupt { .. } => BackendError::Corrupt { map_id, reduce_id },
-            })?;
+        let (claimed, data) = {
+            let manager = svc.manager.lock();
+            let (claimed, data) = manager
+                .partition(spec.shuffle_id, map_id, reduce_id)
+                .map_err(|_missing| BackendError::Lost { map_id })?;
+            (claimed, data.to_vec())
+        };
+        if !loc.verifies(claimed, &data) {
+            return Err(BackendError::Corrupt { map_id, reduce_id });
+        }
         let mut stats = svc.stats.lock();
         let entry = stats.entry(spec.shuffle_id).or_default();
         entry.fetches += 1;
@@ -307,7 +320,7 @@ impl Backend for LocalBackend {
 
     fn finish_stage(&self, spec: &StageSpec) -> ShuffleStats {
         let svc = self.service();
-        svc.manager.delete_shuffle(spec.shuffle_id);
+        svc.manager.lock().delete_shuffle(spec.shuffle_id);
         svc.tracker.unregister_shuffle(spec.shuffle_id);
         svc.lost.lock().retain(|&(sid, _)| sid != spec.shuffle_id);
         svc.stats
@@ -318,7 +331,7 @@ impl Backend for LocalBackend {
 
     fn shutdown(&self) {
         if let Some(svc) = &self.service {
-            svc.manager.clear();
+            svc.manager.lock().clear();
         }
     }
 }

@@ -21,9 +21,12 @@
 //!   death invalidates entries so fetches report the map output lost
 //!   and the engine re-executes the map task (lineage recovery at the
 //!   task level).
-//! * [`ShuffleManager`] — checksummed partition storage over a
-//!   [`BlockStore`](crate::BlockStore), used by worker processes and
-//!   the in-process shuffle service alike.
+//! * [`ShuffleManager`] — one node's verified partition storage, used
+//!   by worker processes and the in-process shuffle service alike. Each
+//!   partition is checksummed once per hop — by its producer, at the
+//!   storage node's door, by its consumer — with the byte layer's
+//!   in-flight checksum (`wordsum64`; FNV-1a stays with the persisted
+//!   formats).
 //!
 //! Because the partitioner is seeded, the merge is order-deterministic,
 //! and the codec round-trips floats bit-exactly, all three pipelines
@@ -45,4 +48,4 @@ pub use process::ProcessBackend;
 pub use shuffle::{shuffle_key, ShuffleError, ShuffleManager};
 pub use tracker::{BlockLocation, MapOutputTracker};
 pub use wire::{decode_from_slice, encode_to_vec, Wire};
-pub use worker::run_worker;
+pub use worker::{run_worker, run_worker_tapped, TransitTap};

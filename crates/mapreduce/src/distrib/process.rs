@@ -6,8 +6,20 @@
 //! the length-prefixed frame protocol of [`crate::distrib::wire`] over
 //! that single duplex connection: the master pushes `STORE` frames as
 //! map tasks finish (map `m`'s output lives on worker `m % N`) and
-//! reducers pull `FETCH` frames back, each verified against the
-//! checksum the [`MapOutputTracker`] recorded at store time.
+//! reducers pull `FETCH` frames back.
+//!
+//! The master is both ends of the integrity chain (DESIGN.md §12). As
+//! producer it hashes each partition once, before the bytes leave, and
+//! records that sum in the [`MapOutputTracker`]; the worker checks every
+//! `STORE` against it at the door; as consumer the master re-hashes what
+//! a `FETCH` returned and compares it with its own record
+//! ([`BlockLocation::verifies`]) — a mismatch is retried with backoff and
+//! then escalates to [`BackendError::Corrupt`]. One hash per hop, all of
+//! them [`wordsum64`]; none of the arithmetic lives here.
+//!
+//! `backend.state` serialises the socket conversations only: a fetch
+//! holds it for one request/response and releases it before verifying,
+//! copying or backing off.
 //!
 //! Failure handling mirrors Hadoop's tasktracker loss: an I/O error or
 //! timeout on a worker's socket marks it dead — the master kills and
@@ -21,11 +33,11 @@
 use super::backend::{Backend, BackendError, MapOutput, ShuffleStats, StageSpec};
 use super::tracker::{BlockLocation, MapOutputTracker};
 use super::wire::{
-    read_frame, write_frame, ERR_NOT_FOUND, OP_DELETE_SID, OP_ERR, OP_FETCH, OP_FETCH_OK, OP_HELLO,
-    OP_KILL, OP_SHUTDOWN, OP_STORE, OP_STORE_OK,
+    read_frame, write_frame, write_frame_parts, ERR_CORRUPT, ERR_NOT_FOUND, OP_DELETE_SID, OP_ERR,
+    OP_FETCH, OP_FETCH_OK, OP_HELLO, OP_KILL, OP_SHUTDOWN, OP_STORE, OP_STORE_OK,
 };
 use crate::fault::FaultPlan;
-use p3c_dataset::bytes::{self, fnv1a64, Reader};
+use p3c_dataset::bytes::{self, wordsum64, Reader};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -41,6 +53,12 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// Fetch attempts per partition before escalating the error.
 const FETCH_ATTEMPTS: usize = 3;
+/// `STORE` frames written ahead of their acknowledgements. The worker
+/// answers each with a few bytes while the master is still writing, so
+/// the window bounds what can pile up unread in the reply direction to
+/// far below any socket buffer — pipelining cannot deadlock at any
+/// reducer count.
+const STORE_WINDOW: usize = 64;
 
 /// Spawned-subprocess backend; see the module docs.
 pub struct ProcessBackend {
@@ -69,6 +87,26 @@ struct Cluster {
 struct WorkerConn {
     child: Child,
     stream: TcpStream,
+}
+
+/// Why one pass over a map output's `STORE`s stopped.
+enum StoreFailure {
+    /// The worker's socket broke: restart it and send the map again.
+    Socket(io::Error),
+    /// Nothing a resend to a fresh worker would fix.
+    Fatal(BackendError),
+}
+
+impl From<io::Error> for StoreFailure {
+    fn from(e: io::Error) -> Self {
+        StoreFailure::Socket(e)
+    }
+}
+
+impl From<BackendError> for StoreFailure {
+    fn from(e: BackendError) -> Self {
+        StoreFailure::Fatal(e)
+    }
 }
 
 impl ProcessBackend {
@@ -160,67 +198,132 @@ impl ProcessBackend {
         read_frame(stream)
     }
 
-    /// Stores one map task's partitions on its worker, retrying across
-    /// one worker restart. Registers every partition with the tracker.
+    /// Stores one map task's partitions on its worker, retrying the whole
+    /// map once across a worker restart. `sums` are the producer's
+    /// [`checksums`] of the partitions; the tracker gets that record.
     fn store_map(
         &self,
         cluster: &mut Cluster,
         spec: &StageSpec,
         output: &MapOutput,
+        sums: &[u64],
         meter_bytes: bool,
     ) -> Result<(), BackendError> {
         let w = self.worker_for(output.map_id);
-        for (reduce_id, data) in output.partitions.iter().enumerate() {
-            let checksum = fnv1a64(data);
-            let mut payload = Vec::with_capacity(32 + data.len());
-            bytes::put_u64(&mut payload, spec.shuffle_id);
-            bytes::put_usize(&mut payload, output.map_id);
-            bytes::put_usize(&mut payload, reduce_id);
-            bytes::put_u64(&mut payload, checksum);
-            payload.extend_from_slice(data);
-
-            let mut stored = false;
-            for attempt in 0..2 {
-                match Self::call(cluster, w, OP_STORE, &payload) {
-                    Ok((OP_STORE_OK, _)) => {
-                        stored = true;
-                        break;
-                    }
-                    Ok((op, body)) => {
-                        return Err(BackendError::Protocol(format!(
-                            "unexpected reply {op} to STORE: {}",
-                            decode_err(&body)
-                        )));
-                    }
-                    Err(e) => {
-                        // Worker socket broke mid-store: restart it and
-                        // try once more on the fresh process.
-                        self.stat(spec.shuffle_id, |s| s.retries += 1);
-                        self.restart_worker(cluster, w, spec.shuffle_id)?;
-                        if attempt == 1 {
-                            return Err(BackendError::Unavailable(format!(
-                                "store to worker {w} failed twice: {e}"
-                            )));
-                        }
-                    }
-                }
-            }
-            debug_assert!(stored);
-            self.tracker.register(
-                spec.shuffle_id,
-                output.map_id,
-                reduce_id,
-                BlockLocation {
+        let mut resent = false;
+        loop {
+            // Registered before the bytes leave (a restart below wipes
+            // the worker's entries, so every attempt registers afresh).
+            for (reduce_id, (data, &checksum)) in output.partitions.iter().zip(sums).enumerate() {
+                let loc = BlockLocation {
                     worker: w,
                     len: data.len() as u64,
                     checksum,
-                },
-            );
-            if meter_bytes {
-                self.stat(spec.shuffle_id, |s| s.bytes_stored += data.len() as u64);
+                };
+                self.tracker
+                    .register(spec.shuffle_id, output.map_id, reduce_id, loc);
+            }
+            match self.send_map(&mut cluster.workers[w].stream, spec, output, sums) {
+                Ok(()) => {
+                    if meter_bytes {
+                        let bytes: usize = output.partitions.iter().map(Vec::len).sum();
+                        self.stat(spec.shuffle_id, |s| s.bytes_stored += bytes as u64);
+                    }
+                    return Ok(());
+                }
+                Err(StoreFailure::Fatal(e)) => return Err(e),
+                Err(StoreFailure::Socket(e)) => {
+                    // Worker socket broke mid-store: restart it and send
+                    // the map once more to the fresh process.
+                    self.stat(spec.shuffle_id, |s| s.retries += 1);
+                    self.restart_worker(cluster, w, spec.shuffle_id)?;
+                    if resent {
+                        return Err(BackendError::Unavailable(format!(
+                            "store to worker {w} failed twice: {e}"
+                        )));
+                    }
+                    resent = true;
+                }
+            }
+        }
+    }
+
+    /// One pass over a map output's `STORE`s, pipelined: a window of
+    /// frames is written back to back, then its acknowledgements are
+    /// collected in order. A partition the worker rejected at the door
+    /// (`ERR_CORRUPT` — mangled in transit; the bytes are still here) is
+    /// sent once more, counted as a retry, before it escalates to
+    /// [`BackendError::Corrupt`].
+    fn send_map(
+        &self,
+        stream: &mut TcpStream,
+        spec: &StageSpec,
+        output: &MapOutput,
+        sums: &[u64],
+    ) -> Result<(), StoreFailure> {
+        let send = |stream: &mut TcpStream, reduce_id: usize| {
+            let mut header = Vec::with_capacity(32);
+            bytes::put_u64(&mut header, spec.shuffle_id);
+            bytes::put_usize(&mut header, output.map_id);
+            bytes::put_usize(&mut header, reduce_id);
+            bytes::put_u64(&mut header, sums[reduce_id]);
+            write_frame_parts(stream, OP_STORE, &[&header, &output.partitions[reduce_id]])
+        };
+        for start in (0..output.partitions.len()).step_by(STORE_WINDOW) {
+            let window = start..(start + STORE_WINDOW).min(output.partitions.len());
+            for reduce_id in window.clone() {
+                send(stream, reduce_id)?;
+            }
+            let mut rejected = Vec::new();
+            for reduce_id in window.clone() {
+                if !store_acknowledged(read_frame(stream)?)? {
+                    rejected.push(reduce_id);
+                }
+            }
+            for reduce_id in rejected {
+                self.stat(spec.shuffle_id, |s| s.retries += 1);
+                send(stream, reduce_id)?;
+                if !store_acknowledged(read_frame(stream)?)? {
+                    return Err(StoreFailure::Fatal(BackendError::Corrupt {
+                        map_id: output.map_id,
+                        reduce_id,
+                    }));
+                }
             }
         }
         Ok(())
+    }
+
+    /// One `FETCH` round trip. `backend.state` is held for exactly this
+    /// conversation — the tracker lookup rides inside it, so the location
+    /// cannot go stale across a concurrent worker restart — and is
+    /// released before the caller verifies or copies a byte.
+    fn fetch_once(
+        &self,
+        spec: &StageSpec,
+        map_id: usize,
+        reduce_id: usize,
+        request: &[u8],
+    ) -> Result<(BlockLocation, (u8, Vec<u8>)), BackendError> {
+        let mut state = self.state.lock();
+        // audit: lock-blocking-ok — lazy cluster boot (spawn/accept/handshake) is serialized under `backend.state` by design (§15).
+        let cluster = self.ensure_up(&mut state)?;
+        let Some(loc) = self.tracker.lookup(spec.shuffle_id, map_id, reduce_id) else {
+            // Never registered, or invalidated by a worker death.
+            return Err(BackendError::Lost { map_id });
+        };
+        // audit: lock-blocking-ok — one fetch RPC under `backend.state`: worker sockets are shared, so their conversations are serialized (§15).
+        match Self::call(cluster, loc.worker, OP_FETCH, request) {
+            Ok(reply) => Ok((loc, reply)),
+            Err(_) => {
+                // Dead worker: everything it held is lost; restart it
+                // and let the engine re-execute.
+                self.stat(spec.shuffle_id, |s| s.retries += 1);
+                // audit: lock-blocking-ok — dead-worker restart is part of the serialized control plane (§15).
+                self.restart_worker(cluster, loc.worker, spec.shuffle_id)?;
+                Err(BackendError::Lost { map_id })
+            }
+        }
     }
 
     /// Fires the stage's injected worker kill if the plan calls for it
@@ -259,27 +362,29 @@ impl Backend for ProcessBackend {
     }
 
     fn submit_stage(&self, spec: &StageSpec, outputs: Vec<MapOutput>) -> Result<(), BackendError> {
+        let sums: Vec<Vec<u64>> = outputs.iter().map(checksums).collect();
         let mut state = self.state.lock();
         // audit: lock-blocking-ok — lazy cluster boot is serialized under `backend.state` by design (§15).
         let cluster = self.ensure_up(&mut state)?;
-        for output in &outputs {
+        for (output, sums) in outputs.iter().zip(&sums) {
             // Kill *before* storing this map's partitions: earlier maps
             // on the same worker are lost (and recovered at fetch
             // time); this map stores cleanly on the fresh process.
             // audit: lock-blocking-ok — fault-injection kill RPC on the serialized control plane (§15).
             self.maybe_inject_kill(cluster, spec, output.map_id)?;
             // audit: lock-blocking-ok — map-output store RPC on the serialized control plane (§15).
-            self.store_map(cluster, spec, output, true)?;
+            self.store_map(cluster, spec, output, sums, true)?;
         }
         Ok(())
     }
 
     fn restore_map(&self, spec: &StageSpec, output: MapOutput) -> Result<(), BackendError> {
+        let sums = checksums(&output);
         let mut state = self.state.lock();
         // audit: lock-blocking-ok — lazy cluster boot is serialized under `backend.state` by design (§15).
         let cluster = self.ensure_up(&mut state)?;
         // audit: lock-blocking-ok — map-output store RPC on the serialized control plane (§15).
-        self.store_map(cluster, spec, &output, false)
+        self.store_map(cluster, spec, &output, &sums, false)
     }
 
     fn fetch_shuffle(
@@ -288,49 +393,42 @@ impl Backend for ProcessBackend {
         map_id: usize,
         reduce_id: usize,
     ) -> Result<Vec<u8>, BackendError> {
-        let mut state = self.state.lock();
-        // audit: lock-blocking-ok — lazy cluster boot (spawn/accept/handshake) is serialized under `backend.state` by design (§15).
-        let cluster = self.ensure_up(&mut state)?;
-        let Some(loc) = self.tracker.lookup(spec.shuffle_id, map_id, reduce_id) else {
-            // Never registered, or invalidated by a worker death.
-            return Err(BackendError::Lost { map_id });
-        };
-        let mut payload = Vec::with_capacity(24);
-        bytes::put_u64(&mut payload, spec.shuffle_id);
-        bytes::put_usize(&mut payload, map_id);
-        bytes::put_usize(&mut payload, reduce_id);
+        let mut request = Vec::with_capacity(24);
+        bytes::put_u64(&mut request, spec.shuffle_id);
+        bytes::put_usize(&mut request, map_id);
+        bytes::put_usize(&mut request, reduce_id);
 
+        let mut failure = BackendError::Unavailable(format!(
+            "fetch (map {map_id}, reduce {reduce_id}) exhausted retries"
+        ));
         for attempt in 0..FETCH_ATTEMPTS {
             if attempt > 0 {
                 self.stat(spec.shuffle_id, |s| s.retries += 1);
                 // Exponential backoff between attempts against a live
-                // worker (corruption or transient short reads).
-                // audit: lock-blocking-ok — bounded backoff (at most 40ms) between fetch retries on the serialized control plane.
+                // worker (corruption or transient short reads); no lock
+                // is held, so other reducers keep fetching meanwhile.
                 std::thread::sleep(Duration::from_millis(5 << attempt));
             }
-            // audit: lock-blocking-ok — fetch RPC under `backend.state`: the control plane is intentionally serialized (§15).
-            match Self::call(cluster, loc.worker, OP_FETCH, &payload) {
-                Ok((OP_FETCH_OK, body)) => {
-                    let mut r = Reader::new(&body);
-                    let Ok(checksum) = r.u64() else {
+            match self.fetch_once(spec, map_id, reduce_id, &request)? {
+                (loc, (OP_FETCH_OK, mut body)) => {
+                    let Ok(claimed) = Reader::new(&body).u64() else {
                         return Err(BackendError::Protocol("short FETCH_OK frame".to_string()));
                     };
-                    let data = r.rest().to_vec();
-                    if checksum != loc.checksum || fnv1a64(&data) != checksum {
-                        // Bytes mutated in storage or transit; retry,
-                        // then report corruption.
-                        if attempt + 1 == FETCH_ATTEMPTS {
-                            return Err(BackendError::Corrupt { map_id, reduce_id });
-                        }
-                        continue;
+                    body.drain(..8);
+                    // The consumer hop: what arrived, re-hashed, against
+                    // the producer's record.
+                    if loc.verifies(claimed, &body) {
+                        self.stat(spec.shuffle_id, |s| {
+                            s.fetches += 1;
+                            s.bytes_fetched += body.len() as u64;
+                        });
+                        return Ok(body);
                     }
-                    self.stat(spec.shuffle_id, |s| {
-                        s.fetches += 1;
-                        s.bytes_fetched += data.len() as u64;
-                    });
-                    return Ok(data);
+                    // Bytes mutated in storage or transit; retry, then
+                    // report corruption.
+                    failure = BackendError::Corrupt { map_id, reduce_id };
                 }
-                Ok((OP_ERR, body)) => {
+                (loc, (OP_ERR, body)) => {
                     let (code, msg) = decode_err_parts(&body);
                     if code == ERR_NOT_FOUND {
                         // The worker restarted since registration; its
@@ -339,30 +437,17 @@ impl Backend for ProcessBackend {
                         self.stat(spec.shuffle_id, |s| s.retries += 1);
                         return Err(BackendError::Lost { map_id });
                     }
-                    if attempt + 1 == FETCH_ATTEMPTS {
-                        return Err(BackendError::Protocol(format!(
-                            "FETCH failed with code {code}: {msg}"
-                        )));
-                    }
+                    failure =
+                        BackendError::Protocol(format!("FETCH failed with code {code}: {msg}"));
                 }
-                Ok((op, _)) => {
+                (_, (op, _)) => {
                     return Err(BackendError::Protocol(format!(
                         "unexpected reply {op} to FETCH"
                     )));
                 }
-                Err(_) => {
-                    // Dead worker: everything it held is lost; restart
-                    // it and let the engine re-execute.
-                    self.stat(spec.shuffle_id, |s| s.retries += 1);
-                    // audit: lock-blocking-ok — dead-worker restart is part of the serialized control plane (§15).
-                    self.restart_worker(cluster, loc.worker, spec.shuffle_id)?;
-                    return Err(BackendError::Lost { map_id });
-                }
             }
         }
-        Err(BackendError::Unavailable(format!(
-            "fetch (map {map_id}, reduce {reduce_id}) exhausted retries"
-        )))
+        Err(failure)
     }
 
     fn finish_stage(&self, spec: &StageSpec) -> ShuffleStats {
@@ -404,6 +489,26 @@ impl Backend for ProcessBackend {
 impl Drop for ProcessBackend {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// The producer hop: each partition of a map output hashed once, before
+/// any of its bytes leave and before `backend.state` is taken.
+fn checksums(output: &MapOutput) -> Vec<u64> {
+    output.partitions.iter().map(|p| wordsum64(p)).collect()
+}
+
+/// Reads a reply to `STORE`: stored, or rejected at the door as
+/// corrupt (`false` — worth one resend). Anything else breaks the
+/// protocol.
+fn store_acknowledged((op, body): (u8, Vec<u8>)) -> Result<bool, BackendError> {
+    match op {
+        OP_STORE_OK => Ok(true),
+        OP_ERR if decode_err_parts(&body).0 == ERR_CORRUPT => Ok(false),
+        _ => Err(BackendError::Protocol(format!(
+            "unexpected reply {op} to STORE: {}",
+            decode_err(&body)
+        ))),
     }
 }
 

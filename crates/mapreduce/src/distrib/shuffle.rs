@@ -1,28 +1,34 @@
-//! Checksummed shuffle-partition storage over a [`BlockStore`].
+//! Verified shuffle-partition storage of one node.
 //!
-//! One [`ShuffleManager`] fronts one store — the worker process wraps
-//! its local store in one, and the in-process shuffle service of
-//! [`crate::distrib::LocalBackend`] does the same on the master. Every
-//! partition is written under `shuffle/{sid}/{map}/{reduce}` together
-//! with its FNV-1a checksum, and every read re-verifies the checksum,
-//! so corruption surfaces as a retryable error instead of silently
-//! wrong reducer input.
+//! One [`ShuffleManager`] is the storage hop of the data plane — a
+//! worker process owns one, and the in-process shuffle service of
+//! [`crate::distrib::LocalBackend`] keeps one on the master. Integrity is
+//! checked where a partition changes hands, once per hop (DESIGN.md
+//! §12): the producer records the partition's [`wordsum64`] — the
+//! in-flight checksum; FNV-1a is for persisted formats only — before
+//! the bytes leave; the
+//! manager re-hashes every partition **at the door** and refuses one
+//! that does not match; from then on the *verified* sum stays with the
+//! bytes and is handed back on every read instead of being recomputed,
+//! because the consumer re-hashes what it receives against the
+//! producer's record anyway. The manager keeps the buffer a partition
+//! arrived in, so storing and serving copy nothing.
 
-use crate::blockstore::BlockStore;
-use p3c_dataset::bytes::fnv1a64;
+use p3c_dataset::bytes::wordsum64;
+use std::collections::BTreeMap;
 
 /// Storage-side shuffle failures, reported over the wire as `OP_ERR`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShuffleError {
     /// The partition was never stored here, or was deleted.
     Missing {
-        /// The missing partition's block name.
+        /// The missing partition's name.
         key: String,
     },
-    /// The stored bytes no longer match the checksum recorded at store
-    /// time.
+    /// The bytes offered for storing do not match the checksum their
+    /// producer claims for them.
     Corrupt {
-        /// The corrupt partition's block name.
+        /// The corrupt partition's name.
         key: String,
     },
 }
@@ -38,74 +44,96 @@ impl std::fmt::Display for ShuffleError {
 
 impl std::error::Error for ShuffleError {}
 
-/// Block-store name of one shuffle partition.
+/// Display name of one shuffle partition.
 pub fn shuffle_key(shuffle_id: u64, map_id: usize, reduce_id: usize) -> String {
     format!("shuffle/{shuffle_id}/{map_id}/{reduce_id}")
 }
 
-/// Writes and reads checksummed shuffle partitions on one block store.
+/// One stored partition: `buf[data_at..]`, in the buffer it arrived in.
+#[derive(Debug)]
+struct Stored {
+    checksum: u64,
+    buf: Vec<u8>,
+    data_at: usize,
+}
+
+/// Verified partitions of one storage node, keyed by
+/// `(shuffle_id, map_id, reduce_id)`. Unreplicated: shuffle output is
+/// transient and re-creatable from lineage, exactly like Hadoop's map
+/// output.
 #[derive(Debug, Default)]
 pub struct ShuffleManager {
-    store: BlockStore,
+    partitions: BTreeMap<(u64, usize, usize), Stored>,
 }
 
 impl ShuffleManager {
-    /// A manager over a fresh store with the given block size.
-    /// Replication is 1: shuffle output is transient and re-creatable
-    /// from lineage, exactly like Hadoop's un-replicated map output.
-    pub fn new(block_size: usize) -> Self {
-        Self {
-            store: BlockStore::new(block_size, 1),
-        }
+    /// An empty manager.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// The underlying store (for byte accounting).
-    pub fn store(&self) -> &BlockStore {
-        &self.store
-    }
-
-    /// Stores one partition and returns its checksum.
+    /// Verifies `buf[data_at..]` against the producer's `claimed`
+    /// checksum and, if it matches, keeps the buffer (whatever framing
+    /// precedes `data_at` rides along, so nothing is copied) together
+    /// with the now-verified sum. A re-executed map task's partition
+    /// replaces the lost original.
+    ///
+    /// # Errors
+    /// [`ShuffleError::Corrupt`] if the bytes do not hash to `claimed`
+    /// (or `data_at` lies past the buffer); nothing is stored.
     pub fn store_partition(
-        &self,
+        &mut self,
         shuffle_id: u64,
         map_id: usize,
         reduce_id: usize,
-        data: &[u8],
-    ) -> u64 {
-        let checksum = fnv1a64(data);
-        self.store
-            .write(&shuffle_key(shuffle_id, map_id, reduce_id), data);
-        checksum
-    }
-
-    /// Fetches one partition, verifying it against `expected_checksum`.
-    pub fn fetch_partition(
-        &self,
-        shuffle_id: u64,
-        map_id: usize,
-        reduce_id: usize,
-        expected_checksum: u64,
-    ) -> Result<Vec<u8>, ShuffleError> {
-        let key = shuffle_key(shuffle_id, map_id, reduce_id);
-        let data = self
-            .store
-            .read(&key)
-            .ok_or_else(|| ShuffleError::Missing { key: key.clone() })?;
-        if fnv1a64(&data) != expected_checksum {
-            return Err(ShuffleError::Corrupt { key });
+        claimed: u64,
+        buf: Vec<u8>,
+        data_at: usize,
+    ) -> Result<(), ShuffleError> {
+        if buf.get(data_at..).map(wordsum64) != Some(claimed) {
+            return Err(ShuffleError::Corrupt {
+                key: shuffle_key(shuffle_id, map_id, reduce_id),
+            });
         }
-        Ok(data)
+        let stored = Stored {
+            checksum: claimed,
+            buf,
+            data_at,
+        };
+        self.partitions
+            .insert((shuffle_id, map_id, reduce_id), stored);
+        Ok(())
     }
 
-    /// Deletes every partition of one shuffle id; returns how many
-    /// block-store files were removed.
-    pub fn delete_shuffle(&self, shuffle_id: u64) -> usize {
-        self.store.delete_prefix(&format!("shuffle/{shuffle_id}/"))
+    /// One stored partition with the checksum verified when it came in.
+    ///
+    /// # Errors
+    /// [`ShuffleError::Missing`] if it is not (or no longer) here.
+    pub fn partition(
+        &self,
+        shuffle_id: u64,
+        map_id: usize,
+        reduce_id: usize,
+    ) -> Result<(u64, &[u8]), ShuffleError> {
+        match self.partitions.get(&(shuffle_id, map_id, reduce_id)) {
+            Some(stored) => Ok((stored.checksum, &stored.buf[stored.data_at..])),
+            None => Err(ShuffleError::Missing {
+                key: shuffle_key(shuffle_id, map_id, reduce_id),
+            }),
+        }
     }
 
-    /// Deletes everything (worker shutdown / injected crash).
-    pub fn clear(&self) -> usize {
-        self.store.delete_prefix("shuffle/")
+    /// Deletes every partition of one shuffle id; returns how many were
+    /// removed.
+    pub fn delete_shuffle(&mut self, shuffle_id: u64) -> usize {
+        let before = self.partitions.len();
+        self.partitions.retain(|&(sid, _, _), _| sid != shuffle_id);
+        before - self.partitions.len()
+    }
+
+    /// Deletes everything (shutdown); returns how many were removed.
+    pub fn clear(&mut self) -> usize {
+        std::mem::take(&mut self.partitions).len()
     }
 }
 
@@ -113,45 +141,57 @@ impl ShuffleManager {
 mod tests {
     use super::*;
 
+    fn store(m: &mut ShuffleManager, sid: u64, map: usize, reduce: usize, data: &[u8]) {
+        m.store_partition(sid, map, reduce, wordsum64(data), data.to_vec(), 0)
+            .unwrap();
+    }
+
     #[test]
     fn store_fetch_roundtrip_with_checksum() {
-        let m = ShuffleManager::new(64);
-        let sum = m.store_partition(3, 1, 2, b"partition bytes");
-        assert_eq!(sum, fnv1a64(b"partition bytes"));
-        assert_eq!(m.fetch_partition(3, 1, 2, sum).unwrap(), b"partition bytes");
+        let mut m = ShuffleManager::new();
+        // The partition may sit behind framing in the buffer it came in.
+        let mut framed = b"header".to_vec();
+        framed.extend_from_slice(b"partition bytes");
+        let sum = wordsum64(b"partition bytes");
+        m.store_partition(3, 1, 2, sum, framed, 6).unwrap();
+        assert_eq!(m.partition(3, 1, 2), Ok((sum, &b"partition bytes"[..])));
     }
 
     #[test]
     fn missing_and_corrupt_are_distinct_errors() {
-        let m = ShuffleManager::new(64);
+        let mut m = ShuffleManager::new();
         assert!(matches!(
-            m.fetch_partition(1, 0, 0, 0),
+            m.partition(1, 0, 0),
             Err(ShuffleError::Missing { .. })
         ));
-        let sum = m.store_partition(1, 0, 0, b"data");
-        assert!(matches!(
-            m.fetch_partition(1, 0, 0, sum ^ 1),
-            Err(ShuffleError::Corrupt { .. })
-        ));
+        let sum = wordsum64(b"data");
+        for (claimed, data_at) in [(sum ^ 1, 0), (sum, 1), (sum, 5)] {
+            assert!(matches!(
+                m.store_partition(1, 0, 0, claimed, b"data".to_vec(), data_at),
+                Err(ShuffleError::Corrupt { .. })
+            ));
+        }
+        // Nothing refused was kept.
+        assert!(m.partition(1, 0, 0).is_err());
     }
 
     #[test]
     fn delete_shuffle_scopes_to_sid() {
-        let m = ShuffleManager::new(64);
-        m.store_partition(1, 0, 0, b"a");
-        m.store_partition(1, 0, 1, b"b");
-        m.store_partition(10, 0, 0, b"c");
-        // Prefix "shuffle/1/" must not sweep sid 10.
+        let mut m = ShuffleManager::new();
+        store(&mut m, 1, 0, 0, b"a");
+        store(&mut m, 1, 0, 1, b"b");
+        store(&mut m, 10, 0, 0, b"c");
         assert_eq!(m.delete_shuffle(1), 2);
-        let sum = fnv1a64(b"c");
-        assert!(m.fetch_partition(10, 0, 0, sum).is_ok());
+        assert!(m.partition(10, 0, 0).is_ok());
         assert_eq!(m.clear(), 1);
     }
 
     #[test]
     fn empty_partition_roundtrips() {
-        let m = ShuffleManager::new(64);
-        let sum = m.store_partition(2, 0, 0, b"");
-        assert_eq!(m.fetch_partition(2, 0, 0, sum).unwrap(), Vec::<u8>::new());
+        let mut m = ShuffleManager::new();
+        store(&mut m, 2, 0, 0, b"");
+        assert_eq!(m.partition(2, 0, 0), Ok((wordsum64(b""), &b""[..])));
+        store(&mut m, 2, 0, 0, b"again");
+        assert_eq!(m.partition(2, 0, 0).unwrap().1, b"again");
     }
 }

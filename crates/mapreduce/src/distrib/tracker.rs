@@ -2,8 +2,11 @@
 //!
 //! Every map task that finishes registers, per reducer, where its
 //! partition bytes live — which worker holds them, how long they are,
-//! and their FNV-1a checksum. Reducers consult the tracker before each
-//! fetch; when a worker dies, [`MapOutputTracker::invalidate_worker`]
+//! and their [`wordsum64`] (the in-flight checksum; FNV-1a is kept for
+//! persisted formats), computed by the producer before the bytes leave
+//! it. That record is what a fetched partition is verified against
+//! ([`BlockLocation::verifies`]). Reducers consult the tracker before
+//! each fetch; when a worker dies, [`MapOutputTracker::invalidate_worker`]
 //! removes every entry it held, so the next lookup reports the map
 //! output as lost and the engine re-executes that map task (Hadoop's
 //! "map output lost, re-running map" path; DESIGN.md §12).
@@ -19,6 +22,7 @@ use p3c_loom::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::sync::{rank, RankedMutex};
+use p3c_dataset::bytes::wordsum64;
 use std::collections::BTreeMap;
 
 /// Where one `(shuffle_id, map_id, reduce_id)` partition lives.
@@ -28,8 +32,21 @@ pub struct BlockLocation {
     pub worker: usize,
     /// Size of the partition in bytes.
     pub len: u64,
-    /// FNV-1a checksum of the partition bytes.
+    /// [`wordsum64`] of the partition bytes, as the producer hashed them.
     pub checksum: u64,
+}
+
+impl BlockLocation {
+    /// The consumer's end of the integrity chain: `data` is what a fetch
+    /// returned and `claimed` the checksum the storage node verified when
+    /// it took the partition in. Both must agree with the producer's
+    /// record — the bytes by length and by a fresh hash, so corruption in
+    /// storage or on the way back cannot hide behind an honest `claimed`.
+    pub fn verifies(&self, claimed: u64, data: &[u8]) -> bool {
+        claimed == self.checksum
+            && data.len() as u64 == self.len
+            && wordsum64(data) == self.checksum
+    }
 }
 
 /// Registry mapping `(shuffle_id, map_id, reduce_id)` to a
@@ -126,6 +143,22 @@ mod tests {
             len: 10,
             checksum: 0xabc,
         }
+    }
+
+    #[test]
+    fn a_fetch_verifies_only_against_the_producers_whole_record() {
+        let data = b"partition bytes";
+        let loc = BlockLocation {
+            worker: 0,
+            len: data.len() as u64,
+            checksum: wordsum64(data),
+        };
+        assert!(loc.verifies(loc.checksum, data));
+        // A storage node vouching for something else, rotted bytes behind
+        // an honest claim, and a short read are all mismatches.
+        assert!(!loc.verifies(loc.checksum ^ 1, data));
+        assert!(!loc.verifies(loc.checksum, b"partition bytez"));
+        assert!(!loc.verifies(loc.checksum, &data[..14]));
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!
 //! The module also defines the framing used on the master↔worker socket:
 //! `[u32 length][u8 opcode][payload]` (the byte layer's frame head, the
-//! same one that opens a journal record), with an FNV-1a checksum over
-//! every shuffle partition.
+//! same one that opens a journal record). Frames carry no checksum of
+//! their own; every shuffle partition travels with its
+//! [`wordsum64`](bytes::wordsum64) in the `STORE` / `FETCH_OK` payload.
 
 use p3c_dataset::bytes::{self, DecodeError, Reader};
 use std::io::{self, Read, Write};
@@ -28,7 +29,8 @@ pub const OP_STORE: u8 = 2;
 pub const OP_STORE_OK: u8 = 3;
 /// Master → worker: fetch one shuffle partition.
 pub const OP_FETCH: u8 = 4;
-/// Worker → master: partition bytes plus checksum.
+/// Worker → master: the checksum the worker verified at `STORE`, then
+/// the partition bytes.
 pub const OP_FETCH_OK: u8 = 5;
 /// Either direction: request failed; payload is `(code, message)`.
 pub const OP_ERR: u8 = 6;
@@ -46,7 +48,8 @@ pub const OP_KILL: u8 = 11;
 
 /// `OP_ERR` code: the requested partition is not on this worker.
 pub const ERR_NOT_FOUND: u64 = 1;
-/// `OP_ERR` code: stored bytes no longer match their checksum.
+/// `OP_ERR` code: the bytes of a `STORE` do not match the checksum sent
+/// with them — mangled in transit; the sender still holds them.
 pub const ERR_CORRUPT: u64 = 2;
 /// `OP_ERR` code: the request frame itself could not be decoded.
 pub const ERR_MALFORMED: u64 = 3;
@@ -241,8 +244,18 @@ const FRAME_READ_CHUNK: usize = 64 << 10;
 /// `InvalidInput` for a payload past [`bytes::MAX_PAYLOAD_LEN`] — every
 /// reader would reject the frame.
 pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&bytes::frame_head(payload.len(), opcode)?)?;
-    w.write_all(payload)?;
+    write_frame_parts(w, opcode, &[payload])
+}
+
+/// [`write_frame`] for a payload that is the concatenation of `parts`,
+/// so a sender can put a few header bytes in front of a partition
+/// without first copying the partition behind them.
+pub fn write_frame_parts(w: &mut impl Write, opcode: u8, parts: &[&[u8]]) -> io::Result<()> {
+    let len = parts.iter().map(|part| part.len()).sum();
+    w.write_all(&bytes::frame_head(len, opcode)?)?;
+    for part in parts {
+        w.write_all(part)?;
+    }
     w.flush()
 }
 
@@ -377,6 +390,18 @@ mod tests {
         let (op, payload) = read_frame(&mut cursor).unwrap();
         assert_eq!((op, payload.as_slice()), (OP_PING, b"".as_slice()));
         assert!(read_frame(&mut cursor).is_err(), "EOF is an error");
+    }
+
+    #[test]
+    fn a_frame_written_in_parts_is_the_same_frame() {
+        let (mut whole, mut parts) = (Vec::new(), Vec::new());
+        write_frame(&mut whole, OP_FETCH_OK, b"checksumpartition").unwrap();
+        write_frame_parts(&mut parts, OP_FETCH_OK, &[b"checksum", b"", b"partition"]).unwrap();
+        assert_eq!(parts, whole);
+        // The cap applies to the sum of the parts.
+        let half = vec![0u8; bytes::MAX_PAYLOAD_LEN / 2 + 1];
+        let err = write_frame_parts(&mut io::sink(), OP_STORE, &[&half, &half]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

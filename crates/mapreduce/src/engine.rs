@@ -377,9 +377,21 @@ impl Engine {
         // to run (and serial-vs-DAG driver comparisons stay exact). The
         // property is model-checked on [`ShuffleBuckets`] itself (see
         // `crate::kernel` and the `loom_models` test).
-        let partitions: Vec<ShuffleBuckets<(K, V)>> = (0..num_reducers)
-            .map(|_| ShuffleBuckets::new(splits.len()))
-            .collect();
+        //
+        // On a distributed backend a map task's output leaves the engine
+        // as bytes, so the task encodes its own partitions as it commits
+        // — on the worker pool, while the pairs are still warm, and
+        // without the typed pairs outliving the task — into one slot per
+        // map, in the same split order.
+        let map_side = if self.backend.is_distributed() {
+            MapSide::Encoded(BlockPartials::new(splits.len()))
+        } else {
+            MapSide::InMemory(
+                (0..num_reducers)
+                    .map(|_| ShuffleBuckets::new(splits.len()))
+                    .collect(),
+            )
+        };
         let shuffle_records = AtomicU64::new(0);
         let shuffle_bytes = AtomicU64::new(0);
         let combine_in = AtomicU64::new(0);
@@ -405,21 +417,29 @@ impl Engine {
                     // audit: relaxed-ok — monotonic metric counter.
                     combine_out.fetch_add(c_out, Ordering::Relaxed);
                 }
-                for (p, part) in parts.into_iter().enumerate() {
-                    if part.is_empty() {
-                        continue;
+                let mut recs = 0u64;
+                let mut bytes = 0u64;
+                for (k, v) in parts.iter().flatten() {
+                    recs += 1;
+                    bytes += (k.weight() + v.weight()) as u64;
+                }
+                // audit: relaxed-ok — monotonic metric counter.
+                shuffle_records.fetch_add(recs, Ordering::Relaxed);
+                // audit: relaxed-ok — monotonic metric counter.
+                shuffle_bytes.fetch_add(bytes, Ordering::Relaxed);
+                match &map_side {
+                    MapSide::InMemory(partitions) => {
+                        for (p, part) in parts.into_iter().enumerate() {
+                            if !part.is_empty() {
+                                partitions[p].commit(idx, part);
+                            }
+                        }
                     }
-                    let mut recs = 0u64;
-                    let mut bytes = 0u64;
-                    for (k, v) in &part {
-                        recs += 1;
-                        bytes += (k.weight() + v.weight()) as u64;
+                    // Every partition travels, the empty ones too — the
+                    // same bytes lost-output recovery rebuilds.
+                    MapSide::Encoded(outputs) => {
+                        outputs.commit(idx, parts.iter().map(encode_to_vec).collect());
                     }
-                    // audit: relaxed-ok — monotonic metric counter.
-                    shuffle_records.fetch_add(recs, Ordering::Relaxed);
-                    // audit: relaxed-ok — monotonic metric counter.
-                    shuffle_bytes.fetch_add(bytes, Ordering::Relaxed);
-                    partitions[p].commit(idx, part);
                 }
             },
             mapper,
@@ -437,111 +457,106 @@ impl Engine {
         // ------------------------------------------------------- reduce --
         // audit: time-ok — wall-clock feeds the reduce_wall metric only.
         let reduce_start = Instant::now();
-        let reduce_result = if self.backend.is_distributed() {
-            // Distributed data plane: encode each map task's partitions
-            // with the exact-round-trip Wire codec, submit them to the
-            // backend, and gather each reducer's input by fetching the
-            // blobs back in map order — the same slot order
-            // `take_ordered` concatenates in, so the pairs a reducer
-            // sees are identical to the in-memory path's.
-            // audit: relaxed-ok — monotonic id counter; uniqueness only.
-            let shuffle_id = self.next_shuffle.fetch_add(1, Ordering::Relaxed);
-            let spec = StageSpec {
-                shuffle_id,
-                job: name.to_string(),
-                num_maps: splits.len(),
-                num_reducers,
-            };
-            let mut per_reducer: Vec<Vec<Vec<(K, V)>>> =
-                partitions.iter().map(|b| b.take_slots()).collect();
-            let mut map_outputs: Vec<MapOutput> = Vec::with_capacity(splits.len());
-            for m in 0..splits.len() {
-                let parts: Vec<Vec<u8>> = per_reducer
-                    .iter_mut()
-                    .map(|slots| encode_to_vec(&std::mem::take(&mut slots[m])))
+        let reduce_result = match map_side {
+            // Distributed data plane: submit each map task's partitions
+            // — encoded with the exact-round-trip Wire codec when the
+            // task committed — to the backend, and gather each reducer's
+            // input by fetching the blobs back in map order — the same
+            // slot order `take_ordered` concatenates in, so the pairs a
+            // reducer sees are identical to the in-memory path's.
+            MapSide::Encoded(outputs) => {
+                // audit: relaxed-ok — monotonic id counter; uniqueness only.
+                let shuffle_id = self.next_shuffle.fetch_add(1, Ordering::Relaxed);
+                let spec = StageSpec {
+                    shuffle_id,
+                    job: name.to_string(),
+                    num_maps: splits.len(),
+                    num_reducers,
+                };
+                let map_outputs: Vec<MapOutput> = outputs
+                    .into_ordered()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(map_id, partitions)| MapOutput { map_id, partitions })
                     .collect();
-                map_outputs.push(MapOutput {
-                    map_id: m,
-                    partitions: parts,
-                });
-            }
-            drop(per_reducer);
-            let backend_err = |e: &BackendError| MrError::Backend {
-                job: name.to_string(),
-                message: e.to_string(),
-            };
-            if let Err(e) = self.backend.submit_stage(&spec, map_outputs) {
-                return Err(backend_err(&e));
-            }
-            // Serializes lost-map re-executions. Mappers and the
-            // partitioner are deterministic, so a duplicate recovery of
-            // the same map would rebuild identical bytes; one at a time
-            // is still cheaper and keeps retry accounting readable.
-            let recovery = Mutex::new(());
-            let result = self.reduce_partitions(name, num_reducers, reducer, |p| {
-                let mut pairs: Vec<(K, V)> = Vec::new();
-                for m in 0..spec.num_maps {
-                    let mut recoveries = 0usize;
-                    let bytes = loop {
-                        match self.backend.fetch_shuffle(&spec, m, p) {
-                            Ok(bytes) => break bytes,
-                            Err(BackendError::Lost { map_id }) => {
-                                recoveries += 1;
-                                if recoveries > self.config.max_attempts {
-                                    return Err(MrError::Backend {
-                                        job: name.to_string(),
-                                        message: format!(
-                                            "map {map_id} output lost and re-execution \
-                                             exhausted {} attempts",
-                                            self.config.max_attempts
-                                        ),
-                                    });
-                                }
-                                let _one_at_a_time = recovery.lock();
-                                // Re-execute the lost map task; the
-                                // deterministic pipeline rebuilds the
-                                // exact partitions the worker lost.
-                                let mut emitter = Emitter::new();
-                                mapper.map_split(splits[map_id], &mut emitter);
-                                let (emitted, _counters) = emitter.into_parts();
-                                let (parts, _, _) =
-                                    partition_and_combine(emitted, num_reducers, combiner);
-                                let rebuilt = MapOutput {
-                                    map_id,
-                                    partitions: parts.iter().map(encode_to_vec).collect(),
-                                };
-                                self.backend
-                                    .restore_map(&spec, rebuilt)
-                                    .map_err(|e| backend_err(&e))?;
-                            }
-                            Err(e) => return Err(backend_err(&e)),
-                        }
-                    };
-                    let part: Vec<(K, V)> =
-                        decode_from_slice(&bytes).map_err(|e| MrError::Backend {
-                            job: name.to_string(),
-                            message: format!(
-                                "shuffle partition (map {m}, reduce {p}) undecodable: {e}"
-                            ),
-                        })?;
-                    pairs.extend(part);
+                let backend_err = |e: &BackendError| MrError::Backend {
+                    job: name.to_string(),
+                    message: e.to_string(),
+                };
+                if let Err(e) = self.backend.submit_stage(&spec, map_outputs) {
+                    return Err(backend_err(&e));
                 }
-                Ok(pairs)
-            });
-            // Stage cleanup runs on success *and* failure; its stats
-            // feed the job's data-plane metrics.
-            let stats = self.backend.finish_stage(&spec);
-            metrics.shuffle_fetches = stats.fetches;
-            metrics.fetch_retries = stats.retries;
-            metrics.worker_restarts = stats.worker_restarts;
-            metrics.shuffle_bytes_moved = stats.bytes_stored + stats.bytes_fetched;
-            result
-        } else {
+                // Serializes lost-map re-executions. Mappers and the
+                // partitioner are deterministic, so a duplicate recovery of
+                // the same map would rebuild identical bytes; one at a time
+                // is still cheaper and keeps retry accounting readable.
+                let recovery = Mutex::new(());
+                let result = self.reduce_partitions(name, num_reducers, reducer, |p| {
+                    let mut pairs: Vec<(K, V)> = Vec::new();
+                    for m in 0..spec.num_maps {
+                        let mut recoveries = 0usize;
+                        let bytes = loop {
+                            match self.backend.fetch_shuffle(&spec, m, p) {
+                                Ok(bytes) => break bytes,
+                                Err(BackendError::Lost { map_id }) => {
+                                    recoveries += 1;
+                                    if recoveries > self.config.max_attempts {
+                                        return Err(MrError::Backend {
+                                            job: name.to_string(),
+                                            message: format!(
+                                                "map {map_id} output lost and re-execution \
+                                             exhausted {} attempts",
+                                                self.config.max_attempts
+                                            ),
+                                        });
+                                    }
+                                    let _one_at_a_time = recovery.lock();
+                                    // Re-execute the lost map task; the
+                                    // deterministic pipeline rebuilds the
+                                    // exact partitions the worker lost.
+                                    let mut emitter = Emitter::new();
+                                    mapper.map_split(splits[map_id], &mut emitter);
+                                    let (emitted, _counters) = emitter.into_parts();
+                                    let (parts, _, _) =
+                                        partition_and_combine(emitted, num_reducers, combiner);
+                                    let rebuilt = MapOutput {
+                                        map_id,
+                                        partitions: parts.iter().map(encode_to_vec).collect(),
+                                    };
+                                    self.backend
+                                        .restore_map(&spec, rebuilt)
+                                        .map_err(|e| backend_err(&e))?;
+                                }
+                                Err(e) => return Err(backend_err(&e)),
+                            }
+                        };
+                        let part: Vec<(K, V)> =
+                            decode_from_slice(&bytes).map_err(|e| MrError::Backend {
+                                job: name.to_string(),
+                                message: format!(
+                                    "shuffle partition (map {m}, reduce {p}) undecodable: {e}"
+                                ),
+                            })?;
+                        pairs.extend(part);
+                    }
+                    Ok(pairs)
+                });
+                // Stage cleanup runs on success *and* failure; its stats
+                // feed the job's data-plane metrics.
+                let stats = self.backend.finish_stage(&spec);
+                metrics.shuffle_fetches = stats.fetches;
+                metrics.fetch_retries = stats.retries;
+                metrics.worker_restarts = stats.worker_restarts;
+                metrics.shuffle_bytes_moved = stats.bytes_stored + stats.bytes_fetched;
+                result
+            }
             // In-memory passthrough: drain each partition's buckets
             // directly, zero copies.
-            self.reduce_partitions(name, num_reducers, reducer, |p| {
-                Ok(partitions[p].take_ordered())
-            })
+            MapSide::InMemory(partitions) => {
+                self.reduce_partitions(name, num_reducers, reducer, |p| {
+                    Ok(partitions[p].take_ordered())
+                })
+            }
         };
         let (output, groups_total, active_parts) = reduce_result?;
         metrics.reduce_tasks = active_parts;
@@ -660,6 +675,16 @@ impl Engine {
         }
         Ok((output, groups_total, active_parts))
     }
+}
+
+/// Where committed map output waits for the reduce phase.
+enum MapSide<K, V> {
+    /// Typed pairs, one [`ShuffleBuckets`] per reducer with a slot per
+    /// map task — the in-memory shuffle.
+    InMemory(Vec<ShuffleBuckets<(K, V)>>),
+    /// `Wire`-encoded bytes, one slot per map task holding its partition
+    /// for every reducer — what a distributed backend is handed.
+    Encoded(BlockPartials<Vec<Vec<u8>>>),
 }
 
 impl Drop for Engine {
@@ -1415,7 +1440,13 @@ mod tests {
             .unwrap();
         let total: u64 = res.output.iter().map(|&(_, s)| s).sum();
         assert_eq!(total, (0..100).sum::<u64>());
-        assert_eq!(res.metrics.speculative_wins, 0);
+        // Who commits a task is a race the scheduler may decide either
+        // way — a primary descheduled between finishing and committing
+        // legally loses to its backup — so harmless means: the result
+        // above, every task committed exactly once, no attempt failed.
+        assert_eq!(res.metrics.map_tasks, 10);
+        assert_eq!(res.metrics.map_output_records, 100);
+        assert_eq!(res.metrics.failed_attempts, 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use p3c_suite::core::incremental::IncrementalLight;
 use p3c_suite::core::mr::{AccMsg, SigMsg};
-use p3c_suite::dataset::bytes::{fnv1a64, MAX_PAYLOAD_LEN};
+use p3c_suite::dataset::bytes::{fnv1a64, wordsum64, MAX_PAYLOAD_LEN};
 use p3c_suite::dataset::journal::{self, JournalWriter};
 use p3c_suite::dataset::Dataset;
 use p3c_suite::mapreduce::distrib::wire::{read_frame, write_frame};
@@ -540,18 +540,61 @@ fn frames_roundtrip_back_to_back() {
 
 #[test]
 fn payload_corruption_is_caught_by_the_checksum() {
-    // The transfer protocol pairs every partition with its FNV-1a
-    // checksum (tracker entry + STORE/FETCH_OK frames); this is the
-    // end-to-end property the fetch path relies on to turn silent
-    // corruption into a retry.
+    // Frames carry no checksum of their own; the transfer protocol pairs
+    // every partition with its `wordsum64` (tracker entry + STORE /
+    // FETCH_OK frames), and the persisted formats pair every record with
+    // its FNV-1a. Either way this is the end-to-end property that turns
+    // silent corruption into a retry or a rejected record.
     let mut g = Gen(0x6a10);
     for _ in 0..300 {
         let len = 1 + g.below(512);
         let payload = g.bytes(len);
-        let checksum = fnv1a64(&payload);
         let mut corrupted = payload.clone();
         let at = g.below(corrupted.len());
         corrupted[at] ^= (g.next() as u8) | 1;
-        assert_ne!(checksum, fnv1a64(&corrupted));
+        assert_ne!(fnv1a64(&payload), fnv1a64(&corrupted));
+        assert_ne!(wordsum64(&payload), wordsum64(&corrupted));
+    }
+
+    // The word-wise sum absorbs four lanes of eight bytes side by side
+    // and pads its tail, so its blind spots — if it had any — would sit
+    // at particular offsets: every single-byte change at every offset of
+    // every length up to three lane blocks is tried, not sampled.
+    for len in 0..=100usize {
+        let payload = g.bytes(len);
+        let sum = wordsum64(&payload);
+        for at in 0..len {
+            for flip in [0x01u8, 0x80, 0xff, (g.next() as u8) | 1] {
+                let mut corrupted = payload.clone();
+                corrupted[at] ^= flip;
+                assert_ne!(
+                    wordsum64(&corrupted),
+                    sum,
+                    "len {len}, byte {at} ^ {flip:#x}"
+                );
+            }
+        }
+        // Zero bytes appended or cut leave the padded words alone; only
+        // the folded-in length tells such messages apart.
+        let mut zeros = payload.clone();
+        zeros.resize(len + 40, 0);
+        for longer in len + 1..=zeros.len() {
+            assert_ne!(wordsum64(&zeros[..longer]), sum, "len {len} + zeros");
+        }
+        let all_zero = vec![0u8; len];
+        if len > 0 {
+            assert_ne!(wordsum64(&all_zero[..len - 1]), wordsum64(&all_zero));
+        }
+        // Two aligned words in different lanes trade places: a sum or an
+        // xor of lanes would not notice.
+        for (a, b) in [(0usize, 1usize), (1, 6), (3, 4), (2, 11)] {
+            if (b + 1) * 8 > len || payload[a * 8..a * 8 + 8] == payload[b * 8..b * 8 + 8] {
+                continue;
+            }
+            let mut swapped = payload.clone();
+            swapped[a * 8..a * 8 + 8].copy_from_slice(&payload[b * 8..b * 8 + 8]);
+            swapped[b * 8..b * 8 + 8].copy_from_slice(&payload[a * 8..a * 8 + 8]);
+            assert_ne!(wordsum64(&swapped), sum, "len {len}, words {a} <-> {b}");
+        }
     }
 }

@@ -7,7 +7,10 @@
 //! and 4 workers and require results identical to the in-process
 //! `Local` backend (which `tests/end_to_end.rs` in turn anchors against
 //! the serial implementations), including under an injected worker
-//! kill mid-pipeline.
+//! kill mid-pipeline. The last three tests reach what only damaged bytes
+//! reach: the worker's door check and the master's fetch-side re-hash,
+//! with the harness worker flipping one byte of a marked partition as it
+//! crosses the real socket.
 //!
 //! The worker subprocesses run the `p3c_worker_harness` binary of this
 //! package — Cargo builds it before integration tests and exposes its
@@ -211,5 +214,105 @@ fn killed_worker_loses_partitions_and_reexecution_restores_them() {
 
     let stats = backend.finish_stage(&spec);
     assert_eq!(stats.worker_restarts, 1, "exactly one injected restart");
+    backend.shutdown();
+}
+
+/// One map's output on a one-worker backend whose second partition
+/// starts with `marker` — the harness worker's cue to flip a byte of it
+/// in transit (see `TAMPER_RULES` in `src/bin/p3c_worker_harness.rs`).
+fn tamper_stage(marker: &str) -> (ProcessBackend, StageSpec, MapOutput) {
+    use_harness_worker();
+    let spec = StageSpec {
+        shuffle_id: 4,
+        job: "tamper-stage".to_string(),
+        num_maps: 1,
+        num_reducers: 2,
+    };
+    let output = MapOutput {
+        map_id: 0,
+        partitions: vec![
+            b"an honest partition".to_vec(),
+            format!("{marker} and then the partition's bytes").into_bytes(),
+        ],
+    };
+    (ProcessBackend::new(1, None), spec, output)
+}
+
+/// The master's fetch-side integrity path on a real socket: the worker
+/// sends its honest, door-verified checksum in front of bytes that no
+/// longer match it, once. The master's own re-hash catches it, the retry
+/// gets the stored partition intact, and the caller never sees the
+/// difference except in the retry counter.
+#[test]
+fn a_partition_mangled_once_on_the_way_back_is_refetched_intact() {
+    let (backend, spec, output) = tamper_stage("tamper:fetch-once");
+    backend.submit_stage(&spec, vec![output.clone()]).unwrap();
+    assert_eq!(
+        backend.fetch_shuffle(&spec, 0, 1).unwrap(),
+        output.partitions[1]
+    );
+    assert_eq!(
+        backend.fetch_shuffle(&spec, 0, 0).unwrap(),
+        output.partitions[0]
+    );
+    let stats = backend.finish_stage(&spec);
+    assert_eq!(stats.retries, 1, "one mismatch, one backoff retry");
+    assert_eq!(stats.fetches, 2);
+    assert_eq!(stats.worker_restarts, 0, "corruption is not a dead worker");
+    backend.shutdown();
+}
+
+/// ...and when every attempt comes back mangled, the retries run out and
+/// the error names the partition instead of handing over wrong bytes.
+#[test]
+fn a_partition_that_never_verifies_escalates_to_corrupt() {
+    let (backend, spec, output) = tamper_stage("tamper:fetch-always");
+    backend.submit_stage(&spec, vec![output.clone()]).unwrap();
+    assert_eq!(
+        backend.fetch_shuffle(&spec, 0, 1),
+        Err(BackendError::Corrupt {
+            map_id: 0,
+            reduce_id: 1
+        })
+    );
+    // The neighbour on the same worker is untouched.
+    assert_eq!(
+        backend.fetch_shuffle(&spec, 0, 0).unwrap(),
+        output.partitions[0]
+    );
+    let stats = backend.finish_stage(&spec);
+    assert_eq!(stats.retries, 2, "three attempts, two of them retries");
+    assert_eq!(stats.fetches, 1);
+    backend.shutdown();
+}
+
+/// The door check: a STORE whose bytes were mangled on the way in is
+/// refused by the worker while the master still holds the partition, so
+/// the master sends it once more — a retry, not a protocol failure — and
+/// only a second refusal is corruption.
+#[test]
+fn a_store_mangled_in_transit_is_resent_once_then_escalates() {
+    let (backend, spec, output) = tamper_stage("tamper:store-once");
+    backend.submit_stage(&spec, vec![output.clone()]).unwrap();
+    for (reduce_id, partition) in output.partitions.iter().enumerate() {
+        assert_eq!(
+            &backend.fetch_shuffle(&spec, 0, reduce_id).unwrap(),
+            partition
+        );
+    }
+    let stats = backend.finish_stage(&spec);
+    assert_eq!(stats.retries, 1, "the rejected STORE was resent once");
+    assert_eq!(stats.worker_restarts, 0);
+    backend.shutdown();
+
+    let (backend, spec, output) = tamper_stage("tamper:store-always");
+    assert_eq!(
+        backend.submit_stage(&spec, vec![output]),
+        Err(BackendError::Corrupt {
+            map_id: 0,
+            reduce_id: 1
+        })
+    );
+    assert_eq!(backend.finish_stage(&spec).retries, 1);
     backend.shutdown();
 }

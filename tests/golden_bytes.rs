@@ -222,6 +222,29 @@ fn every_format_reproduces_its_golden_bytes() {
     }
 }
 
+/// The in-flight checksum is in no file — a partition's sum lives in the
+/// tracker and two frames for the length of one stage — but master and
+/// worker compute it in separate processes, so its definition is pinned
+/// like a format: at the empty input, one byte, both sides of the
+/// 32-byte lane block, and a partition-sized input.
+#[test]
+fn the_in_flight_checksum_reproduces_its_golden_values() {
+    use p3c_suite::dataset::bytes::wordsum64;
+    let pattern = |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 131 + 7) as u8).collect() };
+    for (len, sum) in [
+        (0usize, 0x0601_f8d5_ba64_0cfeu64),
+        (1, 0x7c06_d23c_9d25_cdf4),
+        (31, 0x5919_f410_c82a_d221),
+        (32, 0xa11d_a961_73e7_891d),
+        (33, 0xbca8_0720_c502_4019),
+        (1500, 0xc901_5d10_69f2_f308),
+    ] {
+        assert_eq!(wordsum64(&pattern(len)), sum, "len {len}");
+    }
+    // What a STORE of the golden shuffle payload carries as its checksum.
+    assert_eq!(wordsum64(&shuffle_pairs_bytes()), 0x9ef6_7349_947c_51f8);
+}
+
 #[test]
 fn golden_files_decode_to_what_was_written() {
     let read = |name: &str| std::fs::read(golden_dir().join(name)).unwrap();
