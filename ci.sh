@@ -4,7 +4,8 @@
 # Tier 1 (must always pass, run first):
 #   cargo build --release
 #   cargo test -q
-# Then: the tier-1 suite re-run under the multi-process shuffle backend
+# Then: the member crates' own tests (cargo test -q --workspace), the
+# tier-1 suite re-run under the multi-process shuffle backend
 # (P3C_BACKEND=process:2), the parallel-kernel bit-identity tests swept
 # over P3C_THREADS, the kernels/codec/backend/service/recovery
 # benchmarks at smoke scale, archiving target/ci/BENCH_*.json (results/
@@ -12,9 +13,11 @@
 # overwrite them),
 # the serial-vs-DAG executor table (every verdict must be `identical`),
 # a stdin-scripted `p3c serve` session exercising the service line
-# protocol under a tight LRU cache budget, a crash-recovery smoke
-# (SIGKILL a durable serve mid-session, restart on the same data dir,
-# and require the recovered fingerprint to match the pre-kill one), the
+# protocol under a tight LRU cache budget, a `p3c cluster` smoke holding
+# MR-Light to serial Light's output at the Figure 7 shape, a
+# crash-recovery smoke (SIGKILL a durable serve mid-session, restart on
+# the same data dir, and require the recovered fingerprint to match the
+# pre-kill one), the
 # e2e benchmark's seven-workload smoke (its own workspace under e2e/),
 # and a rustdoc pass with warnings denied (missing docs on the data-plane
 # crates and broken intra-doc links fail the build).
@@ -40,6 +43,14 @@ cargo build --release
 
 echo "==> tier 1: cargo test -q"
 cargo test -q
+
+# `cargo test` at the root runs the root package only. The member
+# crates' own unit and integration tests (all of `mr::coregen`'s,
+# crates/core/tests/support_counting.rs, the CLI's process-level
+# crates/cli/tests/truncation_warning.rs, ...) gate here; the root
+# package just ran.
+echo "==> member crates: cargo test -q --workspace"
+cargo test -q --workspace --exclude p3c-suite
 
 # Workspace binaries the later legs invoke (experiments, the p3c CLI
 # that hosts the worker subcommand, the audit tool) are not part of the
@@ -113,6 +124,21 @@ grep -q "clusters" target/ci/serve-smoke.log
 grep -q "incremental and batch models identical" target/ci/serve-smoke.log
 grep -Eq "evictions=[1-9]" target/ci/serve-smoke.log
 grep -Eq "spill_loads=[1-9]" target/ci/serve-smoke.log
+
+# MR-Light is serial Light computed differently (DESIGN.md §4): at the
+# Figure 7 shape, where multi-level candidate collection used to pass
+# the candidate cap and return a different model behind a warning, the
+# two must print the same clusters and E4SC — stdout differs in its
+# first word, the algorithm name, only — and neither may warn.
+echo "==> cluster smoke: mr-light prints what light prints at 200000x50"
+for algo in mr-light light; do
+    ./target/release/p3c cluster --synthetic 200000x50 -k 5 --noise 0.1 --seed 7 -e -t 2 \
+        -a "$algo" > "target/ci/cluster-$algo.out" 2> "target/ci/cluster-$algo.err"
+    test ! -s "target/ci/cluster-$algo.err"
+done
+grep -q "^mr-light: 5 clusters" target/ci/cluster-mr-light.out
+diff <(sed '1s/^mr-light: //' target/ci/cluster-mr-light.out) \
+    <(sed '1s/^light: //' target/ci/cluster-light.out)
 
 # Crash recovery end to end through the real binary: a durable serve is
 # SIGKILLed after journaling two appends and publishing a model — no

@@ -183,6 +183,8 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
 /// The stderr line for a run whose core generation hit the
 /// `max_candidates_per_level` safety valve: the model was built from a
 /// cut-off candidate lattice and may differ from the untruncated one.
+/// The valve only cuts levels generated from proven signatures, so the
+/// serial and MapReduce algorithms warn on the same inputs.
 fn truncation_warning(truncated_levels: usize, params: &P3cParams) -> Option<String> {
     (truncated_levels > 0).then(|| {
         format!(
@@ -287,6 +289,19 @@ mod tests {
         let out = run("help").unwrap();
         assert!(out.contains("USAGE"));
         assert!(out.contains("mr-light"));
+    }
+
+    #[test]
+    fn truncation_warning_names_the_count_and_the_cap() {
+        let params = P3cParams {
+            max_candidates_per_level: 50,
+            ..P3cParams::default()
+        };
+        assert_eq!(truncation_warning(0, &params), None);
+        let warning = truncation_warning(2, &params).expect("two levels were cut");
+        assert!(warning.starts_with("warning: core generation truncated 2 candidate level(s)"));
+        assert!(warning.contains("max_candidates_per_level = 50"));
+        assert_eq!(warning.lines().count(), 1);
     }
 
     #[test]

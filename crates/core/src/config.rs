@@ -86,8 +86,12 @@ pub struct P3cParams {
     /// 4·10⁷, ours defaults lower since the in-process engine has no
     /// job-submission latency).
     pub t_gen: usize,
-    /// Collected-candidate count that triggers a proving job in
-    /// multi-level candidate collection (the paper's `T_c` = 3·10⁴).
+    /// Upper bound on the candidates one batch of multi-level candidate
+    /// collection may hold before a proving job runs (the paper's `T_c` =
+    /// 3·10⁴, sized for a Hadoop job). The driver collects up to
+    /// `min(t_c, 64·|A_rel|)` — what a proving job costs up front in this
+    /// engine (`mr::coregen`, DESIGN.md §4) — so the default never binds;
+    /// `0` proves every level in a job of its own.
     pub t_c: usize,
     /// Maximum signature dimensionality explored (a safety bound; the
     /// paper's generator uses clusters of at most 10 dimensions).
@@ -95,7 +99,11 @@ pub struct P3cParams {
     /// Safety valve against combinatorial candidate explosion at very
     /// loose Poisson thresholds: levels with more candidates are
     /// truncated to the lexicographically first this-many (recorded in
-    /// `CoreGenStats::truncated_levels`). `0` disables the cap.
+    /// `CoreGenStats::truncated_levels`). `0` disables the cap. Only a
+    /// level generated from *proven* signatures is ever cut: the MR
+    /// driver generates a level that would pass the cap from the proven
+    /// top rather than from collected candidates, so the serial and MR
+    /// paths cut the same levels or none.
     pub max_candidates_per_level: usize,
     /// Worker threads for the serial-path kernels (the EM E-step and the
     /// columnar binning scan, block-parallelized over the engine worker

@@ -49,9 +49,9 @@ impl ClusterCore {
 /// Per-run statistics of the generation process.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CoreGenStats {
-    /// Candidates generated per level (level 1 first).
+    /// Candidates whose support was counted, per level (level 1 first).
     pub candidates_per_level: Vec<usize>,
-    /// Proven signatures per level.
+    /// Proven signatures per counted level.
     pub proven_per_level: Vec<usize>,
     /// Total proven signatures across levels.
     pub total_proven: usize,
@@ -191,6 +191,17 @@ pub(crate) fn prefix_buckets<S: std::borrow::Borrow<Signature>>(
         start = end;
     }
     buckets
+}
+
+/// Join attempts candidate generation makes over `buckets`: every pair
+/// inside a bucket. A surviving candidate has exactly one parent pair, so
+/// this bounds the size of the next level from above (tightly: only
+/// same-attribute tails and Apriori-pruned joins fall away).
+pub(crate) fn join_pairs(buckets: &[(usize, usize)]) -> usize {
+    buckets
+        .iter()
+        .map(|(s, e)| (e - s) * (e - s).saturating_sub(1) / 2)
+        .sum()
 }
 
 /// Joins two same-bucket signatures (shared (p−1)-prefix) into their
@@ -384,7 +395,9 @@ fn prove_level_blocked(
     blocks.concat()
 }
 
-/// Applies the `max_candidates_per_level` safety valve to one level.
+/// Applies the `max_candidates_per_level` safety valve to one level —
+/// in both drivers a level generated from proven signatures, so they cut
+/// the same candidates.
 pub(crate) fn truncate_level(
     candidates: &mut Vec<Signature>,
     params: &P3cParams,

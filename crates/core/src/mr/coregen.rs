@@ -8,9 +8,17 @@
 //!    through the distributed cache (below `T_gen` it runs serially, since
 //!    "each MR job adds some overhead").
 //! 2. **Multi-level candidate collection** — candidates are not proven at
-//!    every level; levels accumulate until the paper's stop heuristic
-//!    `|Cand_j| = 0 ∨ (c_sum > T_c ∧ |Cand_j| > |Cand_{j−1}|)` fires, then
-//!    one proving job validates the whole batch.
+//!    every level; levels accumulate in a batch that one proving job
+//!    validates. The paper stops collecting on
+//!    `|Cand_j| = 0 ∨ (c_sum > T_c ∧ |Cand_j| > |Cand_{j−1}|)` with
+//!    `T_c = 3·10⁴`, sized for a Hadoop job. But a level generated from
+//!    unproven candidates is the complete `C(k, p)` lattice over their
+//!    intervals, so here (DESIGN.md §4) the test runs *before* the level
+//!    is generated, on the join-pair count that bounds its size: when
+//!    batch plus bound would pass `min(t_c, 64·|A_rel|)` — what a proving
+//!    job costs up front in this engine — the batch is proved and the
+//!    level generated from the proven top instead, so an exploded level
+//!    is never materialised, counted or truncated.
 //! 3. **RSSC candidate proving** — the candidate batch ships through the
 //!    distributed cache as an interval table plus front-coded interval-id
 //!    lists; each mapper turns its split into per-interval point bitmaps
@@ -19,7 +27,9 @@
 //!    counts; reducers sum them.
 
 use crate::config::P3cParams;
-use crate::cores::{filter_maximal, ClusterCore, CoreGenStats, SupportTester};
+use crate::cores::{
+    filter_maximal, join_pairs, prefix_buckets, ClusterCore, CoreGenStats, SupportTester,
+};
 use crate::mr::SigMsg;
 use crate::support::{SupportPlan, SupportTable};
 use crate::types::{Interval, Signature};
@@ -138,12 +148,8 @@ pub fn generate_candidates_mr(
     let mut sorted: Vec<&Signature> = level.iter().collect();
     sorted.sort();
     sorted.dedup();
-    let mut buckets = crate::cores::prefix_buckets(&sorted);
-    let join_pairs: usize = buckets
-        .iter()
-        .map(|(s, e)| (e - s) * (e - s).saturating_sub(1) / 2)
-        .sum();
-    if join_pairs <= t_gen {
+    let mut buckets = prefix_buckets(&sorted);
+    if join_pairs(&buckets) <= t_gen {
         return Ok(crate::cores::generate_candidates(level, prune_against));
     }
     // One record per bucket row: (i, end) means "join sorted[i] with
@@ -188,10 +194,32 @@ pub struct MrCoreGenResult {
     pub proving_jobs: usize,
 }
 
+/// What one collected batch may hold, in candidates: a proving job's
+/// up-front cost in this engine ([`SupportPlan::fill_cost_in_candidates`]
+/// of the level-1 plan — level 1 names every relevant attribute, so it
+/// prices the fill of every later job), capped by `params.t_c`. Counting
+/// a batch's unproven levels then never costs more than the job that
+/// proving first would have added.
+fn collection_budget(level1: &[Signature], params: &P3cParams) -> usize {
+    params
+        .t_c
+        .min(SupportPlan::build(level1).fill_cost_in_candidates())
+}
+
 /// Runs cluster-core generation with multi-level candidate collection
 /// (paper Section 5.3). Produces exactly the same proven set as the
 /// serial [`crate::cores::generate_cluster_cores`] — the collection
 /// heuristic only changes *when* supports are counted.
+///
+/// A batch opens with a level generated from proven signatures (level 1:
+/// from none) — the serial path's level exactly — and grows by levels
+/// generated from its own unproven top while batch plus the join-pair
+/// bound on the next level stays within `min(t_c, 64·|A_rel|)` (module
+/// docs); otherwise the batch is proved and the level generated from the
+/// proven top. `t_c = 0` therefore proves every level. A bound past
+/// `max_candidates_per_level` closes the batch the same way, so the valve
+/// only ever cuts a batch's opening level, which the serial path cuts
+/// identically.
 pub fn generate_cluster_cores_mr(
     engine: &Engine,
     intervals: &[Interval],
@@ -220,6 +248,9 @@ pub fn generate_cluster_cores_mr(
     level1.sort();
     level1.dedup();
 
+    let budget = collection_budget(&level1, params);
+    let cap = params.max_candidates_per_level;
+
     // The levels collected since the last proving job — the one owned
     // copy of every candidate until `prove_batch` moves it into the
     // support table.
@@ -228,36 +259,22 @@ pub fn generate_cluster_cores_mr(
     let mut current = level1;
     let mut level = 1usize;
 
-    loop {
-        if current.is_empty() || level > params.max_levels {
-            // Close any open batch.
-            if !batch.is_empty() {
-                all_proven.extend(prove_batch(
-                    engine,
-                    std::mem::take(&mut batch),
-                    rows,
-                    &tester,
-                    &mut table,
-                    &mut proven_set,
-                    &mut stats,
-                )?);
-                proving_jobs += 1;
-            }
-            break;
-        }
+    while !current.is_empty() && level <= params.max_levels {
+        // Only a batch's opening level can exceed the cap (a level
+        // joining an open batch is bounded below it, see `close_batch`):
+        // the serial path's level, cut as the serial path cuts it.
         crate::cores::truncate_level(&mut current, params, &mut stats);
         stats.candidates_per_level.push(current.len());
         csum += current.len();
-
-        // Stop-collection heuristic (Section 5.3): always prove when the
-        // candidate set grew past the budget; otherwise keep collecting
-        // while the set shrinks.
-        let grew = batch.last().is_some_and(|prev| current.len() > prev.len());
         batch.push(current);
-        let close_batch = csum > params.t_c && (grew || batch.len() == 1);
+        let top = batch.last().expect("level just pushed");
+
+        // Levels are sorted, so the buckets are exact.
+        let next_bound = join_pairs(&prefix_buckets(top));
+        let close_batch = csum + next_bound > budget || (cap > 0 && next_bound > cap);
 
         let proven_top: Vec<Signature>;
-        let generation_basis: &[Signature] = if close_batch {
+        let basis: &[Signature] = if close_batch {
             let proven_now = prove_batch(
                 engine,
                 std::mem::take(&mut batch),
@@ -269,7 +286,6 @@ pub fn generate_cluster_cores_mr(
             )?;
             proving_jobs += 1;
             csum = 0;
-            // Next generation chains off the just-proven top level.
             proven_top = proven_now
                 .iter()
                 .filter(|(s, _)| s.len() == level)
@@ -278,14 +294,24 @@ pub fn generate_cluster_cores_mr(
             all_proven.extend(proven_now);
             &proven_top
         } else {
-            // Keep collecting: generate from the *candidates*.
-            batch.last().expect("level just pushed")
+            top
         };
-
         // audit: unordered-ok — membership probes only, never iterated.
-        let prune: HashSet<&Signature> = generation_basis.iter().collect();
-        current = generate_candidates_mr(engine, generation_basis, &prune, params.t_gen)?;
+        let prune: HashSet<&Signature> = basis.iter().collect();
+        current = generate_candidates_mr(engine, basis, &prune, params.t_gen)?;
         level += 1;
+    }
+    if !batch.is_empty() {
+        all_proven.extend(prove_batch(
+            engine,
+            batch,
+            rows,
+            &tester,
+            &mut table,
+            &mut proven_set,
+            &mut stats,
+        )?);
+        proving_jobs += 1;
     }
 
     stats.total_proven = all_proven.len();
@@ -354,10 +380,44 @@ fn prove_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cores::{generate_cluster_cores, CoreGenResult};
     use p3c_mapreduce::MrConfig;
+    use std::ops::Range;
 
     fn iv(attr: usize, lo: usize, hi: usize) -> Interval {
         Interval::new(attr, lo, hi, 10)
+    }
+
+    /// Everything the MR and the serial path must agree on: the proven
+    /// list (by level, sorted within), the cores, proven counts per level
+    /// and truncations. The MR path may count levels the serial path
+    /// never generates; nothing in them is proven, so trailing zeros are
+    /// dropped.
+    fn assert_equals_serial(mr: &MrCoreGenResult, serial: &CoreGenResult, what: &str) {
+        assert_eq!(mr.proven, serial.proven, "{what}: proven");
+        let cores = |cores: &[ClusterCore]| -> Vec<(Signature, f64)> {
+            cores
+                .iter()
+                .map(|c| (c.signature.clone(), c.support))
+                .collect()
+        };
+        assert_eq!(cores(&mr.cores), cores(&serial.cores), "{what}: cores");
+        let per_level = |stats: &CoreGenStats| {
+            let mut proven = stats.proven_per_level.clone();
+            while proven.last() == Some(&0) {
+                proven.pop();
+            }
+            proven
+        };
+        assert_eq!(
+            per_level(&mr.stats),
+            per_level(&serial.stats),
+            "{what}: proven per level"
+        );
+        assert_eq!(
+            mr.stats.truncated_levels, serial.stats.truncated_levels,
+            "{what}: truncated levels"
+        );
     }
 
     #[test]
@@ -452,15 +512,8 @@ mod tests {
             ..MrConfig::default()
         });
         let mr = generate_cluster_cores_mr(&engine, &intervals, &rows, &params).unwrap();
-        let serial = crate::cores::generate_cluster_cores(&intervals, &rows, &params);
-        let mut mr_proven = mr.proven.clone();
-        let mut serial_proven = serial.proven.clone();
-        mr_proven.sort_by(|a, b| a.0.cmp(&b.0));
-        serial_proven.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(mr_proven, serial_proven);
-        let mr_sigs: Vec<&Signature> = mr.cores.iter().map(|c| &c.signature).collect();
-        let serial_sigs: Vec<&Signature> = serial.cores.iter().map(|c| &c.signature).collect();
-        assert_eq!(mr_sigs, serial_sigs);
+        let serial = generate_cluster_cores(&intervals, &rows, &params);
+        assert_equals_serial(&mr, &serial, "planted 2d");
         assert!(mr.proving_jobs >= 1);
     }
 
@@ -486,8 +539,187 @@ mod tests {
         };
         let engine = Engine::with_defaults();
         let result = generate_cluster_cores_mr(&engine, &intervals, &rows, &params).unwrap();
-        let serial = crate::cores::generate_cluster_cores(&intervals, &rows, &params);
-        assert_eq!(result.proven.len(), serial.proven.len());
+        let serial = generate_cluster_cores(&intervals, &rows, &params);
+        assert_equals_serial(&result, &serial, "t_c = 0");
+        assert_eq!(
+            result.stats.candidates_per_level,
+            serial.stats.candidates_per_level
+        );
+        assert_eq!(result.proving_jobs, serial.stats.candidates_per_level.len());
+    }
+
+    /// `n` rows over `d` attributes: uniform noise (splitmix64), except
+    /// that each `(attributes, rows)` group plants its rows at 0.25 —
+    /// bin 2 of 10 — on all its attributes.
+    fn planted(d: usize, n: usize, groups: &[(Range<usize>, usize)]) -> Vec<Vec<f64>> {
+        let mut state = 7u64;
+        let mut uniform = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut data: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..d).map(|_| uniform()).collect())
+            .collect();
+        let mut first = 0;
+        for (attrs, count) in groups {
+            for row in &mut data[first..first + count] {
+                row[attrs.clone()].fill(0.25);
+            }
+            first += count;
+        }
+        data
+    }
+
+    /// Bin 2 of every attribute as the relevant intervals.
+    fn bin2(d: usize) -> Vec<Interval> {
+        (0..d).map(|a| iv(a, 2, 2)).collect()
+    }
+
+    /// A 5-dim cluster on the last of 12 attributes; the other 7
+    /// intervals are each dense on their own rows. Level 1 is proven
+    /// whole, so the unproven lattice is all of C(12, p) while only the
+    /// cluster's C(5, p) — sorted last in every level — is ever proven.
+    fn growing() -> Vec<Vec<f64>> {
+        let mut groups: Vec<_> = (0..7).map(|a| (a..a + 1, 200)).collect();
+        groups.push((7..12, 300));
+        planted(12, 3000, &groups)
+    }
+
+    #[test]
+    fn stop_rule_equals_serial_for_every_tc_and_lattice_shape() {
+        /// A lattice: its rows, the levels the serial path counts, and
+        /// the levels and jobs of the MR path at the derived budget.
+        struct Shape {
+            name: &'static str,
+            data: Vec<Vec<f64>>,
+            serial_levels: &'static [usize],
+            derived_levels: &'static [usize],
+            derived_jobs: usize,
+        }
+        let shapes = [
+            // Every subset of a 6-dim cluster is proven: unproven and
+            // proven generation coincide, the whole lattice is one batch.
+            Shape {
+                name: "complete 2^6",
+                data: planted(6, 1000, &[(0..6, 400)]),
+                serial_levels: &[6, 15, 20, 15, 6, 1],
+                derived_levels: &[6, 15, 20, 15, 6, 1],
+                derived_jobs: 1,
+            },
+            // C(12, 4) = 495 would pass the budget of 64 · 12: the batch
+            // closes on C(12, 3) and level 4 comes from the proven top.
+            Shape {
+                name: "growing",
+                data: growing(),
+                serial_levels: &[12, 66, 10, 5, 1],
+                derived_levels: &[12, 66, 220, 5, 1],
+                derived_jobs: 2,
+            },
+            // A 3-dim cluster among 12 intervals: the serial levels
+            // shrink from the start, the unproven ones do not.
+            Shape {
+                name: "shrinking",
+                data: planted(12, 2000, &[(0..3, 400)]),
+                serial_levels: &[12, 3, 1],
+                derived_levels: &[12, 66, 220],
+                derived_jobs: 1,
+            },
+        ];
+        let engine = Engine::with_defaults();
+        for shape in shapes {
+            let Shape {
+                name,
+                data,
+                serial_levels,
+                derived_levels,
+                derived_jobs,
+            } = shape;
+            let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+            let intervals = bin2(data[0].len());
+            let singletons: Vec<Signature> =
+                intervals.iter().map(|&i| Signature::singleton(i)).collect();
+            let derived = collection_budget(&singletons, &P3cParams::default());
+            assert_eq!(derived, 64 * intervals.len(), "{name}");
+
+            let mut jobs = Vec::new();
+            for t_c in [0, 1, derived, usize::MAX] {
+                let what = format!("{name}, t_c = {t_c}");
+                let params = P3cParams {
+                    t_c,
+                    ..P3cParams::default()
+                };
+                let mr = generate_cluster_cores_mr(&engine, &intervals, &rows, &params).unwrap();
+                let serial = generate_cluster_cores(&intervals, &rows, &params);
+                assert_eq!(serial.stats.candidates_per_level, serial_levels, "{what}");
+                assert_equals_serial(&mr, &serial, &what);
+                assert_eq!(mr.stats.truncated_levels, 0, "{what}");
+
+                // A counted level is the serial path's level or fits the
+                // budget — never the exploded lattice.
+                let levels = &mr.stats.candidates_per_level;
+                for (p, &counted) in levels.iter().enumerate() {
+                    let serial_level = serial_levels.get(p).copied().unwrap_or(0);
+                    assert!(
+                        counted <= serial_level.max(t_c.min(derived)),
+                        "{what}: level {} counts {counted}",
+                        p + 1
+                    );
+                }
+                if t_c <= 1 {
+                    // No level fits beside another: one job per level,
+                    // each generated from the proven level below.
+                    assert_eq!(levels, serial_levels, "{what}");
+                    assert_eq!(mr.proving_jobs, serial_levels.len(), "{what}");
+                } else {
+                    // `t_c` is only an upper bound on the derived budget.
+                    assert_eq!(levels, derived_levels, "{what}");
+                    assert_eq!(mr.proving_jobs, derived_jobs, "{what}");
+                }
+                jobs.push(mr.proving_jobs);
+            }
+            assert!(jobs.windows(2).all(|w| w[0] >= w[1]), "{name}: {jobs:?}");
+        }
+    }
+
+    #[test]
+    fn the_cap_cuts_only_levels_the_serial_path_cuts() {
+        let data = growing();
+        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+        let intervals = bin2(12);
+        let engine = Engine::with_defaults();
+        let run = |cap: usize| {
+            let params = P3cParams {
+                max_candidates_per_level: cap,
+                ..P3cParams::default()
+            };
+            let mr = generate_cluster_cores_mr(&engine, &intervals, &rows, &params).unwrap();
+            let serial = generate_cluster_cores(&intervals, &rows, &params);
+            assert_equals_serial(&mr, &serial, &format!("cap {cap}"));
+            (mr, serial)
+        };
+
+        // C(12, 3) = 220 from the unproven level 2 would pass a cap of
+        // 100; the level is generated from the 10 proven pairs instead
+        // and nothing is cut.
+        let (mr, serial) = run(100);
+        assert_eq!(mr.stats.truncated_levels, 0);
+        assert_eq!(mr.stats.candidates_per_level, [12, 66, 10, 5, 1]);
+        assert_eq!(
+            mr.stats.candidates_per_level,
+            serial.stats.candidates_per_level
+        );
+
+        // Level 2 has 66 candidates from the proven level 1 as well: both
+        // paths keep the same first 50 — which cuts the cluster's pairs —
+        // and prove the same 12 singletons, no more.
+        let (mr, serial) = run(50);
+        assert_eq!(mr.stats.truncated_levels, 1);
+        assert_eq!(serial.stats.candidates_per_level, [12, 50]);
+        assert_eq!(mr.stats.candidates_per_level[..2], [12, 50]);
+        assert_eq!(mr.proven.len(), 12);
     }
 
     #[test]

@@ -402,6 +402,16 @@ impl SupportPlan {
             + std::mem::size_of_val(&self.candidates.rest[..])
     }
 
+    /// What counting this plan costs before the first candidate, in
+    /// candidates: per 64-row word [`BlockBitmaps::fill`] does one bin
+    /// lookup per row and constrained attribute — `64·|A_rel|`, whatever
+    /// the candidate count — while a front-coded candidate costs ≈ 1
+    /// AND+popcount. A batch with fewer candidates than this spends more
+    /// of its scan on filling than on counting.
+    pub(crate) fn fill_cost_in_candidates(&self) -> usize {
+        64 * self.table.attrs.len()
+    }
+
     /// Adds the supports over `rows` to `counts`, one [`BLOCK_ROWS`]
     /// block at a time.
     pub(crate) fn count_rows(&self, rows: &[&[f64]], counts: &mut [u64]) {

@@ -56,22 +56,64 @@ fn all_variants_find_easy_clusters_with_good_quality() {
     }
 }
 
-#[test]
-fn mr_and_serial_produce_identical_cluster_cores() {
-    let data = generate(&spec(3000, 3, 0.1, 2));
+/// The data `p3c cluster --synthetic` and the fig6/fig7 experiments
+/// draw: 50 dimensions, clusters of up to 10.
+fn paper_spec(n: usize, k: usize, noise: f64, seed: u64) -> SyntheticSpec {
+    SyntheticSpec {
+        d: 50,
+        max_cluster_dims: 10,
+        ..spec(n, k, noise, seed)
+    }
+}
+
+/// P3C+-MR-Light must be P3C+-Light computed differently: same cores,
+/// same proven signatures per level, nothing truncated, same clusters.
+fn assert_mr_light_equals_serial_light(spec: &SyntheticSpec) {
+    let what = format!(
+        "n = {}, d = {}, k = {}, noise = {}, seed = {}",
+        spec.n, spec.d, spec.num_clusters, spec.noise_fraction, spec.seed
+    );
+    let data = generate(spec);
     let params = P3cParams::default();
     let serial = P3cPlusLight::new(params.clone()).cluster(&data.dataset);
     let eng = engine();
     let mr = P3cPlusMrLight::new(&eng, params)
         .cluster(&data.dataset)
         .unwrap();
-    let serial_sigs: Vec<String> = serial
-        .cores
-        .iter()
-        .map(|c| c.signature.to_string())
-        .collect();
-    let mr_sigs: Vec<String> = mr.cores.iter().map(|c| c.signature.to_string()).collect();
-    assert_eq!(serial_sigs, mr_sigs);
+    assert_eq!(mr.cores, serial.cores, "{what}");
+    // The MR path may count levels past the last one with a proven
+    // signature; the serial path never generates them.
+    let proven_per_level = |result: &p3c_suite::core::p3cplus::P3cResult| {
+        let mut proven = result.stats.core_gen.proven_per_level.clone();
+        while proven.last() == Some(&0) {
+            proven.pop();
+        }
+        proven
+    };
+    assert_eq!(proven_per_level(&mr), proven_per_level(&serial), "{what}");
+    assert_eq!(mr.stats.core_gen.truncated_levels, 0, "{what}");
+    assert_eq!(serial.stats.core_gen.truncated_levels, 0, "{what}");
+    assert_eq!(mr.clustering, serial.clustering, "{what}");
+}
+
+#[test]
+fn mr_and_serial_produce_identical_cluster_cores() {
+    assert_mr_light_equals_serial_light(&spec(3000, 3, 0.1, 2));
+    // A reduced Figure 6 grid (its first draw per cell, smallest size).
+    for k in [3usize, 5, 7] {
+        for noise in [0.0, 0.1, 0.2] {
+            assert_mr_light_equals_serial_light(&paper_spec(10_000, k, noise, 107 + k as u64));
+        }
+    }
+}
+
+#[test]
+fn mr_light_equals_serial_light_where_collection_used_to_truncate() {
+    // The Figure 7 shape (50 dimensions, 5 clusters, 10% noise) at a
+    // tenth of its size. Collecting levels unproven enumerated C(30, p)
+    // here: level 5 passed the cap of 100 000, was cut, and MR-Light
+    // returned 10 clusters for serial Light's 5.
+    assert_mr_light_equals_serial_light(&paper_spec(20_000, 5, 0.1, 7));
 }
 
 #[test]
