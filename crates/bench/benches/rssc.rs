@@ -9,28 +9,27 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use p3c_core::support::{count_supports, count_supports_naive};
 use p3c_core::types::{Interval, Signature};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use p3c_datagen::rng::Rng;
 use std::hint::black_box;
 use std::time::Instant;
 
 const BINS: usize = 20;
 const DIMS: usize = 20;
 
-fn make_candidates(count: usize, rng: &mut StdRng) -> Vec<Signature> {
+fn make_candidates(count: usize, rng: &mut Rng) -> Vec<Signature> {
     let mut candidates: Vec<Signature> = (0..count)
         .map(|_| {
-            let p = rng.gen_range(1..=3usize);
+            let p = rng.usize_in(1, 3);
             let mut attrs: Vec<usize> = (0..DIMS).collect();
             // Partial shuffle for attribute selection.
             for i in 0..p {
-                let j = rng.gen_range(i..DIMS);
+                let j = rng.usize_in(i, DIMS - 1);
                 attrs.swap(i, j);
             }
             let intervals = (0..p)
                 .map(|i| {
-                    let lo = rng.gen_range(0..BINS - 1);
-                    let hi = rng.gen_range(lo..BINS.min(lo + 4));
+                    let lo = rng.usize_in(0, BINS - 2);
+                    let hi = rng.usize_in(lo, BINS.min(lo + 4) - 1);
                     Interval::new(attrs[i], lo, hi, BINS)
                 })
                 .collect();
@@ -53,9 +52,9 @@ fn best_of_five_ms(mut f: impl FnMut() -> Vec<u64>) -> f64 {
 }
 
 fn bench_rssc(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(42);
+    let mut rng = Rng::seed_from_u64(42);
     let data: Vec<Vec<f64>> = (0..20_000)
-        .map(|_| (0..DIMS).map(|_| rng.gen::<f64>()).collect())
+        .map(|_| (0..DIMS).map(|_| rng.f64()).collect())
         .collect();
     let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
 

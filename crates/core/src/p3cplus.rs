@@ -455,8 +455,7 @@ mod tests {
         // The Figure 5 phenomenon: without the filter, overlap regions of
         // hidden clusters spawn extra cores; with it the count settles at
         // the number of hidden clusters.
-        // Seed pinned against the committed offline RNG stub's stream
-        // (third_party/stubs/rand); re-pin if that stream ever changes.
+        // Seed pinned against the generator's stream (`p3c_datagen::rng`).
         let data = generate(&spec(8000, 5, 0.2, 41));
         let with = P3cPlusLight::new(P3cParams::default()).cluster(&data.dataset);
         let without = P3cPlusLight::new(P3cParams {

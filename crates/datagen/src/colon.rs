@@ -9,11 +9,8 @@
 //! discriminative genes whose expression separates the two classes, buried
 //! in a large number of non-informative noise genes.
 
+use crate::rng::Rng;
 use p3c_dataset::Dataset;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 
 /// Specification for the colon-like generator.
@@ -67,12 +64,12 @@ pub fn colon_like(spec: &ColonSpec) -> LabeledData {
     assert!(spec.class0 + spec.class1 >= 2, "need at least two samples");
     assert!(spec.discriminative <= spec.genes, "more markers than genes");
     assert!(spec.separation > 0.0 && spec.sigma > 0.0);
-    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut rng = Rng::seed_from_u64(spec.seed);
     let n = spec.class0 + spec.class1;
 
     // Choose which genes discriminate.
     let mut all: Vec<usize> = (0..spec.genes).collect();
-    all.shuffle(&mut rng);
+    rng.shuffle(&mut all);
     let mut markers: Vec<usize> = all.into_iter().take(spec.discriminative).collect();
     markers.sort_unstable();
 
@@ -89,19 +86,17 @@ pub fn colon_like(spec: &ColonSpec) -> LabeledData {
     for class in [0usize, 1] {
         let count = if class == 0 { spec.class0 } else { spec.class1 };
         let center = if class == 0 { c0 } else { c1 };
-        let gauss = Normal::new(center, spec.sigma).expect("valid normal");
         for _ in 0..count {
             let start = drawn.len();
             order.push((class, order.len()));
-            drawn.extend((0..d).map(|_| rng.gen::<f64>()));
+            drawn.extend((0..d).map(|_| rng.f64()));
             let row = &mut drawn[start..];
             for &g in &markers {
-                let v: f64 = gauss.sample(&mut rng);
-                row[g] = v.clamp(0.0, 1.0);
+                row[g] = rng.normal(center, spec.sigma).clamp(0.0, 1.0);
             }
         }
     }
-    order.shuffle(&mut rng);
+    rng.shuffle(&mut order);
     let labels: Vec<usize> = order.iter().map(|(c, _)| *c).collect();
     let mut data = Vec::with_capacity(n * d);
     for &(_, src) in &order {

@@ -10,8 +10,10 @@
 //!   so we synthesize a matrix with the same shape and the same
 //!   discriminative structure (a small block of class-separating genes in
 //!   a sea of noise). See DESIGN.md §1 for the substitution rationale.
+//! * [`rng`] — the seeded stream both are a pure function of.
 
 pub mod colon;
+pub mod rng;
 pub mod synthetic;
 
 pub use colon::{colon_like, ColonSpec, LabeledData};

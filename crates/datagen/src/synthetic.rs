@@ -13,11 +13,8 @@
 //! * uniform distribution on irrelevant attributes and for noise points,
 //! * at least two clusters overlap on a shared relevant attribute.
 
+use crate::rng::Rng;
 use p3c_dataset::{AttrInterval, Clustering, Dataset, ProjectedCluster};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -132,7 +129,7 @@ pub fn generate(spec: &SyntheticSpec) -> GeneratedData {
     );
     assert!(spec.min_width > 0.0 && spec.max_width <= 1.0 && spec.min_width <= spec.max_width);
 
-    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut rng = Rng::seed_from_u64(spec.seed);
     let noise_count = (spec.n as f64 * spec.noise_fraction).round() as usize;
     let cluster_total = spec.n - noise_count;
 
@@ -155,9 +152,9 @@ pub fn generate(spec: &SyntheticSpec) -> GeneratedData {
     }
     for _ in 0..noise_count {
         order.push((-1, order.len()));
-        drawn.extend((0..d).map(|_| rng.gen::<f64>()));
+        drawn.extend((0..d).map(|_| rng.f64()));
     }
-    order.shuffle(&mut rng);
+    rng.shuffle(&mut order);
 
     let labels: Vec<i64> = order.iter().map(|(l, _)| *l).collect();
     let mut data = Vec::with_capacity(spec.n * d);
@@ -209,15 +206,15 @@ pub fn generate(spec: &SyntheticSpec) -> GeneratedData {
 }
 
 /// Decides attribute subsets, interval geometry and sizes for all clusters.
-fn plan_clusters(spec: &SyntheticSpec, cluster_total: usize, rng: &mut StdRng) -> Vec<ClusterPlan> {
+fn plan_clusters(spec: &SyntheticSpec, cluster_total: usize, rng: &mut Rng) -> Vec<ClusterPlan> {
     let k = spec.num_clusters;
     let base = cluster_total / k;
     let extra = cluster_total % k;
     let mut plans = Vec::with_capacity(k);
     for ci in 0..k {
-        let dims = rng.gen_range(spec.min_cluster_dims..=spec.max_cluster_dims.min(spec.d));
+        let dims = rng.usize_in(spec.min_cluster_dims, spec.max_cluster_dims.min(spec.d));
         let mut all: Vec<usize> = (0..spec.d).collect();
-        all.shuffle(rng);
+        rng.shuffle(&mut all);
         let mut attrs: Vec<usize> = all.into_iter().take(dims).collect();
         if spec.force_overlap && ci < 2 && !attrs.contains(&0) {
             // Clusters 0 and 1 share attribute 0 with overlapping intervals.
@@ -227,13 +224,13 @@ fn plan_clusters(spec: &SyntheticSpec, cluster_total: usize, rng: &mut StdRng) -
         attrs.dedup();
         let mut intervals = Vec::with_capacity(attrs.len());
         for &a in &attrs {
-            let width = rng.gen_range(spec.min_width..=spec.max_width);
+            let width = rng.f64_in(spec.min_width, spec.max_width);
             let lo = if spec.force_overlap && a == 0 && ci < 2 {
                 // Anchor both overlap clusters near the same region so
                 // their attribute-0 intervals intersect.
                 (0.4 + 0.05 * ci as f64).min(1.0 - width)
             } else {
-                rng.gen_range(0.0..=(1.0 - width))
+                rng.f64_in(0.0, 1.0 - width)
             };
             intervals.push((lo, lo + width));
         }
@@ -252,16 +249,14 @@ fn plan_clusters(spec: &SyntheticSpec, cluster_total: usize, rng: &mut StdRng) -
 /// the interval), uniform elsewhere. The RNG call order — `d` uniforms
 /// first, then one Gaussian per relevant attribute — matches the old
 /// row-vector generator exactly, keeping seeded output stable.
-fn draw_member_into(plan: &ClusterPlan, d: usize, rng: &mut StdRng, out: &mut Vec<f64>) {
+fn draw_member_into(plan: &ClusterPlan, d: usize, rng: &mut Rng, out: &mut Vec<f64>) {
     let start = out.len();
-    out.extend((0..d).map(|_| rng.gen::<f64>()));
+    out.extend((0..d).map(|_| rng.f64()));
     let row = &mut out[start..];
     for (&a, &(lo, hi)) in plan.attrs.iter().zip(&plan.intervals) {
         let center = 0.5 * (lo + hi);
         let sigma = (hi - lo) / 6.0;
-        let g = Normal::new(center, sigma).expect("valid normal");
-        let v: f64 = g.sample(rng);
-        row[a] = v.clamp(lo, hi);
+        row[a] = rng.normal(center, sigma).clamp(lo, hi);
     }
 }
 

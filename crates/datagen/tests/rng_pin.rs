@@ -5,16 +5,13 @@
 //! draw, to the shuffle or to the normal sampler moves all of them, so
 //! it must fail here first.
 
+use p3c_datagen::rng::Rng;
 use p3c_datagen::{colon_like, generate, ColonSpec, SyntheticSpec};
 use p3c_dataset::bytes::Fnv1a;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, RngCore, SeedableRng};
-use rand_distr::{Distribution, Normal};
 
 #[test]
 fn first_words_of_seed_42() {
-    let mut rng = StdRng::seed_from_u64(42);
+    let mut rng = Rng::seed_from_u64(42);
     let words: Vec<u64> = (0..8).map(|_| rng.next_u64()).collect();
     assert_eq!(
         words,
@@ -33,18 +30,17 @@ fn first_words_of_seed_42() {
 
 #[test]
 fn range_draws_shuffle_and_normals_of_seed_7() {
-    let mut rng = StdRng::seed_from_u64(7);
-    assert_eq!(rng.gen_range(3..=17usize), 14);
-    assert_eq!(rng.gen_range(0.25..=0.75f64).to_bits(), 0x3fd581f91bbf49d3);
-    assert_eq!(rng.gen::<f64>().to_bits(), 0x3fe6f66236761a8b);
+    let mut rng = Rng::seed_from_u64(7);
+    assert_eq!(rng.usize_in(3, 17), 14);
+    assert_eq!(rng.f64_in(0.25, 0.75).to_bits(), 0x3fd581f91bbf49d3);
+    assert_eq!(rng.f64().to_bits(), 0x3fe6f66236761a8b);
     let mut order: Vec<usize> = (0..16).collect();
-    order.shuffle(&mut rng);
+    rng.shuffle(&mut order);
     assert_eq!(
         order,
         [13, 2, 8, 4, 3, 10, 5, 6, 15, 9, 1, 0, 11, 14, 7, 12]
     );
-    let normal = Normal::new(10.0, 2.0).expect("valid normal");
-    let samples: Vec<u64> = (0..3).map(|_| normal.sample(&mut rng).to_bits()).collect();
+    let samples: Vec<u64> = (0..3).map(|_| rng.normal(10.0, 2.0).to_bits()).collect();
     assert_eq!(
         samples,
         [0x4026164ed00cb7f6, 0x4020eeb49c2e0559, 0x402152d3420fe99c]
