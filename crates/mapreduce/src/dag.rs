@@ -31,7 +31,7 @@ use crate::dataset::{DatasetError, DatasetHandle, DatasetStore};
 use crate::engine::{Engine, MrError};
 use crate::fault::FaultPlan;
 use crate::metrics::{DagMetrics, DagNodeMetrics};
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;

@@ -21,8 +21,8 @@
 use super::shuffle::ShuffleManager;
 use super::tracker::{BlockLocation, MapOutputTracker};
 use crate::fault::FaultPlan;
+use crate::sync::Mutex;
 use p3c_dataset::bytes::wordsum64;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;

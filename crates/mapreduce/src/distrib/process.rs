@@ -37,8 +37,8 @@ use super::wire::{
     OP_FETCH, OP_FETCH_OK, OP_HELLO, OP_KILL, OP_SHUTDOWN, OP_STORE, OP_STORE_OK,
 };
 use crate::fault::FaultPlan;
+use crate::sync::Mutex;
 use p3c_dataset::bytes::{self, wordsum64, Reader};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{TcpListener, TcpStream};

@@ -6,8 +6,8 @@ use crate::distrib::wire::{decode_from_slice, encode_to_vec, Wire};
 use crate::fault::{FaultPlan, StragglerPlan};
 use crate::kernel::{BlockPartials, CommitBoard, CounterLedger, ShuffleBuckets, WorkQueue};
 use crate::metrics::{ClusterMetrics, DagMetrics, JobMetrics};
+use crate::sync::Mutex;
 use crate::weight::Weighable;
-use parking_lot::Mutex;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -18,13 +18,13 @@
 //!   operations (`RUSTFLAGS="--cfg loom" cargo test -p p3c-mapreduce
 //!   --test loom_models`).
 
+#[cfg(not(loom))]
+use crate::sync::Mutex;
 #[cfg(loom)]
 use p3c_loom::sync::{
     atomic::{AtomicBool, AtomicUsize, Ordering},
     Mutex,
 };
-#[cfg(not(loom))]
-use parking_lot::Mutex;
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

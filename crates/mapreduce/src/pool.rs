@@ -19,7 +19,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 use crate::kernel::{BlockPartials, WorkQueue};
 

@@ -805,7 +805,7 @@ fn recover_tenant<T: DurableTenant>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use crate::sync::Mutex;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
     use std::time::Duration;
@@ -1047,7 +1047,7 @@ mod tests {
         let waited = t.join().unwrap();
         let order = order.lock();
         let pos = |tag| order.iter().position(|&t| t == tag).unwrap();
-        assert!(pos("release-1") < pos("admit-2"), "{order:?}");
+        assert!(pos("release-1") < pos("admit-2"), "{:?}", *order);
         // The second job may or may not have observed the wait (it can
         // race ahead of `admit-1`'s release), but if it waited, the
         // ordering above proves the budget gated it.

@@ -7,19 +7,109 @@
 //! than every rank the thread already holds — a violation panics with
 //! both lock names, turning any hierarchy bug into a deterministic test
 //! failure instead of a rare deadlock. Without the feature the wrappers
-//! are thin newtypes over the parking_lot primitives.
+//! are thin newtypes over this module's [`Mutex`] and [`Condvar`]: the
+//! `std::sync` primitives with poisoning swallowed, so `lock()` hands
+//! back a guard, not a `Result`. A panic under a lock is reported once,
+//! by whoever joins the thread (the worker pool, the DAG scheduler),
+//! not again by every later acquisition.
 //!
-//! Under `--cfg loom` the mutex and condvar delegate to the
+//! Under `--cfg loom` the ranked mutex and condvar delegate to the
 //! [`p3c_loom`] model-checked shims instead, so structures built on
 //! these wrappers (the service admission gate, the shuffle tracker) can
 //! be model-checked without code changes. The rank assertions stay on in
 //! loom builds only when `lockcheck` is also enabled.
 
+#[cfg(not(loom))]
+use self::{Condvar as RawCondvar, Mutex as RawMutex, MutexGuard as RawMutexGuard};
 #[cfg(loom)]
 use p3c_loom::sync::{Condvar as RawCondvar, Mutex as RawMutex, MutexGuard as RawMutexGuard};
-#[cfg(not(loom))]
-use parking_lot::{Condvar as RawCondvar, Mutex as RawMutex, MutexGuard as RawMutexGuard};
 use std::ops::{Deref, DerefMut};
+use std::sync::PoisonError;
+
+/// A non-poisoning mutex over [`std::sync::Mutex`].
+#[derive(Debug, Default)]
+pub struct Mutex<T> {
+    inner: std::sync::Mutex<T>,
+}
+
+impl<T> Mutex<T> {
+    /// A new mutex guarding `value`.
+    pub const fn new(value: T) -> Self {
+        Self {
+            inner: std::sync::Mutex::new(value),
+        }
+    }
+
+    /// Acquires the lock, blocking until it is free.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        MutexGuard {
+            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
+        }
+    }
+
+    /// Consumes the mutex, returning the guarded value.
+    pub fn into_inner(self) -> T {
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// RAII guard of a [`Mutex`]. The std guard sits in an `Option` so
+/// [`Condvar::wait`] can hand it to the std condvar and take it back;
+/// it is `Some` whenever the guard is reachable.
+pub struct MutexGuard<'a, T> {
+    inner: Option<std::sync::MutexGuard<'a, T>>,
+}
+
+impl<T> Deref for MutexGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        self.inner.as_ref().expect("guard present outside wait")
+    }
+}
+
+impl<T> DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.inner.as_mut().expect("guard present outside wait")
+    }
+}
+
+/// A condition variable paired with a [`Mutex`].
+#[derive(Debug, Default)]
+pub struct Condvar {
+    inner: std::sync::Condvar,
+}
+
+impl Condvar {
+    /// A new condvar.
+    pub const fn new() -> Self {
+        Self {
+            inner: std::sync::Condvar::new(),
+        }
+    }
+
+    /// Atomically releases the guard's mutex and waits for a notify; the
+    /// mutex is reacquired before this returns.
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        let held = guard.inner.take().expect("guard present outside wait");
+        guard.inner = Some(
+            self.inner
+                .wait(held)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+    }
+
+    /// Wakes every thread waiting on this condvar.
+    pub fn notify_all(&self) {
+        self.inner.notify_all();
+    }
+
+    /// Wakes one thread waiting on this condvar.
+    pub fn notify_one(&self) {
+        self.inner.notify_one();
+    }
+}
 
 pub mod rank {
     //! The workspace lock hierarchy — one rank per named lock, mirrored
@@ -210,12 +300,13 @@ impl RankedCondvar {
 /// Readers and writers both occupy the rank: a read lock can still
 /// deadlock against a writer queued behind it, so the discipline applies
 /// to shared acquisitions too. Not loom-swapped — the model checker has
-/// no RwLock shim and no current model needs one.
+/// no RwLock shim and no current model needs one. Non-poisoning like
+/// [`Mutex`].
 #[derive(Debug)]
 pub struct RankedRwLock<T> {
     rank: u16,
     name: &'static str,
-    inner: parking_lot::RwLock<T>,
+    inner: std::sync::RwLock<T>,
 }
 
 impl<T> RankedRwLock<T> {
@@ -224,7 +315,7 @@ impl<T> RankedRwLock<T> {
         Self {
             rank,
             name,
-            inner: parking_lot::RwLock::new(value),
+            inner: std::sync::RwLock::new(value),
         }
     }
 
@@ -232,7 +323,7 @@ impl<T> RankedRwLock<T> {
     pub fn read(&self) -> RankedRwLockReadGuard<'_, T> {
         held::acquired(self.rank, self.name);
         RankedRwLockReadGuard {
-            raw: self.inner.read(),
+            raw: self.inner.read().unwrap_or_else(PoisonError::into_inner),
             rank: self.rank,
         }
     }
@@ -241,7 +332,7 @@ impl<T> RankedRwLock<T> {
     pub fn write(&self) -> RankedRwLockWriteGuard<'_, T> {
         held::acquired(self.rank, self.name);
         RankedRwLockWriteGuard {
-            raw: self.inner.write(),
+            raw: self.inner.write().unwrap_or_else(PoisonError::into_inner),
             rank: self.rank,
         }
     }
@@ -249,7 +340,7 @@ impl<T> RankedRwLock<T> {
 
 /// Shared-read guard of a [`RankedRwLock`].
 pub struct RankedRwLockReadGuard<'a, T> {
-    raw: parking_lot::RwLockReadGuard<'a, T>,
+    raw: std::sync::RwLockReadGuard<'a, T>,
     rank: u16,
 }
 
@@ -268,7 +359,7 @@ impl<T> Drop for RankedRwLockReadGuard<'_, T> {
 
 /// Exclusive-write guard of a [`RankedRwLock`].
 pub struct RankedRwLockWriteGuard<'a, T> {
-    raw: parking_lot::RwLockWriteGuard<'a, T>,
+    raw: std::sync::RwLockWriteGuard<'a, T>,
     rank: u16,
 }
 
