@@ -35,6 +35,7 @@ use crate::sync::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -658,9 +659,9 @@ impl<'e> DagScheduler<'e> {
 
         if n > 0 {
             let workers = self.config.max_concurrent_jobs.max(1).min(n);
-            let scope_result = crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for _ in 0..workers {
-                    s.spawn(|_| loop {
+                    s.spawn(|| loop {
                         // Claim a ready node (or quit). The high-water
                         // mark is taken at claim time, under the lock.
                         let idx = {
@@ -686,7 +687,18 @@ impl<'e> DagScheduler<'e> {
                                 cv.wait(&mut st);
                             }
                         };
-                        let result = self.execute_node(&shared, idx);
+                        // A node body that panics (outside the engine's
+                        // own catch) is caught here, on the worker: the
+                        // scope would re-raise it into the caller, and
+                        // the other workers would wait on `running`
+                        // forever. It fails the run like any node error.
+                        let result =
+                            catch_unwind(AssertUnwindSafe(|| self.execute_node(&shared, idx)))
+                                .unwrap_or_else(|_| {
+                                    Err(DagError::WorkerPanicked {
+                                        dag: graph.name.clone(),
+                                    })
+                                });
                         let mut st = state.lock();
                         st.running -= 1;
                         match result {
@@ -710,17 +722,6 @@ impl<'e> DagScheduler<'e> {
                     });
                 }
             });
-            if scope_result.is_err() {
-                // A worker died mid-run (node closure panicked outside
-                // the engine's own catch). Surface it as a DAG error
-                // rather than poisoning the caller with a panic.
-                let mut st = state.lock();
-                if st.error.is_none() {
-                    st.error = Some(DagError::WorkerPanicked {
-                        dag: graph.name.clone(),
-                    });
-                }
-            }
         }
 
         let final_state = state.into_inner();
@@ -746,7 +747,7 @@ impl<'e> DagScheduler<'e> {
             nodes,
             concurrency_high_water: final_state.high_water as u64,
             // audit: relaxed-ok — metric reads after every worker joined
-            // (crossbeam scope exit is the synchronization point).
+            // (scope exit is the synchronization point).
             total_executions: shared.executions.load(Ordering::Relaxed),
             // audit: relaxed-ok — as above.
             recovered_executions: shared.recovered.load(Ordering::Relaxed),
@@ -968,6 +969,49 @@ mod tests {
         assert_eq!(ledger.dag_runs().len(), 1);
         assert_eq!(ledger.dag_runs()[0].dag_name, "chain");
         assert_eq!(ledger.jobs()[0].job_name, "sum");
+    }
+
+    #[test]
+    fn panicking_node_body_fails_the_run_and_spares_the_engine() {
+        let eng = engine();
+        let store = DatasetStore::new();
+        seed_nums(&store, 10);
+        let never: DatasetHandle<u64> = DatasetHandle::new("never");
+        let total: DatasetHandle<u64> = DatasetHandle::new("total");
+        let mut graph = JobGraph::new("explodes");
+        graph.add(
+            JobNode::new(
+                "boom",
+                JobKind::MapOnly,
+                |_: &NodeCtx| -> Result<(), DagError> { panic!("node body exploded") },
+            )
+            .output(&never),
+        );
+        // Independent of `boom`, so a second worker is inside the run
+        // when the first one dies and must not be left waiting for it.
+        graph.add(
+            JobNode::new("sum", JobKind::MapReduce, sum_node(total.clone()))
+                .input(&nums())
+                .output(&total),
+        );
+        let err = graph
+            .run(&eng, &store, SchedulerChoice::Dag)
+            .expect_err("a panicking node fails the run");
+        assert!(
+            matches!(&err, DagError::WorkerPanicked { dag } if dag == "explodes"),
+            "{err}"
+        );
+        assert!(!store.has(never.name()));
+
+        let again: DatasetHandle<u64> = DatasetHandle::new("again");
+        let mut graph = JobGraph::new("after");
+        graph.add(
+            JobNode::new("sum", JobKind::MapReduce, sum_node(again.clone()))
+                .input(&nums())
+                .output(&again),
+        );
+        graph.run(&eng, &store, SchedulerChoice::Dag).unwrap();
+        assert_eq!(*store.get(&again).unwrap(), 45);
     }
 
     #[test]

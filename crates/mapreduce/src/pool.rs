@@ -67,12 +67,12 @@ where
     F: Fn(usize) + Sync,
 {
     let payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    // The scope result is deliberately ignored: every panic is already
-    // caught inside the worker, so the scope cannot observe one.
-    let _ = crossbeam::thread::scope(|s| {
+    // Every panic is caught inside the worker, so the scope — which
+    // would re-raise one into the caller on exit — never observes any.
+    std::thread::scope(|s| {
         for w in 0..workers.max(1) {
             let (worker, payload) = (&worker, &payload);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 if let Err(p) = catch_unwind(AssertUnwindSafe(|| worker(w))) {
                     payload.lock().get_or_insert(p);
                 }
@@ -205,12 +205,15 @@ mod tests {
 
     #[test]
     fn run_workers_surfaces_panics_as_error() {
+        let finished = AtomicUsize::new(0);
         let result = run_workers(3, |w| {
             if w == 1 {
                 panic!("boom");
             }
+            finished.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(result, Err(WorkerPanic));
+        assert_eq!(finished.into_inner(), 2, "the other workers ran on");
     }
 
     #[test]
