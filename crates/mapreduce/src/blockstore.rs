@@ -7,9 +7,9 @@
 //! store meters bytes read and written.
 
 use crate::sync::{rank, RankedRwLock};
-use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Default block size (small on purpose — test datasets are small too).
 pub const DEFAULT_BLOCK_SIZE: usize = 64 * 1024;
@@ -19,7 +19,7 @@ pub const DEFAULT_BLOCK_SIZE: usize = 64 * 1024;
 pub struct BlockStore {
     block_size: usize,
     replication: usize,
-    files: RankedRwLock<BTreeMap<String, Vec<Bytes>>>,
+    files: RankedRwLock<BTreeMap<String, Vec<Arc<[u8]>>>>,
     bytes_written: AtomicU64,
     bytes_read: AtomicU64,
 }
@@ -57,10 +57,7 @@ impl BlockStore {
     /// Writes (or overwrites) a file, splitting it into blocks. Charged
     /// write bytes include replication, like a real HDFS pipeline.
     pub fn write(&self, name: &str, data: &[u8]) {
-        let blocks: Vec<Bytes> = data
-            .chunks(self.block_size)
-            .map(Bytes::copy_from_slice)
-            .collect();
+        let blocks: Vec<Arc<[u8]>> = data.chunks(self.block_size).map(Arc::from).collect();
         let charged = (data.len() * self.replication) as u64;
         // audit: relaxed-ok — monotonic byte counter; read via
         // bytes_written() after jobs join.
@@ -76,10 +73,7 @@ impl BlockStore {
     pub fn write_many(&self, entries: &[(String, Vec<u8>)]) {
         let mut files = self.files.write();
         for (name, data) in entries {
-            let blocks: Vec<Bytes> = data
-                .chunks(self.block_size)
-                .map(Bytes::copy_from_slice)
-                .collect();
+            let blocks: Vec<Arc<[u8]>> = data.chunks(self.block_size).map(Arc::from).collect();
             let charged = (data.len() * self.replication) as u64;
             // audit: relaxed-ok — monotonic byte counter.
             self.bytes_written.fetch_add(charged, Ordering::Relaxed);
@@ -102,7 +96,7 @@ impl BlockStore {
     }
 
     /// Reads one block of a file; `None` if the file or block is absent.
-    pub fn read_block(&self, name: &str, index: usize) -> Option<Bytes> {
+    pub fn read_block(&self, name: &str, index: usize) -> Option<Arc<[u8]>> {
         let files = self.files.read();
         let block = files.get(name)?.get(index)?.clone();
         // audit: relaxed-ok — monotonic byte counter.
