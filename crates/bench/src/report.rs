@@ -1,11 +1,11 @@
 //! Experiment reports: tabular results serializable to JSON and markdown.
 
-use serde::{Deserialize, Serialize};
+use p3c_dataset::json::{self, ToJson, Writer};
 use std::io::Write as _;
 use std::path::Path;
 
 /// One tabular experiment result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Experiment id, e.g. `"fig5"`.
     pub id: String,
@@ -65,55 +65,9 @@ impl Report {
         out
     }
 
-    /// Renders the report as pretty-printed JSON. Hand-rolled (the
-    /// struct is strings all the way down) so file output does not
-    /// depend on a JSON library being available.
+    /// Renders the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        fn str_list(items: &[String], indent: &str) -> String {
-            if items.is_empty() {
-                return "[]".to_string();
-            }
-            let inner = items
-                .iter()
-                .map(|s| format!("{indent}  \"{}\"", esc(s)))
-                .collect::<Vec<_>>()
-                .join(",\n");
-            format!("[\n{inner}\n{indent}]")
-        }
-        let rows = if self.rows.is_empty() {
-            "[]".to_string()
-        } else {
-            let inner = self
-                .rows
-                .iter()
-                .map(|r| format!("    {}", str_list(r, "    ")))
-                .collect::<Vec<_>>()
-                .join(",\n");
-            format!("[\n{inner}\n  ]")
-        };
-        format!(
-            "{{\n  \"id\": \"{}\",\n  \"title\": \"{}\",\n  \"columns\": {},\n  \"rows\": {},\n  \"notes\": {}\n}}",
-            esc(&self.id),
-            esc(&self.title),
-            str_list(&self.columns, "  "),
-            rows,
-            str_list(&self.notes, "  "),
-        )
+        json::render(self)
     }
 
     /// Writes `<dir>/<id>.json` and `<dir>/<id>.md`.
@@ -124,6 +78,18 @@ impl Report {
         std::fs::File::create(dir.join(format!("{}.md", self.id)))?
             .write_all(self.to_markdown().as_bytes())?;
         Ok(())
+    }
+}
+
+impl ToJson for Report {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(&[
+            ("id", &self.id),
+            ("title", &self.title),
+            ("columns", &self.columns),
+            ("rows", &self.rows),
+            ("notes", &self.notes),
+        ]);
     }
 }
 
@@ -161,22 +127,27 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let mut r = Report::new("id", "title", &["c"]);
-        r.push_row(vec!["v".into()]);
-        let json = serde_json::to_string(&r).unwrap();
-        // Round-tripping needs a real serde_json; the offline stub
-        // cannot parse (and serializes a placeholder).
-        match serde_json::from_str::<Report>(&json) {
-            Ok(back) => {
-                assert_eq!(back.id, "id");
-                assert_eq!(back.rows.len(), 1);
-            }
-            Err(e) => assert!(
-                e.to_string().contains("offline stub"),
-                "round-trip failed with a real serde_json: {e}"
-            ),
-        }
+    fn json_rendering() {
+        let mut r = Report::new("id", "a \"title\"\n", &["c", "d"]);
+        r.push_row(vec!["v\\1".into(), "2".into()]);
+        assert_eq!(
+            r.to_json(),
+            r#"{
+  "id": "id",
+  "title": "a \"title\"\n",
+  "columns": [
+    "c",
+    "d"
+  ],
+  "rows": [
+    [
+      "v\\1",
+      "2"
+    ]
+  ],
+  "notes": []
+}"#
+        );
     }
 
     #[test]

@@ -10,10 +10,9 @@ use p3c_mapreduce::{
     DatasetHandle, DatasetStore, Emitter, Engine, JobGraph, JobKind, JobNode, Mapper, MrError,
     NodeCtx, Reducer, SchedulerChoice, Weighable,
 };
-use serde::{Deserialize, Serialize};
 
 /// Which finishing variant the per-partition P3C+ uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BowVariant {
     /// Per-partition P3C+-Light (the paper's "BoW (Light)" series).
     Light,
@@ -24,7 +23,7 @@ pub enum BowVariant {
 /// BoW's processing strategy — the actual "best of both worlds" choice
 /// (Cordeiro et al. §4): pay full shuffle I/O for exact per-partition
 /// clustering, or sample to bound both I/O and computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BowStrategy {
     /// ParC: every record shuffles to its partition; reducers cluster
     /// complete partitions (capped at `sample_size` as a safety bound).
@@ -39,7 +38,7 @@ pub enum BowStrategy {
 }
 
 /// BoW configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BowConfig {
     /// Number of data partitions (the paper: one per reducer).
     pub num_partitions: usize,

@@ -13,11 +13,10 @@
 //! union bounding interval. The phase iterates to a fixed point.
 
 use p3c_dataset::AttrInterval;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A projected hyperrectangle: one interval per relevant attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rect {
     /// Intervals keyed by attribute.
     intervals: BTreeMap<usize, (f64, f64)>,

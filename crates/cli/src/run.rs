@@ -7,7 +7,7 @@ use p3c_core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_core::p3c::P3c;
 use p3c_core::p3cplus::{P3cPlus, P3cPlusLight};
 use p3c_datagen::{generate, SyntheticSpec};
-use p3c_dataset::{persist, Clustering, Dataset};
+use p3c_dataset::{json, persist, Clustering, Dataset};
 use p3c_eval::e4sc;
 use p3c_mapreduce::{BackendChoice, Engine, MrConfig, SchedulerChoice};
 use std::fmt;
@@ -156,20 +156,24 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
                 eprintln!("{warning}");
             }
             let mut text = render(&clustering, *output, *algorithm);
+            // Under `-o json` stdout is exactly one document, so the
+            // lines about the run go to stderr instead of after it.
+            let mut note = |line: String| match output {
+                OutputFormat::Json => eprintln!("{line}"),
+                OutputFormat::Text => text.push_str(&format!("\n{line}\n")),
+            };
             if *evaluate {
                 if let Some(truth) = &truth {
-                    text.push_str(&format!(
-                        "\nE4SC vs ground truth: {:.3}\n",
+                    note(format!(
+                        "E4SC vs ground truth: {:.3}",
                         e4sc(&clustering, truth)
                     ));
                 }
             }
             if let Some(path) = metrics_json {
-                let json =
-                    serde_json::to_string_pretty(&metrics).expect("cluster metrics serialize");
-                std::fs::write(path, json + "\n")?;
-                text.push_str(&format!(
-                    "\nwrote metrics for {} job(s), {} DAG run(s) to {}\n",
+                std::fs::write(path, json::render(&metrics) + "\n")?;
+                note(format!(
+                    "wrote metrics for {} job(s), {} DAG run(s) to {}",
                     metrics.num_jobs(),
                     metrics.dag_runs().len(),
                     path
@@ -245,9 +249,7 @@ fn run_algorithm(
 
 fn render(clustering: &Clustering, format: OutputFormat, algorithm: Algorithm) -> String {
     match format {
-        OutputFormat::Json => {
-            serde_json::to_string_pretty(clustering).expect("clustering serializes") + "\n"
-        }
+        OutputFormat::Json => json::render(clustering) + "\n",
         OutputFormat::Text => {
             let mut out = format!(
                 "{}: {} clusters, {} outliers\n",
@@ -317,17 +319,62 @@ mod tests {
     }
 
     #[test]
-    fn json_output_deserializes() {
-        let out = run("cluster --synthetic 1500x8 -k 2 --seed 5 -o json").unwrap();
-        // Parsing back needs a real serde_json; the offline stub
-        // cannot deserialize (and serializes a placeholder).
-        match serde_json::from_str::<Clustering>(&out) {
-            Ok(clustering) => assert!(clustering.num_clusters() >= 1),
-            Err(e) => assert!(
-                e.to_string().contains("offline stub"),
-                "round-trip failed with a real serde_json: {e}"
-            ),
+    fn json_output_is_one_document() {
+        let clustering = Clustering::new(
+            vec![p3c_dataset::ProjectedCluster::new(
+                vec![4, 1],
+                [2, 0].into(),
+                vec![
+                    p3c_dataset::AttrInterval::new(2, 0.5, 1.0),
+                    p3c_dataset::AttrInterval::new(0, 0.125, 0.3),
+                ],
+            )],
+            Vec::new(),
+        );
+        assert_eq!(
+            render(&clustering, OutputFormat::Json, Algorithm::P3cPlus),
+            r#"{
+  "clusters": [
+    {
+      "points": [
+        1,
+        4
+      ],
+      "attributes": [
+        0,
+        2
+      ],
+      "intervals": [
+        {
+          "attr": 0,
+          "lo": 0.125,
+          "hi": 0.3
+        },
+        {
+          "attr": 2,
+          "lo": 0.5,
+          "hi": 1.0
         }
+      ]
+    }
+  ],
+  "outliers": []
+}
+"#
+        );
+        // A whole run prints that document and nothing else: the lines
+        // `-e` and `--metrics-json` add go to stderr.
+        let path = std::env::temp_dir().join("p3c-cli-test-json-stdout.json");
+        let plain = run("cluster --synthetic 1500x8 -k 2 --seed 5 -o json").unwrap();
+        let noted = run(&format!(
+            "cluster --synthetic 1500x8 -k 2 --seed 5 -o json -e --metrics-json {}",
+            path.display()
+        ))
+        .unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(plain.starts_with("{\n  \"clusters\": [\n    {\n      \"points\": [\n"));
+        assert!(plain.ends_with("]\n}\n"), "{plain}");
+        assert_eq!(plain, noted);
     }
 
     #[test]
@@ -369,17 +416,17 @@ mod tests {
         .unwrap();
         assert!(out.contains("wrote metrics for"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();
-        match serde_json::from_str::<p3c_mapreduce::ClusterMetrics>(&json) {
-            Ok(metrics) => {
-                assert!(metrics.num_jobs() > 0);
-                assert!(!metrics.dag_runs().is_empty());
-                assert!(metrics.dag_runs()[0].concurrency_high_water >= 1);
-            }
-            Err(e) => assert!(
-                e.to_string().contains("offline stub"),
-                "round-trip failed with a real serde_json: {e}"
-            ),
-        }
+        assert!(
+            json.starts_with("{\n  \"jobs\": [\n    {\n      \"job_name\": \""),
+            "{json}"
+        );
+        assert!(
+            json.contains("\n  \"dag_runs\": [\n    {\n      \"dag_name\": \""),
+            "{json}"
+        );
+        assert!(json.contains("\n          \"kind\": \"map-reduce\",\n"));
+        assert!(!json.contains("\"concurrency_high_water\": 0,"));
+        assert!(json.ends_with("\n  ]\n}\n"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -394,16 +441,7 @@ mod tests {
         ))
         .unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
-        match serde_json::from_str::<p3c_mapreduce::ClusterMetrics>(&json) {
-            Ok(metrics) => {
-                assert_eq!(metrics.num_jobs(), 0);
-                assert!(metrics.dag_runs().is_empty());
-            }
-            Err(e) => assert!(
-                e.to_string().contains("offline stub"),
-                "round-trip failed with a real serde_json: {e}"
-            ),
-        }
+        assert_eq!(json, "{\n  \"jobs\": [],\n  \"dag_runs\": []\n}\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

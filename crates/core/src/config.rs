@@ -2,10 +2,9 @@
 //! constructible presets.
 
 use p3c_stats::BinRule;
-use serde::{Deserialize, Serialize};
 
 /// Which histogram bin-count rule to use (Section 4.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinRuleChoice {
     /// Sturges — the original P3C choice; oversmooths on large data.
     Sturges,
@@ -36,7 +35,7 @@ impl BinRuleChoice {
 }
 
 /// Outlier detection strategy (Section 4.2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutlierMethod {
     /// Mean/covariance from all cluster members — suffers from masking.
     Naive,
@@ -52,7 +51,7 @@ pub enum OutlierMethod {
 }
 
 /// Full parameter set for the P3C family.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct P3cParams {
     /// χ² significance for the uniformity tests (paper: 0.001).
     pub alpha_chi2: f64,
@@ -111,11 +110,10 @@ pub struct P3cParams {
     /// §11), so this is purely a speed knob. `0` means all available
     /// cores. Defaults to the `P3C_THREADS` environment variable when
     /// set, else `1`.
-    #[serde(default = "default_threads")]
     pub threads: usize,
 }
 
-/// Serde/`Default` source for [`P3cParams::threads`]: the `P3C_THREADS`
+/// `Default` source for [`P3cParams::threads`]: the `P3C_THREADS`
 /// environment variable, or `1`.
 fn default_threads() -> usize {
     std::env::var("P3C_THREADS")

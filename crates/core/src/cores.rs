@@ -20,11 +20,10 @@ use crate::support::{SupportIndex, SupportTable};
 use crate::types::Signature;
 use p3c_stats::effect::effect_is_strong;
 use p3c_stats::PoissonTest;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// A proven, maximal signature with its support bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterCore {
     /// The core's interval signature.
     pub signature: Signature,
@@ -47,7 +46,7 @@ impl ClusterCore {
 }
 
 /// Per-run statistics of the generation process.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CoreGenStats {
     /// Candidates whose support was counted, per level (level 1 first).
     pub candidates_per_level: Vec<usize>,

@@ -19,11 +19,10 @@ use crate::outlier::{
 use crate::redundancy::filter_redundant_proven;
 use crate::relevance::relevant_intervals;
 use p3c_dataset::{split_assignment, Clustering, Dataset, ProjectedCluster};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Statistics of one pipeline run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
     /// Histogram bins used.
     pub bins: usize,

@@ -9,13 +9,12 @@
 
 use p3c_dataset::bytes::{self, DecodeError, Reader};
 use p3c_stats::histogram::bin_index;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A run of histogram bins `[bin_lo, bin_hi]` on one attribute, out of
 /// `bins` total equi-width bins on `[0,1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Interval {
     /// Attribute (dimension) index the interval lives on.
     pub attr: usize,
@@ -107,7 +106,7 @@ impl fmt::Display for Interval {
 
 /// A p-signature: intervals on pairwise-distinct attributes
 /// (Definition 2), kept sorted by attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Signature {
     intervals: Vec<Interval>,
 }

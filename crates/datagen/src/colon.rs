@@ -11,10 +11,9 @@
 
 use crate::rng::Rng;
 use p3c_dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Specification for the colon-like generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ColonSpec {
     /// Samples in class 0 ("tumor"; real set: 40).
     pub class0: usize,

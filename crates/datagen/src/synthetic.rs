@@ -15,11 +15,10 @@
 
 use crate::rng::Rng;
 use p3c_dataset::{AttrInterval, Clustering, Dataset, ProjectedCluster};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Specification of one synthetic dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticSpec {
     /// Total number of points (clusters + noise).
     pub n: usize,

@@ -10,10 +10,8 @@
 //! dimensionality); the row payloads live in a `DatasetStore` so a
 //! memory-budgeted cache can spill them independently.
 
-use serde::{Deserialize, Serialize};
-
 /// One live block of the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockEntry {
     /// The block's id, assigned at append time and never reused.
     pub id: u64,
@@ -22,7 +20,7 @@ pub struct BlockEntry {
 }
 
 /// Ordered metadata log of the live blocks of one dataset.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BlockLog {
     entries: Vec<BlockEntry>,
     next_id: u64,

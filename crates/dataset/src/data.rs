@@ -7,7 +7,6 @@
 //! column-major transpose when a kernel wants contiguous attributes.
 
 use crate::bytes::{self, DecodeError, Reader};
-use serde::{Deserialize, Serialize};
 
 /// An `n × d` dataset stored row-major in one contiguous allocation.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(normalized.row(1), &[1.0, 1.0]);
 /// assert_eq!(map.denormalize(1, 0.5), 20.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     n: usize,
     d: usize,
@@ -288,7 +287,7 @@ impl Columns {
 
 /// The affine map produced by [`Dataset::normalize`]; lets interval bounds
 /// found in normalized space be reported in original coordinates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NormalizationMap {
     mins: Vec<f64>,
     scales: Vec<f64>,

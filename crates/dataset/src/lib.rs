@@ -19,6 +19,8 @@
 //!   model shared by the algorithms (`p3c-core`), the baseline
 //!   (`p3c-bow`), the generator's ground truth (`p3c-datagen`) and the
 //!   quality measures (`p3c-eval`).
+//! * [`json`] — the one JSON writer (`-o json`, `--metrics-json`, the
+//!   bench reports); there is no reader.
 //! * [`persist`] — the plain-text dataset format of the CLI.
 //! * [`blocklog`] — the append/retract metadata log the incremental
 //!   service keeps per dataset (block ids, row counts, log order).
@@ -32,6 +34,7 @@ pub mod bytes;
 pub mod colseg;
 pub mod data;
 pub mod journal;
+pub mod json;
 pub mod model;
 pub mod persist;
 

@@ -1,11 +1,11 @@
 //! The projected-clustering result model shared across the workspace.
 
-use serde::{Deserialize, Serialize};
+use crate::json::{ToJson, Writer};
 use std::collections::BTreeSet;
 
 /// A closed interval `[lo, hi]` on one attribute — the building block of
 /// the paper's output signatures (Definition 1 / interval tightening step).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttrInterval {
     /// The attribute (dimension index) the interval constrains.
     pub attr: usize,
@@ -49,10 +49,16 @@ impl AttrInterval {
     }
 }
 
+impl ToJson for AttrInterval {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(&[("attr", &self.attr), ("lo", &self.lo), ("hi", &self.hi)]);
+    }
+}
+
 /// A projected cluster `C = (X, Y)`: a set of points and their relevant
 /// attributes (Definition 3), plus the tightened output intervals on those
 /// attributes (the paper's output signature `S^output`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProjectedCluster {
     /// Member point ids (sorted, unique).
     pub points: Vec<usize>,
@@ -107,8 +113,18 @@ impl ProjectedCluster {
     }
 }
 
+impl ToJson for ProjectedCluster {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(&[
+            ("points", &self.points),
+            ("attributes", &self.attributes),
+            ("intervals", &self.intervals),
+        ]);
+    }
+}
+
 /// A complete clustering: clusters plus explicit outliers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Clustering {
     /// The projected clusters.
     pub clusters: Vec<ProjectedCluster>,
@@ -144,6 +160,12 @@ impl Clustering {
             .iter()
             .flat_map(|c| c.attributes.iter().copied())
             .collect()
+    }
+}
+
+impl ToJson for Clustering {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(&[("clusters", &self.clusters), ("outliers", &self.outliers)]);
     }
 }
 

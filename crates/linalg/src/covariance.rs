@@ -19,10 +19,9 @@
 //! `w·x xᵀ`) so that merging stays exact.
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Mergeable accumulator of weighted first and second moments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CovarianceAccumulator {
     dim: usize,
     /// Σ w_i x_i

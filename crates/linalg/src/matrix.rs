@@ -1,6 +1,5 @@
 //! Row-major dense matrix with the operations the clustering pipeline needs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
@@ -9,7 +8,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// Dimensions in this workspace are small (projected subspaces of at most a
 /// few dozen attributes), so no blocking or SIMD heroics are attempted;
 /// clarity and correctness win.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -32,7 +32,6 @@ use crate::engine::{Engine, MrError};
 use crate::fault::FaultPlan;
 use crate::metrics::{DagMetrics, DagNodeMetrics};
 use crate::sync::{Condvar, Mutex};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,7 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which executor runs a pipeline's [`JobGraph`]s (see [`JobGraph::run`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerChoice {
     /// Run the nodes one after another on the calling thread, in
     /// topological order (the paper's literal job chain). Records no
@@ -73,7 +72,7 @@ impl SchedulerChoice {
 }
 
 /// What shape of MR job a node runs (metadata for metrics/reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
     /// Map tasks only; output comes straight from the mappers.
     MapOnly,

@@ -22,7 +22,6 @@
 use crate::blockstore::BlockStore;
 use crate::engine::MrError;
 use crate::sync::{rank, RankedMutex};
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -146,7 +145,7 @@ impl From<DatasetError> for MrError {
 }
 
 /// Counters describing cache behaviour since the store was created.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DatasetStoreStats {
     /// `get` calls served from memory.
     pub hits: u64,

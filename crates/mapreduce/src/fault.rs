@@ -5,10 +5,8 @@
 //! seedable, *deterministic* failure oracle so tests can assert both that
 //! failures happened and that results are unaffected.
 
-use serde::{Deserialize, Serialize};
-
 /// A plan describing which task attempts fail.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Probability in `[0,1]` that any given task *attempt* fails.
     pub failure_probability: f64,
@@ -54,7 +52,7 @@ impl FaultPlan {
 /// *primary* attempt is delayed by `delay_ms` (in small cancellable
 /// increments, so a speculative backup committing the task releases the
 /// straggler immediately — Hadoop kills the slower attempt the same way).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StragglerPlan {
     /// Probability in `[0,1]` that a task's primary attempt straggles.
     pub probability: f64,

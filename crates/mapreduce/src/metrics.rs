@@ -5,12 +5,12 @@
 //! MR jobs, records mapped, bytes shuffled, bytes broadcast through the
 //! distributed cache. The engine meters all of these.
 
-use serde::{Deserialize, Serialize};
+use p3c_dataset::json::{ToJson, Writer};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Counters for a single MapReduce job.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct JobMetrics {
     /// Job name as submitted.
     pub job_name: String,
@@ -50,21 +50,47 @@ pub struct JobMetrics {
     pub reduce_wall: Duration,
     /// Partition fetches reducers issued against the shuffle backend
     /// (0 on the passthrough in-memory path).
-    #[serde(default)]
     pub shuffle_fetches: u64,
     /// Fetch attempts retried after timeouts, dead workers, or
     /// checksum failures.
-    #[serde(default)]
     pub fetch_retries: u64,
     /// Worker processes (re)started while this job ran.
-    #[serde(default)]
     pub worker_restarts: u64,
     /// Bytes that physically moved through the shuffle backend
     /// (stored by maps + fetched by reducers).
-    #[serde(default)]
     pub shuffle_bytes_moved: u64,
     /// User counters accumulated across all tasks.
     pub counters: BTreeMap<String, u64>,
+}
+
+impl ToJson for JobMetrics {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(&[
+            ("job_name", &self.job_name),
+            ("map_tasks", &self.map_tasks),
+            ("reduce_tasks", &self.reduce_tasks),
+            ("map_input_records", &self.map_input_records),
+            ("map_output_records", &self.map_output_records),
+            ("map_output_bytes", &self.map_output_bytes),
+            ("combine_input_records", &self.combine_input_records),
+            ("combine_output_records", &self.combine_output_records),
+            ("shuffle_records", &self.shuffle_records),
+            ("shuffle_bytes", &self.shuffle_bytes),
+            ("reduce_input_groups", &self.reduce_input_groups),
+            ("output_records", &self.output_records),
+            ("broadcast_bytes", &self.broadcast_bytes),
+            ("failed_attempts", &self.failed_attempts),
+            ("speculative_attempts", &self.speculative_attempts),
+            ("speculative_wins", &self.speculative_wins),
+            ("map_wall", &self.map_wall),
+            ("reduce_wall", &self.reduce_wall),
+            ("shuffle_fetches", &self.shuffle_fetches),
+            ("fetch_retries", &self.fetch_retries),
+            ("worker_restarts", &self.worker_restarts),
+            ("shuffle_bytes_moved", &self.shuffle_bytes_moved),
+            ("counters", &self.counters),
+        ]);
+    }
 }
 
 impl JobMetrics {
@@ -83,7 +109,7 @@ impl JobMetrics {
 }
 
 /// Per-node execution counters of one DAG run (see [`crate::dag`]).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DagNodeMetrics {
     /// Node name as declared in the [`crate::dag::JobGraph`].
     pub node: String,
@@ -99,9 +125,22 @@ pub struct DagNodeMetrics {
     pub wall: Duration,
 }
 
+impl ToJson for DagNodeMetrics {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(&[
+            ("node", &self.node),
+            ("kind", &self.kind),
+            ("attempts", &self.attempts),
+            ("executions", &self.executions),
+            ("recoveries", &self.recoveries),
+            ("wall", &self.wall),
+        ]);
+    }
+}
+
 /// Metrics of one [`crate::dag::DagScheduler`] run, recorded into the
 /// engine ledger next to the per-job [`JobMetrics`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DagMetrics {
     /// The graph's name.
     pub dag_name: String,
@@ -126,34 +165,54 @@ pub struct DagMetrics {
     /// In-memory bytes of the datasets spilled during this run; with
     /// [`DagMetrics::spill_bytes`] this gives the run's aggregate spill
     /// compression ratio.
-    #[serde(default)]
     pub spill_raw_bytes: u64,
     /// Spilled datasets loaded back into memory during this run.
     pub spill_loads: u64,
     /// Column segments read from the block store during this run
     /// (segmented spill reloads).
-    #[serde(default)]
     pub segment_reads: u64,
     /// Encoded bytes of those segment reads.
-    #[serde(default)]
     pub segment_bytes_read: u64,
     /// Datasets evicted from memory (spilled or dropped) during this run.
     pub evictions: u64,
     /// Shuffle-backend partition fetches across the run's jobs.
-    #[serde(default)]
     pub shuffle_fetches: u64,
     /// Shuffle-backend fetch retries across the run's jobs.
-    #[serde(default)]
     pub fetch_retries: u64,
     /// Worker processes (re)started across the run's jobs.
-    #[serde(default)]
     pub worker_restarts: u64,
     /// Bytes that physically moved through the shuffle backend across
     /// the run's jobs.
-    #[serde(default)]
     pub shuffle_bytes_moved: u64,
     /// Wall-clock of the whole DAG run.
     pub wall: Duration,
+}
+
+impl ToJson for DagMetrics {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(&[
+            ("dag_name", &self.dag_name),
+            ("nodes", &self.nodes),
+            ("concurrency_high_water", &self.concurrency_high_water),
+            ("total_executions", &self.total_executions),
+            ("recovered_executions", &self.recovered_executions),
+            ("failed_node_attempts", &self.failed_node_attempts),
+            ("cache_hits", &self.cache_hits),
+            ("cache_misses", &self.cache_misses),
+            ("spills", &self.spills),
+            ("spill_bytes", &self.spill_bytes),
+            ("spill_raw_bytes", &self.spill_raw_bytes),
+            ("spill_loads", &self.spill_loads),
+            ("segment_reads", &self.segment_reads),
+            ("segment_bytes_read", &self.segment_bytes_read),
+            ("evictions", &self.evictions),
+            ("shuffle_fetches", &self.shuffle_fetches),
+            ("fetch_retries", &self.fetch_retries),
+            ("worker_restarts", &self.worker_restarts),
+            ("shuffle_bytes_moved", &self.shuffle_bytes_moved),
+            ("wall", &self.wall),
+        ]);
+    }
 }
 
 impl DagMetrics {
@@ -166,11 +225,16 @@ impl DagMetrics {
 /// Accumulated metrics of every job an [`crate::Engine`] has executed —
 /// the paper's "number of MapReduce jobs needed for clustering
 /// determination" is `jobs().len()` on this ledger.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterMetrics {
     jobs: Vec<JobMetrics>,
-    #[serde(default)]
     dag_runs: Vec<DagMetrics>,
+}
+
+impl ToJson for ClusterMetrics {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(&[("jobs", &self.jobs), ("dag_runs", &self.dag_runs)]);
+    }
 }
 
 impl ClusterMetrics {
@@ -275,6 +339,74 @@ mod tests {
         assert!(c.dag_runs().is_empty());
     }
 
+    /// What `--metrics-json` holds for the ledger of
+    /// `dag_metrics_node_lookup_and_json`.
+    const EXPECTED_LEDGER: &str = r#"{
+  "jobs": [
+    {
+      "job_name": "j \"1\"",
+      "map_tasks": 4,
+      "reduce_tasks": 0,
+      "map_input_records": 0,
+      "map_output_records": 0,
+      "map_output_bytes": 0,
+      "combine_input_records": 0,
+      "combine_output_records": 0,
+      "shuffle_records": 0,
+      "shuffle_bytes": 18446744073709551615,
+      "reduce_input_groups": 0,
+      "output_records": 0,
+      "broadcast_bytes": 0,
+      "failed_attempts": 0,
+      "speculative_attempts": 0,
+      "speculative_wins": 0,
+      "map_wall": 0.25,
+      "reduce_wall": 0.0,
+      "shuffle_fetches": 0,
+      "fetch_retries": 0,
+      "worker_restarts": 0,
+      "shuffle_bytes_moved": 0,
+      "counters": {
+        "a.first": 2,
+        "z.last": 1
+      }
+    }
+  ],
+  "dag_runs": [
+    {
+      "dag_name": "pipeline",
+      "nodes": [
+        {
+          "node": "histogram",
+          "kind": "map-reduce",
+          "attempts": 1,
+          "executions": 1,
+          "recoveries": 0,
+          "wall": 0.005
+        }
+      ],
+      "concurrency_high_water": 2,
+      "total_executions": 0,
+      "recovered_executions": 0,
+      "failed_node_attempts": 0,
+      "cache_hits": 3,
+      "cache_misses": 0,
+      "spills": 0,
+      "spill_bytes": 0,
+      "spill_raw_bytes": 0,
+      "spill_loads": 0,
+      "segment_reads": 0,
+      "segment_bytes_read": 0,
+      "evictions": 0,
+      "shuffle_fetches": 0,
+      "fetch_retries": 0,
+      "worker_restarts": 0,
+      "shuffle_bytes_moved": 0,
+      "wall": 0.0
+    }
+  ]
+}"#;
+
     #[test]
     fn dag_metrics_node_lookup_and_json() {
         let dag = DagMetrics {
@@ -293,25 +425,22 @@ mod tests {
         };
         assert_eq!(dag.node("histogram").unwrap().attempts, 1);
         assert!(dag.node("missing").is_none());
-        // The whole ledger (jobs + DAG runs) must round-trip as JSON for
-        // the CLI's --metrics-json dump.
+        // The whole ledger (jobs + DAG runs) is what the CLI's
+        // --metrics-json writes: counters as integers, durations as
+        // seconds, user counters in key order.
+        let mut job = JobMetrics::new("j \"1\"");
+        job.map_tasks = 4;
+        job.shuffle_bytes = u64::MAX;
+        job.map_wall = Duration::from_millis(250);
+        job.counters.insert("z.last".into(), 1);
+        job.counters.insert("a.first".into(), 2);
         let mut c = ClusterMetrics::new();
-        c.record(JobMetrics::new("j"));
+        c.record(job);
         c.record_dag(dag);
-        let json = serde_json::to_string(&c).expect("serializes");
-        match serde_json::from_str::<ClusterMetrics>(&json) {
-            Ok(back) => {
-                assert_eq!(back.num_jobs(), 1);
-                assert_eq!(back.dag_runs().len(), 1);
-                assert_eq!(back.dag_runs()[0].concurrency_high_water, 2);
-            }
-            // The offline serde_json stub serializes everything as "{}"
-            // and refuses to deserialize; only a stub failure is
-            // acceptable here — a real serde_json must round-trip.
-            Err(e) => assert!(
-                e.to_string().contains("offline stub"),
-                "round-trip failed with a real serde_json: {e}"
-            ),
-        }
+        assert_eq!(p3c_dataset::json::render(&c), EXPECTED_LEDGER);
+        assert_eq!(
+            p3c_dataset::json::render(&ClusterMetrics::new()),
+            "{\n  \"jobs\": [],\n  \"dag_runs\": []\n}"
+        );
     }
 }

@@ -5,10 +5,8 @@
 //! simplifying assumption that each (normalized) attribute is roughly
 //! uniform on `[0,1]`, i.e. `IQR = 1/2`, giving `bin_size = n^{-1/3}`.
 
-use serde::{Deserialize, Serialize};
-
 /// Which rule decides the number of histogram bins per attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinRule {
     /// Sturges' rule `⌈1 + log₂ n⌉` — the original P3C choice.
     Sturges,

@@ -4,8 +4,6 @@
 //! the same boundary semantics — bin edges belong to the *lower* bin, zero
 //! belongs to bin 1 — but expose 0-based indices to Rust callers.
 
-use serde::{Deserialize, Serialize};
-
 /// 0-based bin index of `x ∈ [0,1]` in an `m`-bin equi-width histogram,
 /// following the paper's `max(1, ⌈m·x⌉)` convention (so `x = i/m` falls in
 /// bin `i-1`, and `x = 0` in bin 0). Values outside `[0,1]` are clamped.
@@ -96,7 +94,7 @@ pub fn bin_rows<'a>(hists: &mut [Histogram], rows: impl IntoIterator<Item = &'a 
 /// A histogram over `[0,1]` with `m` equal-width bins and f64 counts
 /// (counts are f64 so that partial/weighted histograms merge exactly like
 /// the MapReduce jobs do).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     counts: Vec<f64>,
 }

@@ -20,7 +20,6 @@
 
 use crate::normal::Normal;
 use crate::special::gamma_p;
-use serde::{Deserialize, Serialize};
 
 /// Below this α the exact tail computation is abandoned for σ-units.
 /// `1e-12` keeps a two-decade safety margin above f64's relative-epsilon
@@ -40,7 +39,7 @@ const EXACT_ALPHA_FLOOR: f64 = 1e-12;
 /// let strict = PoissonTest::new(1e-140);
 /// assert!(strict.significantly_larger(1_000.0, 100.0));
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PoissonTest {
     alpha: f64,
     /// Precomputed Φ⁻¹(1 − α) for the σ-unit path.
