@@ -2,11 +2,9 @@
 //! vertical orientation, `p3c_core::support`) vs the naive per-candidate
 //! containment scan, across candidate-set sizes.
 //!
-//! Besides the criterion group, the bench prints a best-of-five wall
-//! time per case — the EXPERIMENTS.md §5.3 table — because the offline
-//! criterion stub runs each body once and reports nothing.
+//! `cargo bench -p p3c-bench --bench rssc` prints a best-of-five wall
+//! time per case: the EXPERIMENTS.md §5.3 table.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use p3c_core::support::{count_supports, count_supports_naive};
 use p3c_core::types::{Interval, Signature};
 use p3c_datagen::rng::Rng;
@@ -51,15 +49,13 @@ fn best_of_five_ms(mut f: impl FnMut() -> Vec<u64>) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-fn bench_rssc(c: &mut Criterion) {
+fn main() {
     let mut rng = Rng::seed_from_u64(42);
     let data: Vec<Vec<f64>> = (0..20_000)
         .map(|_| (0..DIMS).map(|_| rng.f64()).collect())
         .collect();
     let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
 
-    let mut group = c.benchmark_group("support_counting");
-    group.sample_size(10);
     println!("| candidates | naive scan (ms) | production counter (ms) |");
     println!("|---|---|---|");
     for &count in &[64usize, 512, 4_096, 32_768] {
@@ -75,21 +71,5 @@ fn bench_rssc(c: &mut Criterion) {
             "| {count} | {} | {production:.2} |",
             naive.map_or("(not run)".to_string(), |ms| format!("{ms:.1}"))
         );
-
-        group.throughput(Throughput::Elements((rows.len() * count) as u64));
-        group.bench_with_input(
-            BenchmarkId::new("production", count),
-            &candidates,
-            |b, cands| b.iter(|| count_supports(cands, &rows)),
-        );
-        if naive.is_some() {
-            group.bench_with_input(BenchmarkId::new("naive", count), &candidates, |b, cands| {
-                b.iter(|| count_supports_naive(cands, &rows))
-            });
-        }
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_rssc);
-criterion_main!(benches);
