@@ -5,6 +5,8 @@
 #   cargo build --release
 #   cargo test -q
 # Then: the member crates' own tests (cargo test -q --workspace), the
+# owned dependency graph (`cargo tree` of p3c and of e2e names p3c-*
+# path crates only), a JSON parser's verdict on `p3c cluster -o json`, the
 # tier-1 suite re-run under the multi-process shuffle backend
 # (P3C_BACKEND=process:2), the parallel-kernel bit-identity tests swept
 # over P3C_THREADS, the kernels/codec/backend/service/recovery
@@ -24,7 +26,8 @@
 # Tier 2 (lint + formatting + invariants):
 #   cargo clippy --workspace --all-targets -- -D warnings
 #   cargo fmt --check
-#   cargo run -p p3c-audit          (determinism/concurrency/lock invariants)
+#   cargo run -p p3c-audit          (determinism/concurrency/lock invariants,
+#                                    every manifest dependency a path crate)
 #   cargo test --features lockcheck (tier-1 under runtime lock-rank asserts)
 #   loom models                     (engine kernel + admission condvar)
 #   cargo +nightly miri             (dataset byte paths; skipped if absent)
@@ -32,9 +35,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# Offline bootstrap: stage the committed dependency stubs (no-op when
-# the build environment already provides /tmp/stubs) and keep the cargo
-# registry off the network-less home directory.
+# Offline bootstrap: stage the committed `proptest` stand-in — the one
+# dependency that is not a path crate of this repository, dev-only —
+# (no-op when the build environment already provides /tmp/stubs) and
+# keep the cargo registry off the network-less home directory.
 ./scripts/stage-stubs.sh
 export CARGO_HOME="${CARGO_HOME:-/tmp/carghome}"
 
@@ -57,6 +61,29 @@ cargo test -q --workspace --exclude p3c-suite
 # root package; build them all explicitly.
 echo "==> workspace binaries: cargo build --release --workspace"
 cargo build --release --workspace
+
+# The dependency graph is owned (DESIGN.md §1): everything `p3c` and the
+# repo benchmark link at run time is a path crate of this repository.
+# The audit's manifest rule reads the declarations; this reads what
+# Cargo resolved from them.
+echo "==> owned graph: runtime closure of p3c and of e2e is p3c-* path crates"
+for target in "-p p3c-cli" "--manifest-path e2e/Cargo.toml"; do
+    # shellcheck disable=SC2086 # two words on purpose
+    closure=$(cargo tree --offline -e normal --prefix none $target)
+    if grep -v '^p3c-' <<< "$closure"; then
+        echo "not a p3c-* crate in the runtime closure of: $target" >&2
+        exit 1
+    fi
+done
+
+# `-o json` prints exactly one document; any JSON parser must take it.
+if command -v python3 > /dev/null; then
+    echo "==> json smoke: p3c cluster -o json parses"
+    ./target/release/p3c cluster --synthetic 1500x8 -k 2 --seed 5 -o json \
+        | python3 -m json.tool > /dev/null
+else
+    echo "==> json smoke: python3 unavailable — skipped"
+fi
 
 # The whole tier-1 suite again, but with every engine defaulting to the
 # multi-process backend: two worker subprocesses per engine holding the

@@ -763,8 +763,8 @@ fn check_file_locks(
                     rule: "lock-guard",
                     key: "lock-guard-ok",
                     message: format!(
-                        "`{tok}` — parking_lot guards are not Results; \
-                         unwrapping a lock hides a poisoned-lock policy"
+                        "`{tok}` — `mapreduce::sync` locks hand back a guard, not \
+                         a Result; unwrapping a lock hides a poisoned-lock policy"
                     ),
                 });
             }

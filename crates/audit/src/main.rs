@@ -4,7 +4,8 @@
 //! DESIGN.md §10: no hash-ordered iteration on emitted paths, no
 //! panics in error-propagating engine code, no wall-clock or entropy
 //! dependence in result-affecting code, disciplined atomic orderings,
-//! and order-exact float reductions. Violations can be waived inline
+//! order-exact float reductions, and a dependency graph made of path
+//! crates only ([`manifests`]). Violations can be waived inline
 //! with `// audit: <key> — <reason>`; stale or unjustified waivers are
 //! violations themselves.
 //!
@@ -13,6 +14,7 @@
 
 mod lexer;
 mod locks;
+mod manifests;
 mod rules;
 
 use std::path::{Path, PathBuf};
@@ -85,6 +87,14 @@ fn main() -> ExitCode {
         violations.extend(rules::check_file(rel, scan, extra));
     }
 
+    match manifest_violations(&repo_root) {
+        Ok(found) => violations.extend(found),
+        Err(e) => {
+            eprintln!("p3c-audit: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+
     for v in &violations {
         println!("{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
     }
@@ -99,6 +109,34 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// Runs the owned-dependency-graph rule over the root manifest, every
+/// member's, and the benchmark package's.
+fn manifest_violations(repo_root: &Path) -> Result<Vec<rules::Violation>, String> {
+    let read = |rel: &str| {
+        std::fs::read_to_string(repo_root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))
+    };
+    let mut manifests = vec!["Cargo.toml".to_string(), "e2e/Cargo.toml".to_string()];
+    let members = std::fs::read_dir(repo_root.join("crates"))
+        .map_err(|e| format!("cannot list crates/: {e}"))?;
+    for entry in members.flatten() {
+        manifests.push(format!(
+            "crates/{}/Cargo.toml",
+            entry.file_name().to_string_lossy()
+        ));
+    }
+    manifests.sort();
+    let workspace_paths = manifests::workspace_path_deps(&read("Cargo.toml")?);
+    let mut violations = Vec::new();
+    for rel in &manifests {
+        violations.extend(manifests::check_manifest(
+            rel,
+            &read(rel)?,
+            &workspace_paths,
+        ));
+    }
+    Ok(violations)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -1,7 +1,7 @@
-//! Model-checked stand-ins for `std::sync` / `parking_lot` primitives.
+//! Model-checked stand-ins for the `std::sync` primitives.
 //!
 //! API mirrors what the engine kernels use: `Mutex::lock` returns the
-//! guard directly (parking_lot style, no poison result), atomics expose
+//! guard directly (no poison result, like `p3c_mapreduce::sync`), atomics expose
 //! the usual `load`/`store`/RMW surface. Every operation passes through a
 //! scheduler decision point, so [`crate::model`] explores all
 //! interleavings of these operations.
@@ -123,7 +123,7 @@ fn switch_point() {
     with_context(|reg, me| reg.switch(me));
 }
 
-/// A model-checked mutex with a parking_lot-flavoured API.
+/// A model-checked mutex whose `lock()` returns the guard directly.
 ///
 /// Must be created inside [`crate::model`]: construction registers the
 /// lock with the current execution's scheduler.
@@ -188,7 +188,7 @@ impl<T> Drop for MutexGuard<'_, T> {
     }
 }
 
-/// A model-checked condition variable with a parking_lot-flavoured API.
+/// A model-checked condition variable; `wait` takes the guard by reference.
 ///
 /// `wait` atomically releases the guard's mutex and parks until a notify,
 /// then reacquires the mutex before returning — the guard stays valid
