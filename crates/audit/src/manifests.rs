@@ -10,7 +10,7 @@
 //! The reader is a line-oriented subset of TOML — section headers and
 //! `name = …` / `name.workspace = true` entries — which is every form
 //! the workspace's manifests use; a `[dependencies.<name>]` sub-table
-//! is reported rather than parsed.
+//! is reported, not parsed.
 
 use crate::rules::Violation;
 use std::collections::BTreeSet;
@@ -21,7 +21,9 @@ use std::collections::BTreeSet;
 const REGISTRY_DEV_ONLY: &str = "proptest";
 
 /// `name → value` entries of the dependency sections of one manifest,
-/// with the section header each sits under and its 1-based line.
+/// with the section each sits under and its 1-based line. A
+/// `[dependencies.<name>]` sub-table is one entry with no value — it
+/// reads as a registry dependency whatever its body says.
 fn dependency_entries(text: &str) -> Vec<(usize, &str, &str, &str)> {
     let mut section = "";
     let mut out = Vec::new();
@@ -29,13 +31,15 @@ fn dependency_entries(text: &str) -> Vec<(usize, &str, &str, &str)> {
         let line = raw.split('#').next().unwrap_or("").trim();
         if let Some(header) = line.strip_prefix('[') {
             section = header.trim_matches(|c| c == '[' || c == ']').trim();
-            continue;
-        }
-        if !section.ends_with("dependencies") {
-            continue;
-        }
-        if let Some((name, value)) = line.split_once('=') {
-            out.push((idx + 1, section, name.trim(), value.trim()));
+            if let Some((table, name)) = section.rsplit_once('.') {
+                if table.ends_with("dependencies") {
+                    out.push((idx + 1, table, name, ""));
+                }
+            }
+        } else if section.ends_with("dependencies") {
+            if let Some((name, value)) = line.split_once('=') {
+                out.push((idx + 1, section, name.trim(), value.trim()));
+            }
         }
     }
     out
@@ -60,22 +64,7 @@ pub fn check_manifest(
     text: &str,
     workspace_paths: &BTreeSet<String>,
 ) -> Vec<Violation> {
-    let violation = |line, message| Violation {
-        file: file.to_string(),
-        line,
-        rule: "manifest-deps",
-        message,
-    };
     let mut out = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let header = raw.trim();
-        if header.starts_with('[') && header.contains("dependencies.") {
-            out.push(violation(
-                idx + 1,
-                format!("{header}: declare dependencies inline (`name = {{ path = … }}`)"),
-            ));
-        }
-    }
     for (line, section, key, value) in dependency_entries(text) {
         let (name, inherits) = match key.strip_suffix(".workspace") {
             Some(name) => (name, true),
@@ -87,15 +76,18 @@ pub fn check_manifest(
             value.contains("path")
         };
         let dev_only = section == "dev-dependencies" || section == "workspace.dependencies";
-        if !is_path && !(name == REGISTRY_DEV_ONLY && dev_only) {
-            out.push(violation(
+        let allowed = is_path || (name == REGISTRY_DEV_ONLY && dev_only);
+        if !allowed {
+            out.push(Violation {
+                file: file.to_string(),
                 line,
-                format!(
+                rule: "manifest-deps",
+                message: format!(
                     "`{name}` under [{section}] does not resolve to a path in this \
                      repository — the dependency graph is owned (the only registry \
                      name allowed is dev-only `{REGISTRY_DEV_ONLY}`)"
                 ),
-            ));
+            });
         }
     }
     out

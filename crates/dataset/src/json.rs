@@ -16,10 +16,7 @@ use std::time::Duration;
 
 /// Renders `value` as a JSON document.
 pub fn render(value: &dyn ToJson) -> String {
-    let mut w = Writer {
-        out: String::new(),
-        depth: 0,
-    };
+    let mut w = Writer::default();
     value.write_json(&mut w);
     w.out
 }
@@ -31,6 +28,7 @@ pub trait ToJson {
 }
 
 /// The document under construction; see [`render`].
+#[derive(Default)]
 pub struct Writer {
     out: String,
     depth: usize,
@@ -98,12 +96,6 @@ impl Writer {
         for _ in 0..self.depth {
             self.out.push_str("  ");
         }
-    }
-}
-
-impl ToJson for str {
-    fn write_json(&self, w: &mut Writer) {
-        w.string(self);
     }
 }
 
