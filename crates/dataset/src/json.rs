@@ -12,6 +12,7 @@
 //! listing its fields.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Renders `value` as a JSON document.
@@ -59,11 +60,16 @@ impl Writer {
                 '\n' => self.out.push_str("\\n"),
                 '\r' => self.out.push_str("\\r"),
                 '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => self.out.push_str(&format!("\\u{:04x}", c as u32)),
+                c if (c as u32) < 0x20 => self.push_fmt(format_args!("\\u{:04x}", c as u32)),
                 c => self.out.push(c),
             }
         }
         self.out.push('"');
+    }
+
+    /// Appends formatted text in place (a `String` sink cannot fail).
+    fn push_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        let _ = self.out.write_fmt(args);
     }
 
     fn container<I: Iterator>(
@@ -107,13 +113,13 @@ impl ToJson for String {
 
 impl ToJson for u64 {
     fn write_json(&self, w: &mut Writer) {
-        w.out.push_str(&self.to_string());
+        w.push_fmt(format_args!("{self}"));
     }
 }
 
 impl ToJson for usize {
     fn write_json(&self, w: &mut Writer) {
-        w.out.push_str(&self.to_string());
+        w.push_fmt(format_args!("{self}"));
     }
 }
 
@@ -123,7 +129,7 @@ impl ToJson for usize {
 impl ToJson for f64 {
     fn write_json(&self, w: &mut Writer) {
         if self.is_finite() {
-            w.out.push_str(&format!("{self:?}"));
+            w.push_fmt(format_args!("{self:?}"));
         } else {
             w.out.push_str("null");
         }
