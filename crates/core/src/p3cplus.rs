@@ -534,7 +534,7 @@ mod tests {
 
     #[test]
     fn original_p3c_params_run_end_to_end() {
-        // Seed pinned against the committed offline RNG stub's stream.
+        // Seed pinned against the generator's stream (`p3c_datagen::rng`).
         let data = generate(&spec(2000, 3, 0.05, 21));
         let result = P3cPlus::new(P3cParams::original_p3c()).cluster(&data.dataset);
         // The original algorithm still finds clusters on easy data…
