@@ -13,7 +13,6 @@
 # benchmarks at smoke scale, archiving target/ci/BENCH_*.json (results/
 # keeps the committed full-scale numbers; the smoke runs must not
 # overwrite them),
-# the serial-vs-DAG executor table (every verdict must be `identical`),
 # a stdin-scripted `p3c serve` session exercising the service line
 # protocol under a tight LRU cache budget, a `p3c cluster` smoke holding
 # MR-Light to serial Light's output at the Figure 7 shape, a
@@ -120,15 +119,6 @@ test -s target/ci/BENCH_service.json
 echo "==> recovery benchmark (smoke) -> target/ci/BENCH_recovery.json"
 ./target/release/experiments --smoke --out target/ci recovery > /dev/null
 test -s target/ci/BENCH_recovery.json
-
-# One job-graph definition per pipeline, two executors (DESIGN.md §7):
-# all three rows of the serial-vs-DAG table must carry the verdict
-# `identical` in their last column.
-echo "==> executor ablation (smoke): serial and DAG outputs identical"
-./target/release/experiments --smoke --out target/ci dag > /dev/null
-awk -F' *[|] *' '
-    /^[|] (MR|BoW)/ { rows++; if ($(NF - 1) != "identical") bad++ }
-    END { exit !(rows == 3 && bad == 0) }' target/ci/dag.md
 
 # The clustering service end to end through the line protocol: two
 # appends and re-clusters on a stdin-scripted `p3c serve` under a cache

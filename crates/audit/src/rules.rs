@@ -65,7 +65,7 @@ fn check_hash_container(code: &str) -> Option<String> {
     None
 }
 
-/// Rule 2 — panic freedom. The engine, DAG scheduler, dataset store and
+/// Rule 2 — panic freedom. The engine, DAG executor, dataset store and
 /// block store promise `MrError`/`DatasetError` propagation; a panic in
 /// a worker thread poisons locks and loses counter deltas.
 fn check_panic(code: &str) -> Option<String> {

@@ -5,7 +5,7 @@
 //!             [EXPERIMENT...]
 //!
 //! EXPERIMENT ∈ {fig1, fig4, fig5, fig6, fig7, huge, colon, bins, measures,
-//!               stragglers, dag, kernels, codec, backend, service,
+//!               stragglers, kernels, codec, backend, service,
 //!               recovery, all}
 //! ```
 //!
@@ -51,7 +51,6 @@ fn main() -> ExitCode {
             "bins",
             "measures",
             "stragglers",
-            "dag",
             "kernels",
             "codec",
             "backend",
@@ -81,7 +80,6 @@ fn main() -> ExitCode {
             "bins" => experiments::bins(&scale),
             "measures" => experiments::measures(&scale),
             "stragglers" => experiments::stragglers(&scale),
-            "dag" => experiments::dag(&scale),
             "kernels" => experiments::kernels(&scale),
             "codec" => experiments::codec(&scale),
             "backend" => experiments::backend(&scale),
@@ -113,6 +111,6 @@ fn die(msg: &str) -> ! {
 fn print_help() {
     eprintln!(
         "usage: experiments [--scale F] [--dims D] [--seed S] [--smoke] [--out DIR] [EXPERIMENT...]\n\
-         experiments: fig1 fig4 fig5 fig6 fig7 huge colon bins measures stragglers dag kernels codec backend service recovery all (default: all)"
+         experiments: fig1 fig4 fig5 fig6 fig7 huge colon bins measures stragglers kernels codec backend service recovery all (default: all)"
     );
 }

@@ -10,7 +10,7 @@ use p3c_core::p3cplus::{P3cPlus, P3cPlusLight};
 use p3c_datagen::{colon_like, generate, ColonSpec, SyntheticSpec};
 use p3c_dataset::Clustering;
 use p3c_eval::{e4sc, label_accuracy};
-use p3c_mapreduce::{Engine, MrConfig, SchedulerChoice};
+use p3c_mapreduce::{Engine, MrConfig};
 use p3c_stats::PoissonTest;
 use std::time::Instant;
 
@@ -219,18 +219,16 @@ pub fn run_algo(
 ) -> (Clustering, std::time::Duration) {
     let eng = engine();
     let start = Instant::now();
-    let clustering = run_scheduled(algo, &eng, data, sample_size, SchedulerChoice::Serial);
+    let clustering = run_scheduled(algo, &eng, data, sample_size);
     (clustering, start.elapsed())
 }
 
-/// Runs one algorithm on an existing engine under the given scheduler, so
-/// callers can inspect the engine's metrics ledger afterwards.
+/// Runs one algorithm on an existing engine.
 fn run_scheduled(
     algo: Algo,
     eng: &Engine,
     data: &p3c_dataset::Dataset,
     sample_size: usize,
-    scheduler: SchedulerChoice,
 ) -> Clustering {
     match algo {
         Algo::BowLight | Algo::BowMvb => {
@@ -247,13 +245,13 @@ fn run_scheduled(
                 ..BowConfig::default()
             };
             Bow::new(eng, config)
-                .cluster_with(data, scheduler)
+                .cluster(data)
                 .expect("bow run")
                 .clustering
         }
         Algo::MrLight => {
             P3cPlusMrLight::new(eng, experiment_params())
-                .cluster_with(data, scheduler)
+                .cluster(data)
                 .expect("mr light run")
                 .clustering
         }
@@ -265,7 +263,7 @@ fn run_scheduled(
                     ..experiment_params()
                 },
             )
-            .cluster_with(data, scheduler)
+            .cluster(data)
             .expect("mr mvb run")
             .clustering
         }
@@ -277,7 +275,7 @@ fn run_scheduled(
                     ..experiment_params()
                 },
             )
-            .cluster_with(data, scheduler)
+            .cluster(data)
             .expect("mr naive run")
             .clustering
         }
@@ -514,74 +512,6 @@ pub fn stragglers(_scale: &Scale) -> Report {
     }
     report.push_note(
         "Without speculation the job waits out every 400 ms straggler; with          it, idle workers commit backups and cancel the stragglers.",
-    );
-    report
-}
-
-// ------------------------------------------------------------------- dag --
-
-/// Executor ablation: every large-scale pipeline's job graphs walked
-/// inline (serial) vs run on the DAG scheduler — wall time, the number of
-/// nodes observed executing concurrently, and how often an intermediate
-/// dataset was served from the store's in-memory cache.
-pub fn dag(scale: &Scale) -> Report {
-    let mut report = Report::new(
-        "dag",
-        "Serial vs DAG scheduler (5 clusters, 10% noise)",
-        &[
-            "algorithm",
-            "serial_s",
-            "dag_s",
-            "max concurrent jobs",
-            "cache hits",
-            "output vs serial",
-        ],
-    );
-    let n = scale.size(30_000);
-    let data = generate(&spec(scale, n, 5, 0.10, 7));
-    let sample = scale.size(2_000);
-    for algo in [Algo::MrLight, Algo::MrMvb, Algo::BowLight] {
-        let serial_eng = engine();
-        let start = Instant::now();
-        let serial = run_scheduled(
-            algo,
-            &serial_eng,
-            &data.dataset,
-            sample,
-            SchedulerChoice::Serial,
-        );
-        let serial_wall = start.elapsed();
-
-        let dag_eng = engine();
-        let start = Instant::now();
-        let dagged = run_scheduled(algo, &dag_eng, &data.dataset, sample, SchedulerChoice::Dag);
-        let dag_wall = start.elapsed();
-
-        let metrics = dag_eng.cluster_metrics();
-        let hwm = metrics
-            .dag_runs()
-            .iter()
-            .map(|d| d.concurrency_high_water)
-            .max()
-            .unwrap_or(0);
-        let hits: u64 = metrics.dag_runs().iter().map(|d| d.cache_hits).sum();
-        let verdict = if serial == dagged {
-            "identical".to_string()
-        } else {
-            format!("k={}/{}", serial.num_clusters(), dagged.num_clusters())
-        };
-        report.push_row(vec![
-            algo.label().to_string(),
-            secs(serial_wall),
-            secs(dag_wall),
-            hwm.to_string(),
-            hits.to_string(),
-            verdict,
-        ]);
-    }
-    report.push_note(
-        "Each pipeline is one job-graph definition run by two executors, so \
-         every row must read `identical` (ci.sh fails otherwise).",
     );
     report
 }
@@ -1316,20 +1246,6 @@ mod tests {
             let sturges: usize = row[1].parse().unwrap();
             let fd: usize = row[2].parse().unwrap();
             assert!(fd >= sturges / 2, "fd={fd} sturges={sturges}");
-        }
-    }
-
-    #[test]
-    fn dag_smoke() {
-        let r = dag(&Scale::smoke());
-        assert_eq!(r.rows.len(), 3);
-        for row in &r.rows {
-            let hwm: u64 = row[3].parse().unwrap();
-            assert!(hwm >= 1, "{row:?}");
-            // The MR pipelines must reproduce the serial output exactly.
-            if row[0].starts_with("MR") {
-                assert_eq!(row[5], "identical", "{row:?}");
-            }
         }
     }
 

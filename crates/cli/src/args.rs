@@ -91,8 +91,9 @@ pub enum Command {
         output: OutputFormat,
         /// Report E4SC against the synthetic ground truth.
         evaluate: bool,
-        /// Job scheduler for the MR algorithms (serial chaining or the
-        /// DAG scheduler with materialized datasets).
+        /// Executor of the MR algorithms' job graphs: serial runs each
+        /// job once; dag adds node retries, lineage recovery and DAG
+        /// metrics. Both walk the same job chain.
         scheduler: SchedulerChoice,
         /// Dump the engine's `ClusterMetrics` (jobs + DAG runs) as JSON
         /// to this path after clustering.
@@ -495,6 +496,8 @@ CLUSTER OPTIONS:
   -o, --output FMT       text | json                                [text]
   -e, --evaluate         report E4SC against the synthetic truth
       --scheduler S      serial | dag (mr / mr-light / bow only)    [serial]
+                         (same job order; dag adds node retries,
+                         lineage recovery and DAG metrics)
       --metrics-json F   dump job + DAG metrics as JSON to file F
   -t, --threads N        worker threads for the engine and kernels
                          (0 = all cores; results are bit-identical)

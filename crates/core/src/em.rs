@@ -468,28 +468,11 @@ pub fn initialize_from_cores(
         !cores.is_empty(),
         "EM initialization needs at least one core"
     );
-    let k = cores.len();
     let d = arel.len();
 
     // Round 1: accumulate over core support sets.
-    let mut accs: Vec<CovarianceAccumulator> =
-        (0..k).map(|_| CovarianceAccumulator::new(d)).collect();
     let mut uncovered: Vec<usize> = Vec::new();
-    let mut x = Vec::with_capacity(d);
-    for (i, row) in rows.iter().enumerate() {
-        let mut in_any = false;
-        for (c, core) in cores.iter().enumerate() {
-            if core.signature.contains(row) {
-                x.clear();
-                x.extend(arel.iter().map(|&a| row[a]));
-                accs[c].push(&x, 1.0);
-                in_any = true;
-            }
-        }
-        if !in_any {
-            uncovered.push(i);
-        }
-    }
+    let mut accs = support_set_accumulators(cores, rows, arel, |i| uncovered.push(i));
     let round1 = finish_components(&accs);
 
     // Round 2: attach uncovered points to the Mahalanobis-nearest core,
@@ -512,6 +495,39 @@ pub fn initialize_from_cores(
         arel: arel.to_vec(),
         components: finish_components(&accs),
     }
+}
+
+/// Round 1 of the EM initialization over `rows`: one accumulator per
+/// core, fed the `arel` projection of every row in the core's support
+/// set, row by row. Each row no core holds is handed, by its index in
+/// `rows`, to `uncovered`. The serial initializer runs it over all rows,
+/// the MR mapper over its split.
+pub(crate) fn support_set_accumulators(
+    cores: &[ClusterCore],
+    rows: &[&[f64]],
+    arel: &[usize],
+    mut uncovered: impl FnMut(usize),
+) -> Vec<CovarianceAccumulator> {
+    let mut accs: Vec<CovarianceAccumulator> = cores
+        .iter()
+        .map(|_| CovarianceAccumulator::new(arel.len()))
+        .collect();
+    let mut x = Vec::with_capacity(arel.len());
+    for (i, row) in rows.iter().enumerate() {
+        let mut in_any = false;
+        for (acc, core) in accs.iter_mut().zip(cores) {
+            if core.signature.contains(row) {
+                x.clear();
+                x.extend(arel.iter().map(|&a| row[a]));
+                acc.push(&x, 1.0);
+                in_any = true;
+            }
+        }
+        if !in_any {
+            uncovered(i);
+        }
+    }
+    accs
 }
 
 /// Converts accumulators into components with safe fallbacks for

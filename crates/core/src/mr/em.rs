@@ -10,7 +10,9 @@
 //!   previous parameters.
 
 use crate::cores::ClusterCore;
-use crate::em::{finish_components, DensityEvaluator, EstepScratch, MixtureModel};
+use crate::em::{
+    finish_components, support_set_accumulators, DensityEvaluator, EstepScratch, MixtureModel,
+};
 use crate::mr::AccMsg;
 use p3c_linalg::CovarianceAccumulator;
 use p3c_mapreduce::{Emitter, Engine, Mapper, MrError, Reducer};
@@ -66,20 +68,7 @@ impl<'a> Mapper<&'a [f64], usize, AccMsg> for CoreStatsMapper {
     }
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, AccMsg>) {
-        let d = self.arel.len();
-        let mut accs: Vec<CovarianceAccumulator> = (0..self.cores.len())
-            .map(|_| CovarianceAccumulator::new(d))
-            .collect();
-        let mut x = Vec::with_capacity(d);
-        for row in split {
-            for (c, core) in self.cores.iter().enumerate() {
-                if core.signature.contains(row) {
-                    x.clear();
-                    x.extend(self.arel.iter().map(|&a| row[a]));
-                    accs[c].push(&x, 1.0);
-                }
-            }
-        }
+        let accs = support_set_accumulators(&self.cores, split, &self.arel, |_| {});
         emit_accs(accs, out);
     }
 }

@@ -219,8 +219,8 @@ impl<'e> P3cPlusMrLight<'e> {
     /// `p3c-light-model`, where attribute inspection (over the uniquely
     /// assigned points, Section 6's histogram) and core-interval
     /// tightening (over the full support sets) both hang off the
-    /// membership job and so overlap on [`SchedulerChoice::Dag`]. The
-    /// result is byte-identical under both executors.
+    /// membership job and run one after the other, in declaration order.
+    /// The result is byte-identical under both executors.
     pub fn cluster_with(
         &self,
         data: &Dataset,

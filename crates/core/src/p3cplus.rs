@@ -336,31 +336,8 @@ fn finalize_partitioned(
 
 /// Per-attribute bin counts under the configured rule. The uniform rules
 /// return a constant vector; the exact-IQR extension computes each
-/// attribute's quartiles (serially — the MR pipelines use a job instead).
-pub fn bins_per_attribute(rows: &[&[f64]], n: usize, params: &P3cParams) -> Vec<usize> {
-    let d = rows.first().map_or(0, |r| r.len());
-    match params.bin_rule {
-        BinRuleChoice::Sturges | BinRuleChoice::FreedmanDiaconis => {
-            vec![params.bin_rule.to_rule().num_bins(n).max(1); d]
-        }
-        BinRuleChoice::FreedmanDiaconisIqr => {
-            let mut column = Vec::with_capacity(n);
-            (0..d)
-                .map(|j| {
-                    column.clear();
-                    column.extend(rows.iter().map(|r| r[j]));
-                    let iqr = p3c_stats::descriptive::iqr(&column).unwrap_or(0.5);
-                    iqr_bins(n, iqr)
-                })
-                .collect()
-        }
-    }
-}
-
-/// Columnar twin of [`bins_per_attribute`]: the exact-IQR rule extracts
-/// each attribute by a strided column scan over the flat buffer instead
-/// of gathering across row views. Same values in the same order, so the
-/// bin counts are identical.
+/// attribute's quartiles from a strided column scan over the flat buffer
+/// (serially — the MR pipelines use a job instead).
 pub fn bins_per_attribute_columnar(data: &Dataset, params: &P3cParams) -> Vec<usize> {
     let (n, d) = (data.len(), data.dim());
     match params.bin_rule {

@@ -57,12 +57,7 @@ impl BlockStore {
     /// Writes (or overwrites) a file, splitting it into blocks. Charged
     /// write bytes include replication, like a real HDFS pipeline.
     pub fn write(&self, name: &str, data: &[u8]) {
-        let blocks: Vec<Arc<[u8]>> = data.chunks(self.block_size).map(Arc::from).collect();
-        let charged = (data.len() * self.replication) as u64;
-        // audit: relaxed-ok — monotonic byte counter; read via
-        // bytes_written() after jobs join.
-        self.bytes_written.fetch_add(charged, Ordering::Relaxed);
-        self.files.write().insert(name.to_string(), blocks);
+        self.insert([(name, data)]);
     }
 
     /// Writes several files under a single lock acquisition, so a
@@ -71,13 +66,24 @@ impl BlockStore {
     /// none or all of the files. Write bytes are charged with
     /// replication, exactly as per-file [`BlockStore::write`] would.
     pub fn write_many(&self, entries: &[(String, Vec<u8>)]) {
+        self.insert(
+            entries
+                .iter()
+                .map(|(name, data)| (name.as_str(), &data[..])),
+        );
+    }
+
+    /// The one write path: chunks each file into blocks and charges its
+    /// replicated bytes, all under one acquisition of the file map.
+    fn insert<'d>(&self, entries: impl IntoIterator<Item = (&'d str, &'d [u8])>) {
         let mut files = self.files.write();
         for (name, data) in entries {
-            let blocks: Vec<Arc<[u8]>> = data.chunks(self.block_size).map(Arc::from).collect();
             let charged = (data.len() * self.replication) as u64;
-            // audit: relaxed-ok — monotonic byte counter.
+            // audit: relaxed-ok — monotonic byte counter; read via
+            // bytes_written() after jobs join.
             self.bytes_written.fetch_add(charged, Ordering::Relaxed);
-            files.insert(name.clone(), blocks);
+            let blocks = data.chunks(self.block_size).map(Arc::from).collect();
+            files.insert(name.to_string(), blocks);
         }
     }
 

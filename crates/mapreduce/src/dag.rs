@@ -1,54 +1,51 @@
-//! Job graphs of MapReduce jobs over materialized datasets, and their
-//! two executors.
+//! Job graphs of MapReduce jobs over materialized datasets, and the one
+//! loop that executes them.
 //!
-//! The paper decomposes P3C+ into a *sequence* of MR jobs, but some of
-//! those jobs are independent (MR-Light's attribute inspection and core
-//! tightening). This module lets a pipeline state its jobs as a
-//! dependency graph instead, Spark-style:
+//! The paper decomposes P3C+ into a chain of MR jobs. A pipeline states
+//! its jobs as a dependency graph, Spark-style:
 //!
 //! * [`JobGraph`] — named nodes ([`JobNode`]), each an MR job (map-only,
 //!   map-reduce, or with-combiner) declaring the datasets it reads and
 //!   writes by [`DatasetHandle`].
-//! * [`DagScheduler`] — topologically sorts the graph, runs every ready
-//!   node concurrently (bounded by [`DagConfig::max_concurrent_jobs`]),
-//!   materializes outputs in a [`DatasetStore`], and retries failed
-//!   nodes up to [`DagConfig::max_node_attempts`].
-//! * **Lineage** — when a node finds an input evicted or lost, the
-//!   scheduler re-executes only the producing ancestors of that dataset
+//! * [`JobGraph::run`] — validates the graph, then runs its nodes one
+//!   after another on the calling thread, in topological order, and
+//!   materializes their outputs in a [`DatasetStore`]. The
+//!   [`SchedulerChoice`] decides what each node gets: one attempt
+//!   (`Serial`), or retries, lineage recovery and metrics (`Dag`).
+//! * **Lineage** (`Dag`) — when a node finds an input evicted or lost,
+//!   the walk re-executes only the producing ancestors of that dataset
 //!   (never the whole run) before retrying the node.
-//! * **Metrics** — per-node timings, the concurrency high-water mark and
-//!   the store's cache/spill counters are recorded as a
-//!   [`DagMetrics`] entry in the engine's [`crate::ClusterMetrics`].
+//! * **Metrics** (`Dag`) — per-node attempts and timings and the store's
+//!   cache/spill counters are recorded as a [`DagMetrics`] entry in the
+//!   engine's [`crate::ClusterMetrics`].
 //!
-//! A pipeline defines its job graph once; [`JobGraph::run`] hands it to
-//! the executor a [`SchedulerChoice`] names — the [`DagScheduler`], or an
-//! inline walk of the same topological order on the calling thread.
-//! Node bodies may borrow from the caller's stack (both executors finish
-//! every node before returning), so the bulk row set is borrowed by the
-//! nodes and only the small intermediates travel through the store.
+//! Nodes never overlap: each node's job already runs on all of the
+//! engine's threads. Node bodies may borrow from the caller's stack, so
+//! the bulk row set is borrowed by the nodes and only the small
+//! intermediates travel through the store. A node body that panics
+//! unwinds out of [`JobGraph::run`] to its caller.
 
-use crate::dataset::{DatasetError, DatasetHandle, DatasetStore};
+use crate::dataset::{DatasetError, DatasetHandle, DatasetStore, DatasetStoreStats};
 use crate::engine::{Engine, MrError};
-use crate::fault::FaultPlan;
 use crate::metrics::{DagMetrics, DagNodeMetrics};
-use crate::sync::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Which executor runs a pipeline's [`JobGraph`]s (see [`JobGraph::run`]).
+/// Attempts per node under [`SchedulerChoice::Dag`] (node-level retry, on
+/// top of the engine's per-task retries).
+const MAX_NODE_ATTEMPTS: u64 = 2;
+
+/// How [`JobGraph::run`] executes each node of a pipeline's graphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerChoice {
-    /// Run the nodes one after another on the calling thread, in
-    /// topological order (the paper's literal job chain). Records no
-    /// [`DagMetrics`].
+    /// Run each node once, in topological order (the paper's literal job
+    /// chain). Records no [`DagMetrics`].
     #[default]
     Serial,
-    /// Run the graph on the [`DagScheduler`]: ready nodes overlap, failed
-    /// nodes retry, lost datasets are rebuilt through lineage.
+    /// The same walk, plus node retries, lineage recovery of lost
+    /// datasets, and one [`DagMetrics`] entry per run.
     Dag,
 }
 
@@ -109,11 +106,6 @@ pub enum DagError {
         /// The last attempt's error.
         source: Box<DagError>,
     },
-    /// The DAG-level fault plan struck this node attempt.
-    Injected {
-        /// The node whose attempt was killed.
-        node: String,
-    },
     /// A node input has no producer and is not pre-seeded in the store.
     MissingInput {
         /// The node declaring the input.
@@ -143,11 +135,6 @@ pub enum DagError {
         /// The missing dataset.
         dataset: String,
     },
-    /// A scheduler worker thread panicked in node user code.
-    WorkerPanicked {
-        /// The DAG whose run was torn down.
-        dag: String,
-    },
 }
 
 impl DagError {
@@ -164,7 +151,6 @@ impl DagError {
     pub fn node_name(&self) -> Option<&str> {
         match self {
             DagError::NodeFailed { node, .. }
-            | DagError::Injected { node }
             | DagError::MissingInput { node, .. }
             | DagError::OutputNotMaterialized { node, .. } => Some(node),
             _ => None,
@@ -203,9 +189,6 @@ impl fmt::Display for DagError {
                     "DAG node '{node}' failed after {attempts} attempts: {source}"
                 )
             }
-            DagError::Injected { node } => {
-                write!(f, "DAG node '{node}': injected fault")
-            }
             DagError::MissingInput { node, dataset } => {
                 write!(f, "DAG node '{node}': input dataset '{dataset}' has no producer and is not materialized")
             }
@@ -223,9 +206,6 @@ impl fmt::Display for DagError {
                     f,
                     "DAG node '{node}' finished without materializing output '{dataset}'"
                 )
-            }
-            DagError::WorkerPanicked { dag } => {
-                write!(f, "DAG '{dag}': a worker thread panicked in node code")
             }
         }
     }
@@ -289,7 +269,7 @@ impl NodeCtx<'_> {
     }
 }
 
-type NodeBody<'a> = Box<dyn Fn(&NodeCtx) -> Result<(), DagError> + Send + Sync + 'a>;
+type NodeBody<'a> = Box<dyn Fn(&NodeCtx) -> Result<(), DagError> + 'a>;
 
 /// One node of a [`JobGraph`]: an MR job with declared dataset I/O. The
 /// body may borrow for `'a` — the caller's rows, parameters and handles.
@@ -307,7 +287,7 @@ impl<'a> JobNode<'a> {
     pub fn new(
         name: impl Into<String>,
         kind: JobKind,
-        run: impl Fn(&NodeCtx) -> Result<(), DagError> + Send + Sync + 'a,
+        run: impl Fn(&NodeCtx) -> Result<(), DagError> + 'a,
     ) -> Self {
         Self {
             name: name.into(),
@@ -416,37 +396,43 @@ impl<'a> JobGraph<'a> {
         self.nodes.iter().map(|n| n.name.as_str()).collect()
     }
 
-    /// Runs the graph to completion on the executor `scheduler` names —
-    /// the one place a [`SchedulerChoice`] is acted on. On success every
-    /// declared output is materialized in `store`.
+    /// Runs the graph to completion on the calling thread — the one place
+    /// a [`SchedulerChoice`] is acted on. On success every declared output
+    /// is materialized in `store`.
     ///
-    /// [`SchedulerChoice::Dag`] is [`DagScheduler::run`] with the default
-    /// [`DagConfig`]. [`SchedulerChoice::Serial`] validates the graph the
-    /// same way, then runs each node once, in topological order, on the
-    /// calling thread: no node retries or lineage recovery (the engine
-    /// still retries tasks) and no [`DagMetrics`] in the ledger.
+    /// Both choices validate the graph once, then walk the same
+    /// topological order, one node at a time. [`SchedulerChoice::Serial`]
+    /// runs each node once: no node retries or lineage recovery (the
+    /// engine still retries tasks) and no [`DagMetrics`] in the ledger.
+    /// [`SchedulerChoice::Dag`] gives each node two attempts, rebuilds
+    /// lost inputs through lineage, and records one [`DagMetrics`] entry,
+    /// for a failed run too.
     pub fn run(
         &self,
         engine: &Engine,
         store: &DatasetStore,
         scheduler: SchedulerChoice,
     ) -> Result<(), DagError> {
-        match scheduler {
-            SchedulerChoice::Dag => DagScheduler::new(engine).run(self, store).map(|_| ()),
-            SchedulerChoice::Serial => {
-                for idx in self.plan(store)?.order {
-                    let node = &self.nodes[idx];
-                    node.run_body(engine, store)?;
-                    node.check_outputs(store)?;
-                }
-                Ok(())
+        let Plan { producer, order } = self.plan(store)?;
+        let mut dag = (scheduler == SchedulerChoice::Dag)
+            .then(|| DagRun::start(self, engine, store, producer));
+        let result = order.into_iter().try_for_each(|idx| match dag.as_mut() {
+            Some(dag) => dag.execute_node(idx),
+            None => {
+                let node = &self.nodes[idx];
+                node.run_body(engine, store)?;
+                node.check_outputs(store)
             }
+        });
+        if let Some(dag) = dag {
+            engine.record_dag(dag.finish());
         }
+        result
     }
 
     /// Validates the graph — unique node names, one producer per
     /// dataset, every sourceless input pre-seeded in `store`, no cycle —
-    /// and derives its edges and a topological order.
+    /// and derives its topological order.
     fn plan(&self, store: &DatasetStore) -> Result<Plan<'_>, DagError> {
         let n = self.nodes.len();
         let mut producer: BTreeMap<&str, usize> = BTreeMap::new();
@@ -490,347 +476,120 @@ impl<'a> JobGraph<'a> {
         }
 
         // Kahn pass over a FIFO queue: rejects cycles before anything
-        // runs, and yields the order the scheduler's ready queue would
-        // produce with a single job slot.
-        let mut deg = indeg.clone();
-        let mut queue: VecDeque<usize> = (0..n).filter(|&i| deg[i] == 0).collect();
+        // runs, and yields the order the walk follows, declaration order
+        // breaking ties.
+        let mut queue: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(i) = queue.pop_front() {
             order.push(i);
             for &d in &dependents[i] {
-                deg[d] -= 1;
-                if deg[d] == 0 {
+                indeg[d] -= 1;
+                if indeg[d] == 0 {
                     queue.push_back(d);
                 }
             }
         }
         if order.len() < n {
             let stuck = (0..n)
-                .filter(|&i| deg[i] > 0)
+                .filter(|&i| indeg[i] > 0)
                 .map(|i| self.nodes[i].name.clone())
                 .collect();
             return Err(DagError::Cycle { nodes: stuck });
         }
-        Ok(Plan {
-            producer,
-            dependents,
-            indeg,
-            order,
-        })
+        Ok(Plan { producer, order })
     }
 }
 
-/// A validated [`JobGraph`]: its edges and one topological order.
+/// A validated [`JobGraph`]: its lineage and one topological order.
 struct Plan<'g> {
     /// Dataset name → producing node index.
     producer: BTreeMap<&'g str, usize>,
-    /// Node index → the nodes consuming one of its outputs.
-    dependents: Vec<BTreeSet<usize>>,
-    /// Node index → number of producers it waits on.
-    indeg: Vec<usize>,
     /// All node indices, producers first; declaration order breaks ties.
     order: Vec<usize>,
 }
 
-/// Scheduler configuration.
-#[derive(Debug, Clone)]
-pub struct DagConfig {
-    /// Upper bound on nodes executing at the same time. Each node still
-    /// runs its MR job on the engine's full thread pool, so a small
-    /// number (Hadoop-style "job slots") avoids oversubscription.
-    pub max_concurrent_jobs: usize,
-    /// Attempts per node before the run fails (node-level retry, on top
-    /// of the engine's per-task retries).
-    pub max_node_attempts: usize,
-    /// DAG-level fault injection: strikes whole node attempts, keyed by
-    /// node name / node index / attempt like the engine's plan.
-    pub fault: Option<FaultPlan>,
+/// One [`SchedulerChoice::Dag`] walk in progress: the graph's lineage and
+/// the [`DagMetrics`] entry it fills in.
+struct DagRun<'r> {
+    graph: &'r JobGraph<'r>,
+    engine: &'r Engine,
+    store: &'r DatasetStore,
+    /// Dataset name → producing node index.
+    producer: BTreeMap<&'r str, usize>,
+    metrics: DagMetrics,
+    store_before: DatasetStoreStats,
+    jobs_before: usize,
+    started: Instant,
 }
 
-impl Default for DagConfig {
-    fn default() -> Self {
-        Self {
-            max_concurrent_jobs: 4,
-            max_node_attempts: 2,
-            fault: None,
-        }
-    }
-}
-
-/// Result of a successful DAG run.
-#[derive(Debug, Clone)]
-pub struct DagReport {
-    /// The run's execution counters (also recorded in the engine ledger).
-    pub metrics: DagMetrics,
-}
-
-/// Executes a [`JobGraph`] on an [`Engine`] over a [`DatasetStore`].
-pub struct DagScheduler<'e> {
-    engine: &'e Engine,
-    config: DagConfig,
-}
-
-/// Per-node mutable counters during a run.
-#[derive(Default)]
-struct NodeRun {
-    attempts: u64,
-    executions: u64,
-    recoveries: u64,
-    wall: Duration,
-}
-
-/// Shared, read-mostly context of one `run` invocation.
-struct RunShared<'g> {
-    graph: &'g JobGraph<'g>,
-    store: &'g DatasetStore,
-    /// dataset name → producing node index.
-    producer: BTreeMap<&'g str, usize>,
-    node_runs: Vec<Mutex<NodeRun>>,
-    executions: AtomicU64,
-    recovered: AtomicU64,
-    failed_attempts: AtomicU64,
-    /// Serializes lineage recovery so concurrent consumers of a lost
-    /// dataset rebuild it once, not racing re-executions.
-    recovery: Mutex<()>,
-}
-
-/// Scheduler queue state, guarded by one mutex + condvar.
-struct QueueState {
-    ready: VecDeque<usize>,
-    indeg: Vec<usize>,
-    remaining: usize,
-    running: usize,
-    high_water: usize,
-    error: Option<DagError>,
-}
-
-impl<'e> DagScheduler<'e> {
-    /// Scheduler with the default [`DagConfig`].
-    pub fn new(engine: &'e Engine) -> Self {
-        Self::with_config(engine, DagConfig::default())
-    }
-
-    /// Scheduler with an explicit configuration.
-    pub fn with_config(engine: &'e Engine, config: DagConfig) -> Self {
-        Self { engine, config }
-    }
-
-    /// The scheduler's configuration.
-    pub fn config(&self) -> &DagConfig {
-        &self.config
-    }
-
-    /// Runs the graph to completion; on success every declared output is
-    /// materialized in `store`.
-    pub fn run(&self, graph: &JobGraph<'_>, store: &DatasetStore) -> Result<DagReport, DagError> {
-        // audit: time-ok — wall time feeds DagMetrics only, never results.
-        let started = Instant::now();
-        let n = graph.nodes.len();
-        let store_before = store.stats();
-        let jobs_before = self.engine.cluster_metrics().num_jobs();
-
-        let Plan {
-            producer,
-            dependents,
-            indeg,
-            ..
-        } = graph.plan(store)?;
-
-        let shared = RunShared {
-            graph,
-            store,
-            producer,
-            node_runs: (0..n).map(|_| Mutex::new(NodeRun::default())).collect(),
-            executions: AtomicU64::new(0),
-            recovered: AtomicU64::new(0),
-            failed_attempts: AtomicU64::new(0),
-            recovery: Mutex::new(()),
-        };
-        let state = Mutex::new(QueueState {
-            ready: (0..n).filter(|&i| indeg[i] == 0).collect(),
-            indeg,
-            remaining: n,
-            running: 0,
-            high_water: 0,
-            error: None,
-        });
-        let cv = Condvar::new();
-
-        if n > 0 {
-            let workers = self.config.max_concurrent_jobs.max(1).min(n);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        // Claim a ready node (or quit). The high-water
-                        // mark is taken at claim time, under the lock.
-                        let idx = {
-                            let mut st = state.lock();
-                            loop {
-                                if st.error.is_some() || st.remaining == 0 {
-                                    return;
-                                }
-                                if let Some(i) = st.ready.pop_front() {
-                                    st.running += 1;
-                                    st.high_water = st.high_water.max(st.running);
-                                    break i;
-                                }
-                                if st.running == 0 {
-                                    // Unreachable after the Kahn pass;
-                                    // guard against hangs regardless.
-                                    st.error = Some(DagError::Cycle {
-                                        nodes: vec!["<stalled>".to_string()],
-                                    });
-                                    cv.notify_all();
-                                    return;
-                                }
-                                cv.wait(&mut st);
-                            }
-                        };
-                        // A node body that panics (outside the engine's
-                        // own catch) is caught here, on the worker: the
-                        // scope would re-raise it into the caller, and
-                        // the other workers would wait on `running`
-                        // forever. It fails the run like any node error.
-                        let result =
-                            catch_unwind(AssertUnwindSafe(|| self.execute_node(&shared, idx)))
-                                .unwrap_or_else(|_| {
-                                    Err(DagError::WorkerPanicked {
-                                        dag: graph.name.clone(),
-                                    })
-                                });
-                        let mut st = state.lock();
-                        st.running -= 1;
-                        match result {
-                            Ok(()) => {
-                                st.remaining -= 1;
-                                for &d in &dependents[idx] {
-                                    st.indeg[d] -= 1;
-                                    if st.indeg[d] == 0 {
-                                        st.ready.push_back(d);
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                if st.error.is_none() {
-                                    st.error = Some(e);
-                                }
-                            }
-                        }
-                        drop(st);
-                        cv.notify_all();
-                    });
-                }
-            });
-        }
-
-        let final_state = state.into_inner();
-        let store_after = store.stats();
+impl<'r> DagRun<'r> {
+    fn start(
+        graph: &'r JobGraph<'r>,
+        engine: &'r Engine,
+        store: &'r DatasetStore,
+        producer: BTreeMap<&'r str, usize>,
+    ) -> Self {
         let nodes = graph
             .nodes
             .iter()
-            .zip(&shared.node_runs)
-            .map(|(node, run)| {
-                let run = run.lock();
-                DagNodeMetrics {
-                    node: node.name.clone(),
-                    kind: node.kind.as_str().to_string(),
-                    attempts: run.attempts,
-                    executions: run.executions,
-                    recoveries: run.recoveries,
-                    wall: run.wall,
-                }
+            .map(|node| DagNodeMetrics {
+                node: node.name.clone(),
+                kind: node.kind.as_str().to_string(),
+                ..DagNodeMetrics::default()
             })
             .collect();
-        let metrics = DagMetrics {
-            dag_name: graph.name.clone(),
-            nodes,
-            concurrency_high_water: final_state.high_water as u64,
-            // audit: relaxed-ok — metric reads after every worker joined
-            // (scope exit is the synchronization point).
-            total_executions: shared.executions.load(Ordering::Relaxed),
-            // audit: relaxed-ok — as above.
-            recovered_executions: shared.recovered.load(Ordering::Relaxed),
-            // audit: relaxed-ok — as above.
-            failed_node_attempts: shared.failed_attempts.load(Ordering::Relaxed),
-            cache_hits: store_after.hits - store_before.hits,
-            cache_misses: store_after.misses - store_before.misses,
-            spills: store_after.spills - store_before.spills,
-            spill_bytes: store_after.spill_bytes - store_before.spill_bytes,
-            spill_raw_bytes: store_after.spill_raw_bytes - store_before.spill_raw_bytes,
-            spill_loads: store_after.spill_loads - store_before.spill_loads,
-            segment_reads: store_after.segment_reads - store_before.segment_reads,
-            segment_bytes_read: store_after.segment_bytes_read - store_before.segment_bytes_read,
-            evictions: store_after.evictions - store_before.evictions,
-            shuffle_fetches: 0,
-            fetch_retries: 0,
-            worker_restarts: 0,
-            shuffle_bytes_moved: 0,
-            wall: started.elapsed(),
-        };
-        // Shuffle-backend data-plane totals: sum the per-job counters of
-        // exactly the jobs this run executed (the ledger grows append-only,
-        // so everything past the pre-run snapshot belongs to this run).
-        let mut metrics = metrics;
-        for job in &self.engine.cluster_metrics().jobs()[jobs_before..] {
-            metrics.shuffle_fetches += job.shuffle_fetches;
-            metrics.fetch_retries += job.fetch_retries;
-            metrics.worker_restarts += job.worker_restarts;
-            metrics.shuffle_bytes_moved += job.shuffle_bytes_moved;
-        }
-        let metrics = metrics;
-        self.engine.record_dag(metrics.clone());
-        match final_state.error {
-            Some(e) => Err(e),
-            None => Ok(DagReport { metrics }),
+        Self {
+            graph,
+            engine,
+            store,
+            producer,
+            metrics: DagMetrics {
+                dag_name: graph.name.clone(),
+                nodes,
+                // One node runs at a time.
+                concurrency_high_water: u64::from(!graph.is_empty()),
+                ..DagMetrics::default()
+            },
+            store_before: store.stats(),
+            jobs_before: engine.cluster_metrics().num_jobs(),
+            // audit: time-ok — wall time feeds DagMetrics only, never results.
+            started: Instant::now(),
         }
     }
 
-    /// Runs one node with retries; inputs are pinned for the duration of
-    /// each attempt and recovered through lineage when missing.
-    fn execute_node(&self, shared: &RunShared<'_>, idx: usize) -> Result<(), DagError> {
-        let node = &shared.graph.nodes[idx];
-        let max_attempts = self.config.max_node_attempts.max(1);
-        let mut attempt = 0;
+    /// Runs one node with retries; inputs are recovered through lineage
+    /// when missing and pinned for the duration of each attempt.
+    fn execute_node(&mut self, idx: usize) -> Result<(), DagError> {
+        let graph = self.graph;
+        let node = &graph.nodes[idx];
+        let mut attempts = 0;
         loop {
-            self.ensure_inputs(shared, idx)?;
             for input in &node.inputs {
-                shared.store.pin(input);
+                self.recover_dataset(&node.name, input)?;
+            }
+            for input in &node.inputs {
+                self.store.pin(input);
             }
             // audit: time-ok — per-node wall time feeds metrics only.
             let t0 = Instant::now();
-            // audit: relaxed-ok — monotonic metric counter.
-            shared.executions.fetch_add(1, Ordering::Relaxed);
-            let injected = self
-                .config
-                .fault
-                .as_ref()
-                .is_some_and(|plan| plan.should_fail(&node.name, idx, attempt));
-            let result = if injected {
-                Err(DagError::Injected {
-                    node: node.name.clone(),
-                })
-            } else {
-                node.run_body(self.engine, shared.store)
-            };
+            let result = node.run_body(self.engine, self.store);
             for input in &node.inputs {
-                shared.store.unpin(input);
+                self.store.unpin(input);
             }
-            {
-                let mut run = shared.node_runs[idx].lock();
-                run.attempts += 1;
-                run.executions += 1;
-                run.wall += t0.elapsed();
-            }
+            attempts += 1;
+            let run = &mut self.metrics.nodes[idx];
+            run.attempts += 1;
+            run.executions += 1;
+            run.wall += t0.elapsed();
+            self.metrics.total_executions += 1;
             match result {
-                Ok(()) => return node.check_outputs(shared.store),
+                Ok(()) => return node.check_outputs(self.store),
                 Err(e) => {
-                    // audit: relaxed-ok — monotonic metric counter.
-                    shared.failed_attempts.fetch_add(1, Ordering::Relaxed);
-                    attempt += 1;
-                    if attempt >= max_attempts {
+                    self.metrics.failed_node_attempts += 1;
+                    if attempts == MAX_NODE_ATTEMPTS {
                         return Err(DagError::NodeFailed {
                             node: node.name.clone(),
-                            attempts: attempt as u64,
+                            attempts,
                             source: Box::new(e),
                         });
                     }
@@ -839,59 +598,65 @@ impl<'e> DagScheduler<'e> {
         }
     }
 
-    /// Makes sure every input of `idx` is materialized, re-executing
-    /// lost producers (and transitively *their* lost inputs) — lineage
+    /// Makes sure `dataset` is materialized, re-executing its lost
+    /// producer (and transitively *that* node's lost inputs) — lineage
     /// recovery à la RDDs.
-    fn ensure_inputs(&self, shared: &RunShared<'_>, idx: usize) -> Result<(), DagError> {
-        let node = &shared.graph.nodes[idx];
-        if node.inputs.iter().all(|i| shared.store.has(i)) {
+    fn recover_dataset(&mut self, consumer: &str, dataset: &str) -> Result<(), DagError> {
+        if self.store.has(dataset) {
             return Ok(());
         }
-        let _serialize_recovery = shared.recovery.lock();
-        for input in &node.inputs {
-            self.recover_dataset(shared, &node.name, input)?;
-        }
-        Ok(())
-    }
-
-    fn recover_dataset(
-        &self,
-        shared: &RunShared<'_>,
-        consumer: &str,
-        dataset: &str,
-    ) -> Result<(), DagError> {
-        if shared.store.has(dataset) {
-            return Ok(());
-        }
-        let Some(&p) = shared.producer.get(dataset) else {
+        let Some(&p) = self.producer.get(dataset) else {
             return Err(DagError::MissingInput {
                 node: consumer.to_string(),
                 dataset: dataset.to_string(),
             });
         };
-        let pnode = &shared.graph.nodes[p];
+        let graph = self.graph;
+        let pnode = &graph.nodes[p];
         for input in &pnode.inputs {
-            self.recover_dataset(shared, &pnode.name, input)?;
+            self.recover_dataset(&pnode.name, input)?;
         }
-        // audit: relaxed-ok — monotonic metric counters.
-        shared.executions.fetch_add(1, Ordering::Relaxed);
-        // audit: relaxed-ok — monotonic metric counter.
-        shared.recovered.fetch_add(1, Ordering::Relaxed);
         // audit: time-ok — recovery wall time feeds metrics only.
         let t0 = Instant::now();
-        let result = pnode.run_body(self.engine, shared.store);
-        {
-            let mut run = shared.node_runs[p].lock();
-            run.executions += 1;
-            run.recoveries += 1;
-            run.wall += t0.elapsed();
-        }
+        let result = pnode.run_body(self.engine, self.store);
+        let run = &mut self.metrics.nodes[p];
+        run.executions += 1;
+        run.recoveries += 1;
+        run.wall += t0.elapsed();
+        self.metrics.total_executions += 1;
+        self.metrics.recovered_executions += 1;
         result.map_err(|e| DagError::NodeFailed {
             node: pnode.name.clone(),
             attempts: 1,
             source: Box::new(e),
         })?;
-        pnode.check_outputs(shared.store)
+        pnode.check_outputs(self.store)
+    }
+
+    /// The finished entry: the node counters plus what the store and the
+    /// shuffle backend counted during the run.
+    fn finish(self) -> DagMetrics {
+        let mut m = self.metrics;
+        m.wall = self.started.elapsed();
+        let (before, after) = (self.store_before, self.store.stats());
+        m.cache_hits = after.hits - before.hits;
+        m.cache_misses = after.misses - before.misses;
+        m.spills = after.spills - before.spills;
+        m.spill_bytes = after.spill_bytes - before.spill_bytes;
+        m.spill_raw_bytes = after.spill_raw_bytes - before.spill_raw_bytes;
+        m.spill_loads = after.spill_loads - before.spill_loads;
+        m.segment_reads = after.segment_reads - before.segment_reads;
+        m.segment_bytes_read = after.segment_bytes_read - before.segment_bytes_read;
+        m.evictions = after.evictions - before.evictions;
+        // The ledger grows append-only, so every job past the pre-run
+        // count ran in this walk.
+        for job in &self.engine.cluster_metrics().jobs()[self.jobs_before..] {
+            m.shuffle_fetches += job.shuffle_fetches;
+            m.fetch_retries += job.fetch_retries;
+            m.worker_restarts += job.worker_restarts;
+            m.shuffle_bytes_moved += job.shuffle_bytes_moved;
+        }
+        m
     }
 }
 
@@ -900,7 +665,10 @@ mod tests {
     use super::*;
     use crate::api::Emitter;
     use crate::engine::MrConfig;
-    use std::sync::atomic::AtomicUsize;
+    use crate::fault::FaultPlan;
+    use crate::sync::Mutex;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn engine() -> Engine {
         Engine::new(MrConfig {
@@ -915,6 +683,15 @@ mod tests {
 
     fn seed_nums(store: &DatasetStore, upto: u64) {
         store.put(&nums(), (0..upto).collect::<Vec<u64>>(), 8 * upto as usize);
+    }
+
+    /// The entry the last `Dag` run recorded in the engine ledger.
+    fn last_dag_run(eng: &Engine) -> DagMetrics {
+        eng.cluster_metrics()
+            .dag_runs()
+            .last()
+            .cloned()
+            .expect("a Dag run records its metrics")
     }
 
     /// A node body: sums `nums` with an MR job into `out`.
@@ -957,12 +734,13 @@ mod tests {
             .input(&total)
             .output(&doubled),
         );
-        let report = DagScheduler::new(&eng).run(&graph, &store).unwrap();
+        graph.run(&eng, &store, SchedulerChoice::Dag).unwrap();
         assert_eq!(*store.get(&doubled).unwrap(), 90);
-        assert_eq!(report.metrics.total_executions, 2);
-        assert_eq!(report.metrics.recovered_executions, 0);
-        assert_eq!(report.metrics.nodes.len(), 2);
-        assert_eq!(report.metrics.node("sum").unwrap().kind, "map-reduce");
+        let m = last_dag_run(&eng);
+        assert_eq!(m.total_executions, 2);
+        assert_eq!(m.recovered_executions, 0);
+        assert_eq!(m.nodes.len(), 2);
+        assert_eq!(m.node("sum").unwrap().kind, "map-reduce");
         // The run is recorded in the engine ledger next to its jobs.
         let ledger = eng.cluster_metrics();
         assert_eq!(ledger.dag_runs().len(), 1);
@@ -972,70 +750,77 @@ mod tests {
 
     #[test]
     fn panicking_node_body_fails_the_run_and_spares_the_engine() {
-        let eng = engine();
-        let store = DatasetStore::new();
-        seed_nums(&store, 10);
-        let never: DatasetHandle<u64> = DatasetHandle::new("never");
-        let total: DatasetHandle<u64> = DatasetHandle::new("total");
-        let mut graph = JobGraph::new("explodes");
-        graph.add(
-            JobNode::new(
-                "boom",
-                JobKind::MapOnly,
-                |_: &NodeCtx| -> Result<(), DagError> { panic!("node body exploded") },
-            )
-            .output(&never),
-        );
-        // Independent of `boom`, so a second worker is inside the run
-        // when the first one dies and must not be left waiting for it.
-        graph.add(
-            JobNode::new("sum", JobKind::MapReduce, sum_node(total.clone()))
-                .input(&nums())
-                .output(&total),
-        );
-        let err = graph
-            .run(&eng, &store, SchedulerChoice::Dag)
-            .expect_err("a panicking node fails the run");
-        assert!(
-            matches!(&err, DagError::WorkerPanicked { dag } if dag == "explodes"),
-            "{err}"
-        );
-        assert!(!store.has(never.name()));
+        for scheduler in [SchedulerChoice::Serial, SchedulerChoice::Dag] {
+            let eng = engine();
+            let store = DatasetStore::new();
+            seed_nums(&store, 10);
+            let never: DatasetHandle<u64> = DatasetHandle::new("never");
+            let total: DatasetHandle<u64> = DatasetHandle::new("total");
+            let mut graph = JobGraph::new("explodes");
+            graph.add(
+                JobNode::new(
+                    "boom",
+                    JobKind::MapOnly,
+                    |_: &NodeCtx| -> Result<(), DagError> { panic!("node body exploded") },
+                )
+                .output(&never),
+            );
+            // Declared after `boom`, so the walk never reaches it.
+            graph.add(
+                JobNode::new("sum", JobKind::MapReduce, sum_node(total.clone()))
+                    .input(&nums())
+                    .output(&total),
+            );
+            let unwound = catch_unwind(AssertUnwindSafe(|| graph.run(&eng, &store, scheduler)));
+            assert!(
+                unwound.is_err(),
+                "{scheduler:?}: the panic reaches the caller"
+            );
+            assert!(!store.has(never.name()), "{scheduler:?}");
+            assert!(!store.has(total.name()), "{scheduler:?}");
 
-        let again: DatasetHandle<u64> = DatasetHandle::new("again");
-        let mut graph = JobGraph::new("after");
-        graph.add(
-            JobNode::new("sum", JobKind::MapReduce, sum_node(again.clone()))
-                .input(&nums())
-                .output(&again),
-        );
-        graph.run(&eng, &store, SchedulerChoice::Dag).unwrap();
-        assert_eq!(*store.get(&again).unwrap(), 45);
+            // The same engine and store run the next graph.
+            let again: DatasetHandle<u64> = DatasetHandle::new("again");
+            let mut graph = JobGraph::new("after");
+            graph.add(
+                JobNode::new("sum", JobKind::MapReduce, sum_node(again.clone()))
+                    .input(&nums())
+                    .output(&again),
+            );
+            graph.run(&eng, &store, scheduler).unwrap();
+            assert_eq!(*store.get(&again).unwrap(), 45, "{scheduler:?}");
+        }
     }
 
     #[test]
-    fn independent_nodes_run_concurrently() {
+    fn node_retries_count_exactly_one_node_at_a_time() {
+        // 24 independent nodes; every third fails its first attempt. The
+        // walk retries each flaky node once and runs nothing alongside
+        // it, so every counter of the entry is exact.
+        const NODES: u64 = 24;
+        const FLAKY_EVERY: u64 = 3; // node 0, 3, 6, ... fail once
         let eng = engine();
         let store = DatasetStore::new();
-        seed_nums(&store, 8);
-        let mut graph = JobGraph::new("parallel");
-        let started = Arc::new(AtomicUsize::new(0));
-        for name in ["left", "right"] {
-            let out: DatasetHandle<u64> = DatasetHandle::new(format!("{name}-out"));
-            let started = Arc::clone(&started);
+        seed_nums(&store, 16);
+        let mut graph = JobGraph::new("flaky");
+        for i in 0..NODES {
+            let out: DatasetHandle<u64> = DatasetHandle::new(format!("out-{i}"));
+            let tries = AtomicUsize::new(0);
             graph.add(
-                JobNode::new(name, JobKind::MapOnly, {
+                JobNode::new(format!("n{i}"), JobKind::MapOnly, {
                     let out = out.clone();
                     move |ctx: &NodeCtx| {
-                        started.fetch_add(1, Ordering::SeqCst);
-                        // Rendezvous: wait (bounded) until both node
-                        // bodies have started, proving true overlap.
-                        let deadline = Instant::now() + Duration::from_secs(5);
-                        while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
-                            std::thread::yield_now();
+                        if i % FLAKY_EVERY == 0 && tries.fetch_add(1, Ordering::SeqCst) == 0 {
+                            return Err(DagError::Mr(MrError::TaskFailed {
+                                job: ctx.node_name().to_string(),
+                                task: 0,
+                                attempts: 1,
+                            }));
                         }
                         let input = ctx.fetch(&nums())?;
-                        ctx.put(&out, input.iter().sum(), 8);
+                        let mapper = |r: &u64, em: &mut Emitter<(), u64>| em.emit((), r * 3);
+                        let res = ctx.engine.run_map_only(ctx.node_name(), &input, &mapper)?;
+                        ctx.put(&out, res.output.iter().sum(), 8);
                         Ok(())
                     }
                 })
@@ -1043,19 +828,24 @@ mod tests {
                 .output(&out),
             );
         }
-        let report = DagScheduler::new(&eng).run(&graph, &store).unwrap();
-        assert_eq!(started.load(Ordering::SeqCst), 2);
-        assert!(
-            report.metrics.concurrency_high_water >= 2,
-            "high water {}",
-            report.metrics.concurrency_high_water
-        );
-        // Both nodes read the shared input from cache: ≥ 2 hits.
-        assert!(
-            report.metrics.cache_hits >= 2,
-            "hits {}",
-            report.metrics.cache_hits
-        );
+        graph.run(&eng, &store, SchedulerChoice::Dag).unwrap();
+        let m = last_dag_run(&eng);
+        let flaky = NODES.div_ceil(FLAKY_EVERY);
+        assert_eq!(m.failed_node_attempts, flaky);
+        assert_eq!(m.total_executions, NODES + flaky);
+        assert_eq!(m.recovered_executions, 0);
+        assert_eq!(m.concurrency_high_water, 1);
+        // Only the successful attempts fetch the shared input.
+        assert_eq!(m.cache_hits, NODES);
+        assert_eq!(m.nodes.len(), NODES as usize);
+        for i in 0..NODES {
+            let node = m.node(&format!("n{i}")).unwrap();
+            let want = if i % FLAKY_EVERY == 0 { 2 } else { 1 };
+            assert_eq!(node.attempts, want, "node {i}");
+            assert_eq!(node.executions, want, "node {i}");
+            let out: DatasetHandle<u64> = DatasetHandle::new(format!("out-{i}"));
+            assert_eq!(*store.get(&out).unwrap(), (0..16).map(|x| x * 3).sum());
+        }
     }
 
     #[test]
@@ -1118,7 +908,7 @@ mod tests {
             .input(&c)
             .output(&d),
         );
-        DagScheduler::new(&eng).run(&graph, &store).unwrap();
+        graph.run(&eng, &store, SchedulerChoice::Dag).unwrap();
         assert_eq!(*store.get(&d).unwrap(), 4);
         let order = order.lock();
         assert_eq!(order.first(), Some(&"root"));
@@ -1171,13 +961,10 @@ mod tests {
             order.lock().clear();
             graph.run(&eng, &store, scheduler).unwrap();
             assert_eq!(*store.get(&sum).unwrap(), 4, "{scheduler:?}");
-            assert_eq!(order.lock().last(), Some(&"join"), "{scheduler:?}");
+            assert_eq!(*order.lock(), ["left", "right", "join"], "{scheduler:?}");
             let dag_runs = eng.cluster_metrics().dag_runs().len();
             match scheduler {
-                SchedulerChoice::Serial => {
-                    assert_eq!(*order.lock(), ["left", "right", "join"]);
-                    assert_eq!(dag_runs, 0);
-                }
+                SchedulerChoice::Serial => assert_eq!(dag_runs, 0),
                 SchedulerChoice::Dag => assert_eq!(dag_runs, 1),
             }
         }
@@ -1240,7 +1027,7 @@ mod tests {
                 .input(&x)
                 .output(&y),
         );
-        let err = DagScheduler::new(&eng).run(&graph, &store).unwrap_err();
+        let err = graph.run(&eng, &store, SchedulerChoice::Dag).unwrap_err();
         match err {
             DagError::Cycle { nodes } => {
                 assert_eq!(nodes, vec!["n1".to_string(), "n2".to_string()])
@@ -1256,27 +1043,27 @@ mod tests {
         let x: DatasetHandle<u64> = DatasetHandle::new("x");
         let mut graph = JobGraph::new("bad-input");
         graph.add(JobNode::new("n", JobKind::MapOnly, |_: &NodeCtx| Ok(())).input(&x));
-        let err = DagScheduler::new(&eng).run(&graph, &store).unwrap_err();
+        let err = graph.run(&eng, &store, SchedulerChoice::Dag).unwrap_err();
         assert!(matches!(err, DagError::MissingInput { ref dataset, .. } if dataset == "x"));
 
         let mut graph = JobGraph::new("dup-producer");
         graph.add(JobNode::new("n1", JobKind::MapOnly, |_: &NodeCtx| Ok(())).output(&x));
         graph.add(JobNode::new("n2", JobKind::MapOnly, |_: &NodeCtx| Ok(())).output(&x));
-        let err = DagScheduler::new(&eng).run(&graph, &store).unwrap_err();
+        let err = graph.run(&eng, &store, SchedulerChoice::Dag).unwrap_err();
         assert!(matches!(err, DagError::DuplicateProducer { ref dataset } if dataset == "x"));
 
         let mut graph = JobGraph::new("dup-node");
         graph.add(JobNode::new("n", JobKind::MapOnly, |_: &NodeCtx| Ok(())));
         graph.add(JobNode::new("n", JobKind::MapOnly, |_: &NodeCtx| Ok(())));
-        let err = DagScheduler::new(&eng).run(&graph, &store).unwrap_err();
+        let err = graph.run(&eng, &store, SchedulerChoice::Dag).unwrap_err();
         assert!(matches!(err, DagError::DuplicateNode { ref name } if name == "n"));
     }
 
     #[test]
     fn exhausted_node_surfaces_its_name_and_mr_error() {
         // The node's engine job is doomed: certain fault, so every node
-        // attempt ends in MrError::TaskFailed. The scheduler must give
-        // up after max_node_attempts and name the failing node.
+        // attempt ends in MrError::TaskFailed. The walk must give up
+        // after the node's two attempts and name the failing node.
         let eng = Engine::new(MrConfig {
             split_size: 4,
             fault: Some(FaultPlan::new(1.0, 7)),
@@ -1292,7 +1079,7 @@ mod tests {
                 .input(&nums())
                 .output(&out),
         );
-        let err = DagScheduler::new(&eng).run(&graph, &store).unwrap_err();
+        let err = graph.run(&eng, &store, SchedulerChoice::Dag).unwrap_err();
         assert_eq!(err.node_name(), Some("doomed-node"));
         match &err {
             DagError::NodeFailed { node, attempts, .. } => {
@@ -1310,33 +1097,6 @@ mod tests {
         let dag_runs = eng.cluster_metrics();
         assert_eq!(dag_runs.dag_runs().len(), 1);
         assert_eq!(dag_runs.dag_runs()[0].failed_node_attempts, 2);
-    }
-
-    #[test]
-    fn dag_level_fault_injection_retries_and_recovers() {
-        let eng = engine();
-        let store = DatasetStore::new();
-        seed_nums(&store, 10);
-        let out: DatasetHandle<u64> = DatasetHandle::new("out");
-        let mut graph = JobGraph::new("flaky");
-        graph.add(
-            JobNode::new("sum", JobKind::MapReduce, sum_node(out.clone()))
-                .input(&nums())
-                .output(&out),
-        );
-        // Fault probability 0.5: with 20 attempts allowed, success is
-        // certain for the deterministic splitmix sequence in practice.
-        let config = DagConfig {
-            max_node_attempts: 20,
-            fault: Some(FaultPlan::new(0.5, 21)),
-            ..DagConfig::default()
-        };
-        let report = DagScheduler::with_config(&eng, config)
-            .run(&graph, &store)
-            .unwrap();
-        assert_eq!(*store.get(&out).unwrap(), 45);
-        let run = report.metrics.node("sum").unwrap();
-        assert_eq!(run.attempts, report.metrics.failed_node_attempts + 1);
     }
 
     #[test]
@@ -1374,19 +1134,15 @@ mod tests {
             .input(&a)
             .output(&b),
         );
-        let attempts = Arc::new(AtomicUsize::new(0));
+        let attempts = AtomicUsize::new(0);
         graph.add(
             JobNode::new("make-c", JobKind::MapOnly, {
                 let b = b.clone();
                 let c = c.clone();
-                let attempts = Arc::clone(&attempts);
                 move |ctx: &NodeCtx| {
                     if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                        // Simulate a lost cached dataset, then fail.
+                        // Simulate a lost cached dataset: the fetch fails.
                         ctx.store().drop_cached(b.name());
-                        return Err(DagError::Injected {
-                            node: "make-c".into(),
-                        });
                     }
                     let vb = ctx.fetch(&b)?;
                     ctx.put(&c, *vb + 1, 8);
@@ -1396,9 +1152,9 @@ mod tests {
             .input(&b)
             .output(&c),
         );
-        let report = DagScheduler::new(&eng).run(&graph, &store).unwrap();
+        graph.run(&eng, &store, SchedulerChoice::Dag).unwrap();
         assert_eq!(*store.get(&c).unwrap(), 51);
-        let m = &report.metrics;
+        let m = &last_dag_run(&eng);
         // Only the lost ancestor re-executed: the re-execution counter
         // stays below the total node count.
         assert_eq!(m.recovered_executions, 1);
@@ -1416,83 +1172,14 @@ mod tests {
     }
 
     #[test]
-    fn dag_metrics_totals_exact_under_max_contention() {
-        // Counter-ledger stress: 24 independent nodes, a third of which
-        // fail their first attempt, all racing with every job slot open.
-        // Whatever interleaving the scheduler picks, the merged
-        // DagMetrics totals must come out exact — lost updates in the
-        // metric merge would show up as off-by-N here.
-        const NODES: u64 = 24;
-        const FLAKY_EVERY: u64 = 3; // node 0, 3, 6, ... fail once
-        for round in 0..3u64 {
-            let eng = engine();
-            let store = DatasetStore::new();
-            seed_nums(&store, 16);
-            let mut graph = JobGraph::new(format!("contended-{round}"));
-            for i in 0..NODES {
-                let out: DatasetHandle<u64> = DatasetHandle::new(format!("out-{i}"));
-                let tries = Arc::new(AtomicUsize::new(0));
-                graph.add(
-                    JobNode::new(format!("n{i}"), JobKind::MapOnly, {
-                        let out = out.clone();
-                        move |ctx: &NodeCtx| {
-                            if i % FLAKY_EVERY == 0 && tries.fetch_add(1, Ordering::SeqCst) == 0 {
-                                return Err(DagError::Injected {
-                                    node: ctx.node_name().to_string(),
-                                });
-                            }
-                            let input = ctx.fetch(&nums())?;
-                            let mapper = |r: &u64, em: &mut Emitter<(), u64>| em.emit((), r * 3);
-                            let res = ctx.engine.run_map_only(ctx.node_name(), &input, &mapper)?;
-                            ctx.put(&out, res.output.iter().sum(), 8);
-                            Ok(())
-                        }
-                    })
-                    .input(&nums())
-                    .output(&out),
-                );
-            }
-            let cfg = DagConfig {
-                max_concurrent_jobs: NODES as usize,
-                max_node_attempts: 2,
-                ..DagConfig::default()
-            };
-            let report = DagScheduler::with_config(&eng, cfg)
-                .run(&graph, &store)
-                .unwrap();
-            let m = &report.metrics;
-            let flaky = NODES.div_ceil(FLAKY_EVERY);
-            assert_eq!(m.failed_node_attempts, flaky, "round {round}");
-            assert_eq!(m.total_executions, NODES + flaky, "round {round}");
-            assert_eq!(m.recovered_executions, 0, "round {round}");
-            assert_eq!(m.nodes.len(), NODES as usize, "round {round}");
-            let attempt_sum: u64 = m.nodes.iter().map(|n| n.attempts).sum();
-            assert_eq!(attempt_sum, NODES + flaky, "round {round}");
-            for i in 0..NODES {
-                let node = m.node(&format!("n{i}")).unwrap();
-                let want = if i % FLAKY_EVERY == 0 { 2 } else { 1 };
-                assert_eq!(node.attempts, want, "round {round} node {i}");
-                assert_eq!(node.executions, want, "round {round} node {i}");
-                // Every node's output survived the stampede.
-                let out: DatasetHandle<u64> = DatasetHandle::new(format!("out-{i}"));
-                assert_eq!(*store.get(&out).unwrap(), (0..16).map(|x| x * 3).sum());
-            }
-            assert!(
-                m.concurrency_high_water >= 1 && m.concurrency_high_water <= NODES,
-                "round {round}: high water {}",
-                m.concurrency_high_water
-            );
-        }
-    }
-
-    #[test]
     fn empty_graph_is_a_noop() {
         let eng = engine();
         let store = DatasetStore::new();
         let graph = JobGraph::new("empty");
-        let report = DagScheduler::new(&eng).run(&graph, &store).unwrap();
-        assert_eq!(report.metrics.total_executions, 0);
-        assert_eq!(report.metrics.concurrency_high_water, 0);
+        graph.run(&eng, &store, SchedulerChoice::Dag).unwrap();
+        let m = last_dag_run(&eng);
+        assert_eq!(m.total_executions, 0);
+        assert_eq!(m.concurrency_high_water, 0);
     }
 
     #[test]
@@ -1502,7 +1189,7 @@ mod tests {
         let x: DatasetHandle<u64> = DatasetHandle::new("x");
         let mut graph = JobGraph::new("liar");
         graph.add(JobNode::new("liar", JobKind::MapOnly, |_: &NodeCtx| Ok(())).output(&x));
-        let err = DagScheduler::new(&eng).run(&graph, &store).unwrap_err();
+        let err = graph.run(&eng, &store, SchedulerChoice::Dag).unwrap_err();
         assert!(
             matches!(err, DagError::OutputNotMaterialized { ref dataset, .. } if dataset == "x")
         );

@@ -493,8 +493,9 @@ impl DatasetStore {
 
     /// Drops the in-memory copy *and* any spilled copy, but keeps the
     /// entry registered — the next `get` reports it missing. This models
-    /// losing a cached partition; the DAG scheduler's lineage recovery
-    /// re-executes the producer to rebuild it.
+    /// losing a cached partition; lineage recovery under
+    /// [`crate::SchedulerChoice::Dag`] re-executes the producer to
+    /// rebuild it.
     pub fn drop_cached(&self, name: &str) -> bool {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;

@@ -199,7 +199,7 @@ impl Engine {
     }
 
     /// Records a DAG run's metrics in the ledger (called by
-    /// [`crate::dag::DagScheduler`]).
+    /// [`crate::JobGraph::run`] under [`crate::SchedulerChoice::Dag`]).
     pub(crate) fn record_dag(&self, metrics: DagMetrics) {
         self.ledger.lock().record_dag(metrics);
     }

@@ -22,10 +22,11 @@
 //! * **Block storage** — a tiny "HDFS-lite" ([`blockstore`]) used by the
 //!   examples to stage datasets as replicated blocks.
 //! * **Job graphs** — a pipeline is one [`JobGraph`] of MR jobs passing
-//!   named intermediate datasets ([`dag`], [`dataset`]), run by either of
-//!   two executors ([`JobGraph::run`]): an inline walk in topological
-//!   order, or the [`DagScheduler`], where ready jobs run concurrently
-//!   and lineage re-executes only lost ancestors after a failure.
+//!   named intermediate datasets ([`dag`], [`dataset`]), walked in
+//!   topological order by [`JobGraph::run`]. Under
+//!   [`SchedulerChoice::Dag`] the walk also retries failed nodes,
+//!   re-executes only lost ancestors through lineage, and records
+//!   [`DagMetrics`].
 //! * **Distributed backends** — a [`Backend`] seam over the shuffle data
 //!   plane ([`distrib`]): the in-process engine, an in-process shuffle
 //!   service, and a multi-process backend whose spawned workers serve
@@ -36,14 +37,14 @@
 //!
 //! A two-node job graph: a map-reduce job counts word lengths into a
 //! `counts` dataset, and a downstream map-only job derives the most
-//! common length from it. The scheduler runs `count` first — `report`
+//! common length from it. The walk runs `count` first — `report`
 //! declares `counts` as an input — and materializes both datasets in the
 //! [`DatasetStore`].
 //!
 //! ```
 //! use p3c_mapreduce::{
-//!     DagScheduler, DatasetHandle, DatasetStore, Emitter, Engine, JobGraph, JobKind, JobNode,
-//!     Mapper, MrConfig, NodeCtx, Reducer,
+//!     DatasetHandle, DatasetStore, Emitter, Engine, JobGraph, JobKind, JobNode, Mapper, MrConfig,
+//!     NodeCtx, Reducer, SchedulerChoice,
 //! };
 //!
 //! /// Classic word-length count: length -> how many words.
@@ -99,9 +100,9 @@
 //!     .output(&top),
 //! );
 //!
-//! let report = DagScheduler::new(&engine).run(&graph, &store).unwrap();
+//! graph.run(&engine, &store, SchedulerChoice::Dag).unwrap();
 //! assert_eq!(*store.get(&top).unwrap(), 3); // two words of length 3
-//! assert_eq!(report.metrics.total_executions, 2);
+//! assert_eq!(engine.cluster_metrics().dag_runs()[0].total_executions, 2);
 //! ```
 #![warn(missing_docs)]
 
@@ -123,10 +124,7 @@ pub mod weight;
 pub use api::{Combiner, Emitter, Mapper, Reducer};
 pub use blockstore::BlockStore;
 pub use cache::DistributedCache;
-pub use dag::{
-    DagConfig, DagError, DagReport, DagScheduler, JobGraph, JobKind, JobNode, NodeCtx,
-    SchedulerChoice,
-};
+pub use dag::{DagError, JobGraph, JobKind, JobNode, NodeCtx, SchedulerChoice};
 pub use dataset::{DatasetError, DatasetHandle, DatasetStore, DatasetStoreStats, SegmentedCodec};
 pub use distrib::{
     Backend, BackendChoice, BackendError, LocalBackend, MapOutputTracker, ProcessBackend,

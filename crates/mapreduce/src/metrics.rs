@@ -138,21 +138,23 @@ impl ToJson for DagNodeMetrics {
     }
 }
 
-/// Metrics of one [`crate::dag::DagScheduler`] run, recorded into the
-/// engine ledger next to the per-job [`JobMetrics`].
+/// Metrics of one [`crate::dag::JobGraph::run`] under
+/// [`crate::SchedulerChoice::Dag`], recorded into the engine ledger next
+/// to the per-job [`JobMetrics`].
 #[derive(Debug, Clone, Default)]
 pub struct DagMetrics {
     /// The graph's name.
     pub dag_name: String,
     /// Per-node counters, in graph declaration order.
     pub nodes: Vec<DagNodeMetrics>,
-    /// Maximum number of nodes observed executing at the same time.
+    /// Most nodes executing at the same time: 1 for any non-empty graph,
+    /// since the walk runs one node at a time (0 for an empty graph).
     pub concurrency_high_water: u64,
     /// Node executions of any kind (scheduled attempts + recoveries).
     pub total_executions: u64,
     /// Executions that were lineage-recovery re-runs.
     pub recovered_executions: u64,
-    /// Node attempts that failed (injected faults or job errors).
+    /// Node attempts that failed.
     pub failed_node_attempts: u64,
     /// Dataset-store reads served from memory during this run.
     pub cache_hits: u64,

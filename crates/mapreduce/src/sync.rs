@@ -10,8 +10,8 @@
 //! are thin newtypes over this module's [`Mutex`] and [`Condvar`]: the
 //! `std::sync` primitives with poisoning swallowed, so `lock()` hands
 //! back a guard, not a `Result`. A panic under a lock is reported once,
-//! by whoever joins the thread (the worker pool, the DAG scheduler),
-//! not again by every later acquisition.
+//! by whoever joins the thread (the worker pool), not again by every
+//! later acquisition.
 //!
 //! Under `--cfg loom` the ranked mutex and condvar delegate to the
 //! [`p3c_loom`] model-checked shims instead, so structures built on
@@ -126,14 +126,6 @@ pub mod rank {
     /// Above the tenant lock: a finished re-cluster publishes its model
     /// while still holding the tenant it computed it under.
     pub const SERVICE_PUBLISHED: u16 = 35;
-    /// `RunShared` scheduler queue state (`dag.rs`).
-    pub const DAG_QUEUE: u16 = 40;
-    /// DAG recovery serialization (`dag.rs`). Below the node-run slots:
-    /// lineage recovery holds it while re-executing producers, whose
-    /// attempt bookkeeping locks their node-run slot.
-    pub const DAG_RECOVERY: u16 = 45;
-    /// Per-node run state (`dag.rs`).
-    pub const DAG_NODE_RUN: u16 = 48;
     /// Engine metrics ledger (`engine.rs`).
     pub const ENGINE_LEDGER: u16 = 55;
     /// Engine lost-map recovery serialization (`engine.rs`).

@@ -139,8 +139,8 @@ fn light_pipeline_moves_less_data_than_full() {
 /// "One definition": a pipeline is a single job graph, so the two
 /// executors must run the same jobs over the same inputs and return the
 /// same clustering. `Serial` leaves no DAG rows in the ledger, `Dag`
-/// records its runs, and both ledgers hold the same multiset of
-/// (job name, records read) — only the order may differ under `Dag`.
+/// records its runs, and both walk the same order: the two ledgers hold
+/// the same sequence of (job name, records read).
 fn assert_one_definition(
     pipeline: &str,
     cluster: impl Fn(&Engine, &Dataset, SchedulerChoice) -> Clustering,
@@ -166,14 +166,12 @@ fn assert_one_definition(
         !dag_ledger.dag_runs().is_empty(),
         "{pipeline}: a Dag run recorded no DAG metrics"
     );
-    let jobs = |ledger: &p3c_suite::mapreduce::ClusterMetrics| {
-        let mut jobs: Vec<(String, u64)> = ledger
+    let jobs = |ledger: &p3c_suite::mapreduce::ClusterMetrics| -> Vec<(String, u64)> {
+        ledger
             .jobs()
             .iter()
             .map(|j| (j.job_name.clone(), j.map_input_records))
-            .collect();
-        jobs.sort();
-        jobs
+            .collect()
     };
     assert!(!serial_ledger.jobs().is_empty(), "{pipeline}: no jobs ran");
     assert_eq!(
