@@ -18,7 +18,8 @@
 # MR-Light to serial Light's output at the Figure 7 shape, a
 # crash-recovery smoke (SIGKILL a durable serve mid-session, restart on
 # the same data dir, and require the recovered fingerprint to match the
-# pre-kill one), the
+# pre-kill one), a kernel-tier check (on an AVX2 host, `p3c` built for
+# x86-64-v3 must print the default build's bytes), the
 # e2e benchmark's seven-workload smoke (its own workspace under e2e/),
 # and a rustdoc pass with warnings denied (missing docs on the data-plane
 # crates and broken intra-doc links fail the build).
@@ -156,6 +157,26 @@ done
 grep -q "^mr-light: 5 clusters" target/ci/cluster-mr-light.out
 diff <(sed '1s/^mr-light: //' target/ci/cluster-mr-light.out) \
     <(sed '1s/^light: //' target/ci/cluster-light.out)
+
+# The kernels' AVX2 tier is bit-identical to the baseline (DESIGN.md
+# §13). A second `p3c` built for x86-64-v3 lets the compiler use AVX2,
+# FMA and POPCNT in every crate, not only in the five kernel twins, so a
+# contraction or reassociation anywhere in the program would change
+# stdout here.
+echo "==> kernel tiers: p3c built for x86-64-v3 prints the default build's bytes"
+if grep -qw avx2 /proc/cpuinfo; then
+    RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR=target/ci/x86-64-v3 \
+        cargo build --release -q -p p3c-cli
+    for algo in p3cplus mr mr-light; do
+        for seed in 1 2; do
+            args=(cluster --synthetic 20000x50 --clusters 5 --noise 0.1 --seed "$seed" -a "$algo")
+            cmp <(./target/release/p3c "${args[@]}") \
+                <(target/ci/x86-64-v3/release/p3c "${args[@]}")
+        done
+    done
+else
+    echo "    no avx2 in /proc/cpuinfo — skipped"
+fi
 
 # Crash recovery end to end through the real binary: a durable serve is
 # SIGKILLed after journaling two appends and publishing a model — no

@@ -33,6 +33,8 @@ pub struct FileScan {
     /// Per line (0-based index = line - 1): code with comments removed
     /// and string/char literal *contents* blanked.
     pub code: Vec<String>,
+    /// Per line: the text of the line's comments, if any.
+    pub comments: Vec<String>,
     /// All `audit:` waivers found in comments, in line order.
     pub waivers: Vec<Waiver>,
     /// 1-based line of the first `#[cfg(test)]`-style attribute, if
@@ -180,6 +182,7 @@ pub fn scan(source: &str) -> FileScan {
     let waivers = collect_waivers(&code_lines, &comment_lines, test_start);
     FileScan {
         code: code_lines,
+        comments: comment_lines,
         waivers,
         test_start: test_start.map(|i| i + 1),
     }

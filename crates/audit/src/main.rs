@@ -4,8 +4,9 @@
 //! DESIGN.md §10: no hash-ordered iteration on emitted paths, no
 //! panics in error-propagating engine code, no wall-clock or entropy
 //! dependence in result-affecting code, disciplined atomic orderings,
-//! order-exact float reductions, and a dependency graph made of path
-//! crates only ([`manifests`]). Violations can be waived inline
+//! order-exact float reductions, `unsafe` only where the kernels call
+//! their AVX2 twins, and a dependency graph made of path crates only
+//! ([`manifests`]). Violations can be waived inline
 //! with `// audit: <key> — <reason>`; stale or unjustified waivers are
 //! violations themselves.
 //!

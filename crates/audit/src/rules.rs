@@ -1,4 +1,4 @@
-//! The invariant catalog: six families of lexical rules over the
+//! The invariant catalog: seven families of lexical rules over the
 //! production regions of scoped source files (see DESIGN.md §10).
 //!
 //! Each rule names the waiver key that can suppress it. A waiver only
@@ -173,6 +173,123 @@ fn check_raw_bytes(code: &str) -> Option<String> {
         }
     }
     None
+}
+
+/// Rule 7 — unsafe scope. The only `unsafe` in the program is the AVX2
+/// tier of the block kernels (DESIGN.md §13): a `#[target_feature]`
+/// twin declared `unsafe fn`, and its call in a dispatcher, under an
+/// `isa::avx2()` guard, in an `unsafe { .. }` block preceded by a
+/// `// SAFETY:` comment. Anything else with `unsafe` outside the loom
+/// model checker and test files is a violation; the rule has no waiver.
+fn check_unsafe_scope(path: &str, scan: &FileScan) -> Vec<Violation> {
+    if path.starts_with("crates/loom/") || path.contains("/tests/") {
+        return Vec::new();
+    }
+    let production = |idx: &usize| scan.is_production(idx + 1);
+    let twins: Vec<&str> = (0..scan.code.len())
+        .filter(production)
+        .filter_map(|idx| unsafe_fn_name(&scan.code[idx]).filter(|_| has_target_feature(scan, idx)))
+        .collect();
+    let mut violations = Vec::new();
+    for idx in (0..scan.code.len()).filter(production) {
+        let code = &scan.code[idx];
+        if !has_token(code, "unsafe") {
+            continue;
+        }
+        let problem = if let Some(name) = unsafe_fn_name(code) {
+            (!twins.contains(&name))
+                .then(|| format!("`unsafe fn {name}` without a #[target_feature] attribute"))
+        } else if let Some(body) = unsafe_block_body(scan, idx) {
+            if !called_twin(body).is_some_and(|callee| twins.contains(&callee)) {
+                Some("unsafe block that is not a call of this file's #[target_feature] twin".into())
+            } else if !has_safety_comment(scan, idx) {
+                Some("unsafe block without a `// SAFETY:` comment above it".into())
+            } else if !under_isa_guard(scan, idx) {
+                Some("unsafe block outside an `isa::avx2()` guard".into())
+            } else {
+                None
+            }
+        } else {
+            Some("unsafe outside the kernels' AVX2 tier dispatch".into())
+        };
+        if let Some(problem) = problem {
+            violations.push(Violation {
+                file: path.to_string(),
+                line: idx + 1,
+                rule: "unsafe-scope",
+                message: format!(
+                    "{problem} — `unsafe` may only call a #[target_feature] kernel twin \
+                     under an isa::avx2() guard (DESIGN.md §13)"
+                ),
+            });
+        }
+    }
+    violations
+}
+
+/// The name declared by an `unsafe fn` on this code line.
+fn unsafe_fn_name(code: &str) -> Option<&str> {
+    let rest = &code[code.find("unsafe fn ")? + "unsafe fn ".len()..];
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    Some(&rest[..end])
+}
+
+/// Whether the attributes directly above line `idx` (0-based) enable a
+/// target feature.
+fn has_target_feature(scan: &FileScan, idx: usize) -> bool {
+    scan.code[..idx]
+        .iter()
+        .rev()
+        .map(|code| code.trim())
+        .take_while(|code| code.is_empty() || code.starts_with("#["))
+        .any(|code| code.contains("target_feature("))
+}
+
+/// The first code inside an `unsafe {` block opened on line `idx`: the
+/// rest of the line, or the next line when rustfmt broke after the brace.
+fn unsafe_block_body(scan: &FileScan, idx: usize) -> Option<&str> {
+    let code = &scan.code[idx];
+    let rest = code[code.find("unsafe")? + "unsafe".len()..].trim_start();
+    let body = rest.strip_prefix('{')?.trim();
+    match body {
+        "" => scan.code.get(idx + 1).map(|next| next.trim()),
+        body => Some(body),
+    }
+}
+
+/// The function a block body starts by calling: `name(`, `self.name(`
+/// or `Self::name(`.
+fn called_twin(body: &str) -> Option<&str> {
+    let body = body
+        .strip_prefix("self.")
+        .or_else(|| body.strip_prefix("Self::"))
+        .unwrap_or(body);
+    let (name, _) = body.split_once('(')?;
+    name.chars()
+        .all(|c| c.is_alphanumeric() || c == '_')
+        .then_some(name)
+}
+
+/// Whether the comment-only lines directly above line `idx` hold a
+/// `SAFETY:` justification.
+fn has_safety_comment(scan: &FileScan, idx: usize) -> bool {
+    (0..idx)
+        .rev()
+        .take_while(|&i| scan.code[i].trim().is_empty() && !scan.comments[i].trim().is_empty())
+        .any(|i| scan.comments[i].contains("SAFETY:"))
+}
+
+/// Whether one of the three code lines above line `idx` tests
+/// `isa::avx2()`.
+fn under_isa_guard(scan: &FileScan, idx: usize) -> bool {
+    scan.code[..idx]
+        .iter()
+        .rev()
+        .filter(|code| !code.trim().is_empty())
+        .take(3)
+        .any(|code| code.contains("isa::avx2()"))
 }
 
 /// True if `token` occurs delimited by non-identifier characters (so
@@ -427,6 +544,7 @@ pub fn check_file(
         }
     }
 
+    violations.extend(check_unsafe_scope(path, scan));
     violations.sort();
     violations
 }
@@ -609,6 +727,84 @@ self.add_word(u64::from_le_bytes(word));
         let v = check_file("crates/mapreduce/src/distrib/process.rs", &waived, &[]);
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("stale waiver"));
+    }
+
+    /// A dispatcher and its AVX2 twin, as the kernels write them.
+    const TIER_DISPATCH: &str = "\
+impl Kernel {
+    pub fn run(&self, xs: &[f64]) -> f64 {
+        if isa::avx2() {
+            // SAFETY: the guard checked that this CPU has AVX2.
+            unsafe { self.run_avx2(xs) }
+        } else {
+            self.run_impl(xs)
+        }
+    }
+
+    /// `run` compiled for AVX2.
+    #[cfg_attr(target_arch = \"x86_64\", target_feature(enable = \"avx2\"))]
+    unsafe fn run_avx2(&self, xs: &[f64]) -> f64 {
+        self.run_impl(xs)
+    }
+}
+";
+
+    fn unsafe_scope(path: &str, src: &str) -> Vec<Violation> {
+        check(path, src)
+            .into_iter()
+            .filter(|v| v.rule == "unsafe-scope")
+            .collect()
+    }
+
+    #[test]
+    fn unsafe_scope_admits_the_guarded_twin_call() {
+        assert!(unsafe_scope("crates/core/src/em.rs", TIER_DISPATCH).is_empty());
+        // rustfmt may break a long call after the block's brace.
+        let wrapped = TIER_DISPATCH.replace(
+            "unsafe { self.run_avx2(xs) }",
+            "unsafe {\n                self.run_avx2(xs)\n            }",
+        );
+        assert!(unsafe_scope("crates/linalg/src/cholesky.rs", &wrapped).is_empty());
+    }
+
+    #[test]
+    fn unsafe_scope_rejects_everything_else() {
+        let broken = [
+            // No SAFETY comment.
+            TIER_DISPATCH.replace("// SAFETY: the guard checked that this CPU has AVX2.", ""),
+            // No isa::avx2() guard.
+            TIER_DISPATCH.replace("if isa::avx2() {", "if true {"),
+            // The block calls something that is not a target-feature twin.
+            TIER_DISPATCH.replace(
+                "unsafe { self.run_avx2(xs) }",
+                "unsafe { self.run_impl(xs) }",
+            ),
+            // The twin lost its target_feature attribute.
+            TIER_DISPATCH.replace(
+                "    #[cfg_attr(target_arch = \"x86_64\", target_feature(enable = \"avx2\"))]\n",
+                "",
+            ),
+            // Any other unsafe.
+            format!("{TIER_DISPATCH}unsafe impl Send for Kernel {{}}\n"),
+            format!("{TIER_DISPATCH}fn f(p: *const u8) -> u8 {{ unsafe {{ *p }} }}\n"),
+        ];
+        for src in &broken {
+            let v = unsafe_scope("crates/core/src/support.rs", src);
+            assert!(!v.is_empty(), "{src}");
+            assert!(v.iter().all(|v| v.message.contains("DESIGN.md §13")));
+        }
+        // Twin-less blocks and unsafe fns are flagged on their own lines.
+        assert_eq!(unsafe_scope("src/lib.rs", &broken[3]).len(), 2);
+    }
+
+    #[test]
+    fn unsafe_scope_exempts_loom_and_test_code() {
+        let raw = "fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
+        assert_eq!(unsafe_scope("crates/mapreduce/src/pool.rs", raw).len(), 1);
+        assert!(unsafe_scope("crates/loom/src/sync.rs", raw).is_empty());
+        assert!(unsafe_scope("crates/core/tests/support_counting.rs", raw).is_empty());
+        let in_tests = format!("fn prod() {{}}\n#[cfg(test)]\nmod tests {{\n{raw}}}\n");
+        assert!(unsafe_scope("crates/core/src/em.rs", &in_tests).is_empty());
     }
 
     #[test]

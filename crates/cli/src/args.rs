@@ -95,8 +95,9 @@ pub enum Command {
         /// job once; dag adds node retries, lineage recovery and DAG
         /// metrics. Both walk the same job chain.
         scheduler: SchedulerChoice,
-        /// Dump the engine's `ClusterMetrics` (jobs + DAG runs) as JSON
-        /// to this path after clustering.
+        /// Dump the kernel tier (`kernel_isa`) and the engine's
+        /// `ClusterMetrics` (jobs + DAG runs) as JSON to this path after
+        /// clustering.
         metrics_json: Option<String>,
         /// Worker threads for the engine and the serial-path kernels
         /// (0 = all cores). `None` keeps the defaults (`P3C_THREADS`
@@ -498,7 +499,7 @@ CLUSTER OPTIONS:
       --scheduler S      serial | dag (mr / mr-light / bow only)    [serial]
                          (same job order; dag adds node retries,
                          lineage recovery and DAG metrics)
-      --metrics-json F   dump job + DAG metrics as JSON to file F
+      --metrics-json F   dump kernel tier + job + DAG metrics as JSON to F
   -t, --threads N        worker threads for the engine and kernels
                          (0 = all cores; results are bit-identical)
       --backend B        local | process[:N] — MR execution

@@ -7,9 +7,11 @@ use p3c_core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_core::p3c::P3c;
 use p3c_core::p3cplus::{P3cPlus, P3cPlusLight};
 use p3c_datagen::{generate, SyntheticSpec};
-use p3c_dataset::{json, persist, Clustering, Dataset};
+use p3c_dataset::json::{self, ToJson, Writer};
+use p3c_dataset::{persist, Clustering, Dataset};
 use p3c_eval::e4sc;
-use p3c_mapreduce::{BackendChoice, Engine, MrConfig, SchedulerChoice};
+use p3c_linalg::isa;
+use p3c_mapreduce::{BackendChoice, ClusterMetrics, Engine, MrConfig, SchedulerChoice};
 use std::fmt;
 
 /// Execution errors (I/O, decoding, clustering failures).
@@ -171,7 +173,7 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
                 }
             }
             if let Some(path) = metrics_json {
-                std::fs::write(path, json::render(&metrics) + "\n")?;
+                std::fs::write(path, json::render(&MetricsDoc(&metrics)) + "\n")?;
                 note(format!(
                     "wrote metrics for {} job(s), {} DAG run(s) to {}",
                     metrics.num_jobs(),
@@ -181,6 +183,20 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
             }
             Ok(text)
         }
+    }
+}
+
+/// The `--metrics-json` document: the kernel tier the run's numbers
+/// came from ([`isa::name`]), then the engine's job and DAG ledger.
+struct MetricsDoc<'m>(&'m ClusterMetrics);
+
+impl ToJson for MetricsDoc<'_> {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(&[
+            ("kernel_isa", &isa::name()),
+            ("jobs", &self.0.jobs()),
+            ("dag_runs", &self.0.dag_runs()),
+        ]);
     }
 }
 
@@ -416,8 +432,9 @@ mod tests {
         .unwrap();
         assert!(out.contains("wrote metrics for"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();
+        assert!(json.starts_with("{\n  \"kernel_isa\": \""), "{json}");
         assert!(
-            json.starts_with("{\n  \"jobs\": [\n    {\n      \"job_name\": \""),
+            json.contains("\n  \"jobs\": [\n    {\n      \"job_name\": \""),
             "{json}"
         );
         assert!(
@@ -441,8 +458,30 @@ mod tests {
         ))
         .unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(json, "{\n  \"jobs\": [],\n  \"dag_runs\": []\n}\n");
+        let want = format!(
+            "{{\n  \"kernel_isa\": \"{}\",\n  \"jobs\": [],\n  \"dag_runs\": []\n}}\n",
+            isa::name()
+        );
+        assert_eq!(json, want);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metrics_json_names_the_kernel_tier() {
+        let dir = std::env::temp_dir().join("p3c-cli-test-metrics-isa");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("metrics.json");
+        let path_s = path.to_str().unwrap();
+        run(&format!(
+            "cluster --synthetic 1500x8 -k 2 --seed 3 -a mr --metrics-json {path_s}"
+        ))
+        .unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let tier = ["avx2", "baseline"]
+            .into_iter()
+            .find(|t| json.contains(&format!("\n  \"kernel_isa\": \"{t}\",\n")));
+        assert_eq!(tier, Some(isa::name()), "{json}");
     }
 
     #[test]

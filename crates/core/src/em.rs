@@ -9,7 +9,7 @@
 
 use crate::cores::ClusterCore;
 use p3c_linalg::cholesky::transpose_lane_group;
-use p3c_linalg::{Cholesky, CovarianceAccumulator, LaneScratch, Matrix, LANES};
+use p3c_linalg::{isa, Cholesky, CovarianceAccumulator, LaneScratch, Matrix, LANES};
 
 /// Per-worker scratch for the density kernels: the lane transpose /
 /// forward-substitution buffers, the k×[`LANES`] point-major density
@@ -185,6 +185,7 @@ impl DensityEvaluator {
     /// ([`Cholesky::mahalanobis_sq_slice`]) on the ragged tail — each
     /// value is bit-identical to
     /// [`DensityEvaluator::log_weighted_density_scratch`] (DESIGN.md §13).
+    #[inline(always)]
     pub fn log_densities_block_lanes(
         &self,
         block: &[f64],
@@ -226,8 +227,38 @@ impl DensityEvaluator {
     /// [`DensityEvaluator::log_densities_block_lanes`], then per point
     /// the same `total_cmp`-based keep-last argmax over ascending
     /// components as [`DensityEvaluator::assign_scratch`] — so the
-    /// assignments equal the per-point path's.
+    /// assignments equal the per-point path's. Runs the AVX2 tier when
+    /// the CPU has it ([`isa`]).
     pub fn assign_block_lanes(
+        &self,
+        block: &[f64],
+        scratch: &mut EstepScratch,
+        out: &mut Vec<usize>,
+    ) {
+        if isa::avx2() {
+            // SAFETY: the guard checked that this CPU has AVX2.
+            unsafe { self.assign_block_lanes_avx2(block, scratch, out) }
+        } else {
+            self.assign_block_lanes_impl(block, scratch, out)
+        }
+    }
+
+    /// [`DensityEvaluator::assign_block_lanes`] compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 (`isa::avx2()`).
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+    unsafe fn assign_block_lanes_avx2(
+        &self,
+        block: &[f64],
+        scratch: &mut EstepScratch,
+        out: &mut Vec<usize>,
+    ) {
+        self.assign_block_lanes_impl(block, scratch, out)
+    }
+
+    #[inline(always)]
+    fn assign_block_lanes_impl(
         &self,
         block: &[f64],
         scratch: &mut EstepScratch,
@@ -269,6 +300,7 @@ impl DensityEvaluator {
     /// [`DensityEvaluator::responsibilities_scratch`], so `out` and the
     /// returned log-likelihood are bit-identical to a per-point loop
     /// over it.
+    #[inline(always)]
     pub fn responsibilities_block_lanes(
         &self,
         block: &[f64],
@@ -353,8 +385,36 @@ impl DensityEvaluator {
     /// [`CovarianceAccumulator::push`] (bit-identical) — folded in with
     /// one [`CovarianceAccumulator::push_block`] per component, whose
     /// row-outer scatter update keeps each triangular row's partial
-    /// sums in registers across the block.
+    /// sums in registers across the block. Runs the AVX2 tier when the
+    /// CPU has it ([`isa`]).
     pub(crate) fn estep_block(
+        &self,
+        block: &[f64],
+        scratch: &mut EstepScratch,
+    ) -> (Vec<CovarianceAccumulator>, f64) {
+        if isa::avx2() {
+            // SAFETY: the guard checked that this CPU has AVX2.
+            unsafe { self.estep_block_avx2(block, scratch) }
+        } else {
+            self.estep_block_impl(block, scratch)
+        }
+    }
+
+    /// [`DensityEvaluator::estep_block`] compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 (`isa::avx2()`).
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+    unsafe fn estep_block_avx2(
+        &self,
+        block: &[f64],
+        scratch: &mut EstepScratch,
+    ) -> (Vec<CovarianceAccumulator>, f64) {
+        self.estep_block_impl(block, scratch)
+    }
+
+    #[inline(always)]
+    fn estep_block_impl(
         &self,
         block: &[f64],
         scratch: &mut EstepScratch,
@@ -398,8 +458,38 @@ impl DensityEvaluator {
     /// [`Cholesky::mahalanobis_sq_block`] and keeps the first minimum
     /// over ascending components (strict `<` under `total_cmp`, like
     /// `Iterator::min_by`) — the choice a per-point loop over
-    /// [`DensityEvaluator::mahalanobis_sq_scratch`] makes.
+    /// [`DensityEvaluator::mahalanobis_sq_scratch`] makes. Runs the AVX2
+    /// tier when the CPU has it ([`isa`]).
     pub(crate) fn attach_block(
+        &self,
+        block: &[f64],
+        scratch: &mut EstepScratch,
+        accs: &mut [CovarianceAccumulator],
+    ) {
+        if isa::avx2() {
+            // SAFETY: the guard checked that this CPU has AVX2.
+            unsafe { self.attach_block_avx2(block, scratch, accs) }
+        } else {
+            self.attach_block_impl(block, scratch, accs)
+        }
+    }
+
+    /// [`DensityEvaluator::attach_block`] compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 (`isa::avx2()`).
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+    unsafe fn attach_block_avx2(
+        &self,
+        block: &[f64],
+        scratch: &mut EstepScratch,
+        accs: &mut [CovarianceAccumulator],
+    ) {
+        self.attach_block_impl(block, scratch, accs)
+    }
+
+    #[inline(always)]
+    fn attach_block_impl(
         &self,
         block: &[f64],
         scratch: &mut EstepScratch,

@@ -13,7 +13,7 @@ use crate::em::DensityEvaluator;
 use crate::mr::em::{emit_accs, AccReducer};
 use crate::mr::AccMsg;
 use crate::outlier::{
-    cluster_distances, fit_geometry, project_and_assign, robust_geometry, verdicts, Geometry,
+    fit_geometry, mvb_of, project_and_assign, robust_geometry, verdicts, Geometry, Members,
 };
 use p3c_linalg::{Cholesky, CovarianceAccumulator};
 use p3c_mapreduce::{Emitter, Engine, Mapper, MrError, Reducer};
@@ -30,7 +30,7 @@ fn eval_cache_bytes(eval: &DensityEvaluator, d: usize) -> usize {
 /// mappers; `None` marks a degenerate cluster.
 type RobustEstimates = Arc<Vec<Option<(Vec<f64>, Cholesky)>>>;
 
-/// [`cluster_distances`] over a split already projected and assigned by
+/// [`Members::distances`] over a split already projected and assigned by
 /// [`project_and_assign`].
 fn split_distances<'g>(
     eval: &DensityEvaluator,
@@ -39,12 +39,10 @@ fn split_distances<'g>(
     geometry: impl Fn(usize) -> Option<Geometry<'g>>,
 ) -> Vec<f64> {
     let d = eval.arel_len();
-    cluster_distances(
-        hard,
-        eval.num_components(),
-        |i, buf| buf.extend_from_slice(&proj[i * d..(i + 1) * d]),
-        geometry,
-    )
+    Members::gather(hard, eval.num_components(), d, |i, buf| {
+        buf.extend_from_slice(&proj[i * d..(i + 1) * d])
+    })
+    .distances(geometry)
 }
 
 // --------------------------------------------------------------- OD job --
@@ -146,12 +144,9 @@ impl<'a> Mapper<&'a [f64], usize, (Vec<f64>, f64)> for MvbStatsMapper {
             members[c].push(x);
         }
         for (c, pts) in members.iter().enumerate() {
-            let Some(center) = dimensionwise_median(pts) else {
-                continue;
-            };
-            let mut dists: Vec<f64> = pts.iter().map(|p| p3c_linalg::dist(p, &center)).collect();
-            let radius = median_in_place(&mut dists);
-            out.emit(c, (center, radius));
+            if let Some(mvb) = mvb_of(pts) {
+                out.emit(c, (mvb.center, mvb.radius));
+            }
         }
     }
 }

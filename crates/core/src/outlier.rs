@@ -43,42 +43,88 @@ pub fn assign_clusters(eval: &DensityEvaluator, rows: &[&[f64]]) -> Vec<usize> {
 /// A cluster's Mahalanobis geometry: mean and covariance factor.
 pub(crate) type Geometry<'g> = (&'g [f64], &'g Cholesky);
 
-/// The grouped cluster-distance scan: the squared Mahalanobis distance
-/// of every point of a split to the geometry of *its own* cluster.
-///
-/// Per cluster `c < k`, the members (`assignment[i] == c`) are packed
-/// in point order into one contiguous block — `gather(i, buf)` appends
-/// point `i`'s `A_rel` coordinates — scored through
-/// [`Cholesky::mahalanobis_sq_block`], and scattered back to point
-/// order; per point that is the float operation sequence of
-/// [`Cholesky::mahalanobis_sq_scratch`]. Clusters without a geometry
-/// (`None`: a degenerate robust estimate) score `NEG_INFINITY`, which no
-/// threshold exceeds, so their points are never outliers.
-pub(crate) fn cluster_distances<'g>(
-    assignment: &[usize],
-    k: usize,
-    mut gather: impl FnMut(usize, &mut Vec<f64>),
-    geometry: impl Fn(usize) -> Option<Geometry<'g>>,
-) -> Vec<f64> {
-    let mut dists = vec![f64::NEG_INFINITY; assignment.len()];
-    let (mut buf, mut idx, mut out) = (Vec::new(), Vec::new(), Vec::new());
-    let mut scratch = LaneScratch::new();
-    for c in 0..k {
-        let Some((mean, chol)) = geometry(c) else {
-            continue;
-        };
-        buf.clear();
-        idx.clear();
-        for (i, _) in assignment.iter().enumerate().filter(|&(_, &a)| a == c) {
-            gather(i, &mut buf);
-            idx.push(i);
+/// The members of every cluster of a split, gathered once: per cluster
+/// `c < k`, the indices `i` with `assignment[i] == c` in point order,
+/// and their `A_rel` coordinates packed into one contiguous row-major
+/// block — the input form of [`Cholesky::mahalanobis_sq_block`]. The
+/// robust estimators read their clusters from the same blocks the
+/// distance scan scores.
+pub(crate) struct Members {
+    d: usize,
+    points: usize,
+    idx: Vec<Vec<usize>>,
+    blocks: Vec<Vec<f64>>,
+}
+
+impl Members {
+    /// Groups the `assignment.len()` points into `k` clusters in one
+    /// pass; `gather(i, buf)` appends point `i`'s `d` coordinates.
+    pub(crate) fn gather(
+        assignment: &[usize],
+        k: usize,
+        d: usize,
+        mut gather: impl FnMut(usize, &mut Vec<f64>),
+    ) -> Self {
+        let mut idx = vec![Vec::new(); k];
+        let mut blocks = vec![Vec::new(); k];
+        for (i, &c) in assignment.iter().enumerate() {
+            idx[c].push(i);
+            gather(i, &mut blocks[c]);
         }
-        chol.mahalanobis_sq_block(&buf, mean, &mut scratch, &mut out);
-        for (&i, &d2) in idx.iter().zip(&out) {
-            dists[i] = d2;
+        Self {
+            d,
+            points: assignment.len(),
+            idx,
+            blocks,
         }
     }
-    dists
+
+    /// Cluster `c`'s members as one row-major block.
+    pub(crate) fn block(&self, c: usize) -> &[f64] {
+        &self.blocks[c]
+    }
+
+    /// Cluster `c`'s members, one `A_rel` point each.
+    pub(crate) fn points(&self, c: usize) -> impl Iterator<Item = &[f64]> {
+        self.blocks[c].chunks_exact(self.d)
+    }
+
+    /// The grouped cluster-distance scan: the squared Mahalanobis
+    /// distance of every point to the geometry of *its own* cluster, in
+    /// point order. Each cluster's block is scored through
+    /// [`Cholesky::mahalanobis_sq_block`] and scattered back; per point
+    /// that is the float operation sequence of
+    /// [`Cholesky::mahalanobis_sq_scratch`]. Clusters without a geometry
+    /// (`None`: a degenerate robust estimate) score `NEG_INFINITY`,
+    /// which no threshold exceeds, so their points are never outliers.
+    pub(crate) fn distances<'g>(
+        &self,
+        geometry: impl Fn(usize) -> Option<Geometry<'g>>,
+    ) -> Vec<f64> {
+        let mut dists = vec![f64::NEG_INFINITY; self.points];
+        let mut out = Vec::new();
+        let mut scratch = LaneScratch::new();
+        for (c, (idx, block)) in self.idx.iter().zip(&self.blocks).enumerate() {
+            let Some((mean, chol)) = geometry(c) else {
+                continue;
+            };
+            chol.mahalanobis_sq_block(block, mean, &mut scratch, &mut out);
+            for (&i, &d2) in idx.iter().zip(&out) {
+                dists[i] = d2;
+            }
+        }
+        dists
+    }
+}
+
+/// Every row's cluster members, projected into `A_rel` once.
+fn project_members(eval: &DensityEvaluator, rows: &[&[f64]], assignment: &[usize]) -> Members {
+    Members::gather(
+        assignment,
+        eval.num_components(),
+        eval.arel_len(),
+        |i, buf| eval.project_append(rows[i], buf),
+    )
 }
 
 /// Final verdicts: a point whose distance exceeds `crit` is an outlier
@@ -91,24 +137,17 @@ pub(crate) fn verdicts(assignment: &[usize], dists: &[f64], crit: f64) -> Assign
         .collect()
 }
 
-/// Flags every row whose distance to its cluster's geometry exceeds the
-/// χ² critical value at `alpha`.
+/// Flags every member whose distance to its cluster's geometry exceeds
+/// the χ² critical value at `alpha`.
 fn detect<'g>(
-    eval: &DensityEvaluator,
-    rows: &[&[f64]],
+    members: &Members,
     assignment: &[usize],
     geometry: impl Fn(usize) -> Option<Geometry<'g>>,
     alpha: f64,
     arel_len: usize,
 ) -> Assignment {
     let crit = ChiSquared::new(arel_len.max(1) as f64).critical_value(alpha);
-    let dists = cluster_distances(
-        assignment,
-        eval.num_components(),
-        |i, buf| eval.project_append(rows[i], buf),
-        geometry,
-    );
-    verdicts(assignment, &dists, crit)
+    verdicts(assignment, &members.distances(geometry), crit)
 }
 
 /// Naive outlier detection: Mahalanobis against the EM parameters.
@@ -119,8 +158,9 @@ pub fn detect_outliers_naive(
     alpha: f64,
     arel_len: usize,
 ) -> Assignment {
+    let members = project_members(eval, rows, assignment);
     let geometry = |c| Some(eval.geometry(c));
-    detect(eval, rows, assignment, geometry, alpha, arel_len)
+    detect(&members, assignment, geometry, alpha, arel_len)
 }
 
 /// The MVB (minimum volume ball) statistics of one cluster, in `A_rel`
@@ -135,13 +175,12 @@ pub struct MvbStats {
 
 /// Computes the MVB of a set of projected points: dimension-wise median
 /// center and median distance radius. `None` for empty input.
-pub fn mvb_of(points: &[Vec<f64>]) -> Option<MvbStats> {
-    if points.is_empty() {
-        return None;
-    }
-    let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
-    let center = dimensionwise_median(&refs)?;
-    let mut dists: Vec<f64> = refs.iter().map(|p| p3c_linalg::dist(p, &center)).collect();
+pub fn mvb_of(points: &[&[f64]]) -> Option<MvbStats> {
+    let center = dimensionwise_median(points)?;
+    let mut dists: Vec<f64> = points
+        .iter()
+        .map(|p| p3c_linalg::dist(p, &center))
+        .collect();
     let radius = median_in_place(&mut dists);
     Some(MvbStats { center, radius })
 }
@@ -156,17 +195,20 @@ pub fn robust_cluster_estimates(
     assignment: &[usize],
     k: usize,
 ) -> Vec<Option<(Vec<f64>, Cholesky)>> {
-    // Collect projected members per cluster.
-    let mut members: Vec<Vec<Vec<f64>>> = vec![Vec::new(); k];
-    for (row, &c) in rows.iter().zip(assignment) {
-        members[c].push(eval.project(row));
-    }
-    members
-        .iter()
-        .map(|pts| {
-            let mvb = mvb_of(pts)?;
-            let d = mvb.center.len();
-            let mut acc = CovarianceAccumulator::new(d);
+    let members = Members::gather(assignment, k, eval.arel_len(), |i, buf| {
+        eval.project_append(rows[i], buf)
+    });
+    mvb_estimates(&members)
+}
+
+/// The MVB estimate of each cluster of `members`: the moments of the
+/// points inside the cluster's ball.
+fn mvb_estimates(members: &Members) -> Vec<Option<(Vec<f64>, Cholesky)>> {
+    (0..members.blocks.len())
+        .map(|c| {
+            let pts: Vec<&[f64]> = members.points(c).collect();
+            let mvb = mvb_of(&pts)?;
+            let mut acc = CovarianceAccumulator::new(mvb.center.len());
             for p in pts {
                 if p3c_linalg::dist(p, &mvb.center) <= mvb.radius + 1e-12 {
                     acc.push(p, 1.0);
@@ -193,38 +235,34 @@ pub(crate) fn fit_geometry(acc: &CovarianceAccumulator) -> Option<(Vec<f64>, Cho
 /// shrink the covariance determinant, so a few steps concentrate the
 /// estimate onto the densest half of the cluster.
 ///
-/// Returns robust `(mean, Cholesky)` estimates, or `None` for degenerate
-/// inputs (fewer than `dim + 2` points).
+/// `block` holds the points row-major, `d` coordinates apiece. Returns
+/// robust `(mean, Cholesky)` estimates, or `None` for degenerate inputs
+/// (fewer than `d + 2` points).
 pub fn mcd_estimate(
-    points: &[Vec<f64>],
+    block: &[f64],
+    d: usize,
     h_fraction: f64,
     max_steps: usize,
 ) -> Option<(Vec<f64>, Cholesky)> {
-    let n = points.len();
-    let d = points.first()?.len();
+    let n = block.len().checked_div(d).unwrap_or(0);
     if n < d + 2 {
         return None;
     }
+    let point = |i: usize| &block[i * d..(i + 1) * d];
     let h = ((n as f64 * h_fraction).ceil() as usize).clamp(d + 1, n);
     // Start from the full set.
     let mut subset: Vec<usize> = (0..n).collect();
     let mut current: Option<(Vec<f64>, Cholesky)> = None;
-    // The C-step scores one cluster holding every point.
-    let one_cluster = vec![0; n];
+    let (mut lanes, mut scores) = (LaneScratch::new(), Vec::new());
     for _ in 0..max_steps.max(1) {
         let mut acc = CovarianceAccumulator::new(d);
         for &i in &subset {
-            acc.push(&points[i], 1.0);
+            acc.push(point(i), 1.0);
         }
         let (mean, chol) = fit_geometry(&acc)?;
         // Order all cluster points by Mahalanobis distance; keep h.
-        let scores = cluster_distances(
-            &one_cluster,
-            1,
-            |i, buf| buf.extend_from_slice(&points[i]),
-            |_| Some((&mean[..], &chol)),
-        );
-        let mut dists: Vec<(f64, usize)> = scores.into_iter().zip(0..n).collect();
+        chol.mahalanobis_sq_block(block, &mean, &mut lanes, &mut scores);
+        let mut dists: Vec<(f64, usize)> = scores.iter().copied().zip(0..n).collect();
         dists.sort_by(|a, b| a.0.total_cmp(&b.0));
         let next: Vec<usize> = dists.iter().take(h).map(|&(_, i)| i).collect();
         let converged = {
@@ -243,7 +281,7 @@ pub fn mcd_estimate(
     // Final fit on the concentrated subset.
     let mut acc = CovarianceAccumulator::new(d);
     for &i in &subset {
-        acc.push(&points[i], 1.0);
+        acc.push(point(i), 1.0);
     }
     let mean = acc.mean()?;
     let mut cov = acc.covariance()?;
@@ -271,16 +309,12 @@ pub fn detect_outliers_mcd(
     alpha: f64,
     arel_len: usize,
 ) -> Assignment {
-    let mut members: Vec<Vec<Vec<f64>>> = vec![Vec::new(); eval.num_components()];
-    for (row, &c) in rows.iter().zip(assignment) {
-        members[c].push(eval.project(row));
-    }
-    let estimates: Vec<Option<(Vec<f64>, Cholesky)>> = members
-        .iter()
-        .map(|pts| mcd_estimate(pts, 0.5, 4))
+    let members = project_members(eval, rows, assignment);
+    let estimates: Vec<Option<(Vec<f64>, Cholesky)>> = (0..eval.num_components())
+        .map(|c| mcd_estimate(members.block(c), eval.arel_len(), 0.5, 4))
         .collect();
     let geometry = |c| robust_geometry(&estimates, c);
-    detect(eval, rows, assignment, geometry, alpha, arel_len)
+    detect(&members, assignment, geometry, alpha, arel_len)
 }
 
 /// MVB-based outlier detection.
@@ -291,9 +325,10 @@ pub fn detect_outliers_mvb(
     alpha: f64,
     arel_len: usize,
 ) -> Assignment {
-    let estimates = robust_cluster_estimates(eval, rows, assignment, eval.num_components());
+    let members = project_members(eval, rows, assignment);
+    let estimates = mvb_estimates(&members);
     let geometry = |c| robust_geometry(&estimates, c);
-    detect(eval, rows, assignment, geometry, alpha, arel_len)
+    detect(&members, assignment, geometry, alpha, arel_len)
 }
 
 #[cfg(test)]
@@ -457,26 +492,30 @@ mod tests {
         for i in 0..20 {
             pts.push(vec![10.0 + (i % 3) as f64 * 0.01, 10.0]);
         }
-        let (mean, _) = mcd_estimate(&pts, 0.5, 4).unwrap();
+        let block: Vec<f64> = pts.concat();
+        let (mean, _) = mcd_estimate(&block, 2, 0.5, 4).unwrap();
         assert!(mean[0] < 0.5, "MCD mean pulled to contamination: {mean:?}");
         assert!(mean[1] < 0.5);
     }
 
     #[test]
     fn mcd_estimate_degenerate_inputs() {
-        assert!(mcd_estimate(&[], 0.5, 3).is_none());
-        let two = vec![vec![0.0, 0.0], vec![1.0, 1.0]];
-        assert!(mcd_estimate(&two, 0.5, 3).is_none(), "n < d + 2 must fail");
+        assert!(mcd_estimate(&[], 2, 0.5, 3).is_none());
+        let two = [0.0, 0.0, 1.0, 1.0];
+        assert!(
+            mcd_estimate(&two, 2, 0.5, 3).is_none(),
+            "n < d + 2 must fail"
+        );
     }
 
     #[test]
     fn mvb_stats_are_medians() {
-        let pts = vec![
-            vec![0.0, 0.0],
-            vec![1.0, 0.0],
-            vec![2.0, 0.0],
-            vec![3.0, 0.0],
-            vec![100.0, 0.0],
+        let pts: Vec<&[f64]> = vec![
+            &[0.0, 0.0],
+            &[1.0, 0.0],
+            &[2.0, 0.0],
+            &[3.0, 0.0],
+            &[100.0, 0.0],
         ];
         let mvb = mvb_of(&pts).unwrap();
         assert_eq!(mvb.center, vec![2.0, 0.0]);

@@ -24,6 +24,7 @@
 //! those endpoints *are* bin edges here.)
 
 use crate::types::{Interval, Signature};
+use p3c_linalg::isa;
 use p3c_stats::histogram::BinIndexer;
 use std::collections::{BTreeMap, HashMap};
 
@@ -318,8 +319,38 @@ impl CandidateList {
 
     /// Adds every candidate's support over the block to `counts`: a
     /// candidate costs `len − keep` ANDs off its prefix's bitmap, the
-    /// last of them fused with the popcount.
+    /// last of them fused with the popcount. Runs the AVX2 tier, with
+    /// hardware POPCNT, when the CPU has it ([`isa`]).
     pub(crate) fn count_block(
+        &self,
+        block: &BlockBitmaps,
+        counts: &mut [u64],
+        scratch: &mut CountScratch,
+    ) {
+        if isa::avx2() {
+            // SAFETY: the guard checked that this CPU has AVX2 and POPCNT.
+            unsafe { self.count_block_avx2(block, counts, scratch) }
+        } else {
+            self.count_block_impl(block, counts, scratch)
+        }
+    }
+
+    /// [`CandidateList::count_block`] compiled for AVX2 and POPCNT.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and POPCNT (`isa::avx2()`).
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,popcnt"))]
+    unsafe fn count_block_avx2(
+        &self,
+        block: &BlockBitmaps,
+        counts: &mut [u64],
+        scratch: &mut CountScratch,
+    ) {
+        self.count_block_impl(block, counts, scratch)
+    }
+
+    #[inline(always)]
+    fn count_block_impl(
         &self,
         block: &BlockBitmaps,
         counts: &mut [u64],
@@ -367,6 +398,7 @@ impl CandidateList {
     }
 }
 
+#[inline(always)]
 fn popcount(words: impl Iterator<Item = u64>) -> u64 {
     words.map(|w| u64::from(w.count_ones())).sum()
 }

@@ -111,6 +111,12 @@ impl ToJson for String {
     }
 }
 
+impl ToJson for &str {
+    fn write_json(&self, w: &mut Writer) {
+        w.string(self);
+    }
+}
+
 impl ToJson for u64 {
     fn write_json(&self, w: &mut Writer) {
         w.push_fmt(format_args!("{self}"));
@@ -146,6 +152,12 @@ impl ToJson for Duration {
 impl<T: ToJson> ToJson for Vec<T> {
     fn write_json(&self, w: &mut Writer) {
         w.array(self);
+    }
+}
+
+impl<T: ToJson> ToJson for &[T] {
+    fn write_json(&self, w: &mut Writer) {
+        w.array(*self);
     }
 }
 

@@ -5,12 +5,15 @@
 //! factorization offers a regularized constructor that adds an escalating
 //! ridge until the matrix becomes positive definite.
 
+use crate::isa;
 use crate::matrix::Matrix;
 
 /// Lane width of the batched solve kernels: 8 points advance through the
 /// forward substitution together. The width is a compile-time constant so
 /// the per-step inner loops are fixed-length `[f64; LANES]` updates the
-/// compiler unrolls and vectorizes on stable Rust (no `std::simd`).
+/// compiler unrolls and vectorizes on stable Rust (no `std::simd`): four
+/// SSE2 registers per lane group on the baseline tier, two AVX2 registers
+/// on the [`crate::isa`] tier.
 pub const LANES: usize = 8;
 
 /// Reusable scratch for the lane-batched kernels: the transposed
@@ -44,7 +47,7 @@ impl LaneScratch {
 /// Transposes a full lane-group of `LANES` points (row-major, `n` values
 /// per point) into the coordinate-major layout the lane kernels consume:
 /// `xt[i * LANES + lane] = group[lane * n + i]`.
-#[inline]
+#[inline(always)]
 pub fn transpose_lane_group(group: &[f64], n: usize, xt: &mut [f64]) {
     debug_assert_eq!(group.len(), n * LANES);
     debug_assert_eq!(xt.len(), n * LANES);
@@ -217,7 +220,7 @@ impl Cholesky {
     /// hand each factor a *disjoint* scratch region, so the CPU can
     /// overlap the otherwise latency-bound forward substitutions.
     /// Identical floating-point sequence; bit-identical results.
-    #[inline]
+    #[inline(always)]
     pub fn mahalanobis_sq_slice(&self, x: &[f64], mean: &[f64], y: &mut [f64]) -> f64 {
         assert_eq!(x.len(), self.n);
         assert_eq!(mean.len(), self.n);
@@ -244,6 +247,7 @@ impl Cholesky {
     /// subtractions, reciprocal multiply, `dist += y_i²` in ascending
     /// `i` — is exactly that of [`Cholesky::mahalanobis_sq_slice`], so
     /// every lane is bit-identical to the scalar kernel.
+    #[inline(always)]
     pub fn mahalanobis_sq_lanes(&self, xt: &[f64], mean: &[f64], y: &mut [f64]) -> [f64; LANES] {
         let n = self.n;
         assert_eq!(xt.len(), n * LANES);
@@ -284,7 +288,39 @@ impl Cholesky {
     /// path point by point. Both produce the per-point scalar operation
     /// sequence, so `out` is bit-identical to a plain per-point loop for
     /// every block length (including blocks shorter than one lane-group).
+    /// Runs the AVX2 tier when the CPU has it ([`crate::isa`]).
     pub fn mahalanobis_sq_block(
+        &self,
+        block: &[f64],
+        mean: &[f64],
+        scratch: &mut LaneScratch,
+        out: &mut Vec<f64>,
+    ) {
+        if isa::avx2() {
+            // SAFETY: the guard checked that this CPU has AVX2.
+            unsafe { self.mahalanobis_sq_block_avx2(block, mean, scratch, out) }
+        } else {
+            self.mahalanobis_sq_block_impl(block, mean, scratch, out)
+        }
+    }
+
+    /// [`Cholesky::mahalanobis_sq_block`] compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 (`isa::avx2()`).
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+    unsafe fn mahalanobis_sq_block_avx2(
+        &self,
+        block: &[f64],
+        mean: &[f64],
+        scratch: &mut LaneScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.mahalanobis_sq_block_impl(block, mean, scratch, out)
+    }
+
+    #[inline(always)]
+    fn mahalanobis_sq_block_impl(
         &self,
         block: &[f64],
         mean: &[f64],
@@ -469,7 +505,7 @@ mod tests {
 
     #[test]
     fn lane_mahalanobis_is_bit_identical_to_scalar() {
-        for n in [1usize, 2, 4, 10] {
+        for n in [1usize, 2, 4, 10, 25] {
             let c = Cholesky::new(&spd(n, 31 + n as u64)).unwrap();
             let mut next = stream(n as u64 + 11);
             let mean: Vec<f64> = (0..n).map(|_| next()).collect();

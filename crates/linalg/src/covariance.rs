@@ -106,6 +106,9 @@ impl CovarianceAccumulator {
     /// triangular row's partial sums stay in registers for the whole
     /// block — the fixed-length inner loop vectorizes and the row's
     /// loads/stores amortize over `ws.len()` points instead of one.
+    /// `#[inline(always)]`, so the E-step's AVX2 twin compiles it at its
+    /// own width (DESIGN.md §13).
+    #[inline(always)]
     pub fn push_block(&mut self, xs: &[f64], ws: &[f64]) {
         let d = self.dim;
         assert_eq!(xs.len(), ws.len() * d, "block is not ws.len() points");
@@ -416,7 +419,7 @@ mod tests {
             s ^= s >> 27;
             (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
         };
-        for d in [0usize, 1, 2, 3, 7, 10] {
+        for d in [0usize, 1, 2, 3, 7, 10, 16, 25, 33] {
             for npts in [0usize, 1, 5, 23] {
                 let xs: Vec<f64> = (0..npts * d).map(|_| rng()).collect();
                 let ws: Vec<f64> = (0..npts).map(|_| rng() + 1e-3).collect();

@@ -13,10 +13,12 @@
 //!   form used by the paper's EM and outlier-detection MapReduce jobs
 //!   (Section 5.4: the `l_C`, `w_C`, `w_C2` statistics),
 //! * [`mahalanobis_sq`] — the squared Mahalanobis distance that the outlier
-//!   detection step compares against a chi-square critical value.
+//!   detection step compares against a chi-square critical value,
+//! * [`isa`] — the run-time guard of the kernels' AVX2 tier.
 
 pub mod cholesky;
 pub mod covariance;
+pub mod isa;
 pub mod matrix;
 pub mod vector;
 

@@ -14,6 +14,13 @@
 //! Sizes exercise the tail contract: fewer points than one lane group
 //! (`npts < 8`), every residue `npts mod 8`, and the E-step block
 //! boundaries (the 512-point block: one-under, exact, one-over).
+//!
+//! Dimensions exercise the tiers. The block kernels run the AVX2 tier
+//! where the CPU has it (`p3c_linalg::isa`); the per-point oracles are
+//! compiled for the baseline tier only. So on an AVX2 machine every test
+//! here also compares the two tiers bit for bit, and the generated
+//! models at d ∈ {1, 2, 5, 10, 25} cover `mr-full-narrow`'s 10 and the
+//! Figure 7 shape's 25 relevant attributes.
 
 use p3c_suite::core::cores::ClusterCore;
 use p3c_suite::core::em::{
@@ -109,6 +116,82 @@ fn test_model() -> MixtureModel {
     }
 }
 
+/// Projected dimensionalities of the generated models.
+const DIMS: [usize; 5] = [1, 2, 5, 10, 25];
+
+/// A 3-component mixture over the `d` middle attributes of `d + 2`
+/// (`arel = 1..=d`): per component a mean in [0.2, 0.8]^d and an AR(1)
+/// covariance `s·ρ^|i−j|` with its own scale and correlation, so every
+/// triangular solve carries off-diagonal mass.
+fn generated_model(d: usize) -> MixtureModel {
+    let mut next = stream(d as u64 + 100);
+    let components = [(0.02, 0.3, 0.5), (0.03, -0.2, 0.3), (0.015, 0.5, 0.2)]
+        .iter()
+        .map(|&(s, rho, weight): &(f64, f64, f64)| {
+            let mut cov = Matrix::zeros(d, d);
+            for i in 0..d {
+                for j in 0..d {
+                    cov[(i, j)] = s * rho.powi(i.abs_diff(j) as i32);
+                }
+            }
+            Component {
+                mean: (0..d).map(|_| 0.2 + 0.6 * next()).collect(),
+                cov,
+                weight,
+            }
+        })
+        .collect();
+    MixtureModel {
+        arel: (1..=d).collect(),
+        components,
+    }
+}
+
+/// `n` rows of width `d + 2` around `model`'s means (component `i % 3`),
+/// every fifth row uniform noise.
+fn generated_rows(model: &MixtureModel, n: usize, seed: u64) -> Vec<Vec<f64>> {
+    let d = model.arel.len();
+    let mut next = stream(seed);
+    (0..n)
+        .map(|i| {
+            let mean = &model.components[i % 3].mean;
+            let mut row: Vec<f64> = (0..d + 2).map(|_| next()).collect();
+            if i % 5 != 4 {
+                for (v, m) in row[1..=d].iter_mut().zip(mean) {
+                    *v = m + (*v - 0.5) * 0.2;
+                }
+            }
+            row
+        })
+        .collect()
+}
+
+/// One core per component of `model`: three bins around the mean on each
+/// of its first (up to) three relevant attributes.
+fn generated_cores(model: &MixtureModel) -> Vec<ClusterCore> {
+    model
+        .components
+        .iter()
+        .map(|c| {
+            let intervals = model
+                .arel
+                .iter()
+                .zip(&c.mean)
+                .take(3)
+                .map(|(&attr, &m)| {
+                    let bin = (m * 10.0) as usize;
+                    Interval::new(attr, bin.saturating_sub(1), (bin + 1).min(9), 10)
+                })
+                .collect();
+            ClusterCore {
+                signature: Signature::new(intervals),
+                support: 100.0,
+                expected: 1.0,
+            }
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------- E-step --
 
 /// The E-step over one block (a serial 512-point block or an MR split),
@@ -129,6 +212,30 @@ fn oracle_estep_block(eval: &DensityEvaluator, block: &[f64]) -> (Vec<Covariance
     (accs, loglik)
 }
 
+/// `estep_blocked` over `proj` at every thread count against the
+/// serial contract: per-block oracle partials merged in block order.
+fn assert_serial_estep(eval: &DensityEvaluator, proj: &[f64], what: &str) {
+    let d = eval.arel_len();
+    let mut want = fresh(eval.num_components(), d);
+    let mut want_ll = 0.0;
+    for block in proj.chunks(BLOCK * d) {
+        let (accs, ll) = oracle_estep_block(eval, block);
+        for (total, part) in want.iter_mut().zip(&accs) {
+            total.merge(part);
+        }
+        want_ll += ll;
+    }
+    for threads in THREADS {
+        let (accs, ll) = estep_blocked(eval, proj, threads);
+        assert_eq!(ll.to_bits(), want_ll.to_bits(), "{what}, threads={threads}");
+        assert_eq!(
+            accs_bits(&accs),
+            accs_bits(&want),
+            "{what}, threads={threads}"
+        );
+    }
+}
+
 #[test]
 fn serial_estep_equals_the_per_point_loop_at_every_size_and_thread_count() {
     let eval = test_model().evaluator();
@@ -137,24 +244,15 @@ fn serial_estep_equals_the_per_point_loop_at_every_size_and_thread_count() {
     for n in (1usize..=33).chain([511, 512, 513, 2500]) {
         let mut next = stream(n as u64 + 7);
         let proj: Vec<f64> = (0..n * 2).map(|_| next()).collect();
-        // The serial contract: per-block partials merged in block order.
-        let mut want = fresh(3, 2);
-        let mut want_ll = 0.0;
-        for block in proj.chunks(BLOCK * 2) {
-            let (accs, ll) = oracle_estep_block(&eval, block);
-            for (total, part) in want.iter_mut().zip(&accs) {
-                total.merge(part);
-            }
-            want_ll += ll;
-        }
-        for threads in THREADS {
-            let (accs, ll) = estep_blocked(&eval, &proj, threads);
-            assert_eq!(ll.to_bits(), want_ll.to_bits(), "n={n}, threads={threads}");
-            assert_eq!(
-                accs_bits(&accs),
-                accs_bits(&want),
-                "n={n}, threads={threads}"
-            );
+        assert_serial_estep(&eval, &proj, &format!("n={n}"));
+    }
+    for d in DIMS {
+        let model = generated_model(d);
+        let eval = model.evaluator();
+        for n in (1usize..=17).chain([511, 512, 513, 1500]) {
+            let data = generated_rows(&model, n, n as u64 + d as u64);
+            let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+            assert_serial_estep(&eval, &eval.project_block(&rows), &format!("d={d}, n={n}"));
         }
     }
 }
@@ -252,6 +350,37 @@ fn oracle_em_fit_mr(
     (history, model)
 }
 
+/// `em_fit_mr` (five iterations, initialized by the MR initialization
+/// job) against [`oracle_em_fit_mr`] at every thread count.
+fn assert_mr_em_job(
+    cores: &[ClusterCore],
+    rows: &[&[f64]],
+    arel: &[usize],
+    split_size: usize,
+    what: &str,
+) {
+    for threads in THREADS {
+        let engine = Engine::new(MrConfig {
+            split_size,
+            threads,
+            ..MrConfig::default()
+        });
+        let init = initialize_from_cores_mr(&engine, cores, rows, arel).unwrap();
+        let (want_history, want_model) = oracle_em_fit_mr(init.clone(), rows, split_size, 5, 1e-8);
+        let fit = em_fit_mr(&engine, init, rows, 5, 1e-8).unwrap();
+        assert_eq!(
+            bits(&fit.loglik_history),
+            bits(&want_history),
+            "{what}, threads={threads}"
+        );
+        assert_eq!(
+            model_bits(&fit.model),
+            model_bits(&want_model),
+            "{what}, threads={threads}"
+        );
+    }
+}
+
 #[test]
 fn mr_em_job_equals_the_per_point_loop_at_every_split_residue_and_thread_count() {
     let data = blob_rows(600);
@@ -259,25 +388,22 @@ fn mr_em_job_equals_the_per_point_loop_at_every_split_residue_and_thread_count()
     // Splits of 64..=71 records: every lane-group residue in the mapper's
     // one-block-per-split scan, with a ragged last split.
     for split_size in 64..=71 {
-        for threads in THREADS {
-            let engine = Engine::new(MrConfig {
+        let what = format!("split_size={split_size}");
+        assert_mr_em_job(&blob_cores(), &rows, &[1, 3], split_size, &what);
+    }
+    for d in DIMS {
+        let model = generated_model(d);
+        let data = generated_rows(&model, 600, 7 + d as u64);
+        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+        // Lane-group residues 0, 3 and 7 in the mappers' split scans.
+        for split_size in [64, 67, 71] {
+            let what = format!("d={d}, split_size={split_size}");
+            assert_mr_em_job(
+                &generated_cores(&model),
+                &rows,
+                &model.arel,
                 split_size,
-                threads,
-                ..MrConfig::default()
-            });
-            let init = initialize_from_cores_mr(&engine, &blob_cores(), &rows, &[1, 3]).unwrap();
-            let (want_history, want_model) =
-                oracle_em_fit_mr(init.clone(), &rows, split_size, 5, 1e-8);
-            let fit = em_fit_mr(&engine, init, &rows, 5, 1e-8).unwrap();
-            assert_eq!(
-                bits(&fit.loglik_history),
-                bits(&want_history),
-                "split_size={split_size}, threads={threads}"
-            );
-            assert_eq!(
-                model_bits(&fit.model),
-                model_bits(&want_model),
-                "split_size={split_size}, threads={threads}"
+                &what,
             );
         }
     }
@@ -341,6 +467,17 @@ fn initialization_attaches_like_the_per_point_loop() {
             let got = initialize_from_cores(&cores, &rows, &[1, 3]);
             let want = oracle_initialize(&cores, &rows, &[1, 3]);
             assert_eq!(model_bits(&got), model_bits(&want), "n={n}");
+        }
+    }
+    for d in DIMS {
+        let model = generated_model(d);
+        let cores = generated_cores(&model);
+        for n in [75usize, 2565] {
+            let data = generated_rows(&model, n, 11 + d as u64);
+            let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+            let got = initialize_from_cores(&cores, &rows, &model.arel);
+            let want = oracle_initialize(&cores, &rows, &model.arel);
+            assert_eq!(model_bits(&got), model_bits(&want), "d={d}, n={n}");
         }
     }
 }
@@ -429,7 +566,7 @@ fn oracle_flag(
     estimates: &Estimates,
     keep_degenerate: bool,
 ) -> Vec<i64> {
-    let crit = ChiSquared::new(2.0).critical_value(0.001);
+    let crit = ChiSquared::new(eval.arel_len() as f64).critical_value(0.001);
     rows.iter()
         .zip(hard)
         .map(|(row, &c)| {
@@ -585,5 +722,72 @@ fn outlier_scans_equal_the_per_point_loop_serial_and_mr() {
             let got = od_job_mcd(&single, Arc::clone(&eval), &rows, 0.001, 2, 2).unwrap();
             assert_eq!(got, mcd_job, "MCD OD job, n={n}, threads={threads}");
         }
+    }
+}
+
+/// Every serial and MR outlier scan over `rows` against the per-point
+/// oracles — the checks of
+/// `outlier_scans_equal_the_per_point_loop_serial_and_mr`, for any
+/// evaluator.
+fn assert_outlier_scans(eval: &Arc<DensityEvaluator>, rows: &[&[f64]], what: &str) {
+    let (k, arel_len) = (eval.num_components(), eval.arel_len());
+    let hard = oracle_assign(eval, rows);
+    assert_eq!(assign_clusters(eval, rows), hard, "{what}");
+    let naive = oracle_flag(eval, rows, &hard, &vec![None; k], false);
+    let mvb_estimates = robust_cluster_estimates(eval, rows, &hard, k);
+    let mvb = oracle_flag(eval, rows, &hard, &mvb_estimates, true);
+    let mut members: Vec<Vec<Vec<f64>>> = vec![Vec::new(); k];
+    for (row, &c) in rows.iter().zip(&hard) {
+        members[c].push(eval.project(row));
+    }
+    let mcd_estimates: Estimates = members.iter().map(|m| oracle_mcd_estimate(m)).collect();
+    let mcd = oracle_flag(eval, rows, &hard, &mcd_estimates, true);
+    let mcd_job_estimates = oracle_mcd_job_estimates(eval, rows, &hard, 2);
+    let mcd_job = oracle_flag(eval, rows, &hard, &mcd_job_estimates, true);
+    for verdicts in [&naive, &mvb, &mcd, &mcd_job] {
+        assert!(
+            verdicts.contains(&-1) && verdicts.iter().any(|&v| v >= 0),
+            "{what}"
+        );
+    }
+
+    let detected = [
+        detect_outliers_naive(eval, rows, &hard, 0.001, arel_len),
+        detect_outliers_mvb(eval, rows, &hard, 0.001, arel_len),
+        detect_outliers_mcd(eval, rows, &hard, 0.001, arel_len),
+    ];
+    assert_eq!(detected, [naive.clone(), mvb.clone(), mcd], "{what}");
+
+    for threads in THREADS {
+        let engine = |split_size| {
+            Engine::new(MrConfig {
+                split_size,
+                threads,
+                ..MrConfig::default()
+            })
+        };
+        // 47-record splits: ragged lane-group tails in every mapper. The
+        // robust jobs run on one split, whose split-local statistics are
+        // the exact statistics of the oracle.
+        let got = od_job_naive(&engine(47), Arc::clone(eval), rows, 0.001, arel_len).unwrap();
+        assert_eq!(got, naive, "naive OD job, {what}, threads={threads}");
+        let single = engine(100_000);
+        let got = od_job_mvb(&single, Arc::clone(eval), rows, 0.001, arel_len).unwrap();
+        assert_eq!(got, mvb, "MVB OD job, {what}, threads={threads}");
+        let got = od_job_mcd(&single, Arc::clone(eval), rows, 0.001, arel_len, 2).unwrap();
+        assert_eq!(got, mcd_job, "MCD OD job, {what}, threads={threads}");
+    }
+}
+
+#[test]
+fn outlier_scans_equal_the_per_point_loop_on_generated_models() {
+    for d in DIMS {
+        let model = generated_model(d);
+        let mut data = generated_rows(&model, 300, 13 + d as u64);
+        // Far planted points, so the χ² gate fires in both directions.
+        data.push(vec![60.0; d + 2]);
+        data.push(vec![-45.0; d + 2]);
+        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+        assert_outlier_scans(&Arc::new(model.evaluator()), &rows, &format!("d={d}"));
     }
 }
