@@ -4,7 +4,8 @@
 # Tier 1 (must always pass, run first):
 #   cargo build --release
 #   cargo test -q
-# Then: the member crates' own tests (cargo test -q --workspace), the
+# Then the e2e benchmark's seven-workload smoke (its own workspace under
+# e2e/), the member crates' own tests (cargo test -q --workspace), the
 # owned dependency graph (`cargo tree` of p3c and of e2e names p3c-*
 # path crates only), a JSON parser's verdict on `p3c cluster -o json`, the
 # tier-1 suite re-run under the multi-process shuffle backend
@@ -19,10 +20,9 @@
 # crash-recovery smoke (SIGKILL a durable serve mid-session, restart on
 # the same data dir, and require the recovered fingerprint to match the
 # pre-kill one), a kernel-tier check (on an AVX2 host, `p3c` built for
-# x86-64-v3 must print the default build's bytes), the
-# e2e benchmark's seven-workload smoke (its own workspace under e2e/),
-# and a rustdoc pass with warnings denied (missing docs on the data-plane
-# crates and broken intra-doc links fail the build).
+# x86-64-v3 must print the default build's bytes), and a rustdoc pass
+# with warnings denied (missing docs on the data-plane crates and broken
+# intra-doc links fail the build).
 # Tier 2 (lint + formatting + invariants):
 #   cargo clippy --workspace --all-targets -- -D warnings
 #   cargo fmt --check
@@ -47,6 +47,16 @@ cargo build --release
 
 echo "==> tier 1: cargo test -q"
 cargo test -q
+
+# The repo benchmark's own smoke (e2e/README.md): all seven workloads at
+# 1/20 scale under structure seeds 7 and 8, asserting which layers each
+# workload exercises and bypasses, determinism across passes, E4SC and
+# the traced replay. The package is a workspace of its own (its build
+# lands in e2e/target), so the root `cargo test` never runs it. It runs
+# right after tier 1: a change that breaks the benchmark's build or a
+# workload fails here in minutes, not after the slower legs below.
+echo "==> e2e benchmark smoke: cargo test --manifest-path e2e/Cargo.toml"
+cargo test -q --offline --manifest-path e2e/Cargo.toml
 
 # `cargo test` at the root runs the root package only. The member
 # crates' own unit and integration tests (all of `mr::coregen`'s,
@@ -214,14 +224,6 @@ FP_AFTER=$(grep -o "fingerprint=[0-9a-f]*" target/ci/serve-crash-2.log | head -n
 test -n "$FP_BEFORE"
 test "$FP_BEFORE" = "$FP_AFTER"
 grep -q "incremental and batch models identical" target/ci/serve-crash-2.log
-
-# The repo benchmark's own smoke (e2e/README.md): all seven workloads at
-# 1/20 scale under structure seeds 7 and 8, asserting which layers each
-# workload exercises and bypasses, determinism across passes, E4SC and
-# the traced replay. The package is a workspace of its own (its build
-# lands in e2e/target), so the root `cargo test` never runs it.
-echo "==> e2e benchmark smoke: cargo test --manifest-path e2e/Cargo.toml"
-cargo test -q --offline --manifest-path e2e/Cargo.toml
 
 echo "==> rustdoc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

@@ -27,10 +27,10 @@
 //! * **Maintained memberships** — appends only add rows at the end, so
 //!   while the core set is unchanged the Light membership mapping grows
 //!   monotonically in id order. The engine classifies each appended row
-//!   against the current cores and maintains per-core min/max bounds
-//!   and unique-member histograms, from which the finalization
-//!   (attribute inspection + interval tightening) is recomputed without
-//!   reading any old row.
+//!   against the current cores and adds it to that core's
+//!   [`ClusterSummary`] — the same summary batch Light folds — from
+//!   which the finalization (attribute inspection + interval
+//!   tightening) is recomputed without reading any old row.
 //!
 //! Re-execution is **lineage-dirty**: each recluster re-runs only the
 //! pipeline stages whose maintained inputs were invalidated. The cheap
@@ -50,21 +50,18 @@
 use crate::config::{BinRuleChoice, P3cParams};
 use crate::cores::{ClusterCore, LevelCounter};
 use crate::histogram::{build_histograms_columnar_threads, AttributeHistograms};
-use crate::inspect::inspect_from_histograms;
+use crate::inspect::{inspection_bins, Bounds, ClusterSummary};
 use crate::p3cplus::{
-    core_phase_from_histograms, empty_result, light_finalize, light_membership, LightMembership,
-    P3cResult,
+    core_phase_from_histograms, empty_result, light_classify, light_clustering, light_membership,
+    light_summaries, LightMembership, P3cResult,
 };
 use crate::support::SupportCache;
 use crate::types::{Interval, Signature};
 use p3c_dataset::bytes::{self, DecodeError, Reader};
-use p3c_dataset::{
-    colseg, AttrInterval, BlockEntry, BlockLog, Clustering, ProjectedCluster, RowBlock,
-};
+use p3c_dataset::{colseg, BlockEntry, BlockLog, RowBlock};
 use p3c_mapreduce::{DatasetHandle, DatasetStore, SegmentedCodec};
 use p3c_stats::{bin_rows, Histogram};
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Segmented columnar codec the tenant's row blocks spill through: a
@@ -143,74 +140,18 @@ pub struct IncrementalStats {
     pub cached_levels: u64,
 }
 
-/// Per-core maintained finalization state: exact min/max bounds over
-/// members and unique members (all `d` attributes — which attributes
-/// inspection will pick is not known until recluster) and the
-/// unique-member histograms that drive attribute inspection.
-#[derive(Debug, Clone)]
-struct CoreFinalizeState {
-    member_min: Vec<f64>,
-    member_max: Vec<f64>,
-    unique_min: Vec<f64>,
-    unique_max: Vec<f64>,
-    /// Per-attribute histograms over the unique members, at bin count
-    /// `rule(|unique|)` — exactly what batch attribute inspection
-    /// builds.
-    unique_hists: Vec<Histogram>,
-    /// Set when `rule(|unique|)` stepped past the maintained bin count;
-    /// the histograms are rebuilt from the rows at the next recluster.
-    unique_hists_stale: bool,
-}
-
-impl CoreFinalizeState {
-    fn empty(d: usize) -> Self {
-        Self {
-            member_min: vec![f64::INFINITY; d],
-            member_max: vec![f64::NEG_INFINITY; d],
-            unique_min: vec![f64::INFINITY; d],
-            unique_max: vec![f64::NEG_INFINITY; d],
-            unique_hists: Vec::new(),
-            unique_hists_stale: false,
-        }
-    }
-
-    fn absorb_member(&mut self, row: &[f64]) {
-        for (j, &v) in row.iter().enumerate() {
-            self.member_min[j] = self.member_min[j].min(v);
-            self.member_max[j] = self.member_max[j].max(v);
-        }
-    }
-
-    fn absorb_unique(&mut self, row: &[f64], unique_len_after: usize, params: &P3cParams) {
-        for (j, &v) in row.iter().enumerate() {
-            self.unique_min[j] = self.unique_min[j].min(v);
-            self.unique_max[j] = self.unique_max[j].max(v);
-        }
-        if self.unique_hists_stale {
-            return;
-        }
-        let target = params.bin_rule.to_rule().num_bins(unique_len_after).max(1);
-        let current = self.unique_hists.first().map(Histogram::num_bins);
-        if current == Some(target) {
-            for (j, &v) in row.iter().enumerate() {
-                self.unique_hists[j].add(v);
-            }
-        } else {
-            // Bin rule stepped (or the histograms were never built):
-            // rebuild lazily at the next recluster.
-            self.unique_hists_stale = true;
-        }
-    }
-}
-
 /// The maintained model: the cores of the last recluster, the Light
 /// membership mapping kept current under appends, and the per-core
-/// finalization state.
+/// finalization summaries.
 #[derive(Debug, Clone)]
 struct ModelState {
     cores: Vec<ClusterCore>,
     membership: LightMembership,
-    per_core: Vec<CoreFinalizeState>,
+    summaries: Vec<ClusterSummary>,
+    /// Per core: set when `rule(|unique|)` stepped past the summary's
+    /// bin count. Its histograms stay as they were, and the summary is
+    /// refolded from the rows at the next recluster.
+    stale: Vec<bool>,
 }
 
 /// Incremental P3C+-Light over one named dataset's block log.
@@ -353,26 +294,22 @@ impl IncrementalLight {
         if !self.dirty_full {
             if let Some(model) = &mut self.model {
                 for (l, row) in block.rows().enumerate() {
-                    let id = old_n + l;
-                    let mut containing: Vec<usize> = Vec::new();
-                    for (c, core) in model.cores.iter().enumerate() {
-                        if core.signature.contains(row) {
-                            containing.push(c);
+                    let containing =
+                        light_classify(row, old_n + l, &model.cores, &mut model.membership);
+                    let inspected = containing.len() == 1;
+                    for c in containing {
+                        let summary = &mut model.summaries[c];
+                        if inspected && !model.stale[c] {
+                            // Stale once the bin rule steps (or on the
+                            // first inspected row of an empty set).
+                            let bins = inspection_bins(summary.inspected.rows + 1, &self.params);
+                            model.stale[c] =
+                                summary.hists.first().map(Histogram::num_bins) != Some(bins);
                         }
-                    }
-                    match containing.as_slice() {
-                        [] => model.membership.outliers.push(id),
-                        cs => {
-                            for &c in cs {
-                                model.membership.members[c].push(id);
-                                model.per_core[c].absorb_member(row);
-                            }
-                            if let [only] = cs {
-                                let c = *only;
-                                model.membership.unique_members[c].push(id);
-                                let len = model.membership.unique_members[c].len();
-                                model.per_core[c].absorb_unique(row, len, &self.params);
-                            }
+                        if model.stale[c] {
+                            summary.add_bounds(row, inspected);
+                        } else {
+                            summary.add([row], inspected);
                         }
                     }
                 }
@@ -468,19 +405,16 @@ impl IncrementalLight {
                 .map(Vec::len)
                 .sum::<usize>()
                 + m.membership.outliers.len();
-            let per_core: usize = m
-                .per_core
+            let summaries: usize = m
+                .summaries
                 .iter()
-                .map(|cs| {
-                    (cs.member_min.len() * 4
-                        + cs.unique_hists
-                            .iter()
-                            .map(Histogram::num_bins)
-                            .sum::<usize>())
+                .map(|s| {
+                    (s.others.min.len() * 4
+                        + s.hists.iter().map(Histogram::num_bins).sum::<usize>())
                         * 8
                 })
                 .sum();
-            ids * 8 + per_core
+            ids * 8 + summaries
         });
         hist_bytes + self.supports.mem_bytes() + model_bytes
     }
@@ -509,7 +443,8 @@ impl IncrementalLight {
             self.model = Some(ModelState {
                 cores: Vec::new(),
                 membership: LightMembership::default(),
-                per_core: Vec::new(),
+                summaries: Vec::new(),
+                stale: Vec::new(),
             });
             self.dirty_full = false;
             return Ok(ReclusterOutcome {
@@ -572,7 +507,8 @@ impl IncrementalLight {
                     unique_members: Vec::new(),
                     outliers: (0..n).collect(),
                 },
-                per_core: Vec::new(),
+                summaries: Vec::new(),
+                stale: Vec::new(),
             });
             ReclusterOutcome {
                 result: empty_result(n, stats),
@@ -588,9 +524,10 @@ impl IncrementalLight {
             // Same signatures, fresher supports: keep the stored cores
             // current so the next guard compares against this run.
             model.cores = cores.clone();
-            refresh_stale_unique_hists(model, &cum, &self.params)?;
+            refresh_stale_summaries(model, &cum, &self.params)?;
             stats.outliers = model.membership.outliers.len();
-            let clustering = finalize_from_state(model, &self.params);
+            let clustering =
+                light_clustering(&cores, &model.membership, &model.summaries, &self.params);
             ReclusterOutcome {
                 result: P3cResult {
                     clustering,
@@ -605,12 +542,13 @@ impl IncrementalLight {
             let rows = block.row_refs();
             let membership = light_membership(&rows, &cores);
             stats.outliers = membership.outliers.len();
-            let clustering = light_finalize(&rows, &cores, &membership, &self.params);
-            let per_core = build_finalize_state(&rows, d, &membership, &self.params);
+            let summaries = light_summaries(&rows, &membership, &self.params);
+            let clustering = light_clustering(&cores, &membership, &summaries, &self.params);
             self.model = Some(ModelState {
                 cores: cores.clone(),
                 membership,
-                per_core,
+                stale: vec![false; summaries.len()],
+                summaries,
             });
             ReclusterOutcome {
                 result: P3cResult {
@@ -811,17 +749,18 @@ impl IncrementalLight {
             put_id_lists(buf, &m.membership.members);
             put_id_lists(buf, &m.membership.unique_members);
             bytes::put_usizes(buf, &m.membership.outliers);
-            bytes::put_usize(buf, m.per_core.len());
-            for cs in &m.per_core {
-                bytes::put_f64s(buf, &cs.member_min);
-                bytes::put_f64s(buf, &cs.member_max);
-                bytes::put_f64s(buf, &cs.unique_min);
-                bytes::put_f64s(buf, &cs.unique_max);
-                bytes::put_usize(buf, cs.unique_hists.len());
-                for h in &cs.unique_hists {
+            bytes::put_usize(buf, m.summaries.len());
+            for (s, &stale) in m.summaries.iter().zip(&m.stale) {
+                let members = s.members();
+                bytes::put_f64s(buf, &members.min);
+                bytes::put_f64s(buf, &members.max);
+                bytes::put_f64s(buf, &s.inspected.min);
+                bytes::put_f64s(buf, &s.inspected.max);
+                bytes::put_usize(buf, s.hists.len());
+                for h in &s.hists {
                     put_histogram(buf, h);
                 }
-                bytes::put_bool(buf, cs.unique_hists_stale);
+                bytes::put_bool(buf, stale);
             }
         }
 
@@ -904,20 +843,27 @@ impl IncrementalLight {
             let unique_members = r.seq(8, Reader::usizes)?;
             let outliers = r.usizes()?;
             let per_core = r.seq(41, |r| -> Result<_, DecodeError> {
-                Ok(CoreFinalizeState {
-                    member_min: r.f64s()?,
-                    member_max: r.f64s()?,
-                    unique_min: r.f64s()?,
-                    unique_max: r.f64s()?,
-                    unique_hists: r.seq(8, read_histogram)?,
-                    unique_hists_stale: r.bool()?,
-                })
+                // The snapshot keeps every member's bounds; they stand in
+                // for the other members' — merged with the inspected
+                // bounds, both give the same member bounds.
+                let bounds = |min, max| Bounds { rows: 0, min, max };
+                let summary = ClusterSummary {
+                    others: bounds(r.f64s()?, r.f64s()?),
+                    inspected: bounds(r.f64s()?, r.f64s()?),
+                    hists: r.seq(8, read_histogram)?,
+                };
+                Ok((summary, r.bool()?))
             })?;
+            let (mut summaries, stale): (Vec<_>, Vec<_>) = per_core.into_iter().unzip();
             if members.len() != cores.len()
                 || unique_members.len() != cores.len()
-                || per_core.len() != cores.len()
+                || summaries.len() != cores.len()
             {
                 return Err("model state arrays disagree on core count".to_string());
+            }
+            for ((s, m), u) in summaries.iter_mut().zip(&members).zip(&unique_members) {
+                s.others.rows = m.len() - u.len();
+                s.inspected.rows = u.len();
             }
             Some(ModelState {
                 cores,
@@ -926,7 +872,8 @@ impl IncrementalLight {
                     unique_members,
                     outliers,
                 },
-                per_core,
+                summaries,
+                stale,
             })
         } else {
             None
@@ -1112,160 +1059,31 @@ impl LevelCounter for NoRowsCounter {
     }
 }
 
-/// Rebuilds any per-core unique-member histograms whose bin rule
-/// stepped since they were last built, from the unique members' rows.
-fn refresh_stale_unique_hists(
+/// Refolds every summary whose histograms are stale (or missing) from
+/// its core's member rows, with the fold batch Light uses.
+fn refresh_stale_summaries(
     model: &mut ModelState,
     cum: &CumulativeRows<'_>,
     params: &P3cParams,
 ) -> Result<(), String> {
-    if model
-        .per_core
-        .iter()
-        .all(|cs| !cs.unique_hists_stale && !cs.unique_hists.is_empty())
-    {
-        // Also fine: empty unique sets never consult the histograms.
-        if model
-            .per_core
-            .iter()
-            .zip(&model.membership.unique_members)
-            .all(|(cs, u)| u.is_empty() || !cs.unique_hists.is_empty())
-        {
-            return Ok(());
-        }
-    }
-    let needs_rebuild: Vec<usize> = model
-        .per_core
-        .iter()
-        .zip(&model.membership.unique_members)
-        .enumerate()
-        .filter(|(_, (cs, u))| {
-            !u.is_empty() && (cs.unique_hists_stale || cs.unique_hists.is_empty())
+    let refold: Vec<usize> = (0..model.summaries.len())
+        .filter(|&c| {
+            let summary = &model.summaries[c];
+            summary.inspected.rows > 0 && (model.stale[c] || summary.hists.is_empty())
         })
-        .map(|(c, _)| c)
         .collect();
-    if needs_rebuild.is_empty() {
+    if refold.is_empty() {
         return Ok(());
     }
     let block = cum.fetch()?;
-    for c in needs_rebuild {
-        let ids = &model.membership.unique_members[c];
-        let cs = &mut model.per_core[c];
-        cs.unique_hists = unique_histograms(ids, &block, params);
-        cs.unique_hists_stale = false;
+    let rows = block.row_refs();
+    let m = &model.membership;
+    for c in refold {
+        model.summaries[c] =
+            ClusterSummary::fold(&rows, &m.members[c], &m.unique_members[c], params);
+        model.stale[c] = false;
     }
     Ok(())
-}
-
-/// Builds the per-attribute histograms over one core's unique members,
-/// exactly as batch attribute inspection does: bin count
-/// `rule(|unique|)`, rows added in ascending id order.
-fn unique_histograms(ids: &[usize], block: &RowBlock, params: &P3cParams) -> Vec<Histogram> {
-    let d = block.dim();
-    let bins = params.bin_rule.to_rule().num_bins(ids.len()).max(1);
-    let mut hists = vec![Histogram::new(bins); d];
-    for &i in ids {
-        for (j, h) in hists.iter_mut().enumerate() {
-            h.add(block.row(i)[j]);
-        }
-    }
-    hists
-}
-
-/// The Light finalization answered entirely from maintained state —
-/// mirrors [`light_finalize`] stage by stage, with each row scan
-/// replaced by its maintained summary:
-/// `inspect_attributes(unique_rows)` becomes
-/// [`inspect_from_histograms`] over the maintained unique histograms,
-/// and `tighten_intervals` reads the maintained min/max bounds.
-fn finalize_from_state(model: &ModelState, params: &P3cParams) -> Clustering {
-    let mut clusters = Vec::with_capacity(model.cores.len());
-    for (c, core) in model.cores.iter().enumerate() {
-        let cs = &model.per_core[c];
-        let members = &model.membership.members[c];
-        let unique = &model.membership.unique_members[c];
-        let core_attrs = core.signature.attributes();
-        let extra = if unique.is_empty() {
-            Vec::new()
-        } else {
-            inspect_from_histograms(&cs.unique_hists, unique.len(), &core_attrs, params)
-        };
-        let mut attrs = core_attrs.clone();
-        attrs.extend(extra.iter().map(|iv| iv.attr));
-        let mut intervals = tighten_from_bounds(
-            &core_attrs,
-            &cs.member_min,
-            &cs.member_max,
-            members.is_empty(),
-        );
-        let ai_attrs: BTreeSet<usize> = extra.iter().map(|iv| iv.attr).collect();
-        intervals.extend(tighten_from_bounds(
-            &ai_attrs,
-            &cs.unique_min,
-            &cs.unique_max,
-            unique.is_empty(),
-        ));
-        clusters.push(ProjectedCluster::new(members.clone(), attrs, intervals));
-    }
-    Clustering::new(clusters, model.membership.outliers.clone())
-}
-
-/// `tighten_intervals` from maintained bounds: identical output, since
-/// min/max over a set of (non-NaN) values is order-free. An empty
-/// member set maps to `[0, 0]`, matching the batch helper.
-fn tighten_from_bounds(
-    attrs: &BTreeSet<usize>,
-    min: &[f64],
-    max: &[f64],
-    empty: bool,
-) -> Vec<AttrInterval> {
-    attrs
-        .iter()
-        .map(|&attr| {
-            if empty {
-                AttrInterval::new(attr, 0.0, 0.0)
-            } else {
-                AttrInterval::new(attr, min[attr], max[attr])
-            }
-        })
-        .collect()
-}
-
-/// Builds the per-core finalization state from the cumulative rows —
-/// the full-path twin of the append-time maintenance.
-fn build_finalize_state(
-    rows: &[&[f64]],
-    d: usize,
-    membership: &LightMembership,
-    params: &P3cParams,
-) -> Vec<CoreFinalizeState> {
-    let k = membership.members.len();
-    let mut out = Vec::with_capacity(k);
-    for c in 0..k {
-        let mut cs = CoreFinalizeState::empty(d);
-        for &i in &membership.members[c] {
-            cs.absorb_member(rows[i]);
-        }
-        let unique = &membership.unique_members[c];
-        for &i in unique {
-            for (j, &v) in rows[i].iter().enumerate() {
-                cs.unique_min[j] = cs.unique_min[j].min(v);
-                cs.unique_max[j] = cs.unique_max[j].max(v);
-            }
-        }
-        if !unique.is_empty() {
-            let bins = params.bin_rule.to_rule().num_bins(unique.len()).max(1);
-            let mut hists = vec![Histogram::new(bins); d];
-            for &i in unique {
-                for (j, h) in hists.iter_mut().enumerate() {
-                    h.add(rows[i][j]);
-                }
-            }
-            cs.unique_hists = hists;
-        }
-        out.push(cs);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1330,6 +1148,34 @@ mod tests {
         }
         assert!(saw_fast, "append-only stream never took the fast path");
         assert!(eng.stats().cached_levels > 0, "{:?}", eng.stats());
+    }
+
+    #[test]
+    fn fast_path_refolds_summaries_whose_bin_rule_stepped() {
+        // 2200 → 2500 rows stays inside the default rule's 14-bin
+        // plateau, so the core set survives and the recluster goes fast,
+        // while three cores' unique counts cross a cube: their summaries
+        // go stale at append and must come out equal to batch's fold.
+        let data = generate(&spec(2500, 1));
+        let all = data.dataset.clone();
+        let store = DatasetStore::new();
+        let params = P3cParams::default();
+        let mut eng = IncrementalLight::new("t", params.clone());
+        eng.append(&store, chunk(&all, 0, 2200)).unwrap();
+        eng.recluster(&store).unwrap();
+        eng.append(&store, chunk(&all, 2200, 300)).unwrap();
+        let stale = eng.model.as_ref().unwrap().stale.clone();
+        assert_eq!(stale.iter().filter(|&&s| s).count(), 3, "{stale:?}");
+        let outcome = eng.recluster(&store).unwrap();
+        assert_eq!(outcome.path, ReclusterPath::Fast);
+        assert_identical(&outcome.result, &batch(&all, &params));
+        let model = eng.model.as_ref().unwrap();
+        let rows = all.row_refs();
+        assert_eq!(
+            model.summaries,
+            light_summaries(&rows, &model.membership, &params)
+        );
+        assert!(model.stale.iter().all(|&s| !s));
     }
 
     #[test]

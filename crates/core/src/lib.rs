@@ -15,8 +15,8 @@
 //! * [`mr::P3cPlusMr`] — P3C+ decomposed into MapReduce jobs on the
 //!   [`p3c_mapreduce::Engine`] (Section 5): histogram job, parallel
 //!   candidate generation with multi-level collection, RSSC-accelerated
-//!   candidate proving, EM init/iteration jobs, OD/MVB jobs, attribute
-//!   inspection and interval tightening jobs.
+//!   candidate proving, EM init/iteration jobs, OD/MVB jobs, and one
+//!   attribute-inspection job that also carries interval tightening.
 //! * [`mr::P3cPlusMrLight`] — the Light variant (Section 6): skips EM and
 //!   outlier detection entirely and reads clusters straight off the
 //!   cluster cores, using unique-support-set membership for attribute

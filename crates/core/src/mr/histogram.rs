@@ -69,13 +69,7 @@ pub fn histogram_job(
         .map(|&b| Histogram::new(b.max(1)))
         .collect();
     for (attr, counts) in result.output {
-        let bins = counts.len();
-        let mut h = Histogram::new(bins);
-        for (bin, &c) in counts.iter().enumerate() {
-            let mid = (bin as f64 + 0.5) / bins as f64;
-            h.add_weighted(mid, c);
-        }
-        histograms[attr] = h;
+        histograms[attr] = Histogram::from_counts(counts);
     }
     let bins = bins_per_attr.iter().copied().max().unwrap_or(1).max(1);
     Ok(AttributeHistograms { histograms, bins })

@@ -14,8 +14,9 @@
 //! * [`em`] — EM initialization and the two-jobs-per-iteration EM loop
 //!   (Section 5.4),
 //! * [`outlier`] — the OD job and the three MVB jobs (Section 5.5),
-//! * [`inspect`] — attribute-inspection histograms, AI proving supports
-//!   and interval tightening (Sections 5.6, 5.7),
+//! * [`inspect`] — the attribute-inspection job, whose per-cluster
+//!   summaries carry both the inspection histograms and the min/max of
+//!   interval tightening (Sections 5.6 and 5.7 in one pass),
 //! * [`pipeline`] — the [`pipeline::P3cPlusMr`] and
 //!   [`pipeline::P3cPlusMrLight`] drivers chaining the jobs.
 

@@ -3,28 +3,31 @@
 //!
 //! Each pipeline is defined once, as [`JobGraph`]s: the shared `p3c-core`
 //! graph (bin counts → histograms → cluster cores), then `p3c-model`
-//! (EM → outlier detection → attribute inspection → tightening) or
-//! `p3c-light-model` (membership → inspection ∥ core tightening → AI
-//! tightening). Node bodies borrow the caller's rows; only the small
-//! intermediates pass through the [`DatasetStore`]. The
-//! [`SchedulerChoice`] given to `cluster_with` picks the executor and
-//! nothing else, so both executors run the same jobs on the same inputs.
+//! (EM → outlier detection → attribute inspection) or `p3c-light-model`
+//! (membership → attribute inspection). Attribute inspection is one job
+//! that also carries interval tightening's min/max (Sections 5.6 and
+//! 5.7 in one pass); the driver finalizes each cluster from its merged
+//! summary exactly as the serial pipelines do. Node bodies borrow the
+//! caller's rows; only the small intermediates pass through the
+//! [`DatasetStore`]. The [`SchedulerChoice`] given to `cluster_with`
+//! picks the executor and nothing else, so both executors run the same
+//! jobs on the same inputs.
 
 use crate::config::{BinRuleChoice, OutlierMethod, P3cParams};
 use crate::cores::ClusterCore;
 use crate::histogram::AttributeHistograms;
-use crate::inspect::inspect_from_histograms;
+use crate::inspect::ClusterSummary;
 use crate::mr::coregen::generate_cluster_cores_mr;
 use crate::mr::em::{em_fit_mr, initialize_from_cores_mr, MrEmFit};
 use crate::mr::histogram::{histogram_job, iqr_job};
-use crate::mr::inspect::{ai_histogram_job, tighten_job};
+use crate::mr::inspect::{inspection_job, InspectionItem};
 use crate::mr::outlier::{od_job_mcd, od_job_mvb, od_job_naive};
-use crate::p3cplus::{empty_result, P3cResult, PipelineStats};
+use crate::p3cplus::{empty_result, finalize_clusters, P3cResult, PipelineStats};
 use crate::relevance::relevant_intervals;
-use p3c_dataset::{split_assignment, AttrInterval, Clustering, Dataset, ProjectedCluster};
+use p3c_dataset::{split_assignment, Clustering, Dataset};
 use p3c_mapreduce::{
     DatasetHandle, DatasetStore, Emitter, Engine, JobGraph, JobKind, JobNode, Mapper, MrError,
-    NodeCtx, SchedulerChoice,
+    NodeCtx, SchedulerChoice, Weighable,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -57,9 +60,9 @@ impl<'e> P3cPlusMr<'e> {
 
     /// Clusters on the chosen executor. The `p3c-core` graph yields the
     /// cluster cores; `p3c-model` chains EM (init jobs + 2 jobs per
-    /// iteration), outlier detection, attribute inspection (histogram
-    /// job + driver-side marking) and interval tightening. The result is
-    /// byte-identical under both executors.
+    /// iteration), outlier detection and attribute inspection (one
+    /// summary job, then driver-side marking and tightening). The result
+    /// is byte-identical under both executors.
     pub fn cluster_with(
         &self,
         data: &Dataset,
@@ -74,13 +77,12 @@ impl<'e> P3cPlusMr<'e> {
             return Ok(empty_result(data.len(), stats));
         }
         let cores = cores.as_slice();
-        let k = cores.len();
+        let (k, d) = (cores.len(), data.dim());
         let arel = arel_of(cores);
 
         let fit_ds: DatasetHandle<MrEmFit> = DatasetHandle::new("em-fit");
         let assign_ds: DatasetHandle<Vec<i64>> = DatasetHandle::new("assignment");
-        let attrs_ds: DatasetHandle<Vec<Vec<usize>>> = DatasetHandle::new("attrs-per-cluster");
-        let intervals_ds: DatasetHandle<Vec<Vec<AttrInterval>>> = DatasetHandle::new("intervals");
+        let summaries_ds: DatasetHandle<Vec<ClusterSummary>> = DatasetHandle::new("summaries");
 
         let mut graph = JobGraph::new("p3c-model");
         graph.add(
@@ -114,73 +116,34 @@ impl<'e> P3cPlusMr<'e> {
                 JobKind::MapReduce,
                 |ctx: &NodeCtx| {
                     let assignment = ctx.fetch(&assign_ds)?;
-                    let mut member_counts = vec![0usize; k];
-                    for &a in assignment.iter().filter(|&&a| a >= 0) {
-                        member_counts[a as usize] += 1;
-                    }
-                    let hists = ai_histogram_job(
-                        ctx.engine,
-                        &labelled(&assignment, rows),
-                        &ai_bins(&member_counts, params),
-                    )?;
-                    let attrs_per_cluster: Vec<Vec<usize>> = cores
+                    // Each row's cluster as a one-element slice of
+                    // `ids`; an outlier belongs to none.
+                    let ids: Vec<u32> = (0..k as u32).collect();
+                    let items: Vec<InspectionItem<'_>> = assignment
                         .iter()
-                        .enumerate()
-                        .map(|(c, core)| {
-                            let mut attrs = core.signature.attributes();
-                            let extra = inspect_from_histograms(
-                                &hists[c],
-                                member_counts[c],
-                                &attrs,
-                                params,
-                            );
-                            attrs.extend(extra.iter().map(|iv| iv.attr));
-                            attrs.into_iter().collect()
+                        .zip(rows)
+                        .map(|(&a, &row)| match usize::try_from(a) {
+                            Ok(c) => (&ids[c..=c], row),
+                            Err(_) => (&[][..], row),
                         })
                         .collect();
-                    ctx.put(&attrs_ds, attrs_per_cluster, 16 * k);
+                    let summaries = inspection_job(ctx.engine, &items, k, d, params)?;
+                    let bytes = summaries.iter().map(Weighable::weight).sum();
+                    ctx.put(&summaries_ds, summaries, bytes);
                     Ok(())
                 },
             )
             .input(&assign_ds)
-            .output(&attrs_ds),
-        );
-        graph.add(
-            JobNode::new(
-                "interval-tightening",
-                JobKind::MapReduce,
-                |ctx: &NodeCtx| {
-                    let assignment = ctx.fetch(&assign_ds)?;
-                    let attrs = ctx.fetch(&attrs_ds)?;
-                    let intervals = tighten_job(
-                        ctx.engine,
-                        "p3c-interval-tightening",
-                        &labelled(&assignment, rows),
-                        &attrs,
-                    )?;
-                    ctx.put(&intervals_ds, intervals, 32 * k);
-                    Ok(())
-                },
-            )
-            .input(&assign_ds)
-            .input(&attrs_ds)
-            .output(&intervals_ds),
+            .output(&summaries_ds),
         );
         graph.run(self.engine, &store, scheduler)?;
 
         stats.em_iterations = store.get(&fit_ds)?.iterations;
         let assignment = store.get(&assign_ds)?;
-        let attrs_per_cluster = store.get(&attrs_ds)?;
-        let intervals = store.get(&intervals_ds)?;
+        let summaries = store.get(&summaries_ds)?;
         let (members, outliers) = split_assignment(&assignment, k);
         stats.outliers = outliers.len();
-        let clusters = members
-            .into_iter()
-            .zip(attrs_per_cluster.iter().zip(intervals.iter()))
-            .map(|(points, (attrs, intervals))| {
-                ProjectedCluster::new(points, attrs.iter().copied().collect(), intervals.clone())
-            })
-            .collect();
+        let clusters = finalize_clusters(cores, members, &summaries, params);
         Ok(P3cResult {
             clustering: Clustering::new(clusters, outliers),
             cores: cores.to_vec(),
@@ -216,11 +179,10 @@ impl<'e> P3cPlusMrLight<'e> {
     }
 
     /// Clusters on the chosen executor: the shared `p3c-core` graph, then
-    /// `p3c-light-model`, where attribute inspection (over the uniquely
-    /// assigned points, Section 6's histogram) and core-interval
-    /// tightening (over the full support sets) both hang off the
-    /// membership job and run one after the other, in declaration order.
-    /// The result is byte-identical under both executors.
+    /// `p3c-light-model`: the membership job, and the attribute-inspection
+    /// job over its output, which inspects the uniquely assigned points
+    /// (Section 6's histogram) and bounds every member. The result is
+    /// byte-identical under both executors.
     pub fn cluster_with(
         &self,
         data: &Dataset,
@@ -235,110 +197,44 @@ impl<'e> P3cPlusMrLight<'e> {
             return Ok(empty_result(data.len(), stats));
         }
         let cores = cores.as_slice();
-        let k = cores.len();
-        let core_attrs: Vec<Vec<usize>> = cores
-            .iter()
-            .map(|c| c.signature.attributes().into_iter().collect())
-            .collect();
-
+        let (k, d) = (cores.len(), data.dim());
         let memberships_ds: DatasetHandle<Vec<Vec<u32>>> = DatasetHandle::new("memberships");
-        let unique_ds: DatasetHandle<UniqueLabels> = DatasetHandle::new("unique-labels");
-        let ai_attrs_ds: DatasetHandle<Vec<Vec<usize>>> = DatasetHandle::new("ai-attrs");
-        let core_intervals_ds: DatasetHandle<Vec<Vec<AttrInterval>>> =
-            DatasetHandle::new("core-intervals");
-        let ai_intervals_ds: DatasetHandle<Vec<Vec<AttrInterval>>> =
-            DatasetHandle::new("ai-intervals");
+        let summaries_ds: DatasetHandle<Vec<ClusterSummary>> = DatasetHandle::new("summaries");
 
         let mut graph = JobGraph::new("p3c-light-model");
         graph.add(
             JobNode::new("membership", JobKind::MapOnly, |ctx: &NodeCtx| {
                 let memberships = membership_job(ctx.engine, cores, rows)?;
-                ctx.put(&unique_ds, unique_labels(&memberships, k), 8 * rows.len());
                 let bytes = memberships.iter().map(|m| 8 + 4 * m.len()).sum();
                 ctx.put(&memberships_ds, memberships, bytes);
                 Ok(())
             })
-            .output(&memberships_ds)
-            .output(&unique_ds),
+            .output(&memberships_ds),
         );
         graph.add(
             JobNode::new(
                 "attribute-inspection",
                 JobKind::MapReduce,
                 |ctx: &NodeCtx| {
-                    let unique = ctx.fetch(&unique_ds)?;
-                    let hists = ai_histogram_job(
-                        ctx.engine,
-                        &labelled(&unique.labels, rows),
-                        &ai_bins(&unique.counts, params),
-                    )?;
-                    let ai_attrs: Vec<Vec<usize>> = cores
+                    let memberships = ctx.fetch(&memberships_ds)?;
+                    let items: Vec<InspectionItem<'_>> = memberships
                         .iter()
-                        .enumerate()
-                        .map(|(c, core)| {
-                            let known = core.signature.attributes();
-                            inspect_from_histograms(&hists[c], unique.counts[c], &known, params)
-                                .iter()
-                                .map(|iv| iv.attr)
-                                .collect()
-                        })
+                        .zip(rows)
+                        .map(|(containing, &row)| (containing.as_slice(), row))
                         .collect();
-                    ctx.put(&ai_attrs_ds, ai_attrs, 16 * k);
+                    let summaries = inspection_job(ctx.engine, &items, k, d, params)?;
+                    let bytes = summaries.iter().map(Weighable::weight).sum();
+                    ctx.put(&summaries_ds, summaries, bytes);
                     Ok(())
                 },
             )
-            .input(&unique_ds)
-            .output(&ai_attrs_ds),
-        );
-        graph.add(
-            JobNode::new("tighten-core", JobKind::MapReduce, |ctx: &NodeCtx| {
-                let memberships = ctx.fetch(&memberships_ds)?;
-                // Multi-membership: a point counts for every core whose
-                // support set contains it.
-                let support_items: Vec<(i64, &[f64])> = memberships
-                    .iter()
-                    .zip(rows)
-                    .flat_map(|(containing, &row)| containing.iter().map(move |&c| (c as i64, row)))
-                    .collect();
-                let intervals = tighten_job(
-                    ctx.engine,
-                    "p3c-light-tighten-core",
-                    &support_items,
-                    &core_attrs,
-                )?;
-                ctx.put(&core_intervals_ds, intervals, 32 * k);
-                Ok(())
-            })
             .input(&memberships_ds)
-            .output(&core_intervals_ds),
-        );
-        graph.add(
-            JobNode::new("tighten-ai", JobKind::MapReduce, |ctx: &NodeCtx| {
-                let ai_attrs = ctx.fetch(&ai_attrs_ds)?;
-                let intervals = if ai_attrs.iter().any(|a| !a.is_empty()) {
-                    let unique = ctx.fetch(&unique_ds)?;
-                    tighten_job(
-                        ctx.engine,
-                        "p3c-light-tighten-ai",
-                        &labelled(&unique.labels, rows),
-                        &ai_attrs,
-                    )?
-                } else {
-                    vec![Vec::new(); k]
-                };
-                ctx.put(&ai_intervals_ds, intervals, 32 * k);
-                Ok(())
-            })
-            .input(&unique_ds)
-            .input(&ai_attrs_ds)
-            .output(&ai_intervals_ds),
+            .output(&summaries_ds),
         );
         graph.run(self.engine, &store, scheduler)?;
 
         let memberships = store.get(&memberships_ds)?;
-        let ai_attrs = store.get(&ai_attrs_ds)?;
-        let core_intervals = store.get(&core_intervals_ds)?;
-        let ai_intervals = store.get(&ai_intervals_ds)?;
+        let summaries = store.get(&summaries_ds)?;
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
         let mut outliers = Vec::new();
         for (i, containing) in memberships.iter().enumerate() {
@@ -350,17 +246,7 @@ impl<'e> P3cPlusMrLight<'e> {
             }
         }
         stats.outliers = outliers.len();
-        let clusters = members
-            .into_iter()
-            .enumerate()
-            .map(|(c, points)| {
-                let mut attrs: BTreeSet<usize> = core_attrs[c].iter().copied().collect();
-                attrs.extend(ai_attrs[c].iter().copied());
-                let mut intervals = core_intervals[c].clone();
-                intervals.extend(ai_intervals[c].iter().copied());
-                ProjectedCluster::new(points, attrs, intervals)
-            })
-            .collect();
+        let clusters = finalize_clusters(cores, members, &summaries, params);
         Ok(P3cResult {
             clustering: Clustering::new(clusters, outliers),
             cores: cores.to_vec(),
@@ -485,41 +371,6 @@ fn membership_job(
         },
     )?;
     Ok(result.output)
-}
-
-/// The Light variant's unique-membership view of the memberships.
-struct UniqueLabels {
-    /// Per point: its core when it belongs to exactly one, else -1.
-    labels: Vec<i64>,
-    /// Per core: how many points carry its label.
-    counts: Vec<usize>,
-}
-
-fn unique_labels(memberships: &[Vec<u32>], k: usize) -> UniqueLabels {
-    let mut counts = vec![0usize; k];
-    let labels = memberships
-        .iter()
-        .map(|containing| match containing.as_slice() {
-            [only] => {
-                counts[*only as usize] += 1;
-                *only as i64
-            }
-            _ => -1,
-        })
-        .collect();
-    UniqueLabels { labels, counts }
-}
-
-/// The `(label, row)` records the inspection and tightening jobs read.
-fn labelled<'r>(labels: &[i64], rows: &[&'r [f64]]) -> Vec<(i64, &'r [f64])> {
-    labels.iter().copied().zip(rows.iter().copied()).collect()
-}
-
-/// Bin count of each cluster's attribute-inspection histograms, from the
-/// number of points inspected for it.
-fn ai_bins(counts: &[usize], params: &P3cParams) -> Vec<usize> {
-    let rule = params.bin_rule.to_rule();
-    counts.iter().map(|&m| rule.num_bins(m).max(1)).collect()
 }
 
 fn arel_of(cores: &[ClusterCore]) -> Vec<usize> {
@@ -750,11 +601,11 @@ mod tests {
         };
         assert_eq!(names(&full_ledger), ["p3c-core", "p3c-model"]);
         assert_eq!(full_ledger.dag_runs()[0].total_executions, 2);
-        assert_eq!(full_ledger.dag_runs()[1].total_executions, 4);
-        // Light: membership, inspection, both tightenings — once each.
+        assert_eq!(full_ledger.dag_runs()[1].total_executions, 3);
+        // Light: membership and inspection, once each.
         assert_eq!(names(&light_ledger), ["p3c-core", "p3c-light-model"]);
         let model_run = &light_ledger.dag_runs()[1];
-        assert_eq!(model_run.total_executions, 4);
+        assert_eq!(model_run.total_executions, 2);
         assert!(model_run.node("membership").is_some());
     }
 

@@ -12,7 +12,7 @@ use crate::cores::{
 };
 use crate::em::{em_fit_threads, initialize_from_cores};
 use crate::histogram::build_histograms_columnar_threads;
-use crate::inspect::{inspect_attributes, tighten_intervals};
+use crate::inspect::ClusterSummary;
 use crate::outlier::{
     assign_clusters, detect_outliers_mcd, detect_outliers_mvb, detect_outliers_naive,
 };
@@ -113,8 +113,15 @@ impl P3cPlus {
         };
         stats.outliers = assignment.iter().filter(|&&a| a == -1).count();
 
-        // Attribute inspection + interval tightening per cluster.
-        let clustering = finalize_partitioned(&rows, &assignment, &cores, &self.params);
+        // Attribute inspection + interval tightening per cluster, every
+        // member inspected.
+        let (members, outliers) = split_assignment(&assignment, cores.len());
+        let summaries: Vec<ClusterSummary> = members
+            .iter()
+            .map(|points| ClusterSummary::fold(&rows, points, points, &self.params))
+            .collect();
+        let clusters = finalize_clusters(&cores, members, &summaries, &self.params);
+        let clustering = Clustering::new(clusters, outliers);
         P3cResult {
             clustering,
             cores,
@@ -153,7 +160,8 @@ impl P3cPlusLight {
 
         let membership = light_membership(&rows, &cores);
         stats.outliers = membership.outliers.len();
-        let clustering = light_finalize(&rows, &cores, &membership, &self.params);
+        let summaries = light_summaries(&rows, &membership, &self.params);
+        let clustering = light_clustering(&cores, &membership, &summaries, &self.params);
         P3cResult {
             clustering,
             cores,
@@ -191,13 +199,14 @@ pub(crate) fn light_membership(rows: &[&[f64]], cores: &[ClusterCore]) -> LightM
 
 /// Classifies one row into the membership mapping — the per-point step
 /// of [`light_membership`], also used by the incremental engine to fold
-/// an appended delta block into maintained memberships.
+/// an appended delta block into maintained memberships. Returns the
+/// cores whose support set contains the row.
 pub(crate) fn light_classify(
     row: &[f64],
     id: usize,
     cores: &[ClusterCore],
     m: &mut LightMembership,
-) {
+) -> Vec<usize> {
     let mut containing: Vec<usize> = Vec::new();
     for (c, core) in cores.iter().enumerate() {
         if core.signature.contains(row) {
@@ -215,37 +224,53 @@ pub(crate) fn light_classify(
             }
         }
     }
+    containing
 }
 
-/// The Light pipeline's finalization: per core, attribute inspection
-/// over the unique members (the Light histogram of Section 6) and
-/// interval tightening — core attributes over the full support set, AI
-/// attributes over the unique members (shared points would blur exactly
-/// the way Section 6 warns about).
-pub(crate) fn light_finalize(
+/// The Light pipeline's per-core summaries: every member bounded, the
+/// unique members inspected (Section 6's histogram). Shared with the
+/// incremental service's full path.
+pub(crate) fn light_summaries(
     rows: &[&[f64]],
-    cores: &[ClusterCore],
     m: &LightMembership,
     params: &P3cParams,
+) -> Vec<ClusterSummary> {
+    m.members
+        .iter()
+        .zip(&m.unique_members)
+        .map(|(members, unique)| ClusterSummary::fold(rows, members, unique, params))
+        .collect()
+}
+
+/// The Light pipeline's clustering from its membership mapping and
+/// per-core summaries — serial Light's and both service paths'.
+pub(crate) fn light_clustering(
+    cores: &[ClusterCore],
+    m: &LightMembership,
+    summaries: &[ClusterSummary],
+    params: &P3cParams,
 ) -> Clustering {
-    let mut clusters = Vec::with_capacity(cores.len());
-    for (c, core) in cores.iter().enumerate() {
-        let member_rows: Vec<&[f64]> = m.members[c].iter().map(|&i| rows[i]).collect();
-        let unique_rows: Vec<&[f64]> = m.unique_members[c].iter().map(|&i| rows[i]).collect();
-        let core_attrs = core.signature.attributes();
-        let extra = inspect_attributes(&unique_rows, &core_attrs, params);
-        let mut attrs = core_attrs.clone();
-        attrs.extend(extra.iter().map(|iv| iv.attr));
-        let mut intervals = tighten_intervals(&member_rows, &core_attrs);
-        let ai_attrs: BTreeSet<usize> = extra.iter().map(|iv| iv.attr).collect();
-        intervals.extend(tighten_intervals(&unique_rows, &ai_attrs));
-        clusters.push(ProjectedCluster::new(
-            m.members[c].clone(),
-            attrs,
-            intervals,
-        ));
-    }
+    let clusters = finalize_clusters(cores, m.members.clone(), summaries, params);
     Clustering::new(clusters, m.outliers.clone())
+}
+
+/// Cluster `c` from core `c`, its member ids and its summary: attribute
+/// inspection, then interval tightening. Every pipeline, serial, MR and
+/// incremental, finalizes through here.
+pub(crate) fn finalize_clusters(
+    cores: &[ClusterCore],
+    members: Vec<Vec<usize>>,
+    summaries: &[ClusterSummary],
+    params: &P3cParams,
+) -> Vec<ProjectedCluster> {
+    cores
+        .iter()
+        .zip(members)
+        .zip(summaries)
+        .map(|((core, points), summary)| {
+            summary.finalize(points, core.signature.attributes(), params)
+        })
+        .collect()
 }
 
 /// Histogram → relevant intervals → cluster cores → redundancy filter:
@@ -307,31 +332,6 @@ pub(crate) fn core_phase_from_histograms(
     attach_expected_supports(&mut cores, n);
     stats.cores = cores.len();
     Ok((cores, stats))
-}
-
-/// Builds the final clustering from a hard partition (EM + OD output):
-/// attribute inspection on each cluster's members, then tightening.
-fn finalize_partitioned(
-    rows: &[&[f64]],
-    assignment: &[i64],
-    cores: &[ClusterCore],
-    params: &P3cParams,
-) -> Clustering {
-    let (members, outliers) = split_assignment(assignment, cores.len());
-    let clusters = cores
-        .iter()
-        .zip(members)
-        .map(|(core, points)| {
-            let member_rows: Vec<&[f64]> = points.iter().map(|&i| rows[i]).collect();
-            let core_attrs = core.signature.attributes();
-            let extra = inspect_attributes(&member_rows, &core_attrs, params);
-            let mut attrs = core_attrs;
-            attrs.extend(extra.iter().map(|iv| iv.attr));
-            let intervals = tighten_intervals(&member_rows, &attrs);
-            ProjectedCluster::new(points, attrs, intervals)
-        })
-        .collect();
-    Clustering::new(clusters, outliers)
 }
 
 /// Per-attribute bin counts under the configured rule. The uniform rules

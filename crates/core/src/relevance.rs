@@ -81,13 +81,7 @@ mod tests {
     use super::*;
 
     fn hist(counts: &[f64]) -> Histogram {
-        let mut h = Histogram::new(counts.len());
-        for (i, &c) in counts.iter().enumerate() {
-            // add c observations into bin i via its midpoint
-            let mid = (i as f64 + 0.5) / counts.len() as f64;
-            h.add_weighted(mid, c);
-        }
-        h
+        Histogram::from_counts(counts.to_vec())
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! decoders are documented as such.
 
 use p3c_suite::core::incremental::IncrementalLight;
+use p3c_suite::core::inspect::ClusterSummary;
 use p3c_suite::core::mr::{AccMsg, SigMsg};
 use p3c_suite::dataset::bytes::{fnv1a64, wordsum64, MAX_PAYLOAD_LEN};
 use p3c_suite::dataset::journal::{self, JournalWriter};
@@ -336,6 +337,10 @@ fn shuffle_shapes() {
         &(7u8, String::from("héllo"), Some(vec![1u32, 2, 3])),
         0x6a0a,
     );
+    let mut summary = ClusterSummary::new(2, 3);
+    summary.add([&[0.25, 0.5][..]], true);
+    summary.add([&[0.75, 0.125][..]], false);
+    wire_subject("ClusterSummary", &summary, 0x6a0b);
 }
 
 #[test]

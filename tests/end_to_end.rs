@@ -2,12 +2,13 @@
 //! generation through clustering to quality measurement.
 
 use p3c_suite::core::config::{OutlierMethod, P3cParams};
+use p3c_suite::core::incremental::{IncrementalLight, ReclusterPath};
 use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_suite::core::p3c::P3c;
 use p3c_suite::core::p3cplus::{P3cPlus, P3cPlusLight};
 use p3c_suite::datagen::{generate, SyntheticSpec};
 use p3c_suite::eval::{ce, e4sc, f1_object, rnia};
-use p3c_suite::mapreduce::{Engine, MrConfig};
+use p3c_suite::mapreduce::{DatasetStore, Engine, MrConfig};
 
 fn spec(n: usize, k: usize, noise: f64, seed: u64) -> SyntheticSpec {
     SyntheticSpec {
@@ -114,6 +115,53 @@ fn mr_light_equals_serial_light_where_collection_used_to_truncate() {
     // here: level 5 passed the cap of 100 000, was cut, and MR-Light
     // returned 10 clusters for serial Light's 5.
     assert_mr_light_equals_serial_light(&paper_spec(20_000, 5, 0.1, 7));
+}
+
+#[test]
+fn light_pipelines_agree_where_inspection_adds_attributes() {
+    // On this draw attribute inspection gives several Light clusters an
+    // attribute outside their core's signature, so the output reads the
+    // unique members' bounds, not only the support sets'.
+    let data = generate(&SyntheticSpec {
+        n: 2500,
+        d: 16,
+        num_clusters: 6,
+        seed: 20,
+        ..SyntheticSpec::default()
+    });
+    let params = P3cParams::default();
+    let serial = P3cPlusLight::new(params.clone()).cluster(&data.dataset);
+    let widened = serial
+        .clustering
+        .clusters
+        .iter()
+        .zip(&serial.cores)
+        .filter(|(cluster, core)| cluster.attributes != core.signature.attributes())
+        .count();
+    assert!(widened > 0, "no cluster gained an attribute by inspection");
+
+    let mr = P3cPlusMrLight::new(&engine(), params.clone())
+        .cluster(&data.dataset)
+        .unwrap();
+    assert_eq!(mr.clustering, serial.clustering, "MR-Light");
+
+    // The service, once through the full path over every row, and once
+    // through the fast path: 2200 rows, then the last 300, both inside
+    // the default rule's 14-bin plateau (2198..=2744 rows).
+    let store = DatasetStore::new();
+    let rows = |range: std::ops::Range<usize>| data.dataset.subset(&range.collect::<Vec<_>>());
+    let mut whole = IncrementalLight::new("whole", params.clone());
+    whole.append(&store, rows(0..2500)).unwrap();
+    let full = whole.recluster(&store).unwrap();
+    assert_eq!(full.path, ReclusterPath::Full);
+    assert_eq!(full.result.clustering, serial.clustering, "full recluster");
+    let mut stream = IncrementalLight::new("stream", params);
+    stream.append(&store, rows(0..2200)).unwrap();
+    stream.recluster(&store).unwrap();
+    stream.append(&store, rows(2200..2500)).unwrap();
+    let fast = stream.recluster(&store).unwrap();
+    assert_eq!(fast.path, ReclusterPath::Fast);
+    assert_eq!(fast.result.clustering, serial.clustering, "fast recluster");
 }
 
 #[test]

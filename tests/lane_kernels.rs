@@ -674,61 +674,16 @@ fn oracle_mcd_job_estimates(
 #[test]
 fn outlier_scans_equal_the_per_point_loop_serial_and_mr() {
     let eval = Arc::new(test_model().evaluator());
-    let k = eval.num_components();
     // 302 and 307 rows: different residues in every per-cluster block.
     for n in [300usize, 305] {
         let data = outlier_rows(n);
         let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-
-        let hard = oracle_assign(&eval, &rows);
-        assert_eq!(assign_clusters(&eval, &rows), hard);
-        let naive = oracle_flag(&eval, &rows, &hard, &vec![None; k], false);
-        let mvb_estimates = robust_cluster_estimates(&eval, &rows, &hard, k);
-        let mvb = oracle_flag(&eval, &rows, &hard, &mvb_estimates, true);
-        let mut members: Vec<Vec<Vec<f64>>> = vec![Vec::new(); k];
-        for (row, &c) in rows.iter().zip(&hard) {
-            members[c].push(eval.project(row));
-        }
-        let mcd_estimates: Estimates = members.iter().map(|m| oracle_mcd_estimate(m)).collect();
-        let mcd = oracle_flag(&eval, &rows, &hard, &mcd_estimates, true);
-        let mcd_job_estimates = oracle_mcd_job_estimates(&eval, &rows, &hard, 2);
-        let mcd_job = oracle_flag(&eval, &rows, &hard, &mcd_job_estimates, true);
-        for verdicts in [&naive, &mvb, &mcd, &mcd_job] {
-            assert!(verdicts.contains(&-1) && verdicts.iter().any(|&v| v >= 0));
-        }
-
-        assert_eq!(detect_outliers_naive(&eval, &rows, &hard, 0.001, 2), naive);
-        assert_eq!(detect_outliers_mvb(&eval, &rows, &hard, 0.001, 2), mvb);
-        assert_eq!(detect_outliers_mcd(&eval, &rows, &hard, 0.001, 2), mcd);
-
-        for threads in THREADS {
-            // 47-record splits: ragged lane-group tails in every mapper.
-            let engine = Engine::new(MrConfig {
-                split_size: 47,
-                threads,
-                ..MrConfig::default()
-            });
-            let got = od_job_naive(&engine, Arc::clone(&eval), &rows, 0.001, 2).unwrap();
-            assert_eq!(got, naive, "naive OD job, n={n}, threads={threads}");
-            // The robust jobs median split-local statistics; on a single
-            // split those are the exact statistics of the oracle.
-            let single = Engine::new(MrConfig {
-                split_size: 100_000,
-                threads,
-                ..MrConfig::default()
-            });
-            let got = od_job_mvb(&single, Arc::clone(&eval), &rows, 0.001, 2).unwrap();
-            assert_eq!(got, mvb, "MVB OD job, n={n}, threads={threads}");
-            let got = od_job_mcd(&single, Arc::clone(&eval), &rows, 0.001, 2, 2).unwrap();
-            assert_eq!(got, mcd_job, "MCD OD job, n={n}, threads={threads}");
-        }
+        assert_outlier_scans(&eval, &rows, &format!("n={n}"));
     }
 }
 
 /// Every serial and MR outlier scan over `rows` against the per-point
-/// oracles — the checks of
-/// `outlier_scans_equal_the_per_point_loop_serial_and_mr`, for any
-/// evaluator.
+/// oracles, for any evaluator.
 fn assert_outlier_scans(eval: &Arc<DensityEvaluator>, rows: &[&[f64]], what: &str) {
     let (k, arel_len) = (eval.num_components(), eval.arel_len());
     let hard = oracle_assign(eval, rows);

@@ -87,12 +87,7 @@ fn job_ledger_reflects_pipeline_structure() {
     assert!(names
         .iter()
         .any(|n| n.starts_with("p3c-mvb") || n.starts_with("p3c-od")));
-    assert!(names
-        .iter()
-        .any(|n| n.starts_with("p3c-attribute-inspection")));
-    assert!(names
-        .iter()
-        .any(|n| n.starts_with("p3c-interval-tightening")));
+    assert_one_inspection_pass(&metrics, d.dataset.len());
     // Every job consumed data or was an explicit bookkeeping marker.
     for job in metrics.jobs() {
         assert!(
@@ -106,6 +101,35 @@ fn job_ledger_reflects_pipeline_structure() {
     // Data-proportional jobs read the whole dataset.
     let hist = &metrics.jobs()[0];
     assert_eq!(hist.map_input_records, 2500);
+
+    let light_engine = Engine::new(MrConfig {
+        num_reducers: 4,
+        split_size: 512,
+        ..MrConfig::default()
+    });
+    P3cPlusMrLight::new(&light_engine, P3cParams::default())
+        .cluster(&d.dataset)
+        .unwrap();
+    assert_one_inspection_pass(&light_engine.cluster_metrics(), d.dataset.len());
+}
+
+/// Sections 5.6 and 5.7 in one pass: a single attribute-inspection job
+/// reads every row, and no tightening job runs after it.
+fn assert_one_inspection_pass(metrics: &p3c_suite::mapreduce::ClusterMetrics, n: usize) {
+    let inspection: Vec<u64> = metrics
+        .jobs()
+        .iter()
+        .filter(|j| j.job_name == "p3c-attribute-inspection")
+        .map(|j| j.map_input_records)
+        .collect();
+    assert_eq!(inspection, [n as u64], "one inspection job over every row");
+    let tightening: Vec<&str> = metrics
+        .jobs()
+        .iter()
+        .map(|j| j.job_name.as_str())
+        .filter(|name| name.contains("tighten"))
+        .collect();
+    assert!(tightening.is_empty(), "tightening jobs ran: {tightening:?}");
 }
 
 #[test]

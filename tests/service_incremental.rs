@@ -4,7 +4,8 @@
 //!   `recluster` returns exactly the model a from-scratch
 //!   `P3cPlusLight` fit produces on the cumulative data: equal
 //!   `Clustering` (bit-for-bit interval bounds), equal cores, equal
-//!   pipeline stats. Randomized schedules are driven by proptest.
+//!   pipeline stats. Randomized schedules are drawn from the seeded
+//!   generator, 16 of them per run.
 //! * **Sublinear lineage** — an append-only stream with a stable core
 //!   set takes the fast finalization path and answers core-generation
 //!   levels from the support cache instead of scanning.
@@ -15,10 +16,10 @@
 use p3c_suite::core::config::P3cParams;
 use p3c_suite::core::incremental::{IncrementalLight, ReclusterPath};
 use p3c_suite::core::p3cplus::{P3cPlusLight, P3cResult};
+use p3c_suite::datagen::rng::Rng;
 use p3c_suite::datagen::{generate, SyntheticSpec};
 use p3c_suite::dataset::RowBlock;
 use p3c_suite::mapreduce::{ClusterService, DatasetStore};
-use proptest::prelude::*;
 use std::sync::Arc;
 
 fn spec(n: usize, d: usize, k: usize, seed: u64) -> SyntheticSpec {
@@ -72,8 +73,14 @@ enum Step {
     RetractOldest,
 }
 
-fn run_schedule(steps: &[Step], d: usize, seed: u64, store: &DatasetStore) {
-    let params = P3cParams::default();
+/// Runs one schedule, checking every recluster against batch; returns
+/// the lineage path each recluster took.
+fn run_schedule(
+    steps: &[Step],
+    params: &P3cParams,
+    seed: u64,
+    store: &DatasetStore,
+) -> Vec<ReclusterPath> {
     let total: usize = steps
         .iter()
         .map(|s| match s {
@@ -81,12 +88,13 @@ fn run_schedule(steps: &[Step], d: usize, seed: u64, store: &DatasetStore) {
             Step::RetractOldest => 0,
         })
         .sum();
-    let data = generate(&spec(total.max(1), d, 3, seed));
+    let data = generate(&spec(total.max(1), 8, 3, seed));
     let all = data.dataset;
     let mut eng = IncrementalLight::new(format!("sched-{seed}"), params.clone());
     let mut fed = 0usize;
     // (id, start, len) of live blocks, oldest first.
     let mut live: Vec<(u64, usize, usize)> = Vec::new();
+    let mut paths = Vec::with_capacity(steps.len());
     for (step_no, step) in steps.iter().enumerate() {
         match step {
             Step::Append(len) => {
@@ -112,33 +120,48 @@ fn run_schedule(steps: &[Step], d: usize, seed: u64, store: &DatasetStore) {
             let refs: Vec<&RowBlock> = blocks.iter().collect();
             cumulative = RowBlock::concat(&refs);
         }
-        let expected = batch(cumulative, &params);
+        let expected = batch(cumulative, params);
         assert_identical(
             &format!("seed {seed} step {step_no}"),
             &outcome.result,
             &expected,
         );
+        paths.push(outcome.path);
     }
+    paths
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Any interleaving of appends and retracts stays byte-identical to
-    /// a from-scratch batch run at every single recluster.
-    #[test]
-    fn random_schedules_match_batch(
-        seed in 0u64..1000,
-        raw_steps in proptest::collection::vec((0u8..4, 200usize..700), 3..7),
-    ) {
-        // Op 0 retracts the oldest live block (1-in-4 weight); the rest
-        // append a fresh chunk of the stream.
-        let steps: Vec<Step> = raw_steps
-            .iter()
-            .map(|&(op, len)| if op == 0 { Step::RetractOldest } else { Step::Append(len) })
+/// Any interleaving of appends and retracts stays byte-identical to a
+/// from-scratch batch run at every single recluster. Sixteen seeded
+/// schedules of 3–6 steps: op 0 of 0..=3 retracts the oldest live block
+/// (1-in-4 weight), the rest append a fresh chunk of 200–699 rows. The
+/// default bin rule steps with almost every append, so every other
+/// schedule runs Sturges, whose bin count holds between powers of two
+/// and lets appends take the fast path.
+#[test]
+fn random_schedules_match_batch() {
+    let mut paths = Vec::new();
+    for schedule in 0..16u64 {
+        let params = match schedule % 2 {
+            0 => P3cParams::default(),
+            _ => P3cParams {
+                bin_rule: p3c_suite::core::BinRuleChoice::Sturges,
+                ..P3cParams::default()
+            },
+        };
+        let mut rng = Rng::seed_from_u64(schedule);
+        let seed = rng.usize_in(0, 999) as u64;
+        let steps: Vec<Step> = (0..rng.usize_in(3, 6))
+            .map(|_| match (rng.usize_in(0, 3), rng.usize_in(200, 699)) {
+                (0, _) => Step::RetractOldest,
+                (_, len) => Step::Append(len),
+            })
             .collect();
         let store = DatasetStore::new();
-        run_schedule(&steps, 8, seed, &store);
+        paths.extend(run_schedule(&steps, &params, seed, &store));
+    }
+    for path in [ReclusterPath::Fast, ReclusterPath::Full] {
+        assert!(paths.contains(&path), "no {path:?} recluster in {paths:?}");
     }
 }
 
