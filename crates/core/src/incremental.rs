@@ -1126,7 +1126,6 @@ mod tests {
             inc.stats.core_gen.proven_per_level,
             bat.stats.core_gen.proven_per_level
         );
-        assert_eq!(inc.stats.redundancy_removed, bat.stats.redundancy_removed);
     }
 
     #[test]

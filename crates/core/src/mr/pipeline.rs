@@ -320,11 +320,8 @@ fn core_phase(
             // support table, so MR cores stay byte-identical to serial.
             let mut cores = gen.cores;
             if params.use_redundancy_filter {
-                let mut kept =
-                    crate::redundancy::filter_redundant_proven(&gen.proven, &gen.table, n);
-                crate::cores::attach_expected_supports(&mut kept, n);
-                stats.redundancy_removed = cores.len().saturating_sub(kept.len());
-                cores = kept;
+                cores = crate::redundancy::filter_redundant_proven(&gen.proven, &gen.table, n);
+                crate::cores::attach_expected_supports(&mut cores, n);
             }
             stats.core_gen = gen.stats;
             stats.cores = cores.len();

@@ -30,8 +30,6 @@ pub struct PipelineStats {
     pub relevant_intervals: usize,
     /// Core generation counters.
     pub core_gen: CoreGenStats,
-    /// Cores removed by the redundancy filter.
-    pub redundancy_removed: usize,
     /// Cluster cores after all filtering.
     pub cores: usize,
     /// EM iterations executed (0 for Light).
@@ -323,9 +321,7 @@ pub(crate) fn core_phase_from_histograms(
     // eclipsed resurface (DESIGN.md §11). With it off, the raw maximal
     // set is reported, as Figure 5's unfiltered columns require.
     let mut cores = if params.use_redundancy_filter {
-        let kept = filter_redundant_proven(&gen.proven, &gen.table, n);
-        stats.redundancy_removed = gen.cores.len().saturating_sub(kept.len());
-        kept
+        filter_redundant_proven(&gen.proven, &gen.table, n)
     } else {
         gen.cores
     };

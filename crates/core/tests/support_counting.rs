@@ -3,39 +3,22 @@
 //! [`count_supports`], the MR proving job, the batch [`ScanCounter`] and
 //! the incremental [`SupportCache`].
 //!
-//! The offline `proptest` stub compiles but never executes property
-//! bodies, so the cases come from a seeded splitmix64 generator:
-//! deterministic, shrink-free, and run in every CI tier.
+//! The cases come from the seeded splitmix64 generator `p3c_check::Gen`:
+//! fixed seeds, so every run checks the same candidates and rows.
 
+use p3c_check::Gen;
 use p3c_core::cores::{LevelCounter, ScanCounter};
 use p3c_core::mr::coregen::proving_job;
 use p3c_core::support::{count_supports, count_supports_naive, SupportCache, BLOCK_ROWS};
 use p3c_core::types::{Interval, Signature};
 use p3c_mapreduce::{Engine, MrConfig};
 
-/// Deterministic case generator (splitmix64).
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-
-    /// A value in `[0, 1]`, landing exactly on 0, 1 or a bin edge every
-    /// few draws (where `bin_index` rounds).
-    fn value(&mut self) -> f64 {
-        match self.below(8) {
-            0 => self.below(21) as f64 / 20.0,
-            _ => (self.next() >> 11) as f64 / (1u64 << 53) as f64,
-        }
+/// A value in `[0, 1]`, landing exactly on 0, 1 or a bin edge every
+/// few draws (where `bin_index` rounds).
+fn value(g: &mut Gen) -> f64 {
+    match g.below(8) {
+        0 => g.below(21) as f64 / 20.0,
+        _ => g.unit(),
     }
 }
 
@@ -44,7 +27,7 @@ const BINS: [usize; 6] = [4, 10, 16, 7, 10, 3];
 
 fn random_rows(g: &mut Gen, n: usize) -> Vec<Vec<f64>> {
     (0..n)
-        .map(|_| BINS.iter().map(|_| g.value()).collect())
+        .map(|_| BINS.iter().map(|_| value(g)).collect())
         .collect()
 }
 
@@ -114,7 +97,7 @@ const ROW_COUNTS: [usize; 8] = [0, 1, 63, 64, 65, BLOCK_ROWS - 1, BLOCK_ROWS, BL
 
 #[test]
 fn block_counter_matches_naive_on_random_candidate_sets() {
-    let mut g = Gen(0x5eed_0001);
+    let mut g = Gen::new(0x5eed_0001);
     for &n in &ROW_COUNTS {
         let data = random_rows(&mut g, n);
         let rows = refs(&data);
@@ -133,7 +116,7 @@ fn block_counter_matches_naive_on_random_candidate_sets() {
 #[test]
 fn block_counter_handles_many_small_row_counts() {
     // Every row count up to three words, against one candidate list.
-    let mut g = Gen(0x5eed_0002);
+    let mut g = Gen::new(0x5eed_0002);
     let data = random_rows(&mut g, 192);
     let candidates = random_candidates(&mut g, 60);
     for n in 0..=data.len() {
@@ -148,7 +131,7 @@ fn block_counter_handles_many_small_row_counts() {
 
 #[test]
 fn proving_job_matches_naive_under_every_split_size() {
-    let mut g = Gen(0x5eed_0003);
+    let mut g = Gen::new(0x5eed_0003);
     let data = random_rows(&mut g, 300);
     let rows = refs(&data);
     let candidates = random_candidates(&mut g, 120);
@@ -172,7 +155,7 @@ fn proving_job_matches_naive_under_every_split_size() {
 
 #[test]
 fn scan_counter_reuse_equals_fresh_count_at_every_level() {
-    let mut g = Gen(0x5eed_0004);
+    let mut g = Gen::new(0x5eed_0004);
     let data = random_rows(&mut g, BLOCK_ROWS + 700);
     let rows = refs(&data);
     // An Apriori-shaped lattice: level 1 holds every interval, level p
@@ -224,7 +207,7 @@ fn scan_counter_reuse_equals_fresh_count_at_every_level() {
 
 #[test]
 fn support_cache_append_then_retract_round_trips() {
-    let mut g = Gen(0x5eed_0005);
+    let mut g = Gen::new(0x5eed_0005);
     let base = random_rows(&mut g, 500);
     let sigs: Vec<Signature> = {
         let mut s = random_candidates(&mut g, 80);

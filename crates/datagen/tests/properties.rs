@@ -1,80 +1,83 @@
 //! Property tests for the synthetic workload generator.
 
+use p3c_check::{cases, Gen};
 use p3c_datagen::{generate, SyntheticSpec};
-use proptest::prelude::*;
 
-fn arb_spec() -> impl Strategy<Value = SyntheticSpec> {
-    (
-        1usize..5,
-        200usize..800,
-        0.0f64..0.3,
-        4usize..12,
-        0u64..1000,
-    )
-        .prop_map(|(k, n, noise, d, seed)| SyntheticSpec {
-            n,
-            d,
-            num_clusters: k,
-            noise_fraction: noise,
-            min_cluster_dims: 1.min(d),
-            max_cluster_dims: 4.min(d),
-            seed,
-            ..SyntheticSpec::default()
-        })
+fn arb_spec(g: &mut Gen) -> SyntheticSpec {
+    let k = g.range(1usize..5);
+    let n = g.range(200usize..800);
+    let noise = g.range(0.0..0.3);
+    let d = g.range(4usize..12);
+    let seed = g.range(0u64..1000);
+    SyntheticSpec {
+        n,
+        d,
+        num_clusters: k,
+        noise_fraction: noise,
+        min_cluster_dims: 1.min(d),
+        max_cluster_dims: 4.min(d),
+        seed,
+        ..SyntheticSpec::default()
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn generated_data_is_consistent(spec in arb_spec()) {
+#[test]
+fn generated_data_is_consistent() {
+    cases(32, |g| {
+        let spec = arb_spec(g);
         let g = generate(&spec);
         // Shape.
-        prop_assert_eq!(g.dataset.len(), spec.n);
-        prop_assert_eq!(g.dataset.dim(), spec.d);
-        prop_assert_eq!(g.labels.len(), spec.n);
-        prop_assert_eq!(g.ground_truth.num_clusters(), spec.num_clusters);
+        assert_eq!(g.dataset.len(), spec.n);
+        assert_eq!(g.dataset.dim(), spec.d);
+        assert_eq!(g.labels.len(), spec.n);
+        assert_eq!(g.ground_truth.num_clusters(), spec.num_clusters);
         // All values normalized.
-        prop_assert!(g.dataset.is_normalized());
+        assert!(g.dataset.is_normalized());
         // Labels partition the points consistently with the ground truth.
         let mut seen = vec![false; spec.n];
         for (ci, cluster) in g.ground_truth.clusters.iter().enumerate() {
             for &p in &cluster.points {
-                prop_assert_eq!(g.labels[p], ci as i64);
-                prop_assert!(!seen[p]);
+                assert_eq!(g.labels[p], ci as i64);
+                assert!(!seen[p]);
                 seen[p] = true;
             }
         }
         for &o in &g.ground_truth.outliers {
-            prop_assert_eq!(g.labels[o], -1);
-            prop_assert!(!seen[o]);
+            assert_eq!(g.labels[o], -1);
+            assert!(!seen[o]);
             seen[o] = true;
         }
-        prop_assert!(seen.iter().all(|&s| s));
+        assert!(seen.iter().all(|&s| s));
         // Noise count matches the fraction.
         let expected_noise = (spec.n as f64 * spec.noise_fraction).round() as usize;
-        prop_assert_eq!(g.ground_truth.outliers.len(), expected_noise);
-    }
+        assert_eq!(g.ground_truth.outliers.len(), expected_noise);
+    });
+}
 
-    #[test]
-    fn members_lie_in_true_signatures(spec in arb_spec()) {
+#[test]
+fn members_lie_in_true_signatures() {
+    cases(32, |g| {
+        let spec = arb_spec(g);
         let g = generate(&spec);
         for cluster in &g.ground_truth.clusters {
-            prop_assert!(cluster.attributes.len() <= spec.max_cluster_dims);
+            assert!(cluster.attributes.len() <= spec.max_cluster_dims);
             for &p in &cluster.points {
-                prop_assert!(cluster.covers(g.dataset.row(p)));
+                assert!(cluster.covers(g.dataset.row(p)));
             }
             for iv in &cluster.intervals {
-                prop_assert!(iv.width() <= spec.max_width + 1e-9);
+                assert!(iv.width() <= spec.max_width + 1e-9);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn generation_is_deterministic(spec in arb_spec()) {
+#[test]
+fn generation_is_deterministic() {
+    cases(32, |g| {
+        let spec = arb_spec(g);
         let a = generate(&spec);
         let b = generate(&spec);
-        prop_assert_eq!(a.dataset, b.dataset);
-        prop_assert_eq!(a.labels, b.labels);
-    }
+        assert_eq!(a.dataset, b.dataset);
+        assert_eq!(a.labels, b.labels);
+    });
 }

@@ -240,7 +240,7 @@ pub fn assemble_block(header: &[u8], cols: Vec<Arc<Vec<f64>>>) -> RowBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use p3c_check::cases;
 
     fn roundtrip(values: &[f64]) {
         let encoded = encode_column(values);
@@ -361,13 +361,14 @@ mod tests {
         assert_eq!(encoded, expected, "on-disk segment format drifted");
     }
 
-    proptest! {
-        #[test]
-        fn prop_any_bit_patterns_roundtrip(bits in proptest::collection::vec(any::<u64>(), 0..200)) {
+    #[test]
+    fn prop_any_bit_patterns_roundtrip() {
+        cases(256, |g| {
+            let bits = g.vec(0..200, |g| g.next_u64());
             let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
             let decoded = decode_column(&encode_column(&values));
             let back: Vec<u64> = decoded.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(bits, back);
-        }
+            assert_eq!(bits, back);
+        });
     }
 }

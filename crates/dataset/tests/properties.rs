@@ -1,77 +1,99 @@
 //! Property tests for the dataset container and persistence formats.
 
+use p3c_check::{cases, Gen};
 use p3c_dataset::{persist, AttrInterval, Dataset};
-use proptest::prelude::*;
 
-fn arb_dataset() -> impl Strategy<Value = Dataset> {
-    (1usize..8, 0usize..40).prop_flat_map(|(d, n)| {
-        prop::collection::vec(prop::collection::vec(-100.0f64..100.0, d), n)
-            .prop_map(Dataset::from_rows)
-    })
+/// `0..40` rows of `1..8` attributes, values in `[-100, 100)`.
+fn arb_dataset(g: &mut Gen) -> Dataset {
+    let d = g.range(1usize..8);
+    let n = g.range(0usize..40);
+    let rows = (0..n)
+        .map(|_| (0..d).map(|_| g.range(-100.0..100.0)).collect())
+        .collect();
+    Dataset::from_rows(rows)
 }
 
-proptest! {
-    #[test]
-    fn normalization_maps_into_unit_cube(ds in arb_dataset()) {
+#[test]
+fn normalization_maps_into_unit_cube() {
+    cases(256, |g| {
+        let ds = arb_dataset(g);
         let (norm, _) = ds.normalize();
-        prop_assert!(norm.is_normalized());
-        prop_assert_eq!(norm.len(), ds.len());
-        prop_assert_eq!(norm.dim(), ds.dim());
-    }
+        assert!(norm.is_normalized());
+        assert_eq!(norm.len(), ds.len());
+        assert_eq!(norm.dim(), ds.dim());
+    });
+}
 
-    #[test]
-    fn normalization_roundtrips_values(ds in arb_dataset()) {
-        prop_assume!(!ds.is_empty());
+#[test]
+fn normalization_roundtrips_values() {
+    cases(256, |g| {
+        let ds = arb_dataset(g);
+        if ds.is_empty() {
+            return;
+        }
         let (norm, map) = ds.normalize();
         for i in 0..ds.len() {
             for j in 0..ds.dim() {
                 let back = map.denormalize(j, norm.get(i, j));
                 // Constant attributes collapse to their single value.
-                prop_assert!((back - ds.get(i, j)).abs() < 1e-9 * ds.get(i, j).abs().max(1.0));
+                assert!((back - ds.get(i, j)).abs() < 1e-9 * ds.get(i, j).abs().max(1.0));
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn text_roundtrip(ds in arb_dataset()) {
+#[test]
+fn text_roundtrip() {
+    cases(256, |g| {
+        let ds = arb_dataset(g);
         let text = persist::to_text(&ds);
         let back = persist::from_text(&text).unwrap();
-        prop_assert_eq!(back.len(), ds.len());
-        prop_assert_eq!(back.dim(), ds.dim());
+        assert_eq!(back.len(), ds.len());
+        assert_eq!(back.dim(), ds.dim());
         for (a, b) in back.as_slice().iter().zip(ds.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-12 * b.abs().max(1.0), "{a} vs {b}");
+            assert!((a - b).abs() < 1e-12 * b.abs().max(1.0), "{a} vs {b}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn binary_roundtrip_is_exact(ds in arb_dataset()) {
+#[test]
+fn binary_roundtrip_is_exact() {
+    cases(256, |g| {
+        let ds = arb_dataset(g);
         let bytes = ds.to_bytes();
         let back = Dataset::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back, ds);
-    }
+        assert_eq!(back, ds);
+    });
+}
 
-    #[test]
-    fn subset_preserves_rows(ds in arb_dataset(), ids in prop::collection::vec(0usize..40, 0..10)) {
-        prop_assume!(!ds.is_empty());
+#[test]
+fn subset_preserves_rows() {
+    cases(256, |g| {
+        let ds = arb_dataset(g);
+        let ids = g.vec(0..10, |g| g.range(0usize..40));
+        if ds.is_empty() {
+            return;
+        }
         let valid: Vec<usize> = ids.into_iter().filter(|&i| i < ds.len()).collect();
         let sub = ds.subset(&valid);
-        prop_assert_eq!(sub.len(), valid.len());
+        assert_eq!(sub.len(), valid.len());
         for (pos, &i) in valid.iter().enumerate() {
-            prop_assert_eq!(sub.row(pos), ds.row(i));
+            assert_eq!(sub.row(pos), ds.row(i));
         }
-    }
+    });
+}
 
-    #[test]
-    fn interval_union_contains_both(
-        attr in 0usize..5,
-        a in (0.0f64..0.5, 0.5f64..1.0),
-        b in (0.0f64..0.5, 0.5f64..1.0),
-    ) {
+#[test]
+fn interval_union_contains_both() {
+    cases(256, |g| {
+        let attr = g.range(0usize..5);
+        let a = (g.range(0.0..0.5), g.range(0.5..1.0));
+        let b = (g.range(0.0..0.5), g.range(0.5..1.0));
         let ia = AttrInterval::new(attr, a.0, a.1);
         let ib = AttrInterval::new(attr, b.0, b.1);
         let u = ia.union(&ib);
-        prop_assert!(u.lo <= ia.lo && u.hi >= ia.hi);
-        prop_assert!(u.lo <= ib.lo && u.hi >= ib.hi);
-        prop_assert!(u.width() >= ia.width().max(ib.width()));
-    }
+        assert!(u.lo <= ia.lo && u.hi >= ia.hi);
+        assert!(u.lo <= ib.lo && u.hi >= ib.hi);
+        assert!(u.width() >= ia.width().max(ib.width()));
+    });
 }

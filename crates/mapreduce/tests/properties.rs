@@ -2,8 +2,8 @@
 //! in-memory grouping, regardless of split size, thread count, reducer
 //! count, and fault injection.
 
+use p3c_check::cases;
 use p3c_mapreduce::{Emitter, Engine, FaultPlan, MrConfig};
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 fn reference_group(items: &[(u32, u32)]) -> BTreeMap<u32, u64> {
@@ -28,24 +28,35 @@ fn run_engine(items: &[(u32, u32)], cfg: MrConfig) -> BTreeMap<u32, u64> {
         .collect()
 }
 
-proptest! {
-    #[test]
-    fn shuffle_agrees_with_reference(
-        items in prop::collection::vec((0u32..50, 0u32..100), 0..300),
-        split_size in 1usize..64,
-        reducers in 1usize..9,
-        threads in 1usize..8,
-    ) {
-        let cfg = MrConfig { num_reducers: reducers, split_size, threads, ..MrConfig::default() };
-        prop_assert_eq!(run_engine(&items, cfg), reference_group(&items));
-    }
+#[test]
+fn shuffle_agrees_with_reference() {
+    cases(256, |g| {
+        let items = g.vec(0..300, |g| (g.range(0u32..50), g.range(0u32..100)));
+        let split_size = g.range(1usize..64);
+        let reducers = g.range(1usize..9);
+        let threads = g.range(1usize..8);
+        let cfg = MrConfig {
+            num_reducers: reducers,
+            split_size,
+            threads,
+            ..MrConfig::default()
+        };
+        assert_eq!(run_engine(&items, cfg), reference_group(&items));
+    });
+}
 
-    #[test]
-    fn fault_injection_does_not_change_results(
-        items in prop::collection::vec((0u32..20, 0u32..100), 1..200),
-        seed in 0u64..1000,
-    ) {
-        let clean = run_engine(&items, MrConfig { split_size: 7, ..MrConfig::default() });
+#[test]
+fn fault_injection_does_not_change_results() {
+    cases(256, |g| {
+        let items = g.vec(1..200, |g| (g.range(0u32..20), g.range(0u32..100)));
+        let seed = g.range(0u64..1000);
+        let clean = run_engine(
+            &items,
+            MrConfig {
+                split_size: 7,
+                ..MrConfig::default()
+            },
+        );
         let faulty_cfg = MrConfig {
             split_size: 7,
             fault: Some(FaultPlan::new(0.3, seed)),
@@ -53,37 +64,45 @@ proptest! {
             ..MrConfig::default()
         };
         let faulty = run_engine(&items, faulty_cfg);
-        prop_assert_eq!(clean, faulty);
-    }
+        assert_eq!(clean, faulty);
+    });
+}
 
-    #[test]
-    fn map_only_output_is_identity_ordered(
-        items in prop::collection::vec(0u64..10_000, 0..500),
-        split_size in 1usize..64,
-    ) {
-        let engine = Engine::new(MrConfig { split_size, ..MrConfig::default() });
+#[test]
+fn map_only_output_is_identity_ordered() {
+    cases(256, |g| {
+        let items = g.vec(0..500, |g| g.range(0u64..10_000));
+        let split_size = g.range(1usize..64);
+        let engine = Engine::new(MrConfig {
+            split_size,
+            ..MrConfig::default()
+        });
         let mapper = |r: &u64, out: &mut Emitter<(), u64>| out.emit((), *r);
         let out = engine.run_map_only("id", &items, &mapper).unwrap().output;
-        prop_assert_eq!(out, items);
-    }
+        assert_eq!(out, items);
+    });
+}
 
-    #[test]
-    fn metrics_conserve_records(
-        items in prop::collection::vec((0u32..10, 0u32..10), 0..200),
-        split_size in 1usize..32,
-    ) {
-        let engine = Engine::new(MrConfig { split_size, ..MrConfig::default() });
+#[test]
+fn metrics_conserve_records() {
+    cases(256, |g| {
+        let items = g.vec(0..200, |g| (g.range(0u32..10), g.range(0u32..10)));
+        let split_size = g.range(1usize..32);
+        let engine = Engine::new(MrConfig {
+            split_size,
+            ..MrConfig::default()
+        });
         let mapper = |r: &(u32, u32), out: &mut Emitter<u32, u64>| out.emit(r.0, r.1 as u64);
         let reducer = |k: &u32, vs: Vec<u64>, out: &mut Vec<(u32, u64)>| {
             out.push((*k, vs.into_iter().sum()));
         };
         let res = engine.run("conserve", &items, &mapper, &reducer).unwrap();
-        prop_assert_eq!(res.metrics.map_input_records, items.len() as u64);
-        prop_assert_eq!(res.metrics.map_output_records, items.len() as u64);
+        assert_eq!(res.metrics.map_input_records, items.len() as u64);
+        assert_eq!(res.metrics.map_output_records, items.len() as u64);
         // Without combiner, shuffle records == map output records.
-        prop_assert_eq!(res.metrics.shuffle_records, items.len() as u64);
+        assert_eq!(res.metrics.shuffle_records, items.len() as u64);
         let distinct = reference_group(&items).len() as u64;
-        prop_assert_eq!(res.metrics.reduce_input_groups, distinct);
-        prop_assert_eq!(res.metrics.output_records, distinct);
-    }
+        assert_eq!(res.metrics.reduce_input_groups, distinct);
+        assert_eq!(res.metrics.output_records, distinct);
+    });
 }

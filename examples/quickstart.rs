@@ -57,12 +57,10 @@ fn main() {
     let quality = e4sc(&result.clustering, &data.ground_truth);
     println!("\nE4SC against ground truth: {quality:.3}");
     println!(
-        "pipeline stats: {} bins, {} relevant intervals, {} cores \
-         ({} removed as redundant), {} EM iterations",
+        "pipeline stats: {} bins, {} relevant intervals, {} cores, {} EM iterations",
         result.stats.bins,
         result.stats.relevant_intervals,
         result.stats.cores,
-        result.stats.redundancy_removed,
         result.stats.em_iterations
     );
 }

@@ -4,6 +4,7 @@
 //! schedulers, and the column-scan binning kernel agrees exactly with
 //! the per-row path.
 
+use p3c_check::cases;
 use p3c_suite::core::config::P3cParams;
 use p3c_suite::core::histogram::build_histograms_columnar_threads;
 use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
@@ -11,7 +12,6 @@ use p3c_suite::datagen::{generate, SyntheticSpec};
 use p3c_suite::dataset::Dataset;
 use p3c_suite::mapreduce::{Engine, MrConfig, SchedulerChoice};
 use p3c_suite::stats::Histogram;
-use proptest::prelude::*;
 
 fn spec(n: usize, k: usize, seed: u64) -> SyntheticSpec {
     SyntheticSpec {
@@ -98,7 +98,8 @@ fn per_row_histograms(rows: &[&[f64]], bins: usize) -> Vec<Histogram> {
     hists
 }
 
-/// Seeded twin of the property below, immune to proptest configuration.
+/// The property below on a generated clustered dataset, at four bin
+/// counts.
 #[test]
 fn column_scan_binning_matches_per_row_seeded() {
     let data = generate(&spec(3000, 3, 23)).dataset;
@@ -120,25 +121,24 @@ fn column_scan_binning_matches_per_row_seeded() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Column-scan binning over the flat buffer equals per-row binning
-    /// exactly (counts are pure `+1.0` increments, so scan order cannot
-    /// change the result), for arbitrary shapes and bin counts.
-    #[test]
-    fn column_scan_binning_matches_per_row(
-        values in prop::collection::vec(0.0f64..1.0, 1..400),
-        d in 1usize..8,
-        bins in 1usize..24,
-    ) {
+/// Column-scan binning over the flat buffer equals per-row binning
+/// exactly (counts are pure `+1.0` increments, so scan order cannot
+/// change the result), for arbitrary shapes and bin counts.
+#[test]
+fn column_scan_binning_matches_per_row() {
+    cases(16, |g| {
+        let values = g.vec(1..400, |g| g.range(0.0..1.0));
+        let d = g.range(1usize..8);
+        let bins = g.range(1usize..24);
         let n = values.len() / d;
-        prop_assume!(n > 0);
+        if n == 0 {
+            return;
+        }
         let flat = &values[..n * d];
         let rows: Vec<&[f64]> = flat.chunks_exact(d).collect();
-        prop_assert_eq!(
+        assert_eq!(
             build_histograms_columnar_threads(n, d, flat, &vec![bins; d], 1).histograms,
             per_row_histograms(&rows, bins)
         );
-    }
+    });
 }

@@ -7,13 +7,13 @@
 //! asks the allocator for more than the input's length plus a fixed
 //! slack on the say-so of a prefix.
 //!
-//! The offline `proptest` stub compiles but never executes property
-//! bodies, so the cases come from one seeded splitmix64 generator:
-//! deterministic, shrink-free, and run in every CI tier.
+//! The cases come from the seeded splitmix64 generator `p3c_check::Gen`:
+//! fixed seeds, so every run checks the same bytes.
 //!
 //! `colseg` is out of scope: its store is in-memory and its panicking
 //! decoders are documented as such.
 
+use p3c_check::Gen;
 use p3c_suite::core::incremental::IncrementalLight;
 use p3c_suite::core::inspect::ClusterSummary;
 use p3c_suite::core::mr::{AccMsg, SigMsg};
@@ -91,34 +91,6 @@ fn bounded<R>(what: &str, input_len: usize, decode: impl FnOnce() -> R) -> R {
     out
 }
 
-// ------------------------------------------------------- case generator ---
-
-/// Deterministic case generator (splitmix64): reproducible across runs
-/// and platforms, which the workspace's rng audit rule also insists on.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn bytes(&mut self, len: usize) -> Vec<u8> {
-        (0..len).map(|_| self.next() as u8).collect()
-    }
-}
-
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("p3c-gauntlet-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -144,7 +116,7 @@ struct Subject<'a> {
 }
 
 fn run_gauntlet(s: &Subject<'_>, seed: u64) {
-    let mut g = Gen(seed);
+    let mut g = Gen::new(seed);
     let probe = |what: &str, bytes: &[u8]| {
         let what = format!("{}: {what}", s.name);
         bounded(&what, bytes.len(), || (s.decode)(bytes))
@@ -289,7 +261,7 @@ fn raw_block_and_tenant_records() {
 fn engine_state_blob() {
     // A published model with cores, a retracted block, a zero-row block
     // and a dirty tail: every branch of the blob.
-    let mut g = Gen(0x6a04);
+    let mut g = Gen::new(0x6a04);
     let store = DatasetStore::new();
     let mut engine = IncrementalLight::new("t", light_params());
     engine.append(&store, clustered_block(&mut g, 120)).unwrap();
@@ -425,7 +397,7 @@ fn recovery_names_the_tenant_directory_of_a_corrupt_snapshot() {
     let durable = |dir: &Path| -> ClusterService<IncrementalLight> {
         ClusterService::with_durability(Arc::new(DatasetStore::new()), None, dir, 2).unwrap()
     };
-    let mut g = Gen(0x6a0d);
+    let mut g = Gen::new(0x6a0d);
     {
         let svc = durable(&dir);
         svc.create("victim", IncrementalLight::new("victim", light_params()))
@@ -519,11 +491,11 @@ fn frame_parser() {
 
 #[test]
 fn frames_roundtrip_back_to_back() {
-    let mut g = Gen(0x6a0f);
+    let mut g = Gen::new(0x6a0f);
     for _ in 0..100 {
         let frames: Vec<(u8, Vec<u8>)> = (0..1 + g.below(7))
             .map(|_| {
-                let op = g.next() as u8;
+                let op = g.next_u64() as u8;
                 let len = g.below(2048);
                 (op, g.bytes(len))
             })
@@ -550,13 +522,13 @@ fn payload_corruption_is_caught_by_the_checksum() {
     // FETCH_OK frames), and the persisted formats pair every record with
     // its FNV-1a. Either way this is the end-to-end property that turns
     // silent corruption into a retry or a rejected record.
-    let mut g = Gen(0x6a10);
+    let mut g = Gen::new(0x6a10);
     for _ in 0..300 {
         let len = 1 + g.below(512);
         let payload = g.bytes(len);
         let mut corrupted = payload.clone();
         let at = g.below(corrupted.len());
-        corrupted[at] ^= (g.next() as u8) | 1;
+        corrupted[at] ^= (g.next_u64() as u8) | 1;
         assert_ne!(fnv1a64(&payload), fnv1a64(&corrupted));
         assert_ne!(wordsum64(&payload), wordsum64(&corrupted));
     }
@@ -569,7 +541,7 @@ fn payload_corruption_is_caught_by_the_checksum() {
         let payload = g.bytes(len);
         let sum = wordsum64(&payload);
         for at in 0..len {
-            for flip in [0x01u8, 0x80, 0xff, (g.next() as u8) | 1] {
+            for flip in [0x01u8, 0x80, 0xff, (g.next_u64() as u8) | 1] {
                 let mut corrupted = payload.clone();
                 corrupted[at] ^= flip;
                 assert_ne!(

@@ -14,6 +14,7 @@
 //! No graceful shutdown path exists — every "restart" here drops the
 //! first service without any handshake, exactly like a SIGKILL.
 
+use p3c_check::Gen;
 use p3c_suite::core::config::P3cParams;
 use p3c_suite::core::incremental::IncrementalLight;
 use p3c_suite::core::p3cplus::{P3cPlusLight, P3cResult};
@@ -61,24 +62,6 @@ fn tmpdir(tag: &str) -> PathBuf {
 fn durable(dir: &Path, snapshot_every: u64) -> ClusterService<IncrementalLight> {
     ClusterService::with_durability(Arc::new(DatasetStore::new()), None, dir, snapshot_every)
         .unwrap()
-}
-
-/// SplitMix64 — deterministic schedule/cut randomness without a
-/// dependency on any particular RNG crate being functional.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
 }
 
 #[test]
@@ -207,12 +190,12 @@ fn torn_journal_tail_recovers_the_valid_prefix() {
     let journal_bytes = std::fs::read(tenant_dir.join(journal::JOURNAL_FILE)).unwrap();
     assert!(journal_bytes.len() > 64, "journal suspiciously small");
 
-    let mut rng = SplitMix64(0x7061_7065_7221);
+    let mut rng = Gen::new(0x7061_7065_7221);
     let mut shorter_than_full = 0;
     for case in 0..10u64 {
         // Cut anywhere in the file — record boundaries and mid-record
         // alike; a mid-record cut is exactly a torn write.
-        let cut = 1 + rng.below(journal_bytes.len() as u64 - 1) as usize;
+        let cut = 1 + rng.below(journal_bytes.len() - 1);
         let dir = base.join(format!("cut-{case}"));
         let tdir = dir.join(tenant_dir.file_name().unwrap());
         std::fs::create_dir_all(&tdir).unwrap();

@@ -6,6 +6,7 @@
 //! `cargo test --test golden_bytes -- --ignored bless` rewrites the
 //! files; doing so is a format change and needs a version bump.
 
+use p3c_check::Gen;
 use p3c_suite::core::config::P3cParams;
 use p3c_suite::core::incremental::IncrementalLight;
 use p3c_suite::core::p3cplus::P3cPlusLight;
@@ -21,25 +22,9 @@ use std::sync::Arc;
 const TENANT: &str = "golden tenant/1";
 const D: usize = 4;
 
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// `n` rows: two projected clusters (attributes {0,1} and {2,3}) and
 /// one uniform row in ten, from a fixed stream.
-fn block(rng: &mut SplitMix64, n: usize) -> RowBlock {
+fn block(rng: &mut Gen, n: usize) -> RowBlock {
     let mut data = Vec::with_capacity(n * D);
     for i in 0..n {
         let mut row = [rng.unit(), rng.unit(), rng.unit(), rng.unit()];
@@ -89,7 +74,7 @@ fn durable(dir: &Path, snapshot_every: u64) -> ClusterService<IncrementalLight> 
 
 /// The fixed service script; returns the cumulative rows it leaves.
 fn run_service_script(dir: &Path, snapshot_every: u64) -> Vec<f64> {
-    let mut rng = SplitMix64(0x0060_1de2);
+    let mut rng = Gen::new(0x0060_1de2);
     let blocks: Vec<RowBlock> = [160, 120, 90].iter().map(|&n| block(&mut rng, n)).collect();
     let svc = durable(dir, snapshot_every);
     svc.create(TENANT, IncrementalLight::new(TENANT, params()))
@@ -108,7 +93,7 @@ fn run_service_script(dir: &Path, snapshot_every: u64) -> Vec<f64> {
 /// The bare engine after a fixed script: a published model, a retracted
 /// block and a dirty tail — every branch of the state blob.
 fn engine_state_blob() -> Vec<u8> {
-    let mut rng = SplitMix64(0xb10b);
+    let mut rng = Gen::new(0xb10b);
     let store = DatasetStore::new();
     let mut engine = IncrementalLight::new(TENANT, params());
     engine.append(&store, block(&mut rng, 150)).unwrap();
