@@ -8,7 +8,8 @@
 # e2e/), the member crates' own tests (cargo test -q --workspace), the
 # owned dependency graph (`cargo tree` of the whole workspace, every
 # edge kind, and of e2e names p3c-* path crates only), a JSON parser's
-# verdict on `p3c cluster -o json`, the tier-1 suite re-run under the
+# verdict on `p3c cluster -o json` and on the `--metrics-json` file of a
+# `--scheduler dag` MR run, the tier-1 suite re-run under the
 # multi-process shuffle backend (P3C_BACKEND=process:2), the
 # parallel-kernel bit-identity tests swept over P3C_THREADS, the
 # kernels/codec/backend/service/recovery benchmarks at smoke scale,
@@ -84,11 +85,17 @@ for target in "--workspace -e all" "-e normal --manifest-path e2e/Cargo.toml"; d
     fi
 done
 
-# `-o json` prints exactly one document; any JSON parser must take it.
+# `-o json` prints exactly one document; any JSON parser must take it,
+# and the `--metrics-json` file of a `--scheduler dag` MR run (job rows
+# plus the recorded chains) too.
 if command -v python3 > /dev/null; then
-    echo "==> json smoke: p3c cluster -o json parses"
+    echo "==> json smoke: p3c cluster -o json and --metrics-json parse"
     ./target/release/p3c cluster --synthetic 1500x8 -k 2 --seed 5 -o json \
         | python3 -m json.tool > /dev/null
+    mkdir -p target/ci
+    ./target/release/p3c cluster --synthetic 1500x8 -k 2 --seed 5 -a mr --scheduler dag \
+        --metrics-json target/ci/metrics-dag.json > /dev/null
+    python3 -m json.tool target/ci/metrics-dag.json > /dev/null
 else
     echo "==> json smoke: python3 unavailable — skipped"
 fi

@@ -219,18 +219,7 @@ pub fn run_algo(
 ) -> (Clustering, std::time::Duration) {
     let eng = engine();
     let start = Instant::now();
-    let clustering = run_scheduled(algo, &eng, data, sample_size);
-    (clustering, start.elapsed())
-}
-
-/// Runs one algorithm on an existing engine.
-fn run_scheduled(
-    algo: Algo,
-    eng: &Engine,
-    data: &p3c_dataset::Dataset,
-    sample_size: usize,
-) -> Clustering {
-    match algo {
+    let clustering = match algo {
         Algo::BowLight | Algo::BowMvb => {
             let variant = if algo == Algo::BowLight {
                 BowVariant::Light
@@ -244,20 +233,20 @@ fn run_scheduled(
                 params: experiment_params(),
                 ..BowConfig::default()
             };
-            Bow::new(eng, config)
+            Bow::new(&eng, config)
                 .cluster(data)
                 .expect("bow run")
                 .clustering
         }
         Algo::MrLight => {
-            P3cPlusMrLight::new(eng, experiment_params())
+            P3cPlusMrLight::new(&eng, experiment_params())
                 .cluster(data)
                 .expect("mr light run")
                 .clustering
         }
         Algo::MrMvb => {
             P3cPlusMr::new(
-                eng,
+                &eng,
                 P3cParams {
                     outlier: OutlierMethod::Mvb,
                     ..experiment_params()
@@ -269,7 +258,7 @@ fn run_scheduled(
         }
         Algo::MrNaive => {
             P3cPlusMr::new(
-                eng,
+                &eng,
                 P3cParams {
                     outlier: OutlierMethod::Naive,
                     ..experiment_params()
@@ -279,7 +268,8 @@ fn run_scheduled(
             .expect("mr naive run")
             .clustering
         }
-    }
+    };
+    (clustering, start.elapsed())
 }
 
 /// Figure 6: E4SC of BoW (Light/MVB) vs P3C+-MR (Light/MVB) across

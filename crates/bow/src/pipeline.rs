@@ -1,14 +1,13 @@
 //! The BoW MapReduce pipeline: sample → per-partition clustering (in the
-//! reducers) → rectangle merge → assignment, defined once as the job
-//! graph `bow` and run on the executor a [`SchedulerChoice`] names.
+//! reducers) → rectangle merge → assignment, run as the two-step chain
+//! `bow` under the [`SchedulerChoice`] the caller names.
 
 use crate::rect::{merge_rectangles, Rect};
 use p3c_core::config::{OutlierMethod, P3cParams};
 use p3c_core::p3cplus::{P3cPlus, P3cPlusLight};
 use p3c_dataset::{split_assignment, Clustering, Dataset, ProjectedCluster};
 use p3c_mapreduce::{
-    DatasetHandle, DatasetStore, Emitter, Engine, JobGraph, JobKind, JobNode, Mapper, MrError,
-    NodeCtx, Reducer, SchedulerChoice, Weighable,
+    run_chain, Emitter, Engine, Mapper, MrError, Reducer, SchedulerChoice, Weighable,
 };
 
 /// Which finishing variant the per-partition P3C+ uses.
@@ -247,10 +246,10 @@ impl<'e> Bow<'e> {
         self.cluster_with(data, SchedulerChoice::Serial)
     }
 
-    /// Clusters on the chosen executor. The graph is a chain of two
-    /// nodes, so the result — and the job ledger — is the same under
-    /// both: the per-partition clusterings already run concurrently on
-    /// the engine's reducers.
+    /// Clusters under the chosen scheduler. The chain has two steps, so
+    /// the result — and the job ledger — is the same under both: the
+    /// per-partition clusterings already run concurrently on the
+    /// engine's reducers.
     pub fn cluster_with(
         &self,
         data: &Dataset,
@@ -270,69 +269,55 @@ impl<'e> Bow<'e> {
             _ => (budget as f64 / n as f64).min(1.0),
         };
 
-        let store = DatasetStore::new();
-        let rects_ds: DatasetHandle<Vec<Rect>> = DatasetHandle::new("bow-rects");
-        let merged_ds: DatasetHandle<Vec<Rect>> = DatasetHandle::new("bow-merged");
-        let assign_ds: DatasetHandle<Vec<i64>> = DatasetHandle::new("bow-assignment");
-
-        let mut graph = JobGraph::new("bow");
-        graph.add(
-            // Job 1: sample + partition + per-reducer clustering.
-            JobNode::new("sample-and-cluster", JobKind::MapReduce, |ctx: &NodeCtx| {
-                let result = ctx.engine.run(
-                    "bow-sample-and-cluster",
-                    rows,
-                    &SampleMapper {
-                        num_partitions: config.num_partitions,
-                        keep,
-                        seed: config.seed,
-                    },
-                    &ClusterReducer {
-                        variant: config.variant,
-                        params: config.params.clone(),
-                        sample_size: config.sample_size,
-                        max_interval_width: config.max_interval_width,
-                    },
-                )?;
-                let rects: Vec<Rect> = result.output.into_iter().map(|RectMsg(r)| r).collect();
-                let bytes = rects.iter().map(|r| 4 + r.dim() * 24).sum();
-                ctx.put(&rects_ds, rects, bytes);
-                Ok(())
-            })
-            .output(&rects_ds),
-        );
-        graph.add(
-            // Merge phase (driver side, as in BoW's final combination
-            // step), then job 2: assign every point to its first
-            // containing rectangle.
-            JobNode::new("merge-and-assign", JobKind::MapOnly, |ctx: &NodeCtx| {
-                let rects = ctx.fetch(&rects_ds)?;
-                let merged = merge_rectangles(rects.to_vec(), config.merge_jaccard);
-                let cache = merged.iter().map(|r| 4 + r.dim() * 24).sum();
-                let assignment = if merged.is_empty() {
-                    vec![-1; n]
-                } else {
-                    let mapper = AssignMapper { rects: &merged };
-                    ctx.engine
-                        .run_map_only_with_cache("bow-assign", rows, cache, &mapper)?
+        let (rectangles_before_merge, merged, assignment) =
+            run_chain(self.engine, "bow", scheduler, |chain| {
+                // Job 1: sample + partition + per-reducer clustering.
+                let rects = chain.step("sample-and-cluster", |engine| {
+                    let result = engine.run(
+                        "bow-sample-and-cluster",
+                        rows,
+                        &SampleMapper {
+                            num_partitions: config.num_partitions,
+                            keep,
+                            seed: config.seed,
+                        },
+                        &ClusterReducer {
+                            variant: config.variant,
+                            params: config.params.clone(),
+                            sample_size: config.sample_size,
+                            max_interval_width: config.max_interval_width,
+                        },
+                    )?;
+                    Ok(result
                         .output
-                };
-                ctx.put(&merged_ds, merged, cache);
-                ctx.put(&assign_ds, assignment, 8 * n);
-                Ok(())
-            })
-            .input(&rects_ds)
-            .output(&merged_ds)
-            .output(&assign_ds),
-        );
-        graph.run(self.engine, &store, scheduler)?;
+                        .into_iter()
+                        .map(|RectMsg(r)| r)
+                        .collect::<Vec<_>>())
+                })?;
+                // Merge phase (driver side, as in BoW's final combination
+                // step), then job 2: assign every point to its first
+                // containing rectangle.
+                let (merged, assignment) = chain.step("merge-and-assign", |engine| {
+                    let merged = merge_rectangles(rects.clone(), config.merge_jaccard);
+                    let assignment = if merged.is_empty() {
+                        vec![-1; n]
+                    } else {
+                        let cache = merged.iter().map(|r| 4 + r.dim() * 24).sum();
+                        let mapper = AssignMapper { rects: &merged };
+                        engine
+                            .run_map_only_with_cache("bow-assign", rows, cache, &mapper)?
+                            .output
+                    };
+                    Ok((merged, assignment))
+                })?;
+                Ok((rects.len(), merged, assignment))
+            })?;
 
         // Assemble the clustering; intervals are the merged rectangles'.
-        let merged = store.get(&merged_ds)?;
-        let (members, outliers) = split_assignment(&store.get(&assign_ds)?, merged.len());
+        let (members, outliers) = split_assignment(&assignment, merged.len());
         let clusters = members
             .into_iter()
-            .zip(merged.iter())
+            .zip(&merged)
             .filter(|(points, _)| !points.is_empty())
             .map(|(points, rect)| {
                 ProjectedCluster::new(points, rect.attrs().collect(), rect.to_intervals())
@@ -340,7 +325,7 @@ impl<'e> Bow<'e> {
             .collect();
         Ok(BowResult {
             clustering: Clustering::new(clusters, outliers),
-            rectangles_before_merge: store.get(&rects_ds)?.len(),
+            rectangles_before_merge,
             rectangles_after_merge: merged.len(),
             strategy_used,
         })

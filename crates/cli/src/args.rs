@@ -91,13 +91,13 @@ pub enum Command {
         output: OutputFormat,
         /// Report E4SC against the synthetic ground truth.
         evaluate: bool,
-        /// Executor of the MR algorithms' job graphs: serial runs each
-        /// job once; dag adds node retries, lineage recovery and DAG
-        /// metrics. Both walk the same job chain.
+        /// What each step of the MR algorithms' job chains gets: serial
+        /// runs it once; dag adds a second attempt for a failed step and
+        /// records each chain's steps. Both run the same jobs in order.
         scheduler: SchedulerChoice,
         /// Dump the kernel tier (`kernel_isa`) and the engine's
-        /// `ClusterMetrics` (jobs + DAG runs) as JSON to this path after
-        /// clustering.
+        /// `ClusterMetrics` (jobs + recorded chains) as JSON to this
+        /// path after clustering.
         metrics_json: Option<String>,
         /// Worker threads for the engine and the serial-path kernels
         /// (0 = all cores). `None` keeps the defaults (`P3C_THREADS`
@@ -497,8 +497,8 @@ CLUSTER OPTIONS:
   -o, --output FMT       text | json                                [text]
   -e, --evaluate         report E4SC against the synthetic truth
       --scheduler S      serial | dag (mr / mr-light / bow only)    [serial]
-                         (same job order; dag adds node retries,
-                         lineage recovery and DAG metrics)
+                         (same job order; dag adds a second attempt
+                         per failed step and per-chain step metrics)
       --metrics-json F   dump kernel tier + job + DAG metrics as JSON to F
   -t, --threads N        worker threads for the engine and kernels
                          (0 = all cores; results are bit-identical)

@@ -1,34 +1,29 @@
 //! The P3C+-MR and P3C+-MR-Light drivers: the jobs of Sections 5.1–5.7
 //! (full) / Section 6 (Light) on a [`p3c_mapreduce::Engine`].
 //!
-//! Each pipeline is defined once, as [`JobGraph`]s: the shared `p3c-core`
-//! graph (bin counts → histograms → cluster cores), then `p3c-model`
-//! (EM → outlier detection → attribute inspection) or `p3c-light-model`
-//! (membership → attribute inspection). Attribute inspection is one job
-//! that also carries interval tightening's min/max (Sections 5.6 and
-//! 5.7 in one pass); the driver finalizes each cluster from its merged
-//! summary exactly as the serial pipelines do. Node bodies borrow the
-//! caller's rows; only the small intermediates pass through the
-//! [`DatasetStore`]. The [`SchedulerChoice`] given to `cluster_with`
-//! picks the executor and nothing else, so both executors run the same
-//! jobs on the same inputs.
+//! Each pipeline is two job chains run by [`run_chain`]: the shared
+//! `p3c-core` chain (bin counts → histograms → cluster cores), then
+//! `p3c-model` (EM → outlier detection → attribute inspection) or
+//! `p3c-light-model` (membership → attribute inspection). Attribute
+//! inspection is one job that also carries interval tightening's min/max
+//! (Sections 5.6 and 5.7 in one pass); the driver finalizes each cluster
+//! from its merged summary exactly as the serial pipelines do. Each
+//! step's output is a local of the driver. The [`SchedulerChoice`] given
+//! to `cluster_with` decides only whether a failed step runs again and
+//! whether the chains are recorded, so both choices run the same jobs on
+//! the same inputs.
 
 use crate::config::{BinRuleChoice, OutlierMethod, P3cParams};
 use crate::cores::ClusterCore;
-use crate::histogram::AttributeHistograms;
-use crate::inspect::ClusterSummary;
 use crate::mr::coregen::generate_cluster_cores_mr;
-use crate::mr::em::{em_fit_mr, initialize_from_cores_mr, MrEmFit};
+use crate::mr::em::{em_fit_mr, initialize_from_cores_mr};
 use crate::mr::histogram::{histogram_job, iqr_job};
 use crate::mr::inspect::{inspection_job, InspectionItem};
 use crate::mr::outlier::{od_job_mcd, od_job_mvb, od_job_naive};
 use crate::p3cplus::{empty_result, finalize_clusters, P3cResult, PipelineStats};
 use crate::relevance::relevant_intervals;
 use p3c_dataset::{split_assignment, Clustering, Dataset};
-use p3c_mapreduce::{
-    DatasetHandle, DatasetStore, Emitter, Engine, JobGraph, JobKind, JobNode, Mapper, MrError,
-    NodeCtx, SchedulerChoice, Weighable,
-};
+use p3c_mapreduce::{run_chain, Emitter, Engine, Mapper, MrError, SchedulerChoice};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -58,11 +53,11 @@ impl<'e> P3cPlusMr<'e> {
         self.cluster_with(data, SchedulerChoice::Serial)
     }
 
-    /// Clusters on the chosen executor. The `p3c-core` graph yields the
-    /// cluster cores; `p3c-model` chains EM (init jobs + 2 jobs per
+    /// Clusters under the chosen scheduler. The `p3c-core` chain yields
+    /// the cluster cores; `p3c-model` chains EM (init jobs + 2 jobs per
     /// iteration), outlier detection and attribute inspection (one
     /// summary job, then driver-side marking and tightening). The result
-    /// is byte-identical under both executors.
+    /// is byte-identical under both choices.
     pub fn cluster_with(
         &self,
         data: &Dataset,
@@ -71,53 +66,31 @@ impl<'e> P3cPlusMr<'e> {
         let rows = data.row_refs();
         let rows = rows.as_slice();
         let params = &self.params;
-        let store = DatasetStore::new();
-        let (cores, mut stats) = core_phase(self.engine, &store, rows, params, scheduler)?;
+        let (cores, mut stats) = core_phase(self.engine, rows, params, scheduler)?;
         if cores.is_empty() {
             return Ok(empty_result(data.len(), stats));
         }
-        let cores = cores.as_slice();
         let (k, d) = (cores.len(), data.dim());
-        let arel = arel_of(cores);
+        let arel = arel_of(&cores);
 
-        let fit_ds: DatasetHandle<MrEmFit> = DatasetHandle::new("em-fit");
-        let assign_ds: DatasetHandle<Vec<i64>> = DatasetHandle::new("assignment");
-        let summaries_ds: DatasetHandle<Vec<ClusterSummary>> = DatasetHandle::new("summaries");
-
-        let mut graph = JobGraph::new("p3c-model");
-        graph.add(
-            JobNode::new("em", JobKind::MapReduce, |ctx: &NodeCtx| {
-                let init = initialize_from_cores_mr(ctx.engine, cores, rows, &arel)?;
-                let fit = em_fit_mr(ctx.engine, init, rows, params.em_max_iters, params.em_tol)?;
-                ctx.put(&fit_ds, fit, 1024);
-                Ok(())
-            })
-            .output(&fit_ds),
-        );
-        graph.add(
-            JobNode::new("outlier-detection", JobKind::MapReduce, |ctx: &NodeCtx| {
-                let eval = Arc::new(ctx.fetch(&fit_ds)?.model.evaluator());
-                let (alpha, arel_len) = (params.alpha_outlier, arel.len());
-                let assignment = match params.outlier {
-                    OutlierMethod::Naive => od_job_naive(ctx.engine, eval, rows, alpha, arel_len)?,
-                    OutlierMethod::Mvb => od_job_mvb(ctx.engine, eval, rows, alpha, arel_len)?,
-                    OutlierMethod::Mcd => od_job_mcd(ctx.engine, eval, rows, alpha, arel_len, 2)?,
-                };
-                let bytes = 8 * assignment.len();
-                ctx.put(&assign_ds, assignment, bytes);
-                Ok(())
-            })
-            .input(&fit_ds)
-            .output(&assign_ds),
-        );
-        graph.add(
-            JobNode::new(
-                "attribute-inspection",
-                JobKind::MapReduce,
-                |ctx: &NodeCtx| {
-                    let assignment = ctx.fetch(&assign_ds)?;
-                    // Each row's cluster as a one-element slice of
-                    // `ids`; an outlier belongs to none.
+        let (em_iterations, assignment, summaries) =
+            run_chain(self.engine, "p3c-model", scheduler, |chain| {
+                let fit = chain.step("em", |engine| {
+                    let init = initialize_from_cores_mr(engine, &cores, rows, &arel)?;
+                    em_fit_mr(engine, init, rows, params.em_max_iters, params.em_tol)
+                })?;
+                let assignment = chain.step("outlier-detection", |engine| {
+                    let eval = Arc::new(fit.model.evaluator());
+                    let (alpha, arel_len) = (params.alpha_outlier, arel.len());
+                    match params.outlier {
+                        OutlierMethod::Naive => od_job_naive(engine, eval, rows, alpha, arel_len),
+                        OutlierMethod::Mvb => od_job_mvb(engine, eval, rows, alpha, arel_len),
+                        OutlierMethod::Mcd => od_job_mcd(engine, eval, rows, alpha, arel_len, 2),
+                    }
+                })?;
+                let summaries = chain.step("attribute-inspection", |engine| {
+                    // Each row's cluster as a one-element slice of `ids`;
+                    // an outlier belongs to none.
                     let ids: Vec<u32> = (0..k as u32).collect();
                     let items: Vec<InspectionItem<'_>> = assignment
                         .iter()
@@ -127,26 +100,18 @@ impl<'e> P3cPlusMr<'e> {
                             Err(_) => (&[][..], row),
                         })
                         .collect();
-                    let summaries = inspection_job(ctx.engine, &items, k, d, params)?;
-                    let bytes = summaries.iter().map(Weighable::weight).sum();
-                    ctx.put(&summaries_ds, summaries, bytes);
-                    Ok(())
-                },
-            )
-            .input(&assign_ds)
-            .output(&summaries_ds),
-        );
-        graph.run(self.engine, &store, scheduler)?;
+                    inspection_job(engine, &items, k, d, params)
+                })?;
+                Ok((fit.iterations, assignment, summaries))
+            })?;
 
-        stats.em_iterations = store.get(&fit_ds)?.iterations;
-        let assignment = store.get(&assign_ds)?;
-        let summaries = store.get(&summaries_ds)?;
+        stats.em_iterations = em_iterations;
         let (members, outliers) = split_assignment(&assignment, k);
         stats.outliers = outliers.len();
-        let clusters = finalize_clusters(cores, members, &summaries, params);
+        let clusters = finalize_clusters(&cores, members, &summaries, params);
         Ok(P3cResult {
             clustering: Clustering::new(clusters, outliers),
-            cores: cores.to_vec(),
+            cores,
             stats,
         })
     }
@@ -178,11 +143,11 @@ impl<'e> P3cPlusMrLight<'e> {
         self.cluster_with(data, SchedulerChoice::Serial)
     }
 
-    /// Clusters on the chosen executor: the shared `p3c-core` graph, then
-    /// `p3c-light-model`: the membership job, and the attribute-inspection
-    /// job over its output, which inspects the uniquely assigned points
-    /// (Section 6's histogram) and bounds every member. The result is
-    /// byte-identical under both executors.
+    /// Clusters under the chosen scheduler: the shared `p3c-core` chain,
+    /// then `p3c-light-model`: the membership job, and the
+    /// attribute-inspection job over its output, which inspects the
+    /// uniquely assigned points (Section 6's histogram) and bounds every
+    /// member. The result is byte-identical under both choices.
     pub fn cluster_with(
         &self,
         data: &Dataset,
@@ -191,50 +156,27 @@ impl<'e> P3cPlusMrLight<'e> {
         let rows = data.row_refs();
         let rows = rows.as_slice();
         let params = &self.params;
-        let store = DatasetStore::new();
-        let (cores, mut stats) = core_phase(self.engine, &store, rows, params, scheduler)?;
+        let (cores, mut stats) = core_phase(self.engine, rows, params, scheduler)?;
         if cores.is_empty() {
             return Ok(empty_result(data.len(), stats));
         }
-        let cores = cores.as_slice();
         let (k, d) = (cores.len(), data.dim());
-        let memberships_ds: DatasetHandle<Vec<Vec<u32>>> = DatasetHandle::new("memberships");
-        let summaries_ds: DatasetHandle<Vec<ClusterSummary>> = DatasetHandle::new("summaries");
 
-        let mut graph = JobGraph::new("p3c-light-model");
-        graph.add(
-            JobNode::new("membership", JobKind::MapOnly, |ctx: &NodeCtx| {
-                let memberships = membership_job(ctx.engine, cores, rows)?;
-                let bytes = memberships.iter().map(|m| 8 + 4 * m.len()).sum();
-                ctx.put(&memberships_ds, memberships, bytes);
-                Ok(())
-            })
-            .output(&memberships_ds),
-        );
-        graph.add(
-            JobNode::new(
-                "attribute-inspection",
-                JobKind::MapReduce,
-                |ctx: &NodeCtx| {
-                    let memberships = ctx.fetch(&memberships_ds)?;
+        let (memberships, summaries) =
+            run_chain(self.engine, "p3c-light-model", scheduler, |chain| {
+                let memberships =
+                    chain.step("membership", |engine| membership_job(engine, &cores, rows))?;
+                let summaries = chain.step("attribute-inspection", |engine| {
                     let items: Vec<InspectionItem<'_>> = memberships
                         .iter()
                         .zip(rows)
                         .map(|(containing, &row)| (containing.as_slice(), row))
                         .collect();
-                    let summaries = inspection_job(ctx.engine, &items, k, d, params)?;
-                    let bytes = summaries.iter().map(Weighable::weight).sum();
-                    ctx.put(&summaries_ds, summaries, bytes);
-                    Ok(())
-                },
-            )
-            .input(&memberships_ds)
-            .output(&summaries_ds),
-        );
-        graph.run(self.engine, &store, scheduler)?;
+                    inspection_job(engine, &items, k, d, params)
+                })?;
+                Ok((memberships, summaries))
+            })?;
 
-        let memberships = store.get(&memberships_ds)?;
-        let summaries = store.get(&summaries_ds)?;
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
         let mut outliers = Vec::new();
         for (i, containing) in memberships.iter().enumerate() {
@@ -246,75 +188,47 @@ impl<'e> P3cPlusMrLight<'e> {
             }
         }
         stats.outliers = outliers.len();
-        let clusters = finalize_clusters(cores, members, &summaries, params);
+        let clusters = finalize_clusters(&cores, members, &summaries, params);
         Ok(P3cResult {
             clustering: Clustering::new(clusters, outliers),
-            cores: cores.to_vec(),
+            cores,
             stats,
         })
     }
 }
 
-/// The phase shared by both MR variants, as the job graph `p3c-core`:
-/// bin counts (pre-seeded for the uniform rules, a quartile job under
-/// the exact-IQR rule) → histogram job → relevant intervals, MR core
-/// generation and the redundancy filter.
+/// The phase shared by both MR variants, as the chain `p3c-core`: bin
+/// counts (from the uniform rules, or a quartile job under the exact-IQR
+/// rule) → histogram job → relevant intervals, MR core generation and
+/// the redundancy filter.
 fn core_phase(
     engine: &Engine,
-    store: &DatasetStore,
     rows: &[&[f64]],
     params: &P3cParams,
     scheduler: SchedulerChoice,
 ) -> Result<(Vec<ClusterCore>, PipelineStats), MrError> {
     let n = rows.len();
     let d = rows.first().map_or(0, |r| r.len());
-    let bins_ds: DatasetHandle<Vec<usize>> = DatasetHandle::new("bins");
-    let hists_ds: DatasetHandle<AttributeHistograms> = DatasetHandle::new("histograms");
-    let cores_ds: DatasetHandle<(Vec<ClusterCore>, PipelineStats)> = DatasetHandle::new("cores");
-
-    let mut graph = JobGraph::new("p3c-core");
-    match params.bin_rule {
-        BinRuleChoice::FreedmanDiaconisIqr => {
-            graph.add(
-                JobNode::new("p3c-iqr", JobKind::MapReduce, |ctx: &NodeCtx| {
-                    let bins: Vec<usize> = iqr_job(ctx.engine, rows)?
-                        .into_iter()
-                        .map(|(q1, q3)| crate::p3cplus::iqr_bins(n, q3 - q1))
-                        .collect();
-                    ctx.put(&bins_ds, bins, 8 * d);
-                    Ok(())
-                })
-                .output(&bins_ds),
-            );
-        }
-        // The uniform rules need no data pass.
-        _ => store.put(
-            &bins_ds,
-            vec![params.bin_rule.to_rule().num_bins(n).max(1); d],
-            8 * d,
-        ),
-    }
-    graph.add(
-        JobNode::new("p3c-histogram", JobKind::MapReduce, |ctx: &NodeCtx| {
-            let bins = ctx.fetch(&bins_ds)?;
-            let hists = histogram_job(ctx.engine, rows, &bins)?;
-            let bytes = 8 * bins.iter().sum::<usize>();
-            ctx.put(&hists_ds, hists, bytes);
-            Ok(())
-        })
-        .input(&bins_ds)
-        .output(&hists_ds),
-    );
-    graph.add(
-        JobNode::new("coregen", JobKind::MapReduce, |ctx: &NodeCtx| {
-            let hists = ctx.fetch(&hists_ds)?;
+    run_chain(engine, "p3c-core", scheduler, |chain| {
+        let bins: Vec<usize> = match params.bin_rule {
+            BinRuleChoice::FreedmanDiaconisIqr => chain.step("p3c-iqr", |engine| {
+                Ok(iqr_job(engine, rows)?
+                    .into_iter()
+                    .map(|(q1, q3)| crate::p3cplus::iqr_bins(n, q3 - q1))
+                    .collect())
+            })?,
+            // The uniform rules need no data pass.
+            _ => vec![params.bin_rule.to_rule().num_bins(n).max(1); d],
+        };
+        let hists = chain.step("p3c-histogram", |engine| histogram_job(engine, rows, &bins))?;
+        chain.step("coregen", |engine| {
             let mut stats = PipelineStats {
                 bins: hists.bins,
                 ..PipelineStats::default()
             };
             let intervals = relevant_intervals(&hists.histograms, params.alpha_chi2);
             stats.relevant_intervals = intervals.len();
-            let gen = generate_cluster_cores_mr(ctx.engine, &intervals, rows, params)?;
+            let gen = generate_cluster_cores_mr(engine, &intervals, rows, params)?;
             // Same proven-set redundancy filter as the serial pipeline, fed
             // from the MR coregen's (identically ordered) proven list and
             // support table, so MR cores stay byte-identical to serial.
@@ -325,15 +239,9 @@ fn core_phase(
             }
             stats.core_gen = gen.stats;
             stats.cores = cores.len();
-            let bytes = 64 + 128 * cores.len();
-            ctx.put(&cores_ds, (cores, stats), bytes);
-            Ok(())
+            Ok((cores, stats))
         })
-        .input(&hists_ds)
-        .output(&cores_ds),
-    );
-    graph.run(engine, store, scheduler)?;
-    Ok((*store.get(&cores_ds)?).clone())
+    })
 }
 
 /// Map-only membership job for the Light variant: for each point the list
@@ -591,8 +499,8 @@ mod tests {
         assert_eq!(dag_light.clustering, light.clustering);
         assert_eq!(dag_light.cores, light.cores);
 
-        // The full pipeline is the paper's chain: two graphs, one node at
-        // a time.
+        // The full pipeline is the paper's job chain, recorded as two
+        // chains of steps.
         let names = |m: &p3c_mapreduce::ClusterMetrics| -> Vec<String> {
             m.dag_runs().iter().map(|r| r.dag_name.clone()).collect()
         };
@@ -631,7 +539,7 @@ mod tests {
         }
         assert!(
             dag_ledger.dag_runs()[0].node("p3c-iqr").is_some(),
-            "quartile node missing from the DAG"
+            "quartile step missing from the chain"
         );
     }
 
@@ -645,10 +553,10 @@ mod tests {
                 max_attempts: 2,
                 ..MrConfig::default()
             });
-            // Every map attempt fails, so the first node exhausts its
-            // engine-level retries (on both node attempts under `Dag`);
-            // the executor must return (not hang) with the underlying
-            // task failure.
+            // Every map attempt fails, so the first step exhausts its
+            // engine-level retries (on both step attempts under `Dag`);
+            // the chain must return (not hang) with the underlying task
+            // failure.
             let err = P3cPlusMr::new(&eng, P3cParams::default())
                 .cluster_with(&data.dataset, scheduler)
                 .unwrap_err();

@@ -1,15 +1,11 @@
-//! Named, materialized datasets shared between the jobs of a DAG.
+//! Named, materialized datasets: the clustering service's block cache.
 //!
-//! A [`DatasetStore`] is the "distributed file system + block cache" of
-//! a job graph ([`crate::dag`]): every job node reads its intermediate
-//! inputs from the store and materializes its outputs back into it (the
-//! bulk row set is borrowed by the nodes, not stored). It is also where
-//! the clustering service keeps its tenants' row blocks, under a byte
-//! budget. The store is in-memory first; under a byte
-//! budget it evicts least-recently-used entries, *spilling* entries that
-//! carry a codec to the [`crate::BlockStore`] "HDFS-lite" and *dropping*
-//! entries marked recomputable (lineage re-executes their producer on
-//! the next read — Spark's RDD cache semantics).
+//! A [`DatasetStore`] is where the service ([`crate::service`]) keeps
+//! its tenants' row blocks and models. The store is in-memory first;
+//! under a byte budget it evicts least-recently-used entries, *spilling*
+//! those that carry a codec to the [`crate::BlockStore`] "HDFS-lite" and
+//! loading them back on the next read. An entry without a codec is never
+//! evicted: the budget is overshot rather than losing data.
 //!
 //! The spill format is *segmented* ([`SegmentedCodec`],
 //! [`DatasetStore::put_segmented`]): a small header plus one
@@ -20,7 +16,6 @@
 //! `segment_bytes_read` in [`DatasetStoreStats`]).
 
 use crate::blockstore::BlockStore;
-use crate::engine::MrError;
 use crate::sync::{rank, RankedMutex};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -31,8 +26,7 @@ use std::sync::Arc;
 /// A typed, named reference to a dataset in a [`DatasetStore`].
 ///
 /// Handles are cheap to clone and carry the element type as a phantom,
-/// so graph wiring stays type-checked while the store itself is
-/// type-erased.
+/// so reads stay type-checked while the store itself is type-erased.
 pub struct DatasetHandle<T> {
     name: Arc<str>,
     _marker: PhantomData<fn() -> T>,
@@ -88,7 +82,7 @@ pub struct SegmentedCodec<T, C> {
     pub decode_segment: fn(&[u8], usize, &[u8]) -> C,
     /// Reassembles the full value from the header and *all* segments in
     /// index order — the spill-reload path. Must reproduce the encoded
-    /// value exactly (the DAG byte-identity guarantee).
+    /// value exactly (a reload never changes a result).
     pub assemble_full: fn(&[u8], Vec<Arc<C>>) -> T,
 }
 
@@ -131,18 +125,6 @@ impl fmt::Display for DatasetError {
 }
 
 impl std::error::Error for DatasetError {}
-
-/// A pipeline driver reading a finished dataset back after
-/// [`crate::JobGraph::run`]: a missing or mistyped entry is a
-/// driver-side [`MrError::Dag`].
-impl From<DatasetError> for MrError {
-    fn from(e: DatasetError) -> Self {
-        MrError::Dag {
-            node: "<driver>".to_string(),
-            message: e.to_string(),
-        }
-    }
-}
 
 /// Counters describing cache behaviour since the store was created.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -194,13 +176,8 @@ struct Entry {
     value: Option<AnyArc>,
     /// Caller-declared size estimate, used by the budget.
     bytes: usize,
-    /// Pinned entries are never evicted.
-    pins: usize,
     /// LRU clock value of the last touch.
     seq: u64,
-    /// Lineage can rebuild this dataset by re-running its producer, so
-    /// the budget may drop it without spilling.
-    recomputable: bool,
     codec: Option<ErasedSegCodec>,
     /// The block store holds an up-to-date encoded copy.
     spilled: bool,
@@ -221,7 +198,8 @@ struct Inner {
     stats: DatasetStoreStats,
 }
 
-/// The materialized-dataset store shared by all nodes of a DAG run.
+/// The materialized-dataset store: typed handles over type-erased
+/// entries, with LRU spilling under an optional byte budget.
 pub struct DatasetStore {
     blockstore: Arc<BlockStore>,
     budget: Option<usize>,
@@ -268,21 +246,10 @@ impl DatasetStore {
         &self.blockstore
     }
 
-    /// Materializes a dataset. Overwrites any previous version (a
-    /// re-executed producer publishes fresh output).
+    /// Materializes a dataset the budget never evicts. Overwrites any
+    /// previous version.
     pub fn put<T: Send + Sync + 'static>(&self, handle: &DatasetHandle<T>, value: T, bytes: usize) {
-        self.insert(handle.name(), Arc::new(value), bytes, false, None);
-    }
-
-    /// Materializes a dataset the budget may *drop* from memory: its DAG
-    /// producer can re-create it through lineage.
-    pub fn put_recomputable<T: Send + Sync + 'static>(
-        &self,
-        handle: &DatasetHandle<T>,
-        value: T,
-        bytes: usize,
-    ) {
-        self.insert(handle.name(), Arc::new(value), bytes, true, None);
+        self.insert(handle.name(), Arc::new(value), bytes, None);
     }
 
     /// Materializes a dataset the budget may *spill* to the block store,
@@ -329,17 +296,10 @@ impl DatasetStore {
                 Arc::new(assemble_full(header, cols)) as AnyArc
             }),
         };
-        self.insert(handle.name(), Arc::new(value), bytes, false, Some(erased));
+        self.insert(handle.name(), Arc::new(value), bytes, Some(erased));
     }
 
-    fn insert(
-        &self,
-        name: &str,
-        value: AnyArc,
-        bytes: usize,
-        recomputable: bool,
-        codec: Option<ErasedSegCodec>,
-    ) {
+    fn insert(&self, name: &str, value: AnyArc, bytes: usize, codec: Option<ErasedSegCodec>) {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let seq = inner.clock;
@@ -360,9 +320,7 @@ impl DatasetStore {
             Entry {
                 value: Some(value),
                 bytes,
-                pins: 0,
                 seq,
-                recomputable,
                 codec,
                 spilled: false,
                 spilled_total: 0,
@@ -456,20 +414,6 @@ impl DatasetStore {
             .is_some_and(|e| e.value.is_some() || e.spilled)
     }
 
-    /// Pins a dataset against eviction while a node consumes it.
-    pub fn pin(&self, name: &str) {
-        if let Some(e) = self.inner.lock().entries.get_mut(name) {
-            e.pins += 1;
-        }
-    }
-
-    /// Releases one [`DatasetStore::pin`].
-    pub fn unpin(&self, name: &str) {
-        if let Some(e) = self.inner.lock().entries.get_mut(name) {
-            e.pins = e.pins.saturating_sub(1);
-        }
-    }
-
     /// Removes a dataset everywhere (memory and spill).
     pub fn remove(&self, name: &str) -> bool {
         let mut inner = self.inner.lock();
@@ -484,34 +428,6 @@ impl DatasetStore {
                         .stats
                         .live_spill_bytes
                         .saturating_sub(e.spilled_total as u64);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drops the in-memory copy *and* any spilled copy, but keeps the
-    /// entry registered — the next `get` reports it missing. This models
-    /// losing a cached partition; lineage recovery under
-    /// [`crate::SchedulerChoice::Dag`] re-executes the producer to
-    /// rebuild it.
-    pub fn drop_cached(&self, name: &str) -> bool {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        match inner.entries.get_mut(name) {
-            Some(e) => {
-                if e.value.take().is_some() {
-                    inner.mem_bytes -= e.bytes;
-                }
-                if e.spilled {
-                    e.spilled = false;
-                    let dead = std::mem::take(&mut e.spilled_total);
-                    e.seg_sizes.clear();
-                    e.header = None;
-                    self.delete_spill(name);
-                    inner.stats.live_spill_bytes =
-                        inner.stats.live_spill_bytes.saturating_sub(dead as u64);
                 }
                 true
             }
@@ -541,8 +457,8 @@ impl DatasetStore {
 
     /// Evicts LRU entries until the budget holds. `exempt` (the entry
     /// just inserted or reloaded) is never evicted, so a single oversized
-    /// dataset still materializes. Victims are in-memory entries that can
-    /// be spilled or recomputed.
+    /// dataset still materializes. Victims are in-memory entries with a
+    /// codec.
     fn enforce_budget(&self, inner: &mut Inner, exempt: &str) {
         let Some(budget) = self.budget else { return };
         while inner.mem_bytes > budget {
@@ -550,10 +466,7 @@ impl DatasetStore {
                 .entries
                 .iter()
                 .filter(|(name, e)| {
-                    name.as_str() != exempt
-                        && e.pins == 0
-                        && e.value.is_some()
-                        && (e.codec.is_some() || e.recomputable)
+                    name.as_str() != exempt && e.value.is_some() && e.codec.is_some()
                 })
                 .min_by_key(|(_, e)| e.seq)
                 .map(|(name, _)| name.clone());
@@ -573,9 +486,8 @@ impl DatasetStore {
                 // rather than panic a worker if it ever does.
                 break;
             };
-            // An unspilled value with a codec is written out; one with
-            // no codec (recomputable) or an up-to-date spilled copy just
-            // drops its in-memory value.
+            // An unspilled value is written out; one with an up-to-date
+            // spilled copy just drops its in-memory value.
             let to_spill = if entry.spilled { &None } else { &entry.value };
             if let (Some(value), Some(codec)) = (to_spill, &entry.codec) {
                 let header = (codec.encode_header)(value);
@@ -729,50 +641,14 @@ mod tests {
     }
 
     #[test]
-    fn budget_drops_recomputable_entries() {
-        let store = DatasetStore::with_budget(100);
-        store.put_recomputable(&h("derived"), rows(1), 64);
-        store.put(&h("pinnedless"), rows(2), 64);
-        // "derived" has no codec but is recomputable → dropped outright.
-        assert_eq!(store.stats().spills, 0);
-        assert_eq!(store.stats().evictions, 1);
-        assert!(!store.has("derived"), "dropped datasets report missing");
-        assert!(store.has("pinnedless"));
-    }
-
-    #[test]
-    fn non_spillable_non_recomputable_entries_survive_budget() {
+    fn entries_without_a_codec_survive_budget() {
         let store = DatasetStore::with_budget(50);
         store.put(&h("a"), rows(1), 64);
         store.put(&h("b"), rows(2), 64);
-        // Neither entry can be spilled or recomputed: the budget is
-        // overshot rather than losing data.
+        // Neither entry can be spilled: the budget is overshot rather
+        // than losing data.
         assert!(store.has("a") && store.has("b"));
         assert_eq!(store.stats().evictions, 0);
-    }
-
-    #[test]
-    fn pinned_entries_are_not_evicted() {
-        let store = DatasetStore::with_budget(100);
-        store.put_segmented(&h("hot"), rows(1), 64, seg_codec());
-        store.pin("hot");
-        store.put_segmented(&h("cold"), rows(2), 64, seg_codec());
-        // "hot" is older but pinned; nothing else is evictable ("cold"
-        // is exempt as the fresh insert), so memory stays over budget.
-        assert_eq!(store.stats().evictions, 0);
-        store.unpin("hot");
-        store.put_segmented(&h("third"), rows(3), 64, seg_codec());
-        assert!(store.stats().evictions > 0);
-    }
-
-    #[test]
-    fn drop_cached_loses_the_dataset() {
-        let store = DatasetStore::new();
-        store.put(&h("a"), rows(0), 64);
-        assert!(store.drop_cached("a"));
-        assert!(!store.has("a"));
-        assert!(store.get(&h("a")).is_err());
-        assert!(!store.drop_cached("ghost"));
     }
 
     #[test]
@@ -806,7 +682,7 @@ mod tests {
             let path = format!("dataset/a/{file}");
             assert!(store.blockstore().read(&path).is_none(), "{path}");
         }
-        // remove() and drop_cached() free live bytes the same way.
+        // remove() frees live bytes the same way.
         let store = DatasetStore::with_budget(100);
         store.put_segmented(&h("a"), rows(1), 64, seg_codec());
         store.put_segmented(&h("b"), rows(2), 64, seg_codec());

@@ -82,14 +82,6 @@ pub enum MrError {
         /// How many attempts were made.
         attempts: usize,
     },
-    /// A DAG-scheduled pipeline failed at the named node (see
-    /// [`crate::dag`]); `message` is the rendered scheduler error.
-    Dag {
-        /// The failing DAG node.
-        node: String,
-        /// The rendered scheduler error.
-        message: String,
-    },
     /// A worker thread panicked inside user map or reduce code; the job
     /// is aborted rather than crashing the whole process.
     Panicked {
@@ -120,9 +112,6 @@ impl fmt::Display for MrError {
                     f,
                     "job '{job}': map task {task} failed after {attempts} attempts"
                 )
-            }
-            MrError::Dag { node, message } => {
-                write!(f, "DAG node '{node}': {message}")
             }
             MrError::Panicked { job, phase } => {
                 write!(f, "job '{job}': {phase} phase panicked in user code")
@@ -198,8 +187,8 @@ impl Engine {
         self.ledger.lock().reset();
     }
 
-    /// Records a DAG run's metrics in the ledger (called by
-    /// [`crate::JobGraph::run`] under [`crate::SchedulerChoice::Dag`]).
+    /// Records a chain's metrics in the ledger (called by
+    /// [`crate::run_chain`] under [`crate::SchedulerChoice::Dag`]).
     pub(crate) fn record_dag(&self, metrics: DagMetrics) {
         self.ledger.lock().record_dag(metrics);
     }

@@ -21,12 +21,12 @@
 //!   ([`metrics`]); these drive the runtime/I/O figures of the evaluation.
 //! * **Block storage** — a tiny "HDFS-lite" ([`blockstore`]) used by the
 //!   examples to stage datasets as replicated blocks.
-//! * **Job graphs** — a pipeline is one [`JobGraph`] of MR jobs passing
-//!   named intermediate datasets ([`dag`], [`dataset`]), walked in
-//!   topological order by [`JobGraph::run`]. Under
-//!   [`SchedulerChoice::Dag`] the walk also retries failed nodes,
-//!   re-executes only lost ancestors through lineage, and records
-//!   [`DagMetrics`].
+//! * **Job chains** — a pipeline is a named chain of steps run by
+//!   [`run_chain`] ([`dag`]); each [`Chain::step`] hands its value back
+//!   to the caller. Under [`SchedulerChoice::Dag`] a failed step runs
+//!   once more and each chain records [`DagMetrics`].
+//! * **Dataset store** — the service's block cache of named datasets,
+//!   spilled to the block store under a byte budget ([`dataset`]).
 //! * **Distributed backends** — a [`Backend`] seam over the shuffle data
 //!   plane ([`distrib`]): the in-process engine, an in-process shuffle
 //!   service, and a multi-process backend whose spawned workers serve
@@ -35,17 +35,13 @@
 //!
 //! # Example
 //!
-//! A two-node job graph: a map-reduce job counts word lengths into a
-//! `counts` dataset, and a downstream map-only job derives the most
-//! common length from it. The walk runs `count` first — `report`
-//! declares `counts` as an input — and materializes both datasets in the
-//! [`DatasetStore`].
+//! A two-step chain: a map-reduce job counts word lengths, and a driver
+//! step derives the most common length from its output. Each step's
+//! value is a local of the caller; under `Dag` the chain's steps are
+//! recorded in the engine's ledger.
 //!
 //! ```
-//! use p3c_mapreduce::{
-//!     DatasetHandle, DatasetStore, Emitter, Engine, JobGraph, JobKind, JobNode, Mapper, MrConfig,
-//!     NodeCtx, Reducer, SchedulerChoice,
-//! };
+//! use p3c_mapreduce::{run_chain, Emitter, Engine, Mapper, MrConfig, Reducer, SchedulerChoice};
 //!
 //! /// Classic word-length count: length -> how many words.
 //! struct LenMapper;
@@ -62,47 +58,23 @@
 //! }
 //!
 //! let engine = Engine::new(MrConfig::default());
-//! let store = DatasetStore::new();
-//!
-//! // Input dataset, loaded into the store once for the whole pipeline.
-//! let words: DatasetHandle<Vec<String>> = DatasetHandle::new("words");
-//! let counts: DatasetHandle<Vec<(usize, u64)>> = DatasetHandle::new("counts");
-//! let top: DatasetHandle<usize> = DatasetHandle::new("top-length");
-//! let data: Vec<String> =
+//! let words: Vec<String> =
 //!     ["map", "reduce", "shuffle", "ox", "fox"].iter().map(|s| s.to_string()).collect();
-//! store.put(&words, data, 64);
 //!
-//! let mut graph = JobGraph::new("wordlen-pipeline");
-//! graph.add(
-//!     JobNode::new("count", JobKind::MapReduce, {
-//!         let (words, counts) = (words.clone(), counts.clone());
-//!         move |ctx: &NodeCtx| {
-//!             let input = ctx.fetch(&words)?;
-//!             let res = ctx.engine.run("wordlen", &input, &LenMapper, &SumReducer)?;
-//!             ctx.put(&counts, res.output, 16);
-//!             Ok(())
-//!         }
+//! let top = run_chain(&engine, "wordlen-pipeline", SchedulerChoice::Dag, |chain| {
+//!     let counts = chain.step("count", |engine| {
+//!         Ok(engine.run("wordlen", &words, &LenMapper, &SumReducer)?.output)
+//!     })?;
+//!     chain.step("report", |_| {
+//!         let best = counts.iter().max_by_key(|&&(len, n)| (n, len));
+//!         Ok(best.map_or(0, |p| p.0))
 //!     })
-//!     .input(&words)
-//!     .output(&counts),
-//! );
-//! graph.add(
-//!     JobNode::new("report", JobKind::MapOnly, {
-//!         let (counts, top) = (counts.clone(), top.clone());
-//!         move |ctx: &NodeCtx| {
-//!             let pairs = ctx.fetch(&counts)?;
-//!             let best = pairs.iter().max_by_key(|&&(len, n)| (n, len)).map(|p| p.0);
-//!             ctx.put(&top, best.unwrap_or(0), 8);
-//!             Ok(())
-//!         }
-//!     })
-//!     .input(&counts)
-//!     .output(&top),
-//! );
-//!
-//! graph.run(&engine, &store, SchedulerChoice::Dag).unwrap();
-//! assert_eq!(*store.get(&top).unwrap(), 3); // two words of length 3
-//! assert_eq!(engine.cluster_metrics().dag_runs()[0].total_executions, 2);
+//! })
+//! .unwrap();
+//! assert_eq!(top, 3); // two words of length 3
+//! let ledger = engine.cluster_metrics();
+//! assert_eq!(ledger.dag_runs()[0].nodes.len(), 2);
+//! assert_eq!(ledger.jobs()[0].job_name, "wordlen");
 //! ```
 #![warn(missing_docs)]
 
@@ -124,7 +96,7 @@ pub mod weight;
 pub use api::{Combiner, Emitter, Mapper, Reducer};
 pub use blockstore::BlockStore;
 pub use cache::DistributedCache;
-pub use dag::{DagError, JobGraph, JobKind, JobNode, NodeCtx, SchedulerChoice};
+pub use dag::{run_chain, Chain, SchedulerChoice};
 pub use dataset::{DatasetError, DatasetHandle, DatasetStore, DatasetStoreStats, SegmentedCodec};
 pub use distrib::{
     Backend, BackendChoice, BackendError, LocalBackend, MapOutputTracker, ProcessBackend,

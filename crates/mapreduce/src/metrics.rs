@@ -108,20 +108,15 @@ impl JobMetrics {
     }
 }
 
-/// Per-node execution counters of one DAG run (see [`crate::dag`]).
+/// Counters of one step of a chain run under
+/// [`crate::SchedulerChoice::Dag`] (see [`crate::dag`]).
 #[derive(Debug, Clone, Default)]
 pub struct DagNodeMetrics {
-    /// Node name as declared in the [`crate::dag::JobGraph`].
+    /// The step's name.
     pub node: String,
-    /// The node's job kind ("map-only", "map-reduce", "map-combine-reduce").
-    pub kind: String,
-    /// Scheduled attempts (primary executions, incl. retried failures).
+    /// Attempts made, including a retried failure.
     pub attempts: u64,
-    /// Total executions, including lineage-recovery re-runs.
-    pub executions: u64,
-    /// Executions triggered by lineage recovery of a lost output.
-    pub recoveries: u64,
-    /// Wall-clock spent executing this node (all attempts).
+    /// Wall-clock spent in this step (all attempts).
     pub wall: Duration,
 }
 
@@ -129,64 +124,29 @@ impl ToJson for DagNodeMetrics {
     fn write_json(&self, w: &mut Writer) {
         w.object(&[
             ("node", &self.node),
-            ("kind", &self.kind),
             ("attempts", &self.attempts),
-            ("executions", &self.executions),
-            ("recoveries", &self.recoveries),
             ("wall", &self.wall),
         ]);
     }
 }
 
-/// Metrics of one [`crate::dag::JobGraph::run`] under
+/// Metrics of one [`crate::run_chain`] under
 /// [`crate::SchedulerChoice::Dag`], recorded into the engine ledger next
 /// to the per-job [`JobMetrics`].
 #[derive(Debug, Clone, Default)]
 pub struct DagMetrics {
-    /// The graph's name.
+    /// The chain's name.
     pub dag_name: String,
-    /// Per-node counters, in graph declaration order.
+    /// Per-step counters of the steps that ran, in chain order.
     pub nodes: Vec<DagNodeMetrics>,
-    /// Most nodes executing at the same time: 1 for any non-empty graph,
-    /// since the walk runs one node at a time (0 for an empty graph).
+    /// Most steps executing at the same time: 1 for a chain that ran a
+    /// step, since steps run one at a time (0 for an empty chain).
     pub concurrency_high_water: u64,
-    /// Node executions of any kind (scheduled attempts + recoveries).
+    /// Step attempts, failed ones included.
     pub total_executions: u64,
-    /// Executions that were lineage-recovery re-runs.
-    pub recovered_executions: u64,
-    /// Node attempts that failed.
+    /// Step attempts that failed.
     pub failed_node_attempts: u64,
-    /// Dataset-store reads served from memory during this run.
-    pub cache_hits: u64,
-    /// Dataset-store reads that missed memory during this run.
-    pub cache_misses: u64,
-    /// Datasets spilled to the block store during this run.
-    pub spills: u64,
-    /// Encoded bytes written by those spills.
-    pub spill_bytes: u64,
-    /// In-memory bytes of the datasets spilled during this run; with
-    /// [`DagMetrics::spill_bytes`] this gives the run's aggregate spill
-    /// compression ratio.
-    pub spill_raw_bytes: u64,
-    /// Spilled datasets loaded back into memory during this run.
-    pub spill_loads: u64,
-    /// Column segments read from the block store during this run
-    /// (segmented spill reloads).
-    pub segment_reads: u64,
-    /// Encoded bytes of those segment reads.
-    pub segment_bytes_read: u64,
-    /// Datasets evicted from memory (spilled or dropped) during this run.
-    pub evictions: u64,
-    /// Shuffle-backend partition fetches across the run's jobs.
-    pub shuffle_fetches: u64,
-    /// Shuffle-backend fetch retries across the run's jobs.
-    pub fetch_retries: u64,
-    /// Worker processes (re)started across the run's jobs.
-    pub worker_restarts: u64,
-    /// Bytes that physically moved through the shuffle backend across
-    /// the run's jobs.
-    pub shuffle_bytes_moved: u64,
-    /// Wall-clock of the whole DAG run.
+    /// Wall-clock of the whole chain.
     pub wall: Duration,
 }
 
@@ -197,28 +157,14 @@ impl ToJson for DagMetrics {
             ("nodes", &self.nodes),
             ("concurrency_high_water", &self.concurrency_high_water),
             ("total_executions", &self.total_executions),
-            ("recovered_executions", &self.recovered_executions),
             ("failed_node_attempts", &self.failed_node_attempts),
-            ("cache_hits", &self.cache_hits),
-            ("cache_misses", &self.cache_misses),
-            ("spills", &self.spills),
-            ("spill_bytes", &self.spill_bytes),
-            ("spill_raw_bytes", &self.spill_raw_bytes),
-            ("spill_loads", &self.spill_loads),
-            ("segment_reads", &self.segment_reads),
-            ("segment_bytes_read", &self.segment_bytes_read),
-            ("evictions", &self.evictions),
-            ("shuffle_fetches", &self.shuffle_fetches),
-            ("fetch_retries", &self.fetch_retries),
-            ("worker_restarts", &self.worker_restarts),
-            ("shuffle_bytes_moved", &self.shuffle_bytes_moved),
             ("wall", &self.wall),
         ]);
     }
 }
 
 impl DagMetrics {
-    /// Looks up one node's counters by name.
+    /// Looks up one step's counters by name.
     pub fn node(&self, name: &str) -> Option<&DagNodeMetrics> {
         self.nodes.iter().find(|n| n.node == name)
     }
@@ -258,7 +204,8 @@ impl ClusterMetrics {
         &self.jobs
     }
 
-    /// All recorded DAG runs, in submission order.
+    /// All chains recorded under [`crate::SchedulerChoice::Dag`], in run
+    /// order.
     pub fn dag_runs(&self) -> &[DagMetrics] {
         &self.dag_runs
     }
@@ -380,30 +327,13 @@ mod tests {
       "nodes": [
         {
           "node": "histogram",
-          "kind": "map-reduce",
           "attempts": 1,
-          "executions": 1,
-          "recoveries": 0,
           "wall": 0.005
         }
       ],
       "concurrency_high_water": 2,
-      "total_executions": 0,
-      "recovered_executions": 0,
+      "total_executions": 1,
       "failed_node_attempts": 0,
-      "cache_hits": 3,
-      "cache_misses": 0,
-      "spills": 0,
-      "spill_bytes": 0,
-      "spill_raw_bytes": 0,
-      "spill_loads": 0,
-      "segment_reads": 0,
-      "segment_bytes_read": 0,
-      "evictions": 0,
-      "shuffle_fetches": 0,
-      "fetch_retries": 0,
-      "worker_restarts": 0,
-      "shuffle_bytes_moved": 0,
       "wall": 0.0
     }
   ]
@@ -415,14 +345,11 @@ mod tests {
             dag_name: "pipeline".into(),
             nodes: vec![DagNodeMetrics {
                 node: "histogram".into(),
-                kind: "map-reduce".into(),
                 attempts: 1,
-                executions: 1,
-                recoveries: 0,
                 wall: Duration::from_millis(5),
             }],
             concurrency_high_water: 2,
-            cache_hits: 3,
+            total_executions: 1,
             ..DagMetrics::default()
         };
         assert_eq!(dag.node("histogram").unwrap().attempts, 1);

@@ -160,11 +160,11 @@ fn light_pipeline_moves_less_data_than_full() {
     );
 }
 
-/// "One definition": a pipeline is a single job graph, so the two
-/// executors must run the same jobs over the same inputs and return the
-/// same clustering. `Serial` leaves no DAG rows in the ledger, `Dag`
-/// records its runs, and both walk the same order: the two ledgers hold
-/// the same sequence of (job name, records read).
+/// "One definition": a pipeline is one chain of steps, so both
+/// scheduler choices must run the same jobs over the same inputs and
+/// return the same clustering. `Serial` leaves no DAG rows in the
+/// ledger, `Dag` records its chains, and both run the same order: the
+/// two ledgers hold the same sequence of (job name, records read).
 fn assert_one_definition(
     pipeline: &str,
     cluster: impl Fn(&Engine, &Dataset, SchedulerChoice) -> Clustering,
