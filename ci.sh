@@ -12,7 +12,7 @@
 # `--scheduler dag` MR run, the tier-1 suite re-run under the
 # multi-process shuffle backend (P3C_BACKEND=process:2), the
 # parallel-kernel bit-identity tests swept over P3C_THREADS, the
-# kernels/codec/backend/service/recovery benchmarks at smoke scale,
+# kernels/backend/service/recovery benchmarks at smoke scale,
 # archiving target/ci/BENCH_*.json (results/ keeps the committed
 # full-scale numbers; the smoke runs must not overwrite them),
 # a stdin-scripted `p3c serve` session exercising the service line
@@ -118,10 +118,6 @@ done
 echo "==> kernels microbenchmark (smoke) -> target/ci/BENCH_kernels.json"
 ./target/release/experiments --smoke --out target/ci kernels > /dev/null
 test -s target/ci/BENCH_kernels.json
-
-echo "==> codec microbenchmark (smoke) -> target/ci/BENCH_codec.json"
-./target/release/experiments --smoke --out target/ci codec > /dev/null
-test -s target/ci/BENCH_codec.json
 
 echo "==> backend benchmark (smoke) -> target/ci/BENCH_backend.json"
 P3C_WORKER_BIN="$PWD/target/release/p3c" \
@@ -248,8 +244,8 @@ echo "==> tier 2: determinism, concurrency & lock-discipline audit"
 cargo run -q -p p3c-audit
 
 # The declared lock ranks, enforced at runtime: the lockcheck feature
-# turns every RankedMutex/RankedRwLock acquisition into an assertion on
-# a thread-local held-rank stack, so the whole tier-1 suite doubles as a
+# turns every RankedMutex acquisition into an assertion on a
+# thread-local held-rank stack, so the whole tier-1 suite doubles as a
 # dynamic probe of the §15 hierarchy.
 echo "==> tier 2: lockcheck (runtime lock-rank assertions) tier-1 rerun"
 cargo test -q --features lockcheck

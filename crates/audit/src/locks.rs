@@ -72,7 +72,6 @@ pub const LOCK_SCOPES: &[&str] = &[
     "crates/mapreduce/src/service.rs",
     "crates/mapreduce/src/engine.rs",
     "crates/mapreduce/src/pool.rs",
-    "crates/mapreduce/src/blockstore.rs",
     "crates/mapreduce/src/dataset.rs",
     "crates/mapreduce/src/dag.rs",
     "crates/mapreduce/src/kernel.rs",

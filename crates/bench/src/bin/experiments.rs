@@ -5,8 +5,8 @@
 //!             [EXPERIMENT...]
 //!
 //! EXPERIMENT ∈ {fig1, fig4, fig5, fig6, fig7, huge, colon, bins, measures,
-//!               stragglers, kernels, codec, backend, service,
-//!               recovery, all}
+//!               stragglers, kernels, backend, service, recovery,
+//!               all}
 //! ```
 //!
 //! Results are printed and written to `<out>/<id>.{json,md}`
@@ -52,7 +52,6 @@ fn main() -> ExitCode {
             "measures",
             "stragglers",
             "kernels",
-            "codec",
             "backend",
             "service",
             "recovery",
@@ -81,7 +80,6 @@ fn main() -> ExitCode {
             "measures" => experiments::measures(&scale),
             "stragglers" => experiments::stragglers(&scale),
             "kernels" => experiments::kernels(&scale),
-            "codec" => experiments::codec(&scale),
             "backend" => experiments::backend(&scale),
             "service" => experiments::service(&scale),
             "recovery" => experiments::recovery(&scale),
@@ -111,6 +109,6 @@ fn die(msg: &str) -> ! {
 fn print_help() {
     eprintln!(
         "usage: experiments [--scale F] [--dims D] [--seed S] [--smoke] [--out DIR] [EXPERIMENT...]\n\
-         experiments: fig1 fig4 fig5 fig6 fig7 huge colon bins measures stragglers kernels codec backend service recovery all (default: all)"
+         experiments: fig1 fig4 fig5 fig6 fig7 huge colon bins measures stragglers kernels backend service recovery all (default: all)"
     );
 }

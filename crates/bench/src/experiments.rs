@@ -777,90 +777,6 @@ pub fn kernels(scale: &Scale) -> Report {
     report
 }
 
-// ----------------------------------------------------------------- codec --
-
-/// Microbenchmarks the segmented columnar spill codec (DESIGN.md §9):
-/// encoded size against the raw block encoding, and full-reload cost.
-/// Emits `BENCH_codec.json`; the committed `results/BENCH_codec.*` is
-/// the frozen record of the comparison against the removed whole-buffer
-/// spill path (and of the removed column-subset reload).
-pub fn codec(scale: &Scale) -> Report {
-    use p3c_core::incremental::row_block_seg_codec;
-    use p3c_mapreduce::{DatasetHandle, DatasetStore};
-    use std::hint::black_box;
-
-    let mut report = Report::new(
-        "BENCH_codec",
-        "Segmented columnar spill codec",
-        &["scenario", "bytes", "fraction of raw", "wall"],
-    );
-    let n = scale.size(100_000);
-    let d = 20;
-    let reps = 3;
-    let block = generate(&SyntheticSpec {
-        n,
-        d,
-        num_clusters: 5,
-        noise_fraction: 0.10,
-        seed: scale.seed,
-        ..SyntheticSpec::default()
-    })
-    .dataset;
-    let raw_bytes = block.to_bytes().len();
-
-    let seg = row_block_seg_codec();
-    let seg_wall = best_of(reps, || {
-        black_box((seg.encode_header)(&block));
-        for j in 0..d {
-            black_box((seg.encode_segment)(&block, j));
-        }
-    });
-    let seg_bytes = (seg.encode_header)(&block).len()
-        + (0..d)
-            .map(|j| (seg.encode_segment)(&block, j).len())
-            .sum::<usize>();
-
-    // Reload cost, measured as block-store read bytes through a
-    // zero-budget store (every put spills immediately).
-    let mut seg_read = 0u64;
-    let mut seg_reload_wall = std::time::Duration::MAX;
-    for _ in 0..reps {
-        let store = DatasetStore::with_budget(0);
-        let handle: DatasetHandle<p3c_dataset::RowBlock> = DatasetHandle::new("bench-rows");
-        store.put_segmented(&handle, block.clone(), raw_bytes, row_block_seg_codec());
-        // A put never evicts itself; a follow-up put pushes the
-        // block out to the block store.
-        store.put(&DatasetHandle::<u8>::new("bench-nudge"), 0u8, 1);
-        assert_eq!(store.stats().spills, 1, "block did not spill");
-        let before = store.blockstore().bytes_read();
-        let start = Instant::now();
-        black_box(store.get(&handle).expect("full reload"));
-        seg_reload_wall = seg_reload_wall.min(start.elapsed());
-        seg_read = store.blockstore().bytes_read() - before;
-    }
-
-    let of_raw = |b: u64| format!("{:.3}", b as f64 / raw_bytes as f64);
-    report.push_row(vec![
-        "spill write (segmented)".into(),
-        seg_bytes.to_string(),
-        of_raw(seg_bytes as u64),
-        secs(seg_wall),
-    ]);
-    report.push_row(vec![
-        "full reload (segmented)".into(),
-        seg_read.to_string(),
-        of_raw(seg_read),
-        secs(seg_reload_wall),
-    ]);
-
-    report.push_note(format!(
-        "n = {n}, d = {d}, raw block encoding (`Dataset::to_bytes`) \
-         {raw_bytes} bytes, best of {reps} runs; the write row reports \
-         encoded size, the reload row block-store bytes read."
-    ));
-    report
-}
-
 // ---------------------------------------------------------------- backend --
 
 /// Shuffle-backend comparison (DESIGN.md §12): the same MR-Light
@@ -1237,22 +1153,6 @@ mod tests {
             let fd: usize = row[2].parse().unwrap();
             assert!(fd >= sturges / 2, "fd={fd} sturges={sturges}");
         }
-    }
-
-    #[test]
-    fn codec_smoke() {
-        let r = codec(&Scale::smoke());
-        assert_eq!(r.rows.len(), 2);
-        // A segmented full reload reads back the column segments it
-        // wrote, and the per-column encoding undercuts the raw block.
-        let written: u64 = r.rows[0][1].parse().unwrap();
-        let reloaded: u64 = r.rows[1][1].parse().unwrap();
-        let of_raw: f64 = r.rows[0][2].parse().unwrap();
-        assert!(
-            reloaded > 0 && reloaded <= written,
-            "{reloaded} of {written}"
-        );
-        assert!(of_raw < 1.0, "segmented spill is {of_raw} of raw");
     }
 
     #[test]

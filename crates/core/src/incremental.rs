@@ -58,28 +58,11 @@ use crate::p3cplus::{
 use crate::support::SupportCache;
 use crate::types::{Interval, Signature};
 use p3c_dataset::bytes::{self, DecodeError, Reader};
-use p3c_dataset::{colseg, BlockEntry, BlockLog, RowBlock};
-use p3c_mapreduce::{DatasetHandle, DatasetStore, SegmentedCodec};
+use p3c_dataset::{BlockEntry, BlockLog, RowBlock};
+use p3c_mapreduce::DatasetStore;
 use p3c_stats::{bin_rows, Histogram};
 use std::cell::RefCell;
 use std::sync::Arc;
-
-/// Segmented columnar codec the tenant's row blocks spill through: a
-/// tiny `(n, d)` header plus one independently-encoded segment per
-/// attribute column (XOR-delta + byte-shuffle + zero-RLE, see
-/// `p3c_dataset::colseg`).
-pub fn row_block_seg_codec() -> SegmentedCodec<RowBlock, Vec<f64>> {
-    fn decode_segment(bytes: &[u8], _j: usize, _header: &[u8]) -> Vec<f64> {
-        colseg::decode_column(bytes)
-    }
-    SegmentedCodec {
-        num_segments: RowBlock::dim,
-        encode_header: colseg::block_header,
-        encode_segment: colseg::encode_block_column,
-        decode_segment,
-        assemble_full: colseg::assemble_block,
-    }
-}
 
 /// Which lineage path a recluster took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,9 +139,9 @@ struct ModelState {
 
 /// Incremental P3C+-Light over one named dataset's block log.
 ///
-/// Row payloads live in a [`DatasetStore`] (one segmented-codec entry
-/// per appended block, named `incr/<name>/block-<id>`), so a budgeted
-/// store can spill cold blocks through the columnar codec and the
+/// Row payloads live in a [`DatasetStore`] (one entry per appended
+/// block, named `incr/<name>/block-<id>`), so a budgeted store can
+/// spill cold blocks through the columnar codec and the
 /// engine's resident state stays `O(maintained statistics + model)`.
 /// Every method that touches rows takes the store explicitly — the
 /// service owns one shared budgeted store across tenants.
@@ -316,9 +299,7 @@ impl IncrementalLight {
             }
         }
 
-        let bytes = 16 + 8 * block.as_slice().len();
-        let handle: DatasetHandle<RowBlock> = DatasetHandle::new(self.block_name(id));
-        store.put_segmented(&handle, block, bytes, row_block_seg_codec());
+        store.put(&self.block_name(id), block);
         Ok(id)
     }
 
@@ -331,7 +312,7 @@ impl IncrementalLight {
         if !self.log.contains(id) {
             return Ok(false);
         }
-        let handle: DatasetHandle<RowBlock> = DatasetHandle::new(self.block_name(id));
+        let name = self.block_name(id);
         let entry_rows = self
             .log
             .entries()
@@ -340,7 +321,7 @@ impl IncrementalLight {
             .map(|e| e.rows);
         let block = match entry_rows {
             Some(0) => None,
-            _ => Some(store.get(&handle).map_err(|e| e.to_string())?),
+            _ => Some(store.get(&name).map_err(|e| e.to_string())?),
         };
         self.log.retract(id);
         self.stats.retracts += 1;
@@ -358,7 +339,7 @@ impl IncrementalLight {
                 self.supports.apply_delta(&block.row_refs(), true);
                 self.stats.delta_rows += block.len() as u64;
             }
-            store.remove(handle.name());
+            store.remove(&name);
         }
         self.dirty_full = true;
         Ok(true)
@@ -372,8 +353,11 @@ impl IncrementalLight {
             if e.rows == 0 {
                 continue;
             }
-            let handle: DatasetHandle<RowBlock> = DatasetHandle::new(self.block_name(e.id));
-            blocks.push(store.get(&handle).map_err(|e| e.to_string())?);
+            blocks.push(
+                store
+                    .get(&self.block_name(e.id))
+                    .map_err(|e| e.to_string())?,
+            );
         }
         let refs: Vec<&RowBlock> = blocks.iter().map(|b| b.as_ref()).collect();
         Ok(RowBlock::concat(&refs))
@@ -784,8 +768,9 @@ impl IncrementalLight {
         let live: Vec<&BlockEntry> = self.log.entries().iter().filter(|e| e.rows > 0).collect();
         bytes::put_usize(buf, live.len());
         for e in live {
-            let handle: DatasetHandle<RowBlock> = DatasetHandle::new(self.block_name(e.id));
-            let block = store.get(&handle).map_err(|e| e.to_string())?;
+            let block = store
+                .get(&self.block_name(e.id))
+                .map_err(|e| e.to_string())?;
             bytes::put_u64(buf, e.id);
             block.encode_into(buf);
         }
@@ -916,9 +901,7 @@ impl IncrementalLight {
             if !engine.log.contains(id) {
                 return Err(format!("payload for block {id} not in the log"));
             }
-            let bytes = 16 + 8 * block.as_slice().len();
-            let handle: DatasetHandle<RowBlock> = DatasetHandle::new(engine.block_name(id));
-            store.put_segmented(&handle, block, bytes, row_block_seg_codec());
+            store.put(&engine.block_name(id), block);
         }
         r.finish()?;
         Ok(engine)
@@ -1000,8 +983,7 @@ impl<'a> CumulativeRows<'a> {
         }
         let mut blocks = Vec::with_capacity(self.block_names.len());
         for name in &self.block_names {
-            let handle: DatasetHandle<RowBlock> = DatasetHandle::new(name.clone());
-            blocks.push(self.store.get(&handle).map_err(|e| e.to_string())?);
+            blocks.push(self.store.get(name).map_err(|e| e.to_string())?);
         }
         let refs: Vec<&RowBlock> = blocks.iter().map(|b| b.as_ref()).collect();
         let block = Arc::new(RowBlock::concat(&refs));

@@ -1,16 +1,16 @@
 //! Segmented columnar spill codec: per-attribute column segments with
 //! XOR-delta + byte-shuffle + zero-RLE encoding.
 //!
-//! This is the on-disk form the MapReduce `DatasetStore` uses when it
-//! spills a [`RowBlock`] to the block store: a spilled block becomes a
-//! tiny *header* (`n`, `d`) plus `d` independent *column segments* —
-//! values of one attribute are neighbours in the encoder's input, which
-//! is what the delta coding below compresses (DESIGN.md §9).
+//! This is the form the MapReduce `DatasetStore` keeps a [`RowBlock`] in
+//! once it spills it: a tiny *header* (`n`, `d`) plus `d` independent
+//! *column segments* — values of one attribute are neighbours in the
+//! encoder's input, which is what the delta coding below compresses
+//! (DESIGN.md §9).
 //!
 //! The encoding is deliberately dependency-free and **bit-exact**: every
 //! `f64` is treated as its IEEE-754 bit pattern, so NaN payloads and
 //! signed infinities round-trip unchanged and a full reload reassembles
-//! the original buffer byte-for-byte — the invariant the DAG pipelines'
+//! the original buffer byte-for-byte — the invariant the service's
 //! byte-identity tests rest on.
 //!
 //! Per column, the encoder
@@ -23,8 +23,6 @@
 //!    literal runs.
 //!
 //! The format is pinned by a byte-snapshot test so it stays build-stable.
-
-use std::sync::Arc;
 
 use crate::RowBlock;
 
@@ -224,7 +222,7 @@ pub fn encode_block_column(block: &RowBlock, j: usize) -> Vec<u8> {
 /// # Panics
 /// Panics if the column count or any column length disagrees with the
 /// header.
-pub fn assemble_block(header: &[u8], cols: Vec<Arc<Vec<f64>>>) -> RowBlock {
+pub fn assemble_block(header: &[u8], cols: Vec<Vec<f64>>) -> RowBlock {
     let (n, d) = decode_header(header);
     assert_eq!(cols.len(), d, "segment count disagrees with header");
     let mut data = vec![0.0; n * d];
@@ -313,8 +311,8 @@ mod tests {
         let data: Vec<f64> = (0..40).map(|i| (i as f64).sin()).collect();
         let block = RowBlock::new(8, 5, data);
         let header = block_header(&block);
-        let cols: Vec<Arc<Vec<f64>>> = (0..5)
-            .map(|j| Arc::new(decode_column(&encode_block_column(&block, j))))
+        let cols: Vec<Vec<f64>> = (0..5)
+            .map(|j| decode_column(&encode_block_column(&block, j)))
             .collect();
         let back = assemble_block(&header, cols);
         assert_eq!(back.as_slice(), block.as_slice());
@@ -326,15 +324,15 @@ mod tests {
     fn degenerate_shapes() {
         // n = 0: header-only reassembly.
         let empty = RowBlock::new(0, 3, vec![]);
-        let cols: Vec<Arc<Vec<f64>>> = (0..3)
-            .map(|j| Arc::new(decode_column(&encode_block_column(&empty, j))))
+        let cols: Vec<Vec<f64>> = (0..3)
+            .map(|j| decode_column(&encode_block_column(&empty, j)))
             .collect();
         assert_eq!(assemble_block(&block_header(&empty), cols), empty);
         // d = 1: a single segment carries the whole block.
         let thin = RowBlock::new(5, 1, vec![0.1, 0.2, 0.3, 0.4, 0.5]);
         let back = assemble_block(
             &block_header(&thin),
-            vec![Arc::new(decode_column(&encode_block_column(&thin, 0)))],
+            vec![decode_column(&encode_block_column(&thin, 0))],
         );
         assert_eq!(back.as_slice(), thin.as_slice());
         // d = 0: no segments at all.

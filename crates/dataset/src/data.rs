@@ -141,8 +141,8 @@ impl Dataset {
 
     /// Appends the raw block encoding — `u64 n`, `u64 d`, then the `n·d`
     /// values as `f64` bits, all little-endian. The one layout of a row
-    /// block at rest: journal append records, snapshot payloads and
-    /// staged block-store files all carry exactly these bytes.
+    /// block at rest: journal append records and snapshot payloads both
+    /// carry exactly these bytes.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         bytes::put_usize(buf, self.n);
         bytes::put_usize(buf, self.d);

@@ -1,4 +1,4 @@
-//! The MapReduce programming model: mappers, reducers, combiners, emitter.
+//! The MapReduce programming model: mappers, reducers, emitter.
 
 use crate::weight::Weighable;
 
@@ -94,14 +94,6 @@ where
 pub trait Reducer<K, V, O>: Sync {
     /// Folds one key's grouped values into output records.
     fn reduce(&self, key: &K, values: Vec<V>, out: &mut Vec<O>);
-}
-
-/// A map-side combiner: folds the values of one key *within a single map
-/// task's output* before the shuffle, cutting shuffle bytes — semantics
-/// identical to Hadoop's combiner contract (must be associative).
-pub trait Combiner<K, V>: Sync {
-    /// Folds one key's local values into a single pre-shuffle value.
-    fn combine(&self, key: &K, values: Vec<V>) -> V;
 }
 
 /// Blanket mapper for plain functions — convenient for small jobs/tests.

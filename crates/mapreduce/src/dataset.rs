@@ -1,90 +1,22 @@
-//! Named, materialized datasets: the clustering service's block cache.
+//! Named row blocks: the clustering service's block cache.
 //!
 //! A [`DatasetStore`] is where the service ([`crate::service`]) keeps
-//! its tenants' row blocks and models. The store is in-memory first;
-//! under a byte budget it evicts least-recently-used entries, *spilling*
-//! those that carry a codec to the [`crate::BlockStore`] "HDFS-lite" and
-//! loading them back on the next read. An entry without a codec is never
-//! evicted: the budget is overshot rather than losing data.
-//!
-//! The spill format is *segmented* ([`SegmentedCodec`],
-//! [`DatasetStore::put_segmented`]): a small header plus one
-//! independently-encoded file per segment (for a row block: per
-//! attribute column), so each column compresses on its own; a
-//! [`DatasetStore::get`] reloads and reassembles all of them.
-//! Per-segment traffic is metered (`segment_reads`,
-//! `segment_bytes_read` in [`DatasetStoreStats`]).
+//! its tenants' row blocks. The store is in-memory first; under a byte
+//! budget it evicts least-recently-used blocks by *spilling* them: the
+//! entry trades its [`RowBlock`] for the block's segmented columnar
+//! encoding (`p3c_dataset::colseg`, DESIGN.md §9) — a small header plus
+//! one independently-encoded segment per attribute column — and
+//! decodes it back on the next [`DatasetStore::get`]. The encoded bytes
+//! stay in the entry until it is overwritten or removed, so a reloaded
+//! block that is evicted again just drops its decoded copy. Per-segment
+//! traffic is metered (`segment_reads`, `segment_bytes_read` in
+//! [`DatasetStoreStats`]).
 
-use crate::blockstore::BlockStore;
 use crate::sync::{rank, RankedMutex};
-use std::any::Any;
+use p3c_dataset::{colseg, RowBlock};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::marker::PhantomData;
 use std::sync::Arc;
-
-/// A typed, named reference to a dataset in a [`DatasetStore`].
-///
-/// Handles are cheap to clone and carry the element type as a phantom,
-/// so reads stay type-checked while the store itself is type-erased.
-pub struct DatasetHandle<T> {
-    name: Arc<str>,
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<T> DatasetHandle<T> {
-    /// Creates a handle for the dataset of the given name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: Arc::from(name.into()),
-            _marker: PhantomData,
-        }
-    }
-
-    /// The dataset name — the store's key and the spill file stem.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl<T> Clone for DatasetHandle<T> {
-    fn clone(&self) -> Self {
-        Self {
-            name: Arc::clone(&self.name),
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<T> fmt::Debug for DatasetHandle<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DatasetHandle({})", self.name)
-    }
-}
-
-/// Serialization functions for the *segmented* spill format: the value
-/// splits into a small header plus independently-encoded segments (for
-/// a row block: one per attribute column).
-///
-/// Type parameters: `T` is the stored value, `C` one decoded segment
-/// (e.g. a column `Vec<f64>`). All functions are plain function
-/// pointers: codecs must not capture state, which keeps spilled bytes
-/// self-describing.
-pub struct SegmentedCodec<T, C> {
-    /// Number of independently-encoded segments of a value.
-    pub num_segments: fn(&T) -> usize,
-    /// Encodes the small shape header written alongside the segments.
-    pub encode_header: fn(&T) -> Vec<u8>,
-    /// Encodes segment `j` as a standalone buffer.
-    pub encode_segment: fn(&T, usize) -> Vec<u8>,
-    /// Decodes segment `j` (`(segment bytes, j, header bytes)`) back
-    /// into a column.
-    pub decode_segment: fn(&[u8], usize, &[u8]) -> C,
-    /// Reassembles the full value from the header and *all* segments in
-    /// index order — the spill-reload path. Must reproduce the encoded
-    /// value exactly (a reload never changes a result).
-    pub assemble_full: fn(&[u8], Vec<Arc<C>>) -> T,
-}
 
 /// Store access errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,32 +26,12 @@ pub enum DatasetError {
         /// The dataset name that was requested.
         name: String,
     },
-    /// The dataset exists but was requested with the wrong element type.
-    WrongType {
-        /// The dataset name that was requested.
-        name: String,
-    },
-    /// Store bookkeeping for this entry is inconsistent (e.g. a spilled
-    /// entry with no codec or no cached header). Indicates a store bug,
-    /// reported as an error instead of a worker panic.
-    Corrupt {
-        /// The dataset whose entry is inconsistent.
-        name: String,
-        /// What was expected and missing.
-        detail: &'static str,
-    },
 }
 
 impl fmt::Display for DatasetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DatasetError::Missing { name } => write!(f, "dataset '{name}' is not materialized"),
-            DatasetError::WrongType { name } => {
-                write!(f, "dataset '{name}' requested with the wrong type")
-            }
-            DatasetError::Corrupt { name, detail } => {
-                write!(f, "dataset '{name}': inconsistent store entry — {detail}")
-            }
         }
     }
 }
@@ -131,64 +43,60 @@ impl std::error::Error for DatasetError {}
 pub struct DatasetStoreStats {
     /// `get` calls served from memory.
     pub hits: u64,
-    /// `get` calls that had to touch the block store or found nothing
-    /// (missing or spilled).
+    /// `get` calls that had to decode a spilled block or found nothing.
     pub misses: u64,
-    /// Datasets written to the block store by eviction.
+    /// Blocks encoded by eviction.
     pub spills: u64,
     /// Encoded bytes written by spills (cumulative — never decremented).
     pub spill_bytes: u64,
-    /// Encoded bytes of spill files currently live in the block store:
-    /// incremented at spill time, decremented when a spilled entry is
-    /// overwritten, removed or dropped.
+    /// Encoded bytes of spills currently held by the store: incremented
+    /// at spill time, decremented when a spilled entry is overwritten or
+    /// removed.
     pub live_spill_bytes: u64,
-    /// In-memory (pre-encoding) bytes of the datasets spilled so far —
+    /// In-memory (pre-encoding) bytes of the blocks spilled so far —
     /// `spill_bytes / spill_raw_bytes` is the aggregate compression
-    /// ratio of the spill codecs.
+    /// ratio of the spill codec.
     pub spill_raw_bytes: u64,
-    /// Spilled datasets decoded back into memory on demand.
+    /// Spilled blocks decoded back into memory on demand.
     pub spill_loads: u64,
-    /// Column segments read from the block store by segmented reloads.
+    /// Column segments decoded by those reloads.
     pub segment_reads: u64,
     /// Encoded bytes of those segment reads.
     pub segment_bytes_read: u64,
-    /// Datasets removed from memory by the budget (spilled or dropped).
+    /// Blocks removed from memory by the budget.
     pub evictions: u64,
 }
 
-type AnyArc = Arc<dyn Any + Send + Sync>;
-type EncodeFn = Box<dyn Fn(&AnyArc) -> Vec<u8> + Send + Sync>;
-type SegCountFn = Box<dyn Fn(&AnyArc) -> usize + Send + Sync>;
-type SegEncodeFn = Box<dyn Fn(&AnyArc, usize) -> Vec<u8> + Send + Sync>;
-type SegDecodeFn = Box<dyn Fn(&[u8], usize, &[u8]) -> AnyArc + Send + Sync>;
-type AssembleFullFn = Box<dyn Fn(&[u8], Vec<AnyArc>) -> AnyArc + Send + Sync>;
+/// A block's segmented columnar encoding, made at its first eviction.
+struct Spill {
+    header: Vec<u8>,
+    segments: Vec<Vec<u8>>,
+}
 
-struct ErasedSegCodec {
-    num_segments: SegCountFn,
-    encode_header: EncodeFn,
-    encode_segment: SegEncodeFn,
-    decode_segment: SegDecodeFn,
-    assemble_full: AssembleFullFn,
+impl Spill {
+    fn encode(block: &RowBlock) -> Self {
+        Self {
+            header: colseg::block_header(block),
+            segments: (0..block.dim())
+                .map(|j| colseg::encode_block_column(block, j))
+                .collect(),
+        }
+    }
+
+    /// Encoded bytes: the header plus every segment.
+    fn total(&self) -> usize {
+        self.header.len() + self.segments.iter().map(Vec::len).sum::<usize>()
+    }
 }
 
 struct Entry {
-    /// In-memory value; `None` when evicted (spilled or dropped).
-    value: Option<AnyArc>,
-    /// Caller-declared size estimate, used by the budget.
+    /// The decoded block; `None` while evicted (then `spill` is set).
+    block: Option<Arc<RowBlock>>,
+    /// Size estimate used by the budget: `16 + 8·n·d`.
     bytes: usize,
     /// LRU clock value of the last touch.
     seq: u64,
-    codec: Option<ErasedSegCodec>,
-    /// The block store holds an up-to-date encoded copy.
-    spilled: bool,
-    /// Total encoded bytes of the live spill (header + segments); 0
-    /// when not spilled.
-    spilled_total: usize,
-    /// Encoded size of each segment, recorded at spill time.
-    seg_sizes: Vec<usize>,
-    /// Header bytes, cached at spill time so reloads don't re-fetch
-    /// the (tiny) header file.
-    header: Option<Vec<u8>>,
+    spill: Option<Spill>,
 }
 
 struct Inner {
@@ -198,10 +106,25 @@ struct Inner {
     stats: DatasetStoreStats,
 }
 
-/// The materialized-dataset store: typed handles over type-erased
-/// entries, with LRU spilling under an optional byte budget.
+impl Inner {
+    /// Takes `name` out of the map and its bytes out of the accounting.
+    fn take(&mut self, name: &str) -> bool {
+        let Some(old) = self.entries.remove(name) else {
+            return false;
+        };
+        if old.block.is_some() {
+            self.mem_bytes -= old.bytes;
+        }
+        if let Some(spill) = &old.spill {
+            self.stats.live_spill_bytes -= spill.total() as u64;
+        }
+        true
+    }
+}
+
+/// The row-block cache: an LRU map of named blocks that spills to
+/// encoded column segments under an optional byte budget.
 pub struct DatasetStore {
-    blockstore: Arc<BlockStore>,
     budget: Option<usize>,
     inner: RankedMutex<Inner>,
 }
@@ -213,20 +136,18 @@ impl Default for DatasetStore {
 }
 
 impl DatasetStore {
-    /// Unbounded in-memory store with a private spill block store.
+    /// Unbounded in-memory store.
     pub fn new() -> Self {
-        Self::with_blockstore(Arc::new(BlockStore::new(1 << 20, 1)), None)
+        Self::build(None)
     }
 
-    /// Store that evicts down to `budget` bytes of in-memory datasets.
+    /// Store that evicts down to `budget` bytes of in-memory blocks.
     pub fn with_budget(budget: usize) -> Self {
-        Self::with_blockstore(Arc::new(BlockStore::new(1 << 20, 1)), Some(budget))
+        Self::build(Some(budget))
     }
 
-    /// Store spilling to an existing block store, optionally budgeted.
-    pub fn with_blockstore(blockstore: Arc<BlockStore>, budget: Option<usize>) -> Self {
+    fn build(budget: Option<usize>) -> Self {
         Self {
-            blockstore,
             budget,
             inner: RankedMutex::new(
                 rank::DATASET_STORE,
@@ -241,113 +162,31 @@ impl DatasetStore {
         }
     }
 
-    /// The block store spills land in.
-    pub fn blockstore(&self) -> &Arc<BlockStore> {
-        &self.blockstore
-    }
-
-    /// Materializes a dataset the budget never evicts. Overwrites any
-    /// previous version.
-    pub fn put<T: Send + Sync + 'static>(&self, handle: &DatasetHandle<T>, value: T, bytes: usize) {
-        self.insert(handle.name(), Arc::new(value), bytes, None);
-    }
-
-    /// Materializes a dataset the budget may *spill* to the block store,
-    /// in segmented columnar form.
-    pub fn put_segmented<T, C>(
-        &self,
-        handle: &DatasetHandle<T>,
-        value: T,
-        bytes: usize,
-        codec: SegmentedCodec<T, C>,
-    ) where
-        T: Send + Sync + 'static,
-        C: Send + Sync + 'static,
-    {
-        fn typed<T: Send + Sync + 'static>(any: &AnyArc) -> Arc<T> {
-            // audit: panic-ok — value and codec are installed together
-            // by put_segmented, so the downcast cannot fail; the erased
-            // codec signatures have no Result.
-            any.clone()
-                .downcast::<T>()
-                .expect("codec type matches entry")
-        }
-        let SegmentedCodec {
-            num_segments,
-            encode_header,
-            encode_segment,
-            decode_segment,
-            assemble_full,
-        } = codec;
-        let erased = ErasedSegCodec {
-            num_segments: Box::new(move |any| num_segments(&typed::<T>(any))),
-            encode_header: Box::new(move |any| encode_header(&typed::<T>(any))),
-            encode_segment: Box::new(move |any, j| encode_segment(&typed::<T>(any), j)),
-            decode_segment: Box::new(move |bytes, j, header| {
-                Arc::new(decode_segment(bytes, j, header)) as AnyArc
-            }),
-            assemble_full: Box::new(move |header, cols| {
-                let cols = cols
-                    .into_iter()
-                    // audit: panic-ok — segments were decoded by this
-                    // same codec's decode_segment, so C always matches.
-                    .map(|c| c.downcast::<C>().expect("segment type matches codec"))
-                    .collect();
-                Arc::new(assemble_full(header, cols)) as AnyArc
-            }),
-        };
-        self.insert(handle.name(), Arc::new(value), bytes, Some(erased));
-    }
-
-    fn insert(&self, name: &str, value: AnyArc, bytes: usize, codec: Option<ErasedSegCodec>) {
+    /// Stores `block` under `name`, replacing any previous version.
+    pub fn put(&self, name: &str, block: RowBlock) {
+        let bytes = 16 + 8 * block.as_slice().len();
         let mut inner = self.inner.lock();
+        inner.take(name);
         inner.clock += 1;
         let seq = inner.clock;
-        if let Some(old) = inner.entries.remove(name) {
-            if old.value.is_some() {
-                inner.mem_bytes -= old.bytes;
-            }
-            if old.spilled {
-                self.delete_spill(name);
-                inner.stats.live_spill_bytes = inner
-                    .stats
-                    .live_spill_bytes
-                    .saturating_sub(old.spilled_total as u64);
-            }
-        }
         inner.entries.insert(
             name.to_string(),
             Entry {
-                value: Some(value),
+                block: Some(Arc::new(block)),
                 bytes,
                 seq,
-                codec,
-                spilled: false,
-                spilled_total: 0,
-                seg_sizes: Vec::new(),
-                header: None,
+                spill: None,
             },
         );
         inner.mem_bytes += bytes;
         self.enforce_budget(&mut inner, name);
     }
 
-    /// Fetches a dataset, loading it back from spill if necessary.
-    pub fn get<T: Send + Sync + 'static>(
-        &self,
-        handle: &DatasetHandle<T>,
-    ) -> Result<Arc<T>, DatasetError> {
-        let any = self.get_any(handle.name())?;
-        any.downcast::<T>().map_err(|_| DatasetError::WrongType {
-            name: handle.name().to_string(),
-        })
-    }
-
-    fn get_any(&self, name: &str) -> Result<AnyArc, DatasetError> {
+    /// Fetches a block, decoding it from its spill if necessary.
+    pub fn get(&self, name: &str) -> Result<Arc<RowBlock>, DatasetError> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         inner.clock += 1;
-        let seq = inner.clock;
         let missing = || DatasetError::Missing {
             name: name.to_string(),
         };
@@ -355,94 +194,38 @@ impl DatasetStore {
             inner.stats.misses += 1;
             return Err(missing());
         };
-        entry.seq = seq;
-        if let Some(value) = &entry.value {
-            let value = Arc::clone(value);
+        entry.seq = inner.clock;
+        if let Some(block) = &entry.block {
             inner.stats.hits += 1;
-            return Ok(value);
+            return Ok(Arc::clone(block));
         }
         inner.stats.misses += 1;
-        if !entry.spilled {
+        let Some(spill) = &entry.spill else {
             return Err(missing());
-        }
-        // Reload the spilled copy. The decode borrows the codec (a field
-        // of the entry, itself borrowed from `inner.entries`), so all
-        // shared-state bookkeeping is deferred until the borrow ends.
-        let mut seg_reads = 0u64;
-        let mut seg_bytes = 0u64;
-        let decoded = {
-            let Some(codec) = entry.codec.as_ref() else {
-                return Err(DatasetError::Corrupt {
-                    name: name.to_string(),
-                    detail: "spilled entry has no codec to decode with",
-                });
-            };
-            let Some(header) = entry.header.as_ref() else {
-                return Err(DatasetError::Corrupt {
-                    name: name.to_string(),
-                    detail: "spilled entry is missing its cached header",
-                });
-            };
-            let d = entry.seg_sizes.len();
-            let mut cols = Vec::with_capacity(d);
-            for j in 0..d {
-                let bytes = self
-                    .blockstore
-                    .read(&seg_file(name, j))
-                    .ok_or_else(missing)?;
-                seg_reads += 1;
-                seg_bytes += bytes.len() as u64;
-                cols.push((codec.decode_segment)(&bytes, j, header));
-            }
-            (codec.assemble_full)(header, cols)
         };
-        entry.value = Some(Arc::clone(&decoded));
-        inner.mem_bytes += entry.bytes;
+        let cols = spill
+            .segments
+            .iter()
+            .map(|s| colseg::decode_column(s))
+            .collect();
+        let block = Arc::new(colseg::assemble_block(&spill.header, cols));
         inner.stats.spill_loads += 1;
-        inner.stats.segment_reads += seg_reads;
-        inner.stats.segment_bytes_read += seg_bytes;
+        inner.stats.segment_reads += spill.segments.len() as u64;
+        inner.stats.segment_bytes_read += spill.segments.iter().map(Vec::len).sum::<usize>() as u64;
+        entry.block = Some(Arc::clone(&block));
+        inner.mem_bytes += entry.bytes;
         self.enforce_budget(inner, name);
-        Ok(decoded)
+        Ok(block)
     }
 
-    /// Whether the dataset is materialized (in memory or spilled).
-    pub fn has(&self, name: &str) -> bool {
-        let inner = self.inner.lock();
-        inner
-            .entries
-            .get(name)
-            .is_some_and(|e| e.value.is_some() || e.spilled)
-    }
-
-    /// Removes a dataset everywhere (memory and spill).
+    /// Removes a block everywhere (memory and spill).
     pub fn remove(&self, name: &str) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.entries.remove(name) {
-            Some(e) => {
-                if e.value.is_some() {
-                    inner.mem_bytes -= e.bytes;
-                }
-                if e.spilled {
-                    self.delete_spill(name);
-                    inner.stats.live_spill_bytes = inner
-                        .stats
-                        .live_spill_bytes
-                        .saturating_sub(e.spilled_total as u64);
-                }
-                true
-            }
-            None => false,
-        }
+        self.inner.lock().take(name)
     }
 
-    /// Bytes of datasets currently held in memory.
+    /// Bytes of blocks currently held decoded in memory.
     pub fn mem_bytes(&self) -> usize {
         self.inner.lock().mem_bytes
-    }
-
-    /// Names of all registered datasets.
-    pub fn names(&self) -> Vec<String> {
-        self.inner.lock().entries.keys().cloned().collect()
     }
 
     /// A snapshot of the cache/spill counters.
@@ -450,242 +233,168 @@ impl DatasetStore {
         self.inner.lock().stats
     }
 
-    /// Deletes a dataset's spill artifacts (its `<name>/` directory).
-    fn delete_spill(&self, name: &str) {
-        self.blockstore.delete_prefix(&spill_dir(name));
-    }
-
-    /// Evicts LRU entries until the budget holds. `exempt` (the entry
-    /// just inserted or reloaded) is never evicted, so a single oversized
-    /// dataset still materializes. Victims are in-memory entries with a
-    /// codec.
+    /// Evicts LRU blocks until the budget holds. `exempt` (the entry just
+    /// inserted or reloaded) is never evicted, so a single oversized
+    /// block still materializes. A block is encoded at its first
+    /// eviction only; later evictions just drop the decoded copy.
     fn enforce_budget(&self, inner: &mut Inner, exempt: &str) {
         let Some(budget) = self.budget else { return };
         while inner.mem_bytes > budget {
-            let victim = inner
-                .entries
-                .iter()
-                .filter(|(name, e)| {
-                    name.as_str() != exempt && e.value.is_some() && e.codec.is_some()
-                })
-                .min_by_key(|(_, e)| e.seq)
-                .map(|(name, _)| name.clone());
-            let Some(name) = victim else { break };
-            // Split the Inner borrow so the victim entry can stay
-            // borrowed across stats/accounting updates — one lookup for
-            // the whole eviction instead of expect()-laden re-lookups.
             let Inner {
                 entries,
                 mem_bytes,
                 stats,
                 ..
             } = &mut *inner;
-            let Some(entry) = entries.get_mut(&name) else {
-                // The victim name was selected from this same map under
-                // the same lock, so this cannot happen; stop evicting
-                // rather than panic a worker if it ever does.
-                break;
-            };
-            // An unspilled value is written out; one with an up-to-date
-            // spilled copy just drops its in-memory value.
-            let to_spill = if entry.spilled { &None } else { &entry.value };
-            if let (Some(value), Some(codec)) = (to_spill, &entry.codec) {
-                let header = (codec.encode_header)(value);
-                let d = (codec.num_segments)(value);
-                let mut files = Vec::with_capacity(d + 1);
-                files.push((header_file(&name), header.clone()));
-                files
-                    .extend((0..d).map(|j| (seg_file(&name, j), (codec.encode_segment)(value, j))));
-                let seg_sizes: Vec<usize> = files[1..].iter().map(|(_, seg)| seg.len()).collect();
-                let total = header.len() + seg_sizes.iter().sum::<usize>();
-                self.blockstore.write_many(&files);
-                entry.spilled = true;
-                entry.spilled_total = total;
-                entry.seg_sizes = seg_sizes;
-                entry.header = Some(header);
+            let victim = entries
+                .iter_mut()
+                .filter(|(name, e)| name.as_str() != exempt && e.block.is_some())
+                .min_by_key(|(_, e)| e.seq)
+                .map(|(_, e)| e);
+            let Some(entry) = victim else { break };
+            if let (None, Some(block)) = (&entry.spill, &entry.block) {
+                let spill = Spill::encode(block);
+                let total = spill.total() as u64;
                 stats.spills += 1;
-                stats.spill_bytes += total as u64;
-                stats.live_spill_bytes += total as u64;
+                stats.spill_bytes += total;
+                stats.live_spill_bytes += total;
                 stats.spill_raw_bytes += entry.bytes as u64;
+                entry.spill = Some(spill);
             }
-            entry.value = None;
+            entry.block = None;
             *mem_bytes -= entry.bytes;
             stats.evictions += 1;
         }
     }
 }
 
-/// Directory prefix of a segmented spill. The trailing slash keeps
-/// `delete_prefix` from clipping sibling datasets whose names share a
-/// prefix (`rows` vs `rows2`).
-fn spill_dir(name: &str) -> String {
-    format!("dataset/{name}/")
-}
-
-fn header_file(name: &str) -> String {
-    format!("dataset/{name}/header")
-}
-
-fn seg_file(name: &str, j: usize) -> String {
-    format!("dataset/{name}/seg-{j}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn h(name: &str) -> DatasetHandle<Vec<Vec<f64>>> {
-        DatasetHandle::new(name)
+    fn rows(k: usize) -> RowBlock {
+        RowBlock::new(4, 2, (0..4).flat_map(|i| [(i + k) as f64, 0.5]).collect())
     }
 
-    fn rows(k: usize) -> Vec<Vec<f64>> {
-        (0..4).map(|i| vec![i as f64 + k as f64, 0.5]).collect()
+    /// Encoded size of a block's spill: header plus column segments.
+    fn spill_size(block: &RowBlock) -> u64 {
+        Spill::encode(block).total() as u64
     }
 
-    /// A toy segmented codec over row vectors: one raw-LE segment per
-    /// column, an `(n, d)` header.
-    fn seg_codec() -> SegmentedCodec<Vec<Vec<f64>>, Vec<f64>> {
-        use p3c_dataset::bytes::{self, Reader};
-        #[allow(clippy::ptr_arg)]
-        fn header(rows: &Vec<Vec<f64>>) -> Vec<u8> {
-            let mut out = Vec::new();
-            bytes::put_usize(&mut out, rows.len());
-            bytes::put_usize(&mut out, rows.first().map_or(0, Vec::len));
-            out
-        }
-        #[allow(clippy::ptr_arg)]
-        fn segment(rows: &Vec<Vec<f64>>, j: usize) -> Vec<u8> {
-            let column: Vec<f64> = rows.iter().map(|r| r[j]).collect();
-            let mut out = Vec::new();
-            bytes::put_f64_run(&mut out, &column);
-            out
-        }
-        SegmentedCodec {
-            num_segments: |rows| rows.first().map_or(0, Vec::len),
-            encode_header: header,
-            encode_segment: segment,
-            decode_segment: |bytes, _j, _header| {
-                Reader::new(bytes).f64_run(bytes.len() / 8).unwrap()
-            },
-            assemble_full: |h, cols| {
-                let n = Reader::new(h).usize().unwrap();
-                (0..n)
-                    .map(|i| cols.iter().map(|c| c[i]).collect())
-                    .collect()
-            },
-        }
+    /// Encoded bytes of a block's column segments alone.
+    fn segment_size(block: &RowBlock) -> u64 {
+        spill_size(block) - colseg::block_header(block).len() as u64
     }
 
     #[test]
     fn put_get_roundtrip_and_hits() {
         let store = DatasetStore::new();
-        store.put(&h("a"), rows(0), 64);
-        let got = store.get(&h("a")).unwrap();
-        assert_eq!(*got, rows(0));
-        assert!(store.has("a"));
-        assert!(!store.has("b"));
+        store.put("a", rows(0));
+        assert_eq!(*store.get("a").unwrap(), rows(0));
+        assert_eq!(store.mem_bytes(), 16 + 8 * 8);
         let stats = store.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 0);
     }
 
     #[test]
-    fn missing_and_wrong_type_error() {
+    fn missing_name_errors() {
         let store = DatasetStore::new();
         assert_eq!(
-            store.get(&h("nope")).unwrap_err(),
+            store.get("nope").unwrap_err(),
             DatasetError::Missing {
                 name: "nope".into()
             }
         );
-        store.put(&h("a"), rows(0), 64);
-        let wrong: DatasetHandle<Vec<u64>> = DatasetHandle::new("a");
-        assert_eq!(
-            store.get(&wrong).unwrap_err(),
-            DatasetError::WrongType { name: "a".into() }
-        );
-        assert_eq!(store.stats().misses, 1);
+        store.put("a", rows(0));
+        assert!(store.get("b").is_err());
+        assert_eq!(store.stats().misses, 2);
+        assert_eq!(store.stats().hits, 0);
     }
 
     #[test]
     fn budget_spills_lru_and_reloads() {
+        // Each 4x2 block sizes as 16 + 8·8 = 80 bytes.
         let store = DatasetStore::with_budget(100);
-        store.put_segmented(&h("old"), rows(1), 64, seg_codec());
-        store.put_segmented(&h("new"), rows(2), 64, seg_codec());
-        // 128 > 100: the LRU entry ("old") spills to the block store,
-        // as a header plus one segment per column.
+        store.put("old", rows(1));
+        store.put("new", rows(2));
+        // 160 > 100: the LRU entry ("old") spills, as a header plus one
+        // segment per column.
         let stats = store.stats();
         assert_eq!(stats.spills, 1);
         assert_eq!(stats.evictions, 1);
-        assert!(stats.spill_bytes > 0);
+        assert_eq!(stats.spill_bytes, spill_size(&rows(1)));
         assert_eq!(stats.live_spill_bytes, stats.spill_bytes);
-        assert_eq!(stats.spill_raw_bytes, 64);
+        assert_eq!(stats.spill_raw_bytes, 80);
         assert!(store.mem_bytes() <= 100);
-        assert!(store.has("old"), "spilled datasets stay materialized");
-        for file in ["header", "seg-0", "seg-1"] {
-            let path = format!("dataset/old/{file}");
-            assert!(store.blockstore().read(&path).is_some(), "{path}");
-        }
         // Reading it back reassembles the exact value from all of its
         // segments (a miss + a load)...
-        assert_eq!(*store.get(&h("old")).unwrap(), rows(1));
+        assert_eq!(*store.get("old").unwrap(), rows(1));
         let stats = store.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.spill_loads, 1);
         assert_eq!(stats.segment_reads, 2);
-        assert_eq!(stats.segment_bytes_read, 2 * 4 * 8);
-        // ...and pushes "new" out in turn (already-spilled page-out is
-        // counted as an eviction, not a second spill of "old").
+        assert_eq!(stats.segment_bytes_read, segment_size(&rows(1)));
+        // ...and pushes "new" out in turn.
+        assert_eq!((stats.spills, stats.evictions), (2, 2));
         assert!(store.mem_bytes() <= 100);
-        assert_eq!(*store.get(&h("new")).unwrap(), rows(2));
+        // Reloading "new" evicts "old" again: its spill is still live,
+        // so that counts as an eviction, not a second spill.
+        assert_eq!(*store.get("new").unwrap(), rows(2));
+        let stats = store.stats();
+        assert_eq!((stats.spills, stats.evictions), (2, 3));
+        assert_eq!(stats.spill_loads, 2);
     }
 
     #[test]
-    fn entries_without_a_codec_survive_budget() {
+    fn an_oversized_entry_still_materializes() {
         let store = DatasetStore::with_budget(50);
-        store.put(&h("a"), rows(1), 64);
-        store.put(&h("b"), rows(2), 64);
-        // Neither entry can be spilled: the budget is overshot rather
-        // than losing data.
-        assert!(store.has("a") && store.has("b"));
+        store.put("a", rows(1));
+        // 80 > 50, but the entry just put is never its own victim.
+        assert_eq!(store.mem_bytes(), 80);
         assert_eq!(store.stats().evictions, 0);
+        store.put("b", rows(2));
+        // "a" makes room for "b", which alone still overshoots.
+        assert_eq!(store.mem_bytes(), 80);
+        assert_eq!(store.stats().evictions, 1);
+        assert_eq!(*store.get("b").unwrap(), rows(2));
+        assert_eq!(*store.get("a").unwrap(), rows(1));
     }
 
     #[test]
     fn overwrite_replaces_value_and_spill() {
         let store = DatasetStore::new();
-        store.put(&h("a"), rows(1), 64);
-        store.put(&h("a"), rows(9), 32);
-        assert_eq!(*store.get(&h("a")).unwrap(), rows(9));
+        store.put("a", rows(1));
+        store.put("a", RowBlock::new(2, 1, vec![9.0, 9.5]));
+        assert_eq!(
+            *store.get("a").unwrap(),
+            RowBlock::new(2, 1, vec![9.0, 9.5])
+        );
         assert_eq!(store.mem_bytes(), 32);
     }
 
     #[test]
     fn overwriting_a_spilled_entry_frees_its_live_spill_bytes() {
         // The regression this pins down: replacing an already-spilled
-        // entry deletes the spill file but used to keep counting its
-        // bytes as live.
+        // entry drops its spill but used to keep counting its bytes as
+        // live.
         let store = DatasetStore::with_budget(100);
-        store.put_segmented(&h("a"), rows(1), 64, seg_codec());
-        store.put_segmented(&h("b"), rows(2), 64, seg_codec());
+        store.put("a", rows(1));
+        store.put("b", rows(2));
         let spilled = store.stats();
         assert!(spilled.live_spill_bytes > 0);
         // Overwrite the spilled "a" with a small in-memory version.
-        store.put(&h("a"), rows(3), 8);
+        store.put("a", RowBlock::new(1, 0, vec![]));
         let stats = store.stats();
         assert_eq!(stats.live_spill_bytes, 0, "dead spill bytes not freed");
         assert_eq!(
             stats.spill_bytes, spilled.spill_bytes,
             "cumulative spill volume must not decrease"
         );
-        for file in ["header", "seg-0", "seg-1"] {
-            let path = format!("dataset/a/{file}");
-            assert!(store.blockstore().read(&path).is_none(), "{path}");
-        }
         // remove() frees live bytes the same way.
         let store = DatasetStore::with_budget(100);
-        store.put_segmented(&h("a"), rows(1), 64, seg_codec());
-        store.put_segmented(&h("b"), rows(2), 64, seg_codec());
+        store.put("a", rows(1));
+        store.put("b", rows(2));
         assert!(store.stats().live_spill_bytes > 0);
         store.remove("a");
         assert_eq!(store.stats().live_spill_bytes, 0);
@@ -694,10 +403,41 @@ mod tests {
     #[test]
     fn remove_deletes_everything() {
         let store = DatasetStore::with_budget(60);
-        store.put_segmented(&h("a"), rows(1), 64, seg_codec());
-        store.put_segmented(&h("b"), rows(2), 64, seg_codec());
+        store.put("a", rows(1));
+        store.put("b", rows(2));
         assert!(store.remove("a"));
-        assert!(!store.has("a"));
+        assert!(store.get("a").is_err());
         assert!(!store.remove("a"));
+    }
+
+    #[test]
+    fn special_floats_spill_and_reload_bit_for_bit() {
+        let specials = [
+            f64::from_bits(0x7ff8_0000_0000_0001), // quiet NaN, payload 1
+            f64::from_bits(0xfff4_0000_dead_beef), // negative signalling NaN
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),                      // smallest subnormal
+            -f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal, negated
+        ];
+        let d = 3;
+        let data: Vec<f64> = (0..specials.len() * d)
+            .map(|i| specials[(i * 5 + i / d) % specials.len()])
+            .collect();
+        let block = RowBlock::new(specials.len(), d, data);
+        let store = DatasetStore::with_budget(0);
+        store.put("x", block.clone());
+        store.put("y", rows(0));
+        assert_eq!(store.stats().spills, 1);
+        let back = store.get("x").unwrap();
+        let bits = |b: &RowBlock| b.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&block));
+        assert_eq!((back.len(), back.dim()), (block.len(), block.dim()));
+        let stats = store.stats();
+        assert_eq!(stats.spill_loads, 1);
+        assert_eq!(stats.segment_reads, d as u64);
+        assert_eq!(stats.segment_bytes_read, segment_size(&block));
     }
 }

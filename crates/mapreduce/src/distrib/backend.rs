@@ -1,7 +1,7 @@
 //! The [`Backend`] trait: where shuffle bytes live between map and
 //! reduce.
 //!
-//! The engine's task *logic* (mappers, reducers, combiners) is made of
+//! The engine's task *logic* (mappers and reducers) is made of
 //! Rust closures and trait objects, which cannot cross a process
 //! boundary; what genuinely moves between machines in a shared-nothing
 //! MapReduce is the **shuffle data plane** — the encoded partition
@@ -10,7 +10,7 @@
 //! ([`crate::distrib::Wire`]) and *submits* each map task's output, and
 //! reducers *fetch* their partitions back, in map order, before the
 //! sort-merge. Where those bytes sit in between — process memory, an
-//! in-process block store, or worker subprocesses reached over TCP —
+//! in-process shuffle service, or worker subprocesses reached over TCP —
 //! is the backend's business (DESIGN.md §12).
 //!
 //! Because the engine encodes once and fetches in deterministic map

@@ -1,6 +1,6 @@
 //! The job runner: split → map (thread pool, retries) → shuffle → reduce.
 
-use crate::api::{Combiner, Emitter, Mapper, Reducer};
+use crate::api::{Emitter, Mapper, Reducer};
 use crate::distrib::backend::{Backend, BackendChoice, BackendError, MapOutput, StageSpec};
 use crate::distrib::wire::{decode_from_slice, encode_to_vec, Wire};
 use crate::fault::{FaultPlan, StragglerPlan};
@@ -216,28 +216,7 @@ impl Engine {
         M: Mapper<I, K, V>,
         R: Reducer<K, V, O>,
     {
-        self.run_inner(name, input, mapper, None::<&NoCombiner>, reducer, 0)
-    }
-
-    /// Runs a job with a map-side combiner.
-    pub fn run_with_combiner<I, K, V, O, M, C, R>(
-        &self,
-        name: &str,
-        input: &[I],
-        mapper: &M,
-        combiner: &C,
-        reducer: &R,
-    ) -> Result<JobOutput<O>, MrError>
-    where
-        I: Sync,
-        K: Ord + Hash + Clone + Send + Weighable + Wire,
-        V: Send + Weighable + Wire,
-        O: Send,
-        M: Mapper<I, K, V>,
-        C: Combiner<K, V>,
-        R: Reducer<K, V, O>,
-    {
-        self.run_inner(name, input, mapper, Some(combiner), reducer, 0)
+        self.run_inner(name, input, mapper, reducer, 0)
     }
 
     /// Runs a job whose mapper reads broadcast side data of the given byte
@@ -258,14 +237,7 @@ impl Engine {
         M: Mapper<I, K, V>,
         R: Reducer<K, V, O>,
     {
-        self.run_inner(
-            name,
-            input,
-            mapper,
-            None::<&NoCombiner>,
-            reducer,
-            cache_bytes,
-        )
+        self.run_inner(name, input, mapper, reducer, cache_bytes)
     }
 
     /// Runs a map-only job (Hadoop: zero reducers). The mapper's emitted
@@ -332,12 +304,11 @@ impl Engine {
         Ok(JobOutput { output, metrics })
     }
 
-    fn run_inner<I, K, V, O, M, C, R>(
+    fn run_inner<I, K, V, O, M, R>(
         &self,
         name: &str,
         input: &[I],
         mapper: &M,
-        combiner: Option<&C>,
         reducer: &R,
         cache_bytes: usize,
     ) -> Result<JobOutput<O>, MrError>
@@ -347,7 +318,6 @@ impl Engine {
         V: Send + Weighable + Wire,
         O: Send,
         M: Mapper<I, K, V>,
-        C: Combiner<K, V>,
         R: Reducer<K, V, O>,
     {
         // audit: time-ok — wall-clock feeds the map_wall metric only.
@@ -383,8 +353,6 @@ impl Engine {
         };
         let shuffle_records = AtomicU64::new(0);
         let shuffle_bytes = AtomicU64::new(0);
-        let combine_in = AtomicU64::new(0);
-        let combine_out = AtomicU64::new(0);
 
         let shared = MapPhaseShared::new(splits.len());
         let task_error = run_map_phase(
@@ -393,19 +361,10 @@ impl Engine {
             &splits,
             &shared,
             |idx, pairs: Vec<(K, V)>| {
-                // Partition by key hash; optionally combine per partition
-                // (shared with lost-output recovery on the distributed
-                // path, which must rebuild identical partitions).
-                let (parts, c_in, c_out) = partition_and_combine(pairs, num_reducers, combiner);
-                if c_in > 0 {
-                    // The combiner runs before shuffle metering, so
-                    // shuffle_records/bytes below reflect what actually
-                    // crosses the network (post-combine).
-                    // audit: relaxed-ok — monotonic metric counter.
-                    combine_in.fetch_add(c_in, Ordering::Relaxed);
-                    // audit: relaxed-ok — monotonic metric counter.
-                    combine_out.fetch_add(c_out, Ordering::Relaxed);
-                }
+                // Partition by key hash (shared with lost-output recovery
+                // on the distributed path, which must rebuild identical
+                // partitions).
+                let parts = partition(pairs, num_reducers);
                 let mut recs = 0u64;
                 let mut bytes = 0u64;
                 for (k, v) in parts.iter().flatten() {
@@ -437,8 +396,6 @@ impl Engine {
             return Err(err);
         }
         shared.fill_metrics(&mut metrics);
-        metrics.combine_input_records = combine_in.into_inner();
-        metrics.combine_output_records = combine_out.into_inner();
         metrics.shuffle_records = shuffle_records.into_inner();
         metrics.shuffle_bytes = shuffle_bytes.into_inner();
         metrics.map_wall = map_start.elapsed();
@@ -506,8 +463,7 @@ impl Engine {
                                     let mut emitter = Emitter::new();
                                     mapper.map_split(splits[map_id], &mut emitter);
                                     let (emitted, _counters) = emitter.into_parts();
-                                    let (parts, _, _) =
-                                        partition_and_combine(emitted, num_reducers, combiner);
+                                    let parts = partition(emitted, num_reducers);
                                     let rebuilt = MapOutput {
                                         map_id,
                                         partitions: parts.iter().map(encode_to_vec).collect(),
@@ -683,20 +639,11 @@ impl Drop for Engine {
     }
 }
 
-/// Hash-partitions `pairs` into `num_reducers` exactly-sized buckets and
-/// optionally combines each bucket. Shared by the map-task commit path
-/// and the distributed backend's lost-output recovery, which must
-/// rebuild partitions byte-identical to the originals. Returns the
-/// buckets plus the combiner's (input, output) record counts.
-fn partition_and_combine<K, V, C>(
-    pairs: Vec<(K, V)>,
-    num_reducers: usize,
-    combiner: Option<&C>,
-) -> (Vec<Vec<(K, V)>>, u64, u64)
-where
-    K: Ord + Hash,
-    C: Combiner<K, V> + ?Sized,
-{
+/// Hash-partitions `pairs` into `num_reducers` exactly-sized buckets.
+/// Shared by the map-task commit path and the distributed backend's
+/// lost-output recovery, which must rebuild partitions byte-identical to
+/// the originals.
+fn partition<K: Hash, V>(pairs: Vec<(K, V)>, num_reducers: usize) -> Vec<Vec<(K, V)>> {
     // Two passes: hash every key once and count, then move pairs into
     // exactly-sized buckets (no per-push growth).
     let assigned: Vec<u32> = pairs
@@ -711,29 +658,7 @@ where
     for ((k, v), &p) in pairs.into_iter().zip(&assigned) {
         parts[p as usize].push((k, v));
     }
-    let mut combine_in = 0u64;
-    let mut combine_out = 0u64;
-    if let Some(c) = combiner {
-        for part in parts.iter_mut() {
-            if part.is_empty() {
-                continue;
-            }
-            combine_in += part.len() as u64;
-            let combined = combine_part(std::mem::take(part), c);
-            combine_out += combined.len() as u64;
-            *part = combined;
-        }
-    }
-    (parts, combine_in, combine_out)
-}
-
-/// Placeholder combiner type for jobs without one.
-enum NoCombiner {}
-impl<K, V> Combiner<K, V> for NoCombiner {
-    fn combine(&self, _: &K, _: Vec<V>) -> V {
-        // An uninhabited receiver proves statically this is never called.
-        match *self {}
-    }
+    parts
 }
 
 /// Chunks input into splits of at most `split_size` records.
@@ -822,34 +747,6 @@ impl Hasher for FxStyleHasher {
     fn write_u32(&mut self, n: u32) {
         self.add_word(n as u64);
     }
-}
-
-/// Groups a map task's per-partition output by key and applies the combiner.
-fn combine_part<K, V, C>(mut part: Vec<(K, V)>, combiner: &C) -> Vec<(K, V)>
-where
-    K: Ord,
-    C: Combiner<K, V> + ?Sized,
-{
-    part.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out: Vec<(K, V)> = Vec::new();
-    let mut current: Option<(K, Vec<V>)> = None;
-    for (k, v) in part {
-        match &mut current {
-            Some((ck, vs)) if *ck == k => vs.push(v),
-            _ => {
-                if let Some((ck, vs)) = current.take() {
-                    let combined = combiner.combine(&ck, vs);
-                    out.push((ck, combined));
-                }
-                current = Some((k, vec![v]));
-            }
-        }
-    }
-    if let Some((ck, vs)) = current {
-        let combined = combiner.combine(&ck, vs);
-        out.push((ck, combined));
-    }
-    out
 }
 
 // ---------------------------------------------------------------- map ---
@@ -1099,13 +996,6 @@ mod tests {
         }
     }
 
-    struct SumCombiner;
-    impl Combiner<String, u64> for SumCombiner {
-        fn combine(&self, _: &String, values: Vec<u64>) -> u64 {
-            values.into_iter().sum()
-        }
-    }
-
     fn lines() -> Vec<String> {
         vec![
             "the quick brown fox".to_string(),
@@ -1136,46 +1026,6 @@ mod tests {
         assert_eq!(res.metrics.map_input_records, 3);
         assert_eq!(res.metrics.map_output_records, 10);
         assert_eq!(res.metrics.reduce_input_groups, 6);
-    }
-
-    #[test]
-    fn combiner_reduces_shuffle_volume_not_results() {
-        let cfg = MrConfig {
-            split_size: 1,
-            ..MrConfig::default()
-        };
-        let plain = Engine::new(cfg.clone());
-        let combined = Engine::new(cfg);
-        let a = plain
-            .run("wc", &lines(), &TokenMapper, &SumReducer)
-            .unwrap();
-        let b = combined
-            .run_with_combiner("wc-c", &lines(), &TokenMapper, &SumCombiner, &SumReducer)
-            .unwrap();
-        assert_eq!(counts(a.output), counts(b.output));
-        assert!(b.metrics.shuffle_records <= a.metrics.shuffle_records);
-        // "the" appears twice in split 3? No -- each split has unique words,
-        // so equality is possible; force a case with duplicates per split:
-        let doubled = vec!["a a a a".to_string()];
-        let e1 = Engine::new(MrConfig::default());
-        let e2 = Engine::new(MrConfig::default());
-        let r1 = e1.run("p", &doubled, &TokenMapper, &SumReducer).unwrap();
-        let r2 = e2
-            .run_with_combiner("c", &doubled, &TokenMapper, &SumCombiner, &SumReducer)
-            .unwrap();
-        assert_eq!(counts(r1.output), counts(r2.output));
-        assert_eq!(r1.metrics.shuffle_records, 4);
-        assert_eq!(r2.metrics.shuffle_records, 1);
-        // Shuffle bytes are metered *after* the combiner: one record of
-        // ("a": 4+1 bytes, u64: 8 bytes) = 13 bytes crosses the network,
-        // not the 4 × 13 = 52 pre-combine bytes.
-        assert_eq!(r1.metrics.shuffle_bytes, 52);
-        assert_eq!(r2.metrics.shuffle_bytes, 13);
-        // And the combine counters expose the 4 → 1 reduction.
-        assert_eq!(r1.metrics.combine_input_records, 0);
-        assert_eq!(r1.metrics.combine_output_records, 0);
-        assert_eq!(r2.metrics.combine_input_records, 4);
-        assert_eq!(r2.metrics.combine_output_records, 1);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! recreates the programming model and the observable behaviour of such a
 //! cluster inside one process:
 //!
-//! * **Programming model** — [`Mapper`], [`Reducer`] and [`Combiner`]
-//!   traits with an [`Emitter`] context ([`api`]); mappers may override
+//! * **Programming model** — [`Mapper`] and [`Reducer`] traits with an
+//!   [`Emitter`] context ([`api`]); mappers may override
 //!   [`Mapper::map_split`] to use the whole input split (the paper's MVB
 //!   mapper does exactly that in its cleanup phase).
 //! * **Execution** — [`Engine`] chunks input into splits, runs map tasks on
@@ -19,14 +19,13 @@
 //!   shipping candidate sets and RSSC bitmaps to every mapper ([`cache`]).
 //! * **Metrics** — per-job record/byte counters and wall-clock phases
 //!   ([`metrics`]); these drive the runtime/I/O figures of the evaluation.
-//! * **Block storage** — a tiny "HDFS-lite" ([`blockstore`]) used by the
-//!   examples to stage datasets as replicated blocks.
 //! * **Job chains** — a pipeline is a named chain of steps run by
 //!   [`run_chain`] ([`dag`]); each [`Chain::step`] hands its value back
 //!   to the caller. Under [`SchedulerChoice::Dag`] a failed step runs
 //!   once more and each chain records [`DagMetrics`].
-//! * **Dataset store** — the service's block cache of named datasets,
-//!   spilled to the block store under a byte budget ([`dataset`]).
+//! * **Dataset store** — the service's LRU cache of named row blocks,
+//!   spilled in memory as encoded column segments under a byte budget
+//!   ([`dataset`]).
 //! * **Distributed backends** — a [`Backend`] seam over the shuffle data
 //!   plane ([`distrib`]): the in-process engine, an in-process shuffle
 //!   service, and a multi-process backend whose spawned workers serve
@@ -79,7 +78,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod blockstore;
 pub mod cache;
 pub mod dag;
 pub mod dataset;
@@ -93,11 +91,10 @@ pub mod service;
 pub mod sync;
 pub mod weight;
 
-pub use api::{Combiner, Emitter, Mapper, Reducer};
-pub use blockstore::BlockStore;
+pub use api::{Emitter, Mapper, Reducer};
 pub use cache::DistributedCache;
 pub use dag::{run_chain, Chain, SchedulerChoice};
-pub use dataset::{DatasetError, DatasetHandle, DatasetStore, DatasetStoreStats, SegmentedCodec};
+pub use dataset::{DatasetError, DatasetStore, DatasetStoreStats};
 pub use distrib::{
     Backend, BackendChoice, BackendError, LocalBackend, MapOutputTracker, ProcessBackend,
     ShuffleManager, Wire,

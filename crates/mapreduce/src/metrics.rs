@@ -20,17 +20,13 @@ pub struct JobMetrics {
     pub reduce_tasks: u64,
     /// Records read by all map tasks.
     pub map_input_records: u64,
-    /// Records emitted by all map tasks (pre-combiner).
+    /// Records emitted by all map tasks.
     pub map_output_records: u64,
-    /// Bytes emitted by all map tasks (pre-combiner).
+    /// Bytes emitted by all map tasks.
     pub map_output_bytes: u64,
-    /// Records fed into map-side combiners (0 for combinerless jobs).
-    pub combine_input_records: u64,
-    /// Records left after map-side combining (0 for combinerless jobs).
-    pub combine_output_records: u64,
-    /// Records actually shuffled to reducers (post-combiner).
+    /// Records shuffled to reducers.
     pub shuffle_records: u64,
-    /// Bytes actually shuffled to reducers (post-combiner).
+    /// Bytes shuffled to reducers.
     pub shuffle_bytes: u64,
     /// Distinct keys seen by reducers.
     pub reduce_input_groups: u64,
@@ -72,8 +68,6 @@ impl ToJson for JobMetrics {
             ("map_input_records", &self.map_input_records),
             ("map_output_records", &self.map_output_records),
             ("map_output_bytes", &self.map_output_bytes),
-            ("combine_input_records", &self.combine_input_records),
-            ("combine_output_records", &self.combine_output_records),
             ("shuffle_records", &self.shuffle_records),
             ("shuffle_bytes", &self.shuffle_bytes),
             ("reduce_input_groups", &self.reduce_input_groups),
@@ -299,8 +293,6 @@ mod tests {
       "map_input_records": 0,
       "map_output_records": 0,
       "map_output_bytes": 0,
-      "combine_input_records": 0,
-      "combine_output_records": 0,
       "shuffle_records": 0,
       "shuffle_bytes": 18446744073709551615,
       "reduce_input_groups": 0,

@@ -142,8 +142,6 @@ pub mod rank {
     pub const TRACKER_ENTRIES: u16 = 78;
     /// `DatasetStore.inner` — the dataset cache (`dataset.rs`).
     pub const DATASET_STORE: u16 = 80;
-    /// `BlockStore.files` — the block map RwLock (`blockstore.rs`).
-    pub const BLOCKSTORE_FILES: u16 = 90;
     /// Worker panic-payload slot (`pool.rs`).
     pub const POOL_PAYLOAD: u16 = 100;
     /// Shuffle bucket slots (`kernel.rs`).
@@ -287,93 +285,6 @@ impl RankedCondvar {
     }
 }
 
-/// A reader-writer lock with a declared rank in the hierarchy.
-///
-/// Readers and writers both occupy the rank: a read lock can still
-/// deadlock against a writer queued behind it, so the discipline applies
-/// to shared acquisitions too. Not loom-swapped — the model checker has
-/// no RwLock shim and no current model needs one. Non-poisoning like
-/// [`Mutex`].
-#[derive(Debug)]
-pub struct RankedRwLock<T> {
-    rank: u16,
-    name: &'static str,
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RankedRwLock<T> {
-    /// A new rwlock at `rank` named as in the DESIGN.md §15 table.
-    pub fn new(rank: u16, name: &'static str, value: T) -> Self {
-        Self {
-            rank,
-            name,
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Acquires a shared read lock under the rank discipline.
-    pub fn read(&self) -> RankedRwLockReadGuard<'_, T> {
-        held::acquired(self.rank, self.name);
-        RankedRwLockReadGuard {
-            raw: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-            rank: self.rank,
-        }
-    }
-
-    /// Acquires the exclusive write lock under the rank discipline.
-    pub fn write(&self) -> RankedRwLockWriteGuard<'_, T> {
-        held::acquired(self.rank, self.name);
-        RankedRwLockWriteGuard {
-            raw: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-            rank: self.rank,
-        }
-    }
-}
-
-/// Shared-read guard of a [`RankedRwLock`].
-pub struct RankedRwLockReadGuard<'a, T> {
-    raw: std::sync::RwLockReadGuard<'a, T>,
-    rank: u16,
-}
-
-impl<T> Deref for RankedRwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.raw
-    }
-}
-
-impl<T> Drop for RankedRwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        held::released(self.rank);
-    }
-}
-
-/// Exclusive-write guard of a [`RankedRwLock`].
-pub struct RankedRwLockWriteGuard<'a, T> {
-    raw: std::sync::RwLockWriteGuard<'a, T>,
-    rank: u16,
-}
-
-impl<T> Deref for RankedRwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.raw
-    }
-}
-
-impl<T> DerefMut for RankedRwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.raw
-    }
-}
-
-impl<T> Drop for RankedRwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        held::released(self.rank);
-    }
-}
-
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
@@ -391,7 +302,7 @@ mod tests {
     fn out_of_order_release_keeps_stack_consistent() {
         let a = RankedMutex::new(rank::SERVICE_TENANTS, "service.tenants", ());
         let b = RankedMutex::new(rank::DATASET_STORE, "dataset.inner", ());
-        let c = RankedMutex::new(rank::BLOCKSTORE_FILES, "blockstore.files", ());
+        let c = RankedMutex::new(rank::POOL_PAYLOAD, "pool.payload", ());
         let ga = a.lock();
         let gb = b.lock();
         drop(ga); // release the lower rank first
@@ -405,7 +316,7 @@ mod tests {
     #[test]
     fn descending_acquisition_panics() {
         let result = std::thread::spawn(|| {
-            let hi = RankedMutex::new(rank::BLOCKSTORE_FILES, "blockstore.files", ());
+            let hi = RankedMutex::new(rank::POOL_PAYLOAD, "pool.payload", ());
             let lo = RankedMutex::new(rank::SERVICE_TENANTS, "service.tenants", ());
             let _ghi = hi.lock();
             let _glo = lo.lock();
@@ -416,18 +327,5 @@ mod tests {
             .downcast_ref::<String>()
             .expect("panic payload is a String");
         assert!(msg.contains("lock-rank violation"), "got: {msg}");
-    }
-
-    #[cfg(feature = "lockcheck")]
-    #[test]
-    fn rwlock_read_occupies_the_rank() {
-        let rw = RankedRwLock::new(rank::BLOCKSTORE_FILES, "blockstore.files", ());
-        let lo = RankedMutex::new(rank::DATASET_STORE, "dataset.inner", ());
-        let result = std::thread::spawn(move || {
-            let _r = rw.read();
-            let _g = lo.lock();
-        })
-        .join();
-        assert!(result.is_err(), "read lock must enforce the rank too");
     }
 }

@@ -99,7 +99,7 @@ fn metrics_conserve_records() {
         let res = engine.run("conserve", &items, &mapper, &reducer).unwrap();
         assert_eq!(res.metrics.map_input_records, items.len() as u64);
         assert_eq!(res.metrics.map_output_records, items.len() as u64);
-        // Without combiner, shuffle records == map output records.
+        // Every emitted record is shuffled.
         assert_eq!(res.metrics.shuffle_records, items.len() as u64);
         let distinct = reference_group(&items).len() as u64;
         assert_eq!(res.metrics.reduce_input_groups, distinct);

@@ -1,9 +1,7 @@
 //! The operational side of the reproduction: the same clustering pipeline
 //! on a healthy cluster, a cluster with failing tasks, and a cluster with
 //! stragglers rescued by speculative execution — identical results every
-//! time, with the engine's retry/backup bookkeeping printed. The dataset
-//! is staged through the HDFS-lite block store, as a real deployment
-//! would.
+//! time, with the engine's retry/backup bookkeeping printed.
 //!
 //! ```text
 //! cargo run --release --example fault_tolerance
@@ -12,15 +10,12 @@
 use p3c_core::config::P3cParams;
 use p3c_core::mr::P3cPlusMrLight;
 use p3c_datagen::{generate, SyntheticSpec};
-use p3c_dataset::Dataset;
 use p3c_mapreduce::fault::StragglerPlan;
-use p3c_mapreduce::{BlockStore, Engine, FaultPlan, MrConfig};
+use p3c_mapreduce::{Engine, FaultPlan, MrConfig};
 use std::time::Instant;
 
 fn main() {
-    // Stage the dataset as replicated blocks, read it back — the I/O
-    // path every job of the paper's pipeline starts from.
-    let data = generate(&SyntheticSpec {
+    let dataset = generate(&SyntheticSpec {
         n: 20_000,
         d: 20,
         num_clusters: 3,
@@ -28,15 +23,8 @@ fn main() {
         max_cluster_dims: 6,
         seed: 11,
         ..SyntheticSpec::default()
-    });
-    let store = BlockStore::new(256 * 1024, 3);
-    store.write("dataset.bin", &data.dataset.to_bytes());
-    println!(
-        "staged dataset.bin: {} blocks, {} bytes written (×3 replication)",
-        store.num_blocks("dataset.bin").unwrap(),
-        store.bytes_written()
-    );
-    let dataset = Dataset::from_bytes(&store.read("dataset.bin").unwrap()).unwrap();
+    })
+    .dataset;
 
     // Model an 8-worker cluster explicitly: straggler mitigation needs
     // idle workers to launch backups (with `threads: 0` the engine sizes

@@ -1,14 +1,13 @@
 //! Integration tests of the MapReduce substrate under realistic use:
-//! fault tolerance through a full pipeline, metrics plausibility, the
-//! one-definition / two-executors ledger contract, and the block-store
-//! staging path.
+//! fault tolerance through a full pipeline, metrics plausibility, and
+//! the one-definition / two-executors ledger contract.
 
 use p3c_suite::bow::{Bow, BowConfig};
 use p3c_suite::core::config::P3cParams;
 use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_suite::datagen::{generate, SyntheticSpec};
 use p3c_suite::dataset::{Clustering, Dataset};
-use p3c_suite::mapreduce::{BlockStore, Engine, FaultPlan, MrConfig, SchedulerChoice};
+use p3c_suite::mapreduce::{Engine, FaultPlan, MrConfig, SchedulerChoice};
 
 fn data() -> p3c_suite::datagen::GeneratedData {
     generate(&SyntheticSpec {
@@ -237,28 +236,4 @@ fn bow_is_one_definition_under_both_executors() {
             .unwrap()
             .clustering
     });
-}
-
-#[test]
-fn dataset_stages_through_the_block_store() {
-    // The HDFS-lite path: serialize the dataset, store it as replicated
-    // blocks, read it back, cluster it — identical results.
-    let d = data();
-    let store = BlockStore::new(64 * 1024, 3);
-    let bytes = d.dataset.to_bytes();
-    store.write("dataset.bin", &bytes);
-    assert!(store.num_blocks("dataset.bin").unwrap() > 1);
-    assert_eq!(store.bytes_written(), (bytes.len() * 3) as u64);
-
-    let restored = Dataset::from_bytes(&store.read("dataset.bin").unwrap()).unwrap();
-    assert_eq!(restored, d.dataset);
-
-    let engine = Engine::with_defaults();
-    let from_store = P3cPlusMrLight::new(&engine, P3cParams::default())
-        .cluster(&restored)
-        .unwrap();
-    let direct = P3cPlusMrLight::new(&engine, P3cParams::default())
-        .cluster(&d.dataset)
-        .unwrap();
-    assert_eq!(from_store.clustering, direct.clustering);
 }
