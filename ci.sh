@@ -11,10 +11,7 @@
 # verdict on `p3c cluster -o json` and on the `--metrics-json` file of a
 # `--scheduler dag` MR run, the tier-1 suite re-run under the
 # multi-process shuffle backend (P3C_BACKEND=process:2), the
-# parallel-kernel bit-identity tests swept over P3C_THREADS, the
-# kernels/backend/service/recovery benchmarks at smoke scale,
-# archiving target/ci/BENCH_*.json (results/ keeps the committed
-# full-scale numbers; the smoke runs must not overwrite them),
+# parallel-kernel bit-identity tests swept over P3C_THREADS,
 # a stdin-scripted `p3c serve` session exercising the service line
 # protocol under a tight LRU cache budget, a `p3c cluster` smoke holding
 # MR-Light to serial Light's output at the Figure 7 shape, a
@@ -63,9 +60,9 @@ cargo test -q --offline --manifest-path e2e/Cargo.toml
 echo "==> member crates: cargo test -q --workspace"
 cargo test -q --workspace --exclude p3c-suite
 
-# Workspace binaries the later legs invoke (experiments, the p3c CLI
-# that hosts the worker subcommand, the audit tool) are not part of the
-# root package; build them all explicitly.
+# Workspace binaries the later legs invoke (the p3c CLI that hosts the
+# worker subcommand, the audit tool) are not part of the root package;
+# build them all explicitly.
 echo "==> workspace binaries: cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -114,23 +111,6 @@ echo "==> thread matrix: parallel kernel bit-identity under P3C_THREADS"
 for t in 1 2 8; do
     P3C_THREADS=$t cargo test -q --test parallel_kernels > /dev/null
 done
-
-echo "==> kernels microbenchmark (smoke) -> target/ci/BENCH_kernels.json"
-./target/release/experiments --smoke --out target/ci kernels > /dev/null
-test -s target/ci/BENCH_kernels.json
-
-echo "==> backend benchmark (smoke) -> target/ci/BENCH_backend.json"
-P3C_WORKER_BIN="$PWD/target/release/p3c" \
-    ./target/release/experiments --smoke --out target/ci backend > /dev/null
-test -s target/ci/BENCH_backend.json
-
-echo "==> service benchmark (smoke) -> target/ci/BENCH_service.json"
-./target/release/experiments --smoke --out target/ci service > /dev/null
-test -s target/ci/BENCH_service.json
-
-echo "==> recovery benchmark (smoke) -> target/ci/BENCH_recovery.json"
-./target/release/experiments --smoke --out target/ci recovery > /dev/null
-test -s target/ci/BENCH_recovery.json
 
 # The clustering service end to end through the line protocol: two
 # appends and re-clusters on a stdin-scripted `p3c serve` under a cache

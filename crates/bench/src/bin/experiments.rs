@@ -5,8 +5,7 @@
 //!             [EXPERIMENT...]
 //!
 //! EXPERIMENT ∈ {fig1, fig4, fig5, fig6, fig7, huge, colon, bins, measures,
-//!               stragglers, kernels, backend, service, recovery,
-//!               all}
+//!               stragglers, all}
 //! ```
 //!
 //! Results are printed and written to `<out>/<id>.{json,md}`
@@ -51,10 +50,6 @@ fn main() -> ExitCode {
             "bins",
             "measures",
             "stragglers",
-            "kernels",
-            "backend",
-            "service",
-            "recovery",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -79,10 +74,6 @@ fn main() -> ExitCode {
             "bins" => experiments::bins(&scale),
             "measures" => experiments::measures(&scale),
             "stragglers" => experiments::stragglers(&scale),
-            "kernels" => experiments::kernels(&scale),
-            "backend" => experiments::backend(&scale),
-            "service" => experiments::service(&scale),
-            "recovery" => experiments::recovery(&scale),
             other => die(&format!("unknown experiment {other}")),
         };
         println!("{}", report.to_markdown());
@@ -109,6 +100,6 @@ fn die(msg: &str) -> ! {
 fn print_help() {
     eprintln!(
         "usage: experiments [--scale F] [--dims D] [--seed S] [--smoke] [--out DIR] [EXPERIMENT...]\n\
-         experiments: fig1 fig4 fig5 fig6 fig7 huge colon bins measures stragglers kernels backend service recovery all (default: all)"
+         experiments: fig1 fig4 fig5 fig6 fig7 huge colon bins measures stragglers all (default: all)"
     );
 }

@@ -590,522 +590,6 @@ pub fn bins(scale: &Scale) -> Report {
     report
 }
 
-// --------------------------------------------------------------- kernels --
-
-/// Times one pass of `f` per repetition and returns the best wall time.
-fn best_of<F: FnMut()>(reps: usize, mut f: F) -> std::time::Duration {
-    let mut best = std::time::Duration::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed());
-    }
-    best
-}
-
-/// A shuffle partitioner on std's per-process-seeded SipHash
-/// (`DefaultHasher`) — the baseline side of the `kernels` partition row.
-fn sip_partition<K: std::hash::Hash>(key: &K, parts: usize) -> usize {
-    use std::hash::Hasher as _;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % parts as u64) as usize
-}
-
-/// Microbenchmarks the kernels that run today: the blocked E-step and
-/// the histogram block scan on the engine worker pool (1 vs 8 workers),
-/// the shuffle hash partitioner against std's SipHash, and the engine's
-/// map + shuffle + reduce throughput. Emits `BENCH_kernels.json`; the
-/// committed `results/BENCH_kernels.*` is the frozen PR 7 record of the
-/// deleted row-oriented / scalar baselines (EXPERIMENTS.md).
-pub fn kernels(scale: &Scale) -> Report {
-    use p3c_core::em::{estep_blocked, Component, MixtureModel};
-    use p3c_core::histogram::build_histograms_columnar_threads;
-    use p3c_linalg::Matrix;
-    use std::hint::black_box;
-
-    let mut report = Report::new(
-        "BENCH_kernels",
-        "Pooled kernels, shuffle partitioner and engine throughput",
-        &["kernel", "unit", "baseline", "optimized", "speedup"],
-    );
-    let n = scale.size(100_000);
-    let d = 20;
-    let reps = 9;
-    let data = generate(&SyntheticSpec {
-        n,
-        d,
-        num_clusters: 5,
-        noise_fraction: 0.10,
-        seed: scale.seed,
-        ..SyntheticSpec::default()
-    })
-    .dataset;
-
-    // The full E-step — densities, responsibilities and moment
-    // accumulation — over k = 5 unit-covariance components in a
-    // 10-attribute A_rel, on one vs eight pool workers.
-    let arel: Vec<usize> = (0..d).step_by(2).collect();
-    let k = 5;
-    let components: Vec<Component> = (0..k)
-        .map(|c| Component {
-            mean: arel.iter().map(|&a| data.get(c * (n / k), a)).collect(),
-            cov: Matrix::identity(arel.len()),
-            weight: 1.0 / k as f64,
-        })
-        .collect();
-    let eval = MixtureModel {
-        arel: arel.clone(),
-        components,
-    }
-    .evaluator();
-    let mut proj = Vec::with_capacity(n * arel.len());
-    for row in data.rows() {
-        proj.extend(arel.iter().map(|&a| row[a]));
-    }
-    let par1 = best_of(reps, || {
-        black_box(estep_blocked(&eval, &proj, 1));
-    });
-    let par8 = best_of(reps, || {
-        black_box(estep_blocked(&eval, &proj, 8));
-    });
-    let (_, ll1) = estep_blocked(&eval, &proj, 1);
-    let (_, ll8) = estep_blocked(&eval, &proj, 8);
-    assert_eq!(
-        ll1.to_bits(),
-        ll8.to_bits(),
-        "parallel E-step not bit-identical across thread counts"
-    );
-    report.push_row(vec![
-        "EM E-step full, pool (1 vs 8 workers)".into(),
-        "ns/point".into(),
-        format!("{:.0}", par1.as_secs_f64() * 1e9 / n as f64),
-        format!("{:.0}", par8.as_secs_f64() * 1e9 / n as f64),
-        format!("{:.2}x", par1.as_secs_f64() / par8.as_secs_f64()),
-    ]);
-
-    // The histogram block scan, same two pool sizes.
-    let bins_per_attr = vec![10usize; d];
-    let hist =
-        |threads| build_histograms_columnar_threads(n, d, data.as_slice(), &bins_per_attr, threads);
-    let hist1 = best_of(reps, || {
-        black_box(hist(1));
-    });
-    let hist8 = best_of(reps, || {
-        black_box(hist(8));
-    });
-    assert_eq!(hist(1), hist(8), "parallel binning not bit-identical");
-    report.push_row(vec![
-        "histogram binning, pool (1 vs 8 workers)".into(),
-        "ns/value".into(),
-        format!("{:.1}", hist1.as_secs_f64() * 1e9 / (n * d) as f64),
-        format!("{:.1}", hist8.as_secs_f64() * 1e9 / (n * d) as f64),
-        format!("{:.2}x", hist1.as_secs_f64() / hist8.as_secs_f64()),
-    ]);
-
-    // Shuffle partitioner: std SipHash (`DefaultHasher`) vs the seeded
-    // word-at-a-time stable hash the engine partitions with.
-    let keys: Vec<(u64, u64)> = (0..(4 * n) as u64).map(|i| (i % 997, i)).collect();
-    let base = best_of(reps, || {
-        let mut acc = 0usize;
-        for key in &keys {
-            acc = acc.wrapping_add(sip_partition(key, 64));
-        }
-        black_box(acc);
-    });
-    let opt = best_of(reps, || {
-        let mut acc = 0usize;
-        for key in &keys {
-            acc = acc.wrapping_add(p3c_mapreduce::stable_partition(key, 64));
-        }
-        black_box(acc);
-    });
-    report.push_row(vec![
-        "shuffle partition".into(),
-        "ns/key".into(),
-        format!("{:.1}", base.as_secs_f64() * 1e9 / keys.len() as f64),
-        format!("{:.1}", opt.as_secs_f64() * 1e9 / keys.len() as f64),
-        format!("{:.2}x", base.as_secs_f64() / opt.as_secs_f64()),
-    ]);
-
-    // End-to-end shuffle throughput through the engine fast path
-    // (exact-capacity buckets + run-length reduce grouping); this row
-    // tracks absolute throughput across PRs.
-    use p3c_mapreduce::Emitter;
-    let records: Vec<u64> = (0..(4 * n) as u64).collect();
-    let mapper = |r: &u64, out: &mut Emitter<u64, u64>| out.emit(r % 512, 1);
-    let reducer = |key: &u64, vs: Vec<u64>, out: &mut Vec<(u64, u64)>| {
-        out.push((*key, vs.into_iter().sum()));
-    };
-    let eng = Engine::new(MrConfig {
-        split_size: 50_000,
-        threads: 8,
-        ..MrConfig::default()
-    });
-    let wall = best_of(reps, || {
-        black_box(
-            eng.run("kernels-shuffle", &records, &mapper, &reducer)
-                .expect("job"),
-        );
-    });
-    report.push_row(vec![
-        "engine map+shuffle+reduce".into(),
-        "Mrec/s".into(),
-        "-".into(),
-        format!("{:.1}", records.len() as f64 / wall.as_secs_f64() / 1e6),
-        "-".into(),
-    ]);
-
-    report.push_note(format!(
-        "n = {n}, d = {d}, best of {reps} runs; EM E-step over a \
-         10-attribute A_rel with 5 components."
-    ));
-    let host_par = std::thread::available_parallelism().map_or(1, |p| p.get());
-    report.push_note(format!(
-        "Pool rows run the full E-step / binning scan on the engine \
-         worker pool, baseline = 1 worker, optimized = 8 workers; \
-         outputs are bit-identical across thread counts (asserted here \
-         and in tests/parallel_kernels.rs). Host has {host_par} \
-         available core(s) — wall-clock scaling requires real cores, \
-         determinism does not."
-    ));
-    report.push_note(
-        "The partition baseline is std's per-process-seeded SipHash \
-         (DefaultHasher), the engine's partitioner before the stable \
-         hash.",
-    );
-    report
-}
-
-// ---------------------------------------------------------------- backend --
-
-/// Shuffle-backend comparison (DESIGN.md §12): the same MR-Light
-/// clustering over the in-process passthrough, the in-process shuffle
-/// service, and worker subprocesses behind the length-prefixed TCP
-/// protocol. Reports wall clock and the data-plane counters, and checks
-/// every backend's clustering byte-for-byte against the local baseline.
-/// Emits `BENCH_backend.json`.
-///
-/// The `process:N` rows need the `p3c` binary that hosts the worker
-/// subcommand (a `target/release` sibling of `experiments`, or
-/// `P3C_WORKER_BIN`); when it is missing they degrade to a note instead
-/// of failing the suite.
-pub fn backend(scale: &Scale) -> Report {
-    use p3c_mapreduce::distrib::{Backend, BackendChoice, LocalBackend};
-    use std::sync::Arc;
-
-    let mut report = Report::new(
-        "BENCH_backend",
-        "Shuffle backends: in-memory passthrough vs shuffle service vs worker subprocesses",
-        &[
-            "backend",
-            "wall",
-            "shuffle fetches",
-            "shuffle MB moved",
-            "worker restarts",
-            "identical to local",
-        ],
-    );
-    let data = generate(&spec(scale, scale.size(50_000), 5, 0.10, 77)).dataset;
-    let params = experiment_params();
-    let process = |workers| BackendChoice::Process {
-        workers,
-        kill: None,
-    };
-    let backends: [(&str, Arc<dyn Backend>); 4] = [
-        ("local", BackendChoice::Local.build()),
-        ("shuffle-service", Arc::new(LocalBackend::shuffle_service())),
-        ("process:2", process(2).build()),
-        ("process:4", process(4).build()),
-    ];
-    let mut baseline: Option<Clustering> = None;
-    for (label, backend) in backends {
-        let config = MrConfig {
-            num_reducers: 8,
-            split_size: 8192,
-            ..MrConfig::default()
-        };
-        let eng = Engine::with_backend(config, backend);
-        let start = Instant::now();
-        let result = P3cPlusMrLight::new(&eng, params.clone()).cluster(&data);
-        let wall = start.elapsed();
-        match result {
-            Ok(res) => {
-                let jobs = eng.cluster_metrics();
-                let sum = |f: fn(&p3c_mapreduce::JobMetrics) -> u64| -> u64 {
-                    jobs.jobs().iter().map(f).sum()
-                };
-                let identical = match &baseline {
-                    None => {
-                        baseline = Some(res.clustering.clone());
-                        "baseline".to_string()
-                    }
-                    Some(b) => (res.clustering == *b).to_string(),
-                };
-                report.push_row(vec![
-                    label.to_string(),
-                    secs(wall),
-                    sum(|j| j.shuffle_fetches).to_string(),
-                    f3(sum(|j| j.shuffle_bytes_moved) as f64 / 1e6),
-                    sum(|j| j.worker_restarts).to_string(),
-                    identical,
-                ]);
-            }
-            Err(e) => {
-                report.push_note(format!("{label}: unavailable ({e})"));
-            }
-        }
-    }
-    report.push_note(
-        "Every backend must reproduce the local clustering byte-for-byte; \
-         the process rows additionally exercise worker spawn, the TCP \
-         frame protocol, and checksum-verified fetches.",
-    );
-    report
-}
-
-// --------------------------------------------------------------- service --
-
-/// Incremental service: re-cluster latency versus a from-scratch batch
-/// fit on the same cumulative data, for an append-only stream. Every
-/// step is checked byte-identical to batch before its timings are
-/// reported, so the speedup column never trades correctness for speed.
-/// Emits `BENCH_service.json`.
-pub fn service(scale: &Scale) -> Report {
-    use p3c_core::incremental::IncrementalLight;
-    use p3c_dataset::RowBlock;
-    use p3c_mapreduce::DatasetStore;
-
-    let mut report = Report::new(
-        "BENCH_service",
-        "Incremental re-cluster latency vs. from-scratch batch",
-        &[
-            "total n",
-            "path",
-            "append ms",
-            "recluster ms",
-            "batch ms",
-            "batch/incr",
-        ],
-    );
-    // Sturges keeps the bin count constant while n stays inside one
-    // power-of-two plateau, so the appends below exercise pure delta
-    // maintenance (no histogram rebuild, warm support cache). The
-    // initial load lands just past a power of two and the stream stops
-    // at the plateau's top.
-    let params = P3cParams {
-        bin_rule: BinRuleChoice::Sturges,
-        ..P3cParams::default()
-    };
-    let initial = scale.size(20_000);
-    let plateau_top = initial.next_power_of_two();
-    let appends = 5usize;
-    let step = (plateau_top - initial) / (appends + 1);
-    let total = initial + appends * step;
-    // Capped dims and low noise keep the core set stable across the
-    // stream: with many irrelevant attributes, borderline χ² intervals
-    // flicker in and out of relevance as n grows, changing signatures
-    // and (correctly) disarming the fast path. A service workload with
-    // a drifting model is the full-path column, not this benchmark.
-    let d = scale.dims.min(16);
-    let data = generate(&SyntheticSpec {
-        n: total,
-        d,
-        num_clusters: 3,
-        noise_fraction: 0.05,
-        max_cluster_dims: 6.min(d),
-        seed: scale.seed,
-        ..SyntheticSpec::default()
-    });
-    let all = data.dataset;
-    let chunk = |start: usize, len: usize| -> RowBlock {
-        all.subset(&(start..start + len).collect::<Vec<_>>())
-    };
-
-    let store = DatasetStore::new();
-    let mut eng = IncrementalLight::new("bench", params.clone());
-    let mut fed = 0usize;
-    let mut sizes = vec![initial];
-    sizes.resize(1 + appends, step);
-    for len in sizes {
-        let block = chunk(fed, len);
-        let append_start = Instant::now();
-        eng.append(&store, block).expect("append");
-        let append_wall = append_start.elapsed();
-        fed += len;
-
-        let inc_start = Instant::now();
-        let outcome = eng.recluster(&store).expect("recluster");
-        let inc_wall = inc_start.elapsed();
-
-        let cumulative = chunk(0, fed);
-        let batch_start = Instant::now();
-        let expected = P3cPlusLight::new(params.clone()).cluster(&cumulative);
-        let batch_wall = batch_start.elapsed();
-        assert_eq!(
-            outcome.result.clustering, expected.clustering,
-            "n={fed}: incremental model diverged from batch"
-        );
-        assert_eq!(
-            outcome.result.cores, expected.cores,
-            "n={fed}: cores diverged"
-        );
-
-        report.push_row(vec![
-            fed.to_string(),
-            outcome.path.label().to_string(),
-            f3(append_wall.as_secs_f64() * 1e3),
-            f3(inc_wall.as_secs_f64() * 1e3),
-            f3(batch_wall.as_secs_f64() * 1e3),
-            f3(batch_wall.as_secs_f64() / inc_wall.as_secs_f64().max(1e-9)),
-        ]);
-    }
-    let s = eng.stats();
-    report.push_note(format!(
-        "engine stats: {} fast / {} full reclusters, {} histogram rebuilds, \
-         {} support scans, {} core-gen levels answered from cache",
-        s.fast_reclusters, s.full_reclusters, s.hist_rebuilds, s.support_scans, s.cached_levels
-    ));
-    report.push_note(
-        "Batch refits the cumulative data from scratch each step; the \
-         incremental path maintains histograms and signature supports in \
-         summation form and, on the fast path, finalizes from per-core \
-         state — its wall time tracks the delta, not total n.",
-    );
-    report
-}
-
-// -------------------------------------------------------------- recovery --
-
-/// Durable service: write-ahead journal overhead on the append path and
-/// crash-recovery latency versus a from-scratch batch fit, across
-/// snapshot cadences (DESIGN.md §16). The "crash" is a plain drop of
-/// the service — no shutdown hook runs, exactly like a SIGKILL — and
-/// every recovered tenant is checked byte-identical to batch before its
-/// timings are reported. Emits `BENCH_recovery.json`.
-pub fn recovery(scale: &Scale) -> Report {
-    use p3c_core::incremental::IncrementalLight;
-    use p3c_dataset::RowBlock;
-    use p3c_mapreduce::{ClusterService, DatasetStore};
-    use std::sync::Arc;
-
-    let mut report = Report::new(
-        "BENCH_recovery",
-        "Durable service: journal overhead and crash-recovery latency",
-        &[
-            "snapshot every",
-            "append ms (volatile)",
-            "append ms (durable)",
-            "overhead",
-            "recover ms",
-            "records replayed",
-            "batch ms",
-            "batch/recover",
-        ],
-    );
-    let params = P3cParams::default();
-    let appends = 12usize;
-    let total = scale.size(12_000);
-    let step = total / appends;
-    let d = scale.dims.min(16);
-    let data = generate(&SyntheticSpec {
-        n: appends * step,
-        d,
-        num_clusters: 3,
-        noise_fraction: 0.05,
-        max_cluster_dims: 6.min(d),
-        seed: scale.seed,
-        ..SyntheticSpec::default()
-    });
-    let all = data.dataset;
-    let chunk = |start: usize, len: usize| -> RowBlock {
-        all.subset(&(start..start + len).collect::<Vec<_>>())
-    };
-
-    // Volatile baseline: the same append schedule with no durability.
-    let volatile: ClusterService<IncrementalLight> =
-        ClusterService::new(Arc::new(DatasetStore::new()), None);
-    volatile
-        .create("bench", IncrementalLight::new("bench", params.clone()))
-        .expect("create");
-    let start = Instant::now();
-    for a in 0..appends {
-        volatile
-            .append("bench", chunk(a * step, step))
-            .expect("append");
-    }
-    let volatile_wall = start.elapsed();
-
-    let base = std::env::temp_dir().join(format!("p3c-bench-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let cumulative = chunk(0, appends * step);
-    let batch_start = Instant::now();
-    let expected = P3cPlusLight::new(params.clone()).cluster(&cumulative);
-    let batch_wall = batch_start.elapsed();
-
-    for every in [0u64, 4, 16, 64] {
-        let dir = base.join(format!("every-{every}"));
-        let durable: ClusterService<IncrementalLight> =
-            ClusterService::with_durability(Arc::new(DatasetStore::new()), None, &dir, every)
-                .expect("data dir");
-        durable
-            .create("bench", IncrementalLight::new("bench", params.clone()))
-            .expect("create");
-        let start = Instant::now();
-        for a in 0..appends {
-            durable
-                .append("bench", chunk(a * step, step))
-                .expect("append");
-        }
-        let durable_wall = start.elapsed();
-        drop(durable); // the crash: no shutdown hook runs
-
-        let recovered: ClusterService<IncrementalLight> =
-            ClusterService::with_durability(Arc::new(DatasetStore::new()), None, &dir, every)
-                .expect("data dir");
-        let start = Instant::now();
-        let rec = recovered.recover().expect("recover");
-        let recover_wall = start.elapsed();
-        assert_eq!(rec.tenants, 1, "tenant lost across the crash");
-
-        let outcome = recovered.recluster("bench").expect("recluster");
-        assert_eq!(
-            outcome.result.clustering, expected.clustering,
-            "snapshot_every={every}: recovered model diverged from batch"
-        );
-        assert_eq!(
-            outcome.result.cores, expected.cores,
-            "snapshot_every={every}: cores diverged"
-        );
-
-        report.push_row(vec![
-            if every == 0 {
-                "journal only".to_string()
-            } else {
-                every.to_string()
-            },
-            f3(volatile_wall.as_secs_f64() * 1e3),
-            f3(durable_wall.as_secs_f64() * 1e3),
-            f3(durable_wall.as_secs_f64() / volatile_wall.as_secs_f64().max(1e-9)),
-            f3(recover_wall.as_secs_f64() * 1e3),
-            rec.records_replayed.to_string(),
-            f3(batch_wall.as_secs_f64() * 1e3),
-            f3(batch_wall.as_secs_f64() / recover_wall.as_secs_f64().max(1e-9)),
-        ]);
-    }
-    let _ = std::fs::remove_dir_all(&base);
-    report.push_note(
-        "Appends write the block to the journal (length-prefixed, \
-         checksummed) before applying it; snapshots bound replay to the \
-         records since the last roll, so recover ms shrinks as the \
-         cadence tightens while the append path pays the snapshot \
-         serialization. Recovery rehydrates maintained statistics \
-         without touching the clustering pipeline — the batch column is \
-         what a stateless restart would have to pay per tenant.",
-    );
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,8 @@
 //! Argument parsing for the `p3c` binary (hand-rolled: the workspace's
 //! dependency budget has no CLI framework, and the grammar is small).
 
+use p3c_core::config::P3cParams;
+use p3c_datagen::SyntheticSpec;
 use p3c_mapreduce::{BackendChoice, SchedulerChoice};
 use std::fmt;
 
@@ -70,21 +72,106 @@ fn parse_shape(s: &str) -> Option<Shape> {
     })
 }
 
+/// The synthetic-workload flags `cluster`, `generate` and the service's
+/// `append` share: `--synthetic NxD`, `-k/--clusters K` and `--noise F`.
+/// Values the generator cannot honour are refused while parsing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SyntheticArgs {
+    /// Workload shape; `None` until `--synthetic` is given.
+    pub shape: Option<Shape>,
+    /// Hidden clusters.
+    pub clusters: usize,
+    /// Noise fraction in `[0, 1]`.
+    pub noise: f64,
+}
+
+impl Default for SyntheticArgs {
+    fn default() -> Self {
+        Self {
+            shape: None,
+            clusters: 3,
+            noise: 0.1,
+        }
+    }
+}
+
+impl SyntheticArgs {
+    /// Consumes `flag` and its value from `it` if `flag` is one of the
+    /// three; `Ok(false)` leaves both to the caller.
+    pub fn parse_flag<'a>(
+        &mut self,
+        flag: &str,
+        it: &mut impl Iterator<Item = &'a str>,
+    ) -> Result<bool, ParseError> {
+        match flag {
+            "--synthetic" => {
+                let v = next_value(it, flag)?;
+                // A cluster spans at least two attributes.
+                let shape = parse_shape(v)
+                    .filter(|s| s.d >= 2)
+                    .ok_or_else(|| ParseError(format!("bad shape '{v}' (want NxD with D >= 2)")))?;
+                self.shape = Some(shape);
+            }
+            "--clusters" | "-k" => {
+                let v = next_value(it, flag)?;
+                self.clusters = v.parse().ok().filter(|&k| k >= 1).ok_or_else(|| {
+                    ParseError(format!("bad --clusters value '{v}' (want K >= 1)"))
+                })?;
+            }
+            "--noise" => {
+                let v = next_value(it, flag)?;
+                self.noise = v
+                    .parse()
+                    .ok()
+                    .filter(|f| (0.0..=1.0).contains(f))
+                    .ok_or_else(|| ParseError(format!("bad --noise value '{v}' (want 0..=1)")))?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The generator spec for this workload, `None` without a shape.
+    pub fn spec(&self, seed: u64) -> Option<SyntheticSpec> {
+        let shape = self.shape?;
+        Some(SyntheticSpec {
+            n: shape.n,
+            d: shape.d,
+            num_clusters: self.clusters,
+            noise_fraction: self.noise,
+            max_cluster_dims: 10.min(shape.d),
+            seed,
+            ..SyntheticSpec::default()
+        })
+    }
+}
+
+/// Parses a Poisson significance level the pipelines accept
+/// ([`P3cParams::check`]).
+pub fn parse_alpha(v: &str) -> Result<f64, ParseError> {
+    let alpha = v
+        .parse()
+        .map_err(|_| ParseError(format!("bad --alpha value '{v}'")))?;
+    P3cParams {
+        alpha_poisson: alpha,
+        ..P3cParams::default()
+    }
+    .check()
+    .map_err(|what| ParseError(format!("bad --alpha value '{v}': {what}")))?;
+    Ok(alpha)
+}
+
 /// The `p3c` subcommands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Cluster a dataset.
     Cluster {
         /// Text-format input file (see `p3c_dataset::persist`); mutually
-        /// exclusive with `synthetic`.
+        /// exclusive with `synthetic.shape`.
         input: Option<String>,
-        /// Synthetic workload shape.
-        synthetic: Option<Shape>,
+        /// Synthetic workload.
+        synthetic: SyntheticArgs,
         algorithm: Algorithm,
-        /// Hidden clusters for the synthetic workload.
-        clusters: usize,
-        /// Noise fraction for the synthetic workload.
-        noise: f64,
         seed: u64,
         /// Poisson significance level.
         alpha: f64,
@@ -112,9 +199,8 @@ pub enum Command {
     },
     /// Generate a synthetic dataset to a file.
     Generate {
-        synthetic: Shape,
-        clusters: usize,
-        noise: f64,
+        /// The workload; its shape is always set.
+        synthetic: SyntheticArgs,
         seed: u64,
         out: String,
     },
@@ -206,10 +292,8 @@ fn next_value<'a>(
 
 fn parse_cluster<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<Command, ParseError> {
     let mut input = None;
-    let mut synthetic = None;
+    let mut synthetic = SyntheticArgs::default();
     let mut algorithm = Algorithm::P3cPlus;
-    let mut clusters = 3;
-    let mut noise = 0.1;
     let mut seed = 0;
     let mut alpha = 1e-10;
     let mut output = OutputFormat::Text;
@@ -219,40 +303,22 @@ fn parse_cluster<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<Command, 
     let mut threads = None;
     let mut backend = None;
     while let Some(arg) = it.next() {
+        if synthetic.parse_flag(arg, it)? {
+            continue;
+        }
         match arg {
             "--input" | "-i" => input = Some(next_value(it, arg)?.to_string()),
-            "--synthetic" => {
-                let v = next_value(it, arg)?;
-                synthetic = Some(
-                    parse_shape(v)
-                        .ok_or_else(|| ParseError(format!("bad shape '{v}' (want NxD)")))?,
-                );
-            }
             "--algorithm" | "-a" => {
                 let v = next_value(it, arg)?;
                 algorithm = Algorithm::parse(v)
                     .ok_or_else(|| ParseError(format!("unknown algorithm '{v}'")))?;
-            }
-            "--clusters" | "-k" => {
-                clusters = next_value(it, arg)?
-                    .parse()
-                    .map_err(|_| ParseError("bad --clusters value".into()))?;
-            }
-            "--noise" => {
-                noise = next_value(it, arg)?
-                    .parse()
-                    .map_err(|_| ParseError("bad --noise value".into()))?;
             }
             "--seed" => {
                 seed = next_value(it, arg)?
                     .parse()
                     .map_err(|_| ParseError("bad --seed value".into()))?;
             }
-            "--alpha" => {
-                alpha = next_value(it, arg)?
-                    .parse()
-                    .map_err(|_| ParseError("bad --alpha value".into()))?;
-            }
+            "--alpha" => alpha = parse_alpha(next_value(it, arg)?)?,
             "--output" | "-o" => {
                 output = match next_value(it, arg)? {
                     "text" => OutputFormat::Text,
@@ -281,7 +347,7 @@ fn parse_cluster<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<Command, 
             other => return Err(ParseError(format!("unknown flag '{other}'"))),
         }
     }
-    match (&input, &synthetic) {
+    match (&input, &synthetic.shape) {
         (None, None) => {
             return Err(ParseError(
                 "cluster needs --input FILE or --synthetic NxD".into(),
@@ -294,7 +360,7 @@ fn parse_cluster<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<Command, 
         }
         _ => {}
     }
-    if evaluate && synthetic.is_none() {
+    if evaluate && synthetic.shape.is_none() {
         return Err(ParseError(
             "--evaluate requires --synthetic (needs ground truth)".into(),
         ));
@@ -303,8 +369,6 @@ fn parse_cluster<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<Command, 
         input,
         synthetic,
         algorithm,
-        clusters,
-        noise,
         seed,
         alpha,
         output,
@@ -431,30 +495,14 @@ fn parse_worker<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<Command, P
 }
 
 fn parse_generate<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<Command, ParseError> {
-    let mut synthetic = None;
-    let mut clusters = 3;
-    let mut noise = 0.1;
+    let mut synthetic = SyntheticArgs::default();
     let mut seed = 0;
     let mut out = None;
     while let Some(arg) = it.next() {
+        if synthetic.parse_flag(arg, it)? {
+            continue;
+        }
         match arg {
-            "--synthetic" => {
-                let v = next_value(it, arg)?;
-                synthetic = Some(
-                    parse_shape(v)
-                        .ok_or_else(|| ParseError(format!("bad shape '{v}' (want NxD)")))?,
-                );
-            }
-            "--clusters" | "-k" => {
-                clusters = next_value(it, arg)?
-                    .parse()
-                    .map_err(|_| ParseError("bad --clusters value".into()))?;
-            }
-            "--noise" => {
-                noise = next_value(it, arg)?
-                    .parse()
-                    .map_err(|_| ParseError("bad --noise value".into()))?;
-            }
             "--seed" => {
                 seed = next_value(it, arg)?
                     .parse()
@@ -464,12 +512,12 @@ fn parse_generate<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<Command,
             other => return Err(ParseError(format!("unknown flag '{other}'"))),
         }
     }
-    let synthetic = synthetic.ok_or_else(|| ParseError("generate needs --synthetic NxD".into()))?;
+    if synthetic.shape.is_none() {
+        return Err(ParseError("generate needs --synthetic NxD".into()));
+    }
     let out = out.ok_or_else(|| ParseError("generate needs --out FILE".into()))?;
     Ok(Command::Generate {
         synthetic,
-        clusters,
-        noise,
         seed,
         out,
     })
@@ -554,14 +602,13 @@ mod tests {
             Command::Cluster {
                 synthetic,
                 algorithm,
-                clusters,
                 output,
                 evaluate,
                 ..
             } => {
-                assert_eq!(synthetic, Some(Shape { n: 1000, d: 10 }));
+                assert_eq!(synthetic.shape, Some(Shape { n: 1000, d: 10 }));
                 assert_eq!(algorithm, Algorithm::P3cPlus);
-                assert_eq!(clusters, 3);
+                assert_eq!(synthetic.clusters, 3);
                 assert_eq!(output, OutputFormat::Text);
                 assert!(!evaluate);
             }
@@ -577,9 +624,8 @@ mod tests {
         .unwrap();
         match parsed.command {
             Command::Cluster {
+                synthetic,
                 algorithm,
-                clusters,
-                noise,
                 seed,
                 alpha,
                 output,
@@ -587,8 +633,8 @@ mod tests {
                 ..
             } => {
                 assert_eq!(algorithm, Algorithm::MrLight);
-                assert_eq!(clusters, 5);
-                assert!((noise - 0.2).abs() < 1e-12);
+                assert_eq!(synthetic.clusters, 5);
+                assert!((synthetic.noise - 0.2).abs() < 1e-12);
                 assert_eq!(seed, 7);
                 assert!((alpha - 1e-4).abs() < 1e-16);
                 assert_eq!(output, OutputFormat::Json);
@@ -735,9 +781,11 @@ mod tests {
         assert_eq!(
             parsed.command,
             Command::Generate {
-                synthetic: Shape { n: 200, d: 5 },
-                clusters: 2,
-                noise: 0.1,
+                synthetic: SyntheticArgs {
+                    shape: Some(Shape { n: 200, d: 5 }),
+                    clusters: 2,
+                    noise: 0.1,
+                },
                 seed: 0,
                 out: "/tmp/x.txt".into()
             }
@@ -751,6 +799,33 @@ mod tests {
         assert!(parse(&args("cluster --synthetic 10x2 --algorithm nope")).is_err());
         assert!(parse(&args("cluster --synthetic 10x2 --output xml")).is_err());
         assert!(parse(&args("generate --synthetic 10x2")).is_err());
+        // Workloads the generator and alphas the pipelines would refuse
+        // are usage errors, not panics after parsing.
+        for line in [
+            "cluster --synthetic 10x0",
+            "cluster --synthetic 10x1",
+            "cluster --synthetic 100x4 -k 0",
+            "cluster --synthetic 100x4 --noise 1.5",
+            "cluster --synthetic 100x4 --noise -0.1",
+            "cluster --synthetic 100x4 --noise nan",
+            "cluster --synthetic 100x4 --alpha 0",
+            "cluster --synthetic 100x4 --alpha 1",
+            "cluster --synthetic 100x4 --alpha nan",
+            "generate --synthetic 100x0 --out f.txt",
+            "generate --synthetic 100x4 --clusters 0 --out f.txt",
+            "generate --synthetic 100x4 --noise 7 --out f.txt",
+        ] {
+            let err = parse(&args(line)).unwrap_err();
+            assert!(err.0.starts_with("bad "), "{line}: {err}");
+        }
+        let err = parse(&args("cluster --synthetic 100x4 --alpha 0")).unwrap_err();
+        assert!(err.0.contains("alpha_poisson out of range"), "{err}");
+        for line in [
+            "cluster --synthetic 100x2 -k 1 --noise 0",
+            "cluster --synthetic 0x4 --noise 1 --alpha 0.5",
+        ] {
+            assert!(parse(&args(line)).is_ok(), "{line}");
+        }
     }
 
     #[test]

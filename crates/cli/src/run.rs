@@ -6,7 +6,7 @@ use p3c_core::config::P3cParams;
 use p3c_core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_core::p3c::P3c;
 use p3c_core::p3cplus::{P3cPlus, P3cPlusLight};
-use p3c_datagen::{generate, SyntheticSpec};
+use p3c_datagen::generate;
 use p3c_dataset::json::{self, ToJson, Writer};
 use p3c_dataset::{persist, Clustering, Dataset};
 use p3c_eval::e4sc;
@@ -74,27 +74,18 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
         Command::Ctl { connect, words } => Ok(crate::serve::ctl_send(connect, words)?),
         Command::Generate {
             synthetic,
-            clusters,
-            noise,
             seed,
             out,
         } => {
-            let data = generate(&SyntheticSpec {
-                n: synthetic.n,
-                d: synthetic.d,
-                num_clusters: *clusters,
-                noise_fraction: *noise,
-                max_cluster_dims: 10.min(synthetic.d),
-                seed: *seed,
-                ..SyntheticSpec::default()
-            });
+            let spec = synthetic.spec(*seed).expect("validated at parse time");
+            let data = generate(&spec);
             std::fs::write(out, persist::to_text(&data.dataset))?;
             Ok(format!(
                 "wrote {} points × {} dims ({} clusters, {:.0}% noise) to {}",
-                synthetic.n,
-                synthetic.d,
-                clusters,
-                noise * 100.0,
+                spec.n,
+                spec.d,
+                spec.num_clusters,
+                spec.noise_fraction * 100.0,
                 out
             ))
         }
@@ -102,8 +93,6 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
             input,
             synthetic,
             algorithm,
-            clusters,
-            noise,
             seed,
             alpha,
             output,
@@ -113,7 +102,7 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
             threads,
             backend,
         } => {
-            let (dataset, truth) = match (input, synthetic) {
+            let (dataset, truth) = match (input, synthetic.spec(*seed)) {
                 (Some(path), None) => {
                     let text = std::fs::read_to_string(path)?;
                     let ds =
@@ -125,16 +114,8 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
                     };
                     (ds, None)
                 }
-                (None, Some(shape)) => {
-                    let data = generate(&SyntheticSpec {
-                        n: shape.n,
-                        d: shape.d,
-                        num_clusters: *clusters,
-                        noise_fraction: *noise,
-                        max_cluster_dims: 10.min(shape.d),
-                        seed: *seed,
-                        ..SyntheticSpec::default()
-                    });
+                (None, Some(spec)) => {
+                    let data = generate(&spec);
                     (data.dataset, Some(data.ground_truth))
                 }
                 _ => unreachable!("validated at parse time"),

@@ -15,10 +15,11 @@
 //! Commands: `create`, `append`, `retract`, `recluster`, `verify`,
 //! `stats`, `drop`, `quit`, `shutdown` — see [`PROTOCOL_HELP`].
 
+use crate::args::{parse_alpha, SyntheticArgs};
 use p3c_core::config::P3cParams;
 use p3c_core::incremental::IncrementalLight;
 use p3c_core::p3cplus::P3cPlusLight;
-use p3c_datagen::{generate, SyntheticSpec};
+use p3c_datagen::generate;
 use p3c_dataset::bytes::Fnv1a;
 use p3c_dataset::{persist, Clustering};
 use p3c_mapreduce::{ClusterService, DatasetStore};
@@ -137,27 +138,14 @@ impl ServerState {
     }
 }
 
-fn parse_usize(v: &str, what: &str) -> Result<usize, String> {
-    v.parse().map_err(|_| format!("bad {what} '{v}'"))
-}
-
 /// Block ids are `u64` end to end; parsing through `usize` would
 /// truncate ids above 2³²−1 on 32-bit targets.
 fn parse_u64(v: &str, what: &str) -> Result<u64, String> {
     v.parse().map_err(|_| format!("bad {what} '{v}'"))
 }
 
-fn next_val<'a>(it: &mut std::slice::Iter<'_, &'a str>, flag: &str) -> Result<&'a str, String> {
-    it.next()
-        .copied()
-        .ok_or_else(|| format!("{flag} needs a value"))
-}
-
-fn parse_shape(v: &str) -> Result<(usize, usize), String> {
-    let (n, d) = v
-        .split_once(['x', 'X'])
-        .ok_or_else(|| format!("bad shape '{v}' (want NxD)"))?;
-    Ok((parse_usize(n, "shape")?, parse_usize(d, "shape")?))
+fn next_val<'a>(it: &mut impl Iterator<Item = &'a str>, flag: &str) -> Result<&'a str, String> {
+    it.next().ok_or_else(|| format!("{flag} needs a value"))
 }
 
 /// FNV-1a over a canonical byte rendering of a clustering — a compact
@@ -186,12 +174,11 @@ fn fingerprint(clustering: &Clustering) -> u64 {
 
 fn cmd_create(state: &ServerState, name: &str, rest: &[&str]) -> Result<String, String> {
     let mut params = state.base_params.clone();
-    let mut it = rest.iter();
-    while let Some(&flag) = it.next() {
+    let mut it = rest.iter().copied();
+    while let Some(flag) = it.next() {
         match flag {
             "--alpha" => {
-                let v = it.next().ok_or("--alpha needs a value")?;
-                params.alpha_poisson = v.parse().map_err(|_| format!("bad --alpha '{v}'"))?;
+                params.alpha_poisson = parse_alpha(next_val(&mut it, flag)?).map_err(|e| e.0)?;
             }
             other => return Err(format!("unknown create flag '{other}'")),
         }
@@ -204,21 +191,16 @@ fn cmd_create(state: &ServerState, name: &str, rest: &[&str]) -> Result<String, 
 }
 
 fn cmd_append(state: &ServerState, name: &str, rest: &[&str]) -> Result<String, String> {
-    let mut synthetic = None;
+    let mut synthetic = SyntheticArgs::default();
     let mut file = None;
-    let mut clusters = 3usize;
-    let mut noise = 0.1f64;
     let mut seed = 0u64;
-    let mut it = rest.iter();
-    while let Some(&flag) = it.next() {
+    let mut it = rest.iter().copied();
+    while let Some(flag) = it.next() {
+        if synthetic.parse_flag(flag, &mut it).map_err(|e| e.0)? {
+            continue;
+        }
         match flag {
-            "--synthetic" => synthetic = Some(parse_shape(next_val(&mut it, flag)?)?),
             "--file" => file = Some(next_val(&mut it, flag)?.to_string()),
-            "--clusters" | "-k" => clusters = parse_usize(next_val(&mut it, flag)?, "--clusters")?,
-            "--noise" => {
-                let v = next_val(&mut it, flag)?;
-                noise = v.parse().map_err(|_| format!("bad --noise '{v}'"))?;
-            }
             "--seed" => {
                 let v = next_val(&mut it, flag)?;
                 seed = v.parse().map_err(|_| format!("bad --seed '{v}'"))?;
@@ -226,19 +208,8 @@ fn cmd_append(state: &ServerState, name: &str, rest: &[&str]) -> Result<String, 
             other => return Err(format!("unknown append flag '{other}'")),
         }
     }
-    let block = match (synthetic, file) {
-        (Some((n, d)), None) => {
-            let data = generate(&SyntheticSpec {
-                n,
-                d,
-                num_clusters: clusters,
-                noise_fraction: noise,
-                max_cluster_dims: 10.min(d),
-                seed,
-                ..SyntheticSpec::default()
-            });
-            data.dataset
-        }
+    let block = match (synthetic.spec(seed), file) {
+        (Some(spec), None) => generate(&spec).dataset,
         (None, Some(path)) => {
             let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
             let ds = persist::from_text(&text).map_err(|e| e.to_string())?;
@@ -590,9 +561,33 @@ mod tests {
         assert!(text(&state, "append nope --synthetic 10x2").starts_with("error:"));
         assert!(text(&state, "frobnicate").contains("unknown command"));
         assert!(text(&state, "create t --alpha banana").starts_with("error:"));
+        // Values the generator or the pipeline would refuse answer an
+        // error and keep the session.
+        for line in [
+            "create t --alpha 0",
+            "create t --alpha 1.5",
+            "create t --alpha nan",
+        ] {
+            assert!(
+                text(&state, line).starts_with("error: bad --alpha"),
+                "{line}"
+            );
+        }
         text(&state, "create t");
         assert!(text(&state, "retract t 7").contains("no live block"));
         assert!(text(&state, "append t --synthetic 10x2 --file x").starts_with("error:"));
+        for line in [
+            "append t --synthetic 100x0",
+            "append t --synthetic 100x1",
+            "append t --synthetic 100x4 --clusters 0",
+            "append t --synthetic 100x4 -k 0",
+            "append t --synthetic 100x4 --noise 7",
+            "append t --synthetic 100x4 --noise nan",
+        ] {
+            assert!(text(&state, line).starts_with("error: bad "), "{line}");
+        }
+        let out = text(&state, "append t --synthetic 600x4 --clusters 1 --noise 1");
+        assert!(out.contains("appended block 0 (600 rows)"), "{out}");
     }
 
     #[test]

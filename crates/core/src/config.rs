@@ -181,9 +181,10 @@ impl P3cParams {
         }
     }
 
-    /// [`P3cParams::validate`] for params decoded from bytes: the
-    /// violated condition instead of a panic.
-    pub(crate) fn check(&self) -> Result<(), &'static str> {
+    /// [`P3cParams::validate`] for params from outside the program
+    /// (decoded bytes, command-line flags): the violated condition
+    /// instead of a panic.
+    pub fn check(&self) -> Result<(), &'static str> {
         let unit = |alpha: f64| alpha > 0.0 && alpha < 1.0;
         if !unit(self.alpha_chi2) {
             Err("alpha_chi2 out of range")

@@ -483,8 +483,8 @@ mod tests {
                 .filter(|(_, c)| c.contains(row))
                 .map(|(i, _)| (i, 1))
                 .collect();
-            assert_eq!(by_record.into_parts().0, expected);
-            assert_eq!(by_split.into_parts().0, expected);
+            assert_eq!(by_record.into_parts(), expected);
+            assert_eq!(by_split.into_parts(), expected);
         }
     }
 

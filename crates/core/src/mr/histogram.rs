@@ -226,7 +226,7 @@ mod tests {
         let row: &[f64] = &[0.1, 0.9];
         let mut em = p3c_mapreduce::Emitter::new();
         mapper.map(&row, &mut em);
-        let (pairs, _) = em.into_parts();
+        let pairs = em.into_parts();
         assert_eq!(pairs.len(), 2);
         assert_eq!(pairs[0].1.iter().sum::<f64>(), 1.0);
     }

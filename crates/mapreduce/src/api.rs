@@ -2,9 +2,6 @@
 
 use crate::weight::Weighable;
 
-/// Emitted pairs plus user counters, as returned by [`Emitter::into_parts`].
-pub type EmittedParts<K, V> = (Vec<(K, V)>, Vec<(&'static str, u64)>);
-
 /// Collector handed to map tasks; counts emitted records and bytes for the
 /// job metrics (Hadoop's "map output records/bytes" counters).
 #[derive(Debug)]
@@ -12,7 +9,6 @@ pub struct Emitter<K, V> {
     pairs: Vec<(K, V)>,
     records: u64,
     bytes: u64,
-    counters: Vec<(&'static str, u64)>,
 }
 
 impl<K: Weighable, V: Weighable> Default for Emitter<K, V> {
@@ -29,7 +25,6 @@ impl<K: Weighable, V: Weighable> Emitter<K, V> {
             pairs: Vec::new(),
             records: 0,
             bytes: 0,
-            counters: Vec::new(),
         }
     }
 
@@ -41,15 +36,6 @@ impl<K: Weighable, V: Weighable> Emitter<K, V> {
         self.pairs.push((key, value));
     }
 
-    /// Increments a user counter (Hadoop-style custom counters).
-    pub fn inc_counter(&mut self, name: &'static str, delta: u64) {
-        if let Some(entry) = self.counters.iter_mut().find(|(n, _)| *n == name) {
-            entry.1 += delta;
-        } else {
-            self.counters.push((name, delta));
-        }
-    }
-
     pub(crate) fn records(&self) -> u64 {
         self.records
     }
@@ -58,10 +44,10 @@ impl<K: Weighable, V: Weighable> Emitter<K, V> {
         self.bytes
     }
 
-    /// Consumes the emitter, returning the emitted pairs and counters.
-    /// Public for mapper unit-testing.
-    pub fn into_parts(self) -> EmittedParts<K, V> {
-        (self.pairs, self.counters)
+    /// Consumes the emitter, returning the emitted pairs. Public for
+    /// mapper unit-testing.
+    pub fn into_parts(self) -> Vec<(K, V)> {
+        self.pairs
     }
 }
 
@@ -129,19 +115,8 @@ mod tests {
         e.emit(2, 3.0);
         assert_eq!(e.records(), 2);
         assert_eq!(e.bytes(), 2 * 12);
-        let (pairs, _) = e.into_parts();
+        let pairs = e.into_parts();
         assert_eq!(pairs.len(), 2);
-    }
-
-    #[test]
-    fn counters_accumulate_by_name() {
-        let mut e: Emitter<(), ()> = Emitter::new();
-        e.inc_counter("hits", 2);
-        e.inc_counter("misses", 1);
-        e.inc_counter("hits", 3);
-        let (_, counters) = e.into_parts();
-        assert!(counters.contains(&("hits", 5)));
-        assert!(counters.contains(&("misses", 1)));
     }
 
     #[test]
@@ -154,7 +129,7 @@ mod tests {
         }
         let mut e = Emitter::new();
         Echo.map_split(&[1, 2, 3], &mut e);
-        let (pairs, _) = e.into_parts();
+        let pairs = e.into_parts();
         assert_eq!(pairs.iter().map(|p| p.0).collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
@@ -163,7 +138,7 @@ mod tests {
         let m = |r: &u32, out: &mut Emitter<u32, u32>| out.emit(*r % 2, *r);
         let mut e = Emitter::new();
         m.map(&7, &mut e);
-        let (pairs, _) = e.into_parts();
+        let pairs = e.into_parts();
         assert_eq!(pairs, vec![(1, 7)]);
 
         let r = |k: &u32, vs: Vec<u32>, out: &mut Vec<(u32, u32)>| {

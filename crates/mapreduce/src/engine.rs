@@ -4,7 +4,7 @@ use crate::api::{Emitter, Mapper, Reducer};
 use crate::distrib::backend::{Backend, BackendChoice, BackendError, MapOutput, StageSpec};
 use crate::distrib::wire::{decode_from_slice, encode_to_vec, Wire};
 use crate::fault::{FaultPlan, StragglerPlan};
-use crate::kernel::{BlockPartials, CommitBoard, CounterLedger, ShuffleBuckets, WorkQueue};
+use crate::kernel::{BlockPartials, CommitBoard, ShuffleBuckets, WorkQueue};
 use crate::metrics::{ClusterMetrics, DagMetrics, JobMetrics};
 use crate::sync::Mutex;
 use crate::weight::Weighable;
@@ -162,11 +162,6 @@ impl Engine {
         }
     }
 
-    /// The engine's shuffle backend.
-    pub fn backend(&self) -> &Arc<dyn Backend> {
-        &self.backend
-    }
-
     /// Engine with default configuration.
     pub fn with_defaults() -> Self {
         Self::new(MrConfig::default())
@@ -180,11 +175,6 @@ impl Engine {
     /// Snapshot of all job metrics recorded so far.
     pub fn cluster_metrics(&self) -> ClusterMetrics {
         self.ledger.lock().clone()
-    }
-
-    /// Clears the metrics ledger.
-    pub fn reset_metrics(&self) {
-        self.ledger.lock().reset();
     }
 
     /// Records a chain's metrics in the ledger (called by
@@ -462,7 +452,7 @@ impl Engine {
                                     // exact partitions the worker lost.
                                     let mut emitter = Emitter::new();
                                     mapper.map_split(splits[map_id], &mut emitter);
-                                    let (emitted, _counters) = emitter.into_parts();
+                                    let emitted = emitter.into_parts();
                                     let parts = partition(emitted, num_reducers);
                                     let rebuilt = MapOutput {
                                         map_id,
@@ -752,8 +742,8 @@ impl Hasher for FxStyleHasher {
 // ---------------------------------------------------------------- map ---
 
 /// Counters shared by all map tasks of one phase. The concurrency-bearing
-/// pieces — task claiming, exactly-once commit, counter aggregation — are
-/// the model-checked kernels of [`crate::kernel`].
+/// pieces — task claiming and exactly-once commit — are the
+/// model-checked kernels of [`crate::kernel`].
 struct MapPhaseShared {
     /// Ticket queue handing each split index to exactly one primary.
     queue: WorkQueue,
@@ -764,7 +754,6 @@ struct MapPhaseShared {
     failed_attempts: AtomicU64,
     speculative_attempts: AtomicU64,
     speculative_wins: AtomicU64,
-    counters: CounterLedger,
     error: Mutex<Option<MrError>>,
 }
 
@@ -778,7 +767,6 @@ impl MapPhaseShared {
             failed_attempts: AtomicU64::new(0),
             speculative_attempts: AtomicU64::new(0),
             speculative_wins: AtomicU64::new(0),
-            counters: CounterLedger::new(),
             error: Mutex::new(None),
         }
     }
@@ -812,7 +800,6 @@ impl MapPhaseShared {
         m.speculative_attempts = self.speculative_attempts.load(Ordering::Relaxed);
         // audit: relaxed-ok — as above.
         m.speculative_wins = self.speculative_wins.load(Ordering::Relaxed);
-        m.counters = self.counters.snapshot();
     }
 }
 
@@ -959,9 +946,7 @@ fn run_attempt<I, K, V, M, F>(
         shared
             .out_bytes
             .fetch_add(emitter.bytes(), Ordering::Relaxed);
-        let (pairs, counters) = emitter.into_parts();
-        shared.counters.merge(counters);
-        commit(idx, pairs);
+        commit(idx, emitter.into_parts());
         return;
     }
     // Primary exhausted its attempts without committing; unless a backup
@@ -1177,8 +1162,6 @@ mod tests {
         let ledger = engine.cluster_metrics();
         assert_eq!(ledger.num_jobs(), 2);
         assert_eq!(ledger.total_map_input_records(), 20);
-        engine.reset_metrics();
-        assert_eq!(engine.cluster_metrics().num_jobs(), 0);
     }
 
     #[test]
@@ -1194,23 +1177,6 @@ mod tests {
             .run_with_cache("cached", &input, 1000, &mapper, &reducer)
             .unwrap();
         assert_eq!(res.metrics.broadcast_bytes, 4000);
-    }
-
-    #[test]
-    fn user_counters_survive_to_metrics() {
-        let engine = Engine::new(MrConfig {
-            split_size: 4,
-            ..MrConfig::default()
-        });
-        let input: Vec<u64> = (0..16).collect();
-        let mapper = |r: &u64, out: &mut Emitter<(), u64>| {
-            if r.is_multiple_of(2) {
-                out.inc_counter("evens", 1);
-            }
-            out.emit((), *r);
-        };
-        let res = engine.run_map_only("ctr", &input, &mapper).unwrap();
-        assert_eq!(res.metrics.counters["evens"], 8);
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! Everything the map/reduce phases do concurrently funnels through the
 //! four types in this module: ticket-based work claiming ([`WorkQueue`]),
 //! exactly-once task commit ([`CommitBoard`]), split-ordered shuffle
-//! hand-off ([`ShuffleBuckets`]), and user-counter aggregation
-//! ([`CounterLedger`]). Keeping them here serves two purposes:
+//! hand-off ([`ShuffleBuckets`]), and block-ordered partial merging
+//! ([`BlockPartials`]). Keeping them here serves two purposes:
 //!
 //! * The **order-determinism argument** of the engine (DESIGN.md §5)
 //!   reduces to properties of these types — claims are unique, commits
 //!   are exactly-once, bucket drain order is split order regardless of
-//!   commit order, counter totals are exact — instead of properties of
-//!   the whole engine.
+//!   commit order, partials merge in block order — instead of properties
+//!   of the whole engine.
 //! * Each property is **model-checked**: under `--cfg loom` the module
 //!   swaps its primitives for the `p3c-loom` shim and the
 //!   `loom_models` integration test explores every interleaving of the
@@ -27,8 +27,6 @@ use p3c_loom::sync::{
 };
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-use std::collections::BTreeMap;
 
 /// Ticket-dispensing work queue: `claim` hands out `0..limit` with each
 /// index claimed by exactly one caller.
@@ -221,49 +219,6 @@ impl<T> BlockPartials<T> {
     }
 }
 
-/// Aggregates user counters from concurrently finishing tasks; totals
-/// are exact because every merge happens under one lock, and iteration
-/// order is stable because the ledger is a `BTreeMap`.
-#[derive(Debug)]
-pub struct CounterLedger {
-    counters: Mutex<BTreeMap<String, u64>>,
-}
-
-impl Default for CounterLedger {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CounterLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self {
-            counters: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Adds a batch of counter deltas atomically.
-    pub fn merge<'a, I>(&self, deltas: I)
-    where
-        I: IntoIterator<Item = (&'a str, u64)>,
-    {
-        let mut iter = deltas.into_iter().peekable();
-        if iter.peek().is_none() {
-            return;
-        }
-        let mut counters = self.counters.lock();
-        for (name, delta) in iter {
-            *counters.entry(name.to_string()).or_insert(0) += delta;
-        }
-    }
-
-    /// Snapshot of all counter totals.
-    pub fn snapshot(&self) -> BTreeMap<String, u64> {
-        self.counters.lock().clone()
-    }
-}
-
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
@@ -341,17 +296,5 @@ mod tests {
         let partials = BlockPartials::new(2);
         partials.commit(0, 1);
         let _ = partials.into_ordered();
-    }
-
-    #[test]
-    fn counter_ledger_totals_exact() {
-        let ledger = CounterLedger::new();
-        ledger.merge([("a", 1), ("b", 2)]);
-        ledger.merge([("a", 3)]);
-        ledger.merge([]);
-        let snap = ledger.snapshot();
-        assert_eq!(snap["a"], 4);
-        assert_eq!(snap["b"], 2);
-        assert_eq!(snap.len(), 2);
     }
 }

@@ -15,10 +15,10 @@
 //!   ([`engine`]).
 //! * **Fault tolerance** — deterministic, seedable fault injection with
 //!   task re-execution ([`fault`]), mirroring Hadoop's retry semantics.
-//! * **Distributed cache** — a broadcast-cost-accounted side channel for
-//!   shipping candidate sets and RSSC bitmaps to every mapper ([`cache`]).
-//! * **Metrics** — per-job record/byte counters and wall-clock phases
-//!   ([`metrics`]); these drive the runtime/I/O figures of the evaluation.
+//! * **Metrics** — per-job record/byte counters, broadcast bytes charged
+//!   per map task for side data a job ships to every mapper
+//!   ([`Engine::run_with_cache`]), and wall-clock phases ([`metrics`]);
+//!   these drive the runtime/I/O figures of the evaluation.
 //! * **Job chains** — a pipeline is a named chain of steps run by
 //!   [`run_chain`] ([`dag`]); each [`Chain::step`] hands its value back
 //!   to the caller. Under [`SchedulerChoice::Dag`] a failed step runs
@@ -78,7 +78,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod cache;
 pub mod dag;
 pub mod dataset;
 pub mod distrib;
@@ -92,14 +91,13 @@ pub mod sync;
 pub mod weight;
 
 pub use api::{Emitter, Mapper, Reducer};
-pub use cache::DistributedCache;
 pub use dag::{run_chain, Chain, SchedulerChoice};
 pub use dataset::{DatasetError, DatasetStore, DatasetStoreStats};
 pub use distrib::{
     Backend, BackendChoice, BackendError, LocalBackend, MapOutputTracker, ProcessBackend,
     ShuffleManager, Wire,
 };
-pub use engine::{stable_partition, Engine, JobOutput, MrConfig, MrError};
+pub use engine::{Engine, JobOutput, MrConfig, MrError};
 pub use fault::FaultPlan;
 pub use metrics::{ClusterMetrics, DagMetrics, DagNodeMetrics, JobMetrics};
 pub use pool::{parallel_for_blocks, parallel_for_blocks_with, resolve_threads, run_workers};

@@ -6,7 +6,6 @@
 //! distributed cache. The engine meters all of these.
 
 use p3c_dataset::json::{ToJson, Writer};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Counters for a single MapReduce job.
@@ -55,8 +54,6 @@ pub struct JobMetrics {
     /// Bytes that physically moved through the shuffle backend
     /// (stored by maps + fetched by reducers).
     pub shuffle_bytes_moved: u64,
-    /// User counters accumulated across all tasks.
-    pub counters: BTreeMap<String, u64>,
 }
 
 impl ToJson for JobMetrics {
@@ -82,7 +79,6 @@ impl ToJson for JobMetrics {
             ("fetch_retries", &self.fetch_retries),
             ("worker_restarts", &self.worker_restarts),
             ("shuffle_bytes_moved", &self.shuffle_bytes_moved),
-            ("counters", &self.counters),
         ]);
     }
 }
@@ -228,12 +224,6 @@ impl ClusterMetrics {
     pub fn total_wall(&self) -> Duration {
         self.jobs.iter().map(|j| j.total_wall()).sum()
     }
-
-    /// Clears the ledger (e.g. between benchmark repetitions).
-    pub fn reset(&mut self) {
-        self.jobs.clear();
-        self.dag_runs.clear();
-    }
 }
 
 #[cfg(test)]
@@ -268,20 +258,6 @@ mod tests {
         assert_eq!(j.total_wall(), Duration::from_millis(42));
     }
 
-    #[test]
-    fn reset_clears() {
-        let mut c = ClusterMetrics::new();
-        c.record(JobMetrics::new("x"));
-        c.record_dag(DagMetrics {
-            dag_name: "d".into(),
-            ..DagMetrics::default()
-        });
-        assert_eq!(c.dag_runs().len(), 1);
-        c.reset();
-        assert_eq!(c.num_jobs(), 0);
-        assert!(c.dag_runs().is_empty());
-    }
-
     /// What `--metrics-json` holds for the ledger of
     /// `dag_metrics_node_lookup_and_json`.
     const EXPECTED_LEDGER: &str = r#"{
@@ -306,11 +282,7 @@ mod tests {
       "shuffle_fetches": 0,
       "fetch_retries": 0,
       "worker_restarts": 0,
-      "shuffle_bytes_moved": 0,
-      "counters": {
-        "a.first": 2,
-        "z.last": 1
-      }
+      "shuffle_bytes_moved": 0
     }
   ],
   "dag_runs": [
@@ -348,13 +320,11 @@ mod tests {
         assert!(dag.node("missing").is_none());
         // The whole ledger (jobs + DAG runs) is what the CLI's
         // --metrics-json writes: counters as integers, durations as
-        // seconds, user counters in key order.
+        // seconds.
         let mut job = JobMetrics::new("j \"1\"");
         job.map_tasks = 4;
         job.shuffle_bytes = u64::MAX;
         job.map_wall = Duration::from_millis(250);
-        job.counters.insert("z.last".into(), 1);
-        job.counters.insert("a.first".into(), 2);
         let mut c = ClusterMetrics::new();
         c.record(job);
         c.record_dag(dag);

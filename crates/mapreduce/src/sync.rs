@@ -148,8 +148,6 @@ pub mod rank {
     pub const KERNEL_BUCKETS: u16 = 110;
     /// Block-partial slots (`kernel.rs`).
     pub const KERNEL_PARTIALS: u16 = 112;
-    /// Counter ledger (`kernel.rs`).
-    pub const KERNEL_COUNTERS: u16 = 114;
 }
 
 #[cfg(feature = "lockcheck")]

@@ -18,7 +18,6 @@
 //!   speculative attempts.
 //! * [`ShuffleBuckets`] drains in split order no matter which producer
 //!   commits first — the order-determinism keystone.
-//! * [`CounterLedger`] totals are exact under concurrent merges.
 //! * [`BlockPartials`] + [`WorkQueue`] — the worker-pool kernel behind
 //!   `parallel_for_blocks` (DESIGN.md §11) — merges per-block partials
 //!   in block order regardless of which worker claims which block.
@@ -33,7 +32,7 @@
 
 use p3c_loom::{model, thread};
 use p3c_mapreduce::distrib::{BlockLocation, MapOutputTracker};
-use p3c_mapreduce::kernel::{BlockPartials, CommitBoard, CounterLedger, ShuffleBuckets, WorkQueue};
+use p3c_mapreduce::kernel::{BlockPartials, CommitBoard, ShuffleBuckets, WorkQueue};
 use p3c_mapreduce::service::Admission;
 use std::sync::Arc;
 
@@ -110,33 +109,6 @@ fn shuffle_buckets_drain_order_is_schedule_independent() {
             vec![10, 11, 20],
             "drain order is slot order in every schedule"
         );
-    });
-}
-
-/// Two finishing tasks merge counter deltas concurrently: totals are
-/// exact (no lost updates) in every schedule.
-#[test]
-fn counter_ledger_merges_are_exact() {
-    model(|| {
-        let ledger = Arc::new(CounterLedger::new());
-        let tasks: Vec<_> = [
-            vec![("records", 2u64), ("bytes", 16u64)],
-            vec![("records", 3u64)],
-        ]
-        .into_iter()
-        .map(|deltas| {
-            let ledger = Arc::clone(&ledger);
-            thread::spawn(move || {
-                ledger.merge(deltas.iter().map(|&(name, delta)| (name, delta)));
-            })
-        })
-        .collect();
-        for t in tasks {
-            t.join_unwrap();
-        }
-        let snapshot = ledger.snapshot();
-        assert_eq!(snapshot["records"], 5);
-        assert_eq!(snapshot["bytes"], 16);
     });
 }
 

@@ -3,9 +3,9 @@
 //! DESIGN.md §12: the engine's determinism contract must survive the
 //! real data plane — worker subprocesses holding the shuffle, reached
 //! over the length-prefixed TCP protocol. These tests run all three MR
-//! pipelines (P3C+-MR, MR-Light, BoW) under `ProcessBackend` with 1, 2,
-//! and 4 workers and require results identical to the in-process
-//! `Local` backend (which `tests/end_to_end.rs` in turn anchors against
+//! pipelines (P3C+-MR, MR-Light, BoW) under the in-process shuffle
+//! service and under `ProcessBackend` with 1, 2, and 4 workers and
+//! require results identical to the in-process `Local` backend (which `tests/end_to_end.rs` in turn anchors against
 //! the serial implementations), including under an injected worker
 //! kill mid-pipeline. The last three tests reach what only damaged bytes
 //! reach: the worker's door check and the master's fetch-side re-hash,
@@ -23,10 +23,10 @@ use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_suite::datagen::{generate, SyntheticSpec};
 use p3c_suite::dataset::Clustering;
 use p3c_suite::mapreduce::distrib::{
-    Backend, BackendChoice, BackendError, MapOutput, ProcessBackend, StageSpec,
+    Backend, BackendChoice, BackendError, LocalBackend, MapOutput, ProcessBackend, StageSpec,
 };
 use p3c_suite::mapreduce::{Engine, FaultPlan, MrConfig};
-use std::sync::Once;
+use std::sync::{Arc, Once};
 
 /// Points every `ProcessBackend` in this test binary at the harness
 /// worker (idempotent; `Once` keeps the env write single-threaded).
@@ -49,13 +49,17 @@ fn spec(n: usize, k: usize, noise: f64, seed: u64) -> SyntheticSpec {
     }
 }
 
-fn engine_with(backend: BackendChoice) -> Engine {
-    Engine::new(MrConfig {
+fn config(backend: BackendChoice) -> MrConfig {
+    MrConfig {
         num_reducers: 4,
         split_size: 512,
         backend,
         ..MrConfig::default()
-    })
+    }
+}
+
+fn engine_with(backend: BackendChoice) -> Engine {
+    Engine::new(config(backend))
 }
 
 fn process(workers: usize) -> BackendChoice {
@@ -70,26 +74,34 @@ fn job_total(eng: &Engine, f: impl Fn(&p3c_suite::mapreduce::JobMetrics) -> u64)
     eng.cluster_metrics().jobs().iter().map(f).sum()
 }
 
-/// Runs `cluster` under the local backend and under the process backend
-/// with 1, 2, and 4 workers; asserts every distributed clustering equals
-/// the local one and that the TCP data plane was actually exercised.
+/// Runs `cluster` under the local backend, the in-process shuffle
+/// service, and the process backend with 1, 2, and 4 workers; asserts
+/// every other clustering equals the local one and that the shuffle
+/// data plane was actually exercised.
 fn assert_identical_across_worker_counts(pipeline: &str, cluster: impl Fn(&Engine) -> Clustering) {
     use_harness_worker();
     let baseline = cluster(&engine_with(BackendChoice::Local));
-    for workers in [1usize, 2, 4] {
-        let eng = engine_with(process(workers));
+    let service = Engine::with_backend(
+        config(BackendChoice::Local),
+        Arc::new(LocalBackend::shuffle_service()),
+    );
+    let processes = [1usize, 2, 4].into_iter().map(|workers| {
+        (
+            format!("process backend with {workers} workers"),
+            engine_with(process(workers)),
+        )
+    });
+    for (backend, eng) in std::iter::once(("shuffle service".to_string(), service)).chain(processes)
+    {
         let got = cluster(&eng);
-        assert_eq!(
-            got, baseline,
-            "{pipeline}: process backend with {workers} workers diverged from local"
-        );
+        assert_eq!(got, baseline, "{pipeline}: {backend} diverged from local");
         assert!(
             job_total(&eng, |j| j.shuffle_fetches) > 0,
             "{pipeline}: no shuffle fetches — the distributed plane was bypassed"
         );
         assert!(
             job_total(&eng, |j| j.shuffle_bytes_moved) > 0,
-            "{pipeline}: no bytes moved through the workers"
+            "{pipeline}: no bytes moved through the data plane"
         );
     }
 }

@@ -192,10 +192,15 @@ fn torn_journal_tail_recovers_the_valid_prefix() {
 
     let mut rng = Gen::new(0x7061_7065_7221);
     let mut shorter_than_full = 0;
-    for case in 0..10u64 {
+    for case in 0..=10u64 {
         // Cut anywhere in the file — record boundaries and mid-record
-        // alike; a mid-record cut is exactly a torn write.
-        let cut = 1 + rng.below(journal_bytes.len() - 1);
+        // alike; a mid-record cut is exactly a torn write. The last case
+        // keeps the whole journal: a journal-only replay of every block.
+        let cut = if case < 10 {
+            1 + rng.below(journal_bytes.len() - 1)
+        } else {
+            journal_bytes.len()
+        };
         let dir = base.join(format!("cut-{case}"));
         let tdir = dir.join(tenant_dir.file_name().unwrap());
         std::fs::create_dir_all(&tdir).unwrap();
@@ -218,6 +223,9 @@ fn torn_journal_tail_recovers_the_valid_prefix() {
         );
         if m < blocks {
             shorter_than_full += 1;
+        }
+        if cut == journal_bytes.len() {
+            assert_eq!(m, blocks, "the whole journal lost blocks");
         }
         let live: Vec<RowBlock> = (0..m)
             .map(|b| chunk(&all, b * rows_per, rows_per))
