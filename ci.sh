@@ -173,19 +173,20 @@ fi
 # SIGKILLed after journaling two appends and publishing a model — no
 # shutdown path runs — then a second serve on the same data directory
 # must report the recovery, re-cluster to the *same fingerprint*, and
-# pass the incremental-vs-batch verify (DESIGN.md §16). The sleep on
-# stdin keeps the session open so the kill lands mid-connection.
+# pass the incremental-vs-batch verify (DESIGN.md §16). stdin is a FIFO
+# this script holds open on fd 3 until after the kill, so the kill lands
+# mid-connection and nothing waits on an idle feeder.
 echo "==> crash smoke: SIGKILL durable serve, restart, fingerprint identity"
-rm -rf target/ci/serve-data
-{
-    printf 'create demo\n'
-    printf 'append demo --synthetic 1200x8 --clusters 3 --seed 7\n'
-    printf 'append demo --synthetic 900x8 --clusters 3 --seed 8\n'
-    printf 'recluster demo\n'
-    sleep 60
-} | ./target/release/p3c serve --data-dir target/ci/serve-data --snapshot-every 2 \
-    > target/ci/serve-crash-1.log 2> target/ci/serve-crash-1.err &
+rm -rf target/ci/serve-data target/ci/serve-crash.fifo
+mkfifo target/ci/serve-crash.fifo
+./target/release/p3c serve --data-dir target/ci/serve-data --snapshot-every 2 \
+    < target/ci/serve-crash.fifo > target/ci/serve-crash-1.log 2> target/ci/serve-crash-1.err &
 SERVE_PID=$!
+exec 3> target/ci/serve-crash.fifo
+printf '%s\n' 'create demo' \
+    'append demo --synthetic 1200x8 --clusters 3 --seed 7' \
+    'append demo --synthetic 900x8 --clusters 3 --seed 8' \
+    'recluster demo' >&3
 for _ in $(seq 1 100); do
     grep -q "fingerprint=" target/ci/serve-crash-1.log 2> /dev/null && break
     sleep 0.2
@@ -193,6 +194,8 @@ done
 grep -q "fingerprint=" target/ci/serve-crash-1.log
 kill -9 "$SERVE_PID" 2> /dev/null || true
 wait "$SERVE_PID" 2> /dev/null || true
+exec 3>&-
+rm -f target/ci/serve-crash.fifo
 FP_BEFORE=$(grep -o "fingerprint=[0-9a-f]*" target/ci/serve-crash-1.log | head -n 1)
 ./target/release/p3c serve --data-dir target/ci/serve-data --snapshot-every 2 \
     > target/ci/serve-crash-2.log 2> target/ci/serve-crash-2.err <<'EOF'

@@ -695,7 +695,15 @@ impl IncrementalLight {
     /// model, *and* the live block payloads (the store is volatile) —
     /// for the service's durable snapshot.
     pub fn snapshot_bytes(&self, store: &DatasetStore) -> Result<Vec<u8>, String> {
-        let buf = &mut Vec::new();
+        let mut buf = Vec::new();
+        self.snapshot_into(store, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// Appends [`IncrementalLight::snapshot_bytes`]'s encoding to `buf`.
+    /// The live payloads dominate it, so `buf` is grown once, to fit
+    /// them exactly, before they are copied in.
+    fn snapshot_into(&self, store: &DatasetStore, buf: &mut Vec<u8>) -> Result<(), String> {
         bytes::put_u32(buf, STATE_VERSION);
         put_params(buf, &self.params);
 
@@ -765,7 +773,15 @@ impl IncrementalLight {
         }
 
         // Live block payloads, log order; zero-row blocks have none.
+        // Each is its id, then the raw row block: shape and rows.
         let live: Vec<&BlockEntry> = self.log.entries().iter().filter(|e| e.rows > 0).collect();
+        let dim = self.log.dim().unwrap_or(0);
+        buf.reserve(
+            8 + live
+                .iter()
+                .map(|e| 8 + 16 + e.rows * dim * 8)
+                .sum::<usize>(),
+        );
         bytes::put_usize(buf, live.len());
         for e in live {
             let block = store
@@ -774,7 +790,7 @@ impl IncrementalLight {
             bytes::put_u64(buf, e.id);
             block.encode_into(buf);
         }
-        Ok(std::mem::take(buf))
+        Ok(())
     }
 
     /// Rehydrates an engine from [`IncrementalLight::snapshot_bytes`]
@@ -939,8 +955,8 @@ impl p3c_mapreduce::service::DurableTenant for IncrementalLight {
         Ok(RowBlock::from_bytes(bytes)?)
     }
 
-    fn snapshot_state(&self, store: &DatasetStore) -> Result<Vec<u8>, String> {
-        self.snapshot_bytes(store)
+    fn snapshot_state(&self, store: &DatasetStore, out: &mut Vec<u8>) -> Result<(), String> {
+        self.snapshot_into(store, out)
     }
 
     fn restore_state(name: &str, bytes: &[u8], store: &DatasetStore) -> Result<Self, String> {
@@ -1222,7 +1238,12 @@ mod tests {
         eng.append(&store, chunk(&all, 1000, 1000)).unwrap();
         // Snapshot mid-stream: model, support cache, and maintained
         // memberships are all live.
-        let state = eng.snapshot_state(&store).unwrap();
+        // The service hands over a buffer that already holds its own
+        // prefix; the state is appended after it.
+        let mut buf = b"prefix".to_vec();
+        eng.snapshot_state(&store, &mut buf).unwrap();
+        let state = eng.snapshot_bytes(&store).unwrap();
+        assert_eq!(buf, [&b"prefix"[..], &state].concat());
         let store2 = DatasetStore::new();
         let mut back = IncrementalLight::from_snapshot_bytes("t", &state, &store2).unwrap();
         assert_eq!(back.stats().appends, eng.stats().appends);

@@ -12,12 +12,14 @@
 //! * [`Reader`], the one bounds-checked cursor, with the one
 //!   [`DecodeError`]; every count it reads is checked against the bytes
 //!   actually remaining **before** anything is allocated for it;
-//! * the two checksums and which bytes get which: [`fnv1a64`] /
-//!   [`Fnv1a`] for everything **persisted** (journal records, snapshot
-//!   files, the state blob, segment files, model fingerprints — their
-//!   sums are on disk and must never drift), [`wordsum64`] for shuffle
-//!   partitions **in flight** (hashed once per hop, never stored, so it
-//!   is free to run at memory speed);
+//! * the two checksums and which bytes get which: [`wordsum64`] /
+//!   [`WordSum`] for the **v2 persisted** formats (a journal record's
+//!   `op ‖ seq ‖ payload`, a snapshot file's every byte before its sum)
+//!   and for shuffle partitions **in flight**, at memory speed;
+//!   [`fnv1a64`] / [`Fnv1a`], one byte per multiply, only where a sum
+//!   was stored before v2 — the v1 journal and snapshot readers — and
+//!   in `serve`'s model fingerprint. A persisted sum never changes
+//!   within a format version, so both are pinned by tests;
 //! * [`MAX_PAYLOAD_LEN`] and the `[u32 len][u8 op]` frame head shared by
 //!   the wire protocol and the journal.
 
@@ -116,6 +118,22 @@ pub fn put_len32(buf: &mut Vec<u8>, len: usize) {
 pub fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
     put_usize(buf, v.len());
     buf.extend_from_slice(v);
+}
+
+/// Appends a `u64`-length-prefixed byte string that `fill` appends
+/// straight to `buf`: the bytes [`put_bytes`] would write for them,
+/// without building them in a buffer of their own first. On an error
+/// `buf` holds a partial value and is the caller's to discard.
+pub fn put_bytes_with<E>(
+    buf: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+) -> Result<(), E> {
+    let at = buf.len();
+    put_usize(buf, 0);
+    fill(buf)?;
+    let len = (buf.len() - at - 8) as u64;
+    buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    Ok(())
 }
 
 /// Appends a `u64`-length-prefixed UTF-8 string.
@@ -357,10 +375,11 @@ fn utf8(bytes: &[u8]) -> Result<String, DecodeError> {
 
 // ---------------------------------------------------------- checksums ---
 
-/// Streaming FNV-1a (64-bit), the checksum of every persisted format:
-/// feeding a message in pieces hashes the same as feeding it whole, so
-/// a checksum over `a ‖ b` needs no scratch copy. Pinned by tests —
-/// persisted checksums must never drift.
+/// Streaming FNV-1a (64-bit), the checksum of the v1 journal and
+/// snapshot files and of `serve`'s model fingerprint: feeding a message
+/// in pieces hashes the same as feeding it whole, so a checksum over
+/// `a ‖ b` needs no scratch copy. Pinned by tests — v1 files on disk
+/// carry its sums.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
@@ -399,10 +418,9 @@ impl Default for Fnv1a {
     }
 }
 
-/// FNV-1a over one byte slice — the checksum of journal records,
-/// snapshot files and every other persisted format. One byte per
-/// multiply (≈0.7 GB/s), which is why in-flight shuffle partitions use
-/// [`wordsum64`] instead.
+/// FNV-1a over one byte slice. One byte per multiply (≈0.7 GB/s),
+/// which is why the v2 persisted formats and in-flight shuffle
+/// partitions use [`wordsum64`] instead.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.write(bytes);
@@ -438,9 +456,37 @@ fn le_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(w)
 }
 
-/// Word-wise 64-bit checksum of one shuffle partition in flight — what
-/// the producer records in the tracker, the storage node verifies at the
-/// door and the consumer re-verifies after the fetch. Never persisted.
+/// Absorbs every whole 32-byte block of `bytes` into the four lanes of
+/// [`wordsum64`] — word `i` of a block into lane `i` — and returns the
+/// bytes left over.
+#[inline(always)]
+fn wordsum_blocks<'a>(lanes: &mut [u64; 4], bytes: &'a [u8]) -> &'a [u8] {
+    let mut blocks = bytes.chunks_exact(32);
+    for block in blocks.by_ref() {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = wordsum_absorb(*lane, le_word(word));
+        }
+    }
+    blocks.remainder()
+}
+
+/// Folds the lanes and the tail of fewer than 32 bytes into the sum of
+/// a `len`-byte message.
+fn wordsum_finish(mut lanes: [u64; 4], tail: &[u8], len: u64) -> u64 {
+    for (lane, word) in lanes.iter_mut().zip(tail.chunks(8)) {
+        *lane = wordsum_absorb(*lane, le_word(word));
+    }
+    let mut h = len;
+    for lane in lanes {
+        h = wordsum_absorb(h, lane);
+    }
+    h ^= h >> 32;
+    h = h.wrapping_mul(WORDSUM_MUL);
+    h ^ (h >> 29)
+}
+
+/// Word-wise 64-bit checksum: of every persisted v2 format (journal
+/// records, snapshot files) and of shuffle partitions in flight.
 ///
 /// The message is cut into little-endian `u64` words (the last one
 /// zero-padded); word `i` is absorbed into lane `i % 4`, so four
@@ -460,22 +506,70 @@ fn le_word(bytes: &[u8]) -> u64 {
 ///   plain sum or xor of lanes.
 pub fn wordsum64(bytes: &[u8]) -> u64 {
     let mut lanes = WORDSUM_LANES;
-    let mut blocks = bytes.chunks_exact(32);
-    for block in blocks.by_ref() {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            *lane = wordsum_absorb(*lane, le_word(word));
+    let tail = wordsum_blocks(&mut lanes, bytes);
+    wordsum_finish(lanes, tail, bytes.len() as u64)
+}
+
+/// Streaming [`wordsum64`]: feeding a message in pieces sums the same as
+/// feeding it whole, so a file written as a header and a body is summed
+/// without joining the two. Pieces that do not end on a 32-byte block
+/// boundary are carried in a block-sized buffer until the next one
+/// completes it.
+#[derive(Debug, Clone)]
+pub struct WordSum {
+    lanes: [u64; 4],
+    /// The first `pending` bytes of a block not yet absorbed.
+    block: [u8; 32],
+    pending: usize,
+    len: u64,
+}
+
+impl WordSum {
+    /// The sum over the empty message.
+    pub const fn new() -> Self {
+        Self {
+            lanes: WORDSUM_LANES,
+            block: [0; 32],
+            pending: 0,
+            len: 0,
         }
     }
-    for (lane, word) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
-        *lane = wordsum_absorb(*lane, le_word(word));
+
+    /// Feeds more bytes.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending > 0 {
+            let take = bytes.len().min(32 - self.pending);
+            self.block[self.pending..self.pending + take].copy_from_slice(&bytes[..take]);
+            self.pending += take;
+            bytes = &bytes[take..];
+            if self.pending < 32 {
+                return;
+            }
+            let block = self.block;
+            wordsum_blocks(&mut self.lanes, &block);
+            self.pending = 0;
+        }
+        let tail = wordsum_blocks(&mut self.lanes, bytes);
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.pending = tail.len();
     }
-    let mut h = bytes.len() as u64;
-    for lane in lanes {
-        h = wordsum_absorb(h, lane);
+
+    /// Feeds a `u64` as its 8 little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
     }
-    h ^= h >> 32;
-    h = h.wrapping_mul(WORDSUM_MUL);
-    h ^ (h >> 29)
+
+    /// The sum of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        wordsum_finish(self.lanes, &self.block[..self.pending], self.len)
+    }
+}
+
+impl Default for WordSum {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 // -------------------------------------------------------------- frame ---
@@ -633,8 +727,8 @@ mod tests {
 
     #[test]
     fn wordsum_is_pinned_at_the_lane_and_tail_boundaries() {
-        // Not persisted, but master and worker are separate processes
-        // that may be separate builds: the definition must not drift.
+        // v2 journals and snapshots store these sums, and master and
+        // worker may be separate builds: the definition must not drift.
         // (`tests/golden_bytes.rs` pins the same values.)
         for (len, sum) in [
             (0usize, 0x0601_f8d5_ba64_0cfeu64),
@@ -647,6 +741,21 @@ mod tests {
             assert_eq!(wordsum64(&pattern(len)), sum, "len {len}");
         }
         assert_eq!(wordsum64(b"a"), 0x7174_e239_f580_d7ad);
+    }
+
+    #[test]
+    fn put_bytes_with_writes_what_put_bytes_writes() {
+        let mut direct = vec![7];
+        put_bytes(&mut direct, b"nested value");
+        let mut in_place = vec![7];
+        put_bytes_with(&mut in_place, |buf| -> Result<(), ()> {
+            buf.extend_from_slice(b"nested ");
+            buf.extend_from_slice(b"value");
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(in_place, direct);
+        assert_eq!(put_bytes_with(&mut in_place, |_| Err("no")), Err("no"));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   block.
 //! * [`bytes`] — the byte layer under every binary format: `put_*`
 //!   appenders, the bounds-checked [`bytes::Reader`] with its one
-//!   [`bytes::DecodeError`], the two checksums (FNV-1a for persisted
-//!   formats, `wordsum64` for shuffle partitions in flight), the payload
+//!   [`bytes::DecodeError`], the two checksums (`wordsum64` for the v2
+//!   persisted formats and shuffle partitions in flight, FNV-1a for the
+//!   v1 readers and model fingerprints), the payload
 //!   cap and the `[u32 len][u8 op]` frame head (DESIGN.md "Byte
 //!   formats").
 //! * [`colseg`] — the segmented columnar spill codec (per-attribute

@@ -25,8 +25,7 @@
 //!   by worker processes and the in-process shuffle service alike. Each
 //!   partition is checksummed once per hop — by its producer, at the
 //!   storage node's door, by its consumer — with the byte layer's
-//!   in-flight checksum (`wordsum64`; FNV-1a stays with the persisted
-//!   formats).
+//!   checksum (`wordsum64`, which also sums the v2 persisted formats).
 //!
 //! Because the partitioner is seeded, the merge is order-deterministic,
 //! and the codec round-trips floats bit-exactly, all three pipelines

@@ -2,8 +2,8 @@
 //!
 //! Every map task that finishes registers, per reducer, where its
 //! partition bytes live — which worker holds them, how long they are,
-//! and their [`wordsum64`] (the in-flight checksum; FNV-1a is kept for
-//! persisted formats), computed by the producer before the bytes leave
+//! and their [`wordsum64`] (the byte layer's checksum, here summing
+//! bytes in flight), computed by the producer before the bytes leave
 //! it. That record is what a fetched partition is verified against
 //! ([`BlockLocation::verifies`]). Reducers consult the tracker before
 //! each fetch; when a worker dies, [`MapOutputTracker::invalidate_worker`]

@@ -87,9 +87,10 @@ pub trait DurableTenant: Tenant + Sized {
     fn encode_block(block: &Self::Block) -> Vec<u8>;
     /// Decodes a journaled block.
     fn decode_block(bytes: &[u8]) -> Result<Self::Block, String>;
-    /// Serializes the full maintained state, including live row
-    /// payloads held in `store`.
-    fn snapshot_state(&self, store: &DatasetStore) -> Result<Vec<u8>, String>;
+    /// Appends the full maintained state, including live row payloads
+    /// held in `store`, to `out` — the buffer the snapshot file is
+    /// written from, so the state is encoded once and never copied.
+    fn snapshot_state(&self, store: &DatasetStore, out: &mut Vec<u8>) -> Result<(), String>;
     /// Rebuilds a tenant from [`snapshot_state`] bytes, re-seeding row
     /// payloads into `store`.
     ///
@@ -278,7 +279,7 @@ const OP_BINSTEP: u8 = 4;
 struct WalHooks<T: Tenant> {
     encode_create: fn(&T) -> Vec<u8>,
     encode_block: fn(&T::Block) -> Vec<u8>,
-    snapshot_state: fn(&T, &DatasetStore) -> Result<Vec<u8>, String>,
+    snapshot_state: fn(&T, &DatasetStore, &mut Vec<u8>) -> Result<(), String>,
     discretization_stamp: fn(&T) -> u64,
 }
 
@@ -514,11 +515,12 @@ impl<T: Tenant> ClusterService<T> {
             wal.stamp = stamp;
         }
         if d.snapshot_every > 0 && wal.since_snapshot >= d.snapshot_every {
-            let state =
-                (d.hooks.snapshot_state)(tenant, &self.store).map_err(ServiceError::Durability)?;
             let mut body = Vec::new();
             bytes::put_str(&mut body, &wal.name);
-            bytes::put_bytes(&mut body, &state);
+            bytes::put_bytes_with(&mut body, |out| {
+                (d.hooks.snapshot_state)(tenant, &self.store, out)
+            })
+            .map_err(ServiceError::Durability)?;
             // The snapshot covers every record written so far; only
             // after it is durably renamed into place is the journal
             // truncated, so a crash in between merely replays records
@@ -910,16 +912,15 @@ mod tests {
             Ok(block)
         }
 
-        fn snapshot_state(&self, _store: &DatasetStore) -> Result<Vec<u8>, String> {
-            let mut buf = Vec::new();
-            bytes::put_u64(&mut buf, self.estimates[0] as u64);
-            bytes::put_u64(&mut buf, self.next_id);
-            bytes::put_usize(&mut buf, self.blocks.len());
+        fn snapshot_state(&self, _store: &DatasetStore, buf: &mut Vec<u8>) -> Result<(), String> {
+            bytes::put_u64(buf, self.estimates[0] as u64);
+            bytes::put_u64(buf, self.next_id);
+            bytes::put_usize(buf, self.blocks.len());
             for (id, rows) in &self.blocks {
-                bytes::put_u64(&mut buf, *id);
-                bytes::put_usize(&mut buf, *rows);
+                bytes::put_u64(buf, *id);
+                bytes::put_usize(buf, *rows);
             }
-            Ok(buf)
+            Ok(())
         }
 
         fn restore_state(_name: &str, bytes: &[u8], _store: &DatasetStore) -> Result<Self, String> {

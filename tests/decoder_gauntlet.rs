@@ -17,7 +17,7 @@ use p3c_check::Gen;
 use p3c_suite::core::incremental::IncrementalLight;
 use p3c_suite::core::inspect::ClusterSummary;
 use p3c_suite::core::mr::{AccMsg, SigMsg};
-use p3c_suite::dataset::bytes::{fnv1a64, wordsum64, MAX_PAYLOAD_LEN};
+use p3c_suite::dataset::bytes::{fnv1a64, wordsum64, WordSum, MAX_PAYLOAD_LEN};
 use p3c_suite::dataset::journal::{self, JournalWriter};
 use p3c_suite::dataset::Dataset;
 use p3c_suite::mapreduce::distrib::wire::{read_frame, write_frame};
@@ -315,47 +315,126 @@ fn shuffle_shapes() {
     wire_subject("ClusterSummary", &summary, 0x6a0b);
 }
 
+fn golden(name: &str) -> Vec<u8> {
+    std::fs::read(
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name),
+    )
+    .unwrap()
+}
+
+/// Runs the gauntlet over a journal file holding `records` (seq, op,
+/// payload), whose first frame starts at byte `start`.
+fn journal_gauntlet(
+    name: &str,
+    good: Vec<u8>,
+    start: usize,
+    records: &[(u64, u8, &[u8])],
+    seed: u64,
+) {
+    let mut ends = Vec::new();
+    let mut end = start;
+    for (_, _, payload) in records {
+        end += 4 + 1 + 8 + payload.len() + 8;
+        ends.push(end);
+    }
+    assert_eq!(end, good.len(), "{name}: the frames fill the file");
+    let dir = tmpdir(&format!("journal-{seed:x}"));
+    let probe_path = dir.join("probe.bin");
+    // A journal never errors on corruption: it yields the records wholly
+    // before the damage — wherever it is cut or flipped, a valid prefix.
+    // "Decoded completely" is all of them.
+    let decode = |bytes: &[u8]| -> Result<(), String> {
+        std::fs::write(&probe_path, bytes).unwrap();
+        let (got, valid) = journal::read_journal(&probe_path).map_err(|e| e.to_string())?;
+        let intact = ends.iter().filter(|&&end| end <= valid as usize).count();
+        assert_eq!(got.len(), intact, "valid prefix ends between records");
+        assert!(valid as usize <= bytes.len());
+        for (rec, &(seq, op, payload)) in got.iter().zip(records) {
+            assert_eq!((rec.seq, rec.op), (seq, op));
+            assert_eq!(rec.payload, payload, "a surviving record changed");
+        }
+        if got.len() == records.len() {
+            Ok(())
+        } else {
+            Err(format!("prefix of {} records", got.len()))
+        }
+    };
+    run_gauntlet(
+        &Subject {
+            name,
+            good,
+            decode: &decode,
+            checksummed: true,
+            version_at: None,
+        },
+        seed,
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn journal_file() {
     let dir = tmpdir("journal");
     let path = dir.join(journal::JOURNAL_FILE);
     let mut w = JournalWriter::create(&path, 3).unwrap();
     let payloads: [&[u8]; 3] = [b"first record", b"", b"third"];
-    let mut ends = Vec::new();
     for (i, payload) in payloads.iter().enumerate() {
         w.record(i as u8 + 1, payload).unwrap();
-        ends.push(std::fs::metadata(&path).unwrap().len() as usize);
     }
     drop(w);
-    let good = std::fs::read(&path).unwrap();
-    let probe_path = dir.join("probe.bin");
-    // A journal never errors on corruption: it yields the records wholly
-    // before the damage. "Decoded completely" is all three of them.
+    let records: Vec<(u64, u8, &[u8])> = (0..3)
+        .map(|i| (3 + i as u64, i + 1, payloads[i as usize]))
+        .collect();
+    journal_gauntlet(
+        "read_journal (v2)",
+        std::fs::read(&path).unwrap(),
+        journal::JOURNAL_MAGIC.len(),
+        &records,
+        0x6a0b,
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    // The v1 reader, on the file the v1 writer left.
+    journal_gauntlet(
+        "read_journal (v1)",
+        golden("v1/journal_records.bin"),
+        0,
+        &[(5, 2, b"golden payload"), (6, 3, b"")],
+        0x6a11,
+    );
+}
+
+/// Runs the gauntlet over a snapshot file stamped `covered` over `state`.
+fn snapshot_gauntlet(name: &str, good: Vec<u8>, covered: u64, state: &[u8], seed: u64) {
+    let dir = tmpdir(&format!("snapshot-{seed:x}"));
+    let path = dir.join(journal::SNAPSHOT_FILE);
     let decode = |bytes: &[u8]| -> Result<(), String> {
-        std::fs::write(&probe_path, bytes).unwrap();
-        let (records, valid) = journal::read_journal(&probe_path).map_err(|e| e.to_string())?;
-        let intact = ends.iter().filter(|&&end| end <= valid as usize).count();
-        assert_eq!(records.len(), intact, "valid prefix ends between records");
-        assert!(valid as usize <= bytes.len());
-        for (rec, (i, payload)) in records.iter().zip(payloads.iter().enumerate()) {
-            assert_eq!((rec.seq, rec.op), (3 + i as u64, i as u8 + 1));
-            assert_eq!(&rec.payload, payload, "a surviving record changed");
-        }
-        if records.len() == payloads.len() {
-            Ok(())
-        } else {
-            Err(format!("prefix of {} records", records.len()))
+        std::fs::write(&path, bytes).unwrap();
+        match journal::read_snapshot(&path) {
+            Ok(Some((c, s))) if c == covered && s == state => Ok(()),
+            Ok(other) => panic!("corruption decoded to {other:?}"),
+            Err(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                let message = e.to_string();
+                assert!(
+                    message.contains(&path.display().to_string()),
+                    "error does not name the file: {message}"
+                );
+                Err(message)
+            }
         }
     };
     run_gauntlet(
         &Subject {
-            name: "read_journal",
+            name,
             good,
             decode: &decode,
             checksummed: true,
-            version_at: None,
+            // [8-byte magic][u32 version]…
+            version_at: Some(8),
         },
-        0x6a0b,
+        seed,
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -366,29 +445,36 @@ fn snapshot_file() {
     let path = dir.join(journal::SNAPSHOT_FILE);
     journal::write_snapshot(&path, 41, b"the tenant state").unwrap();
     let good = std::fs::read(&path).unwrap();
-    let decode = |bytes: &[u8]| -> Result<(), String> {
-        std::fs::write(&path, bytes).unwrap();
-        match journal::read_snapshot(&path) {
-            Ok(Some((41, state))) if state == b"the tenant state" => Ok(()),
-            Ok(other) => panic!("corruption decoded to {other:?}"),
-            Err(e) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-                Err(e.to_string())
-            }
-        }
-    };
-    run_gauntlet(
-        &Subject {
-            name: "read_snapshot",
-            good,
-            decode: &decode,
-            checksummed: true,
-            // [8-byte magic][u32 version]…
-            version_at: Some(8),
-        },
-        0x6a0c,
-    );
     std::fs::remove_dir_all(&dir).unwrap();
+    snapshot_gauntlet("read_snapshot (v2)", good, 41, b"the tenant state", 0x6a0c);
+    snapshot_gauntlet(
+        "read_snapshot (v1)",
+        golden("v1/snapshot_file.bin"),
+        41,
+        b"golden state",
+        0x6a12,
+    );
+}
+
+#[test]
+fn streaming_wordsum_equals_the_one_shot_sum() {
+    // The snapshot writer and reader sum a head and a body as two
+    // pieces; every split of every pinned length must sum alike.
+    for len in [0usize, 1, 31, 32, 33, 1500] {
+        let message: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
+        let whole = wordsum64(&message);
+        for split in 0..=len {
+            let mut sum = WordSum::new();
+            sum.write(&message[..split]);
+            sum.write(&message[split..]);
+            assert_eq!(sum.finish(), whole, "len {len}, split at {split}");
+        }
+        let mut bytewise = WordSum::new();
+        for b in &message {
+            bytewise.write(std::slice::from_ref(b));
+        }
+        assert_eq!(bytewise.finish(), whole, "len {len}, byte by byte");
+    }
 }
 
 #[test]
@@ -520,8 +606,9 @@ fn payload_corruption_is_caught_by_the_checksum() {
     // Frames carry no checksum of their own; the transfer protocol pairs
     // every partition with its `wordsum64` (tracker entry + STORE /
     // FETCH_OK frames), and the persisted formats pair every record with
-    // its FNV-1a. Either way this is the end-to-end property that turns
-    // silent corruption into a retry or a rejected record.
+    // its `wordsum64` (FNV-1a in v1 files). Either way this is the
+    // end-to-end property that turns silent corruption into a retry or a
+    // rejected record.
     let mut g = Gen::new(0x6a10);
     for _ in 0..300 {
         let len = 1 + g.below(512);

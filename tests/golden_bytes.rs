@@ -3,8 +3,15 @@
 //! every later tree must reproduce them byte for byte — and must still
 //! recover a data directory holding them.
 //!
+//! The journal and snapshot envelopes are kept by generation:
+//! `tests/golden/v1/` holds what the v1 writers wrote (FNV-1a sums),
+//! which this tree must still decode and recover but no longer writes;
+//! `tests/golden/v2/` holds what it writes now. The formats that never
+//! changed version sit at the top.
+//!
 //! `cargo test --test golden_bytes -- --ignored bless` rewrites the
-//! files; doing so is a format change and needs a version bump.
+//! files this tree writes — never `v1/`; doing so is a format change
+//! and needs a version bump.
 
 use p3c_check::Gen;
 use p3c_suite::core::config::P3cParams;
@@ -160,12 +167,23 @@ fn shuffle_pairs_bytes() -> Vec<u8> {
     encode_to_vec(&pairs)
 }
 
-/// Every golden artifact: file name under `tests/golden/` and the bytes
-/// this tree produces for it.
+/// The journal and snapshot envelope generations under `tests/golden/`;
+/// this tree writes the last.
+const GENERATIONS: [&str; 2] = ["v1", "v2"];
+const WRITTEN: &str = "v2";
+
+/// Every golden artifact this tree writes: file name under
+/// `tests/golden/` and the bytes this tree produces for it.
 fn artifacts() -> Vec<(String, Vec<u8>)> {
     let mut out = vec![
-        ("journal_records.bin".to_string(), journal_file_bytes()),
-        ("snapshot_file.bin".to_string(), snapshot_file_bytes()),
+        (
+            format!("{WRITTEN}/journal_records.bin"),
+            journal_file_bytes(),
+        ),
+        (
+            format!("{WRITTEN}/snapshot_file.bin"),
+            snapshot_file_bytes(),
+        ),
         ("state_blob.bin".to_string(), engine_state_blob()),
         (
             "create_record.bin".to_string(),
@@ -184,7 +202,7 @@ fn artifacts() -> Vec<(String, Vec<u8>)> {
         let tdir = journal::tenant_dir(&dir, TENANT);
         for file in [journal::JOURNAL_FILE, journal::SNAPSHOT_FILE] {
             if let Ok(bytes) = std::fs::read(tdir.join(file)) {
-                out.push((format!("{name}/{file}"), bytes));
+                out.push((format!("{WRITTEN}/{name}/{file}"), bytes));
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -207,11 +225,11 @@ fn every_format_reproduces_its_golden_bytes() {
     }
 }
 
-/// The in-flight checksum is in no file — a partition's sum lives in the
-/// tracker and two frames for the length of one stage — but master and
-/// worker compute it in separate processes, so its definition is pinned
-/// like a format: at the empty input, one byte, both sides of the
-/// 32-byte lane block, and a partition-sized input.
+/// `wordsum64` sums every v2 journal record and snapshot file, and master
+/// and worker compute it for a shuffle partition in separate processes,
+/// so its definition is pinned like a format: at the empty input, one
+/// byte, both sides of the 32-byte lane block, and a partition-sized
+/// input.
 #[test]
 fn the_in_flight_checksum_reproduces_its_golden_values() {
     use p3c_suite::dataset::bytes::wordsum64;
@@ -235,25 +253,30 @@ fn golden_files_decode_to_what_was_written() {
     let read = |name: &str| std::fs::read(golden_dir().join(name)).unwrap();
 
     let dir = tmpdir("decode");
-    let path = dir.join(journal::JOURNAL_FILE);
-    std::fs::write(&path, read("journal_records.bin")).unwrap();
-    let (records, valid) = journal::read_journal(&path).unwrap();
-    assert_eq!(valid as usize, read("journal_records.bin").len());
-    let got: Vec<(u64, u8, &[u8])> = records
-        .iter()
-        .map(|r| (r.seq, r.op, r.payload.as_slice()))
-        .collect();
-    assert_eq!(
-        got,
-        vec![(5, 2, b"golden payload".as_slice()), (6, 3, b"".as_slice())]
-    );
+    for generation in GENERATIONS {
+        let journal_file = format!("{generation}/journal_records.bin");
+        let path = dir.join(journal::JOURNAL_FILE);
+        std::fs::write(&path, read(&journal_file)).unwrap();
+        let (records, valid) = journal::read_journal(&path).unwrap();
+        assert_eq!(valid as usize, read(&journal_file).len(), "{generation}");
+        let got: Vec<(u64, u8, &[u8])> = records
+            .iter()
+            .map(|r| (r.seq, r.op, r.payload.as_slice()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(5, 2, b"golden payload".as_slice()), (6, 3, b"".as_slice())],
+            "{generation}"
+        );
 
-    let path = dir.join(journal::SNAPSHOT_FILE);
-    std::fs::write(&path, read("snapshot_file.bin")).unwrap();
-    assert_eq!(
-        journal::read_snapshot(&path).unwrap(),
-        Some((41, b"golden state".to_vec()))
-    );
+        let path = dir.join(journal::SNAPSHOT_FILE);
+        std::fs::write(&path, read(&format!("{generation}/snapshot_file.bin"))).unwrap();
+        assert_eq!(
+            journal::read_snapshot(&path).unwrap(),
+            Some((41, b"golden state".to_vec())),
+            "{generation}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 
     let block = IncrementalLight::decode_block(&read("block_record.bin")).unwrap();
@@ -273,45 +296,94 @@ fn golden_files_decode_to_what_was_written() {
     assert_eq!(engine.snapshot_bytes(&store).unwrap(), blob);
 }
 
-#[test]
-fn golden_data_dirs_recover_to_the_batch_model() {
-    // Data directories written by an earlier binary. Recovery must
-    // replay each to the model a from-scratch fit over the script's
-    // cumulative rows gives.
+/// The model a from-scratch fit over the service script's cumulative
+/// rows gives.
+fn batch_model() -> p3c_suite::core::p3cplus::P3cResult {
     let live_dir = tmpdir("live");
     let rows = run_service_script(&live_dir, 0);
     std::fs::remove_dir_all(&live_dir).unwrap();
     let batch = P3cPlusLight::new(params()).cluster(&Dataset::new(rows.len() / D, D, rows));
     assert!(batch.clustering.num_clusters() >= 1);
+    batch
+}
 
-    for (name, snapshot_every) in DATA_DIRS {
-        let dir = tmpdir("recover");
-        let tdir = journal::tenant_dir(&dir, TENANT);
-        std::fs::create_dir_all(&tdir).unwrap();
-        for file in [journal::JOURNAL_FILE, journal::SNAPSHOT_FILE] {
-            let golden = golden_dir().join(name).join(file);
-            if golden.exists() {
-                std::fs::copy(golden, tdir.join(file)).unwrap();
-            }
+/// A fresh data directory holding a copy of golden data dir
+/// `generation/name`; returns the data dir and the tenant's directory.
+fn golden_data_dir(generation: &str, name: &str) -> (PathBuf, PathBuf) {
+    let dir = tmpdir(&format!("recover-{generation}-{name}"));
+    let tdir = journal::tenant_dir(&dir, TENANT);
+    std::fs::create_dir_all(&tdir).unwrap();
+    for file in [journal::JOURNAL_FILE, journal::SNAPSHOT_FILE] {
+        let golden = golden_dir().join(generation).join(name).join(file);
+        if golden.exists() {
+            std::fs::copy(golden, tdir.join(file)).unwrap();
         }
-        let svc = durable(&dir, snapshot_every);
-        let report = svc.recover().unwrap();
-        assert_eq!(report.tenants, 1, "{name}");
-        assert_eq!(
-            report.snapshots_loaded,
-            snapshot_every.min(1) as usize,
-            "{name}"
-        );
-        assert!(report.records_replayed >= 2, "{name}: {report:?}");
-        let recovered = svc.recluster(TENANT).unwrap();
-        assert_eq!(recovered.result.clustering, batch.clustering, "{name}");
-        assert_eq!(recovered.result.cores, batch.cores, "{name}");
-        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    (dir, tdir)
+}
+
+#[test]
+fn golden_data_dirs_recover_to_the_batch_model() {
+    // Data directories written by this binary and by the v1 writers.
+    // Recovery must replay each to the model a from-scratch fit over the
+    // script's cumulative rows gives.
+    let batch = batch_model();
+    for generation in GENERATIONS {
+        for (name, snapshot_every) in DATA_DIRS {
+            let what = format!("{generation}/{name}");
+            let (dir, _) = golden_data_dir(generation, name);
+            let svc = durable(&dir, snapshot_every);
+            let report = svc.recover().unwrap();
+            assert_eq!(report.tenants, 1, "{what}");
+            assert_eq!(
+                report.snapshots_loaded,
+                snapshot_every.min(1) as usize,
+                "{what}"
+            );
+            assert!(report.records_replayed >= 2, "{what}: {report:?}");
+            let recovered = svc.recluster(TENANT).unwrap();
+            assert_eq!(recovered.result.clustering, batch.clustering, "{what}");
+            assert_eq!(recovered.result.cores, batch.cores, "{what}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }
 
 #[test]
-#[ignore = "rewrites tests/golden — a format change"]
+fn recovery_rewrites_a_v1_journal_as_v2() {
+    // The v1 journal-only dir: recovery rewrites its journal as the very
+    // journal this tree writes for the same script, and a second
+    // recovery, now from the v2 file, reaches the same model.
+    let batch = batch_model();
+    let (dir, tdir) = golden_data_dir("v1", "tenant_wal");
+    let journal_path = tdir.join(journal::JOURNAL_FILE);
+    let first = durable(&dir, 0);
+    first.recover().unwrap();
+    let migrated = std::fs::read(&journal_path).unwrap();
+    assert!(migrated.starts_with(&journal::JOURNAL_MAGIC));
+    assert!(
+        migrated == std::fs::read(golden_dir().join("v2/tenant_wal/journal.bin")).unwrap(),
+        "the rewritten journal differs from the v2 golden journal"
+    );
+    assert!(!tdir.join("journal.tmp").exists());
+    let first_model = first.recluster(TENANT).unwrap();
+    drop(first);
+
+    let second = durable(&dir, 0);
+    let report = second.recover().unwrap();
+    assert_eq!((report.tenants, report.snapshots_loaded), (1, 0));
+    let second_model = second.recluster(TENANT).unwrap();
+    assert_eq!(
+        second_model.result.clustering,
+        first_model.result.clustering
+    );
+    assert_eq!(second_model.result.cores, first_model.result.cores);
+    assert_eq!(second_model.result.clustering, batch.clustering);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+#[ignore = "rewrites tests/golden (never v1/) — a format change"]
 fn bless() {
     for (name, bytes) in artifacts() {
         let path = golden_dir().join(name);
