@@ -112,18 +112,25 @@ for t in 1 2 8; do
     P3C_THREADS=$t cargo test -q --test parallel_kernels > /dev/null
 done
 
-# The clustering service end to end through the line protocol: two
+# The clustering service end to end through the line protocol: three
 # appends and re-clusters on a stdin-scripted `p3c serve` under a cache
-# budget small enough to force LRU evictions, then the in-process
-# incremental-vs-batch identity check. The greps pin the contract:
-# clusters come back, the models are byte-identical, and the store
-# actually evicted and reloaded spilled blocks.
-echo "==> service smoke: p3c serve line protocol + LRU eviction"
+# budget small enough to force evictions, the in-process
+# incremental-vs-batch identity check, then a retract, a full
+# re-cluster over spilled blocks and the check again. The greps pin the
+# contract: clusters come back, both checks find the models
+# byte-identical, and the store actually evicted and reloaded spilled
+# blocks.
+echo "==> service smoke: p3c serve line protocol + spill eviction"
 ./target/release/p3c serve --cache-budget 64k > target/ci/serve-smoke.log <<'EOF'
 create demo
 append demo --synthetic 1200x8 --clusters 3 --seed 7
 recluster demo
 append demo --synthetic 900x8 --clusters 3 --seed 8
+recluster demo
+append demo --synthetic 700x8 --clusters 3 --seed 9
+recluster demo
+verify demo
+retract demo 0
 recluster demo
 verify demo
 stats
@@ -131,6 +138,7 @@ quit
 EOF
 grep -q "clusters" target/ci/serve-smoke.log
 grep -q "incremental and batch models identical" target/ci/serve-smoke.log
+test "$(grep -c "incremental and batch models identical" target/ci/serve-smoke.log)" -eq 2
 grep -Eq "evictions=[1-9]" target/ci/serve-smoke.log
 grep -Eq "spill_loads=[1-9]" target/ci/serve-smoke.log
 

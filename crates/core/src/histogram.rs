@@ -49,6 +49,20 @@ pub fn build_histograms_columnar_threads(
     threads: usize,
 ) -> AttributeHistograms {
     assert_eq!(data.len(), n * d, "row-major buffer has wrong length");
+    build_histograms_blocks_threads(d, &[data], bins_per_attr, threads)
+}
+
+/// [`build_histograms_columnar_threads`] over several row-major buffers
+/// of width `d`, read in place (the incremental engine's pinned row
+/// blocks). Each buffer is split into the same ~256 KiB work blocks;
+/// the counts are exact sums, so the histograms equal those of the
+/// buffers' concatenation bit for bit.
+pub(crate) fn build_histograms_blocks_threads(
+    d: usize,
+    buffers: &[&[f64]],
+    bins_per_attr: &[usize],
+    threads: usize,
+) -> AttributeHistograms {
     assert_eq!(bins_per_attr.len(), d, "one bin count per attribute");
     let fresh = || -> Vec<Histogram> {
         bins_per_attr
@@ -59,11 +73,16 @@ pub fn build_histograms_columnar_threads(
     // ~256 KiB of f64 per block, rounded to whole rows.
     let stride = d.max(1);
     let block = (32_768 / stride).max(1) * stride;
-    let num_blocks = data.len().div_ceil(block);
-    let partials = p3c_mapreduce::parallel_for_blocks(threads, num_blocks, |b| {
-        let chunk = &data[b * block..(b * block + block).min(data.len())];
+    let chunks: Vec<&[f64]> = buffers
+        .iter()
+        .flat_map(|data| {
+            assert_eq!(data.len() % stride, 0, "buffer holds whole rows");
+            data.chunks(block)
+        })
+        .collect();
+    let partials = p3c_mapreduce::parallel_for_blocks(threads, chunks.len(), |b| {
         let mut hists = fresh();
-        p3c_stats::bin_rows(&mut hists, chunk.chunks_exact(stride));
+        p3c_stats::bin_rows(&mut hists, chunks[b].chunks_exact(stride));
         hists
     });
     let mut histograms = fresh();
@@ -153,6 +172,24 @@ mod tests {
             }
             let scanned = build(&ds, &vec![bins; ds.dim()]);
             assert_eq!(scanned.histograms, per_row, "bins = {bins}");
+        }
+    }
+
+    #[test]
+    fn split_buffers_match_one_buffer() {
+        // 9000 rows of width 4 span several work blocks; cut them into
+        // uneven buffers, an empty one included.
+        let d = 4;
+        let data: Vec<f64> = (0..9000 * d)
+            .map(|i| ((i * 37) % 1009) as f64 / 1009.0)
+            .collect();
+        let bins = vec![9; d];
+        let whole = build_histograms_columnar_threads(9000, d, &data, &bins, 1);
+        let cuts = [0, 1, 1, 2500, 8191, 9000];
+        let buffers: Vec<&[f64]> = cuts.windows(2).map(|w| &data[w[0] * d..w[1] * d]).collect();
+        for threads in [1, 2] {
+            let split = build_histograms_blocks_threads(d, &buffers, &bins, threads);
+            assert_eq!(split, whole, "threads = {threads}");
         }
     }
 }

@@ -49,7 +49,9 @@
 
 use crate::config::{BinRuleChoice, P3cParams};
 use crate::cores::{ClusterCore, LevelCounter};
-use crate::histogram::{build_histograms_columnar_threads, AttributeHistograms};
+use crate::histogram::{
+    build_histograms_blocks_threads, build_histograms_columnar_threads, AttributeHistograms,
+};
 use crate::inspect::{inspection_bins, Bounds, ClusterSummary};
 use crate::p3cplus::{
     core_phase_from_histograms, empty_result, light_classify, light_clustering, light_membership,
@@ -61,7 +63,7 @@ use p3c_dataset::bytes::{self, DecodeError, Reader};
 use p3c_dataset::{BlockEntry, BlockLog, RowBlock};
 use p3c_mapreduce::DatasetStore;
 use p3c_stats::{bin_rows, Histogram};
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// Which lineage path a recluster took.
@@ -221,10 +223,6 @@ impl IncrementalLight {
         self.stats
     }
 
-    fn block_name(&self, id: u64) -> String {
-        format!("incr/{}/block-{id}", self.name)
-    }
-
     fn rule_bins(&self, n: usize) -> usize {
         self.params.bin_rule.to_rule().num_bins(n).max(1)
     }
@@ -277,10 +275,16 @@ impl IncrementalLight {
         if !self.dirty_full {
             if let Some(model) = &mut self.model {
                 for (l, row) in block.rows().enumerate() {
-                    let containing =
-                        light_classify(row, old_n + l, &model.cores, &mut model.membership);
-                    let inspected = containing.len() == 1;
-                    for c in containing {
+                    let id = old_n + l;
+                    let hits = light_classify(row, id, &model.cores, &mut model.membership);
+                    if hits == 0 {
+                        continue;
+                    }
+                    let inspected = hits == 1;
+                    for (c, members) in model.membership.members.iter().enumerate() {
+                        if members.last() != Some(&id) {
+                            continue;
+                        }
                         let summary = &mut model.summaries[c];
                         if inspected && !model.stale[c] {
                             // Stale once the bin rule steps (or on the
@@ -299,7 +303,7 @@ impl IncrementalLight {
             }
         }
 
-        store.put(&self.block_name(id), block);
+        store.put(&block_name(&self.name, id), block);
         Ok(id)
     }
 
@@ -312,7 +316,7 @@ impl IncrementalLight {
         if !self.log.contains(id) {
             return Ok(false);
         }
-        let name = self.block_name(id);
+        let name = block_name(&self.name, id);
         let entry_rows = self
             .log
             .entries()
@@ -348,25 +352,15 @@ impl IncrementalLight {
     /// Materializes the cumulative dataset (live blocks in log order) —
     /// the exact row sequence a from-scratch batch run would see.
     pub fn materialize(&self, store: &DatasetStore) -> Result<RowBlock, String> {
-        let mut blocks = Vec::new();
-        for e in self.log.entries() {
-            if e.rows == 0 {
-                continue;
-            }
-            blocks.push(
-                store
-                    .get(&self.block_name(e.id))
-                    .map_err(|e| e.to_string())?,
-            );
-        }
-        let refs: Vec<&RowBlock> = blocks.iter().map(|b| b.as_ref()).collect();
+        let pinned = pin_live_blocks(&self.name, &self.log, store)?;
+        let refs: Vec<&RowBlock> = pinned.iter().map(|(_, b)| b.as_ref()).collect();
         Ok(RowBlock::concat(&refs))
     }
 
     /// Removes every stored block of this dataset from the store.
     pub fn drop_data(&mut self, store: &DatasetStore) {
         for e in self.log.entries() {
-            store.remove(&self.block_name(e.id));
+            store.remove(&block_name(&self.name, e.id));
         }
         self.log = BlockLog::new();
         self.invalidate_stats(0);
@@ -404,8 +398,9 @@ impl IncrementalLight {
     }
 
     /// Rough working-set bytes of a recluster job (admission
-    /// accounting): the cumulative rows a fallback path would
-    /// materialize, plus the resident state.
+    /// accounting): the live blocks a full recluster pins decoded and
+    /// reads in place — no second, concatenated copy — plus the
+    /// resident state.
     pub fn recluster_estimate(&self) -> usize {
         self.log.total_rows() * self.log.dim().unwrap_or(0) * 8 + self.mem_bytes()
     }
@@ -438,15 +433,19 @@ impl IncrementalLight {
         }
         let d = self.log.dim().expect("n > 0 implies known dimension");
 
-        let cum = CumulativeRows::new(self, store);
+        let cum = CumulativeRows {
+            tenant: &self.name,
+            log: &self.log,
+            store,
+            pinned: OnceCell::new(),
+        };
 
-        // Stage 1: histograms — from maintained counts, or rebuilt over
-        // the cumulative rows if the bin rule stepped.
+        // Stage 1: histograms — from maintained counts, or rebuilt by
+        // binning each pinned block if the bin rule stepped.
         if !self.hists_valid {
-            let block = cum.fetch()?;
+            let buffers: Vec<&[f64]> = cum.blocks()?.iter().map(|(_, b)| b.as_slice()).collect();
             let bins_per_attr = vec![self.bins; d];
-            self.hists =
-                build_histograms_columnar_threads(n, d, block.as_slice(), &bins_per_attr, threads);
+            self.hists = build_histograms_blocks_threads(d, &buffers, &bins_per_attr, threads);
             self.hists_valid = true;
             self.stats.hist_rebuilds += 1;
         }
@@ -522,8 +521,7 @@ impl IncrementalLight {
             }
         } else {
             self.stats.full_reclusters += 1;
-            let block = cum.fetch()?;
-            let rows = block.row_refs();
+            let rows = cum.rows()?;
             let membership = light_membership(&rows, &cores);
             stats.outliers = membership.outliers.len();
             let summaries = light_summaries(&rows, &membership, &self.params);
@@ -774,20 +772,16 @@ impl IncrementalLight {
 
         // Live block payloads, log order; zero-row blocks have none.
         // Each is its id, then the raw row block: shape and rows.
-        let live: Vec<&BlockEntry> = self.log.entries().iter().filter(|e| e.rows > 0).collect();
-        let dim = self.log.dim().unwrap_or(0);
+        let live = pin_live_blocks(&self.name, &self.log, store)?;
         buf.reserve(
             8 + live
                 .iter()
-                .map(|e| 8 + 16 + e.rows * dim * 8)
+                .map(|(_, b)| 8 + 16 + b.as_slice().len() * 8)
                 .sum::<usize>(),
         );
         bytes::put_usize(buf, live.len());
-        for e in live {
-            let block = store
-                .get(&self.block_name(e.id))
-                .map_err(|e| e.to_string())?;
-            bytes::put_u64(buf, e.id);
+        for (id, block) in &live {
+            bytes::put_u64(buf, *id);
             block.encode_into(buf);
         }
         Ok(())
@@ -917,7 +911,7 @@ impl IncrementalLight {
             if !engine.log.contains(id) {
                 return Err(format!("payload for block {id} not in the log"));
             }
-            store.put(&engine.block_name(id), block);
+            store.put(&block_name(&engine.name, id), block);
         }
         r.finish()?;
         Ok(engine)
@@ -968,49 +962,65 @@ impl p3c_mapreduce::service::DurableTenant for IncrementalLight {
     }
 }
 
-/// Lazily-materialized cumulative row block, fetched at most once per
-/// recluster and shared by every stage that falls back to raw rows.
-struct CumulativeRows<'a> {
-    block_names: Vec<String>,
-    store: &'a DatasetStore,
-    cached: RefCell<Option<Arc<RowBlock>>>,
+/// The store name of a tenant's block.
+fn block_name(tenant: &str, id: u64) -> String {
+    format!("incr/{tenant}/block-{id}")
 }
 
-impl<'a> CumulativeRows<'a> {
-    fn new(engine: &IncrementalLight, store: &'a DatasetStore) -> Self {
-        let block_names = engine
-            .log
-            .entries()
-            .iter()
-            .filter(|e| e.rows > 0)
-            .map(|e| engine.block_name(e.id))
-            .collect();
-        Self {
-            block_names,
-            store,
-            cached: RefCell::new(None),
+/// Pins a tenant's live blocks, in log order, each with its id.
+/// Zero-row blocks hold no payload and are skipped. Full reclusters,
+/// [`IncrementalLight::materialize`] and the snapshot all read rows
+/// through this list.
+fn pin_live_blocks(
+    tenant: &str,
+    log: &BlockLog,
+    store: &DatasetStore,
+) -> Result<Vec<(u64, Arc<RowBlock>)>, String> {
+    log.entries()
+        .iter()
+        .filter(|e| e.rows > 0)
+        .map(|e| {
+            let block = store
+                .get(&block_name(tenant, e.id))
+                .map_err(|e| e.to_string())?;
+            Ok((e.id, block))
+        })
+        .collect()
+}
+
+/// The cumulative rows of one recluster: the live blocks, pinned at
+/// most once and only if a stage falls back to raw rows, and read in
+/// place by every such stage.
+struct CumulativeRows<'a> {
+    tenant: &'a str,
+    log: &'a BlockLog,
+    store: &'a DatasetStore,
+    pinned: OnceCell<Vec<(u64, Arc<RowBlock>)>>,
+}
+
+impl CumulativeRows<'_> {
+    fn blocks(&self) -> Result<&[(u64, Arc<RowBlock>)], String> {
+        if let Some(pinned) = self.pinned.get() {
+            return Ok(pinned);
         }
+        let pinned = pin_live_blocks(self.tenant, self.log, self.store)?;
+        Ok(self.pinned.get_or_init(|| pinned))
     }
 
-    fn fetch(&self) -> Result<Arc<RowBlock>, String> {
-        let mut cached = self.cached.borrow_mut();
-        if let Some(block) = cached.as_ref() {
-            return Ok(Arc::clone(block));
+    /// Views of every cumulative row, in id order, across the pinned
+    /// blocks.
+    fn rows(&self) -> Result<Vec<&[f64]>, String> {
+        let mut rows = Vec::with_capacity(self.log.total_rows());
+        for (_, block) in self.blocks()? {
+            rows.extend(block.rows());
         }
-        let mut blocks = Vec::with_capacity(self.block_names.len());
-        for name in &self.block_names {
-            blocks.push(self.store.get(name).map_err(|e| e.to_string())?);
-        }
-        let refs: Vec<&RowBlock> = blocks.iter().map(|b| b.as_ref()).collect();
-        let block = Arc::new(RowBlock::concat(&refs));
-        *cached = Some(Arc::clone(&block));
-        Ok(block)
+        Ok(rows)
     }
 }
 
 /// [`LevelCounter`] answering from the maintained [`SupportCache`];
 /// only candidates the cache has never seen trigger a pass over the
-/// cumulative rows (fetched lazily, at most once per recluster).
+/// cumulative rows (pinned lazily, at most once per recluster).
 struct CachedCounter<'a, 'b> {
     cache: &'a mut SupportCache,
     cum: &'a CumulativeRows<'b>,
@@ -1034,8 +1044,7 @@ impl LevelCounter for CachedCounter<'_, '_> {
             }
             return Ok(counts);
         }
-        let block = self.cum.fetch()?;
-        let rows = block.row_refs();
+        let rows = self.cum.rows()?;
         let miss_sigs: Vec<Signature> = missing.iter().map(|&i| candidates[i].clone()).collect();
         let fresh = crate::support::count_supports(&miss_sigs, &rows);
         for (&i, (sig, c)) in missing.iter().zip(miss_sigs.into_iter().zip(fresh)) {
@@ -1073,8 +1082,7 @@ fn refresh_stale_summaries(
     if refold.is_empty() {
         return Ok(());
     }
-    let block = cum.fetch()?;
-    let rows = block.row_refs();
+    let rows = cum.rows()?;
     let m = &model.membership;
     for c in refold {
         model.summaries[c] =

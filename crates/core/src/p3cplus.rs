@@ -197,32 +197,31 @@ pub(crate) fn light_membership(rows: &[&[f64]], cores: &[ClusterCore]) -> LightM
 
 /// Classifies one row into the membership mapping — the per-point step
 /// of [`light_membership`], also used by the incremental engine to fold
-/// an appended delta block into maintained memberships. Returns the
-/// cores whose support set contains the row.
+/// an appended delta block into maintained memberships. Returns how many
+/// cores' support sets contain the row; `id` is now the last entry of
+/// exactly those cores' member lists. Allocates nothing beyond the
+/// pushes.
 pub(crate) fn light_classify(
     row: &[f64],
     id: usize,
     cores: &[ClusterCore],
     m: &mut LightMembership,
-) -> Vec<usize> {
-    let mut containing: Vec<usize> = Vec::new();
+) -> usize {
+    let mut hits = 0;
+    let mut only = 0;
     for (c, core) in cores.iter().enumerate() {
         if core.signature.contains(row) {
-            containing.push(c);
+            m.members[c].push(id);
+            hits += 1;
+            only = c;
         }
     }
-    match containing.as_slice() {
-        [] => m.outliers.push(id),
-        cs => {
-            for &c in cs {
-                m.members[c].push(id);
-            }
-            if let [only] = cs {
-                m.unique_members[*only].push(id);
-            }
-        }
+    match hits {
+        0 => m.outliers.push(id),
+        1 => m.unique_members[only].push(id),
+        _ => {}
     }
-    containing
+    hits
 }
 
 /// The Light pipeline's per-core summaries: every member bounded, the

@@ -6,11 +6,13 @@
 //! entry trades its [`RowBlock`] for the block's segmented columnar
 //! encoding (`p3c_dataset::colseg`, DESIGN.md §9) — a small header plus
 //! one independently-encoded segment per attribute column — and
-//! decodes it back on the next [`DatasetStore::get`]. The encoded bytes
-//! stay in the entry until it is overwritten or removed, so a reloaded
-//! block that is evicted again just drops its decoded copy. Per-segment
-//! traffic is metered (`segment_reads`, `segment_bytes_read` in
-//! [`DatasetStoreStats`]).
+//! decodes it back on the next [`DatasetStore::get`]. A reload is cached
+//! only if it fits or displaces blocks idle longer than it, so a scan
+//! over more blocks than the budget holds cannot flush the cache. The
+//! encoded bytes stay in the entry until it is overwritten or removed,
+//! so a reloaded block that is evicted again just drops its decoded
+//! copy. Per-segment traffic is metered (`segment_reads`,
+//! `segment_bytes_read` in [`DatasetStoreStats`]).
 
 use crate::sync::{rank, RankedMutex};
 use p3c_dataset::{colseg, RowBlock};
@@ -122,8 +124,9 @@ impl Inner {
     }
 }
 
-/// The row-block cache: an LRU map of named blocks that spills to
-/// encoded column segments under an optional byte budget.
+/// The row-block cache: a map of named blocks that spills to encoded
+/// column segments under an optional byte budget. `put` evicts by LRU;
+/// a reload from a spill is admitted by recency ([`DatasetStore::get`]).
 pub struct DatasetStore {
     budget: Option<usize>,
     inner: RankedMutex<Inner>,
@@ -183,6 +186,13 @@ impl DatasetStore {
     }
 
     /// Fetches a block, decoding it from its spill if necessary.
+    ///
+    /// Every call counts as a touch of the block. A decoded block is
+    /// cached only if it fits, or if evicting resident blocks that have
+    /// been idle longer than it had been frees enough room; otherwise it
+    /// goes to the caller uncached and the resident blocks stay. Under
+    /// plain LRU an oldest-first scan over more blocks than the budget
+    /// holds would evict, at every reload, the block it needs next.
     pub fn get(&self, name: &str) -> Result<Arc<RowBlock>, DatasetError> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
@@ -194,7 +204,7 @@ impl DatasetStore {
             inner.stats.misses += 1;
             return Err(missing());
         };
-        entry.seq = inner.clock;
+        let idle_since = std::mem::replace(&mut entry.seq, inner.clock);
         if let Some(block) = &entry.block {
             inner.stats.hits += 1;
             return Ok(Arc::clone(block));
@@ -212,9 +222,14 @@ impl DatasetStore {
         inner.stats.spill_loads += 1;
         inner.stats.segment_reads += spill.segments.len() as u64;
         inner.stats.segment_bytes_read += spill.segments.iter().map(Vec::len).sum::<usize>() as u64;
-        entry.block = Some(Arc::clone(&block));
-        inner.mem_bytes += entry.bytes;
-        self.enforce_budget(inner, name);
+        let bytes = entry.bytes;
+        if self.admits(inner, bytes, idle_since) {
+            if let Some(entry) = inner.entries.get_mut(name) {
+                entry.block = Some(Arc::clone(&block));
+            }
+            inner.mem_bytes += bytes;
+            self.enforce_budget(inner, name);
+        }
         Ok(block)
     }
 
@@ -233,9 +248,31 @@ impl DatasetStore {
         self.inner.lock().stats
     }
 
+    /// Whether a reloaded block of `bytes`, last touched at
+    /// `idle_since`, may be cached: it fits, or the resident blocks
+    /// touched before `idle_since` hold at least the missing room. Those
+    /// are the least recently used, so [`Self::enforce_budget`] then
+    /// evicts only them.
+    fn admits(&self, inner: &Inner, bytes: usize, idle_since: u64) -> bool {
+        let Some(budget) = self.budget else {
+            return true;
+        };
+        let need = (inner.mem_bytes + bytes).saturating_sub(budget);
+        let mut colder = 0;
+        for e in inner.entries.values() {
+            if colder >= need {
+                break;
+            }
+            if e.block.is_some() && e.seq < idle_since {
+                colder += e.bytes;
+            }
+        }
+        colder >= need
+    }
+
     /// Evicts LRU blocks until the budget holds. `exempt` (the entry just
-    /// inserted or reloaded) is never evicted, so a single oversized
-    /// block still materializes. A block is encoded at its first
+    /// inserted or admitted) is never evicted, so a single oversized
+    /// `put` still materializes. A block is encoded at its first
     /// eviction only; later evictions just drop the decoded copy.
     fn enforce_budget(&self, inner: &mut Inner, exempt: &str) {
         let Some(budget) = self.budget else { return };
@@ -335,15 +372,76 @@ mod tests {
         assert_eq!(stats.spill_loads, 1);
         assert_eq!(stats.segment_reads, 2);
         assert_eq!(stats.segment_bytes_read, segment_size(&rows(1)));
-        // ...and pushes "new" out in turn.
+        // ...but "new" was touched after "old" was, so the reload goes to
+        // the caller uncached and "new" stays.
+        assert_eq!((stats.spills, stats.evictions), (1, 1));
+        assert_eq!(store.mem_bytes(), 80);
+        // The read stamped "old"'s touch: now "new" has idled longer, so
+        // a second reload is admitted and pushes "new" out.
+        assert_eq!(*store.get("old").unwrap(), rows(1));
+        let stats = store.stats();
+        assert_eq!(stats.spill_loads, 2);
         assert_eq!((stats.spills, stats.evictions), (2, 2));
         assert!(store.mem_bytes() <= 100);
-        // Reloading "new" evicts "old" again: its spill is still live,
-        // so that counts as an eviction, not a second spill.
+        // Reloading "new" is uncached in turn: "old" is the fresher.
         assert_eq!(*store.get("new").unwrap(), rows(2));
         let stats = store.stats();
-        assert_eq!((stats.spills, stats.evictions), (2, 3));
-        assert_eq!(stats.spill_loads, 2);
+        assert_eq!((stats.spills, stats.evictions), (2, 2));
+        assert_eq!(stats.spill_loads, 3);
+        assert_eq!(*store.get("old").unwrap(), rows(1));
+        assert_eq!(store.stats().hits, 1);
+    }
+
+    #[test]
+    fn a_scan_larger_than_the_budget_keeps_its_resident_blocks() {
+        // Twelve 80-byte blocks over a budget of four: the puts leave
+        // b8..b11 resident.
+        let store = DatasetStore::with_budget(4 * 80);
+        let names: Vec<String> = (0..12).map(|i| format!("b{i}")).collect();
+        for (i, name) in names.iter().enumerate() {
+            store.put(name, rows(i));
+        }
+        let scan = || {
+            for (i, name) in names.iter().enumerate() {
+                assert_eq!(*store.get(name).unwrap(), rows(i));
+            }
+        };
+        // Oldest-first, twice. Under plain LRU every reload evicts the
+        // block the scan needs next, so both scans load all twelve.
+        scan();
+        let first = store.stats();
+        scan();
+        let second = store.stats();
+        assert_eq!(second.spill_loads - first.spill_loads, 12 - 4);
+        assert_eq!(second.hits - first.hits, 4);
+        assert_eq!(second.evictions, 8, "only the puts evict");
+        assert_eq!(store.mem_bytes(), 4 * 80);
+    }
+
+    #[test]
+    fn a_reload_displaces_blocks_idle_longer_than_it() {
+        // Set B is put first, then set A pushes it out.
+        let store = DatasetStore::with_budget(4 * 80);
+        let set = |tag: &str| (0..4).map(|i| format!("{tag}{i}")).collect::<Vec<_>>();
+        let (a, b) = (set("a"), set("b"));
+        for (i, name) in b.iter().chain(&a).enumerate() {
+            store.put(name, rows(i));
+        }
+        let scan = |names: &[String]| {
+            for name in names {
+                store.get(name).unwrap();
+            }
+        };
+        // A goes untouched while B is scanned: the first scan finds B
+        // idle since before A's puts, the second finds A idle longer.
+        scan(&b);
+        scan(&b);
+        let before = store.stats();
+        scan(&b);
+        let after = store.stats();
+        assert_eq!(after.hits - before.hits, 4, "B is resident");
+        scan(&a);
+        assert_eq!(store.stats().spill_loads - after.spill_loads, 4, "A is not");
     }
 
     #[test]

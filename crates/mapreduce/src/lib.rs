@@ -23,8 +23,9 @@
 //!   [`run_chain`] ([`dag`]); each [`Chain::step`] hands its value back
 //!   to the caller. Under [`SchedulerChoice::Dag`] a failed step runs
 //!   once more and each chain records [`DagMetrics`].
-//! * **Dataset store** — the service's LRU cache of named row blocks,
-//!   spilled in memory as encoded column segments under a byte budget
+//! * **Dataset store** — the service's cache of named row blocks,
+//!   spilled in memory as encoded column segments under a byte budget,
+//!   with reloads admitted by recency so a scan cannot flush it
 //!   ([`dataset`]).
 //! * **Distributed backends** — a [`Backend`] seam over the shuffle data
 //!   plane ([`distrib`]): the in-process engine, an in-process shuffle

@@ -9,9 +9,9 @@
 //! * **Sublinear lineage** — an append-only stream with a stable core
 //!   set takes the fast finalization path and answers core-generation
 //!   levels from the support cache instead of scanning.
-//! * **LRU spill** — under a tight store budget, multi-tenant streams
-//!   force evictions and spill reloads through the segmented codec,
-//!   and the models remain byte-identical to batch.
+//! * **Spill** — under a tight store budget, random schedules and
+//!   multi-tenant streams force evictions and spill reloads through the
+//!   segmented codec, and the models remain byte-identical to batch.
 
 use p3c_check::cases;
 use p3c_suite::core::config::P3cParams;
@@ -69,22 +69,26 @@ enum Step {
     RetractOldest,
 }
 
-/// Runs one schedule, checking every recluster against batch; returns
-/// the lineage path each recluster took.
+/// Rows a schedule appends in all.
+fn appended_rows(steps: &[Step]) -> usize {
+    steps
+        .iter()
+        .map(|s| match s {
+            Step::Append(n) => *n,
+            Step::RetractOldest => 0,
+        })
+        .sum()
+}
+
+/// Runs one schedule over 8-attribute rows, checking every recluster
+/// against batch; returns the lineage path each recluster took.
 fn run_schedule(
     steps: &[Step],
     params: &P3cParams,
     seed: u64,
     store: &DatasetStore,
 ) -> Vec<ReclusterPath> {
-    let total: usize = steps
-        .iter()
-        .map(|s| match s {
-            Step::Append(n) => *n,
-            Step::RetractOldest => 0,
-        })
-        .sum();
-    let data = generate(&spec(total.max(1), 8, 3, seed));
+    let data = generate(&spec(appended_rows(steps).max(1), 8, 3, seed));
     let all = data.dataset;
     let mut eng = IncrementalLight::new(format!("sched-{seed}"), params.clone());
     let mut fed = 0usize;
@@ -133,11 +137,15 @@ fn run_schedule(
 /// (1-in-4 weight), the rest append a fresh chunk of 200–699 rows. The
 /// default bin rule steps with almost every append, so every other
 /// schedule runs Sturges, whose bin count holds between powers of two
-/// and lets appends take the fast path.
+/// and lets appends take the fast path. Each schedule runs twice: over
+/// an unbounded store, and over one that holds about a third of its
+/// row bytes, so full reclusters read blocks reloaded from their
+/// spills, cached or not.
 #[test]
 fn random_schedules_match_batch() {
     let mut paths = Vec::new();
     let mut schedule = 0;
+    let mut spill_loads = 0;
     cases(16, |g| {
         let params = match schedule % 2 {
             0 => P3cParams::default(),
@@ -156,10 +164,15 @@ fn random_schedules_match_batch() {
             .collect();
         let store = DatasetStore::new();
         paths.extend(run_schedule(&steps, &params, seed, &store));
+        let row_bytes = appended_rows(&steps) * 8 * 8;
+        let tight = DatasetStore::with_budget(row_bytes / 3);
+        paths.extend(run_schedule(&steps, &params, seed, &tight));
+        spill_loads += tight.stats().spill_loads;
     });
     for path in [ReclusterPath::Fast, ReclusterPath::Full] {
         assert!(paths.contains(&path), "no {path:?} recluster in {paths:?}");
     }
+    assert!(spill_loads > 0, "no budgeted run reloaded a block");
 }
 
 #[test]
