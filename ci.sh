@@ -166,7 +166,7 @@ echo "==> kernel tiers: p3c built for x86-64-v3 prints the default build's bytes
 if grep -qw avx2 /proc/cpuinfo; then
     RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR=target/ci/x86-64-v3 \
         cargo build --release -q -p p3c-cli
-    for algo in p3cplus mr mr-light; do
+    for algo in p3cplus mr mr-light light; do
         for seed in 1 2; do
             args=(cluster --synthetic 20000x50 --clusters 5 --noise 0.1 --seed "$seed" -a "$algo")
             cmp <(./target/release/p3c "${args[@]}") \

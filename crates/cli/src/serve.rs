@@ -27,6 +27,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Options of the `serve` subcommand.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -385,18 +386,52 @@ pub fn serve_stdin(opts: &ServeOptions) -> std::io::Result<()> {
     Ok(())
 }
 
+/// First pause after a failed `accept`; each further failure in a row
+/// doubles it, up to [`ACCEPT_BACKOFF_MAX`].
+const ACCEPT_BACKOFF_MIN: std::time::Duration = std::time::Duration::from_millis(1);
+
+/// Longest pause between `accept` retries.
+const ACCEPT_BACKOFF_MAX: std::time::Duration = std::time::Duration::from_millis(100);
+
 /// Runs the service on an already-bound listener until a `shutdown`
 /// command arrives. Each response block is terminated by a lone `.`.
+///
+/// Each accept joins the sessions that have ended, so a finished
+/// session's thread stack is released then, not at shutdown. A failed
+/// accept (`EMFILE`, say) is logged to stderr and retried after a pause
+/// that starts at 1 ms, doubles per failure in a row up to 100 ms, and
+/// resets on the next success; it never ends the server.
 pub fn serve_listener(opts: &ServeOptions, listener: TcpListener) -> std::io::Result<()> {
     let state = Arc::new(ServerState::new(opts)?);
     let stop = Arc::new(AtomicBool::new(false));
     let addr = listener.local_addr()?;
-    let mut sessions = Vec::new();
+    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
+    let mut backoff = ACCEPT_BACKOFF_MIN;
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let stream = stream?;
+        let (finished, live): (Vec<_>, Vec<_>) =
+            sessions.into_iter().partition(JoinHandle::is_finished);
+        sessions = live;
+        for session in finished {
+            let _ = session.join();
+        }
+        let stream = match stream {
+            Ok(stream) => {
+                backoff = ACCEPT_BACKOFF_MIN;
+                stream
+            }
+            Err(e) => {
+                eprintln!(
+                    "p3c serve: accept failed: {e}; retrying in {} ms",
+                    backoff.as_millis()
+                );
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                continue;
+            }
+        };
         let session_state = Arc::clone(&state);
         let session_stop = Arc::clone(&stop);
         let timeout = opts.read_timeout.unwrap_or(DEFAULT_READ_TIMEOUT);

@@ -277,6 +277,14 @@ impl<'a> ScanCounter<'a> {
     }
 }
 
+impl ScanCounter<'_> {
+    /// The counter's interval bitmaps, filled over its rows once level 1
+    /// has been counted — batch Light reads its membership from them.
+    pub(crate) fn into_index(self) -> SupportIndex {
+        self.index
+    }
+}
+
 impl LevelCounter for ScanCounter<'_> {
     fn count_level(&mut self, candidates: &[Signature]) -> Result<Vec<u64>, String> {
         Ok(self.index.count(self.rows, candidates))

@@ -54,10 +54,10 @@ use crate::histogram::{
 };
 use crate::inspect::{inspection_bins, Bounds, ClusterSummary};
 use crate::p3cplus::{
-    core_phase_from_histograms, empty_result, light_classify, light_clustering, light_membership,
-    light_summaries, LightMembership, P3cResult,
+    core_phase_from_histograms, empty_result, light_classify, light_clustering,
+    light_membership_from_index, light_summaries, LightMembership, P3cResult,
 };
-use crate::support::SupportCache;
+use crate::support::{SupportCache, SupportIndex};
 use crate::types::{Interval, Signature};
 use p3c_dataset::bytes::{self, DecodeError, Reader};
 use p3c_dataset::{BlockEntry, BlockLog, RowBlock};
@@ -119,7 +119,9 @@ pub struct IncrementalStats {
     pub full_reclusters: u64,
     /// Histogram rebuilds forced by bin-rule steps.
     pub hist_rebuilds: u64,
-    /// Core-generation levels answered with a data scan (cache miss).
+    /// Core-generation levels that missed the support cache and were
+    /// counted over the cumulative rows. However many levels miss, a
+    /// recluster bins the rows at most once.
     pub support_scans: u64,
     /// Core-generation levels answered from the support cache alone.
     pub cached_levels: u64,
@@ -433,11 +435,13 @@ impl IncrementalLight {
         }
         let d = self.log.dim().expect("n > 0 implies known dimension");
 
+        let pinned = OnceCell::new();
         let cum = CumulativeRows {
             tenant: &self.name,
             log: &self.log,
             store,
-            pinned: OnceCell::new(),
+            pinned: &pinned,
+            rows: OnceCell::new(),
         };
 
         // Stage 1: histograms — from maintained counts, or rebuilt by
@@ -456,13 +460,20 @@ impl IncrementalLight {
         let mut counter = CachedCounter {
             cache: &mut self.supports,
             cum: &cum,
+            index: SupportIndex::default(),
             scans: 0,
             cached_levels: 0,
         };
         let (cores, mut stats) =
             core_phase_from_histograms(&self.hists, n, &self.params, &mut counter)?;
-        self.stats.support_scans += counter.scans;
-        self.stats.cached_levels += counter.cached_levels;
+        let CachedCounter {
+            index,
+            scans,
+            cached_levels,
+            ..
+        } = counter;
+        self.stats.support_scans += scans;
+        self.stats.cached_levels += cached_levels;
 
         // Stage 5: membership + finalization — from maintained state
         // when its lineage is clean (append-only and the core set came
@@ -522,9 +533,17 @@ impl IncrementalLight {
         } else {
             self.stats.full_reclusters += 1;
             let rows = cum.rows()?;
-            let membership = light_membership(&rows, &cores);
+            // The bitmaps a support miss filled cover every core
+            // interval; without a miss, bin only the cores' attributes.
+            let mut index = if index.is_filled() {
+                index
+            } else {
+                SupportIndex::default()
+            };
+            let membership = light_membership_from_index(&mut index, rows, &cores);
+            drop(index);
             stats.outliers = membership.outliers.len();
-            let summaries = light_summaries(&rows, &membership, &self.params);
+            let summaries = light_summaries(rows, &membership, &self.params);
             let clustering = light_clustering(&cores, &membership, &summaries, &self.params);
             self.model = Some(ModelState {
                 cores: cores.clone(),
@@ -990,16 +1009,18 @@ fn pin_live_blocks(
 
 /// The cumulative rows of one recluster: the live blocks, pinned at
 /// most once and only if a stage falls back to raw rows, and read in
-/// place by every such stage.
+/// place by every such stage through one list of row views, also built
+/// at most once.
 struct CumulativeRows<'a> {
     tenant: &'a str,
     log: &'a BlockLog,
     store: &'a DatasetStore,
-    pinned: OnceCell<Vec<(u64, Arc<RowBlock>)>>,
+    pinned: &'a OnceCell<Vec<(u64, Arc<RowBlock>)>>,
+    rows: OnceCell<Vec<&'a [f64]>>,
 }
 
-impl CumulativeRows<'_> {
-    fn blocks(&self) -> Result<&[(u64, Arc<RowBlock>)], String> {
+impl<'a> CumulativeRows<'a> {
+    fn blocks(&self) -> Result<&'a [(u64, Arc<RowBlock>)], String> {
         if let Some(pinned) = self.pinned.get() {
             return Ok(pinned);
         }
@@ -1009,27 +1030,34 @@ impl CumulativeRows<'_> {
 
     /// Views of every cumulative row, in id order, across the pinned
     /// blocks.
-    fn rows(&self) -> Result<Vec<&[f64]>, String> {
+    fn rows(&self) -> Result<&[&'a [f64]], String> {
+        if let Some(rows) = self.rows.get() {
+            return Ok(rows);
+        }
         let mut rows = Vec::with_capacity(self.log.total_rows());
         for (_, block) in self.blocks()? {
             rows.extend(block.rows());
         }
-        Ok(rows)
+        Ok(self.rows.get_or_init(|| rows))
     }
 }
 
-/// [`LevelCounter`] answering from the maintained [`SupportCache`];
-/// only candidates the cache has never seen trigger a pass over the
-/// cumulative rows (pinned lazily, at most once per recluster).
+/// [`LevelCounter`] answering from the maintained [`SupportCache`].
+/// Every level's intervals are interned into one [`SupportIndex`]
+/// without a scan; the first level with candidates the cache has never
+/// seen pins the cumulative rows and fills the bitmaps, and later
+/// misses count from them.
 struct CachedCounter<'a, 'b> {
     cache: &'a mut SupportCache,
     cum: &'a CumulativeRows<'b>,
+    index: SupportIndex,
     scans: u64,
     cached_levels: u64,
 }
 
 impl LevelCounter for CachedCounter<'_, '_> {
     fn count_level(&mut self, candidates: &[Signature]) -> Result<Vec<u64>, String> {
+        self.index.plan(candidates);
         let mut counts = vec![0u64; candidates.len()];
         let mut missing: Vec<usize> = Vec::new();
         for (i, sig) in candidates.iter().enumerate() {
@@ -1045,11 +1073,12 @@ impl LevelCounter for CachedCounter<'_, '_> {
             return Ok(counts);
         }
         let rows = self.cum.rows()?;
-        let miss_sigs: Vec<Signature> = missing.iter().map(|&i| candidates[i].clone()).collect();
-        let fresh = crate::support::count_supports(&miss_sigs, &rows);
-        for (&i, (sig, c)) in missing.iter().zip(miss_sigs.into_iter().zip(fresh)) {
+        let fresh = self
+            .index
+            .count(rows, missing.iter().map(|&i| &candidates[i]));
+        for (&i, c) in missing.iter().zip(fresh) {
             counts[i] = c;
-            self.cache.insert(sig, c);
+            self.cache.insert(candidates[i].clone(), c);
         }
         self.scans += 1;
         Ok(counts)
@@ -1086,7 +1115,7 @@ fn refresh_stale_summaries(
     let m = &model.membership;
     for c in refold {
         model.summaries[c] =
-            ClusterSummary::fold(&rows, &m.members[c], &m.unique_members[c], params);
+            ClusterSummary::fold(rows, &m.members[c], &m.unique_members[c], params);
         model.stale[c] = false;
     }
     Ok(())

@@ -18,6 +18,8 @@ use crate::outlier::{
 };
 use crate::redundancy::filter_redundant_proven;
 use crate::relevance::relevant_intervals;
+use crate::support::SupportIndex;
+use crate::types::Signature;
 use p3c_dataset::{split_assignment, Clustering, Dataset, ProjectedCluster};
 use std::collections::BTreeSet;
 
@@ -73,7 +75,7 @@ impl P3cPlus {
     /// Clusters a normalized dataset.
     pub fn cluster(&self, data: &Dataset) -> P3cResult {
         let rows = data.row_refs();
-        let (cores, mut stats) = shared_core_phase(data, &rows, &self.params);
+        let (cores, mut stats, _) = shared_core_phase(data, &rows, &self.params);
         if cores.is_empty() {
             return empty_result(data.len(), stats);
         }
@@ -151,12 +153,13 @@ impl P3cPlusLight {
     /// Runs the Light pipeline (no EM refinement) on `data`.
     pub fn cluster(&self, data: &Dataset) -> P3cResult {
         let rows = data.row_refs();
-        let (cores, mut stats) = shared_core_phase(data, &rows, &self.params);
+        let (cores, mut stats, mut index) = shared_core_phase(data, &rows, &self.params);
         if cores.is_empty() {
             return empty_result(data.len(), stats);
         }
 
-        let membership = light_membership(&rows, &cores);
+        let membership = light_membership_from_index(&mut index, &rows, &cores);
+        drop(index);
         stats.outliers = membership.outliers.len();
         let summaries = light_summaries(&rows, &membership, &self.params);
         let clustering = light_clustering(&cores, &membership, &summaries, &self.params);
@@ -178,10 +181,53 @@ pub(crate) struct LightMembership {
     pub outliers: Vec<usize>,
 }
 
-/// Computes the Light membership mapping by one scan over the rows.
-/// Extracted from `P3cPlusLight::cluster` so the incremental service's
-/// fallback path runs literally the same code (byte-identity by
-/// construction).
+/// Computes the Light membership mapping from the interval bitmaps of
+/// `index` over `rows`, filling them first if they do not yet cover
+/// every core interval. Per 64-row word it ANDs each core's interval
+/// columns into the core's support-set word; word-parallel masks of the
+/// rows in at least one and in at least two sets then give the members,
+/// the unique members and the outliers. Batch Light and the incremental
+/// service's full path both call it, each with the index its core
+/// generation counted from.
+pub(crate) fn light_membership_from_index(
+    index: &mut SupportIndex,
+    rows: &[&[f64]],
+    cores: &[ClusterCore],
+) -> LightMembership {
+    let k = cores.len();
+    let mut m = LightMembership {
+        members: vec![Vec::new(); k],
+        unique_members: vec![Vec::new(); k],
+        outliers: Vec::new(),
+    };
+    let signatures: Vec<&Signature> = cores.iter().map(|c| &c.signature).collect();
+    index.for_each_support_word(rows, &signatures, |first, valid, sets| {
+        let (mut one, mut two) = (0u64, 0u64);
+        for &set in sets {
+            two |= one & set;
+            one |= set;
+        }
+        for (c, &set) in sets.iter().enumerate() {
+            push_rows(&mut m.members[c], first, set);
+            push_rows(&mut m.unique_members[c], first, set & !two);
+        }
+        push_rows(&mut m.outliers, first, valid & !one);
+    });
+    m
+}
+
+/// Pushes `first + r` for every set bit `r` of `word`, in ascending order.
+fn push_rows(ids: &mut Vec<usize>, first: usize, mut word: u64) {
+    while word != 0 {
+        ids.push(first + word.trailing_zeros() as usize);
+        word &= word - 1;
+    }
+}
+
+/// The Light membership mapping by one scan over the rows, classifying
+/// each row on its own: the oracle [`light_membership_from_index`] is
+/// tested against.
+#[cfg(test)]
 pub(crate) fn light_membership(rows: &[&[f64]], cores: &[ClusterCore]) -> LightMembership {
     let k = cores.len();
     let mut m = LightMembership {
@@ -196,11 +242,11 @@ pub(crate) fn light_membership(rows: &[&[f64]], cores: &[ClusterCore]) -> LightM
 }
 
 /// Classifies one row into the membership mapping — the per-point step
-/// of [`light_membership`], also used by the incremental engine to fold
-/// an appended delta block into maintained memberships. Returns how many
-/// cores' support sets contain the row; `id` is now the last entry of
-/// exactly those cores' member lists. Allocates nothing beyond the
-/// pushes.
+/// of the test oracle `light_membership`, and how the incremental
+/// engine folds an appended delta block into maintained memberships.
+/// Returns how many cores' support sets contain the row; `id` is now the
+/// last entry of exactly those cores' member lists. Allocates nothing
+/// beyond the pushes.
 pub(crate) fn light_classify(
     row: &[f64],
     id: usize,
@@ -273,12 +319,14 @@ pub(crate) fn finalize_clusters(
 /// Histogram → relevant intervals → cluster cores → redundancy filter:
 /// the part shared by every variant. Binning and IQR estimation run as
 /// column scans over the dataset's flat row-major buffer; core
-/// generation still works on row views.
+/// generation still works on row views. Also hands back the counter's
+/// interval bitmaps, filled over `rows` whenever a relevant interval was
+/// found.
 fn shared_core_phase(
     data: &Dataset,
     rows: &[&[f64]],
     params: &P3cParams,
-) -> (Vec<ClusterCore>, PipelineStats) {
+) -> (Vec<ClusterCore>, PipelineStats, SupportIndex) {
     let n = data.len();
     let bins_per_attr = bins_per_attribute_columnar(data, params);
     let hists = build_histograms_columnar_threads(
@@ -289,7 +337,9 @@ fn shared_core_phase(
         params.threads,
     );
     let mut counter = ScanCounter::new(rows);
-    core_phase_from_histograms(&hists, n, params, &mut counter).expect("scan counter is infallible")
+    let (cores, stats) = core_phase_from_histograms(&hists, n, params, &mut counter)
+        .expect("scan counter is infallible");
+    (cores, stats, counter.into_index())
 }
 
 /// Relevant intervals → cluster cores → redundancy filter → expected
@@ -378,6 +428,7 @@ pub(crate) fn empty_result(n: usize, stats: PipelineStats) -> P3cResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Interval;
     use p3c_datagen::{generate, SyntheticSpec};
     use p3c_eval::e4sc;
 
@@ -541,6 +592,116 @@ mod tests {
         assert_eq!(iqr_bins(1000, 0.5), 10); // reduces to the simplified rule
         assert!(iqr_bins(1000, 0.01) <= 40);
         assert!(iqr_bins(1000, 0.9) >= 2);
+    }
+
+    /// A signature over attributes drawn from `0..bins.len()`, attribute
+    /// `a` cut into `bins[a]` bins; sometimes empty.
+    fn random_signature(g: &mut p3c_check::Gen, bins: &[usize]) -> Signature {
+        let mut intervals = Vec::new();
+        for (attr, &m) in bins.iter().enumerate() {
+            if g.below(3) == 0 {
+                let lo = g.below(m);
+                let hi = lo + g.below(m - lo);
+                intervals.push(Interval::new(attr, lo, hi, m));
+            }
+        }
+        Signature::new(intervals)
+    }
+
+    /// `sig` narrowed on one interval or constrained on one more
+    /// attribute: a signature whose support set lies inside `sig`'s.
+    fn nested_in(g: &mut p3c_check::Gen, sig: &Signature, bins: &[usize]) -> Signature {
+        let mut intervals = sig.intervals().to_vec();
+        let free: Vec<usize> = (0..bins.len())
+            .filter(|a| intervals.iter().all(|iv| iv.attr != *a))
+            .collect();
+        if !intervals.is_empty() && (free.is_empty() || g.below(2) == 0) {
+            let at = g.below(intervals.len());
+            let iv = &mut intervals[at];
+            let lo = iv.bin_lo + g.below(iv.bin_hi - iv.bin_lo + 1);
+            let hi = lo + g.below(iv.bin_hi - lo + 1);
+            *iv = Interval::new(iv.attr, lo, hi, iv.bins);
+        } else if !free.is_empty() {
+            let attr = free[g.below(free.len())];
+            let lo = g.below(bins[attr]);
+            intervals.push(Interval::new(attr, lo, lo, bins[attr]));
+        }
+        Signature::new(intervals)
+    }
+
+    #[test]
+    fn bitmap_membership_equals_the_per_row_oracle() {
+        // Around the 64-row word and the counting block, then random.
+        const SIZES: [usize; 8] = [0, 1, 63, 64, 65, 8191, 8192, 8193];
+        let mut case = 0;
+        p3c_check::cases(32, |g| {
+            let n = SIZES
+                .get(case)
+                .copied()
+                .unwrap_or_else(|| g.range(0..20_000));
+            case += 1;
+            let bins: Vec<usize> = (0..g.range(1usize..6)).map(|_| g.range(1..12)).collect();
+            let d = bins.len();
+            // Half the values sit exactly on a bin edge k/m, 0.0 and 1.0
+            // included.
+            let data: Vec<f64> = (0..n * d)
+                .map(|i| match g.below(2) {
+                    0 => {
+                        let m = bins[i % d];
+                        g.below(m + 1) as f64 / m as f64
+                    }
+                    _ => g.unit(),
+                })
+                .collect();
+            let rows: Vec<&[f64]> = data.chunks(d).collect();
+            let mut signatures: Vec<Signature> = Vec::new();
+            for _ in 0..g.below(6) {
+                let sig = match signatures.len() {
+                    0 => random_signature(g, &bins),
+                    len => match g.below(3) {
+                        0 => random_signature(g, &bins),
+                        _ => {
+                            let outer = g.below(len);
+                            nested_in(g, &signatures[outer], &bins)
+                        }
+                    },
+                };
+                signatures.push(sig);
+            }
+            let cores: Vec<ClusterCore> = signatures
+                .into_iter()
+                .map(|signature| ClusterCore {
+                    signature,
+                    support: 0.0,
+                    expected: 0.0,
+                })
+                .collect();
+            let oracle = light_membership(&rows, &cores);
+            let mut fresh = SupportIndex::default();
+            assert_eq!(
+                light_membership_from_index(&mut fresh, &rows, &cores),
+                oracle,
+                "n={n} bins={bins:?} cores={cores:?}"
+            );
+            // An index that has already counted a level, as batch Light's
+            // has, gives the same lists.
+            let mut counted = SupportIndex::default();
+            let singletons: Vec<Signature> = cores
+                .iter()
+                .flat_map(|c| {
+                    c.signature
+                        .intervals()
+                        .iter()
+                        .copied()
+                        .map(Signature::singleton)
+                })
+                .collect();
+            counted.count(&rows, &singletons);
+            assert_eq!(
+                light_membership_from_index(&mut counted, &rows, &cores),
+                oracle
+            );
+        });
     }
 
     #[test]

@@ -22,6 +22,15 @@
 //! histogram binning as the counter's binning is exact — no boundary
 //! subtleties. (The paper derives its binning from interval endpoints;
 //! those endpoints *are* bin edges here.)
+//!
+//! A batch Light run and a full recluster of the incremental service
+//! each keep one `SupportIndex`, the only place their rows are binned.
+//! Its bitmaps are filled at most once per run: when level 1, which
+//! holds every relevant interval, is counted (the service fills them at
+//! the first level its support cache cannot answer). Later levels AND
+//! the same columns, and so does the Light membership: per 64-row word,
+//! the AND of a core's interval columns is the core's support set
+//! (`SupportIndex::for_each_support_word`).
 
 use crate::types::{Interval, Signature};
 use p3c_linalg::isa;
@@ -456,40 +465,118 @@ impl SupportPlan {
     }
 }
 
-/// Interval bitmaps over a fixed row set, kept across candidate levels:
-/// Algorithm 1's level 1 contains every relevant interval, so the rows
-/// are binned once and every later level is pure AND/popcount work.
-/// Holds `intervals × ⌈n/64⌉` words — under 1/64 of the row data per
+/// Interval bitmaps over a fixed row set, kept across candidate levels
+/// and into membership: Algorithm 1's level 1 contains every relevant
+/// interval, and every core signature is made of relevant intervals, so
+/// the rows are binned once and every later level, and the Light
+/// membership after them, is pure AND/popcount work. Holds
+/// `intervals × ⌈n/64⌉` words — under 1/64 of the row data per
 /// interval-bearing attribute.
 #[derive(Debug, Default)]
 pub(crate) struct SupportIndex {
     table: IntervalTable,
     blocks: Vec<BlockBitmaps>,
+    /// `table.len()` when `blocks` were last filled; `None` before the
+    /// first fill.
+    filled: Option<usize>,
     scratch: CountScratch,
+    /// How many times `blocks` were filled.
+    #[cfg(test)]
+    fills: usize,
 }
 
 impl SupportIndex {
-    /// Supports of `candidates` over `rows` (the same row set on every
-    /// call). Rows are scanned only when a candidate brings an interval
-    /// no earlier call has seen.
-    pub(crate) fn count(&mut self, rows: &[&[f64]], candidates: &[Signature]) -> Vec<u64> {
-        let known = self.table.len();
-        let list = CandidateList::encode(&mut self.table, candidates);
-        if self.table.len() != known {
-            self.blocks = rows
-                .chunks(BLOCK_ROWS)
-                .map(|chunk| {
-                    let mut block = BlockBitmaps::default();
-                    block.fill(&self.table, chunk);
-                    block
-                })
-                .collect();
+    /// Interns the intervals of `signatures` without reading a row. The
+    /// next call that needs the bitmaps fills them for every interval
+    /// interned so far.
+    pub(crate) fn plan<'s>(&mut self, signatures: impl IntoIterator<Item = &'s Signature>) {
+        for sig in signatures {
+            for &iv in sig.intervals() {
+                self.table.intern(iv);
+            }
         }
-        let mut counts = vec![0u64; candidates.len()];
+    }
+
+    /// Whether the bitmaps have been filled.
+    pub(crate) fn is_filled(&self) -> bool {
+        self.filled.is_some()
+    }
+
+    /// Bins `rows` (the same row set on every call) into the bitmaps,
+    /// unless they already cover every interned interval.
+    fn fill(&mut self, rows: &[&[f64]]) {
+        if self.filled == Some(self.table.len()) {
+            return;
+        }
+        self.blocks = rows
+            .chunks(BLOCK_ROWS)
+            .map(|chunk| {
+                let mut block = BlockBitmaps::default();
+                block.fill(&self.table, chunk);
+                block
+            })
+            .collect();
+        self.filled = Some(self.table.len());
+        #[cfg(test)]
+        {
+            self.fills += 1;
+        }
+    }
+
+    /// Supports of `candidates` over `rows` (the same row set on every
+    /// call), in candidate order. Rows are binned only when the table
+    /// has grown since the last fill.
+    pub(crate) fn count<'s>(
+        &mut self,
+        rows: &[&[f64]],
+        candidates: impl IntoIterator<Item = &'s Signature>,
+    ) -> Vec<u64> {
+        let list = CandidateList::encode(&mut self.table, candidates);
+        self.fill(rows);
+        let mut counts = vec![0u64; list.heads.len()];
         for block in &self.blocks {
             list.count_block(block, &mut counts, &mut self.scratch);
         }
         counts
+    }
+
+    /// The support sets of `signatures` over `rows` (the same row set on
+    /// every call), one 64-row word at a time: `visit(first, valid,
+    /// sets)` sees rows `first..first + 64`, with `valid` marking the
+    /// rows that exist and `sets[j]` those in `signatures[j]`'s support
+    /// set. Words arrive in row order.
+    pub(crate) fn for_each_support_word(
+        &mut self,
+        rows: &[&[f64]],
+        signatures: &[&Signature],
+        mut visit: impl FnMut(usize, u64, &[u64]),
+    ) {
+        let columns: Vec<Vec<u32>> = signatures
+            .iter()
+            .map(|sig| {
+                sig.intervals()
+                    .iter()
+                    .map(|&iv| self.table.intern(iv))
+                    .collect()
+            })
+            .collect();
+        self.fill(rows);
+        let mut sets = vec![0u64; signatures.len()];
+        for (b, block) in self.blocks.iter().enumerate() {
+            for word in 0..block.words {
+                let first = word * 64;
+                let valid = match block.rows - first {
+                    r if r >= 64 => u64::MAX,
+                    r => (1u64 << r) - 1,
+                };
+                for (set, ids) in sets.iter_mut().zip(&columns) {
+                    *set = ids
+                        .iter()
+                        .fold(valid, |acc, &id| acc & block.column(id)[word]);
+                }
+                visit(b * BLOCK_ROWS + first, valid, &sets);
+            }
+        }
     }
 }
 
@@ -672,6 +759,60 @@ mod tests {
         for (sig, c) in sigs.iter().zip(count_supports(&sigs, &rows(&first))) {
             assert_eq!(cache.get(sig), Some(c));
         }
+    }
+
+    #[test]
+    fn one_fill_serves_every_level_and_the_support_sets() {
+        // 20 000 rows: three counting blocks, the last one partial.
+        let data: Vec<Vec<f64>> = (0..20_000)
+            .map(|i| {
+                (0..3)
+                    .map(|j| ((i * 7919 + j * 104_729) % 1000) as f64 / 1000.0)
+                    .collect()
+            })
+            .collect();
+        let r = rows(&data);
+        let level1: Vec<Signature> = [iv(0, 0, 2), iv(0, 5, 7), iv(1, 1, 4), iv(2, 3, 9)]
+            .into_iter()
+            .map(Signature::singleton)
+            .collect();
+        let level2 = vec![
+            Signature::new(vec![iv(0, 0, 2), iv(1, 1, 4)]),
+            Signature::new(vec![iv(0, 5, 7), iv(2, 3, 9)]),
+            Signature::new(vec![iv(1, 1, 4), iv(2, 3, 9)]),
+        ];
+        let level3 = vec![
+            Signature::new(vec![iv(0, 0, 2), iv(1, 1, 4), iv(2, 3, 9)]),
+            Signature::new(vec![iv(0, 5, 7), iv(1, 1, 4), iv(2, 3, 9)]),
+        ];
+        let mut index = SupportIndex::default();
+        index.plan(&level1);
+        assert!(!index.is_filled());
+        assert_eq!(index.fills, 0, "planning reads no row");
+        for level in [&level2, &level3] {
+            assert_eq!(index.count(&r, level), count_supports_naive(level, &r));
+        }
+        let cores = [&level3[1], &level2[0]];
+        let mut sets = vec![Vec::new(); cores.len()];
+        index.for_each_support_word(&r, &cores, |first, valid, words| {
+            for (set, &word) in sets.iter_mut().zip(words) {
+                assert_eq!(word & !valid, 0, "a support set holds only rows");
+                set.extend((0..64).filter(|b| word >> b & 1 == 1).map(|b| first + b));
+            }
+        });
+        assert_eq!(
+            index.fills, 1,
+            "levels 2–3 and the support sets share one fill"
+        );
+        for (core, set) in cores.iter().zip(&sets) {
+            let expected: Vec<usize> = (0..r.len()).filter(|&i| core.contains(r[i])).collect();
+            assert_eq!(set, &expected);
+        }
+        // An interval no earlier call interned forces a refill.
+        let new = Signature::singleton(iv(1, 7, 9));
+        let got = index.count(&r, [&new]);
+        assert_eq!(got, count_supports_naive(std::slice::from_ref(&new), &r));
+        assert_eq!(index.fills, 2);
     }
 
     #[test]

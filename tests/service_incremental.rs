@@ -81,13 +81,14 @@ fn appended_rows(steps: &[Step]) -> usize {
 }
 
 /// Runs one schedule over 8-attribute rows, checking every recluster
-/// against batch; returns the lineage path each recluster took.
+/// against batch; returns the lineage path each recluster took, and
+/// whether some core-generation level missed the support cache.
 fn run_schedule(
     steps: &[Step],
     params: &P3cParams,
     seed: u64,
     store: &DatasetStore,
-) -> Vec<ReclusterPath> {
+) -> Vec<(ReclusterPath, bool)> {
     let data = generate(&spec(appended_rows(steps).max(1), 8, 3, seed));
     let all = data.dataset;
     let mut eng = IncrementalLight::new(format!("sched-{seed}"), params.clone());
@@ -109,7 +110,9 @@ fn run_schedule(
                 }
             }
         }
+        let scans = eng.stats().support_scans;
         let outcome = eng.recluster(store).unwrap();
+        let missed = eng.stats().support_scans > scans;
         let refs: Vec<&RowBlock> = Vec::new();
         let mut cumulative = RowBlock::concat(&refs);
         if !live.is_empty() {
@@ -126,7 +129,7 @@ fn run_schedule(
             &outcome.result,
             &expected,
         );
-        paths.push(outcome.path);
+        paths.push((outcome.path, missed));
     }
     paths
 }
@@ -140,10 +143,13 @@ fn run_schedule(
 /// and lets appends take the fast path. Each schedule runs twice: over
 /// an unbounded store, and over one that holds about a third of its
 /// row bytes, so full reclusters read blocks reloaded from their
-/// spills, cached or not.
+/// spills, cached or not. Under both stores some full recluster must
+/// have missed the support cache, so that the membership read the
+/// bitmaps a support count filled.
 #[test]
 fn random_schedules_match_batch() {
     let mut paths = Vec::new();
+    let mut tight_paths = Vec::new();
     let mut schedule = 0;
     let mut spill_loads = 0;
     cases(16, |g| {
@@ -166,11 +172,24 @@ fn random_schedules_match_batch() {
         paths.extend(run_schedule(&steps, &params, seed, &store));
         let row_bytes = appended_rows(&steps) * 8 * 8;
         let tight = DatasetStore::with_budget(row_bytes / 3);
-        paths.extend(run_schedule(&steps, &params, seed, &tight));
+        tight_paths.extend(run_schedule(&steps, &params, seed, &tight));
         spill_loads += tight.stats().spill_loads;
     });
+    assert_eq!(
+        paths, tight_paths,
+        "the store budget changed a lineage path"
+    );
     for path in [ReclusterPath::Fast, ReclusterPath::Full] {
-        assert!(paths.contains(&path), "no {path:?} recluster in {paths:?}");
+        assert!(
+            paths.iter().any(|&(p, _)| p == path),
+            "no {path:?} recluster in {paths:?}"
+        );
+    }
+    for (store, paths) in [("unbounded", &paths), ("budgeted", &tight_paths)] {
+        assert!(
+            paths.contains(&(ReclusterPath::Full, true)),
+            "no full recluster with a support miss under the {store} store: {paths:?}"
+        );
     }
     assert!(spill_loads > 0, "no budgeted run reloaded a block");
 }
