@@ -5,7 +5,7 @@
 //!             [EXPERIMENT...]
 //!
 //! EXPERIMENT ∈ {fig1, fig4, fig5, fig6, fig7, huge, colon, bins, measures,
-//!               stragglers, all}
+//!               all}
 //! ```
 //!
 //! Results are printed and written to `<out>/<id>.{json,md}`
@@ -40,16 +40,7 @@ fn main() -> ExitCode {
     }
     if selected.is_empty() || selected.iter().any(|s| s == "all") {
         selected = [
-            "fig1",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "huge",
-            "colon",
-            "bins",
-            "measures",
-            "stragglers",
+            "fig1", "fig4", "fig5", "fig6", "fig7", "huge", "colon", "bins", "measures",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -73,7 +64,6 @@ fn main() -> ExitCode {
             "colon" => experiments::colon(&scale),
             "bins" => experiments::bins(&scale),
             "measures" => experiments::measures(&scale),
-            "stragglers" => experiments::stragglers(&scale),
             other => die(&format!("unknown experiment {other}")),
         };
         println!("{}", report.to_markdown());
@@ -100,6 +90,6 @@ fn die(msg: &str) -> ! {
 fn print_help() {
     eprintln!(
         "usage: experiments [--scale F] [--dims D] [--seed S] [--smoke] [--out DIR] [EXPERIMENT...]\n\
-         experiments: fig1 fig4 fig5 fig6 fig7 huge colon bins measures stragglers all (default: all)"
+         experiments: fig1 fig4 fig5 fig6 fig7 huge colon bins measures all (default: all)"
     );
 }

@@ -461,51 +461,6 @@ pub fn colon(scale: &Scale) -> Report {
     report
 }
 
-// ------------------------------------------------------------ stragglers --
-
-/// Engine-level ablation: straggling map tasks with and without
-/// speculative execution (Hadoop's backup tasks; Dean & Ghemawat §3.6 —
-/// the error-tolerance feature Section 2 credits MapReduce with).
-pub fn stragglers(_scale: &Scale) -> Report {
-    use p3c_mapreduce::fault::StragglerPlan;
-    use p3c_mapreduce::Emitter;
-    let mut report = Report::new(
-        "stragglers",
-        "Straggler injection vs speculative execution (histogram job, 24 tasks)",
-        &["straggler rate", "speculation", "wall_s", "backups won"],
-    );
-    let input: Vec<u64> = (0..24_000).collect();
-    let mapper = |r: &u64, out: &mut Emitter<u64, u64>| out.emit(r % 64, 1);
-    let reducer = |k: &u64, vs: Vec<u64>, out: &mut Vec<(u64, u64)>| {
-        out.push((*k, vs.into_iter().sum()));
-    };
-    for &rate in &[0.0, 0.1, 0.3] {
-        for speculative in [false, true] {
-            let engine = Engine::new(MrConfig {
-                split_size: 1_000,
-                threads: 8,
-                straggler: (rate > 0.0).then(|| StragglerPlan::new(rate, 400, 11)),
-                speculative,
-                ..MrConfig::default()
-            });
-            let start = Instant::now();
-            let res = engine
-                .run("straggle-bench", &input, &mapper, &reducer)
-                .expect("job");
-            report.push_row(vec![
-                format!("{:.0}%", rate * 100.0),
-                if speculative { "on" } else { "off" }.to_string(),
-                secs(start.elapsed()),
-                res.metrics.speculative_wins.to_string(),
-            ]);
-        }
-    }
-    report.push_note(
-        "Without speculation the job waits out every 400 ms straggler; with          it, idle workers commit backups and cancel the stragglers.",
-    );
-    report
-}
-
 // -------------------------------------------------------------- measures --
 
 /// Section 7.2: the four external measures side by side on one setting.

@@ -449,34 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_injected_pipeline_still_correct() {
-        let data = generate(&spec(2000, 2, 0.05, 3));
-        for scheduler in EXECUTORS {
-            let clean_engine = engine();
-            let faulty_engine = Engine::new(MrConfig {
-                split_size: 512,
-                fault: Some(p3c_mapreduce::FaultPlan::new(0.2, 99)),
-                max_attempts: 20,
-                ..MrConfig::default()
-            });
-            let clean = P3cPlusMrLight::new(&clean_engine, P3cParams::default())
-                .cluster_with(&data.dataset, scheduler)
-                .unwrap();
-            let faulty = P3cPlusMrLight::new(&faulty_engine, P3cParams::default())
-                .cluster_with(&data.dataset, scheduler)
-                .unwrap();
-            assert_eq!(clean.clustering, faulty.clustering, "{scheduler:?}");
-            let failed: u64 = faulty_engine
-                .cluster_metrics()
-                .jobs()
-                .iter()
-                .map(|j| j.failed_attempts)
-                .sum();
-            assert!(failed > 0, "{scheduler:?}: fault plan never struck");
-        }
-    }
-
-    #[test]
     fn executors_agree_byte_for_byte() {
         let full_data = generate(&spec(3000, 3, 0.05, 11));
         let light_data = generate(&spec(2500, 3, 0.1, 13));
@@ -541,65 +513,5 @@ mod tests {
             dag_ledger.dag_runs()[0].node("p3c-iqr").is_some(),
             "quartile step missing from the chain"
         );
-    }
-
-    #[test]
-    fn pipeline_surfaces_exhausted_faults() {
-        let data = generate(&spec(1000, 2, 0.05, 3));
-        for scheduler in EXECUTORS {
-            let eng = Engine::new(MrConfig {
-                split_size: 512,
-                fault: Some(p3c_mapreduce::FaultPlan::new(1.0, 5)),
-                max_attempts: 2,
-                ..MrConfig::default()
-            });
-            // Every map attempt fails, so the first step exhausts its
-            // engine-level retries (on both step attempts under `Dag`);
-            // the chain must return (not hang) with the underlying task
-            // failure.
-            let err = P3cPlusMr::new(&eng, P3cParams::default())
-                .cluster_with(&data.dataset, scheduler)
-                .unwrap_err();
-            assert!(
-                matches!(err, MrError::TaskFailed { attempts: 2, .. }),
-                "{scheduler:?}: unexpected error: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn speculative_pipeline_matches_and_launches_backups() {
-        let data = generate(&spec(1500, 2, 0.05, 17));
-        // Every primary attempt straggles, and there are more worker
-        // threads (6) than map tasks (1500 rows / 512 = 3), so idle
-        // workers are guaranteed to launch backup attempts while the
-        // primaries sleep — the test cannot pass vacuously.
-        let mk = |speculative: bool| {
-            Engine::new(MrConfig {
-                split_size: 512,
-                threads: 6,
-                straggler: Some(p3c_mapreduce::fault::StragglerPlan::new(1.0, 150, 7)),
-                speculative,
-                ..MrConfig::default()
-            })
-        };
-        let base_engine = mk(false);
-        let spec_engine = mk(true);
-        let base = P3cPlusMrLight::new(&base_engine, P3cParams::default())
-            .cluster(&data.dataset)
-            .unwrap();
-        let speculated = P3cPlusMrLight::new(&spec_engine, P3cParams::default())
-            .cluster(&data.dataset)
-            .unwrap();
-        // Backup attempts must not change the output...
-        assert_eq!(base.clustering, speculated.clustering);
-        // ...and the straggler plan must actually have triggered some.
-        let backups: u64 = spec_engine
-            .cluster_metrics()
-            .jobs()
-            .iter()
-            .map(|j| j.speculative_attempts)
-            .sum();
-        assert!(backups > 0, "no speculative attempts launched");
     }
 }

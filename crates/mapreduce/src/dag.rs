@@ -7,8 +7,7 @@
 //! to the caller, so a pipeline's intermediates are plain locals that the
 //! compiler checks.
 //!
-//! * `Serial` runs each step once (the engine still retries tasks) and
-//!   records nothing.
+//! * `Serial` runs each step once and records nothing.
 //! * `Dag` gives each step two attempts and records one [`DagMetrics`]
 //!   entry per chain in the engine's [`crate::ClusterMetrics`], for a
 //!   failed chain too.
@@ -21,8 +20,8 @@ use crate::engine::{Engine, MrError};
 use crate::metrics::{DagMetrics, DagNodeMetrics};
 use std::time::Instant;
 
-/// Attempts per step under [`SchedulerChoice::Dag`] (step-level retry, on
-/// top of the engine's per-task retries).
+/// Attempts per step under [`SchedulerChoice::Dag`]. Map tasks are not
+/// retried: each runs once.
 const MAX_STEP_ATTEMPTS: u64 = 2;
 
 /// What [`Chain::step`] gives each step of a pipeline's chains.
@@ -131,7 +130,6 @@ mod tests {
     use super::*;
     use crate::api::Emitter;
     use crate::engine::MrConfig;
-    use crate::fault::FaultPlan;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const SCHEDULERS: [SchedulerChoice; 2] = [SchedulerChoice::Serial, SchedulerChoice::Dag];
@@ -154,11 +152,10 @@ mod tests {
             .sum())
     }
 
-    fn task_failed(job: &str) -> MrError {
-        MrError::TaskFailed {
+    fn backend_failed(job: &str) -> MrError {
+        MrError::Backend {
             job: job.to_string(),
-            task: 0,
-            attempts: 1,
+            message: "shuffle partition lost".to_string(),
         }
     }
 
@@ -211,7 +208,7 @@ mod tests {
                 chain.step("flaky-step", |_| {
                     tries += 1;
                     if tries == 1 {
-                        Err(task_failed("flaky-job"))
+                        Err(backend_failed("flaky-job"))
                     } else {
                         Ok(tries)
                     }
@@ -219,7 +216,7 @@ mod tests {
             });
             match scheduler {
                 SchedulerChoice::Serial => {
-                    assert_eq!(result, Err(task_failed("flaky-job")));
+                    assert_eq!(result, Err(backend_failed("flaky-job")));
                     assert!(eng.cluster_metrics().dag_runs().is_empty());
                 }
                 SchedulerChoice::Dag => {
@@ -235,28 +232,33 @@ mod tests {
     }
 
     #[test]
-    fn an_exhausted_step_surfaces_its_task_failure_and_is_recorded() {
-        // Certain fault: every attempt of the step's job ends in
-        // MrError::TaskFailed, so both step attempts fail.
-        let eng = Engine::new(MrConfig {
-            split_size: 4,
-            fault: Some(FaultPlan::new(1.0, 7)),
-            max_attempts: 3,
-            ..MrConfig::default()
-        });
+    fn an_exhausted_step_surfaces_its_panic_and_is_recorded() {
+        // The step's mapper panics on every run, so the job fails with
+        // MrError::Panicked on both step attempts.
+        let eng = engine();
         let nums: Vec<u64> = (0..10).collect();
         let mut after = 0;
         let err = run_chain(&eng, "doomed", SchedulerChoice::Dag, |chain| {
-            chain.step("doomed-step", |eng| sum(eng, "doomed-job", &nums))?;
+            chain.step("doomed-step", |eng| {
+                let mapper = |r: &u64, em: &mut Emitter<(), u64>| {
+                    assert!(*r != 5, "mapper exploded");
+                    em.emit((), *r);
+                };
+                let reducer = |_k: &(), vs: Vec<u64>, o: &mut Vec<u64>| o.push(vs.len() as u64);
+                eng.run("doomed-job", &nums, &mapper, &reducer)
+            })?;
             chain.step("never", |_| {
                 after += 1;
                 Ok(())
             })
         })
         .unwrap_err();
-        assert!(
-            matches!(err, MrError::TaskFailed { ref job, attempts: 3, .. } if job == "doomed-job"),
-            "{err:?}"
+        assert_eq!(
+            err,
+            MrError::Panicked {
+                job: "doomed-job".to_string(),
+                phase: "map".to_string(),
+            }
         );
         assert_eq!(after, 0);
         let ledger = eng.cluster_metrics();

@@ -18,9 +18,9 @@
 //! therefore the final output — is byte-identical across backends and
 //! worker counts.
 
+use super::loss::LossSelector;
 use super::shuffle::ShuffleManager;
 use super::tracker::{BlockLocation, MapOutputTracker};
-use crate::fault::FaultPlan;
 use crate::sync::Mutex;
 use p3c_dataset::bytes::wordsum64;
 use std::collections::{BTreeMap, BTreeSet};
@@ -32,7 +32,7 @@ use std::sync::Arc;
 pub struct StageSpec {
     /// Engine-unique shuffle id.
     pub shuffle_id: u64,
-    /// The job name, for diagnostics and fault plans.
+    /// The job name, for diagnostics and loss selection.
     pub job: String,
     /// Number of map tasks feeding the shuffle.
     pub num_maps: usize,
@@ -168,7 +168,7 @@ struct ServiceState {
     /// Maps whose stored output has been "lost" by injection; fetches
     /// return [`BackendError::Lost`] until the map is restored.
     lost: Mutex<BTreeSet<(u64, usize)>>,
-    loss_plan: Option<FaultPlan>,
+    loss: Option<LossSelector>,
     stats: Mutex<BTreeMap<u64, ShuffleStats>>,
 }
 
@@ -185,20 +185,20 @@ impl LocalBackend {
     }
 
     /// Shuffle service with deterministic loss injection: map outputs
-    /// for which `plan.should_fail(job, map_id, 0)` holds are dropped
-    /// at store time, so the first fetch reports them lost and the
-    /// engine must recover via re-execution.
-    pub fn shuffle_service_with_loss(plan: FaultPlan) -> Self {
-        Self::shuffle_service_inner(Some(plan))
+    /// for which `loss.hits(job, map_id)` holds are dropped at store
+    /// time, so the first fetch reports them lost and the engine must
+    /// recover via re-execution.
+    pub fn shuffle_service_with_loss(loss: LossSelector) -> Self {
+        Self::shuffle_service_inner(Some(loss))
     }
 
-    fn shuffle_service_inner(loss_plan: Option<FaultPlan>) -> Self {
+    fn shuffle_service_inner(loss: Option<LossSelector>) -> Self {
         Self {
             service: Some(ServiceState {
                 manager: Mutex::new(ShuffleManager::new()),
                 tracker: MapOutputTracker::new(),
                 lost: Mutex::new(BTreeSet::new()),
-                loss_plan,
+                loss,
                 stats: Mutex::new(BTreeMap::new()),
             }),
         }
@@ -265,9 +265,9 @@ impl Backend for LocalBackend {
         let svc = self.service();
         for output in outputs {
             let injected_loss = svc
-                .loss_plan
+                .loss
                 .as_ref()
-                .is_some_and(|plan| plan.should_fail(&spec.job, output.map_id, 0));
+                .is_some_and(|loss| loss.hits(&spec.job, output.map_id));
             if injected_loss {
                 // Simulated node death after map completion: the bytes
                 // never make it to stable shuffle storage.
@@ -353,10 +353,10 @@ pub enum BackendChoice {
     Process {
         /// Number of worker subprocesses.
         workers: usize,
-        /// Optional deterministic worker-kill plan (tests): when
-        /// `should_fail(job, map_id, 0)` first holds during a stage,
-        /// the worker owning that map's output is killed mid-stage.
-        kill: Option<FaultPlan>,
+        /// Optional seeded worker-kill selector (tests): when
+        /// `hits(job, map_id)` first holds during a stage, the worker
+        /// owning that map's output is killed mid-stage.
+        kill: Option<LossSelector>,
     },
 }
 
@@ -473,7 +473,7 @@ mod tests {
     #[test]
     fn injected_loss_reports_lost_until_restored() {
         // Probability 1 ⇒ every map's output is dropped at store time.
-        let b = LocalBackend::shuffle_service_with_loss(FaultPlan::new(1.0, 7));
+        let b = LocalBackend::shuffle_service_with_loss(LossSelector::new(1.0, 7));
         let spec = spec();
         b.submit_stage(&spec, outputs()).unwrap();
         assert_eq!(

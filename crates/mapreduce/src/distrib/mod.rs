@@ -34,6 +34,7 @@
 //! pin.
 
 pub mod backend;
+pub mod loss;
 pub mod process;
 pub mod shuffle;
 pub mod tracker;
@@ -43,6 +44,7 @@ pub mod worker;
 pub use backend::{
     Backend, BackendChoice, BackendError, LocalBackend, MapOutput, ShuffleStats, StageSpec,
 };
+pub use loss::LossSelector;
 pub use process::ProcessBackend;
 pub use shuffle::{shuffle_key, ShuffleError, ShuffleManager};
 pub use tracker::{BlockLocation, MapOutputTracker};

@@ -25,18 +25,18 @@
 //! timeout on a worker's socket marks it dead — the master kills and
 //! respawns the subprocess, invalidates every tracker entry it held,
 //! and reports the affected map outputs as [`BackendError::Lost`] so
-//! the engine re-executes those map tasks. A deterministic
-//! [`FaultPlan`] can inject exactly that mid-stage (the `KILL` frame
+//! the engine re-executes those map tasks. A seeded
+//! [`LossSelector`] can inject exactly that mid-stage (the `KILL` frame
 //! makes the worker drop its partitions and exit), which is how the
 //! worker-crash recovery tests drive the full protocol.
 
 use super::backend::{Backend, BackendError, MapOutput, ShuffleStats, StageSpec};
+use super::loss::LossSelector;
 use super::tracker::{BlockLocation, MapOutputTracker};
 use super::wire::{
     read_frame, write_frame, write_frame_parts, ERR_CORRUPT, ERR_NOT_FOUND, OP_DELETE_SID, OP_ERR,
     OP_FETCH, OP_FETCH_OK, OP_HELLO, OP_KILL, OP_SHUTDOWN, OP_STORE, OP_STORE_OK,
 };
-use crate::fault::FaultPlan;
 use crate::sync::Mutex;
 use p3c_dataset::bytes::{self, wordsum64, Reader};
 use std::collections::{BTreeMap, BTreeSet};
@@ -63,7 +63,7 @@ const STORE_WINDOW: usize = 64;
 /// Spawned-subprocess backend; see the module docs.
 pub struct ProcessBackend {
     num_workers: usize,
-    kill_plan: Option<FaultPlan>,
+    kill: Option<LossSelector>,
     tracker: MapOutputTracker,
     state: Mutex<ClusterState>,
     stats: Mutex<BTreeMap<u64, ShuffleStats>>,
@@ -111,13 +111,13 @@ impl From<BackendError> for StoreFailure {
 
 impl ProcessBackend {
     /// Backend over `num_workers` subprocesses, with an optional
-    /// deterministic worker-kill plan (see [`BackendChoice`]).
+    /// seeded worker-kill selector (see [`BackendChoice`]).
     ///
     /// [`BackendChoice`]: super::backend::BackendChoice
-    pub fn new(num_workers: usize, kill_plan: Option<FaultPlan>) -> Self {
+    pub fn new(num_workers: usize, kill: Option<LossSelector>) -> Self {
         Self {
             num_workers: num_workers.max(1),
-            kill_plan,
+            kill,
             tracker: MapOutputTracker::new(),
             state: Mutex::new(ClusterState::Idle),
             stats: Mutex::new(BTreeMap::new()),
@@ -326,18 +326,18 @@ impl ProcessBackend {
         }
     }
 
-    /// Fires the stage's injected worker kill if the plan calls for it
-    /// on this map id (at most one kill per stage).
+    /// Fires the stage's injected worker kill if the selector hits this
+    /// map id (at most one kill per stage).
     fn maybe_inject_kill(
         &self,
         cluster: &mut Cluster,
         spec: &StageSpec,
         map_id: usize,
     ) -> Result<(), BackendError> {
-        let Some(plan) = &self.kill_plan else {
+        let Some(kill) = &self.kill else {
             return Ok(());
         };
-        if !plan.should_fail(&spec.job, map_id, 0) {
+        if !kill.hits(&spec.job, map_id) {
             return Ok(());
         }
         if !self.kills_fired.lock().insert(spec.shuffle_id) {
@@ -370,7 +370,7 @@ impl Backend for ProcessBackend {
             // Kill *before* storing this map's partitions: earlier maps
             // on the same worker are lost (and recovered at fetch
             // time); this map stores cleanly on the fresh process.
-            // audit: lock-blocking-ok — fault-injection kill RPC on the serialized control plane (§15).
+            // audit: lock-blocking-ok — injected worker-kill RPC on the serialized control plane (§15).
             self.maybe_inject_kill(cluster, spec, output.map_id)?;
             // audit: lock-blocking-ok — map-output store RPC on the serialized control plane (§15).
             self.store_map(cluster, spec, output, sums, true)?;

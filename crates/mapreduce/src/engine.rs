@@ -1,10 +1,9 @@
-//! The job runner: split → map (thread pool, retries) → shuffle → reduce.
+//! The job runner: split → map (thread pool) → shuffle → reduce.
 
 use crate::api::{Emitter, Mapper, Reducer};
 use crate::distrib::backend::{Backend, BackendChoice, BackendError, MapOutput, StageSpec};
 use crate::distrib::wire::{decode_from_slice, encode_to_vec, Wire};
-use crate::fault::{FaultPlan, StragglerPlan};
-use crate::kernel::{BlockPartials, CommitBoard, ShuffleBuckets, WorkQueue};
+use crate::kernel::{BlockPartials, ShuffleBuckets, WorkQueue};
 use crate::metrics::{ClusterMetrics, DagMetrics, JobMetrics};
 use crate::sync::Mutex;
 use crate::weight::Weighable;
@@ -23,17 +22,6 @@ pub struct MrConfig {
     pub split_size: usize,
     /// Worker threads executing tasks; `0` means all available cores.
     pub threads: usize,
-    /// Optional fault injection plan.
-    pub fault: Option<FaultPlan>,
-    /// Optional straggler (slow node) injection plan.
-    pub straggler: Option<StragglerPlan>,
-    /// Speculative execution: once the task queue drains, idle workers
-    /// launch backup attempts of still-running tasks; the first attempt
-    /// to finish commits, and the loser is cancelled (Hadoop's backup
-    /// tasks).
-    pub speculative: bool,
-    /// Maximum attempts per map task before the job aborts (Hadoop default: 4).
-    pub max_attempts: usize,
     /// Where shuffle bytes live between map and reduce (see
     /// [`crate::distrib`]). The default honours the `P3C_BACKEND`
     /// environment variable and falls back to the in-process engine.
@@ -46,10 +34,6 @@ impl Default for MrConfig {
             num_reducers: 4,
             split_size: 8192,
             threads: 0,
-            fault: None,
-            straggler: None,
-            speculative: false,
-            max_attempts: 4,
             backend: BackendChoice::default(),
         }
     }
@@ -73,15 +57,6 @@ pub struct JobOutput<O> {
 /// Job execution errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MrError {
-    /// A map task exhausted its attempts.
-    TaskFailed {
-        /// The job the task belonged to.
-        job: String,
-        /// Index of the failing map task.
-        task: usize,
-        /// How many attempts were made.
-        attempts: usize,
-    },
     /// A worker thread panicked inside user map or reduce code; the job
     /// is aborted rather than crashing the whole process.
     Panicked {
@@ -103,16 +78,6 @@ pub enum MrError {
 impl fmt::Display for MrError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MrError::TaskFailed {
-                job,
-                task,
-                attempts,
-            } => {
-                write!(
-                    f,
-                    "job '{job}': map task {task} failed after {attempts} attempts"
-                )
-            }
             MrError::Panicked { job, phase } => {
                 write!(f, "job '{job}': {phase} phase panicked in user code")
             }
@@ -183,9 +148,8 @@ impl Engine {
         self.ledger.lock().record_dag(metrics);
     }
 
-    /// Charges broadcast bytes for side data shipped to every map task of
-    /// the *next* job over `input_len` records. Call before `run` when a
-    /// job uses the distributed cache.
+    /// Broadcast bytes of `cache_bytes` of side data shipped once to
+    /// each of `num_splits` map tasks.
     fn broadcast_cost(&self, cache_bytes: usize, num_splits: usize) -> u64 {
         (cache_bytes * num_splits) as u64
     }
@@ -268,26 +232,18 @@ impl Engine {
         metrics.map_input_records = input.len() as u64;
         metrics.broadcast_bytes = self.broadcast_cost(cache_bytes, splits.len());
 
-        let shared = MapPhaseShared::new(splits.len());
         let outputs: ShuffleBuckets<O> = ShuffleBuckets::new(splits.len());
-
-        let task_error = run_map_phase(
-            &self.config,
+        self.run_map_phase(
             name,
             &splits,
-            &shared,
-            |idx, emitter_pairs: Vec<((), O)>| {
-                let values: Vec<O> = emitter_pairs.into_iter().map(|(_, v)| v).collect();
-                outputs.commit(idx, values);
-            },
             mapper,
-        );
-        if let Some(err) = task_error {
-            return Err(err);
-        }
+            &mut metrics,
+            |idx, pairs: Vec<((), O)>| {
+                outputs.commit(idx, pairs.into_iter().map(|(_, v)| v).collect());
+            },
+        )?;
 
         let output: Vec<O> = outputs.take_ordered();
-        shared.fill_metrics(&mut metrics);
         metrics.output_records = output.len() as u64;
         metrics.map_wall = start.elapsed();
         self.ledger.lock().record(metrics.clone());
@@ -344,12 +300,11 @@ impl Engine {
         let shuffle_records = AtomicU64::new(0);
         let shuffle_bytes = AtomicU64::new(0);
 
-        let shared = MapPhaseShared::new(splits.len());
-        let task_error = run_map_phase(
-            &self.config,
+        self.run_map_phase(
             name,
             &splits,
-            &shared,
+            mapper,
+            &mut metrics,
             |idx, pairs: Vec<(K, V)>| {
                 // Partition by key hash (shared with lost-output recovery
                 // on the distributed path, which must rebuild identical
@@ -380,12 +335,7 @@ impl Engine {
                     }
                 }
             },
-            mapper,
-        );
-        if let Some(err) = task_error {
-            return Err(err);
-        }
-        shared.fill_metrics(&mut metrics);
+        )?;
         metrics.shuffle_records = shuffle_records.into_inner();
         metrics.shuffle_bytes = shuffle_bytes.into_inner();
         metrics.map_wall = map_start.elapsed();
@@ -436,13 +386,12 @@ impl Engine {
                                 Ok(bytes) => break bytes,
                                 Err(BackendError::Lost { map_id }) => {
                                     recoveries += 1;
-                                    if recoveries > self.config.max_attempts {
+                                    if recoveries > MAX_MAP_REEXECUTIONS {
                                         return Err(MrError::Backend {
                                             job: name.to_string(),
                                             message: format!(
                                                 "map {map_id} output lost and re-execution \
-                                             exhausted {} attempts",
-                                                self.config.max_attempts
+                                             exhausted {MAX_MAP_REEXECUTIONS} attempts"
                                             ),
                                         });
                                     }
@@ -500,6 +449,54 @@ impl Engine {
         metrics.reduce_wall = reduce_start.elapsed();
         self.ledger.lock().record(metrics.clone());
         Ok(JobOutput { output, metrics })
+    }
+
+    /// Runs the map phase on the worker pool: each split is claimed by
+    /// exactly one worker ([`WorkQueue`]), mapped once and handed to
+    /// `commit` with its index. Fills the job's map-output counters.
+    fn run_map_phase<I, K, V, M, F>(
+        &self,
+        name: &str,
+        splits: &[&[I]],
+        mapper: &M,
+        metrics: &mut JobMetrics,
+        commit: F,
+    ) -> Result<(), MrError>
+    where
+        I: Sync,
+        K: Weighable + Send,
+        V: Weighable + Send,
+        M: Mapper<I, K, V>,
+        F: Fn(usize, Vec<(K, V)>) + Sync,
+    {
+        if splits.is_empty() {
+            return Ok(());
+        }
+        let queue = WorkQueue::new(splits.len());
+        let out_records = AtomicU64::new(0);
+        let out_bytes = AtomicU64::new(0);
+        let threads = self.config.effective_threads().min(splits.len());
+        let pool_result = crate::pool::run_workers(threads, |_| {
+            while let Some(idx) = queue.claim() {
+                let mut emitter = Emitter::new();
+                mapper.map_split(splits[idx], &mut emitter);
+                // audit: relaxed-ok — monotonic metric counter.
+                out_records.fetch_add(emitter.records(), Ordering::Relaxed);
+                // audit: relaxed-ok — monotonic metric counter.
+                out_bytes.fetch_add(emitter.bytes(), Ordering::Relaxed);
+                commit(idx, emitter.into_parts());
+            }
+        });
+        if pool_result.is_err() {
+            // A mapper panicked; fail the job rather than the process.
+            return Err(MrError::Panicked {
+                job: name.to_string(),
+                phase: "map".to_string(),
+            });
+        }
+        metrics.map_output_records = out_records.into_inner();
+        metrics.map_output_bytes = out_bytes.into_inner();
+        Ok(())
     }
 
     /// Runs the reduce phase on the worker pool. `gather` produces
@@ -659,6 +656,10 @@ fn split_input<I>(input: &[I], split_size: usize) -> Vec<&[I]> {
     input.chunks(split_size.max(1)).collect()
 }
 
+/// How many times one map task's lost shuffle output is re-executed
+/// before the job fails with [`MrError::Backend`].
+const MAX_MAP_REEXECUTIONS: usize = 4;
+
 /// Seed of the shuffle partitioner's hash. A fixed constant (rather than
 /// per-process randomness) keeps key → partition layouts stable across
 /// runs and builds, which reproducible metrics and the order-determinism
@@ -736,227 +737,6 @@ impl Hasher for FxStyleHasher {
     #[inline]
     fn write_u32(&mut self, n: u32) {
         self.add_word(n as u64);
-    }
-}
-
-// ---------------------------------------------------------------- map ---
-
-/// Counters shared by all map tasks of one phase. The concurrency-bearing
-/// pieces — task claiming and exactly-once commit — are the
-/// model-checked kernels of [`crate::kernel`].
-struct MapPhaseShared {
-    /// Ticket queue handing each split index to exactly one primary.
-    queue: WorkQueue,
-    /// One flag per task: set exactly once by the committing attempt.
-    board: CommitBoard,
-    out_records: AtomicU64,
-    out_bytes: AtomicU64,
-    failed_attempts: AtomicU64,
-    speculative_attempts: AtomicU64,
-    speculative_wins: AtomicU64,
-    error: Mutex<Option<MrError>>,
-}
-
-impl MapPhaseShared {
-    fn new(num_splits: usize) -> Self {
-        Self {
-            queue: WorkQueue::new(num_splits),
-            board: CommitBoard::new(num_splits),
-            out_records: AtomicU64::new(0),
-            out_bytes: AtomicU64::new(0),
-            failed_attempts: AtomicU64::new(0),
-            speculative_attempts: AtomicU64::new(0),
-            speculative_wins: AtomicU64::new(0),
-            error: Mutex::new(None),
-        }
-    }
-
-    fn num_splits(&self) -> usize {
-        self.board.len()
-    }
-
-    /// Claims the commit right for a task; the first attempt wins.
-    fn try_commit(&self, idx: usize) -> bool {
-        self.board.try_commit(idx)
-    }
-
-    fn is_done(&self, idx: usize) -> bool {
-        self.board.is_done(idx)
-    }
-
-    fn all_done(&self) -> bool {
-        self.board.all_done()
-    }
-
-    fn fill_metrics(&self, m: &mut JobMetrics) {
-        // audit: relaxed-ok — single-threaded metric reads after the
-        // phase's worker threads have been joined.
-        m.map_output_records = self.out_records.load(Ordering::Relaxed);
-        // audit: relaxed-ok — as above.
-        m.map_output_bytes = self.out_bytes.load(Ordering::Relaxed);
-        // audit: relaxed-ok — as above.
-        m.failed_attempts = self.failed_attempts.load(Ordering::Relaxed);
-        // audit: relaxed-ok — as above.
-        m.speculative_attempts = self.speculative_attempts.load(Ordering::Relaxed);
-        // audit: relaxed-ok — as above.
-        m.speculative_wins = self.speculative_wins.load(Ordering::Relaxed);
-    }
-}
-
-/// Runs all map tasks on the worker pool; `commit` is invoked once per
-/// split, by whichever attempt (primary or speculative backup) finishes
-/// first.
-fn run_map_phase<I, K, V, M, F>(
-    config: &MrConfig,
-    job_name: &str,
-    splits: &[&[I]],
-    shared: &MapPhaseShared,
-    commit: F,
-    mapper: &M,
-) -> Option<MrError>
-where
-    I: Sync,
-    K: Weighable + Send,
-    V: Weighable + Send,
-    M: Mapper<I, K, V>,
-    F: Fn(usize, Vec<(K, V)>) + Sync,
-{
-    if splits.is_empty() {
-        return None;
-    }
-    let threads = config.effective_threads().min(splits.len()).max(1);
-    let pool_result = crate::pool::run_workers(threads, |_| {
-        // Primary pass: pull tasks off the queue.
-        loop {
-            if shared.error.lock().is_some() {
-                return;
-            }
-            let Some(idx) = shared.queue.claim() else {
-                break;
-            };
-            run_attempt(config, job_name, splits, shared, &commit, mapper, idx, true);
-        }
-        // Speculative pass: back up still-running tasks.
-        if !config.speculative {
-            return;
-        }
-        loop {
-            if shared.all_done() || shared.error.lock().is_some() {
-                return;
-            }
-            let mut launched = false;
-            for idx in 0..shared.num_splits() {
-                if shared.is_done(idx) {
-                    continue;
-                }
-                // audit: relaxed-ok — monotonic metric counter.
-                shared.speculative_attempts.fetch_add(1, Ordering::Relaxed);
-                run_attempt(
-                    config, job_name, splits, shared, &commit, mapper, idx, false,
-                );
-                launched = true;
-            }
-            if !launched {
-                // Everything is claimed but not yet flagged done;
-                // yield briefly.
-                std::thread::yield_now();
-            }
-        }
-    });
-    if pool_result.is_err() {
-        // A mapper panicked; fail the job rather than the process.
-        return Some(MrError::Panicked {
-            job: job_name.to_string(),
-            phase: "map".to_string(),
-        });
-    }
-    shared.error.lock().clone()
-}
-
-/// One task attempt. Primaries are subject to fault and straggler
-/// injection; speculative backups run "on a healthy node" (no injection).
-/// Whichever attempt finishes first commits; losers discard their output.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt<I, K, V, M, F>(
-    config: &MrConfig,
-    job_name: &str,
-    splits: &[&[I]],
-    shared: &MapPhaseShared,
-    commit: &F,
-    mapper: &M,
-    idx: usize,
-    primary: bool,
-) where
-    I: Sync,
-    K: Weighable + Send,
-    V: Weighable + Send,
-    M: Mapper<I, K, V>,
-    F: Fn(usize, Vec<(K, V)>) + Sync,
-{
-    if shared.is_done(idx) {
-        return;
-    }
-    let max_attempts = if primary { config.max_attempts } else { 1 };
-    for attempt in 0..max_attempts {
-        if shared.is_done(idx) {
-            return;
-        }
-        if primary {
-            if let Some(plan) = &config.fault {
-                if plan.should_fail(job_name, idx, attempt) {
-                    // audit: relaxed-ok — monotonic metric counter.
-                    shared.failed_attempts.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-            }
-            if let Some(plan) = &config.straggler {
-                if plan.should_straggle(job_name, idx) {
-                    // Cancellable slow-node delay: sleep in slices and bail
-                    // out as soon as a backup commits the task.
-                    // audit: time-ok — injected test delay; task *output* is
-                    // unaffected, only which attempt commits first.
-                    let deadline = Instant::now() + std::time::Duration::from_millis(plan.delay_ms);
-                    // audit: time-ok — as above.
-                    while Instant::now() < deadline {
-                        if shared.is_done(idx) {
-                            return;
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                }
-            }
-        }
-        let mut emitter = Emitter::new();
-        mapper.map_split(splits[idx], &mut emitter);
-        // First finisher commits; the loser's work is discarded (its
-        // record/byte counters too — committed work only, like Hadoop's
-        // "killed speculative attempt" accounting).
-        if !shared.try_commit(idx) {
-            return;
-        }
-        if !primary {
-            // audit: relaxed-ok — monotonic metric counter.
-            shared.speculative_wins.fetch_add(1, Ordering::Relaxed);
-        }
-        // audit: relaxed-ok — monotonic metric counter.
-        shared
-            .out_records
-            .fetch_add(emitter.records(), Ordering::Relaxed);
-        // audit: relaxed-ok — monotonic metric counter.
-        shared
-            .out_bytes
-            .fetch_add(emitter.bytes(), Ordering::Relaxed);
-        commit(idx, emitter.into_parts());
-        return;
-    }
-    // Primary exhausted its attempts without committing; unless a backup
-    // rescued the task meanwhile, the job fails.
-    if primary && !shared.is_done(idx) {
-        *shared.error.lock() = Some(MrError::TaskFailed {
-            job: job_name.to_string(),
-            task: idx,
-            attempts: config.max_attempts,
-        });
     }
 }
 
@@ -1095,41 +875,65 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_retries_and_succeeds() {
-        let cfg = MrConfig {
+    fn a_panic_in_user_code_fails_the_job_and_spares_the_engine() {
+        let engine = Engine::new(MrConfig {
             split_size: 1,
-            fault: Some(FaultPlan::new(0.4, 1234)),
-            max_attempts: 10,
             ..MrConfig::default()
-        };
-        let engine = Engine::new(cfg);
-        let input: Vec<u64> = (0..200).collect();
-        let mapper = |r: &u64, out: &mut Emitter<u64, u64>| out.emit(r % 7, *r);
-        let reducer = |k: &u64, vs: Vec<u64>, out: &mut Vec<(u64, u64)>| {
-            out.push((*k, vs.into_iter().sum()));
-        };
-        let res = engine.run("faulty", &input, &mapper, &reducer).unwrap();
-        assert!(
-            res.metrics.failed_attempts > 0,
-            "fault plan should have struck"
-        );
-        let total: u64 = res.output.iter().map(|&(_, s)| s).sum();
-        assert_eq!(total, (0..200).sum::<u64>());
-    }
-
-    #[test]
-    fn certain_failure_aborts_job() {
-        let cfg = MrConfig {
-            fault: Some(FaultPlan::new(1.0, 1)),
-            max_attempts: 3,
-            ..MrConfig::default()
-        };
-        let engine = Engine::new(cfg);
+        });
         let input: Vec<u64> = (0..10).collect();
-        let mapper = |r: &u64, out: &mut Emitter<u64, u64>| out.emit(*r, 1);
-        let reducer = |k: &u64, _vs: Vec<u64>, out: &mut Vec<u64>| out.push(*k);
-        let err = engine.run("doomed", &input, &mapper, &reducer).unwrap_err();
-        assert!(matches!(err, MrError::TaskFailed { attempts: 3, .. }));
+        let panicked = |job: &str, phase: &str| MrError::Panicked {
+            job: job.to_string(),
+            phase: phase.to_string(),
+        };
+        let bad_mapper = |r: &u64, out: &mut Emitter<u64, u64>| {
+            assert!(*r != 7, "mapper exploded");
+            out.emit(r % 3, *r);
+        };
+        let good_mapper = |r: &u64, out: &mut Emitter<u64, u64>| out.emit(r % 3, *r);
+        let bad_reducer = |_k: &u64, _vs: Vec<u64>, _out: &mut Vec<u64>| {
+            panic!("reducer exploded");
+        };
+        let sum_reducer =
+            |_k: &u64, vs: Vec<u64>, out: &mut Vec<u64>| out.push(vs.into_iter().sum());
+        let bad_map_only = |r: &u64, out: &mut Emitter<(), u64>| {
+            assert!(*r != 3, "map-only mapper exploded");
+            out.emit((), *r);
+        };
+
+        let err = engine
+            .run("bad-map", &input, &bad_mapper, &sum_reducer)
+            .unwrap_err();
+        assert_eq!(err, panicked("bad-map", "map"));
+        let err = engine
+            .run("bad-reduce", &input, &good_mapper, &bad_reducer)
+            .unwrap_err();
+        assert_eq!(err, panicked("bad-reduce", "reduce"));
+        let err = engine
+            .run_map_only("bad-map-only", &input, &bad_map_only)
+            .unwrap_err();
+        assert_eq!(err, panicked("bad-map-only", "map"));
+
+        // The engine survives all three and runs the next jobs in full.
+        let mut sums = engine
+            .run("after", &input, &good_mapper, &sum_reducer)
+            .unwrap()
+            .output;
+        sums.sort_unstable();
+        assert_eq!(sums, vec![12, 15, 18]);
+        let double = |r: &u64, out: &mut Emitter<(), u64>| out.emit((), r * 2);
+        let doubled = engine
+            .run_map_only("after-map-only", &input, &double)
+            .unwrap()
+            .output;
+        assert_eq!(doubled, (0..10).map(|x| x * 2).collect::<Vec<_>>());
+        // Failed jobs record nothing; the two good ones are the ledger.
+        let names: Vec<String> = engine
+            .cluster_metrics()
+            .jobs()
+            .iter()
+            .map(|j| j.job_name.clone())
+            .collect();
+        assert_eq!(names, ["after", "after-map-only"]);
     }
 
     #[test]
@@ -1177,97 +981,6 @@ mod tests {
             .run_with_cache("cached", &input, 1000, &mapper, &reducer)
             .unwrap();
         assert_eq!(res.metrics.broadcast_bytes, 4000);
-    }
-
-    #[test]
-    fn speculation_rescues_stragglers() {
-        use crate::fault::StragglerPlan;
-        let input: Vec<u64> = (0..24).collect();
-        let mapper = |r: &u64, out: &mut Emitter<u64, u64>| out.emit(r % 3, *r);
-        let reducer = |k: &u64, vs: Vec<u64>, out: &mut Vec<(u64, u64)>| {
-            out.push((*k, vs.into_iter().sum()));
-        };
-        let run = |speculative: bool| {
-            let cfg = MrConfig {
-                split_size: 2, // 12 tasks
-                threads: 6,
-                straggler: Some(StragglerPlan::new(0.3, 1_500, 9)),
-                speculative,
-                ..MrConfig::default()
-            };
-            let engine = Engine::new(cfg);
-            let start = Instant::now();
-            let res = engine.run("straggle", &input, &mapper, &reducer).unwrap();
-            (res, start.elapsed())
-        };
-        let (slow_res, slow_wall) = run(false);
-        let (fast_res, fast_wall) = run(true);
-        // Identical results, committed exactly once per task.
-        let sorted = |mut v: Vec<(u64, u64)>| {
-            v.sort();
-            v
-        };
-        assert_eq!(sorted(slow_res.output), sorted(fast_res.output));
-        // Backups actually ran and won.
-        assert!(fast_res.metrics.speculative_attempts > 0);
-        assert!(
-            fast_res.metrics.speculative_wins > 0,
-            "{:?}",
-            fast_res.metrics
-        );
-        // And the tail latency collapsed: without speculation the job
-        // waits out the full 1.5s straggler delay; with it, the backups
-        // commit in milliseconds and the cancellable sleep exits early.
-        assert!(
-            slow_wall.as_millis() >= 1_400,
-            "slow run took {slow_wall:?}"
-        );
-        assert!(
-            fast_wall < slow_wall / 2,
-            "speculation did not help: {fast_wall:?} vs {slow_wall:?}"
-        );
-    }
-
-    #[test]
-    fn speculation_without_stragglers_is_harmless() {
-        let input: Vec<u64> = (0..100).collect();
-        let mapper = |r: &u64, out: &mut Emitter<u64, u64>| out.emit(r % 5, *r);
-        let reducer = |k: &u64, vs: Vec<u64>, out: &mut Vec<(u64, u64)>| {
-            out.push((*k, vs.into_iter().sum()));
-        };
-        let engine = Engine::new(MrConfig {
-            split_size: 10,
-            speculative: true,
-            ..MrConfig::default()
-        });
-        let res = engine
-            .run("no-straggle", &input, &mapper, &reducer)
-            .unwrap();
-        let total: u64 = res.output.iter().map(|&(_, s)| s).sum();
-        assert_eq!(total, (0..100).sum::<u64>());
-        // Who commits a task is a race the scheduler may decide either
-        // way — a primary descheduled between finishing and committing
-        // legally loses to its backup — so harmless means: the result
-        // above, every task committed exactly once, no attempt failed.
-        assert_eq!(res.metrics.map_tasks, 10);
-        assert_eq!(res.metrics.map_output_records, 100);
-        assert_eq!(res.metrics.failed_attempts, 0);
-    }
-
-    #[test]
-    fn straggler_injection_without_speculation_still_correct() {
-        use crate::fault::StragglerPlan;
-        let input: Vec<u64> = (0..20).collect();
-        let mapper = |r: &u64, out: &mut Emitter<(), u64>| out.emit((), *r);
-        let engine = Engine::new(MrConfig {
-            split_size: 5,
-            straggler: Some(StragglerPlan::new(1.0, 30, 2)),
-            ..MrConfig::default()
-        });
-        let res = engine
-            .run_map_only("all-straggle", &input, &mapper)
-            .unwrap();
-        assert_eq!(res.output, input);
     }
 
     #[test]
@@ -1337,8 +1050,7 @@ mod tests {
 
     #[test]
     fn lost_map_outputs_are_reexecuted_transparently() {
-        use crate::distrib::LocalBackend;
-        use crate::fault::FaultPlan;
+        use crate::distrib::{LocalBackend, LossSelector};
         let baseline = Engine::new(MrConfig {
             split_size: 1,
             ..MrConfig::default()
@@ -1353,7 +1065,7 @@ mod tests {
                 split_size: 1,
                 ..MrConfig::default()
             },
-            Arc::new(LocalBackend::shuffle_service_with_loss(FaultPlan::new(
+            Arc::new(LocalBackend::shuffle_service_with_loss(LossSelector::new(
                 1.0, 9,
             ))),
         );

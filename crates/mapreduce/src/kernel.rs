@@ -2,15 +2,15 @@
 //! abstractions.
 //!
 //! Everything the map/reduce phases do concurrently funnels through the
-//! four types in this module: ticket-based work claiming ([`WorkQueue`]),
-//! exactly-once task commit ([`CommitBoard`]), split-ordered shuffle
-//! hand-off ([`ShuffleBuckets`]), and block-ordered partial merging
-//! ([`BlockPartials`]). Keeping them here serves two purposes:
+//! three types in this module: ticket-based work claiming ([`WorkQueue`]),
+//! split-ordered shuffle hand-off ([`ShuffleBuckets`]), and block-ordered
+//! partial merging ([`BlockPartials`]). A claimed task runs once and
+//! commits once, so claim uniqueness is also commit uniqueness. Keeping them here serves two purposes:
 //!
 //! * The **order-determinism argument** of the engine (DESIGN.md §5)
-//!   reduces to properties of these types — claims are unique, commits
-//!   are exactly-once, bucket drain order is split order regardless of
-//!   commit order, partials merge in block order — instead of properties
+//!   reduces to properties of these types — claims are unique, bucket
+//!   drain order is split order regardless of commit order, partials
+//!   merge in block order — instead of properties
 //!   of the whole engine.
 //! * Each property is **model-checked**: under `--cfg loom` the module
 //!   swaps its primitives for the `p3c-loom` shim and the
@@ -22,11 +22,11 @@
 use crate::sync::Mutex;
 #[cfg(loom)]
 use p3c_loom::sync::{
-    atomic::{AtomicBool, AtomicUsize, Ordering},
+    atomic::{AtomicUsize, Ordering},
     Mutex,
 };
 #[cfg(not(loom))]
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Ticket-dispensing work queue: `claim` hands out `0..limit` with each
 /// index claimed by exactly one caller.
@@ -66,57 +66,6 @@ impl WorkQueue {
     }
 }
 
-/// Exactly-once task-commit board: racing attempts of the same task call
-/// [`CommitBoard::try_commit`], and precisely one wins (the engine's
-/// speculative-execution commit protocol).
-#[derive(Debug)]
-pub struct CommitBoard {
-    done: Vec<AtomicBool>,
-    done_count: AtomicUsize,
-}
-
-impl CommitBoard {
-    /// A board tracking `n` tasks, all initially uncommitted.
-    pub fn new(n: usize) -> Self {
-        Self {
-            done: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            done_count: AtomicUsize::new(0),
-        }
-    }
-
-    /// Claims the commit right for task `idx`; the first caller wins.
-    /// `AcqRel` makes the winner's task output visible to whoever
-    /// observes the flag (the speculative pass polls it to skip
-    /// completed tasks).
-    pub fn try_commit(&self, idx: usize) -> bool {
-        let won = !self.done[idx].swap(true, Ordering::AcqRel);
-        if won {
-            self.done_count.fetch_add(1, Ordering::AcqRel);
-        }
-        won
-    }
-
-    /// Whether task `idx` has committed.
-    pub fn is_done(&self, idx: usize) -> bool {
-        self.done[idx].load(Ordering::Acquire)
-    }
-
-    /// Whether every task has committed.
-    pub fn all_done(&self) -> bool {
-        self.done_count.load(Ordering::Acquire) >= self.done.len()
-    }
-
-    /// Number of tasks tracked by this board.
-    pub fn len(&self) -> usize {
-        self.done.len()
-    }
-
-    /// Whether the board tracks zero tasks.
-    pub fn is_empty(&self) -> bool {
-        self.done.is_empty()
-    }
-}
-
 /// Split-ordered shuffle hand-off: one slot per map task, committed in
 /// any order, drained in *split* order.
 ///
@@ -141,9 +90,8 @@ impl<T> ShuffleBuckets<T> {
     }
 
     /// Commits `items` as the output of producer `slot`. Later commits
-    /// to the same slot replace earlier ones (the exactly-once commit
-    /// protocol in [`CommitBoard`] prevents that from happening in the
-    /// engine).
+    /// to the same slot replace earlier ones (in the engine each slot is
+    /// claimed, and so committed, by exactly one task).
     pub fn commit(&self, slot: usize, items: Vec<T>) {
         self.slots.lock()[slot] = Some(items);
     }
@@ -232,19 +180,6 @@ mod tests {
         assert_eq!(q.claim(), None);
         assert_eq!(q.claim(), None);
         assert_eq!(q.limit(), 3);
-    }
-
-    #[test]
-    fn commit_board_first_attempt_wins() {
-        let b = CommitBoard::new(2);
-        assert!(!b.is_done(0));
-        assert!(b.try_commit(0));
-        assert!(!b.try_commit(0));
-        assert!(b.is_done(0));
-        assert!(!b.all_done());
-        assert!(b.try_commit(1));
-        assert!(b.all_done());
-        assert_eq!(b.len(), 2);
     }
 
     #[test]

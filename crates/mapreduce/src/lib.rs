@@ -12,9 +12,9 @@
 //! * **Execution** — [`Engine`] chunks input into splits, runs map tasks on
 //!   a thread pool, hash-partitions and sort-merges the intermediate pairs
 //!   into `num_reducers` groups and runs the reduce tasks in parallel
-//!   ([`engine`]).
-//! * **Fault tolerance** — deterministic, seedable fault injection with
-//!   task re-execution ([`fault`]), mirroring Hadoop's retry semantics.
+//!   ([`engine`]). Each map task runs once: it is a deterministic
+//!   function of its split, and a panic in user code fails the job as
+//!   [`MrError::Panicked`].
 //! * **Metrics** — per-job record/byte counters, broadcast bytes charged
 //!   per map task for side data a job ships to every mapper
 //!   ([`Engine::run_with_cache`]), and wall-clock phases ([`metrics`]);
@@ -83,7 +83,6 @@ pub mod dag;
 pub mod dataset;
 pub mod distrib;
 pub mod engine;
-pub mod fault;
 pub mod kernel;
 pub mod metrics;
 pub mod pool;
@@ -99,7 +98,6 @@ pub use distrib::{
     ShuffleManager, Wire,
 };
 pub use engine::{Engine, JobOutput, MrConfig, MrError};
-pub use fault::FaultPlan;
 pub use metrics::{ClusterMetrics, DagMetrics, DagNodeMetrics, JobMetrics};
 pub use pool::{parallel_for_blocks, parallel_for_blocks_with, resolve_threads, run_workers};
 pub use service::{ClusterService, ServiceError, ServiceMetrics, Tenant};

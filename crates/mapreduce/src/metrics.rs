@@ -2,8 +2,8 @@
 //!
 //! The evaluation figures of the paper (runtime and I/O, Figure 7) depend
 //! on *how much work and data movement* each algorithm causes: number of
-//! MR jobs, records mapped, bytes shuffled, bytes broadcast through the
-//! distributed cache. The engine meters all of these.
+//! MR jobs, records mapped, bytes shuffled, side data broadcast to the
+//! map tasks. The engine meters all of these.
 
 use p3c_dataset::json::{ToJson, Writer};
 use std::time::Duration;
@@ -31,14 +31,13 @@ pub struct JobMetrics {
     pub reduce_input_groups: u64,
     /// Records produced by reducers (or by map-only output).
     pub output_records: u64,
-    /// Bytes broadcast to every map task via the distributed cache.
+    /// Side-data bytes broadcast to the map tasks, charged once per task.
     pub broadcast_bytes: u64,
-    /// Map attempts that were failed and retried by fault injection.
+    /// Failed map attempts: always 0, since every map task runs exactly
+    /// once. Kept because the e2e benchmark reads it
+    /// (`mapreduce.engine.failed_attempts`); a benchmark change drops
+    /// both together.
     pub failed_attempts: u64,
-    /// Speculative backup attempts launched.
-    pub speculative_attempts: u64,
-    /// Tasks whose committing attempt was a speculative backup.
-    pub speculative_wins: u64,
     /// Wall-clock time of the map phase.
     pub map_wall: Duration,
     /// Wall-clock time of the shuffle+reduce phase.
@@ -71,8 +70,6 @@ impl ToJson for JobMetrics {
             ("output_records", &self.output_records),
             ("broadcast_bytes", &self.broadcast_bytes),
             ("failed_attempts", &self.failed_attempts),
-            ("speculative_attempts", &self.speculative_attempts),
-            ("speculative_wins", &self.speculative_wins),
             ("map_wall", &self.map_wall),
             ("reduce_wall", &self.reduce_wall),
             ("shuffle_fetches", &self.shuffle_fetches),
@@ -275,8 +272,6 @@ mod tests {
       "output_records": 0,
       "broadcast_bytes": 0,
       "failed_attempts": 0,
-      "speculative_attempts": 0,
-      "speculative_wins": 0,
       "map_wall": 0.25,
       "reduce_wall": 0.0,
       "shuffle_fetches": 0,

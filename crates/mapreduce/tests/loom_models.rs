@@ -14,10 +14,11 @@
 //! §10) rests on:
 //!
 //! * [`WorkQueue`] hands each ticket to exactly one claimant.
-//! * [`CommitBoard`] commits each task exactly once even under racing
-//!   speculative attempts.
 //! * [`ShuffleBuckets`] drains in split order no matter which producer
 //!   commits first — the order-determinism keystone.
+//! * [`WorkQueue`] + [`ShuffleBuckets`] — the map phase's protocol: each
+//!   split is claimed once, mapped once and committed once — yield the
+//!   serial output in every schedule.
 //! * [`BlockPartials`] + [`WorkQueue`] — the worker-pool kernel behind
 //!   `parallel_for_blocks` (DESIGN.md §11) — merges per-block partials
 //!   in block order regardless of which worker claims which block.
@@ -32,7 +33,7 @@
 
 use p3c_loom::{model, thread};
 use p3c_mapreduce::distrib::{BlockLocation, MapOutputTracker};
-use p3c_mapreduce::kernel::{BlockPartials, CommitBoard, ShuffleBuckets, WorkQueue};
+use p3c_mapreduce::kernel::{BlockPartials, ShuffleBuckets, WorkQueue};
 use p3c_mapreduce::service::Admission;
 use std::sync::Arc;
 
@@ -61,29 +62,6 @@ fn work_queue_claims_are_exactly_once() {
         assert_eq!(queue.claim(), None, "drained queue stays drained");
     });
     assert!(executions > 1, "model explored more than one schedule");
-}
-
-/// A primary and a speculative backup race to commit the same task:
-/// exactly one attempt wins in every schedule.
-#[test]
-fn commit_board_single_winner_per_task() {
-    model(|| {
-        let board = Arc::new(CommitBoard::new(1));
-        let attempts: Vec<_> = (0..2)
-            .map(|_| {
-                let board = Arc::clone(&board);
-                thread::spawn(move || board.try_commit(0))
-            })
-            .collect();
-        let wins = attempts
-            .into_iter()
-            .map(|a| a.join_unwrap())
-            .filter(|&won| won)
-            .count();
-        assert_eq!(wins, 1, "exactly one attempt commits");
-        assert!(board.is_done(0));
-        assert!(board.all_done());
-    });
 }
 
 /// Two map tasks commit their shuffle output concurrently; whichever
@@ -148,26 +126,22 @@ fn block_partials_merge_order_is_schedule_independent() {
     assert!(executions > 1, "model explored more than one schedule");
 }
 
-/// The full map-commit protocol in miniature: workers claim splits from
-/// the queue, race a speculative duplicate on split 0, and only commit
-/// winners write shuffle output. Output must equal the serial result in
-/// every schedule.
+/// The map phase's claim/commit protocol in miniature: workers claim
+/// splits from the queue, map each claimed split once and commit it into
+/// its shuffle slot. Output must equal the serial result in every
+/// schedule.
 #[test]
 fn claim_commit_shuffle_composition_is_deterministic() {
     model(|| {
         let queue = Arc::new(WorkQueue::new(2));
-        let board = Arc::new(CommitBoard::new(2));
         let buckets = Arc::new(ShuffleBuckets::new(2));
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let queue = Arc::clone(&queue);
-                let board = Arc::clone(&board);
                 let buckets = Arc::clone(&buckets);
                 thread::spawn(move || {
                     while let Some(split) = queue.claim() {
-                        if board.try_commit(split) {
-                            buckets.commit(split, vec![split * 10, split * 10 + 1]);
-                        }
+                        buckets.commit(split, vec![split * 10, split * 10 + 1]);
                     }
                 })
             })
@@ -175,7 +149,7 @@ fn claim_commit_shuffle_composition_is_deterministic() {
         for w in workers {
             w.join_unwrap();
         }
-        assert!(board.all_done());
+        assert_eq!(queue.claim(), None);
         assert_eq!(buckets.take_ordered(), vec![0, 1, 10, 11]);
     });
 }

@@ -23,9 +23,10 @@ use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_suite::datagen::{generate, SyntheticSpec};
 use p3c_suite::dataset::Clustering;
 use p3c_suite::mapreduce::distrib::{
-    Backend, BackendChoice, BackendError, LocalBackend, MapOutput, ProcessBackend, StageSpec,
+    Backend, BackendChoice, BackendError, LocalBackend, LossSelector, MapOutput, ProcessBackend,
+    StageSpec,
 };
-use p3c_suite::mapreduce::{Engine, FaultPlan, MrConfig};
+use p3c_suite::mapreduce::{Engine, MrConfig};
 use std::sync::{Arc, Once};
 
 /// Points every `ProcessBackend` in this test binary at the harness
@@ -160,7 +161,7 @@ fn worker_kill_mid_pipeline_recovers_byte_identically() {
     // Probability 1 ⇒ one injected kill per shuffle stage.
     let eng = engine_with(BackendChoice::Process {
         workers: 2,
-        kill: Some(FaultPlan::new(1.0, 5)),
+        kill: Some(LossSelector::new(1.0, 5)),
     });
     let got = P3cPlusMrLight::new(&eng, params)
         .cluster(&data.dataset)
@@ -181,15 +182,15 @@ fn worker_kill_mid_pipeline_recovers_byte_identically() {
 fn killed_worker_loses_partitions_and_reexecution_restores_them() {
     use_harness_worker();
     let job = "kill-stage";
-    // FaultPlan is a pure function of (seed, job, task, attempt); pick
-    // the first seed whose first firing task in this job is map 2.
+    // LossSelector is a pure function of (seed, job, map); pick the
+    // first seed whose first hit in this job is map 2.
     let seed = (0u64..10_000)
         .find(|&s| {
-            let p = FaultPlan::new(0.5, s);
-            !p.should_fail(job, 0, 0) && !p.should_fail(job, 1, 0) && p.should_fail(job, 2, 0)
+            let p = LossSelector::new(0.5, s);
+            !p.hits(job, 0) && !p.hits(job, 1) && p.hits(job, 2)
         })
         .expect("some seed fires first on map 2");
-    let backend = ProcessBackend::new(2, Some(FaultPlan::new(0.5, seed)));
+    let backend = ProcessBackend::new(2, Some(LossSelector::new(0.5, seed)));
     let spec = StageSpec {
         shuffle_id: 9,
         job: job.to_string(),

@@ -1,13 +1,13 @@
 //! Integration tests of the MapReduce substrate under realistic use:
-//! fault tolerance through a full pipeline, metrics plausibility, and
-//! the one-definition / two-executors ledger contract.
+//! metrics plausibility and the one-definition / two-executors ledger
+//! contract.
 
 use p3c_suite::bow::{Bow, BowConfig};
 use p3c_suite::core::config::P3cParams;
 use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_suite::datagen::{generate, SyntheticSpec};
 use p3c_suite::dataset::{Clustering, Dataset};
-use p3c_suite::mapreduce::{Engine, FaultPlan, MrConfig, SchedulerChoice};
+use p3c_suite::mapreduce::{Engine, MrConfig, SchedulerChoice};
 
 fn data() -> p3c_suite::datagen::GeneratedData {
     generate(&SyntheticSpec {
@@ -19,50 +19,6 @@ fn data() -> p3c_suite::datagen::GeneratedData {
         seed: 11,
         ..SyntheticSpec::default()
     })
-}
-
-#[test]
-fn full_pipeline_survives_aggressive_fault_injection() {
-    let d = data();
-    let clean_engine = Engine::new(MrConfig {
-        num_reducers: 4,
-        split_size: 256,
-        ..MrConfig::default()
-    });
-    let faulty_engine = Engine::new(MrConfig {
-        num_reducers: 4,
-        split_size: 256,
-        fault: Some(FaultPlan::new(0.25, 2024)),
-        max_attempts: 25,
-        ..MrConfig::default()
-    });
-    let clean = P3cPlusMr::new(&clean_engine, P3cParams::default())
-        .cluster(&d.dataset)
-        .unwrap();
-    let faulty = P3cPlusMr::new(&faulty_engine, P3cParams::default())
-        .cluster(&d.dataset)
-        .unwrap();
-    // Same cores, same point partition — retries must be invisible.
-    assert_eq!(
-        clean.clustering.clusters.len(),
-        faulty.clustering.clusters.len()
-    );
-    for (a, b) in clean
-        .clustering
-        .clusters
-        .iter()
-        .zip(&faulty.clustering.clusters)
-    {
-        assert_eq!(a.points, b.points);
-        assert_eq!(a.attributes, b.attributes);
-    }
-    let failed: u64 = faulty_engine
-        .cluster_metrics()
-        .jobs()
-        .iter()
-        .map(|j| j.failed_attempts)
-        .sum();
-    assert!(failed > 50, "only {failed} injected failures at 25% rate");
 }
 
 #[test]
