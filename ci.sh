@@ -27,7 +27,11 @@
 #   cargo run -p p3c-audit          (determinism/concurrency/lock invariants,
 #                                    every manifest dependency a path crate)
 #   cargo test --features lockcheck (tier-1 under runtime lock-rank asserts)
-#   loom models                     (engine kernel + admission condvar)
+#   loom models                     (6: WorkQueue claims, WorkQueue +
+#                                    BlockPartials merge order — the pool
+#                                    the engine's phases run on — two
+#                                    map-output tracker races, two
+#                                    admission condvar protocols)
 #   cargo +nightly miri             (dataset byte paths; skipped if absent)
 #   ThreadSanitizer probe           (service + distrib; skipped if absent)
 set -euo pipefail
@@ -257,7 +261,7 @@ cargo test -q --test decoder_gauntlet > /dev/null
 cargo test -q --test golden_bytes > /dev/null
 cargo test -q --test durability_recovery > /dev/null
 
-echo "==> tier 2: loom models (engine kernel + admission condvar)"
+echo "==> tier 2: loom models (WorkQueue, WorkQueue+BlockPartials, tracker x2, admission x2)"
 RUSTFLAGS="--cfg loom" cargo test -q -p p3c-mapreduce --test loom_models
 
 # Miri catches UB on the codec/rowblock/dataset byte paths; it needs a

@@ -107,14 +107,16 @@ struct SampleMapper {
 }
 
 impl<'a> Mapper<&'a [f64], usize, Vec<f64>> for SampleMapper {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, Vec<f64>>) {
-        let h = hash_row(row, self.seed);
-        // Uniform in [0,1) from the hash; keep decision + partition id
-        // from independent hash parts.
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-        if u < self.keep {
-            let part = (h % self.num_partitions as u64) as usize;
-            out.emit(part, row.to_vec());
+    fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, Vec<f64>>) {
+        for row in split {
+            let h = hash_row(row, self.seed);
+            // Uniform in [0,1) from the hash; keep decision + partition id
+            // from independent hash parts.
+            let u = (h >> 11) as f64 / (1u64 << 53) as f64;
+            if u < self.keep {
+                let part = (h % self.num_partitions as u64) as usize;
+                out.emit(part, row.to_vec());
+            }
         }
     }
 }
@@ -194,14 +196,16 @@ struct AssignMapper<'r> {
 }
 
 impl<'a> Mapper<&'a [f64], (), i64> for AssignMapper<'_> {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<(), i64>) {
-        let label = self
-            .rects
-            .iter()
-            .position(|r| r.contains(row))
-            .map(|i| i as i64)
-            .unwrap_or(-1);
-        out.emit((), label);
+    fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<(), i64>) {
+        for row in split {
+            let label = self
+                .rects
+                .iter()
+                .position(|r| r.contains(row))
+                .map(|i| i as i64)
+                .unwrap_or(-1);
+            out.emit((), label);
+        }
     }
 }
 

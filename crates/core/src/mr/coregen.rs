@@ -47,10 +47,6 @@ struct ProveMapper<'p> {
 }
 
 impl<'a> Mapper<&'a [f64], usize, u64> for ProveMapper<'_> {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, u64>) {
-        self.map_split(std::slice::from_ref(row), out);
-    }
-
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, u64>) {
         let mut counts = vec![0u64; self.plan.num_candidates()];
         self.plan.count_rows(split, &mut counts);
@@ -121,12 +117,14 @@ impl Mapper<(usize, usize), (), SigMsg> for CandGenMapper<'_> {
     /// A record `(i, end)` joins `sorted[i]` with every `sorted[j]`,
     /// `i < j < end` — one record per bucket row, so every in-bucket pair
     /// is enumerated exactly once and large buckets spread across tasks.
-    fn map(&self, &(i, end): &(usize, usize), out: &mut Emitter<(), SigMsg>) {
-        for j in (i + 1)..end {
-            if let Some(cand) =
-                crate::cores::join_in_bucket(self.level[i], self.level[j], self.prune)
-            {
-                out.emit((), SigMsg(cand));
+    fn map_split(&self, split: &[(usize, usize)], out: &mut Emitter<(), SigMsg>) {
+        for &(i, end) in split {
+            for j in (i + 1)..end {
+                if let Some(cand) =
+                    crate::cores::join_in_bucket(self.level[i], self.level[j], self.prune)
+                {
+                    out.emit((), SigMsg(cand));
+                }
             }
         }
     }
@@ -461,31 +459,6 @@ mod tests {
         let job = &metrics.jobs()[0];
         let shipped = SupportPlan::build(&candidates).byte_size() as u64;
         assert_eq!(job.broadcast_bytes, shipped * job.map_tasks);
-    }
-
-    #[test]
-    fn per_record_map_is_the_one_row_split() {
-        let candidates = vec![
-            Signature::new(vec![iv(0, 0, 2)]),
-            Signature::new(vec![iv(0, 0, 2), iv(1, 5, 9)]),
-            Signature::new(vec![iv(1, 0, 4)]),
-        ];
-        let plan = SupportPlan::build(&candidates);
-        let mapper = ProveMapper { plan: &plan };
-        for row in [[0.15, 0.75], [0.15, 0.25], [0.95, 0.95]] {
-            let row: &[f64] = &row;
-            let (mut by_record, mut by_split) = (Emitter::new(), Emitter::new());
-            mapper.map(&row, &mut by_record);
-            mapper.map_split(&[row], &mut by_split);
-            let expected: Vec<(usize, u64)> = candidates
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.contains(row))
-                .map(|(i, _)| (i, 1))
-                .collect();
-            assert_eq!(by_record.into_parts(), expected);
-            assert_eq!(by_split.into_parts(), expected);
-        }
     }
 
     #[test]

@@ -63,10 +63,6 @@ struct CoreStatsMapper {
 }
 
 impl<'a> Mapper<&'a [f64], usize, AccMsg> for CoreStatsMapper {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, AccMsg>) {
-        self.map_split(std::slice::from_ref(row), out);
-    }
-
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, AccMsg>) {
         let accs = support_set_accumulators(&self.cores, split, &self.arel, |_| {});
         emit_accs(accs, out);
@@ -81,10 +77,6 @@ struct AttachMapper {
 }
 
 impl<'a> Mapper<&'a [f64], usize, AccMsg> for AttachMapper {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, AccMsg>) {
-        self.map_split(std::slice::from_ref(row), out);
-    }
-
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, AccMsg>) {
         let d = self.eval.arel_len();
         let mut accs: Vec<CovarianceAccumulator> = (0..self.eval.num_components())
@@ -113,10 +105,6 @@ struct EmStepMapper {
 }
 
 impl<'a> Mapper<&'a [f64], usize, (AccMsg, f64)> for EmStepMapper {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, (AccMsg, f64)>) {
-        self.map_split(std::slice::from_ref(row), out);
-    }
-
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, (AccMsg, f64)>) {
         // The projected split is one block of the E-step: the kernel's
         // log-likelihood adds point-ascending over the split and each
@@ -244,7 +232,7 @@ pub fn em_fit_mr(
         engine.run_map_only(
             "p3c-em-step-covariances",
             &[] as &[u8],
-            &|_r: &u8, _o: &mut Emitter<(), ()>| {},
+            &|_r: &[u8], _o: &mut Emitter<(), ()>| {},
         )?;
         let mut accs: Vec<CovarianceAccumulator> =
             (0..k).map(|_| CovarianceAccumulator::new(d)).collect();

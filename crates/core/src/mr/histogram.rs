@@ -18,10 +18,6 @@ struct HistMapper {
 }
 
 impl<'a> Mapper<&'a [f64], usize, Vec<f64>> for HistMapper {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, Vec<f64>>) {
-        self.map_split(std::slice::from_ref(row), out);
-    }
-
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, Vec<f64>>) {
         let d = split.first().map_or(0, |r| r.len());
         let mut partials: Vec<Histogram> =
@@ -82,9 +78,6 @@ pub fn histogram_job(
 pub fn iqr_job(engine: &Engine, rows: &[&[f64]]) -> Result<Vec<(f64, f64)>, MrError> {
     struct QuartileMapper;
     impl<'a> Mapper<&'a [f64], usize, (f64, f64)> for QuartileMapper {
-        fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, (f64, f64)>) {
-            self.map_split(std::slice::from_ref(row), out);
-        }
         fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, (f64, f64)>) {
             let d = split.first().map_or(0, |r| r.len());
             let mut column = Vec::with_capacity(split.len());
@@ -215,19 +208,5 @@ mod tests {
         let q = iqr_job(&engine, &rows).unwrap();
         assert!((q[0].1 - q[0].0 - 0.5).abs() < 0.05, "attr0 IQR {:?}", q[0]);
         assert!((q[2].1 - q[2].0).abs() < 1e-12, "attr2 IQR {:?}", q[2]);
-    }
-
-    #[test]
-    fn single_record_map_path() {
-        // Exercise the per-record `map` implementation directly.
-        let mapper = HistMapper {
-            bins: Arc::new(vec![4, 4]),
-        };
-        let row: &[f64] = &[0.1, 0.9];
-        let mut em = p3c_mapreduce::Emitter::new();
-        mapper.map(&row, &mut em);
-        let pairs = em.into_parts();
-        assert_eq!(pairs.len(), 2);
-        assert_eq!(pairs[0].1.iter().sum::<f64>(), 1.0);
     }
 }

@@ -20,10 +20,6 @@ struct SummaryMapper {
 }
 
 impl<'a> Mapper<InspectionItem<'a>, usize, ClusterSummary> for SummaryMapper {
-    fn map(&self, record: &InspectionItem<'a>, out: &mut Emitter<usize, ClusterSummary>) {
-        self.map_split(std::slice::from_ref(record), out);
-    }
-
     fn map_split(&self, split: &[InspectionItem<'a>], out: &mut Emitter<usize, ClusterSummary>) {
         // Per cluster, its other and its inspected rows of the split.
         let mut groups: Vec<[Vec<&[f64]>; 2]> = vec![[Vec::new(), Vec::new()]; self.bins.len()];

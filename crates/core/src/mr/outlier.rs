@@ -59,10 +59,6 @@ struct OdMapper {
 }
 
 impl<'a> Mapper<&'a [f64], (), i64> for OdMapper {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<(), i64>) {
-        self.map_split(std::slice::from_ref(row), out);
-    }
-
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<(), i64>) {
         let (proj, hard) = project_and_assign(&self.eval, split);
         let dists = split_distances(&self.eval, &proj, &hard, |c| match &self.estimates {
@@ -133,10 +129,6 @@ struct MvbStatsMapper {
 }
 
 impl<'a> Mapper<&'a [f64], usize, (Vec<f64>, f64)> for MvbStatsMapper {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, (Vec<f64>, f64)>) {
-        self.map_split(std::slice::from_ref(row), out);
-    }
-
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, (Vec<f64>, f64)>) {
         let (proj, hard) = project_and_assign(&self.eval, split);
         let mut members: Vec<Vec<&[f64]>> = vec![Vec::new(); self.eval.num_components()];
@@ -178,10 +170,6 @@ struct BallStatsMapper {
 }
 
 impl<'a> Mapper<&'a [f64], usize, AccMsg> for BallStatsMapper {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, AccMsg>) {
-        self.map_split(std::slice::from_ref(row), out);
-    }
-
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, AccMsg>) {
         let d = self.eval.arel_len();
         let (proj, hard) = project_and_assign(&self.eval, split);
@@ -242,7 +230,7 @@ pub fn od_job_mvb(
     engine.run_map_only(
         "p3c-mvb-ball-covariances",
         &[] as &[u8],
-        &|_r: &u8, _o: &mut Emitter<(), ()>| {},
+        &|_r: &[u8], _o: &mut Emitter<(), ()>| {},
     )?;
 
     // Final OD job with the robust parameters.
@@ -277,10 +265,6 @@ struct McdThresholdMapper {
 }
 
 impl<'a> Mapper<&'a [f64], usize, f64> for McdThresholdMapper {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, f64>) {
-        self.map_split(std::slice::from_ref(row), out);
-    }
-
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, f64>) {
         let (_, hard, dists) = concentration_distances(&self.eval, &self.estimates, split);
         let mut per_cluster: Vec<Vec<f64>> = vec![Vec::new(); self.eval.num_components()];
@@ -311,10 +295,6 @@ struct McdMomentsMapper {
 }
 
 impl<'a> Mapper<&'a [f64], usize, AccMsg> for McdMomentsMapper {
-    fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, AccMsg>) {
-        self.map_split(std::slice::from_ref(row), out);
-    }
-
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, AccMsg>) {
         let d = self.eval.arel_len();
         let (proj, hard, dists) = concentration_distances(&self.eval, &self.estimates, split);

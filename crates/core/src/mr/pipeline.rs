@@ -255,15 +255,17 @@ fn membership_job(
         cores: Arc<Vec<ClusterCore>>,
     }
     impl<'a> Mapper<&'a [f64], (), Vec<u32>> for MembershipMapper {
-        fn map(&self, row: &&'a [f64], out: &mut Emitter<(), Vec<u32>>) {
-            let containing: Vec<u32> = self
-                .cores
-                .iter()
-                .enumerate()
-                .filter(|(_, core)| core.signature.contains(row))
-                .map(|(c, _)| c as u32)
-                .collect();
-            out.emit((), containing);
+        fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<(), Vec<u32>>) {
+            for row in split {
+                let containing: Vec<u32> = self
+                    .cores
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, core)| core.signature.contains(row))
+                    .map(|(c, _)| c as u32)
+                    .collect();
+                out.emit((), containing);
+            }
         }
     }
     let cache = cores.iter().map(|c| 4 + c.signature.len() * 32).sum();

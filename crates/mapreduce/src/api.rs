@@ -1,4 +1,8 @@
 //! The MapReduce programming model: mappers, reducers, emitter.
+//!
+//! A map task runs over a whole input split, as in Hadoop: the engine
+//! calls [`Mapper::map_split`] once per split, and a mapper that works
+//! one record at a time loops over its split.
 
 use crate::weight::Weighable;
 
@@ -62,17 +66,10 @@ where
     K: Weighable,
     V: Weighable,
 {
-    /// Processes a single record.
-    fn map(&self, record: &I, out: &mut Emitter<K, V>);
-
-    /// Processes a whole input split. The default forwards record-by-record;
-    /// override to implement setup/cleanup-phase logic (e.g. the paper's
-    /// MVB mapper, which sorts its cached split in the cleanup phase).
-    fn map_split(&self, split: &[I], out: &mut Emitter<K, V>) {
-        for record in split {
-            self.map(record, out);
-        }
-    }
+    /// Processes a whole input split. Setup and cleanup-phase logic
+    /// lives here too (e.g. the paper's MVB mapper, which sorts its
+    /// cached split in the cleanup phase).
+    fn map_split(&self, split: &[I], out: &mut Emitter<K, V>);
 }
 
 /// A reduce task: receives one key with all its values (already grouped by
@@ -82,15 +79,16 @@ pub trait Reducer<K, V, O>: Sync {
     fn reduce(&self, key: &K, values: Vec<V>, out: &mut Vec<O>);
 }
 
-/// Blanket mapper for plain functions — convenient for small jobs/tests.
+/// Blanket mapper for plain functions over a split — convenient for
+/// small jobs/tests.
 impl<I, K, V, F> Mapper<I, K, V> for F
 where
-    F: Fn(&I, &mut Emitter<K, V>) + Sync,
+    F: Fn(&[I], &mut Emitter<K, V>) + Sync,
     K: Weighable,
     V: Weighable,
 {
-    fn map(&self, record: &I, out: &mut Emitter<K, V>) {
-        self(record, out)
+    fn map_split(&self, split: &[I], out: &mut Emitter<K, V>) {
+        self(split, out)
     }
 }
 
@@ -120,26 +118,16 @@ mod tests {
     }
 
     #[test]
-    fn default_map_split_forwards_each_record() {
-        struct Echo;
-        impl Mapper<u32, u32, ()> for Echo {
-            fn map(&self, r: &u32, out: &mut Emitter<u32, ()>) {
-                out.emit(*r, ());
-            }
-        }
-        let mut e = Emitter::new();
-        Echo.map_split(&[1, 2, 3], &mut e);
-        let pairs = e.into_parts();
-        assert_eq!(pairs.iter().map(|p| p.0).collect::<Vec<_>>(), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn closures_are_mappers_and_reducers() {
-        let m = |r: &u32, out: &mut Emitter<u32, u32>| out.emit(*r % 2, *r);
+        let m = |rs: &[u32], out: &mut Emitter<u32, u32>| {
+            for r in rs {
+                out.emit(*r % 2, *r);
+            }
+        };
         let mut e = Emitter::new();
-        m.map(&7, &mut e);
+        m.map_split(&[7, 4], &mut e);
         let pairs = e.into_parts();
-        assert_eq!(pairs, vec![(1, 7)]);
+        assert_eq!(pairs, vec![(1, 7), (0, 4)]);
 
         let r = |k: &u32, vs: Vec<u32>, out: &mut Vec<(u32, u32)>| {
             out.push((*k, vs.into_iter().sum()));

@@ -143,7 +143,11 @@ mod tests {
 
     /// A step body: sums `nums` with an MR job named after the step.
     fn sum(engine: &Engine, job: &str, nums: &[u64]) -> Result<u64, MrError> {
-        let mapper = |r: &u64, em: &mut Emitter<(), u64>| em.emit((), *r);
+        let mapper = |rs: &[u64], em: &mut Emitter<(), u64>| {
+            for r in rs {
+                em.emit((), *r);
+            }
+        };
         let reducer = |_k: &(), vs: Vec<u64>, o: &mut Vec<u64>| o.push(vs.into_iter().sum());
         Ok(engine
             .run(job, nums, &mapper, &reducer)?
@@ -240,9 +244,11 @@ mod tests {
         let mut after = 0;
         let err = run_chain(&eng, "doomed", SchedulerChoice::Dag, |chain| {
             chain.step("doomed-step", |eng| {
-                let mapper = |r: &u64, em: &mut Emitter<(), u64>| {
-                    assert!(*r != 5, "mapper exploded");
-                    em.emit((), *r);
+                let mapper = |rs: &[u64], em: &mut Emitter<(), u64>| {
+                    for r in rs {
+                        assert!(*r != 5, "mapper exploded");
+                        em.emit((), *r);
+                    }
                 };
                 let reducer = |_k: &(), vs: Vec<u64>, o: &mut Vec<u64>| o.push(vs.len() as u64);
                 eng.run("doomed-job", &nums, &mapper, &reducer)

@@ -1,10 +1,17 @@
-//! The job runner: split → map (thread pool) → shuffle → reduce.
+//! The job runner: split → map → shuffle → reduce.
+//!
+//! Both phases run on the worker pool
+//! ([`crate::pool::parallel_for_blocks`]): the map phase has one block
+//! per input split, the reduce phase one block per partition. The pool
+//! hands results back in block order, so a reducer sees its values in
+//! split order and the job output concatenates in partition order,
+//! whatever the thread count (DESIGN.md §5).
 
 use crate::api::{Emitter, Mapper, Reducer};
 use crate::distrib::backend::{Backend, BackendChoice, BackendError, MapOutput, StageSpec};
 use crate::distrib::wire::{decode_from_slice, encode_to_vec, Wire};
-use crate::kernel::{BlockPartials, ShuffleBuckets, WorkQueue};
 use crate::metrics::{ClusterMetrics, DagMetrics, JobMetrics};
+use crate::pool::try_parallel_for_blocks_with;
 use crate::sync::Mutex;
 use crate::weight::Weighable;
 use std::fmt;
@@ -21,6 +28,9 @@ pub struct MrConfig {
     /// Records per input split (Hadoop: one split ≈ one HDFS block).
     pub split_size: usize,
     /// Worker threads executing tasks; `0` means all available cores.
+    /// Workers are capped at the number of available cores (and at the
+    /// number of tasks in a phase); a phase with one task or one worker
+    /// runs on the calling thread.
     pub threads: usize,
     /// Where shuffle bytes live between map and reduce (see
     /// [`crate::distrib`]). The default honours the `P3C_BACKEND`
@@ -232,18 +242,10 @@ impl Engine {
         metrics.map_input_records = input.len() as u64;
         metrics.broadcast_bytes = self.broadcast_cost(cache_bytes, splits.len());
 
-        let outputs: ShuffleBuckets<O> = ShuffleBuckets::new(splits.len());
-        self.run_map_phase(
-            name,
-            &splits,
-            mapper,
-            &mut metrics,
-            |idx, pairs: Vec<((), O)>| {
-                outputs.commit(idx, pairs.into_iter().map(|(_, v)| v).collect());
-            },
-        )?;
-
-        let output: Vec<O> = outputs.take_ordered();
+        let outputs = self.run_map_phase(name, &splits, mapper, &mut metrics, |pairs| {
+            pairs.into_iter().map(|((), v)| v).collect::<Vec<O>>()
+        })?;
+        let output: Vec<O> = outputs.into_iter().flatten().collect();
         metrics.output_records = output.len() as u64;
         metrics.map_wall = start.elapsed();
         self.ledger.lock().record(metrics.clone());
@@ -266,8 +268,8 @@ impl Engine {
         M: Mapper<I, K, V>,
         R: Reducer<K, V, O>,
     {
-        // audit: time-ok — wall-clock feeds the map_wall metric only.
-        let map_start = Instant::now();
+        // audit: time-ok — wall-clock feeds the map_wall and reduce_wall metrics only.
+        let start = Instant::now();
         let mut metrics = JobMetrics::new(name);
         let num_reducers = self.config.num_reducers.max(1);
         let splits: Vec<&[I]> = split_input(input, self.config.split_size);
@@ -275,242 +277,224 @@ impl Engine {
         metrics.map_input_records = input.len() as u64;
         metrics.broadcast_bytes = self.broadcast_cost(cache_bytes, splits.len());
 
-        // Per-reducer, per-split partitions. Keeping one bucket per map
-        // task and concatenating in split order makes the value order a
-        // reducer sees independent of task *commit* order, so jobs with
-        // order-sensitive float accumulation are byte-deterministic run
-        // to run (and serial-vs-DAG driver comparisons stay exact). The
-        // property is model-checked on [`ShuffleBuckets`] itself (see
-        // `crate::kernel` and the `loom_models` test).
-        //
-        // On a distributed backend a map task's output leaves the engine
-        // as bytes, so the task encodes its own partitions as it commits
-        // — on the worker pool, while the pairs are still warm, and
-        // without the typed pairs outliving the task — into one slot per
-        // map, in the same split order.
-        let map_side = if self.backend.is_distributed() {
-            MapSide::Encoded(BlockPartials::new(splits.len()))
+        // A map task partitions its output by key hash (shared with
+        // lost-output recovery on the distributed path, which must
+        // rebuild identical partitions). The pool returns the tasks'
+        // partitions in split order, so the pairs a reducer gathers are
+        // in split order whichever task finished first — jobs with
+        // order-sensitive float accumulation stay byte-deterministic.
+        let output = if self.backend.is_distributed() {
+            // A map task's output leaves the engine as bytes, so the task
+            // encodes its own partitions — on the pool, while the pairs
+            // are still warm. Every partition travels, the empty ones
+            // too: the same bytes lost-output recovery rebuilds.
+            let encoded = self.run_map_phase(name, &splits, mapper, &mut metrics, |pairs| {
+                partition(pairs, num_reducers)
+                    .iter()
+                    .map(encode_to_vec)
+                    .collect::<Vec<_>>()
+            })?;
+            metrics.map_wall = start.elapsed();
+            self.reduce_fetched(name, &splits, mapper, reducer, encoded, &mut metrics)?
         } else {
-            MapSide::InMemory(
-                (0..num_reducers)
-                    .map(|_| ShuffleBuckets::new(splits.len()))
-                    .collect(),
-            )
-        };
-        let shuffle_records = AtomicU64::new(0);
-        let shuffle_bytes = AtomicU64::new(0);
-
-        self.run_map_phase(
-            name,
-            &splits,
-            mapper,
-            &mut metrics,
-            |idx, pairs: Vec<(K, V)>| {
-                // Partition by key hash (shared with lost-output recovery
-                // on the distributed path, which must rebuild identical
-                // partitions).
-                let parts = partition(pairs, num_reducers);
-                let mut recs = 0u64;
-                let mut bytes = 0u64;
-                for (k, v) in parts.iter().flatten() {
-                    recs += 1;
-                    bytes += (k.weight() + v.weight()) as u64;
+            let parts = self.run_map_phase(name, &splits, mapper, &mut metrics, |pairs| {
+                partition(pairs, num_reducers)
+            })?;
+            metrics.map_wall = start.elapsed();
+            // One inbox per partition holding every task's part for it,
+            // in split order; the partition's reduce task takes it whole.
+            let mut by_partition: Vec<Vec<Vec<(K, V)>>> = (0..num_reducers)
+                .map(|_| Vec::with_capacity(parts.len()))
+                .collect();
+            for task in parts {
+                for (p, part) in task.into_iter().enumerate() {
+                    by_partition[p].push(part);
                 }
-                // audit: relaxed-ok — monotonic metric counter.
-                shuffle_records.fetch_add(recs, Ordering::Relaxed);
-                // audit: relaxed-ok — monotonic metric counter.
-                shuffle_bytes.fetch_add(bytes, Ordering::Relaxed);
-                match &map_side {
-                    MapSide::InMemory(partitions) => {
-                        for (p, part) in parts.into_iter().enumerate() {
-                            if !part.is_empty() {
-                                partitions[p].commit(idx, part);
-                            }
-                        }
-                    }
-                    // Every partition travels, the empty ones too — the
-                    // same bytes lost-output recovery rebuilds.
-                    MapSide::Encoded(outputs) => {
-                        outputs.commit(idx, parts.iter().map(encode_to_vec).collect());
-                    }
-                }
-            },
-        )?;
-        metrics.shuffle_records = shuffle_records.into_inner();
-        metrics.shuffle_bytes = shuffle_bytes.into_inner();
-        metrics.map_wall = map_start.elapsed();
-
-        // ------------------------------------------------------- reduce --
-        // audit: time-ok — wall-clock feeds the reduce_wall metric only.
-        let reduce_start = Instant::now();
-        let reduce_result = match map_side {
-            // Distributed data plane: submit each map task's partitions
-            // — encoded with the exact-round-trip Wire codec when the
-            // task committed — to the backend, and gather each reducer's
-            // input by fetching the blobs back in map order — the same
-            // slot order `take_ordered` concatenates in, so the pairs a
-            // reducer sees are identical to the in-memory path's.
-            MapSide::Encoded(outputs) => {
-                // audit: relaxed-ok — monotonic id counter; uniqueness only.
-                let shuffle_id = self.next_shuffle.fetch_add(1, Ordering::Relaxed);
-                let spec = StageSpec {
-                    shuffle_id,
-                    job: name.to_string(),
-                    num_maps: splits.len(),
-                    num_reducers,
-                };
-                let map_outputs: Vec<MapOutput> = outputs
-                    .into_ordered()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(map_id, partitions)| MapOutput { map_id, partitions })
-                    .collect();
-                let backend_err = |e: &BackendError| MrError::Backend {
-                    job: name.to_string(),
-                    message: e.to_string(),
-                };
-                if let Err(e) = self.backend.submit_stage(&spec, map_outputs) {
-                    return Err(backend_err(&e));
-                }
-                // Serializes lost-map re-executions. Mappers and the
-                // partitioner are deterministic, so a duplicate recovery of
-                // the same map would rebuild identical bytes; one at a time
-                // is still cheaper and keeps retry accounting readable.
-                let recovery = Mutex::new(());
-                let result = self.reduce_partitions(name, num_reducers, reducer, |p| {
-                    let mut pairs: Vec<(K, V)> = Vec::new();
-                    for m in 0..spec.num_maps {
-                        let mut recoveries = 0usize;
-                        let bytes = loop {
-                            match self.backend.fetch_shuffle(&spec, m, p) {
-                                Ok(bytes) => break bytes,
-                                Err(BackendError::Lost { map_id }) => {
-                                    recoveries += 1;
-                                    if recoveries > MAX_MAP_REEXECUTIONS {
-                                        return Err(MrError::Backend {
-                                            job: name.to_string(),
-                                            message: format!(
-                                                "map {map_id} output lost and re-execution \
-                                             exhausted {MAX_MAP_REEXECUTIONS} attempts"
-                                            ),
-                                        });
-                                    }
-                                    let _one_at_a_time = recovery.lock();
-                                    // Re-execute the lost map task; the
-                                    // deterministic pipeline rebuilds the
-                                    // exact partitions the worker lost.
-                                    let mut emitter = Emitter::new();
-                                    mapper.map_split(splits[map_id], &mut emitter);
-                                    let emitted = emitter.into_parts();
-                                    let parts = partition(emitted, num_reducers);
-                                    let rebuilt = MapOutput {
-                                        map_id,
-                                        partitions: parts.iter().map(encode_to_vec).collect(),
-                                    };
-                                    self.backend
-                                        .restore_map(&spec, rebuilt)
-                                        .map_err(|e| backend_err(&e))?;
-                                }
-                                Err(e) => return Err(backend_err(&e)),
-                            }
-                        };
-                        let part: Vec<(K, V)> =
-                            decode_from_slice(&bytes).map_err(|e| MrError::Backend {
-                                job: name.to_string(),
-                                message: format!(
-                                    "shuffle partition (map {m}, reduce {p}) undecodable: {e}"
-                                ),
-                            })?;
-                        pairs.extend(part);
-                    }
-                    Ok(pairs)
-                });
-                // Stage cleanup runs on success *and* failure; its stats
-                // feed the job's data-plane metrics.
-                let stats = self.backend.finish_stage(&spec);
-                metrics.shuffle_fetches = stats.fetches;
-                metrics.fetch_retries = stats.retries;
-                metrics.worker_restarts = stats.worker_restarts;
-                metrics.shuffle_bytes_moved = stats.bytes_stored + stats.bytes_fetched;
-                result
             }
-            // In-memory passthrough: drain each partition's buckets
-            // directly, zero copies.
-            MapSide::InMemory(partitions) => {
-                self.reduce_partitions(name, num_reducers, reducer, |p| {
-                    Ok(partitions[p].take_ordered())
-                })
-            }
+            let inboxes: Vec<_> = by_partition.into_iter().map(Mutex::new).collect();
+            self.reduce_partitions(name, num_reducers, reducer, &mut metrics, |p| {
+                let parts = std::mem::take(&mut *inboxes[p].lock());
+                let mut pairs = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+                for part in parts {
+                    pairs.extend(part);
+                }
+                Ok(pairs)
+            })?
         };
-        let (output, groups_total, active_parts) = reduce_result?;
-        metrics.reduce_tasks = active_parts;
-        metrics.reduce_input_groups = groups_total;
+        // Every emitted pair is shuffled: there is no combiner.
+        metrics.shuffle_records = metrics.map_output_records;
+        metrics.shuffle_bytes = metrics.map_output_bytes;
         metrics.output_records = output.len() as u64;
-        metrics.reduce_wall = reduce_start.elapsed();
+        metrics.reduce_wall = start.elapsed().saturating_sub(metrics.map_wall);
         self.ledger.lock().record(metrics.clone());
         Ok(JobOutput { output, metrics })
     }
 
-    /// Runs the map phase on the worker pool: each split is claimed by
-    /// exactly one worker ([`WorkQueue`]), mapped once and handed to
-    /// `commit` with its index. Fills the job's map-output counters.
-    fn run_map_phase<I, K, V, M, F>(
+    /// Runs the map phase on the worker pool, one block per split: the
+    /// split's task maps it once and hands its pairs to `finish`, whose
+    /// results come back in split order. Fills the job's map-output
+    /// counters; a mapper panic fails the job as [`MrError::Panicked`].
+    fn run_map_phase<I, K, V, M, T, F>(
         &self,
         name: &str,
         splits: &[&[I]],
         mapper: &M,
         metrics: &mut JobMetrics,
-        commit: F,
-    ) -> Result<(), MrError>
+        finish: F,
+    ) -> Result<Vec<T>, MrError>
     where
         I: Sync,
-        K: Weighable + Send,
-        V: Weighable + Send,
+        K: Weighable,
+        V: Weighable,
         M: Mapper<I, K, V>,
-        F: Fn(usize, Vec<(K, V)>) + Sync,
+        T: Send,
+        F: Fn(Vec<(K, V)>) -> T + Sync,
     {
-        if splits.is_empty() {
-            return Ok(());
-        }
-        let queue = WorkQueue::new(splits.len());
-        let out_records = AtomicU64::new(0);
-        let out_bytes = AtomicU64::new(0);
-        let threads = self.config.effective_threads().min(splits.len());
-        let pool_result = crate::pool::run_workers(threads, |_| {
-            while let Some(idx) = queue.claim() {
+        let tasks = try_parallel_for_blocks_with(
+            self.config.effective_threads(),
+            splits.len(),
+            || (),
+            |(), idx| {
                 let mut emitter = Emitter::new();
                 mapper.map_split(splits[idx], &mut emitter);
-                // audit: relaxed-ok — monotonic metric counter.
-                out_records.fetch_add(emitter.records(), Ordering::Relaxed);
-                // audit: relaxed-ok — monotonic metric counter.
-                out_bytes.fetch_add(emitter.bytes(), Ordering::Relaxed);
-                commit(idx, emitter.into_parts());
-            }
-        });
-        if pool_result.is_err() {
-            // A mapper panicked; fail the job rather than the process.
-            return Err(MrError::Panicked {
-                job: name.to_string(),
-                phase: "map".to_string(),
-            });
+                let (records, bytes) = (emitter.records(), emitter.bytes());
+                (records, bytes, finish(emitter.into_parts()))
+            },
+        )
+        .map_err(|_| MrError::Panicked {
+            job: name.to_string(),
+            phase: "map".to_string(),
+        })?;
+        let mut outputs = Vec::with_capacity(tasks.len());
+        for (records, bytes, output) in tasks {
+            metrics.map_output_records += records;
+            metrics.map_output_bytes += bytes;
+            outputs.push(output);
         }
-        metrics.map_output_records = out_records.into_inner();
-        metrics.map_output_bytes = out_bytes.into_inner();
-        Ok(())
+        Ok(outputs)
     }
 
-    /// Runs the reduce phase on the worker pool. `gather` produces
-    /// partition `p`'s pairs in split order — from the in-memory shuffle
-    /// or from backend fetches — and the sort-merge grouping plus the
-    /// user reducer run identically either way, which is what keeps the
-    /// backends byte-identical. Returns `(output, groups, active_parts)`.
+    /// The reduce phase on a distributed backend: submits each map
+    /// task's encoded partitions to the backend, then gathers each
+    /// reducer's input by fetching the blobs back in map order — the
+    /// split order of the in-memory path, so the pairs a reducer sees
+    /// are identical to it. A lost map output is rebuilt by re-executing
+    /// its map task. Fills the job's data-plane counters.
+    fn reduce_fetched<I, K, V, O, M, R>(
+        &self,
+        name: &str,
+        splits: &[&[I]],
+        mapper: &M,
+        reducer: &R,
+        encoded: Vec<Vec<Vec<u8>>>,
+        metrics: &mut JobMetrics,
+    ) -> Result<Vec<O>, MrError>
+    where
+        I: Sync,
+        K: Ord + Hash + Send + Weighable + Wire,
+        V: Send + Weighable + Wire,
+        O: Send,
+        M: Mapper<I, K, V>,
+        R: Reducer<K, V, O>,
+    {
+        let num_reducers = self.config.num_reducers.max(1);
+        // audit: relaxed-ok — monotonic id counter; uniqueness only.
+        let shuffle_id = self.next_shuffle.fetch_add(1, Ordering::Relaxed);
+        let spec = StageSpec {
+            shuffle_id,
+            job: name.to_string(),
+            num_maps: splits.len(),
+            num_reducers,
+        };
+        let map_outputs: Vec<MapOutput> = encoded
+            .into_iter()
+            .enumerate()
+            .map(|(map_id, partitions)| MapOutput { map_id, partitions })
+            .collect();
+        let backend_err = |e: &BackendError| MrError::Backend {
+            job: name.to_string(),
+            message: e.to_string(),
+        };
+        if let Err(e) = self.backend.submit_stage(&spec, map_outputs) {
+            return Err(backend_err(&e));
+        }
+        // Serializes lost-map re-executions. Mappers and the
+        // partitioner are deterministic, so a duplicate recovery of
+        // the same map would rebuild identical bytes; one at a time
+        // is still cheaper and keeps retry accounting readable.
+        let recovery = Mutex::new(());
+        let result = self.reduce_partitions(name, num_reducers, reducer, metrics, |p| {
+            let mut pairs: Vec<(K, V)> = Vec::new();
+            for m in 0..spec.num_maps {
+                let mut recoveries = 0usize;
+                let bytes = loop {
+                    match self.backend.fetch_shuffle(&spec, m, p) {
+                        Ok(bytes) => break bytes,
+                        Err(BackendError::Lost { map_id }) => {
+                            recoveries += 1;
+                            if recoveries > MAX_MAP_REEXECUTIONS {
+                                return Err(MrError::Backend {
+                                    job: name.to_string(),
+                                    message: format!(
+                                        "map {map_id} output lost and re-execution \
+                                     exhausted {MAX_MAP_REEXECUTIONS} attempts"
+                                    ),
+                                });
+                            }
+                            let _one_at_a_time = recovery.lock();
+                            // Re-execute the lost map task; the
+                            // deterministic pipeline rebuilds the
+                            // exact partitions the worker lost.
+                            let mut emitter = Emitter::new();
+                            mapper.map_split(splits[map_id], &mut emitter);
+                            let parts = partition(emitter.into_parts(), num_reducers);
+                            let rebuilt = MapOutput {
+                                map_id,
+                                partitions: parts.iter().map(encode_to_vec).collect(),
+                            };
+                            self.backend
+                                .restore_map(&spec, rebuilt)
+                                .map_err(|e| backend_err(&e))?;
+                        }
+                        Err(e) => return Err(backend_err(&e)),
+                    }
+                };
+                let part: Vec<(K, V)> =
+                    decode_from_slice(&bytes).map_err(|e| MrError::Backend {
+                        job: name.to_string(),
+                        message: format!(
+                            "shuffle partition (map {m}, reduce {p}) undecodable: {e}"
+                        ),
+                    })?;
+                pairs.extend(part);
+            }
+            Ok(pairs)
+        });
+        // Stage cleanup runs on success *and* failure; its stats
+        // feed the job's data-plane metrics.
+        let stats = self.backend.finish_stage(&spec);
+        metrics.shuffle_fetches = stats.fetches;
+        metrics.fetch_retries = stats.retries;
+        metrics.worker_restarts = stats.worker_restarts;
+        metrics.shuffle_bytes_moved = stats.bytes_stored + stats.bytes_fetched;
+        result
+    }
+
+    /// Runs the reduce phase on the worker pool, one block per
+    /// partition. `gather` produces partition `p`'s pairs in split
+    /// order — from the in-memory shuffle or from backend fetches — and
+    /// the sort-merge grouping plus the user reducer run identically
+    /// either way, which is what keeps the backends byte-identical.
+    /// Returns the output in partition order, or the first error in
+    /// partition order; fills the job's reduce counters.
     fn reduce_partitions<K, V, O, R, G>(
         &self,
         name: &str,
         num_reducers: usize,
         reducer: &R,
+        metrics: &mut JobMetrics,
         gather: G,
-    ) -> Result<(Vec<O>, u64, u64), MrError>
+    ) -> Result<Vec<O>, MrError>
     where
         K: Ord + Send,
         V: Send,
@@ -518,37 +502,12 @@ impl Engine {
         R: Reducer<K, V, O>,
         G: Fn(usize) -> Result<Vec<(K, V)>, MrError> + Sync,
     {
-        // Pool-of-workers over partitions: each worker claims partition
-        // indices and commits (output, group count) partials that are
-        // merged in partition order below — the metric totals are plain
-        // sums over the ordered partials, so no shared counters needed.
-        let part_queue = WorkQueue::new(num_reducers);
-        let partials: BlockPartials<(Vec<O>, u64)> = BlockPartials::new(num_reducers);
-        // First gather error wins; later partitions commit empty so the
-        // partial board still completes.
-        let gather_error: Mutex<Option<MrError>> = Mutex::new(None);
-        let threads = self.config.effective_threads().min(num_reducers).max(1);
-        let pool_result = crate::pool::run_workers(threads, |_| {
-            while let Some(p) = part_queue.claim() {
-                if gather_error.lock().is_some() {
-                    partials.commit(p, (Vec::new(), 0));
-                    continue;
-                }
-                let mut pairs = match gather(p) {
-                    Ok(pairs) => pairs,
-                    Err(e) => {
-                        let mut slot = gather_error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        partials.commit(p, (Vec::new(), 0));
-                        continue;
-                    }
-                };
-                if pairs.is_empty() {
-                    partials.commit(p, (Vec::new(), 0));
-                    continue;
-                }
+        let parts = try_parallel_for_blocks_with(
+            self.config.effective_threads(),
+            num_reducers,
+            || (),
+            |(), p| {
+                let mut pairs = gather(p)?;
                 // Sort-merge grouping, as Hadoop's shuffle does. The
                 // stable sort keeps same-key values in split order.
                 pairs.sort_by(|a, b| a.0.cmp(&b.0));
@@ -563,7 +522,9 @@ impl Engine {
                         start = i;
                     }
                 }
-                runs.push(pairs.len() - start);
+                if !pairs.is_empty() {
+                    runs.push(pairs.len() - start);
+                }
                 let mut out = Vec::new();
                 let mut iter = pairs.into_iter();
                 for &run in &runs {
@@ -580,43 +541,25 @@ impl Engine {
                         reducer.reduce(&key, vs, &mut out);
                     }
                 }
-                partials.commit(p, (out, runs.len() as u64));
-            }
-        });
-        if pool_result.is_err() {
-            // A reducer panicked; surface it as a job failure instead of
-            // tearing down the process.
-            return Err(MrError::Panicked {
-                job: name.to_string(),
-                phase: "reduce".to_string(),
-            });
-        }
-        if let Some(err) = gather_error.into_inner() {
-            return Err(err);
-        }
+                Ok((out, runs.len() as u64))
+            },
+        )
+        .map_err(|_| MrError::Panicked {
+            job: name.to_string(),
+            phase: "reduce".to_string(),
+        })?;
 
         let mut output = Vec::new();
-        let mut groups_total = 0u64;
-        let mut active_parts = 0u64;
-        for (mut part_out, groups) in partials.into_ordered() {
+        for part in parts {
+            let (mut part_out, groups) = part?;
             if groups > 0 {
-                active_parts += 1;
+                metrics.reduce_tasks += 1;
             }
-            groups_total += groups;
+            metrics.reduce_input_groups += groups;
             output.append(&mut part_out);
         }
-        Ok((output, groups_total, active_parts))
+        Ok(output)
     }
-}
-
-/// Where committed map output waits for the reduce phase.
-enum MapSide<K, V> {
-    /// Typed pairs, one [`ShuffleBuckets`] per reducer with a slot per
-    /// map task — the in-memory shuffle.
-    InMemory(Vec<ShuffleBuckets<(K, V)>>),
-    /// `Wire`-encoded bytes, one slot per map task holding its partition
-    /// for every reducer — what a distributed backend is handed.
-    Encoded(BlockPartials<Vec<Vec<u8>>>),
 }
 
 impl Drop for Engine {
@@ -747,8 +690,8 @@ mod tests {
 
     struct TokenMapper;
     impl Mapper<String, String, u64> for TokenMapper {
-        fn map(&self, line: &String, out: &mut Emitter<String, u64>) {
-            for tok in line.split_whitespace() {
+        fn map_split(&self, lines: &[String], out: &mut Emitter<String, u64>) {
+            for tok in lines.iter().flat_map(|line| line.split_whitespace()) {
                 out.emit(tok.to_string(), 1);
             }
         }
@@ -771,6 +714,39 @@ mod tests {
 
     fn counts(out: Vec<(String, u64)>) -> BTreeMap<String, u64> {
         out.into_iter().collect()
+    }
+
+    /// Every counter of a job's metrics except the wall-clock ones.
+    fn job_counters(m: &JobMetrics) -> (&str, [u64; 10]) {
+        let counters = [
+            m.map_tasks,
+            m.reduce_tasks,
+            m.map_input_records,
+            m.map_output_records,
+            m.map_output_bytes,
+            m.shuffle_records,
+            m.shuffle_bytes,
+            m.reduce_input_groups,
+            m.output_records,
+            m.broadcast_bytes,
+        ];
+        (&m.job_name, counters)
+    }
+
+    /// Map-only mapper doubling each record.
+    fn double(rs: &[u64], out: &mut Emitter<(), u64>) {
+        for r in rs {
+            out.emit((), r * 2);
+        }
+    }
+
+    /// Mapper keying each record by its residue mod `m`.
+    fn residues(m: u64) -> impl Fn(&[u64], &mut Emitter<u64, u64>) + Sync {
+        move |rs, out| {
+            for r in rs {
+                out.emit(r % m, *r);
+            }
+        }
     }
 
     #[test]
@@ -800,8 +776,7 @@ mod tests {
             ..MrConfig::default()
         });
         let input: Vec<u64> = (0..10).collect();
-        let mapper = |r: &u64, out: &mut Emitter<(), u64>| out.emit((), r * 2);
-        let res = engine.run_map_only("double", &input, &mapper).unwrap();
+        let res = engine.run_map_only("double", &input, &double).unwrap();
         assert_eq!(res.output, (0..10).map(|x| x * 2).collect::<Vec<_>>());
         assert_eq!(res.metrics.map_tasks, 5);
         assert_eq!(res.metrics.output_records, 10);
@@ -876,91 +851,117 @@ mod tests {
 
     #[test]
     fn a_panic_in_user_code_fails_the_job_and_spares_the_engine() {
-        let engine = Engine::new(MrConfig {
-            split_size: 1,
-            ..MrConfig::default()
-        });
         let input: Vec<u64> = (0..10).collect();
         let panicked = |job: &str, phase: &str| MrError::Panicked {
             job: job.to_string(),
             phase: phase.to_string(),
         };
-        let bad_mapper = |r: &u64, out: &mut Emitter<u64, u64>| {
-            assert!(*r != 7, "mapper exploded");
-            out.emit(r % 3, *r);
+        let bad_mapper = |rs: &[u64], out: &mut Emitter<u64, u64>| {
+            for r in rs {
+                assert!(*r != 7, "mapper exploded");
+                out.emit(r % 3, *r);
+            }
         };
-        let good_mapper = |r: &u64, out: &mut Emitter<u64, u64>| out.emit(r % 3, *r);
         let bad_reducer = |_k: &u64, _vs: Vec<u64>, _out: &mut Vec<u64>| {
             panic!("reducer exploded");
         };
         let sum_reducer =
             |_k: &u64, vs: Vec<u64>, out: &mut Vec<u64>| out.push(vs.into_iter().sum());
-        let bad_map_only = |r: &u64, out: &mut Emitter<(), u64>| {
-            assert!(*r != 3, "map-only mapper exploded");
-            out.emit((), *r);
+        let bad_map_only = |rs: &[u64], out: &mut Emitter<(), u64>| {
+            for r in rs {
+                assert!(*r != 3, "map-only mapper exploded");
+                out.emit((), *r);
+            }
         };
 
-        let err = engine
-            .run("bad-map", &input, &bad_mapper, &sum_reducer)
-            .unwrap_err();
-        assert_eq!(err, panicked("bad-map", "map"));
-        let err = engine
-            .run("bad-reduce", &input, &good_mapper, &bad_reducer)
-            .unwrap_err();
-        assert_eq!(err, panicked("bad-reduce", "reduce"));
-        let err = engine
-            .run_map_only("bad-map-only", &input, &bad_map_only)
-            .unwrap_err();
-        assert_eq!(err, panicked("bad-map-only", "map"));
+        // One thread runs every task on the caller's thread; four run
+        // them on pool workers. A panic fails the job either way.
+        for threads in [1, 4] {
+            let engine = Engine::new(MrConfig {
+                split_size: 1,
+                threads,
+                ..MrConfig::default()
+            });
+            let err = engine
+                .run("bad-map", &input, &bad_mapper, &sum_reducer)
+                .unwrap_err();
+            assert_eq!(err, panicked("bad-map", "map"), "threads={threads}");
+            let err = engine
+                .run("bad-reduce", &input, &residues(3), &bad_reducer)
+                .unwrap_err();
+            assert_eq!(err, panicked("bad-reduce", "reduce"), "threads={threads}");
+            let err = engine
+                .run_map_only("bad-map-only", &input, &bad_map_only)
+                .unwrap_err();
+            assert_eq!(err, panicked("bad-map-only", "map"), "threads={threads}");
 
-        // The engine survives all three and runs the next jobs in full.
-        let mut sums = engine
-            .run("after", &input, &good_mapper, &sum_reducer)
-            .unwrap()
-            .output;
-        sums.sort_unstable();
-        assert_eq!(sums, vec![12, 15, 18]);
-        let double = |r: &u64, out: &mut Emitter<(), u64>| out.emit((), r * 2);
-        let doubled = engine
-            .run_map_only("after-map-only", &input, &double)
-            .unwrap()
-            .output;
-        assert_eq!(doubled, (0..10).map(|x| x * 2).collect::<Vec<_>>());
-        // Failed jobs record nothing; the two good ones are the ledger.
-        let names: Vec<String> = engine
-            .cluster_metrics()
-            .jobs()
-            .iter()
-            .map(|j| j.job_name.clone())
-            .collect();
-        assert_eq!(names, ["after", "after-map-only"]);
+            // The engine survives all three and runs the next jobs in full.
+            let mut sums = engine
+                .run("after", &input, &residues(3), &sum_reducer)
+                .unwrap()
+                .output;
+            sums.sort_unstable();
+            assert_eq!(sums, vec![12, 15, 18], "threads={threads}");
+            let doubled = engine
+                .run_map_only("after-map-only", &input, &double)
+                .unwrap()
+                .output;
+            assert_eq!(doubled, (0..10).map(|x| x * 2).collect::<Vec<_>>());
+            // Failed jobs record nothing; the two good ones are the ledger.
+            let names: Vec<String> = engine
+                .cluster_metrics()
+                .jobs()
+                .iter()
+                .map(|j| j.job_name.clone())
+                .collect();
+            assert_eq!(names, ["after", "after-map-only"], "threads={threads}");
+        }
     }
 
     #[test]
     fn deterministic_output_across_runs() {
-        let mk = || {
+        let run = |threads: usize| {
             let engine = Engine::new(MrConfig {
                 split_size: 3,
-                threads: 4,
+                threads,
                 ..MrConfig::default()
             });
             let input: Vec<u64> = (0..100).collect();
-            let mapper = |r: &u64, out: &mut Emitter<u64, u64>| out.emit(r % 10, *r);
             let reducer = |k: &u64, vs: Vec<u64>, out: &mut Vec<(u64, u64)>| {
                 out.push((*k, vs.into_iter().sum()));
             };
-            let mut o = engine.run("det", &input, &mapper, &reducer).unwrap().output;
-            o.sort();
-            o
+            let output = engine
+                .run("det", &input, &residues(10), &reducer)
+                .unwrap()
+                .output;
+            let doubled = engine
+                .run_map_only("det-map-only", &input, &double)
+                .unwrap();
+            (output, doubled.output, engine.cluster_metrics())
         };
-        assert_eq!(mk(), mk());
+        // The inline path (one thread) and the pooled path (four) give
+        // the same outputs, in the same order, and the same ledger.
+        let (serial, serial_doubled, serial_ledger) = run(1);
+        for threads in [1, 4] {
+            let (output, doubled, ledger) = run(threads);
+            assert_eq!(output, serial, "threads={threads}");
+            assert_eq!(doubled, serial_doubled, "threads={threads}");
+            assert_eq!(ledger.jobs().len(), 2);
+            for (a, b) in ledger.jobs().iter().zip(serial_ledger.jobs()) {
+                assert_eq!(job_counters(a), job_counters(b), "threads={threads}");
+            }
+        }
     }
 
     #[test]
     fn metrics_ledger_accumulates() {
         let engine = Engine::with_defaults();
         let input: Vec<u64> = (0..10).collect();
-        let mapper = |r: &u64, out: &mut Emitter<(), u64>| out.emit((), *r);
+        let mapper = |rs: &[u64], out: &mut Emitter<(), u64>| {
+            for r in rs {
+                out.emit((), *r);
+            }
+        };
         engine.run_map_only("j1", &input, &mapper).unwrap();
         engine.run_map_only("j2", &input, &mapper).unwrap();
         let ledger = engine.cluster_metrics();
@@ -975,7 +976,11 @@ mod tests {
             ..MrConfig::default()
         });
         let input: Vec<u64> = (0..20).collect(); // 4 splits
-        let mapper = |r: &u64, out: &mut Emitter<u64, u64>| out.emit(*r, 1);
+        let mapper = |rs: &[u64], out: &mut Emitter<u64, u64>| {
+            for r in rs {
+                out.emit(*r, 1);
+            }
+        };
         let reducer = |k: &u64, _v: Vec<u64>, out: &mut Vec<u64>| out.push(*k);
         let res = engine
             .run_with_cache("cached", &input, 1000, &mapper, &reducer)
@@ -1010,11 +1015,12 @@ mod tests {
             ..MrConfig::default()
         });
         let input: Vec<u64> = (0..50).collect();
-        let mapper = |r: &u64, out: &mut Emitter<u64, u64>| out.emit(r % 5, *r);
         let reducer = |k: &u64, vs: Vec<u64>, out: &mut Vec<(u64, usize)>| {
             out.push((*k, vs.len()));
         };
-        let res = engine.run("one-red", &input, &mapper, &reducer).unwrap();
+        let res = engine
+            .run("one-red", &input, &residues(5), &reducer)
+            .unwrap();
         assert_eq!(res.metrics.reduce_tasks, 1);
         assert_eq!(res.output.len(), 5);
         // Single reducer sees keys in sorted order.

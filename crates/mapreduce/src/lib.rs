@@ -6,13 +6,13 @@
 //! cluster inside one process:
 //!
 //! * **Programming model** — [`Mapper`] and [`Reducer`] traits with an
-//!   [`Emitter`] context ([`api`]); mappers may override
-//!   [`Mapper::map_split`] to use the whole input split (the paper's MVB
-//!   mapper does exactly that in its cleanup phase).
+//!   [`Emitter`] context ([`api`]); a map task is
+//!   [`Mapper::map_split`] over a whole input split, as in Hadoop (the
+//!   paper's MVB mapper uses its split in the cleanup phase).
 //! * **Execution** — [`Engine`] chunks input into splits, runs map tasks on
-//!   a thread pool, hash-partitions and sort-merges the intermediate pairs
-//!   into `num_reducers` groups and runs the reduce tasks in parallel
-//!   ([`engine`]). Each map task runs once: it is a deterministic
+//!   the worker pool ([`pool`]), hash-partitions and sort-merges the
+//!   intermediate pairs into `num_reducers` groups and runs the reduce
+//!   tasks on the same pool ([`engine`]). Each map task runs once: it is a deterministic
 //!   function of its split, and a panic in user code fails the job as
 //!   [`MrError::Panicked`].
 //! * **Metrics** — per-job record/byte counters, broadcast bytes charged
@@ -46,8 +46,10 @@
 //! /// Classic word-length count: length -> how many words.
 //! struct LenMapper;
 //! impl Mapper<String, usize, u64> for LenMapper {
-//!     fn map(&self, word: &String, out: &mut Emitter<usize, u64>) {
-//!         out.emit(word.len(), 1);
+//!     fn map_split(&self, words: &[String], out: &mut Emitter<usize, u64>) {
+//!         for word in words {
+//!             out.emit(word.len(), 1);
+//!         }
 //!     }
 //! }
 //! struct SumReducer;
@@ -99,6 +101,6 @@ pub use distrib::{
 };
 pub use engine::{Engine, JobOutput, MrConfig, MrError};
 pub use metrics::{ClusterMetrics, DagMetrics, DagNodeMetrics, JobMetrics};
-pub use pool::{parallel_for_blocks, parallel_for_blocks_with, resolve_threads, run_workers};
+pub use pool::{parallel_for_blocks, parallel_for_blocks_with, resolve_threads};
 pub use service::{ClusterService, ServiceError, ServiceMetrics, Tenant};
 pub use weight::Weighable;

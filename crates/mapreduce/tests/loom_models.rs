@@ -14,14 +14,12 @@
 //! §10) rests on:
 //!
 //! * [`WorkQueue`] hands each ticket to exactly one claimant.
-//! * [`ShuffleBuckets`] drains in split order no matter which producer
-//!   commits first — the order-determinism keystone.
-//! * [`WorkQueue`] + [`ShuffleBuckets`] — the map phase's protocol: each
-//!   split is claimed once, mapped once and committed once — yield the
-//!   serial output in every schedule.
 //! * [`BlockPartials`] + [`WorkQueue`] — the worker-pool kernel behind
-//!   `parallel_for_blocks` (DESIGN.md §11) — merges per-block partials
-//!   in block order regardless of which worker claims which block.
+//!   `parallel_for_blocks` (DESIGN.md §11), and so the protocol of the
+//!   engine's map and reduce phases — merges per-block partials in block
+//!   order regardless of which worker claims which block. This is the
+//!   order-determinism keystone: a reducer sees map output in split
+//!   order in every schedule.
 //! * [`MapOutputTracker`] — the distributed data plane's location
 //!   registry (DESIGN.md §12) — stays consistent when re-registrations
 //!   and lookups race worker deaths.
@@ -33,7 +31,7 @@
 
 use p3c_loom::{model, thread};
 use p3c_mapreduce::distrib::{BlockLocation, MapOutputTracker};
-use p3c_mapreduce::kernel::{BlockPartials, ShuffleBuckets, WorkQueue};
+use p3c_mapreduce::kernel::{BlockPartials, WorkQueue};
 use p3c_mapreduce::service::Admission;
 use std::sync::Arc;
 
@@ -64,34 +62,10 @@ fn work_queue_claims_are_exactly_once() {
     assert!(executions > 1, "model explored more than one schedule");
 }
 
-/// Two map tasks commit their shuffle output concurrently; whichever
-/// finishes first, the drained sequence is always split order. This is
-/// the invariant that makes reducer input — and therefore final output —
-/// independent of scheduling.
-#[test]
-fn shuffle_buckets_drain_order_is_schedule_independent() {
-    model(|| {
-        let buckets = Arc::new(ShuffleBuckets::new(2));
-        let producers: Vec<_> = [(0usize, vec![10, 11]), (1usize, vec![20])]
-            .into_iter()
-            .map(|(slot, items)| {
-                let buckets = Arc::clone(&buckets);
-                thread::spawn(move || buckets.commit(slot, items))
-            })
-            .collect();
-        for p in producers {
-            p.join_unwrap();
-        }
-        assert_eq!(
-            buckets.take_ordered(),
-            vec![10, 11, 20],
-            "drain order is slot order in every schedule"
-        );
-    });
-}
-
 /// The worker-pool block kernel in miniature — the claim/commit/merge
-/// discipline of `parallel_for_blocks` (DESIGN.md §11): two workers
+/// discipline of `parallel_for_blocks` (DESIGN.md §11), on which the
+/// engine's map phase (a block per split) and reduce phase (a block per
+/// partition) run: two workers
 /// drain a three-block queue, each committing a per-block partial
 /// (here `block * 10`, standing in for a per-block f64 reduction). In
 /// every schedule each block is claimed and committed exactly once,
@@ -124,34 +98,6 @@ fn block_partials_merge_order_is_schedule_independent() {
         );
     });
     assert!(executions > 1, "model explored more than one schedule");
-}
-
-/// The map phase's claim/commit protocol in miniature: workers claim
-/// splits from the queue, map each claimed split once and commit it into
-/// its shuffle slot. Output must equal the serial result in every
-/// schedule.
-#[test]
-fn claim_commit_shuffle_composition_is_deterministic() {
-    model(|| {
-        let queue = Arc::new(WorkQueue::new(2));
-        let buckets = Arc::new(ShuffleBuckets::new(2));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                let buckets = Arc::clone(&buckets);
-                thread::spawn(move || {
-                    while let Some(split) = queue.claim() {
-                        buckets.commit(split, vec![split * 10, split * 10 + 1]);
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join_unwrap();
-        }
-        assert_eq!(queue.claim(), None);
-        assert_eq!(buckets.take_ordered(), vec![0, 1, 10, 11]);
-    });
 }
 
 /// The distributed data plane's location registry (DESIGN.md §12): a

@@ -14,14 +14,20 @@ fn reference_group(items: &[(u32, u32)]) -> BTreeMap<u32, u64> {
     m
 }
 
+/// Emits each `(key, value)` item as a pair.
+fn by_key(items: &[(u32, u32)], out: &mut Emitter<u32, u64>) {
+    for &(k, v) in items {
+        out.emit(k, v as u64);
+    }
+}
+
 fn run_engine(items: &[(u32, u32)], cfg: MrConfig) -> BTreeMap<u32, u64> {
     let engine = Engine::new(cfg);
-    let mapper = |r: &(u32, u32), out: &mut Emitter<u32, u64>| out.emit(r.0, r.1 as u64);
     let reducer = |k: &u32, vs: Vec<u64>, out: &mut Vec<(u32, u64)>| {
         out.push((*k, vs.into_iter().sum()));
     };
     engine
-        .run("prop", items, &mapper, &reducer)
+        .run("prop", items, &by_key, &reducer)
         .unwrap()
         .output
         .into_iter()
@@ -54,7 +60,11 @@ fn map_only_output_is_identity_ordered() {
             split_size,
             ..MrConfig::default()
         });
-        let mapper = |r: &u64, out: &mut Emitter<(), u64>| out.emit((), *r);
+        let mapper = |rs: &[u64], out: &mut Emitter<(), u64>| {
+            for r in rs {
+                out.emit((), *r);
+            }
+        };
         let out = engine.run_map_only("id", &items, &mapper).unwrap().output;
         assert_eq!(out, items);
     });
@@ -69,11 +79,10 @@ fn metrics_conserve_records() {
             split_size,
             ..MrConfig::default()
         });
-        let mapper = |r: &(u32, u32), out: &mut Emitter<u32, u64>| out.emit(r.0, r.1 as u64);
         let reducer = |k: &u32, vs: Vec<u64>, out: &mut Vec<(u32, u64)>| {
             out.push((*k, vs.into_iter().sum()));
         };
-        let res = engine.run("conserve", &items, &mapper, &reducer).unwrap();
+        let res = engine.run("conserve", &items, &by_key, &reducer).unwrap();
         assert_eq!(res.metrics.map_input_records, items.len() as u64);
         assert_eq!(res.metrics.map_output_records, items.len() as u64);
         // Every emitted record is shuffled.
