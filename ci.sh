@@ -15,7 +15,7 @@
 # a stdin-scripted `p3c serve` session exercising the service line
 # protocol under a tight LRU cache budget, a `p3c cluster` smoke holding
 # MR-Light to serial Light's output at the Figure 7 shape, a
-# crash-recovery smoke (SIGKILL a durable serve mid-session, restart on
+# crash-recovery smoke (SIGKILL a durable serve mid-session, twice, restart on
 # the same data dir, and require the recovered fingerprint to match the
 # pre-kill one), a kernel-tier check (on an AVX2 host, `p3c` built for
 # x86-64-v3 must print the default build's bytes), and a rustdoc pass
@@ -181,45 +181,70 @@ else
     echo "    no avx2 in /proc/cpuinfo — skipped"
 fi
 
-# Crash recovery end to end through the real binary: a durable serve is
-# SIGKILLed after journaling two appends and publishing a model — no
-# shutdown path runs — then a second serve on the same data directory
-# must report the recovery, re-cluster to the *same fingerprint*, and
-# pass the incremental-vs-batch verify (DESIGN.md §16). stdin is a FIFO
-# this script holds open on fd 3 until after the kill, so the kill lands
-# mid-connection and nothing waits on an idle feeder.
-echo "==> crash smoke: SIGKILL durable serve, restart, fingerprint identity"
-rm -rf target/ci/serve-data target/ci/serve-crash.fifo
-mkfifo target/ci/serve-crash.fifo
-./target/release/p3c serve --data-dir target/ci/serve-data --snapshot-every 2 \
-    < target/ci/serve-crash.fifo > target/ci/serve-crash-1.log 2> target/ci/serve-crash-1.err &
-SERVE_PID=$!
-exec 3> target/ci/serve-crash.fifo
-printf '%s\n' 'create demo' \
+# Crash recovery end to end through the real binary, two cycles. A
+# durable serve is SIGKILLed after journaling two appends and publishing
+# a model — no shutdown path runs. A second serve on the same data
+# directory must report the recovery, re-cluster to the *same
+# fingerprint* and pass the incremental-vs-batch verify (DESIGN.md §16);
+# it then appends two blocks, retracts the first and re-clusters, which
+# at --snapshot-every 2 rolls a snapshot: a new journal segment, the
+# first block's segment compacted and deleted. It is SIGKILLed too, and
+# a third serve must recover its fingerprint from segments the earlier
+# processes wrote. stdin is a FIFO this script holds open on fd 3 until
+# after the kill, so the kill lands mid-connection and nothing waits on
+# an idle feeder.
+echo "==> crash smoke: SIGKILL durable serve twice, restart, fingerprint identity"
+rm -rf target/ci/serve-data
+# serve_then_kill LOG FINGERPRINTS COMMAND... — runs a durable serve fed
+# COMMANDs, waits until LOG holds FINGERPRINTS fingerprint lines, then
+# SIGKILLs it.
+serve_then_kill() {
+    local log=$1 want=$2
+    shift 2
+    rm -f target/ci/serve-crash.fifo
+    mkfifo target/ci/serve-crash.fifo
+    ./target/release/p3c serve --data-dir target/ci/serve-data --snapshot-every 2 \
+        < target/ci/serve-crash.fifo > "$log" 2> "${log%.log}.err" &
+    local pid=$!
+    exec 3> target/ci/serve-crash.fifo
+    printf '%s\n' "$@" >&3
+    for _ in $(seq 1 100); do
+        [ "$(grep -c "fingerprint=" "$log" 2> /dev/null)" -ge "$want" ] && break
+        sleep 0.2
+    done
+    [ "$(grep -c "fingerprint=" "$log")" -ge "$want" ]
+    kill -9 "$pid" 2> /dev/null || true
+    wait "$pid" 2> /dev/null || true
+    exec 3>&-
+    rm -f target/ci/serve-crash.fifo
+}
+serve_then_kill target/ci/serve-crash-1.log 1 'create demo' \
     'append demo --synthetic 1200x8 --clusters 3 --seed 7' \
     'append demo --synthetic 900x8 --clusters 3 --seed 8' \
-    'recluster demo' >&3
-for _ in $(seq 1 100); do
-    grep -q "fingerprint=" target/ci/serve-crash-1.log 2> /dev/null && break
-    sleep 0.2
-done
-grep -q "fingerprint=" target/ci/serve-crash-1.log
-kill -9 "$SERVE_PID" 2> /dev/null || true
-wait "$SERVE_PID" 2> /dev/null || true
-exec 3>&-
-rm -f target/ci/serve-crash.fifo
-FP_BEFORE=$(grep -o "fingerprint=[0-9a-f]*" target/ci/serve-crash-1.log | head -n 1)
+    'recluster demo'
+FP_FIRST=$(grep -o "fingerprint=[0-9a-f]*" target/ci/serve-crash-1.log | head -n 1)
+test "$FP_FIRST" = "fingerprint=e8f92d847249109c"
+serve_then_kill target/ci/serve-crash-2.log 2 'recluster demo' 'verify demo' \
+    'append demo --synthetic 700x8 --clusters 3 --seed 9' \
+    'append demo --synthetic 500x8 --clusters 3 --seed 10' \
+    'retract demo 0' 'recluster demo'
+grep -q "recovered 1 tenant" target/ci/serve-crash-2.err
+test "$(grep -o "fingerprint=[0-9a-f]*" target/ci/serve-crash-2.log | head -n 1)" = "$FP_FIRST"
+grep -q "incremental and batch models identical" target/ci/serve-crash-2.log
+FP_SECOND=$(grep -o "fingerprint=[0-9a-f]*" target/ci/serve-crash-2.log | sed -n 2p)
+test -n "$FP_SECOND"
+test "$FP_SECOND" != "$FP_FIRST"
+# The roll deleted segment 0, which held the retracted block.
+test ! -e target/ci/serve-data/demo/journal.bin
 ./target/release/p3c serve --data-dir target/ci/serve-data --snapshot-every 2 \
-    > target/ci/serve-crash-2.log 2> target/ci/serve-crash-2.err <<'EOF'
+    > target/ci/serve-crash-3.log 2> target/ci/serve-crash-3.err <<'EOF'
 recluster demo
 verify demo
 quit
 EOF
-grep -q "recovered 1 tenant" target/ci/serve-crash-2.err
-FP_AFTER=$(grep -o "fingerprint=[0-9a-f]*" target/ci/serve-crash-2.log | head -n 1)
-test -n "$FP_BEFORE"
-test "$FP_BEFORE" = "$FP_AFTER"
-grep -q "incremental and batch models identical" target/ci/serve-crash-2.log
+grep -q "recovered 1 tenant" target/ci/serve-crash-3.err
+test "$(grep -o "fingerprint=[0-9a-f]*" target/ci/serve-crash-3.log | head -n 1)" = "$FP_SECOND"
+grep -q "incremental and batch models identical" target/ci/serve-crash-3.log
 
 echo "==> rustdoc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

@@ -567,7 +567,7 @@ SERVE OPTIONS (incremental multi-tenant clustering service):
       --data-dir DIR     durable mode: journal every mutation under DIR
                          and recover hosted tenants on startup
       --snapshot-every N snapshot a tenant after N journal records,
-                         truncating its journal (0 = journal only) [64]
+                         starting a new journal segment (0 = journal only) [64]
   protocol: create | append | retract | recluster | verify | stats |
             fingerprint | drop | quit | shutdown  (send `help`)
 

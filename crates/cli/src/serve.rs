@@ -48,8 +48,8 @@ pub struct ServeOptions {
     /// Durability directory: every mutation is journaled under it and
     /// hosted tenants are recovered on startup. `None` = volatile.
     pub data_dir: Option<String>,
-    /// Snapshot a tenant after this many journal records, truncating
-    /// its journal. `None` uses [`DEFAULT_SNAPSHOT_EVERY`];
+    /// Snapshot a tenant after this many journal records, starting a new
+    /// journal segment. `None` uses [`DEFAULT_SNAPSHOT_EVERY`];
     /// `Some(0)` journals without ever snapshotting.
     pub snapshot_every: Option<u64>,
 }

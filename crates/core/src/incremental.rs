@@ -600,13 +600,18 @@ impl p3c_mapreduce::service::Tenant for IncrementalLight {
 // ---- Durable snapshot codec (service crash recovery, DESIGN.md §16) ----
 //
 // Little-endian encoding over the `p3c_dataset::bytes` primitives. The
-// snapshot captures *everything* a restarted process needs to continue
-// byte-identically: params, block log, maintained
-// histograms, support cache, model state, stats — and the live block
-// payloads themselves, because the `DatasetStore` is volatile.
+// snapshot captures everything a restarted process needs to continue
+// byte-identically — params, block log, maintained histograms, support
+// cache, model state, stats — except the live block payloads: the
+// service journals each block once, and recovery hands it back from
+// that record (`restore_block`). A version-1 state also carried the
+// payloads; it is still read.
 
-/// Snapshot body version; bump on any layout change.
-const STATE_VERSION: u32 = 1;
+/// Snapshot state version; bump on any layout change.
+const STATE_VERSION: u32 = 2;
+
+/// Create record version; its layout has not changed since 1.
+const CREATE_VERSION: u32 = 1;
 
 fn put_params(buf: &mut Vec<u8>, p: &P3cParams) {
     bytes::put_f64(buf, p.alpha_chi2);
@@ -708,19 +713,19 @@ fn put_id_lists(buf: &mut Vec<u8>, lists: &[Vec<usize>]) {
 }
 
 impl IncrementalLight {
-    /// Serializes the complete engine state — maintained statistics,
-    /// model, *and* the live block payloads (the store is volatile) —
-    /// for the service's durable snapshot.
-    pub fn snapshot_bytes(&self, store: &DatasetStore) -> Result<Vec<u8>, String> {
+    /// Serializes the engine state — maintained statistics, model, and
+    /// the block log naming every live block — for the service's durable
+    /// snapshot. The live blocks' rows are not in it: the service keeps
+    /// each one in the journal record that appended it, so the store is
+    /// not read.
+    pub fn snapshot_bytes(&self, _store: &DatasetStore) -> Result<Vec<u8>, String> {
         let mut buf = Vec::new();
-        self.snapshot_into(store, &mut buf)?;
+        self.snapshot_into(&mut buf);
         Ok(buf)
     }
 
     /// Appends [`IncrementalLight::snapshot_bytes`]'s encoding to `buf`.
-    /// The live payloads dominate it, so `buf` is grown once, to fit
-    /// them exactly, before they are copied in.
-    fn snapshot_into(&self, store: &DatasetStore, buf: &mut Vec<u8>) -> Result<(), String> {
+    fn snapshot_into(&self, buf: &mut Vec<u8>) {
         bytes::put_u32(buf, STATE_VERSION);
         put_params(buf, &self.params);
 
@@ -788,27 +793,14 @@ impl IncrementalLight {
         ] {
             bytes::put_u64(buf, v);
         }
-
-        // Live block payloads, log order; zero-row blocks have none.
-        // Each is its id, then the raw row block: shape and rows.
-        let live = pin_live_blocks(&self.name, &self.log, store)?;
-        buf.reserve(
-            8 + live
-                .iter()
-                .map(|(_, b)| 8 + 16 + b.as_slice().len() * 8)
-                .sum::<usize>(),
-        );
-        bytes::put_usize(buf, live.len());
-        for (id, block) in &live {
-            bytes::put_u64(buf, *id);
-            block.encode_into(buf);
-        }
-        Ok(())
     }
 
     /// Rehydrates an engine from [`IncrementalLight::snapshot_bytes`]
-    /// output, re-inserting the block payloads into `store`. The result
-    /// continues byte-identically to the engine that was snapshotted.
+    /// output. The live blocks' rows follow through
+    /// [`restore_block`](p3c_mapreduce::service::DurableTenant::restore_block);
+    /// a version-1 state carries them, and they go into `store` here.
+    /// Once every block is back, the engine continues byte-identically
+    /// to the one that was snapshotted.
     pub fn from_snapshot_bytes(
         name: &str,
         bytes: &[u8],
@@ -816,7 +808,7 @@ impl IncrementalLight {
     ) -> Result<Self, String> {
         let mut r = Reader::new(bytes);
         let version = r.u32()?;
-        if version != STATE_VERSION {
+        if !(1..=STATE_VERSION).contains(&version) {
             return Err(format!("unsupported engine snapshot version {version}"));
         }
         let params = read_params(&mut r)?;
@@ -923,28 +915,52 @@ impl IncrementalLight {
         engine.dirty_full = dirty_full;
         engine.stats = stats;
 
-        let num_blocks = r.seq_len(24)?;
-        for _ in 0..num_blocks {
-            let id = r.u64()?;
-            let block = RowBlock::decode(&mut r)?;
-            if !engine.log.contains(id) {
-                return Err(format!("payload for block {id} not in the log"));
+        if version == 1 {
+            // Live block payloads, log order; zero-row blocks have none.
+            // Each is its id, then the raw row block: shape and rows.
+            let num_blocks = r.seq_len(24)?;
+            for _ in 0..num_blocks {
+                let id = r.u64()?;
+                engine.restore_block(store, id, RowBlock::decode(&mut r)?)?;
             }
-            store.put(&block_name(&engine.name, id), block);
         }
         r.finish()?;
         Ok(engine)
     }
+
+    /// Puts live block `id`'s rows into `store` after a restore, once
+    /// they match the block's shape in the log.
+    fn restore_block(&self, store: &DatasetStore, id: u64, block: RowBlock) -> Result<(), String> {
+        let rows = self
+            .log
+            .entries()
+            .iter()
+            .find(|e| e.id == id)
+            .map(|e| e.rows)
+            .ok_or_else(|| format!("payload for block {id} not in the log"))?;
+        if block.len() != rows || (rows > 0 && self.log.dim() != Some(block.dim())) {
+            return Err(format!(
+                "payload for block {id} is {}x{}, the log holds {rows} rows of dim {:?}",
+                block.len(),
+                block.dim(),
+                self.log.dim()
+            ));
+        }
+        if rows > 0 {
+            store.put(&block_name(&self.name, id), block);
+        }
+        Ok(())
+    }
 }
 
 /// [`IncrementalLight`] is also the *durable* tenant: the service
-/// journals each block before applying it and snapshots the full engine
+/// journals each block before applying it and snapshots the engine
 /// state, giving `p3c serve` crash recovery with bounded replay
 /// (DESIGN.md §16).
 impl p3c_mapreduce::service::DurableTenant for IncrementalLight {
     fn encode_create(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        bytes::put_u32(&mut buf, STATE_VERSION);
+        bytes::put_u32(&mut buf, CREATE_VERSION);
         put_params(&mut buf, &self.params);
         buf
     }
@@ -952,7 +968,7 @@ impl p3c_mapreduce::service::DurableTenant for IncrementalLight {
     fn decode_create(name: &str, bytes: &[u8]) -> Result<Self, String> {
         let mut r = Reader::new(bytes);
         let version = r.u32()?;
-        if version != STATE_VERSION {
+        if version != CREATE_VERSION {
             return Err(format!("unsupported create record version {version}"));
         }
         let params = read_params(&mut r)?;
@@ -968,12 +984,43 @@ impl p3c_mapreduce::service::DurableTenant for IncrementalLight {
         Ok(RowBlock::from_bytes(bytes)?)
     }
 
-    fn snapshot_state(&self, store: &DatasetStore, out: &mut Vec<u8>) -> Result<(), String> {
-        self.snapshot_into(store, out)
+    fn snapshot_state(&self, _store: &DatasetStore, out: &mut Vec<u8>) -> Result<(), String> {
+        self.snapshot_into(out);
+        Ok(())
     }
 
     fn restore_state(name: &str, bytes: &[u8], store: &DatasetStore) -> Result<Self, String> {
         IncrementalLight::from_snapshot_bytes(name, bytes, store)
+    }
+
+    fn live_blocks(&self) -> Vec<u64> {
+        self.block_ids()
+    }
+
+    fn encode_live_block(&self, store: &DatasetStore, id: u64) -> Result<Vec<u8>, String> {
+        let entry = self
+            .log
+            .entries()
+            .iter()
+            .find(|e| e.id == id)
+            .ok_or_else(|| format!("block {id} is not live"))?;
+        if entry.rows == 0 {
+            let dim = self.log.dim().unwrap_or(0);
+            return Ok(RowBlock::new(0, dim, Vec::new()).to_bytes());
+        }
+        let block = store
+            .get(&block_name(&self.name, id))
+            .map_err(|e| e.to_string())?;
+        Ok(block.to_bytes())
+    }
+
+    fn restore_block(
+        &mut self,
+        store: &DatasetStore,
+        id: u64,
+        block: RowBlock,
+    ) -> Result<(), String> {
+        IncrementalLight::restore_block(self, store, id, block)
     }
 
     fn discretization_stamp(&self) -> u64 {
@@ -987,9 +1034,8 @@ fn block_name(tenant: &str, id: u64) -> String {
 }
 
 /// Pins a tenant's live blocks, in log order, each with its id.
-/// Zero-row blocks hold no payload and are skipped. Full reclusters,
-/// [`IncrementalLight::materialize`] and the snapshot all read rows
-/// through this list.
+/// Zero-row blocks hold no payload and are skipped. Full reclusters and
+/// [`IncrementalLight::materialize`] read rows through this list.
 fn pin_live_blocks(
     tenant: &str,
     log: &BlockLog,
@@ -1286,6 +1332,20 @@ mod tests {
         assert_eq!(back.stats().appends, eng.stats().appends);
         assert_eq!(back.total_rows(), eng.total_rows());
         assert_eq!(back.block_ids(), eng.block_ids());
+        // The rows come back block by block, as the service reads them
+        // from the journal records that hold them.
+        assert!(back.materialize(&store2).is_err(), "no rows in the state");
+        for id in eng.live_blocks() {
+            let encoded = eng.encode_live_block(&store, id).unwrap();
+            let block = IncrementalLight::decode_block(&encoded).unwrap();
+            assert!(
+                DurableTenant::restore_block(&mut back, &store2, id + 7, block.clone()).is_err(),
+                "an id the log does not hold"
+            );
+            let short = block.subset(&[0]);
+            assert!(DurableTenant::restore_block(&mut back, &store2, id, short).is_err());
+            DurableTenant::restore_block(&mut back, &store2, id, block).unwrap();
+        }
         // Both engines continue on the same stream and must stay
         // byte-identical to each other and to batch.
         eng.append(&store, chunk(&all, 2000, 500)).unwrap();

@@ -17,8 +17,16 @@
 //! that contract the result is **bit-identical for every thread count**,
 //! including the inline `threads <= 1` path — the serial path is the
 //! parallel path with one worker, not a different algorithm.
+//!
+//! A call made on a thread that is already one of this module's workers
+//! (a BoW reducer running P3C+-Light inside the engine's reduce phase)
+//! runs inline on that thread and spawns nothing: the outer call has
+//! already put every core to work, so a nested spawn only adds threads
+//! that compete for them. Under the contract above this cannot change a
+//! result.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use crate::sync::Mutex;
@@ -27,6 +35,12 @@ use crate::kernel::{BlockPartials, WorkQueue};
 
 /// The payload of a panic caught inside a block's work.
 pub(crate) type PanicPayload = Box<dyn Any + Send>;
+
+thread_local! {
+    /// Set for the lifetime of every worker [`run_blocks`] spawns, so a
+    /// nested call on that thread runs inline.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Resolves a configured thread count: `0` means "all available cores"
 /// (the `MrConfig::threads` convention), anything else is taken
@@ -48,7 +62,8 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// mutably to every block that worker claims.
 ///
 /// The effective worker count is
-/// `min(threads, num_blocks, available cores)` — requesting more
+/// `min(threads, num_blocks, available cores)`, and 1 on a thread that
+/// is itself one of these workers — requesting more
 /// workers than the host has cores would only add scheduling overhead,
 /// and under the determinism contract the output cannot depend on the
 /// worker count, so the cap is unobservable in results. With one
@@ -87,7 +102,11 @@ where
     FS: Fn() -> S + Sync,
     FW: Fn(&mut S, usize) -> T + Sync,
 {
-    let workers = threads.min(num_blocks).min(resolve_threads(0));
+    let workers = if IN_WORKER.get() {
+        1
+    } else {
+        threads.min(num_blocks).min(resolve_threads(0))
+    };
     run_blocks(workers, num_blocks, make_state, work)
 }
 
@@ -128,7 +147,10 @@ where
     } else {
         std::thread::scope(|s| {
             for _ in 0..workers {
-                s.spawn(worker);
+                s.spawn(|| {
+                    IN_WORKER.set(true);
+                    worker();
+                });
             }
         });
     }
@@ -235,6 +257,35 @@ mod tests {
             assert_eq!(*b, i);
             assert!(*seen >= 1);
         }
+    }
+
+    #[test]
+    fn a_nested_call_runs_inline_on_the_worker_thread() {
+        // Two workers driven directly (the public entry point may
+        // collapse to one on a single-core host); each block makes a
+        // nested call that asks for four threads.
+        let outer = run_blocks(
+            2,
+            6,
+            || (),
+            |(), b| {
+                let me = std::thread::current().id();
+                let inner =
+                    parallel_for_blocks(4, 9, |i| (b * 100 + i, std::thread::current().id()));
+                (inner, me)
+            },
+        )
+        .unwrap();
+        for (b, (inner, me)) in outer.iter().enumerate() {
+            let values: Vec<usize> = inner.iter().map(|(v, _)| *v).collect();
+            assert_eq!(values, (0..9).map(|i| b * 100 + i).collect::<Vec<_>>());
+            assert!(
+                inner.iter().all(|(_, id)| id == me),
+                "block {b}: a nested block ran off its worker's thread"
+            );
+        }
+        // The caller's own thread is no worker: its calls may spawn.
+        assert!(!IN_WORKER.get());
     }
 
     #[test]

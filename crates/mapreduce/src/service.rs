@@ -21,16 +21,18 @@
 //! * **Metrics** — monotonic operation counters, exposed together with
 //!   the store's cache counters as the service's operations surface.
 //! * **Durability** (opt-in, DESIGN.md §16) — a per-tenant write-ahead
-//!   journal plus periodic snapshots under a data directory. Every
-//!   mutation is journaled *before* it is applied, snapshots bound the
-//!   replay tail, and [`ClusterService::recover`] rehydrates every
-//!   tenant on restart to a byte-identical state.
+//!   journal of numbered segments plus periodic snapshots under a data
+//!   directory. Every mutation is journaled *before* it is applied; a
+//!   snapshot holds the maintained state and, for each live block, the
+//!   journal record holding its payload, and bounds the replay tail;
+//!   [`ClusterService::recover`] rehydrates every tenant on restart to a
+//!   byte-identical state.
 
 use crate::dataset::DatasetStore;
 use crate::sync::{rank, RankedCondvar, RankedMutex};
 use p3c_dataset::bytes::{self, DecodeError, Reader};
-use p3c_dataset::journal::{self, JournalWriter};
-use std::collections::BTreeMap;
+use p3c_dataset::journal::{self, BlockRef, JournalWriter, SegmentRecord};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,6 +74,12 @@ pub trait Tenant: Send + 'static {
 /// parameters, its blocks, and its full maintained state, plus a stamp
 /// that changes whenever its discretization (bin rule output) does.
 ///
+/// Block payloads are persisted once, in the journal record that
+/// appends them (or re-journals them, when a snapshot compacts a
+/// segment); the state a snapshot holds names the live blocks but need
+/// not carry their rows, which recovery hands back block by block
+/// through [`restore_block`](DurableTenant::restore_block).
+///
 /// All codecs must round-trip **bit-exactly** — recovery's contract is
 /// that a replayed tenant re-clusters to the same fingerprint as a
 /// from-scratch batch fit, and any f64 drift in a histogram or support
@@ -87,15 +95,34 @@ pub trait DurableTenant: Tenant + Sized {
     fn encode_block(block: &Self::Block) -> Vec<u8>;
     /// Decodes a journaled block.
     fn decode_block(bytes: &[u8]) -> Result<Self::Block, String>;
-    /// Appends the full maintained state, including live row payloads
-    /// held in `store`, to `out` — the buffer the snapshot file is
-    /// written from, so the state is encoded once and never copied.
+    /// Appends the full maintained state to `out` — the buffer the
+    /// snapshot file is written from, so the state is encoded once and
+    /// never copied. The live blocks' payloads need not be in it.
     fn snapshot_state(&self, store: &DatasetStore, out: &mut Vec<u8>) -> Result<(), String>;
-    /// Rebuilds a tenant from [`snapshot_state`] bytes, re-seeding row
-    /// payloads into `store`.
+    /// Rebuilds a tenant from [`snapshot_state`] bytes. Payloads the
+    /// bytes carry (a state written before snapshots referenced the
+    /// journal) are re-seeded into `store`; the others follow through
+    /// [`restore_block`](DurableTenant::restore_block).
     ///
     /// [`snapshot_state`]: DurableTenant::snapshot_state
     fn restore_state(name: &str, bytes: &[u8], store: &DatasetStore) -> Result<Self, String>;
+    /// The ids of the live blocks, ascending.
+    fn live_blocks(&self) -> Vec<u64>;
+    /// Encodes live block `id` as [`encode_block`] would, reading its
+    /// payload from `store` — for re-journaling it.
+    ///
+    /// [`encode_block`]: DurableTenant::encode_block
+    fn encode_live_block(&self, store: &DatasetStore, id: u64) -> Result<Vec<u8>, String>;
+    /// Re-seeds the payload of live block `id`, read back from its
+    /// journal record, into a tenant rebuilt by
+    /// [`restore_state`](DurableTenant::restore_state); an error if no
+    /// live block has that id and shape.
+    fn restore_block(
+        &mut self,
+        store: &DatasetStore,
+        id: u64,
+        block: Self::Block,
+    ) -> Result<(), String>;
     /// An exact stamp of the current discretization (e.g. the bin
     /// count); a change after an apply is journaled as a bin-rule step
     /// and re-verified on replay.
@@ -272,6 +299,10 @@ const OP_RETRACT: u8 = 3;
 /// Journal record op: discretization changed after an apply (payload:
 /// the new stamp) — verified, not applied, on replay.
 const OP_BINSTEP: u8 = 4;
+/// Journal record op: a live block's payload re-journaled by a snapshot
+/// roll (payload: block id, encoded block) — a snapshot may reference
+/// it; replay skips it.
+const OP_RELOCATE: u8 = 5;
 
 /// Erased [`DurableTenant`] entry points, stored as plain fn pointers
 /// so the hot-path operations (`append`/`retract`), which are generic
@@ -281,14 +312,16 @@ struct WalHooks<T: Tenant> {
     encode_block: fn(&T::Block) -> Vec<u8>,
     snapshot_state: fn(&T, &DatasetStore, &mut Vec<u8>) -> Result<(), String>,
     discretization_stamp: fn(&T) -> u64,
+    live_blocks: fn(&T) -> Vec<u64>,
+    encode_live_block: fn(&T, &DatasetStore, u64) -> Result<Vec<u8>, String>,
 }
 
 /// Service-wide durability configuration (present iff built with
 /// [`ClusterService::with_durability`]).
 struct Durability<T: Tenant> {
     dir: PathBuf,
-    /// Take a snapshot and truncate the journal after this many
-    /// journal records per tenant; 0 = never snapshot.
+    /// Roll a snapshot after this many journal records per tenant;
+    /// 0 = never snapshot.
     snapshot_every: u64,
     hooks: WalHooks<T>,
 }
@@ -300,7 +333,14 @@ struct Durability<T: Tenant> {
 /// the record to be on disk before the mutation applies, and only this
 /// tenant's operations are serialized behind it (DESIGN.md §16).
 struct TenantWal {
+    /// Appends to the open segment, the highest-numbered one.
     writer: JournalWriter,
+    /// The open segment's number.
+    segment: u64,
+    /// Every other segment on disk: number → file bytes.
+    sealed: BTreeMap<u64, u64>,
+    /// Where each live block's payload is journaled.
+    blocks: BTreeMap<u64, BlockLoc>,
     name: String,
     dir: PathBuf,
     /// Journal records written since the last snapshot (replay cost).
@@ -309,18 +349,141 @@ struct TenantWal {
     stamp: u64,
 }
 
+/// The journal record holding a live block's payload.
+#[derive(Debug, Clone, Copy)]
+struct BlockLoc {
+    seq: u64,
+    segment: u64,
+    /// Bytes of the record's payload: what the block keeps live in its
+    /// segment.
+    bytes: u64,
+}
+
 /// One hosted tenant plus its optional journaling state.
 struct Slot<T: Tenant> {
     tenant: T,
     wal: Option<TenantWal>,
 }
 
-/// Writes one journal record, counting it toward the snapshot cadence.
-fn wal_log(wal: &mut TenantWal, op: u8, payload: &[u8]) -> Result<(), ServiceError> {
-    wal.writer
+/// A durability error naming what failed and for which tenant.
+fn wal_error(what: &str, name: &str, e: impl std::fmt::Display) -> ServiceError {
+    ServiceError::Durability(format!("{what} for `{name}`: {e}"))
+}
+
+/// Writes one journal record, counting it toward the snapshot cadence;
+/// returns its sequence number.
+fn wal_log(wal: &mut TenantWal, op: u8, payload: &[u8]) -> Result<u64, ServiceError> {
+    let seq = wal
+        .writer
         .record(op, payload)
-        .map_err(|e| ServiceError::Durability(format!("journal write for `{}`: {e}", wal.name)))?;
+        .map_err(|e| wal_error("journal write", &wal.name, e))?;
     wal.since_snapshot += 1;
+    Ok(seq)
+}
+
+/// Rolls a snapshot, each step durable before the next (DESIGN.md §16):
+///
+/// 1. **Rotation** — a new segment opens; the old one is sealed.
+/// 2. **Compaction** — the live payloads of every sealed segment that
+///    is less than half live, and of live blocks no record holds (they
+///    came inline in a pre-v3 snapshot), are re-journaled into the new
+///    segment as relocation records, in one synced write.
+/// 3. **Snapshot** — the state and every live block's record, covering
+///    all records written so far.
+/// 4. **GC** — every sealed segment that holds no live block is
+///    deleted; the snapshot covers all of their records.
+///
+/// A crash after any step recovers from the previous snapshot, whose
+/// records step 4 has not deleted yet, or from the new one.
+fn roll_snapshot<T: Tenant>(
+    wal: &mut TenantWal,
+    tenant: &T,
+    store: &DatasetStore,
+    hooks: &WalHooks<T>,
+) -> Result<(), ServiceError> {
+    let next = wal.segment + 1;
+    let next_path = wal.dir.join(journal::segment_file(next));
+    let writer = JournalWriter::open_end(&next_path, 0, wal.writer.next_seq())
+        .map_err(|e| wal_error("segment rotation", &wal.name, e))?;
+    let sealed = std::mem::replace(&mut wal.writer, writer);
+    wal.sealed.insert(wal.segment, sealed.file_len());
+    wal.segment = next;
+
+    let live = (hooks.live_blocks)(tenant);
+    wal.blocks.retain(|id, _| live.binary_search(id).is_ok());
+    let mut live_bytes: BTreeMap<u64, u64> = BTreeMap::new();
+    for loc in wal.blocks.values() {
+        *live_bytes.entry(loc.segment).or_default() += loc.bytes;
+    }
+    let sparse = |segment: u64| {
+        wal.sealed.get(&segment).is_some_and(|&len| {
+            live_bytes
+                .get(&segment)
+                .copied()
+                .unwrap_or(0)
+                .saturating_mul(2)
+                < len
+        })
+    };
+    let moving: Vec<u64> = live
+        .iter()
+        .copied()
+        .filter(|id| wal.blocks.get(id).is_none_or(|loc| sparse(loc.segment)))
+        .collect();
+    if !moving.is_empty() {
+        let mut payloads = Vec::with_capacity(moving.len());
+        for &id in &moving {
+            let block =
+                (hooks.encode_live_block)(tenant, store, id).map_err(ServiceError::Tenant)?;
+            let mut payload = Vec::with_capacity(16 + block.len());
+            bytes::put_u64(&mut payload, id);
+            bytes::put_bytes(&mut payload, &block);
+            payloads.push(payload);
+        }
+        let first = wal
+            .writer
+            .record_all(OP_RELOCATE, payloads.iter().map(Vec::as_slice))
+            .map_err(|e| wal_error("journal write", &wal.name, e))?;
+        for ((id, payload), seq) in moving.into_iter().zip(&payloads).zip(first..) {
+            let loc = BlockLoc {
+                seq,
+                segment: wal.segment,
+                bytes: payload.len() as u64,
+            };
+            wal.blocks.insert(id, loc);
+        }
+    }
+
+    let refs: Vec<BlockRef> = wal
+        .blocks
+        .iter()
+        .map(|(&id, loc)| BlockRef { id, seq: loc.seq })
+        .collect();
+    let mut body = Vec::new();
+    journal::put_snapshot_body(
+        &mut body,
+        &wal.name,
+        |out| (hooks.snapshot_state)(tenant, store, out),
+        &refs,
+    )
+    .map_err(ServiceError::Durability)?;
+    let covered = wal.writer.next_seq().saturating_sub(1);
+    journal::write_snapshot(&wal.dir.join(journal::SNAPSHOT_FILE), covered, &body)
+        .map_err(|e| wal_error("snapshot write", &wal.name, e))?;
+
+    let holding: BTreeSet<u64> = wal.blocks.values().map(|loc| loc.segment).collect();
+    let dead: Vec<u64> = wal
+        .sealed
+        .keys()
+        .copied()
+        .filter(|n| !holding.contains(n))
+        .collect();
+    for n in dead {
+        journal::delete_file(&wal.dir.join(journal::segment_file(n)))
+            .map_err(|e| wal_error("segment delete", &wal.name, e))?;
+        wal.sealed.remove(&n);
+    }
+    wal.since_snapshot = 0;
     Ok(())
 }
 
@@ -403,18 +566,19 @@ impl<T: Tenant> ClusterService<T> {
             None => None,
             Some(d) => {
                 let dir = journal::tenant_dir(&d.dir, name);
-                std::fs::create_dir_all(&dir).map_err(|e| {
-                    ServiceError::Durability(format!("create tenant dir for `{name}`: {e}"))
-                })?;
-                let writer =
-                    JournalWriter::create(&dir.join(journal::JOURNAL_FILE), 0).map_err(|e| {
-                        ServiceError::Durability(format!("open journal for `{name}`: {e}"))
-                    })?;
+                std::fs::create_dir_all(&dir)
+                    .and_then(|()| journal::sync_parent(&dir))
+                    .map_err(|e| wal_error("create tenant dir", name, e))?;
+                let writer = JournalWriter::create(&dir.join(journal::segment_file(0)), 0)
+                    .map_err(|e| wal_error("open journal", name, e))?;
                 let mut payload = Vec::new();
                 bytes::put_str(&mut payload, name);
                 bytes::put_bytes(&mut payload, &(d.hooks.encode_create)(&tenant));
                 let mut wal = TenantWal {
                     writer,
+                    segment: 0,
+                    sealed: BTreeMap::new(),
+                    blocks: BTreeMap::new(),
                     name: name.to_string(),
                     dir,
                     since_snapshot: 0,
@@ -436,8 +600,8 @@ impl<T: Tenant> ClusterService<T> {
     }
 
     /// Removes the named tenant, releases its stored data, and (on a
-    /// durable service) deletes its journal and snapshot so a restart
-    /// does not resurrect it.
+    /// durable service) deletes its journal segments and snapshot so a
+    /// restart does not resurrect it.
     pub fn drop_dataset(&self, name: &str) -> Result<(), ServiceError> {
         let tenant = self
             .tenants
@@ -458,15 +622,25 @@ impl<T: Tenant> ClusterService<T> {
     pub fn append(&self, name: &str, block: T::Block) -> Result<u64, ServiceError> {
         let tenant = self.tenant(name)?;
         let mut slot = tenant.lock();
+        let mut journaled = None;
         if let (Some(d), Some(wal)) = (self.durability.as_ref(), slot.wal.as_mut()) {
-            let mut payload = Vec::new();
-            bytes::put_bytes(&mut payload, &(d.hooks.encode_block)(&block));
-            wal_log(wal, OP_APPEND, &payload)?;
+            let encoded = (d.hooks.encode_block)(&block);
+            let mut payload = Vec::with_capacity(8 + encoded.len());
+            bytes::put_bytes(&mut payload, &encoded);
+            let seq = wal_log(wal, OP_APPEND, &payload)?;
+            journaled = Some(BlockLoc {
+                seq,
+                segment: wal.segment,
+                bytes: payload.len() as u64,
+            });
         }
         let id = slot
             .tenant
             .append(&self.store, block)
             .map_err(ServiceError::Tenant)?;
+        if let (Some(wal), Some(loc)) = (slot.wal.as_mut(), journaled) {
+            wal.blocks.insert(id, loc);
+        }
         self.roll_wal(&mut slot)?;
         drop(slot);
         MetricCells::bump(&self.metrics.appends);
@@ -488,6 +662,9 @@ impl<T: Tenant> ClusterService<T> {
             .tenant
             .retract(&self.store, id)
             .map_err(ServiceError::Tenant)?;
+        if let (true, Some(wal)) = (hit, slot.wal.as_mut()) {
+            wal.blocks.remove(&id);
+        }
         self.roll_wal(&mut slot)?;
         drop(slot);
         if hit {
@@ -497,8 +674,8 @@ impl<T: Tenant> ClusterService<T> {
     }
 
     /// After an applied mutation: journals a discretization change and
-    /// takes a snapshot (truncating the journal) when the cadence says
-    /// so. Called under the tenant lock.
+    /// rolls a snapshot when the cadence says so. Called under the
+    /// tenant lock.
     fn roll_wal(&self, slot: &mut Slot<T>) -> Result<(), ServiceError> {
         let Some(d) = self.durability.as_ref() else {
             return Ok(());
@@ -515,25 +692,7 @@ impl<T: Tenant> ClusterService<T> {
             wal.stamp = stamp;
         }
         if d.snapshot_every > 0 && wal.since_snapshot >= d.snapshot_every {
-            let mut body = Vec::new();
-            bytes::put_str(&mut body, &wal.name);
-            bytes::put_bytes_with(&mut body, |out| {
-                (d.hooks.snapshot_state)(tenant, &self.store, out)
-            })
-            .map_err(ServiceError::Durability)?;
-            // The snapshot covers every record written so far; only
-            // after it is durably renamed into place is the journal
-            // truncated, so a crash in between merely replays records
-            // the snapshot already covers (skipped by seq).
-            let covered = wal.writer.next_seq().saturating_sub(1);
-            journal::write_snapshot(&wal.dir.join(journal::SNAPSHOT_FILE), covered, &body)
-                .map_err(|e| {
-                    ServiceError::Durability(format!("snapshot write for `{}`: {e}", wal.name))
-                })?;
-            wal.writer.reset().map_err(|e| {
-                ServiceError::Durability(format!("journal truncate for `{}`: {e}", wal.name))
-            })?;
-            wal.since_snapshot = 0;
+            roll_snapshot(wal, tenant, &self.store, &d.hooks)?;
         }
         Ok(())
     }
@@ -603,8 +762,8 @@ impl<T: Tenant> ClusterService<T> {
 
 impl<T: DurableTenant> ClusterService<T> {
     /// New durable service: every tenant journals its mutations under
-    /// `data_dir` and snapshots after `snapshot_every` journal records
-    /// (0 = journal only, never snapshot). Call
+    /// `data_dir` and rolls a snapshot after `snapshot_every` journal
+    /// records (0 = journal only, never snapshot). Call
     /// [`recover`](ClusterService::recover) before serving to rehydrate
     /// tenants persisted by an earlier process.
     pub fn with_durability(
@@ -623,13 +782,16 @@ impl<T: DurableTenant> ClusterService<T> {
                 encode_block: T::encode_block,
                 snapshot_state: T::snapshot_state,
                 discretization_stamp: T::discretization_stamp,
+                live_blocks: T::live_blocks,
+                encode_live_block: T::encode_live_block,
             },
         });
         Ok(svc)
     }
 
     /// Rehydrates every tenant found under the data directory from its
-    /// snapshot plus journal tail and registers it with the service.
+    /// snapshot, the journal records its live blocks reference, and the
+    /// journal tail, and registers it with the service.
     ///
     /// Replay applies each journaled mutation exactly as the original
     /// operation did; a record whose apply failed originally fails
@@ -680,8 +842,8 @@ impl<T: DurableTenant> ClusterService<T> {
     }
 }
 
-/// Decodes `name ‖ blob` — the layout of a create record's payload and
-/// of a snapshot body (both written with `put_str` + `put_bytes`).
+/// Decodes `name ‖ blob` — the layout of a create record's payload
+/// (written with `put_str` + `put_bytes`).
 fn named_blob(bytes: &[u8]) -> Result<(String, &[u8]), DecodeError> {
     let mut r = Reader::new(bytes);
     let name = r.str()?;
@@ -699,100 +861,291 @@ fn single_u64(payload: &[u8]) -> Result<u64, DecodeError> {
     Ok(v)
 }
 
-/// Rehydrates one tenant directory: snapshot (if any), then the journal
-/// tail with `seq > covered_seq`. Returns `None` for a directory with
-/// nothing durable in it (e.g. a crash before the create record hit the
-/// disk).
+/// An encoded block a journal record holds, with the block id the
+/// record names (a relocation record does; an append record does not).
+type BlockPayload<'a> = (Option<u64>, &'a [u8]);
+
+/// The encoded block a record holds; `None` for a record that holds no
+/// block.
+fn block_payload<'a>(record: &SegmentRecord<'a>) -> Result<Option<BlockPayload<'a>>, DecodeError> {
+    let mut r = Reader::new(record.payload);
+    let id = match record.op {
+        OP_APPEND => None,
+        OP_RELOCATE => Some(r.u64()?),
+        _ => return Ok(None),
+    };
+    let block = r.bytes()?;
+    r.finish()?;
+    Ok(Some((id, block)))
+}
+
+/// Re-seeds block `id` into `r` from `record`, the record the snapshot
+/// references for it.
+fn restore_referenced<T: DurableTenant>(
+    r: &mut Rebuilt<T>,
+    store: &DatasetStore,
+    record: &SegmentRecord<'_>,
+    segment: u64,
+    id: u64,
+) -> Result<(), String> {
+    let (named, encoded) = block_payload(record)?.ok_or_else(|| {
+        format!(
+            "record {} referenced for block {id} holds no block (op {})",
+            record.seq, record.op
+        )
+    })?;
+    if let Some(named) = named.filter(|&named| named != id) {
+        return Err(format!(
+            "record {} relocates block {named}, not block {id}",
+            record.seq
+        ));
+    }
+    let block = T::decode_block(encoded)?;
+    r.tenant.restore_block(store, id, block)?;
+    let loc = BlockLoc {
+        seq: record.seq,
+        segment,
+        bytes: record.payload.len() as u64,
+    };
+    r.blocks.insert(id, loc);
+    Ok(())
+}
+
+/// A tenant rebuilt from disk, with what its journal writer needs.
+struct Rebuilt<T> {
+    name: String,
+    tenant: T,
+    blocks: BTreeMap<u64, BlockLoc>,
+    /// The sequence number the next record takes.
+    next_seq: u64,
+    /// Records replayed past the snapshot.
+    replayed: u64,
+}
+
+/// Applies one replayed tail record to `tenant`, keeping `blocks`
+/// current. A failed apply failed identically when the record was
+/// journaled (the tenant is deterministic), so replay moves on.
+fn replay_record<T: DurableTenant>(
+    tenant: &mut T,
+    store: &DatasetStore,
+    record: &SegmentRecord<'_>,
+    segment: u64,
+    blocks: &mut BTreeMap<u64, BlockLoc>,
+) -> Result<(), String> {
+    match record.op {
+        OP_APPEND => {
+            let (_, encoded) = block_payload(record)?.ok_or("an append record without a block")?;
+            let block = T::decode_block(encoded)?;
+            if let Ok(id) = tenant.append(store, block) {
+                let loc = BlockLoc {
+                    seq: record.seq,
+                    segment,
+                    bytes: record.payload.len() as u64,
+                };
+                blocks.insert(id, loc);
+            }
+        }
+        OP_RETRACT => {
+            let id = single_u64(record.payload)?;
+            if tenant.retract(store, id) == Ok(true) {
+                blocks.remove(&id);
+            }
+        }
+        OP_BINSTEP => {
+            let stamp = single_u64(record.payload)?;
+            let replayed = T::discretization_stamp(tenant);
+            if replayed != stamp {
+                return Err(format!(
+                    "replayed discretization stamp {replayed} does not match \
+                     journaled stamp {stamp}"
+                ));
+            }
+        }
+        // A roll that did not land: the records its blocks were read
+        // from still stand.
+        OP_RELOCATE => {}
+        OP_CREATE => return Err("unexpected create record mid-journal".to_string()),
+        other => return Err(format!("unknown journal op {other}")),
+    }
+    Ok(())
+}
+
+/// Rehydrates one tenant directory: the snapshot (if any), each live
+/// block from the record the snapshot references, then the records past
+/// the snapshot, in sequence order, for as long as they run unbroken.
+/// Returns `None` for a directory with nothing durable in it (e.g. a
+/// crash before the create record hit the disk).
+///
+/// What the history no longer reaches is removed before the writer
+/// reopens the last segment: every byte past the last record kept once
+/// the tail breaks (records lost to corruption leave a gap in the
+/// sequence), sealed segments the snapshot covers that hold no live
+/// block (a crash mid-GC), and temporary files. A second recovery of
+/// the same directory rewrites nothing.
 fn recover_tenant<T: DurableTenant>(
     store: &DatasetStore,
     dir: &Path,
     report: &mut RecoveryReport,
 ) -> Result<Option<(String, Slot<T>)>, ServiceError> {
     let ctx = |e: String| ServiceError::Durability(format!("{}: {e}", dir.display()));
-    let jour_path = dir.join(journal::JOURNAL_FILE);
-    let snap = journal::read_snapshot(&dir.join(journal::SNAPSHOT_FILE))
-        .map_err(|e| ctx(e.to_string()))?;
-    let (records, valid_len) = journal::read_journal(&jour_path).map_err(|e| ctx(e.to_string()))?;
-    let from_snapshot = snap.is_some();
-    let mut covered = 0u64;
-    let mut loaded = None;
-    if let Some((cov, body)) = snap {
-        let (name, state) = named_blob(&body).map_err(|e| ctx(e.into()))?;
-        let tenant = T::restore_state(&name, state, store).map_err(ctx)?;
-        covered = cov;
-        report.snapshots_loaded += 1;
-        loaded = Some((name, tenant));
-    }
-    // Records at or below the snapshot's covered seq are already
-    // folded into the snapshot state; without a snapshot nothing is
-    // covered and replay starts at seq 0.
-    let floor = if from_snapshot { covered + 1 } else { 0 };
-    let mut tail = records.iter().filter(|rec| rec.seq >= floor);
-    let (name, mut tenant) = match loaded {
-        Some(pair) => pair,
-        None => {
-            let Some(first) = tail.next() else {
-                return Ok(None);
-            };
-            if first.op != OP_CREATE {
-                return Err(ctx(format!(
-                    "journal does not start with a create record (op {})",
-                    first.op
-                )));
+    let io = |e: std::io::Error| ctx(e.to_string());
+    let segment_path = |n: u64| dir.join(journal::segment_file(n));
+
+    // Blocks the snapshot references: record seq → block id.
+    let mut wanted: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut covered = None;
+    let mut rebuilt: Option<Rebuilt<T>> = None;
+    if let Some(snapshot) = journal::load_snapshot(&dir.join(journal::SNAPSHOT_FILE)).map_err(io)? {
+        let parts = snapshot.parts().map_err(|e| ctx(e.into()))?;
+        let tenant = T::restore_state(&parts.name, parts.state, store).map_err(ctx)?;
+        if let Some(refs) = parts.blocks {
+            let ids: Vec<u64> = refs.iter().map(|r| r.id).collect();
+            if ids != T::live_blocks(&tenant) {
+                return Err(ctx(
+                    "snapshot block references disagree with its live blocks".to_string(),
+                ));
             }
-            let (name, create) = named_blob(&first.payload).map_err(|e| ctx(e.into()))?;
-            let tenant = T::decode_create(&name, create).map_err(ctx)?;
-            report.records_replayed += 1;
-            (name, tenant)
-        }
-    };
-    for rec in tail {
-        match rec.op {
-            OP_APPEND => {
-                let mut r = Reader::new(&rec.payload);
-                let block = (|| -> Result<T::Block, String> {
-                    let bytes = r.bytes()?;
-                    r.finish()?;
-                    T::decode_block(bytes)
-                })()
-                .map_err(ctx)?;
-                // A failed apply failed deterministically at journal
-                // time too; replay reproduces the failure and moves on.
-                let _ = tenant.append(store, block);
-            }
-            OP_RETRACT => {
-                let id = single_u64(&rec.payload).map_err(|e| ctx(e.into()))?;
-                let _ = tenant.retract(store, id);
-            }
-            OP_BINSTEP => {
-                let stamp = single_u64(&rec.payload).map_err(|e| ctx(e.into()))?;
-                let replayed = T::discretization_stamp(&tenant);
-                if replayed != stamp {
-                    return Err(ctx(format!(
-                        "replayed discretization stamp {replayed} does not match \
-                         journaled stamp {stamp}"
-                    )));
+            for r in refs {
+                if wanted.insert(r.seq, r.id).is_some() {
+                    return Err(ctx(format!("two blocks reference record {}", r.seq)));
                 }
             }
-            OP_CREATE => {
-                return Err(ctx("unexpected create record mid-journal".to_string()));
-            }
-            other => return Err(ctx(format!("unknown journal op {other}"))),
         }
-        report.records_replayed += 1;
+        covered = Some(snapshot.covered_seq);
+        report.snapshots_loaded += 1;
+        rebuilt = Some(Rebuilt {
+            name: parts.name,
+            tenant,
+            blocks: BTreeMap::new(),
+            next_seq: snapshot.covered_seq + 1,
+            replayed: 0,
+        });
     }
-    let next_seq = records
-        .last()
-        .map(|rec| rec.seq + 1)
-        .unwrap_or(0)
-        .max(floor);
+
+    let segments = journal::list_segments(dir).map_err(io)?;
+    // Per segment: file bytes, valid bytes and the highest seq read.
+    let mut read: Vec<(u64, u64, Option<u64>)> = Vec::with_capacity(segments.len());
+    // Just past the last record the history keeps, and where the
+    // history is cut once the tail breaks: segment index, byte offset.
+    let mut kept_end: Option<(usize, u64)> = None;
+    let mut cut: Option<(usize, u64)> = None;
+    let mut last_seq = None;
+    // Segments holding a record the snapshot references: kept while the
+    // snapshot stands, even if the tail retracts the block.
+    let mut referenced = BTreeSet::new();
+    for (i, &n) in segments.iter().enumerate() {
+        let segment = journal::read_segment(&segment_path(n)).map_err(io)?;
+        let mut max_seq = None;
+        for record in segment.records() {
+            if last_seq.is_some_and(|last| record.seq <= last) {
+                return Err(ctx(format!(
+                    "record {} of segment {n} is out of sequence order",
+                    record.seq
+                )));
+            }
+            last_seq = Some(record.seq);
+            max_seq = Some(record.seq);
+            if let (Some(c), Some(r)) = (covered, rebuilt.as_mut()) {
+                if record.seq <= c {
+                    if let Some(id) = wanted.remove(&record.seq) {
+                        restore_referenced(r, store, &record, n, id).map_err(ctx)?;
+                        referenced.insert(n);
+                    }
+                    kept_end = Some((i, record.end()));
+                    continue;
+                }
+            }
+            if cut.is_some() {
+                continue;
+            }
+            match rebuilt.as_mut() {
+                Some(r) if record.seq != r.next_seq => {
+                    cut = Some(kept_end.unwrap_or((i, record.offset)));
+                    continue;
+                }
+                Some(r) => {
+                    replay_record(&mut r.tenant, store, &record, n, &mut r.blocks).map_err(ctx)?;
+                    r.next_seq = record.seq + 1;
+                    r.replayed += 1;
+                }
+                None => {
+                    if record.op != OP_CREATE {
+                        return Err(ctx(format!(
+                            "journal does not start with a create record (op {})",
+                            record.op
+                        )));
+                    }
+                    let (name, create) = named_blob(record.payload).map_err(|e| ctx(e.into()))?;
+                    let tenant = T::decode_create(&name, create).map_err(ctx)?;
+                    rebuilt = Some(Rebuilt {
+                        name,
+                        tenant,
+                        blocks: BTreeMap::new(),
+                        next_seq: record.seq + 1,
+                        replayed: 1,
+                    });
+                }
+            }
+            kept_end = Some((i, record.end()));
+        }
+        read.push((segment.file_len(), segment.valid_len(), max_seq));
+    }
+    let Some(Rebuilt {
+        name,
+        tenant,
+        blocks,
+        next_seq,
+        replayed,
+    }) = rebuilt
+    else {
+        return Ok(None);
+    };
+    if let Some((&seq, &id)) = wanted.iter().next() {
+        return Err(ctx(format!(
+            "the snapshot references record {seq} for block {id}, \
+             which no journal segment holds intact"
+        )));
+    }
+    report.records_replayed += replayed;
+
+    // The open segment: the one the history is cut in, or the last one.
+    // Every byte past the cut belongs to records the history lost.
+    let (open, valid_len) = match cut {
+        Some((i, offset)) => (i, offset),
+        None => {
+            let last = segments.len().saturating_sub(1);
+            (last, read.get(last).map_or(0, |&(_, valid, _)| valid))
+        }
+    };
+    let mut holding = referenced;
+    holding.extend(blocks.values().map(|loc| loc.segment));
+    let mut sealed = BTreeMap::new();
+    for (i, &n) in segments.iter().enumerate() {
+        let (len, _, max_seq) = read[i];
+        let lost = i > open;
+        let spent = i < open
+            && !holding.contains(&n)
+            && max_seq.is_none_or(|m| covered.is_some_and(|c| m <= c));
+        if lost || spent {
+            journal::delete_file(&segment_path(n)).map_err(io)?;
+        } else if i < open {
+            sealed.insert(n, len);
+        }
+    }
+    for file in [journal::SNAPSHOT_FILE, journal::JOURNAL_FILE] {
+        journal::delete_file(&dir.join(file).with_extension("tmp")).map_err(io)?;
+    }
+    let segment = segments.get(open).copied().unwrap_or(0);
     let writer =
-        JournalWriter::open_end(&jour_path, valid_len, next_seq).map_err(|e| ctx(e.to_string()))?;
+        JournalWriter::open_end(&segment_path(segment), valid_len, next_seq).map_err(io)?;
     let wal = TenantWal {
         writer,
+        segment,
+        sealed,
+        blocks,
         name: name.clone(),
         dir: dir.to_path_buf(),
-        since_snapshot: records.len() as u64,
+        since_snapshot: replayed,
         stamp: T::discretization_stamp(&tenant),
     };
     Ok(Some((
@@ -945,6 +1298,27 @@ mod tests {
             // Changes on every append, so the BINSTEP record path and
             // its replay verification get exercised by ordinary use.
             self.next_id
+        }
+
+        fn live_blocks(&self) -> Vec<u64> {
+            self.blocks.keys().copied().collect()
+        }
+
+        fn encode_live_block(&self, _store: &DatasetStore, id: u64) -> Result<Vec<u8>, String> {
+            let rows = self.blocks.get(&id).ok_or("no such block")?;
+            Ok(Self::encode_block(rows))
+        }
+
+        fn restore_block(
+            &mut self,
+            _store: &DatasetStore,
+            id: u64,
+            block: usize,
+        ) -> Result<(), String> {
+            match self.blocks.get(&id) {
+                Some(&rows) if rows == block => Ok(()),
+                _ => Err(format!("block {id} is not live with {block} rows")),
+            }
         }
     }
 

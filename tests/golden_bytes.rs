@@ -3,15 +3,19 @@
 //! every later tree must reproduce them byte for byte — and must still
 //! recover a data directory holding them.
 //!
-//! The journal and snapshot envelopes are kept by generation:
-//! `tests/golden/v1/` holds what the v1 writers wrote (FNV-1a sums),
-//! which this tree must still decode and recover but no longer writes;
-//! `tests/golden/v2/` holds what it writes now. The formats that never
-//! changed version sit at the top.
+//! The journal, snapshot and engine-state formats are kept by
+//! generation: `tests/golden/v1/` holds what the v1 writers wrote
+//! (FNV-1a sums), `tests/golden/v2/` what the v2 writers wrote
+//! (`wordsum64` sums, one journal truncated at each snapshot, snapshots
+//! carrying every live block inline), and `tests/golden/v3/` what this
+//! tree writes (journal segments, snapshots referencing the records
+//! that hold the blocks). This tree must still decode and recover the
+//! older generations. The formats that never changed version sit at the
+//! top.
 //!
 //! `cargo test --test golden_bytes -- --ignored bless` rewrites the
-//! files this tree writes — never `v1/`; doing so is a format change
-//! and needs a version bump.
+//! files this tree writes — never `v1/` or `v2/`; doing so is a format
+//! change and needs a version bump.
 
 use p3c_check::Gen;
 use p3c_suite::core::config::P3cParams;
@@ -71,7 +75,8 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 /// The two golden data directories: the script's whole history in the
 /// journal (`snapshot_every` 0 — create, append, retract and bin-step
-/// records), and a snapshot with a journal tail behind it.
+/// records), and a snapshot with a journal tail behind it (from v3, the
+/// segments holding the live blocks too).
 const DATA_DIRS: [(&str, u64); 2] = [("tenant_wal", 0), ("tenant", 3)];
 
 fn durable(dir: &Path, snapshot_every: u64) -> ClusterService<IncrementalLight> {
@@ -169,8 +174,22 @@ fn shuffle_pairs_bytes() -> Vec<u8> {
 
 /// The journal and snapshot envelope generations under `tests/golden/`;
 /// this tree writes the last.
-const GENERATIONS: [&str; 2] = ["v1", "v2"];
-const WRITTEN: &str = "v2";
+const GENERATIONS: [&str; 3] = ["v1", "v2", "v3"];
+const WRITTEN: &str = "v3";
+
+/// Every file of a directory, sorted by name.
+fn dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
 
 /// Every golden artifact this tree writes: file name under
 /// `tests/golden/` and the bytes this tree produces for it.
@@ -184,7 +203,7 @@ fn artifacts() -> Vec<(String, Vec<u8>)> {
             format!("{WRITTEN}/snapshot_file.bin"),
             snapshot_file_bytes(),
         ),
-        ("state_blob.bin".to_string(), engine_state_blob()),
+        (format!("{WRITTEN}/state_blob.bin"), engine_state_blob()),
         (
             "create_record.bin".to_string(),
             IncrementalLight::new(TENANT, params()).encode_create(),
@@ -199,11 +218,8 @@ fn artifacts() -> Vec<(String, Vec<u8>)> {
     for (name, snapshot_every) in DATA_DIRS {
         let dir = tmpdir(name);
         run_service_script(&dir, snapshot_every);
-        let tdir = journal::tenant_dir(&dir, TENANT);
-        for file in [journal::JOURNAL_FILE, journal::SNAPSHOT_FILE] {
-            if let Ok(bytes) = std::fs::read(tdir.join(file)) {
-                out.push((format!("{WRITTEN}/{name}/{file}"), bytes));
-            }
+        for (file, bytes) in dir_files(&journal::tenant_dir(&dir, TENANT)) {
+            out.push((format!("{WRITTEN}/{name}/{file}"), bytes));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -289,11 +305,22 @@ fn golden_files_decode_to_what_was_written() {
     assert_eq!(created.params().alpha_poisson, params().alpha_poisson);
 
     // The state blob restores to an engine that re-encodes to the same
-    // bytes and carries on identically.
-    let store = DatasetStore::new();
-    let blob = read("state_blob.bin");
-    let engine = IncrementalLight::from_snapshot_bytes(TENANT, &blob, &store).unwrap();
-    assert_eq!(engine.snapshot_bytes(&store).unwrap(), blob);
+    // bytes. The v2 generation's blob (state version 1) carried the
+    // block payloads: it restores them into the store, and re-encodes to
+    // the v3 blob, which names the blocks and leaves the rows to the
+    // journal.
+    let blob = read("v3/state_blob.bin");
+    for generation in ["v2", "v3"] {
+        let store = DatasetStore::new();
+        let old = read(&format!("{generation}/state_blob.bin"));
+        let engine = IncrementalLight::from_snapshot_bytes(TENANT, &old, &store).unwrap();
+        assert_eq!(engine.snapshot_bytes(&store).unwrap(), blob, "{generation}");
+        let resident = engine.materialize(&store).map(|rows| rows.len());
+        match generation {
+            "v2" => assert_eq!(resident, Ok(190), "the v1 state's payloads"),
+            _ => assert!(resident.is_err(), "a v2 state carries no payload"),
+        }
+    }
 }
 
 /// The model a from-scratch fit over the service script's cumulative
@@ -313,11 +340,8 @@ fn golden_data_dir(generation: &str, name: &str) -> (PathBuf, PathBuf) {
     let dir = tmpdir(&format!("recover-{generation}-{name}"));
     let tdir = journal::tenant_dir(&dir, TENANT);
     std::fs::create_dir_all(&tdir).unwrap();
-    for file in [journal::JOURNAL_FILE, journal::SNAPSHOT_FILE] {
-        let golden = golden_dir().join(generation).join(name).join(file);
-        if golden.exists() {
-            std::fs::copy(golden, tdir.join(file)).unwrap();
-        }
+    for (file, bytes) in dir_files(&golden_dir().join(generation).join(name)) {
+        std::fs::write(tdir.join(file), bytes).unwrap();
     }
     (dir, tdir)
 }
@@ -346,6 +370,63 @@ fn golden_data_dirs_recover_to_the_batch_model() {
             assert_eq!(recovered.result.cores, batch.cores, "{what}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+}
+
+#[test]
+fn older_data_dirs_upgrade_to_v3_snapshots_without_losing_a_block() {
+    // The v1 and v2 snapshots carry every live block inline, so those
+    // blocks have no journal record: the first v3 snapshot re-journals
+    // them under the relocation op, and a second recovery — from the v3
+    // snapshot and the segments alone — must find every block.
+    let mut rng = Gen::new(0x0b5e_0003);
+    let extra: Vec<RowBlock> = [70, 50].iter().map(|&n| block(&mut rng, n)).collect();
+    let script = {
+        let live_dir = tmpdir("upgrade-live");
+        let rows = run_service_script(&live_dir, 0);
+        std::fs::remove_dir_all(&live_dir).unwrap();
+        rows
+    };
+    // The script leaves blocks 0 (160 rows) and 2; block 0 goes below.
+    let mut rows = script[160 * D..].to_vec();
+    for b in &extra {
+        rows.extend_from_slice(b.as_slice());
+    }
+    let batch = P3cPlusLight::new(params()).cluster(&Dataset::new(rows.len() / D, D, rows));
+    for generation in ["v1", "v2"] {
+        let (dir, tdir) = golden_data_dir(generation, "tenant");
+        let svc = durable(&dir, 3);
+        assert_eq!(svc.recover().unwrap().tenants, 1, "{generation}");
+        svc.append(TENANT, extra[0].clone()).unwrap();
+        assert!(svc.retract(TENANT, 0).unwrap());
+        svc.append(TENANT, extra[1].clone()).unwrap();
+        drop(svc);
+        let snapshot = journal::load_snapshot(&tdir.join(journal::SNAPSHOT_FILE))
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            snapshot.version, 3,
+            "{generation}: no v3 snapshot was taken"
+        );
+        let refs = snapshot.parts().unwrap().blocks.unwrap();
+        assert_eq!(
+            refs.iter().map(|r| r.id).collect::<Vec<_>>(),
+            [2, 3, 4],
+            "{generation}"
+        );
+
+        let svc = durable(&dir, 3);
+        let report = svc.recover().unwrap();
+        assert_eq!((report.tenants, report.snapshots_loaded), (1, 1));
+        let ids = svc.with_tenant(TENANT, |t| t.block_ids()).unwrap();
+        assert_eq!(ids, [2, 3, 4], "{generation}: blocks lost");
+        let recovered = svc.recluster(TENANT).unwrap();
+        assert_eq!(
+            recovered.result.clustering, batch.clustering,
+            "{generation}"
+        );
+        assert_eq!(recovered.result.cores, batch.cores, "{generation}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -383,7 +464,7 @@ fn recovery_rewrites_a_v1_journal_as_v2() {
 }
 
 #[test]
-#[ignore = "rewrites tests/golden (never v1/) — a format change"]
+#[ignore = "rewrites tests/golden (never v1/ or v2/) — a format change"]
 fn bless() {
     for (name, bytes) in artifacts() {
         let path = golden_dir().join(name);
