@@ -57,7 +57,9 @@ echo "==> e2e benchmark smoke: cargo test --manifest-path e2e/Cargo.toml"
 cargo test -q --offline --manifest-path e2e/Cargo.toml
 
 # `cargo test` at the root runs the root package only. The member
-# crates' own unit and integration tests (all of `mr::coregen`'s,
+# crates' own unit and integration tests (the proving and
+# candidate-generation jobs' `mr::coregen` tests, the naive Algorithm 1
+# oracle that is core generation's independent check,
 # crates/core/tests/support_counting.rs, the CLI's process-level
 # crates/cli/tests/truncation_warning.rs, ...) gate here; the root
 # package just ran.
@@ -146,11 +148,14 @@ test "$(grep -c "incremental and batch models identical" target/ci/serve-smoke.l
 grep -Eq "evictions=[1-9]" target/ci/serve-smoke.log
 grep -Eq "spill_loads=[1-9]" target/ci/serve-smoke.log
 
-# MR-Light is serial Light computed differently (DESIGN.md §4): at the
-# Figure 7 shape, where multi-level candidate collection used to pass
-# the candidate cap and return a different model behind a warning, the
-# two must print the same clusters and E4SC — stdout differs in its
-# first word, the algorithm name, only — and neither may warn.
+# MR-Light and serial Light run one core-generation loop (its
+# independent check is the naive Algorithm 1 oracle in
+# crates/core/src/oracle.rs); what this leg guards is the job runner —
+# splits, shuffle, the proving, membership and inspection jobs —
+# against the inline runner, at the Figure 7 shape where multi-level
+# candidate collection once passed the candidate cap. The two must
+# print the same clusters and E4SC — stdout differs in its first word,
+# the algorithm name, only — and neither may warn.
 echo "==> cluster smoke: mr-light prints what light prints at 200000x50"
 for algo in mr-light light; do
     ./target/release/p3c cluster --synthetic 200000x50 -k 5 --noise 0.1 --seed 7 -e -t 2 \

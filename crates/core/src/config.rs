@@ -87,22 +87,19 @@ pub struct P3cParams {
     pub t_gen: usize,
     /// Upper bound on the candidates one batch of multi-level candidate
     /// collection may hold before a proving job runs (the paper's `T_c` =
-    /// 3·10⁴, sized for a Hadoop job). The driver collects up to
+    /// 3·10⁴, sized for a Hadoop job). The MR pipelines collect up to
     /// `min(t_c, 64·|A_rel|)` — what a proving job costs up front in this
-    /// engine (`mr::coregen`, DESIGN.md §4) — so the default never binds;
-    /// `0` proves every level in a job of its own.
+    /// engine (`mr::coregen::JobCounter`, DESIGN.md §4) — so the default
+    /// never binds; `0` proves every level in a job of its own.
     pub t_c: usize,
-    /// Maximum signature dimensionality explored (a safety bound; the
-    /// paper's generator uses clusters of at most 10 dimensions).
-    pub max_levels: usize,
     /// Safety valve against combinatorial candidate explosion at very
     /// loose Poisson thresholds: levels with more candidates are
     /// truncated to the lexicographically first this-many (recorded in
     /// `CoreGenStats::truncated_levels`). `0` disables the cap. Only a
-    /// level generated from *proven* signatures is ever cut: the MR
-    /// driver generates a level that would pass the cap from the proven
-    /// top rather than from collected candidates, so the serial and MR
-    /// paths cut the same levels or none.
+    /// level generated from *proven* signatures is ever cut: core
+    /// generation joins a level that would pass the cap from the proven
+    /// top rather than from collected candidates, so every counter cuts
+    /// the same levels or none.
     pub max_candidates_per_level: usize,
     /// Worker threads for the serial-path kernels (the EM E-step and the
     /// columnar binning scan, block-parallelized over the engine worker
@@ -140,7 +137,6 @@ impl Default for P3cParams {
             em_tol: 1e-4,
             t_gen: 1_000_000,
             t_c: 30_000,
-            max_levels: 12,
             max_candidates_per_level: 100_000,
             threads: default_threads(),
         }
@@ -194,8 +190,6 @@ impl P3cParams {
             Err("alpha_outlier out of range")
         } else if self.theta_cc.is_nan() || self.theta_cc < 0.0 {
             Err("theta_cc must be nonnegative")
-        } else if self.max_levels < 1 {
-            Err("max_levels must be at least 1")
         } else {
             Ok(())
         }

@@ -17,10 +17,11 @@
 
 use crate::config::P3cParams;
 use crate::support::{SupportIndex, SupportTable};
-use crate::types::Signature;
+use crate::types::{Interval, Signature};
 use p3c_stats::effect::effect_is_strong;
 use p3c_stats::PoissonTest;
 use std::collections::HashSet;
+use std::convert::Infallible;
 
 /// A proven, maximal signature with its support bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,9 +142,10 @@ pub struct CoreGenResult {
 /// p−1 intervals (any (p+1)-signature whose p-subsignatures are all
 /// present has exactly one such parent pair), so signatures are grouped
 /// by prefix and joined within groups. This is semantically identical to
-/// the paper's all-pairs enumeration followed by the prune — the
-/// [`crate::mr::coregen`] job keeps the pair-index form for fidelity —
-/// but costs `Σ bucket²` instead of `k²`.
+/// the paper's all-pairs enumeration followed by the prune, but costs
+/// `Σ bucket²` instead of `k²`; the MR candidate-generation job
+/// ([`crate::mr::coregen::generate_candidates_mr`]) enumerates the same
+/// within-bucket pairs.
 pub fn generate_candidates(
     level: &[Signature],
     prune_against: &HashSet<&Signature>,
@@ -245,23 +247,49 @@ pub(crate) fn join_in_bucket(
     Some(cand)
 }
 
-/// Resolves the supports of one level's candidates over the whole
-/// database — the seam between Algorithm 1's control flow and *how*
-/// supports are obtained. The batch pipelines bin the full row set once
-/// and answer every level from the bitmaps ([`ScanCounter`]); the
-/// incremental service answers from its maintained support cache and
-/// scans only for candidates the cache has never seen (which may require
-/// fetching spilled data, hence the `Result`).
+/// Resolves the supports of candidate signatures over the whole
+/// database and joins each Apriori level — the seam between Algorithm
+/// 1's control flow and *how* supports are obtained. The batch pipelines
+/// bin the full row set once and answer every level from the bitmaps
+/// ([`ScanCounter`]); the incremental service answers from its
+/// maintained support cache and scans only for candidates the cache has
+/// never seen; the MR pipelines run one proving job per count
+/// ([`crate::mr::coregen::JobCounter`]). What a count costs before its
+/// first candidate is the counter's to know, so the counter also sets
+/// how many candidates one count may collect ([`LevelCounter::budget`]):
+/// Afrati et al.'s rounds against communication.
 pub trait LevelCounter {
+    /// What a failed count or join reports.
+    type Error;
+
     /// Supports of `candidates`, in candidate order.
-    fn count_level(&mut self, candidates: &[Signature]) -> Result<Vec<u64>, String>;
+    fn count_level(&mut self, candidates: &[Signature]) -> Result<Vec<u64>, Self::Error>;
+
+    /// How many candidates one count may hold, given level 1 (which names
+    /// every relevant interval): levels are collected unproven while the
+    /// collected levels plus the join-pair bound on the next one stay
+    /// within it. A count always holds at least one level, so the
+    /// default `0` counts every level on its own — right for a counter
+    /// that pays nothing per count once its bitmaps are filled.
+    fn budget(&self, _level1: &[Signature]) -> usize {
+        0
+    }
+
+    /// The next level joined from `basis`, pruned against `prune`:
+    /// [`generate_candidates`] unless the counter runs the join itself.
+    fn join(
+        &mut self,
+        basis: &[Signature],
+        prune: &HashSet<&Signature>,
+    ) -> Result<Vec<Signature>, Self::Error> {
+        Ok(generate_candidates(basis, prune))
+    }
 }
 
 /// The batch [`LevelCounter`] (paper Section 5.3): the rows are binned
 /// into per-interval bitmaps when level 1 — which contains every
 /// relevant interval — is counted, and every later Apriori level is
 /// answered from those bitmaps without touching the rows again.
-/// Infallible.
 pub struct ScanCounter<'a> {
     rows: &'a [&'a [f64]],
     index: SupportIndex,
@@ -286,42 +314,67 @@ impl ScanCounter<'_> {
 }
 
 impl LevelCounter for ScanCounter<'_> {
-    fn count_level(&mut self, candidates: &[Signature]) -> Result<Vec<u64>, String> {
+    type Error = Infallible;
+
+    fn count_level(&mut self, candidates: &[Signature]) -> Result<Vec<u64>, Infallible> {
         Ok(self.index.count(self.rows, candidates))
     }
 }
 
-/// Runs the full serial generation (Algorithm 1) over the given rows.
+/// Runs Algorithm 1 over the given rows with a [`ScanCounter`].
 ///
 /// `intervals` are the relevant intervals `Î` (each carrying its
 /// attribute's discretization).
 pub fn generate_cluster_cores(
-    intervals: &[crate::types::Interval],
+    intervals: &[Interval],
     rows: &[&[f64]],
     params: &P3cParams,
 ) -> CoreGenResult {
-    let mut counter = ScanCounter::new(rows);
-    generate_cluster_cores_with(intervals, rows.len(), params, &mut counter)
-        .expect("scan counter is infallible")
+    let Ok(result) =
+        generate_cluster_cores_with(intervals, rows.len(), params, &mut ScanCounter::new(rows));
+    result
 }
 
-/// Algorithm 1 with the support-counting step abstracted behind a
-/// [`LevelCounter`]. For equal counter answers the result is identical
-/// to [`generate_cluster_cores`] — every downstream step (proving,
-/// candidate generation, maximality) is a pure function of the counts —
-/// which is the byte-identity lever the incremental service's cached
-/// counter relies on.
-pub fn generate_cluster_cores_with(
-    intervals: &[crate::types::Interval],
+/// The deepest level Algorithm 1 explores (a safety bound; the paper's
+/// generator plants clusters of at most 10 dimensions).
+pub const MAX_LEVELS: usize = 12;
+
+/// Algorithm 1, the one level loop of every pipeline. `counter` counts
+/// supports, joins levels and sets the collection budget `b`
+/// (multi-level candidate collection, paper Section 5.3 and DESIGN.md
+/// §4):
+///
+/// * A batch opens with a level joined from proven signatures (level 1:
+///   from none). It grows by the level joined from its own unproven top
+///   while the batch plus the join-pair bound on that level stays within
+///   `b` and the bound within `max_candidates_per_level`; the bound is
+///   computed *before* the level is, so an exploding lattice is never
+///   materialised.
+/// * A closed batch is counted with one [`LevelCounter::count_level`]
+///   call over its levels, concatenated, and proved in ascending order:
+///   Equation 1, plus the downward-closure check for every level after
+///   the batch's first (joined from an unproven basis). The next level
+///   is joined from the proven top.
+///
+/// With `b = 0` every level is a batch of its own — count, prove, join.
+/// Any budget proves the same signatures with the same supports, since
+/// every step after a count is a pure function of the counts; it only
+/// moves *when* supports are counted. The valve only ever cuts a batch's
+/// opening level, which the `b = 0` loop cuts identically.
+pub fn generate_cluster_cores_with<C: LevelCounter>(
+    intervals: &[Interval],
     n: usize,
     params: &P3cParams,
-    counter: &mut dyn LevelCounter,
-) -> Result<CoreGenResult, String> {
-    let threads = params.threads;
-    let tester = SupportTester::from_params(params);
-    let mut table = SupportTable::new();
-    let mut stats = CoreGenStats::default();
-    let mut all_proven: Vec<(Signature, f64)> = Vec::new();
+    counter: &mut C,
+) -> Result<CoreGenResult, C::Error> {
+    let mut lattice = Lattice {
+        tester: SupportTester::from_params(params),
+        n,
+        threads: params.threads,
+        table: SupportTable::new(),
+        proven: Vec::new(),
+        stats: CoreGenStats::default(),
+    };
 
     // Level 1: singleton signatures from the relevant intervals.
     let mut candidates: Vec<Signature> = intervals
@@ -330,91 +383,150 @@ pub fn generate_cluster_cores_with(
         .collect();
     candidates.sort();
     candidates.dedup();
+    let budget = counter.budget(&candidates);
+    let cap = params.max_candidates_per_level;
 
-    let mut level = 1usize;
-    while !candidates.is_empty() && level <= params.max_levels {
-        truncate_level(&mut candidates, params, &mut stats);
-        stats.candidates_per_level.push(candidates.len());
-        // Resolve supports of this level's candidates (one data pass in
-        // the batch path).
-        let counts = counter.count_level(&candidates)?;
-        for (sig, &c) in candidates.iter().zip(&counts) {
-            table.insert(sig.clone(), c as f64);
+    // The levels collected since the last count, concatenated, and the
+    // end of each level in it.
+    let mut batch: Vec<Signature> = Vec::new();
+    let mut ends: Vec<usize> = Vec::new();
+    let mut level = 1;
+    while !candidates.is_empty() && level <= MAX_LEVELS {
+        // The `max_candidates_per_level` safety valve.
+        if cap > 0 && candidates.len() > cap {
+            candidates.truncate(cap);
+            lattice.stats.truncated_levels += 1;
         }
-        // Prove: the per-candidate Equation-1 verdicts are independent
-        // reads of the (now frozen) support table, so they run blocked
-        // on the worker pool; assembly stays in candidate order, making
-        // the proven list identical for every thread count.
-        let verdicts = prove_level_blocked(&tester, &candidates, &counts, n, &table, threads);
-        let proven: Vec<(Signature, f64)> = candidates
-            .iter()
-            .zip(&counts)
-            .zip(&verdicts)
-            .filter(|(_, &ok)| ok)
-            .map(|((sig, &c), _)| (sig.clone(), c as f64))
-            .collect();
-        stats.proven_per_level.push(proven.len());
-
-        let prev_level: Vec<Signature> = proven.iter().map(|(s, _)| s.clone()).collect();
-        let prev_proven_set: HashSet<&Signature> = prev_level.iter().collect();
-        all_proven.extend(proven);
-
-        candidates = generate_candidates(&prev_level, &prev_proven_set);
+        lattice.stats.candidates_per_level.push(candidates.len());
+        let top = batch.len();
+        batch.append(&mut candidates);
+        ends.push(batch.len());
+        // Levels are sorted, so the buckets are exact.
+        let close = batch.len() > budget || {
+            let bound = join_pairs(&prefix_buckets(&batch[top..]));
+            batch.len() + bound > budget || (cap > 0 && bound > cap)
+        };
+        candidates = if close {
+            lattice.count_and_prove(counter, std::mem::take(&mut batch), &ends)?;
+            ends.clear();
+            let basis: Vec<Signature> = lattice.proven_top().map(Signature::clone).collect();
+            counter.join(&basis, &basis.iter().collect())?
+        } else {
+            let basis = &batch[top..];
+            counter.join(basis, &basis.iter().collect())?
+        };
         level += 1;
     }
+    if !batch.is_empty() {
+        lattice.count_and_prove(counter, batch, &ends)?;
+    }
 
-    stats.total_proven = all_proven.len();
-    let cores = filter_maximal(&all_proven);
+    let cores = filter_maximal(&lattice.proven);
+    let mut stats = lattice.stats;
+    stats.total_proven = lattice.proven.len();
     stats.maximal = cores.len();
     Ok(CoreGenResult {
         cores,
-        proven: all_proven,
-        table,
+        proven: lattice.proven,
+        table: lattice.table,
         stats,
     })
+}
+
+/// What the level loop has established: every counted support, every
+/// proven signature (levels ascending, candidate order within a level)
+/// and the per-level statistics.
+struct Lattice {
+    tester: SupportTester,
+    n: usize,
+    threads: usize,
+    table: SupportTable,
+    proven: Vec<(Signature, f64)>,
+    stats: CoreGenStats,
+}
+
+impl Lattice {
+    /// The proven signatures of the last proved level.
+    fn proven_top(&self) -> impl Iterator<Item = &Signature> {
+        let top = self.stats.proven_per_level.last().copied().unwrap_or(0);
+        self.proven[self.proven.len() - top..]
+            .iter()
+            .map(|(s, _)| s)
+    }
+
+    /// Counts a closed batch (`ends`: where each level ends) with one
+    /// call and proves its levels in ascending order. Equation 1 reads
+    /// only the supports of (p−1)-subsignatures, which the level below —
+    /// in this batch or an earlier one — put into the table. A level
+    /// after the batch's first was joined from the unproven level below,
+    /// so it must also pass the downward-closure check against that
+    /// level's proven signatures: Equation 1 alone is not recursive, and
+    /// can accept a signature one of whose subsignatures failed.
+    fn count_and_prove<C: LevelCounter>(
+        &mut self,
+        counter: &mut C,
+        batch: Vec<Signature>,
+        ends: &[usize],
+    ) -> Result<(), C::Error> {
+        let counts = counter.count_level(&batch)?;
+        let mut batch = batch.into_iter();
+        let mut start = 0;
+        for (i, &end) in ends.iter().enumerate() {
+            let level: Vec<Signature> = batch.by_ref().take(end - start).collect();
+            let counts = &counts[start..end];
+            let verdicts = {
+                let below: Option<HashSet<&Signature>> =
+                    (i > 0).then(|| self.proven_top().collect());
+                prove_level_blocked(self, &level, counts, below.as_ref())
+            };
+            let before = self.proven.len();
+            for ((sig, &c), ok) in level.into_iter().zip(counts).zip(verdicts) {
+                if ok {
+                    self.proven.push((sig.clone(), c as f64));
+                }
+                self.table.insert(sig, c as f64);
+            }
+            self.stats.proven_per_level.push(self.proven.len() - before);
+            start = end;
+        }
+        Ok(())
+    }
 }
 
 /// Candidates per proving block: the Poisson test is cheap per
 /// candidate, so blocks are sized to amortize pool dispatch.
 const PROVE_BLOCK: usize = 64;
 
-/// Runs the Equation-1 test over one level's candidates, blocked at
+/// Runs the proving test over one level's candidates — every
+/// subsignature in `below` when given, and Equation 1 — blocked at
 /// [`PROVE_BLOCK`] granularity on the engine worker pool. Each block
 /// yields its verdicts in candidate order and blocks are concatenated
 /// in block-index order, so the result is the exact boolean sequence of
-/// the serial scan for every `threads` value (DESIGN.md §11).
+/// the serial scan for every thread count (DESIGN.md §11).
 fn prove_level_blocked(
-    tester: &SupportTester,
+    lattice: &Lattice,
     candidates: &[Signature],
     counts: &[u64],
-    n: usize,
-    table: &SupportTable,
-    threads: usize,
+    below: Option<&HashSet<&Signature>>,
 ) -> Vec<bool> {
     let num_blocks = candidates.len().div_ceil(PROVE_BLOCK);
-    let blocks = p3c_mapreduce::parallel_for_blocks(threads, num_blocks, |b| {
+    let blocks = p3c_mapreduce::parallel_for_blocks(lattice.threads, num_blocks, |b| {
         let start = b * PROVE_BLOCK;
         let end = (start + PROVE_BLOCK).min(candidates.len());
         (start..end)
-            .map(|i| tester.passes_equation1(&candidates[i], counts[i] as f64, n, table))
+            .map(|i| {
+                let sig = &candidates[i];
+                below.is_none_or(|set| sig.subsignatures().all(|sub| set.contains(&sub)))
+                    && lattice.tester.passes_equation1(
+                        sig,
+                        counts[i] as f64,
+                        lattice.n,
+                        &lattice.table,
+                    )
+            })
             .collect::<Vec<bool>>()
     });
     blocks.concat()
-}
-
-/// Applies the `max_candidates_per_level` safety valve to one level —
-/// in both drivers a level generated from proven signatures, so they cut
-/// the same candidates.
-pub(crate) fn truncate_level(
-    candidates: &mut Vec<Signature>,
-    params: &P3cParams,
-    stats: &mut CoreGenStats,
-) {
-    let cap = params.max_candidates_per_level;
-    if cap > 0 && candidates.len() > cap {
-        candidates.truncate(cap);
-        stats.truncated_levels += 1;
-    }
 }
 
 /// Keeps signatures not strictly contained in another proven signature
@@ -456,7 +568,6 @@ pub fn attach_expected_supports(cores: &mut [ClusterCore], n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Interval;
 
     fn iv(attr: usize, lo: usize, hi: usize) -> Interval {
         Interval::new(attr, lo, hi, 10)

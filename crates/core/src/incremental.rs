@@ -21,9 +21,11 @@
 //! * **Maintained signature supports** — a [`SupportCache`] holds every
 //!   signature support ever counted at the current discretization and
 //!   folds each delta block in with one RSSC pass over the *delta*
-//!   (exact `u64` adds/subtracts). At recluster, Algorithm 1 runs with
-//!   a cached [`LevelCounter`]: levels whose candidates are all cached
-//!   touch no data at all; only never-seen candidates trigger a scan.
+//!   (exact `u64` adds/subtracts). At recluster, the level loop every
+//!   pipeline runs ([`crate::cores::generate_cluster_cores_with`]) counts
+//!   through a cached [`LevelCounter`], one level per count: levels whose
+//!   candidates are all cached touch no data at all; only never-seen
+//!   candidates trigger a scan.
 //! * **Maintained memberships** — appends only add rows at the end, so
 //!   while the core set is unchanged the Light membership mapping grows
 //!   monotonically in id order. The engine classifies each appended row
@@ -48,7 +50,7 @@
 //! The Light pipeline (no EM, Section 6) is the service path.
 
 use crate::config::{BinRuleChoice, P3cParams};
-use crate::cores::{ClusterCore, LevelCounter};
+use crate::cores::{ClusterCore, LevelCounter, MAX_LEVELS};
 use crate::histogram::{
     build_histograms_blocks_threads, build_histograms_columnar_threads, AttributeHistograms,
 };
@@ -635,13 +637,16 @@ fn put_params(buf: &mut Vec<u8>, p: &P3cParams) {
     bytes::put_f64(buf, p.em_tol);
     bytes::put_usize(buf, p.t_gen);
     bytes::put_usize(buf, p.t_c);
-    bytes::put_usize(buf, p.max_levels);
+    // The level bound is a constant; its slot keeps encoded params
+    // byte-identical to those written while it was a field.
+    bytes::put_usize(buf, MAX_LEVELS);
     bytes::put_usize(buf, p.max_candidates_per_level);
     bytes::put_usize(buf, p.threads);
 }
 
 /// Decodes params written by [`put_params`], rejecting any the engine's
-/// constructor would (an out-of-range level, the exact-IQR bin rule).
+/// constructor would (an out-of-range level, the exact-IQR bin rule) and
+/// a level bound other than [`MAX_LEVELS`].
 fn read_params(r: &mut Reader<'_>) -> Result<P3cParams, DecodeError> {
     let alpha_chi2 = r.f64()?;
     let alpha_poisson = r.f64()?;
@@ -674,8 +679,12 @@ fn read_params(r: &mut Reader<'_>) -> Result<P3cParams, DecodeError> {
         em_tol: r.f64()?,
         t_gen: r.usize()?,
         t_c: r.usize()?,
-        max_levels: r.usize()?,
-        max_candidates_per_level: r.usize()?,
+        max_candidates_per_level: {
+            if r.usize()? != MAX_LEVELS {
+                return Err(DecodeError::Malformed("max_levels"));
+            }
+            r.usize()?
+        },
         threads: r.usize()?,
     };
     params.check().map_err(DecodeError::Malformed)?;
@@ -1102,6 +1111,8 @@ struct CachedCounter<'a, 'b> {
 }
 
 impl LevelCounter for CachedCounter<'_, '_> {
+    type Error = String;
+
     fn count_level(&mut self, candidates: &[Signature]) -> Result<Vec<u64>, String> {
         self.index.plan(candidates);
         let mut counts = vec![0u64; candidates.len()];
@@ -1136,6 +1147,8 @@ impl LevelCounter for CachedCounter<'_, '_> {
 struct NoRowsCounter;
 
 impl LevelCounter for NoRowsCounter {
+    type Error = String;
+
     fn count_level(&mut self, candidates: &[Signature]) -> Result<Vec<u64>, String> {
         Ok(vec![0; candidates.len()])
     }
@@ -1394,6 +1407,16 @@ mod tests {
         assert_eq!(back.params().bin_rule, params.bin_rule);
         assert_eq!(back.params().t_c, params.t_c);
         assert!(IncrementalLight::decode_create("t", &bytes[..4]).is_err());
+        // The level bound's slot, third of the trailing `usize`s, holds
+        // the constant; any other value is refused.
+        let slot = bytes.len() - 24;
+        assert_eq!(bytes[slot..slot + 8], (MAX_LEVELS as u64).to_le_bytes());
+        for other in [0u64, 13] {
+            let mut bad = bytes.clone();
+            bad[slot..slot + 8].copy_from_slice(&other.to_le_bytes());
+            let err = IncrementalLight::decode_create("t", &bad).err().unwrap();
+            assert!(err.contains("max_levels"), "{err}");
+        }
     }
 
     #[test]

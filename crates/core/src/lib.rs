@@ -13,10 +13,12 @@
 //!   support test, **cluster-core redundancy filtering**, **MVB**
 //!   (minimum-volume-ball) outlier detection, and **AI proving**.
 //! * [`mr::P3cPlusMr`] — P3C+ decomposed into MapReduce jobs on the
-//!   [`p3c_mapreduce::Engine`] (Section 5): histogram job, parallel
-//!   candidate generation with multi-level collection, RSSC-accelerated
-//!   candidate proving, EM init/iteration jobs, OD/MVB jobs, and one
-//!   attribute-inspection job that also carries interval tightening.
+//!   [`p3c_mapreduce::Engine`] (Section 5): histogram job, core
+//!   generation as [`cores`]' one level loop counting through
+//!   RSSC-accelerated candidate-proving jobs (several levels per job by
+//!   multi-level collection) and joining through the parallel
+//!   candidate-generation job, EM init/iteration jobs, OD/MVB jobs, and
+//!   one attribute-inspection job that also carries interval tightening.
 //! * [`mr::P3cPlusMrLight`] — the Light variant (Section 6): skips EM and
 //!   outlier detection entirely and reads clusters straight off the
 //!   cluster cores, using unique-support-set membership for attribute
@@ -45,6 +47,8 @@ pub mod histogram;
 pub mod incremental;
 pub mod inspect;
 pub mod mr;
+#[cfg(test)]
+mod oracle;
 pub mod outlier;
 pub mod p3c;
 pub mod p3cplus;

@@ -9,8 +9,10 @@
 //! ```
 //!
 //! * [`histogram`] — the histogram-building job (Section 5.1),
-//! * [`coregen`] — parallel candidate generation, multi-level candidate
-//!   collection, and RSSC-based candidate proving (Section 5.3),
+//! * [`coregen`] — the RSSC-based candidate-proving job, the parallel
+//!   candidate-generation job, and the counter through which
+//!   [`crate::cores`]' level loop runs them, multi-level candidate
+//!   collection included (Section 5.3),
 //! * [`em`] — EM initialization and the two-jobs-per-iteration EM loop
 //!   (Section 5.4),
 //! * [`outlier`] — the OD job and the three MVB jobs (Section 5.5),

@@ -15,13 +15,14 @@
 
 use crate::config::{BinRuleChoice, OutlierMethod, P3cParams};
 use crate::cores::ClusterCore;
-use crate::mr::coregen::generate_cluster_cores_mr;
+use crate::mr::coregen::JobCounter;
 use crate::mr::em::{em_fit_mr, initialize_from_cores_mr};
 use crate::mr::histogram::{histogram_job, iqr_job};
 use crate::mr::inspect::{inspection_job, InspectionItem};
 use crate::mr::outlier::{od_job_mcd, od_job_mvb, od_job_naive};
-use crate::p3cplus::{empty_result, finalize_clusters, P3cResult, PipelineStats};
-use crate::relevance::relevant_intervals;
+use crate::p3cplus::{
+    core_phase_from_histograms, empty_result, finalize_clusters, P3cResult, PipelineStats,
+};
 use p3c_dataset::{split_assignment, Clustering, Dataset};
 use p3c_mapreduce::{run_chain, Emitter, Engine, Mapper, MrError, SchedulerChoice};
 use std::collections::BTreeSet;
@@ -199,8 +200,8 @@ impl<'e> P3cPlusMrLight<'e> {
 
 /// The phase shared by both MR variants, as the chain `p3c-core`: bin
 /// counts (from the uniform rules, or a quartile job under the exact-IQR
-/// rule) → histogram job → relevant intervals, MR core generation and
-/// the redundancy filter.
+/// rule) → histogram job → the serial pipelines' relevant intervals,
+/// core generation and redundancy filter, counting through proving jobs.
 fn core_phase(
     engine: &Engine,
     rows: &[&[f64]],
@@ -222,24 +223,8 @@ fn core_phase(
         };
         let hists = chain.step("p3c-histogram", |engine| histogram_job(engine, rows, &bins))?;
         chain.step("coregen", |engine| {
-            let mut stats = PipelineStats {
-                bins: hists.bins,
-                ..PipelineStats::default()
-            };
-            let intervals = relevant_intervals(&hists.histograms, params.alpha_chi2);
-            stats.relevant_intervals = intervals.len();
-            let gen = generate_cluster_cores_mr(engine, &intervals, rows, params)?;
-            // Same proven-set redundancy filter as the serial pipeline, fed
-            // from the MR coregen's (identically ordered) proven list and
-            // support table, so MR cores stay byte-identical to serial.
-            let mut cores = gen.cores;
-            if params.use_redundancy_filter {
-                cores = crate::redundancy::filter_redundant_proven(&gen.proven, &gen.table, n);
-                crate::cores::attach_expected_supports(&mut cores, n);
-            }
-            stats.core_gen = gen.stats;
-            stats.cores = cores.len();
-            Ok((cores, stats))
+            let mut counter = JobCounter::new(engine, rows, params);
+            core_phase_from_histograms(&hists, n, params, &mut counter)
         })
     })
 }

@@ -337,25 +337,24 @@ fn shared_core_phase(
         params.threads,
     );
     let mut counter = ScanCounter::new(rows);
-    let (cores, stats) = core_phase_from_histograms(&hists, n, params, &mut counter)
-        .expect("scan counter is infallible");
+    let Ok((cores, stats)) = core_phase_from_histograms(&hists, n, params, &mut counter);
     (cores, stats, counter.into_index())
 }
 
 /// Relevant intervals → cluster cores → redundancy filter → expected
 /// supports, starting from already-built histograms and a
-/// [`LevelCounter`]. Shared by the batch pipelines (scan counter over
-/// the full row set) and the incremental service engine (cached
-/// counter over maintained supports): for equal histograms and equal
-/// counter answers, every step below is a pure function, so the
-/// returned cores are identical — the byte-identity contract of
-/// DESIGN.md §14.
-pub(crate) fn core_phase_from_histograms(
+/// [`LevelCounter`]. Shared by the serial pipelines (scan counter over
+/// the full row set), the MR pipelines (proving jobs) and the
+/// incremental service engine (cached counter over maintained
+/// supports): for equal histograms and equal counter answers, every
+/// step below is a pure function, so the returned cores are identical —
+/// the byte-identity contract of DESIGN.md §14.
+pub(crate) fn core_phase_from_histograms<C: LevelCounter>(
     hists: &crate::histogram::AttributeHistograms,
     n: usize,
     params: &P3cParams,
-    counter: &mut dyn LevelCounter,
-) -> Result<(Vec<ClusterCore>, PipelineStats), String> {
+    counter: &mut C,
+) -> Result<(Vec<ClusterCore>, PipelineStats), C::Error> {
     let mut stats = PipelineStats {
         bins: hists.bins,
         ..PipelineStats::default()

@@ -9,8 +9,8 @@ use p3c_suite::datagen::{generate, SyntheticSpec};
 use p3c_suite::dataset::{Clustering, Dataset};
 use p3c_suite::mapreduce::{Engine, MrConfig, SchedulerChoice};
 
-fn data() -> p3c_suite::datagen::GeneratedData {
-    generate(&SyntheticSpec {
+fn spec() -> SyntheticSpec {
+    SyntheticSpec {
         n: 2500,
         d: 12,
         num_clusters: 3,
@@ -18,7 +18,11 @@ fn data() -> p3c_suite::datagen::GeneratedData {
         max_cluster_dims: 5,
         seed: 11,
         ..SyntheticSpec::default()
-    })
+    }
+}
+
+fn data() -> p3c_suite::datagen::GeneratedData {
+    generate(&spec())
 }
 
 #[test]
@@ -66,6 +70,59 @@ fn job_ledger_reflects_pipeline_structure() {
         .cluster(&d.dataset)
         .unwrap();
     assert_one_inspection_pass(&light_engine.cluster_metrics(), d.dataset.len());
+
+    // The `p3c-core` chain's rounds and communication, pinned: (job,
+    // records read, records emitted, broadcast bytes). On the first set
+    // the whole candidate lattice fits one proving job; on the second
+    // the join-pair bound of level 4 passes the budget, so the batch
+    // closes after level 3 and a second job proves the rest.
+    let second = generate(&SyntheticSpec {
+        num_clusters: 5,
+        seed: 7,
+        ..spec()
+    });
+    for (data, chain) in [
+        (
+            &d,
+            &[
+                ("p3c-histogram", 2500, 60, 0),
+                ("p3c-prove-candidates", 2500, 1228, 21520),
+            ][..],
+        ),
+        (
+            &second,
+            &[
+                ("p3c-histogram", 2500, 60, 0),
+                ("p3c-prove-candidates", 2500, 2086, 29360),
+                ("p3c-prove-candidates", 2500, 35, 2180),
+            ][..],
+        ),
+    ] {
+        let engine = Engine::new(MrConfig {
+            num_reducers: 4,
+            split_size: 512,
+            ..MrConfig::default()
+        });
+        P3cPlusMrLight::new(&engine, P3cParams::default())
+            .cluster(&data.dataset)
+            .unwrap();
+        let metrics = engine.cluster_metrics();
+        let core_chain: Vec<(&str, u64, u64, u64)> = metrics
+            .jobs()
+            .iter()
+            .take_while(|j| !j.job_name.starts_with("p3c-light-"))
+            .map(|j| {
+                let name = j.job_name.as_str();
+                (
+                    name,
+                    j.map_input_records,
+                    j.map_output_records,
+                    j.broadcast_bytes,
+                )
+            })
+            .collect();
+        assert_eq!(core_chain, chain);
+    }
 }
 
 /// Sections 5.6 and 5.7 in one pass: a single attribute-inspection job
