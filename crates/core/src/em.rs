@@ -6,10 +6,21 @@
 //! follows the paper's two rounds: first means/covariances from the core
 //! support sets only, then the remaining points are attached to their
 //! Mahalanobis-nearest core and the statistics recomputed.
+//!
+//! Every data pass — both initialization rounds and each E-step — is one
+//! function over a block of [`EM_BLOCK_POINTS`] rows ([`EmPass::block`])
+//! whose partials fold in ascending block order from empty
+//! ([`EmPass::fold`]). One driver ([`em_phase`], [`initialize_with`],
+//! [`em_fit_with`]) runs the passes through an [`EmRunner`]: the worker
+//! pool for the serial pipelines, MR jobs for P3C+-MR. Both sum in the
+//! same tree, so the two models are equal bit for bit whenever the MR
+//! splits are whole blocks (DESIGN.md §13).
 
+use crate::config::P3cParams;
 use crate::cores::ClusterCore;
 use p3c_linalg::cholesky::transpose_lane_group;
 use p3c_linalg::{isa, Cholesky, CovarianceAccumulator, LaneScratch, Matrix, LANES};
+use std::collections::BTreeSet;
 
 /// Per-worker scratch for the density kernels: the lane transpose /
 /// forward-substitution buffers, the k×[`LANES`] point-major density
@@ -374,10 +385,10 @@ impl DensityEvaluator {
         loglik
     }
 
-    /// The E-step over one contiguous block of projected points — a
-    /// 512-point block of the serial scan ([`estep_blocked`]) or a whole
-    /// input split of the MR job: responsibility-weighted moment
-    /// accumulators per component and the block's log-likelihood.
+    /// The E-step over one contiguous block of projected points — one
+    /// [`EM_BLOCK_POINTS`] block of the input ([`EmPass::Estep`]):
+    /// responsibility-weighted moment accumulators per component and the
+    /// block's log-likelihood.
     ///
     /// Accumulation is component-outer: each accumulator receives its
     /// significant points (γ > 1e-12) in block point order — the same
@@ -387,11 +398,7 @@ impl DensityEvaluator {
     /// row-outer scatter update keeps each triangular row's partial
     /// sums in registers across the block. Runs the AVX2 tier when the
     /// CPU has it ([`isa`]).
-    pub(crate) fn estep_block(
-        &self,
-        block: &[f64],
-        scratch: &mut EstepScratch,
-    ) -> (Vec<CovarianceAccumulator>, f64) {
+    pub(crate) fn estep_block(&self, block: &[f64], scratch: &mut EstepScratch) -> EmPartial {
         if isa::avx2() {
             // SAFETY: the guard checked that this CPU has AVX2.
             unsafe { self.estep_block_avx2(block, scratch) }
@@ -405,20 +412,12 @@ impl DensityEvaluator {
     /// # Safety
     /// The CPU must support AVX2 (`isa::avx2()`).
     #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
-    unsafe fn estep_block_avx2(
-        &self,
-        block: &[f64],
-        scratch: &mut EstepScratch,
-    ) -> (Vec<CovarianceAccumulator>, f64) {
+    unsafe fn estep_block_avx2(&self, block: &[f64], scratch: &mut EstepScratch) -> EmPartial {
         self.estep_block_impl(block, scratch)
     }
 
     #[inline(always)]
-    fn estep_block_impl(
-        &self,
-        block: &[f64],
-        scratch: &mut EstepScratch,
-    ) -> (Vec<CovarianceAccumulator>, f64) {
+    fn estep_block_impl(&self, block: &[f64], scratch: &mut EstepScratch) -> EmPartial {
         let d = self.arel.len();
         let k = self.comps.len();
         let mut resp = std::mem::take(&mut scratch.dens);
@@ -446,12 +445,12 @@ impl DensityEvaluator {
             }
         }
         scratch.dens = resp;
-        (accs, loglik)
+        EmPartial { accs, loglik }
     }
 
     /// Round 2 of the EM initialization over one contiguous block of
-    /// projected points (a 512-point block of the serial scan or the
-    /// uncovered points of one MR split): every point is pushed, with
+    /// projected points (the uncovered rows of one [`EM_BLOCK_POINTS`]
+    /// block, [`EmPass::Attach`]): every point is pushed, with
     /// unit weight and in block order, onto the accumulator of its
     /// Mahalanobis-nearest component. The nearest-component scan scores
     /// the block against each component through
@@ -547,77 +546,252 @@ pub fn softmax_in_place(logs: &mut [f64]) -> f64 {
     max + sum.ln()
 }
 
-/// Builds the initial mixture from cluster cores: the paper's two-round
-/// initialization (support sets only, then plus nearest-core leftovers).
+/// Rows per EM block: the unit every EM data pass is computed and
+/// merged in. Global blocks — rows `512·b .. 512·(b+1)` of the input —
+/// are folded in ascending block order on every runner, the pool and
+/// the MR jobs alike, so the model is one function of the data. Big
+/// enough to amortize dispatch, the per-block accumulator allocations
+/// and the row-outer [`CovarianceAccumulator::push_block`] setup, small
+/// enough that the block's density/solve scratch stays cache-resident.
+pub const EM_BLOCK_POINTS: usize = 512;
+
+/// What one EM block contributes to a data pass: per component the
+/// moments of the block's points, and for the E-step the block's
+/// log-likelihood (0 in the initialization rounds).
+#[derive(Debug)]
+pub struct EmPartial {
+    /// One accumulator per component (per core in the initialization).
+    pub accs: Vec<CovarianceAccumulator>,
+    /// The block's log-likelihood, point-ascending.
+    pub loglik: f64,
+}
+
+impl EmPartial {
+    /// Folds the next block's partial in — the one merge rule of every
+    /// runner: an accumulator that holds no point is skipped, every
+    /// other one merged; the log-likelihoods add.
+    pub(crate) fn merge(&mut self, next: &EmPartial) {
+        for (total, part) in self.accs.iter_mut().zip(&next.accs) {
+            if part.count() > 0 {
+                total.merge(part);
+            }
+        }
+        self.loglik += next.loglik;
+    }
+}
+
+/// One data pass of EM (paper Sections 3.2.2 and 5.4), computed per
+/// [`EM_BLOCK_POINTS`]-row block by [`EmPass::block`] and folded by
+/// [`EmPass::fold`].
+#[derive(Clone, Copy)]
+pub enum EmPass<'a> {
+    /// Initialization round 1: each core's support set, unit weights.
+    Support {
+        /// The cluster cores, one component each.
+        cores: &'a [ClusterCore],
+        /// The relevant attributes the moments are taken in.
+        arel: &'a [usize],
+    },
+    /// Initialization round 2: every row in no core's support set,
+    /// attached with unit weight to its Mahalanobis-nearest round-1
+    /// component.
+    Attach {
+        /// The cluster cores whose support sets cover rows.
+        cores: &'a [ClusterCore],
+        /// The round-1 model.
+        eval: &'a DensityEvaluator,
+    },
+    /// One E-step under the model: responsibility-weighted moments and
+    /// the log-likelihood.
+    Estep(&'a DensityEvaluator),
+}
+
+impl EmPass<'_> {
+    /// The relevant attributes the pass reads.
+    pub(crate) fn arel(&self) -> &[usize] {
+        match self {
+            EmPass::Support { arel, .. } => arel,
+            EmPass::Attach { eval, .. } | EmPass::Estep(eval) => &eval.arel,
+        }
+    }
+
+    /// The pass over one block: `rows` are the block's rows and `proj`
+    /// the same rows projected onto [`EmPass::arel`], row-major.
+    pub(crate) fn block(
+        &self,
+        rows: &[&[f64]],
+        proj: &[f64],
+        scratch: &mut EstepScratch,
+    ) -> EmPartial {
+        let d = self.arel().len();
+        match *self {
+            EmPass::Support { cores, .. } => {
+                let mut accs = fresh_accs(cores.len(), d);
+                for (row, x) in rows.iter().zip(proj.chunks_exact(d)) {
+                    for (acc, core) in accs.iter_mut().zip(cores) {
+                        if core.signature.contains(row) {
+                            acc.push(x, 1.0);
+                        }
+                    }
+                }
+                EmPartial { accs, loglik: 0.0 }
+            }
+            EmPass::Attach { cores, eval } => {
+                let mut uncovered = std::mem::take(&mut scratch.xs);
+                uncovered.clear();
+                for (row, x) in rows.iter().zip(proj.chunks_exact(d)) {
+                    if !cores.iter().any(|core| core.signature.contains(row)) {
+                        uncovered.extend_from_slice(x);
+                    }
+                }
+                let mut accs = fresh_accs(eval.num_components(), d);
+                eval.attach_block(&uncovered, scratch, &mut accs);
+                scratch.xs = uncovered;
+                EmPartial { accs, loglik: 0.0 }
+            }
+            EmPass::Estep(eval) => eval.estep_block(proj, scratch),
+        }
+    }
+
+    /// Folds block partials, given in ascending block order, from the
+    /// empty partial by [`EmPartial::merge`].
+    pub(crate) fn fold(&self, parts: &[EmPartial]) -> EmPartial {
+        let k = match self {
+            EmPass::Support { cores, .. } => cores.len(),
+            EmPass::Attach { eval, .. } | EmPass::Estep(eval) => eval.num_components(),
+        };
+        let mut total = EmPartial {
+            accs: fresh_accs(k, self.arel().len()),
+            loglik: 0.0,
+        };
+        for part in parts {
+            total.merge(part);
+        }
+        total
+    }
+}
+
+fn fresh_accs(k: usize, d: usize) -> Vec<CovarianceAccumulator> {
+    (0..k).map(|_| CovarianceAccumulator::new(d)).collect()
+}
+
+/// Runs EM's data passes over the input rows: the seam between the EM
+/// driver and *where* the blocks are computed. [`PoolRunner`] folds the
+/// blocks on the worker pool (the serial pipelines);
+/// [`crate::mr::em::JobRunner`] maps them in MR jobs (P3C+-MR). Either
+/// way a pass is [`EmPass::block`] over every global [`EM_BLOCK_POINTS`]
+/// block, folded in ascending block order by [`EmPass::fold`]: the
+/// summation form of Chu et al. with the block as its unit.
+pub trait EmRunner {
+    /// What a failed pass reports.
+    type Error;
+
+    /// The pass folded over every block of the input.
+    fn run_pass(&mut self, pass: &EmPass<'_>) -> Result<EmPartial, Self::Error>;
+}
+
+/// The in-process [`EmRunner`]: the blocks run on the engine worker
+/// pool ([`p3c_mapreduce::parallel_for_blocks_with`]), each worker with
+/// private scratch, and the partials come back in block order — the
+/// same blocks and the same fold for every `threads` value, so the
+/// result is bit-identical across thread counts (DESIGN.md §11). The
+/// rows are projected onto `A_rel` once and reused by every pass.
+pub struct PoolRunner<'a> {
+    rows: &'a [&'a [f64]],
+    threads: usize,
+    arel: Vec<usize>,
+    proj: Vec<f64>,
+}
+
+impl<'a> PoolRunner<'a> {
+    /// Runner over `rows` on `threads` workers.
+    pub fn new(rows: &'a [&'a [f64]], threads: usize) -> Self {
+        Self {
+            rows,
+            threads,
+            arel: Vec::new(),
+            proj: Vec::new(),
+        }
+    }
+}
+
+impl EmRunner for PoolRunner<'_> {
+    type Error = std::convert::Infallible;
+
+    fn run_pass(&mut self, pass: &EmPass<'_>) -> Result<EmPartial, Self::Error> {
+        if self.arel != pass.arel() {
+            self.arel = pass.arel().to_vec();
+            self.proj = project_rows_blocked(self.rows, &self.arel, self.threads);
+        }
+        let (rows, proj, d) = (self.rows, &self.proj, self.arel.len());
+        let partials = p3c_mapreduce::parallel_for_blocks_with(
+            self.threads,
+            rows.len().div_ceil(EM_BLOCK_POINTS),
+            EstepScratch::new,
+            |scratch, block| {
+                let start = block * EM_BLOCK_POINTS;
+                let end = (start + EM_BLOCK_POINTS).min(rows.len());
+                pass.block(&rows[start..end], &proj[start * d..end * d], scratch)
+            },
+        );
+        Ok(pass.fold(&partials))
+    }
+}
+
+/// The EM phase of P3C+: `A_rel` (Equation 3: the attributes of every
+/// core's signature, ascending), the two-round initialization, then EM
+/// to convergence or `params.em_max_iters`. The serial and the MR
+/// pipelines both run it; only their runner differs.
+pub fn em_phase<R: EmRunner>(
+    runner: &mut R,
+    cores: &[ClusterCore],
+    params: &P3cParams,
+) -> Result<EmFit, R::Error> {
+    let arel: Vec<usize> = cores
+        .iter()
+        .flat_map(|c| c.signature.attributes())
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let init = initialize_with(runner, cores, &arel)?;
+    em_fit_with(runner, init, params.em_max_iters, params.em_tol)
+}
+
+/// Builds the initial mixture from cluster cores on the calling thread:
+/// [`initialize_with`] over a one-worker [`PoolRunner`].
 pub fn initialize_from_cores(
     cores: &[ClusterCore],
     rows: &[&[f64]],
     arel: &[usize],
 ) -> MixtureModel {
+    let Ok(model) = initialize_with(&mut PoolRunner::new(rows, 1), cores, arel);
+    model
+}
+
+/// The paper's two-round initialization through `runner`: the moments
+/// of every core's support set (round 1) give the round-1 model; the
+/// fold of the rows no core covers, attached to their nearest round-1
+/// component (round 2), is merged into those moments.
+pub fn initialize_with<R: EmRunner>(
+    runner: &mut R,
+    cores: &[ClusterCore],
+    arel: &[usize],
+) -> Result<MixtureModel, R::Error> {
     assert!(
         !cores.is_empty(),
         "EM initialization needs at least one core"
     );
-    let d = arel.len();
-
-    // Round 1: accumulate over core support sets.
-    let mut uncovered: Vec<usize> = Vec::new();
-    let mut accs = support_set_accumulators(cores, rows, arel, |i| uncovered.push(i));
-    let round1 = finish_components(&accs);
-
-    // Round 2: attach uncovered points to the Mahalanobis-nearest core,
-    // one gathered block at a time.
-    let eval = MixtureModel {
+    let mut moments = runner.run_pass(&EmPass::Support { cores, arel })?;
+    let round1 = MixtureModel {
         arel: arel.to_vec(),
-        components: round1,
-    }
-    .evaluator();
-    let mut scratch = EstepScratch::new();
-    let mut block = Vec::with_capacity(EM_BLOCK_POINTS * d);
-    for chunk in uncovered.chunks(EM_BLOCK_POINTS) {
-        block.clear();
-        for &i in chunk {
-            eval.project_append(rows[i], &mut block);
-        }
-        eval.attach_block(&block, &mut scratch, &mut accs);
-    }
-    MixtureModel {
-        arel: arel.to_vec(),
-        components: finish_components(&accs),
-    }
-}
-
-/// Round 1 of the EM initialization over `rows`: one accumulator per
-/// core, fed the `arel` projection of every row in the core's support
-/// set, row by row. Each row no core holds is handed, by its index in
-/// `rows`, to `uncovered`. The serial initializer runs it over all rows,
-/// the MR mapper over its split.
-pub(crate) fn support_set_accumulators(
-    cores: &[ClusterCore],
-    rows: &[&[f64]],
-    arel: &[usize],
-    mut uncovered: impl FnMut(usize),
-) -> Vec<CovarianceAccumulator> {
-    let mut accs: Vec<CovarianceAccumulator> = cores
-        .iter()
-        .map(|_| CovarianceAccumulator::new(arel.len()))
-        .collect();
-    let mut x = Vec::with_capacity(arel.len());
-    for (i, row) in rows.iter().enumerate() {
-        let mut in_any = false;
-        for (acc, core) in accs.iter_mut().zip(cores) {
-            if core.signature.contains(row) {
-                x.clear();
-                x.extend(arel.iter().map(|&a| row[a]));
-                acc.push(&x, 1.0);
-                in_any = true;
-            }
-        }
-        if !in_any {
-            uncovered(i);
-        }
-    }
-    accs
+        components: finish_components(&moments.accs),
+    };
+    let eval = round1.evaluator();
+    moments.merge(&runner.run_pass(&EmPass::Attach { cores, eval: &eval })?);
+    Ok(MixtureModel {
+        arel: round1.arel,
+        components: finish_components(&moments.accs),
+    })
 }
 
 /// Converts accumulators into components with safe fallbacks for
@@ -649,57 +823,6 @@ pub struct EmFit {
     pub iterations: usize,
 }
 
-/// Points per block of the serial density scans ([`estep_blocked`],
-/// round 2 of [`initialize_from_cores`]): big enough to amortize
-/// dispatch, the per-block accumulator allocations, and the row-outer
-/// [`CovarianceAccumulator::push_block`] setup, small enough that the
-/// block's density/solve scratch stays cache-resident. Also the
-/// work-unit granularity of the parallel E-step.
-const EM_BLOCK_POINTS: usize = 512;
-
-/// One E-step over the pre-projected sub-matrix `proj` (row-major,
-/// `arel.len()` values per point): responsibility-weighted covariance
-/// accumulators per component, plus the total log-likelihood under the
-/// evaluator's model.
-///
-/// The scan is blocked at `EM_BLOCK_POINTS` (512-point) granularity
-/// and runs on the engine worker pool
-/// ([`p3c_mapreduce::parallel_for_blocks_with`]): each worker owns
-/// private density/solve scratch, produces one
-/// `DensityEvaluator::estep_block` partial per claimed block, and the
-/// partials merge in **fixed block-index order**. The block structure
-/// and merge order are identical for every `threads` value — including
-/// the inline `threads == 1` path — so the result is bit-identical
-/// across thread counts (DESIGN.md §11).
-pub fn estep_blocked(
-    eval: &DensityEvaluator,
-    proj: &[f64],
-    threads: usize,
-) -> (Vec<CovarianceAccumulator>, f64) {
-    let k = eval.num_components();
-    let d = eval.arel.len();
-    let partials = p3c_mapreduce::parallel_for_blocks_with(
-        threads,
-        (proj.len() / d).div_ceil(EM_BLOCK_POINTS),
-        EstepScratch::new,
-        |scratch, block| {
-            let start = block * EM_BLOCK_POINTS * d;
-            let end = (start + EM_BLOCK_POINTS * d).min(proj.len());
-            eval.estep_block(&proj[start..end], scratch)
-        },
-    );
-    let mut accs: Vec<CovarianceAccumulator> =
-        (0..k).map(|_| CovarianceAccumulator::new(d)).collect();
-    let mut loglik = 0.0;
-    for (block_accs, block_loglik) in &partials {
-        for (total, part) in accs.iter_mut().zip(block_accs) {
-            total.merge(part);
-        }
-        loglik += block_loglik;
-    }
-    (accs, loglik)
-}
-
 /// Rows per projection-scan block: pure data movement, so blocks are
 /// large to amortize pool dispatch against memory bandwidth.
 const PROJECT_BLOCK_ROWS: usize = 1024;
@@ -728,15 +851,27 @@ pub fn project_rows_blocked(rows: &[&[f64]], arel: &[usize], threads: usize) -> 
     proj
 }
 
-/// Runs EM to convergence (or `max_iters`) on the calling thread; the
-/// E-step uses the same blocked kernel as [`em_fit_threads`] with one
-/// worker, so results are bit-identical to every thread count.
+/// Runs EM to convergence (or `max_iters`) on the calling thread:
+/// [`em_fit_threads`] with one worker, bit-identical to every thread
+/// count.
 pub fn em_fit(init: MixtureModel, rows: &[&[f64]], max_iters: usize, tol: f64) -> EmFit {
     em_fit_threads(init, rows, max_iters, tol, 1)
 }
 
-/// Runs EM to convergence (or `max_iters`) with the E-step
-/// block-parallelized over `threads` workers ([`estep_blocked`]).
+/// Runs EM to convergence (or `max_iters`) with each pass's blocks on
+/// `threads` pool workers ([`PoolRunner`]).
+pub fn em_fit_threads(
+    init: MixtureModel,
+    rows: &[&[f64]],
+    max_iters: usize,
+    tol: f64,
+    threads: usize,
+) -> EmFit {
+    let Ok(fit) = em_fit_with(&mut PoolRunner::new(rows, threads), init, max_iters, tol);
+    fit
+}
+
+/// The EM iterations through `runner`.
 ///
 /// Iteration semantics: each iteration evaluates the current model's
 /// log-likelihood (E-step), records it in `loglik_history`, and — only
@@ -746,41 +881,36 @@ pub fn em_fit(init: MixtureModel, rows: &[&[f64]], max_iters: usize, tol: f64) -
 /// equals `loglik_history.len()`; on budget exhaustion the model has
 /// had `max_iters` M-steps and the history records the likelihood
 /// before each of them.
-pub fn em_fit_threads(
+pub fn em_fit_with<R: EmRunner>(
+    runner: &mut R,
     init: MixtureModel,
-    rows: &[&[f64]],
     max_iters: usize,
     tol: f64,
-    threads: usize,
-) -> EmFit {
+) -> Result<EmFit, R::Error> {
     let mut model = init;
-    // Project every row into A_rel once; the EM iterations then scan this
-    // contiguous sub-matrix instead of re-gathering per row per iteration.
-    let proj = project_rows_blocked(rows, &model.arel, threads);
     let mut history: Vec<f64> = Vec::new();
     let mut iterations = 0;
     for _ in 0..max_iters {
         iterations += 1;
-        let eval = model.evaluator();
-        let (accs, loglik) = estep_blocked(&eval, &proj, threads);
+        let step = runner.run_pass(&EmPass::Estep(&model.evaluator()))?;
         let converged = history
             .last()
-            .map(|&prev| (loglik - prev).abs() <= tol * prev.abs().max(1.0))
+            .map(|&prev| (step.loglik - prev).abs() <= tol * prev.abs().max(1.0))
             .unwrap_or(false);
-        history.push(loglik);
+        history.push(step.loglik);
         if converged {
             break;
         }
         model = MixtureModel {
             arel: model.arel,
-            components: finish_components(&accs),
+            components: finish_components(&step.accs),
         };
     }
-    EmFit {
+    Ok(EmFit {
         model,
         loglik_history: history,
         iterations,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -856,13 +986,10 @@ mod tests {
         // On convergence the loop stops before the redundant M-step, so
         // the returned model is exactly the one whose log-likelihood was
         // recorded last; re-evaluating it reproduces the tail bit-for-bit.
-        let mut proj = Vec::new();
-        for row in &rows {
-            proj.extend(fit.model.arel.iter().map(|&a| row[a]));
-        }
-        let (_, loglik) = estep_blocked(&fit.model.evaluator(), &proj, 1);
+        let eval = fit.model.evaluator();
+        let Ok(step) = PoolRunner::new(&rows, 1).run_pass(&EmPass::Estep(&eval));
         assert_eq!(
-            loglik.to_bits(),
+            step.loglik.to_bits(),
             fit.loglik_history.last().unwrap().to_bits()
         );
     }
@@ -932,7 +1059,7 @@ mod tests {
                 .flat_map(|r| r.iter().copied())
                 .collect();
             let mut scratch = EstepScratch::new();
-            let (accs, loglik) = eval.estep_block(&proj, &mut scratch);
+            let EmPartial { accs, loglik } = eval.estep_block(&proj, &mut scratch);
             let mut want: Vec<CovarianceAccumulator> =
                 (0..2).map(|_| CovarianceAccumulator::new(2)).collect();
             let mut want_ll = 0.0;

@@ -985,8 +985,8 @@ impl p3c_mapreduce::service::DurableTenant for IncrementalLight {
         Ok(IncrementalLight::new(name, params))
     }
 
-    fn encode_block(block: &RowBlock) -> Vec<u8> {
-        block.to_bytes()
+    fn encode_block_into(block: &RowBlock, out: &mut Vec<u8>) {
+        block.encode_into(out);
     }
 
     fn decode_block(bytes: &[u8]) -> Result<RowBlock, String> {
@@ -1006,7 +1006,12 @@ impl p3c_mapreduce::service::DurableTenant for IncrementalLight {
         self.block_ids()
     }
 
-    fn encode_live_block(&self, store: &DatasetStore, id: u64) -> Result<Vec<u8>, String> {
+    fn encode_live_block_into(
+        &self,
+        store: &DatasetStore,
+        id: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), String> {
         let entry = self
             .log
             .entries()
@@ -1015,12 +1020,14 @@ impl p3c_mapreduce::service::DurableTenant for IncrementalLight {
             .ok_or_else(|| format!("block {id} is not live"))?;
         if entry.rows == 0 {
             let dim = self.log.dim().unwrap_or(0);
-            return Ok(RowBlock::new(0, dim, Vec::new()).to_bytes());
+            RowBlock::new(0, dim, Vec::new()).encode_into(out);
+            return Ok(());
         }
         let block = store
             .get(&block_name(&self.name, id))
             .map_err(|e| e.to_string())?;
-        Ok(block.to_bytes())
+        block.encode_into(out);
+        Ok(())
     }
 
     fn restore_block(
@@ -1349,7 +1356,9 @@ mod tests {
         // from the journal records that hold them.
         assert!(back.materialize(&store2).is_err(), "no rows in the state");
         for id in eng.live_blocks() {
-            let encoded = eng.encode_live_block(&store, id).unwrap();
+            let mut encoded = Vec::new();
+            eng.encode_live_block_into(&store, id, &mut encoded)
+                .unwrap();
             let block = IncrementalLight::decode_block(&encoded).unwrap();
             assert!(
                 DurableTenant::restore_block(&mut back, &store2, id + 7, block.clone()).is_err(),

@@ -13,8 +13,9 @@
 //!   candidate-generation job, and the counter through which
 //!   [`crate::cores`]' level loop runs them, multi-level candidate
 //!   collection included (Section 5.3),
-//! * [`em`] — EM initialization and the two-jobs-per-iteration EM loop
-//!   (Section 5.4),
+//! * [`em`] — the runner through which [`crate::em`]'s one EM driver
+//!   runs each data pass as a job: both initialization rounds and two
+//!   jobs per iteration (Section 5.4),
 //! * [`outlier`] — the OD job and the three MVB jobs (Section 5.5),
 //! * [`inspect`] — the attribute-inspection job, whose per-cluster
 //!   summaries carry both the inspection histograms and the min/max of
@@ -31,6 +32,7 @@ pub mod pipeline;
 
 pub use pipeline::{P3cPlusMr, P3cPlusMrLight};
 
+use crate::em::EmPartial;
 use crate::types::{Interval, Signature};
 use p3c_dataset::bytes::{self, DecodeError, Reader};
 use p3c_linalg::CovarianceAccumulator;
@@ -54,10 +56,15 @@ pub struct AccMsg(pub CovarianceAccumulator);
 
 impl Weighable for AccMsg {
     fn weight(&self) -> usize {
-        let d = self.0.dim();
-        // linear sum + scatter matrix + (weight, weight², count).
-        8 * (d + d * d) + 24
+        acc_weight(&self.0)
     }
+}
+
+/// Bytes of an encoded accumulator: linear sum + scatter matrix +
+/// (weight, weight², count).
+fn acc_weight(acc: &CovarianceAccumulator) -> usize {
+    let d = acc.dim();
+    8 * (d + d * d) + 24
 }
 
 impl Wire for SigMsg {
@@ -74,30 +81,63 @@ impl Wire for SigMsg {
 
 impl Wire for AccMsg {
     fn encode(&self, buf: &mut Vec<u8>) {
-        let (dim, linear, scatter, weight, weight_sq, count) = self.0.to_parts();
-        dim.encode(buf);
-        for seq in [linear, scatter] {
-            bytes::put_len32(buf, seq.len());
-            bytes::put_f64_run(buf, seq);
-        }
-        weight.encode(buf);
-        weight_sq.encode(buf);
-        count.encode(buf);
+        put_acc(buf, &self.0);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let dim = r.usize()?;
-        let linear = Vec::<f64>::decode(r)?;
-        let scatter = Vec::<f64>::decode(r)?;
-        let weight = r.f64()?;
-        let weight_sq = r.f64()?;
-        let count = r.u64()?;
-        if linear.len() != dim || Some(scatter.len()) != dim.checked_mul(dim) {
-            return Err(DecodeError::Malformed("accumulator shape mismatch"));
-        }
-        Ok(AccMsg(CovarianceAccumulator::from_parts(
-            dim, linear, scatter, weight, weight_sq, count,
-        )))
+        read_acc(r).map(AccMsg)
     }
+}
+
+/// An EM block partial as a shuffle message: the accumulators as
+/// [`AccMsg`]s after a `u32` count, then the log-likelihood.
+impl Weighable for EmPartial {
+    fn weight(&self) -> usize {
+        4 + self.accs.iter().map(acc_weight).sum::<usize>() + 8
+    }
+}
+
+impl Wire for EmPartial {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        bytes::put_len32(buf, self.accs.len());
+        for acc in &self.accs {
+            put_acc(buf, acc);
+        }
+        self.loglik.encode(buf);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        // An accumulator is at least its dim, two u32 lengths and the
+        // three scalars: 40 bytes.
+        let accs = r.seq32(40, read_acc)?;
+        let loglik = r.f64()?;
+        Ok(EmPartial { accs, loglik })
+    }
+}
+
+fn put_acc(buf: &mut Vec<u8>, acc: &CovarianceAccumulator) {
+    let (dim, linear, scatter, weight, weight_sq, count) = acc.to_parts();
+    dim.encode(buf);
+    for seq in [linear, scatter] {
+        bytes::put_len32(buf, seq.len());
+        bytes::put_f64_run(buf, seq);
+    }
+    weight.encode(buf);
+    weight_sq.encode(buf);
+    count.encode(buf);
+}
+
+fn read_acc(r: &mut Reader<'_>) -> Result<CovarianceAccumulator, DecodeError> {
+    let dim = r.usize()?;
+    let linear = Vec::<f64>::decode(r)?;
+    let scatter = Vec::<f64>::decode(r)?;
+    let weight = r.f64()?;
+    let weight_sq = r.f64()?;
+    let count = r.u64()?;
+    if linear.len() != dim || Some(scatter.len()) != dim.checked_mul(dim) {
+        return Err(DecodeError::Malformed("accumulator shape mismatch"));
+    }
+    Ok(CovarianceAccumulator::from_parts(
+        dim, linear, scatter, weight, weight_sq, count,
+    ))
 }
 
 #[cfg(test)]
@@ -140,6 +180,27 @@ mod tests {
         assert_eq!(bits(s0), bits(s1));
         assert_eq!(w0.to_bits(), w1.to_bits());
         assert_eq!(q0.to_bits(), q1.to_bits());
+    }
+
+    #[test]
+    fn em_partial_wire_roundtrip_bit_identical() {
+        let mut acc = CovarianceAccumulator::new(2);
+        acc.push(&[0.25, -1.5], 0.75);
+        let partial = EmPartial {
+            accs: vec![acc, CovarianceAccumulator::new(2)],
+            loglik: -123.456,
+        };
+        let bytes = encode_to_vec(&partial);
+        let back: EmPartial = decode_from_slice(&bytes).unwrap();
+        assert_eq!(back.loglik.to_bits(), partial.loglik.to_bits());
+        for (a, b) in back.accs.iter().zip(&partial.accs) {
+            assert_eq!(
+                encode_to_vec(&AccMsg(a.clone())),
+                encode_to_vec(&AccMsg(b.clone()))
+            );
+        }
+        assert_eq!(back.accs.len(), 2);
+        assert!(decode_from_slice::<EmPartial>(&bytes[..bytes.len() - 1]).is_err());
     }
 
     /// Pinned wire bytes of the two message types (DESIGN.md "Byte

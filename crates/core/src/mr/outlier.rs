@@ -10,7 +10,6 @@
 //!   each cluster's ball, as in the EM initialization.
 
 use crate::em::DensityEvaluator;
-use crate::mr::em::{emit_accs, AccReducer};
 use crate::mr::AccMsg;
 use crate::outlier::{
     fit_geometry, mvb_of, project_and_assign, robust_geometry, verdicts, Geometry, Members,
@@ -20,6 +19,28 @@ use p3c_mapreduce::{Emitter, Engine, Mapper, MrError, Reducer};
 use p3c_stats::descriptive::{dimensionwise_median, median_in_place};
 use p3c_stats::ChiSquared;
 use std::sync::Arc;
+
+/// Reducer merging per-split covariance accumulators of one cluster.
+struct AccReducer;
+impl Reducer<usize, AccMsg, (usize, AccMsg)> for AccReducer {
+    fn reduce(&self, key: &usize, values: Vec<AccMsg>, out: &mut Vec<(usize, AccMsg)>) {
+        let mut iter = values.into_iter();
+        let mut first = iter.next().expect("group nonempty").0;
+        for AccMsg(acc) in iter {
+            first.merge(&acc);
+        }
+        out.push((*key, AccMsg(first)));
+    }
+}
+
+/// Emits the non-empty per-cluster accumulators of a split.
+fn emit_accs(accs: Vec<CovarianceAccumulator>, out: &mut Emitter<usize, AccMsg>) {
+    for (c, acc) in accs.into_iter().enumerate() {
+        if acc.count() > 0 {
+            out.emit(c, AccMsg(acc));
+        }
+    }
+}
 
 /// Estimated broadcast size of an evaluator's parameters.
 fn eval_cache_bytes(eval: &DensityEvaluator, d: usize) -> usize {

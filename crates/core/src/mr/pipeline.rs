@@ -15,8 +15,9 @@
 
 use crate::config::{BinRuleChoice, OutlierMethod, P3cParams};
 use crate::cores::ClusterCore;
+use crate::em::em_phase;
 use crate::mr::coregen::JobCounter;
-use crate::mr::em::{em_fit_mr, initialize_from_cores_mr};
+use crate::mr::em::JobRunner;
 use crate::mr::histogram::{histogram_job, iqr_job};
 use crate::mr::inspect::{inspection_job, InspectionItem};
 use crate::mr::outlier::{od_job_mcd, od_job_mvb, od_job_naive};
@@ -25,7 +26,6 @@ use crate::p3cplus::{
 };
 use p3c_dataset::{split_assignment, Clustering, Dataset};
 use p3c_mapreduce::{run_chain, Emitter, Engine, Mapper, MrError, SchedulerChoice};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The P3C+-MR algorithm (paper Section 5): every data-proportional step
@@ -72,17 +72,15 @@ impl<'e> P3cPlusMr<'e> {
             return Ok(empty_result(data.len(), stats));
         }
         let (k, d) = (cores.len(), data.dim());
-        let arel = arel_of(&cores);
 
         let (em_iterations, assignment, summaries) =
             run_chain(self.engine, "p3c-model", scheduler, |chain| {
                 let fit = chain.step("em", |engine| {
-                    let init = initialize_from_cores_mr(engine, &cores, rows, &arel)?;
-                    em_fit_mr(engine, init, rows, params.em_max_iters, params.em_tol)
+                    em_phase(&mut JobRunner::new(engine, rows), &cores, params)
                 })?;
                 let assignment = chain.step("outlier-detection", |engine| {
                     let eval = Arc::new(fit.model.evaluator());
-                    let (alpha, arel_len) = (params.alpha_outlier, arel.len());
+                    let (alpha, arel_len) = (params.alpha_outlier, fit.model.arel.len());
                     match params.outlier {
                         OutlierMethod::Naive => od_job_naive(engine, eval, rows, alpha, arel_len),
                         OutlierMethod::Mvb => od_job_mvb(engine, eval, rows, alpha, arel_len),
@@ -263,15 +261,6 @@ fn membership_job(
         },
     )?;
     Ok(result.output)
-}
-
-fn arel_of(cores: &[ClusterCore]) -> Vec<usize> {
-    cores
-        .iter()
-        .flat_map(|c| c.signature.attributes())
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect()
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use crate::cores::{
     attach_expected_supports, generate_cluster_cores_with, ClusterCore, CoreGenStats, LevelCounter,
     ScanCounter,
 };
-use crate::em::{em_fit_threads, initialize_from_cores};
+use crate::em::{em_phase, PoolRunner};
 use crate::histogram::build_histograms_columnar_threads;
 use crate::inspect::ClusterSummary;
 use crate::outlier::{
@@ -21,7 +21,6 @@ use crate::relevance::relevant_intervals;
 use crate::support::SupportIndex;
 use crate::types::Signature;
 use p3c_dataset::{split_assignment, Clustering, Dataset, ProjectedCluster};
-use std::collections::BTreeSet;
 
 /// Statistics of one pipeline run.
 #[derive(Debug, Clone, Default)]
@@ -80,22 +79,16 @@ impl P3cPlus {
             return empty_result(data.len(), stats);
         }
 
-        // EM in the relevant subspace.
-        let arel: Vec<usize> = cores
-            .iter()
-            .flat_map(|c| c.signature.attributes())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let init = initialize_from_cores(&cores, &rows, &arel);
-        let fit = em_fit_threads(
-            init,
-            &rows,
-            self.params.em_max_iters,
-            self.params.em_tol,
-            self.params.threads,
+        // EM in the relevant subspace. The runner and its projected rows
+        // are dropped with this statement, before assignment and outlier
+        // detection project the rows again.
+        let Ok(fit) = em_phase(
+            &mut PoolRunner::new(&rows, self.params.threads),
+            &cores,
+            &self.params,
         );
         stats.em_iterations = fit.iterations;
+        let arel = &fit.model.arel;
         let eval = fit.model.evaluator();
         let hard = assign_clusters(&eval, &rows);
 

@@ -26,6 +26,9 @@ pub struct MrConfig {
     /// Number of reduce partitions (the paper uses 112 on its cluster).
     pub num_reducers: usize,
     /// Records per input split (Hadoop: one split ≈ one HDFS block).
+    /// P3C+-MR's EM jobs fold 512-row blocks: a multiple of 512 (the
+    /// default is one), or a single split, keeps its EM model bit for
+    /// bit that of serial P3C+.
     pub split_size: usize,
     /// Worker threads executing tasks; `0` means all available cores.
     /// Workers are capped at the number of available cores (and at the

@@ -91,8 +91,14 @@ pub trait DurableTenant: Tenant + Sized {
     ///
     /// [`encode_create`]: DurableTenant::encode_create
     fn decode_create(name: &str, bytes: &[u8]) -> Result<Self, String>;
-    /// Encodes one block for the journal.
-    fn encode_block(block: &Self::Block) -> Vec<u8>;
+    /// Appends one block's journal encoding to `out`.
+    fn encode_block_into(block: &Self::Block, out: &mut Vec<u8>);
+    /// One block's journal encoding in a buffer of its own.
+    fn encode_block(block: &Self::Block) -> Vec<u8> {
+        let mut out = Vec::new();
+        Self::encode_block_into(block, &mut out);
+        out
+    }
     /// Decodes a journaled block.
     fn decode_block(bytes: &[u8]) -> Result<Self::Block, String>;
     /// Appends the full maintained state to `out` — the buffer the
@@ -108,11 +114,17 @@ pub trait DurableTenant: Tenant + Sized {
     fn restore_state(name: &str, bytes: &[u8], store: &DatasetStore) -> Result<Self, String>;
     /// The ids of the live blocks, ascending.
     fn live_blocks(&self) -> Vec<u64>;
-    /// Encodes live block `id` as [`encode_block`] would, reading its
-    /// payload from `store` — for re-journaling it.
+    /// Appends live block `id`'s encoding to `out` as
+    /// [`encode_block_into`] would, reading its payload from `store` —
+    /// for re-journaling it.
     ///
-    /// [`encode_block`]: DurableTenant::encode_block
-    fn encode_live_block(&self, store: &DatasetStore, id: u64) -> Result<Vec<u8>, String>;
+    /// [`encode_block_into`]: DurableTenant::encode_block_into
+    fn encode_live_block_into(
+        &self,
+        store: &DatasetStore,
+        id: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), String>;
     /// Re-seeds the payload of live block `id`, read back from its
     /// journal record, into a tenant rebuilt by
     /// [`restore_state`](DurableTenant::restore_state); an error if no
@@ -309,11 +321,11 @@ const OP_RELOCATE: u8 = 5;
 /// over any [`Tenant`], can journal without the `DurableTenant` bound.
 struct WalHooks<T: Tenant> {
     encode_create: fn(&T) -> Vec<u8>,
-    encode_block: fn(&T::Block) -> Vec<u8>,
+    encode_block: fn(&T::Block, &mut Vec<u8>),
     snapshot_state: fn(&T, &DatasetStore, &mut Vec<u8>) -> Result<(), String>,
     discretization_stamp: fn(&T) -> u64,
     live_blocks: fn(&T) -> Vec<u64>,
-    encode_live_block: fn(&T, &DatasetStore, u64) -> Result<Vec<u8>, String>,
+    encode_live_block: fn(&T, &DatasetStore, u64, &mut Vec<u8>) -> Result<(), String>,
 }
 
 /// Service-wide durability configuration (present iff built with
@@ -433,11 +445,12 @@ fn roll_snapshot<T: Tenant>(
     if !moving.is_empty() {
         let mut payloads = Vec::with_capacity(moving.len());
         for &id in &moving {
-            let block =
-                (hooks.encode_live_block)(tenant, store, id).map_err(ServiceError::Tenant)?;
-            let mut payload = Vec::with_capacity(16 + block.len());
+            let mut payload = Vec::new();
             bytes::put_u64(&mut payload, id);
-            bytes::put_bytes(&mut payload, &block);
+            bytes::put_bytes_with(&mut payload, |out| {
+                (hooks.encode_live_block)(tenant, store, id, out)
+            })
+            .map_err(ServiceError::Tenant)?;
             payloads.push(payload);
         }
         let first = wal
@@ -624,9 +637,12 @@ impl<T: Tenant> ClusterService<T> {
         let mut slot = tenant.lock();
         let mut journaled = None;
         if let (Some(d), Some(wal)) = (self.durability.as_ref(), slot.wal.as_mut()) {
-            let encoded = (d.hooks.encode_block)(&block);
-            let mut payload = Vec::with_capacity(8 + encoded.len());
-            bytes::put_bytes(&mut payload, &encoded);
+            // The block is encoded once, straight into its payload.
+            let mut payload = Vec::new();
+            let Ok(()) = bytes::put_bytes_with(&mut payload, |out| {
+                (d.hooks.encode_block)(&block, out);
+                Ok::<_, std::convert::Infallible>(())
+            });
             let seq = wal_log(wal, OP_APPEND, &payload)?;
             journaled = Some(BlockLoc {
                 seq,
@@ -779,11 +795,11 @@ impl<T: DurableTenant> ClusterService<T> {
             snapshot_every,
             hooks: WalHooks {
                 encode_create: T::encode_create,
-                encode_block: T::encode_block,
+                encode_block: T::encode_block_into,
                 snapshot_state: T::snapshot_state,
                 discretization_stamp: T::discretization_stamp,
                 live_blocks: T::live_blocks,
-                encode_live_block: T::encode_live_block,
+                encode_live_block: T::encode_live_block_into,
             },
         });
         Ok(svc)
@@ -1252,10 +1268,8 @@ mod tests {
             Ok(FakeTenant::new(estimate))
         }
 
-        fn encode_block(block: &usize) -> Vec<u8> {
-            let mut buf = Vec::new();
-            bytes::put_usize(&mut buf, *block);
-            buf
+        fn encode_block_into(block: &usize, out: &mut Vec<u8>) {
+            bytes::put_usize(out, *block);
         }
 
         fn decode_block(bytes: &[u8]) -> Result<usize, String> {
@@ -1304,9 +1318,15 @@ mod tests {
             self.blocks.keys().copied().collect()
         }
 
-        fn encode_live_block(&self, _store: &DatasetStore, id: u64) -> Result<Vec<u8>, String> {
+        fn encode_live_block_into(
+            &self,
+            _store: &DatasetStore,
+            id: u64,
+            out: &mut Vec<u8>,
+        ) -> Result<(), String> {
             let rows = self.blocks.get(&id).ok_or("no such block")?;
-            Ok(Self::encode_block(rows))
+            Self::encode_block_into(rows, out);
+            Ok(())
         }
 
         fn restore_block(

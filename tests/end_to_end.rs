@@ -1,8 +1,10 @@
 //! Cross-crate integration tests: the full algorithm stack from data
 //! generation through clustering to quality measurement.
 
-use p3c_suite::core::config::{OutlierMethod, P3cParams};
+use p3c_suite::core::config::{BinRuleChoice, OutlierMethod, P3cParams};
+use p3c_suite::core::em::{em_phase, EmFit, PoolRunner};
 use p3c_suite::core::incremental::{IncrementalLight, ReclusterPath};
+use p3c_suite::core::mr::em::JobRunner;
 use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_suite::core::p3c::P3c;
 use p3c_suite::core::p3cplus::{P3cPlus, P3cPlusLight};
@@ -115,6 +117,125 @@ fn mr_light_equals_serial_light_where_collection_used_to_truncate() {
     // here: level 5 passed the cap of 100 000, was cut, and MR-Light
     // returned 10 clusters for serial Light's 5.
     assert_mr_light_equals_serial_light(&paper_spec(20_000, 5, 0.1, 7));
+}
+
+/// The reduced Figure 6 grid above, then the three sets on which the MR
+/// model used to follow `split_size`: 20 000×50 k 5 seed 7, 20 000×50
+/// k 3 noise 0.2 seed 1, 40 000×30 k 5 seed 3.
+fn full_pipeline_sets() -> Vec<SyntheticSpec> {
+    let mut sets = Vec::new();
+    for k in [3usize, 5, 7] {
+        for noise in [0.0, 0.1, 0.2] {
+            sets.push(paper_spec(10_000, k, noise, 107 + k as u64));
+        }
+    }
+    sets.push(paper_spec(20_000, 5, 0.1, 7));
+    sets.push(paper_spec(20_000, 3, 0.2, 1));
+    sets.push(SyntheticSpec {
+        d: 30,
+        ..paper_spec(40_000, 5, 0.1, 3)
+    });
+    sets
+}
+
+/// Iterations, log-likelihood history and every component's weight,
+/// mean and covariance, as bit patterns.
+fn fit_bits(fit: &EmFit) -> (usize, Vec<u64>, Vec<Vec<u64>>) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let components = fit
+        .model
+        .components
+        .iter()
+        .map(|c| {
+            let d = c.mean.len();
+            let mut all = vec![c.weight.to_bits()];
+            all.extend(bits(&c.mean));
+            all.extend((0..d * d).map(|e| c.cov[(e / d, e % d)].to_bits()));
+            all
+        })
+        .collect();
+    (fit.iterations, bits(&fit.loglik_history), components)
+}
+
+#[test]
+fn mr_em_model_equals_serial_at_block_aligned_split_sizes() {
+    let naive = P3cParams {
+        outlier: OutlierMethod::Naive,
+        ..P3cParams::default()
+    };
+    // MVB's split centers and radii and the exact-IQR job's split
+    // quartiles are medians of per-split estimates (the paper's MR
+    // design), so these two follow `split_size` whatever the EM tree:
+    // they equal serial at one split.
+    let split_median_params = [
+        P3cParams::default(),
+        P3cParams {
+            bin_rule: BinRuleChoice::FreedmanDiaconisIqr,
+            ..naive.clone()
+        },
+    ];
+    // MR MCD is another estimator even at one split: two concentration
+    // steps whose threshold is the median distance, against serial's
+    // four FastMCD C-steps keeping the ⌈n/2⌉ nearest points. Its cores
+    // and EM agree; its outliers need not.
+    let mcd = P3cParams {
+        outlier: OutlierMethod::Mcd,
+        ..P3cParams::default()
+    };
+    for spec in full_pipeline_sets() {
+        let what = format!(
+            "n = {}, d = {}, k = {}, noise = {}, seed = {}",
+            spec.n, spec.d, spec.num_clusters, spec.noise_fraction, spec.seed
+        );
+        let data = generate(&spec);
+        let rows = data.dataset.row_refs();
+        let serial = P3cPlus::new(naive.clone()).cluster(&data.dataset);
+        let Ok(serial_fit) = em_phase(&mut PoolRunner::new(&rows, 1), &serial.cores, &naive);
+        // Splits of whole 512-row EM blocks, the default among them, and
+        // one split.
+        for split_size in [512, 4096, 8192, spec.n] {
+            let engine = Engine::new(MrConfig {
+                split_size,
+                ..MrConfig::default()
+            });
+            let mr = P3cPlusMr::new(&engine, naive.clone())
+                .cluster(&data.dataset)
+                .unwrap();
+            assert_eq!(mr.cores, serial.cores, "{what}, split {split_size}");
+            assert_eq!(
+                mr.clustering, serial.clustering,
+                "{what}, split {split_size}"
+            );
+            // The EM phase both pipelines ran on these cores.
+            let mr_fit = em_phase(&mut JobRunner::new(&engine, &rows), &mr.cores, &naive).unwrap();
+            assert_eq!(
+                fit_bits(&mr_fit),
+                fit_bits(&serial_fit),
+                "{what}, split {split_size}"
+            );
+        }
+        let one_split = |params: &P3cParams| {
+            let engine = Engine::new(MrConfig {
+                split_size: spec.n,
+                ..MrConfig::default()
+            });
+            let mr = P3cPlusMr::new(&engine, params.clone())
+                .cluster(&data.dataset)
+                .unwrap();
+            (P3cPlus::new(params.clone()).cluster(&data.dataset), mr)
+        };
+        for params in &split_median_params {
+            let (serial, mr) = one_split(params);
+            assert_eq!(mr.cores, serial.cores, "{what}, {params:?}");
+            assert_eq!(mr.clustering, serial.clustering, "{what}, {params:?}");
+        }
+        let (serial, mr) = one_split(&mcd);
+        assert_eq!(mr.cores, serial.cores, "{what}, MCD");
+        assert_eq!(
+            mr.stats.em_iterations, serial.stats.em_iterations,
+            "{what}, MCD"
+        );
+    }
 }
 
 #[test]

@@ -24,10 +24,10 @@
 
 use p3c_suite::core::cores::ClusterCore;
 use p3c_suite::core::em::{
-    estep_blocked, finish_components, initialize_from_cores, Component, DensityEvaluator,
-    MixtureModel,
+    em_fit_with, finish_components, initialize_from_cores, initialize_with, Component,
+    DensityEvaluator, EmPass, EmRunner, MixtureModel, PoolRunner,
 };
-use p3c_suite::core::mr::em::{em_fit_mr, initialize_from_cores_mr};
+use p3c_suite::core::mr::em::JobRunner;
 use p3c_suite::core::mr::outlier::{od_job_mcd, od_job_mvb, od_job_naive};
 use p3c_suite::core::outlier::{
     assign_clusters, detect_outliers_mcd, detect_outliers_mvb, detect_outliers_naive,
@@ -54,7 +54,7 @@ fn stream(seed: u64) -> impl FnMut() -> f64 {
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
-/// Points per serial E-step block (`EM_BLOCK_POINTS` in `em.rs`).
+/// Rows per EM block (`EM_BLOCK_POINTS` in `em.rs`).
 const BLOCK: usize = 512;
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -194,8 +194,7 @@ fn generated_cores(model: &MixtureModel) -> Vec<ClusterCore> {
 
 // ---------------------------------------------------------------- E-step --
 
-/// The E-step over one block (a serial 512-point block or an MR split),
-/// point by point.
+/// The E-step over one 512-row block, point by point.
 fn oracle_estep_block(eval: &DensityEvaluator, block: &[f64]) -> (Vec<CovarianceAccumulator>, f64) {
     let d = eval.arel_len();
     let mut accs = fresh(eval.num_components(), d);
@@ -212,13 +211,13 @@ fn oracle_estep_block(eval: &DensityEvaluator, block: &[f64]) -> (Vec<Covariance
     (accs, loglik)
 }
 
-/// `estep_blocked` over `proj` at every thread count against the
-/// serial contract: per-block oracle partials merged in block order.
-fn assert_serial_estep(eval: &DensityEvaluator, proj: &[f64], what: &str) {
+/// The pool runner's E-step over `rows` at every thread count against
+/// the serial contract: per-block oracle partials merged in block order.
+fn assert_serial_estep(eval: &DensityEvaluator, rows: &[&[f64]], what: &str) {
     let d = eval.arel_len();
     let mut want = fresh(eval.num_components(), d);
     let mut want_ll = 0.0;
-    for block in proj.chunks(BLOCK * d) {
+    for block in eval.project_block(rows).chunks(BLOCK * d) {
         let (accs, ll) = oracle_estep_block(eval, block);
         for (total, part) in want.iter_mut().zip(&accs) {
             total.merge(part);
@@ -226,13 +225,10 @@ fn assert_serial_estep(eval: &DensityEvaluator, proj: &[f64], what: &str) {
         want_ll += ll;
     }
     for threads in THREADS {
-        let (accs, ll) = estep_blocked(eval, proj, threads);
-        assert_eq!(ll.to_bits(), want_ll.to_bits(), "{what}, threads={threads}");
-        assert_eq!(
-            accs_bits(&accs),
-            accs_bits(&want),
-            "{what}, threads={threads}"
-        );
+        let Ok(step) = PoolRunner::new(rows, threads).run_pass(&EmPass::Estep(eval));
+        let what = format!("{what}, threads={threads}");
+        assert_eq!(step.loglik.to_bits(), want_ll.to_bits(), "{what}");
+        assert_eq!(accs_bits(&step.accs), accs_bits(&want), "{what}");
     }
 }
 
@@ -243,8 +239,10 @@ fn serial_estep_equals_the_per_point_loop_at_every_size_and_thread_count() {
     // one lane group), the block boundaries, and a large ragged case.
     for n in (1usize..=33).chain([511, 512, 513, 2500]) {
         let mut next = stream(n as u64 + 7);
-        let proj: Vec<f64> = (0..n * 2).map(|_| next()).collect();
-        assert_serial_estep(&eval, &proj, &format!("n={n}"));
+        // `test_model` reads attributes 1 and 3.
+        let data: Vec<Vec<f64>> = (0..n).map(|_| vec![0.0, next(), 0.0, next()]).collect();
+        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+        assert_serial_estep(&eval, &rows, &format!("n={n}"));
     }
     for d in DIMS {
         let model = generated_model(d);
@@ -252,7 +250,7 @@ fn serial_estep_equals_the_per_point_loop_at_every_size_and_thread_count() {
         for n in (1usize..=17).chain([511, 512, 513, 1500]) {
             let data = generated_rows(&model, n, n as u64 + d as u64);
             let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-            assert_serial_estep(&eval, &eval.project_block(&rows), &format!("d={d}, n={n}"));
+            assert_serial_estep(&eval, &rows, &format!("d={d}, n={n}"));
         }
     }
 }
@@ -299,11 +297,11 @@ fn blob_cores() -> Vec<ClusterCore> {
     ]
 }
 
-/// `em_fit_mr` with the per-point E-step: per split one partial, the
-/// partials of a component folded in split order by the reducer (first
-/// value, then `merge`), the driver merging the fold into an empty
-/// accumulator; convergence is checked before the M-step.
-fn oracle_em_fit_mr(
+/// The EM iterations with the per-point E-step over the blocks an MR
+/// job of `split_size`-row splits computes — each split cut into
+/// 512-row blocks — merged in block order from empty accumulators,
+/// skipping empty partials; convergence is checked before the M-step.
+fn oracle_em_fit(
     init: MixtureModel,
     rows: &[&[f64]],
     split_size: usize,
@@ -315,26 +313,17 @@ fn oracle_em_fit_mr(
     let mut history: Vec<f64> = Vec::new();
     for _ in 0..max_iters {
         let eval = model.evaluator();
-        let mut folded: Vec<Option<CovarianceAccumulator>> = vec![None; k];
-        let mut loglik: Option<f64> = None;
-        for split in rows.chunks(split_size) {
-            let (accs, ll) = oracle_estep_block(&eval, &eval.project_block(split));
-            for (fold, acc) in folded.iter_mut().zip(accs) {
-                match fold {
-                    _ if acc.count() == 0 => {}
-                    None => *fold = Some(acc),
-                    Some(first) => first.merge(&acc),
+        let mut accs = fresh(k, d);
+        let mut loglik = 0.0;
+        for block in rows.chunks(split_size).flat_map(|s| s.chunks(BLOCK)) {
+            let (part, ll) = oracle_estep_block(&eval, &eval.project_block(block));
+            for (total, acc) in accs.iter_mut().zip(&part) {
+                if acc.count() > 0 {
+                    total.merge(acc);
                 }
             }
-            loglik = Some(loglik.map_or(ll, |sum| sum + ll));
+            loglik += ll;
         }
-        let mut accs = fresh(k, d);
-        for (total, fold) in accs.iter_mut().zip(&folded) {
-            if let Some(fold) = fold {
-                total.merge(fold);
-            }
-        }
-        let loglik = 0.0 + loglik.unwrap();
         let converged = history
             .last()
             .is_some_and(|&prev| (loglik - prev).abs() <= tol * prev.abs().max(1.0));
@@ -350,8 +339,8 @@ fn oracle_em_fit_mr(
     (history, model)
 }
 
-/// `em_fit_mr` (five iterations, initialized by the MR initialization
-/// job) against [`oracle_em_fit_mr`] at every thread count.
+/// The MR EM jobs (five iterations, initialized by the MR initialization
+/// jobs) against [`oracle_em_fit`] at every thread count.
 fn assert_mr_em_job(
     cores: &[ClusterCore],
     rows: &[&[f64]],
@@ -365,9 +354,10 @@ fn assert_mr_em_job(
             threads,
             ..MrConfig::default()
         });
-        let init = initialize_from_cores_mr(&engine, cores, rows, arel).unwrap();
-        let (want_history, want_model) = oracle_em_fit_mr(init.clone(), rows, split_size, 5, 1e-8);
-        let fit = em_fit_mr(&engine, init, rows, 5, 1e-8).unwrap();
+        let mut runner = JobRunner::new(&engine, rows);
+        let init = initialize_with(&mut runner, cores, arel).unwrap();
+        let (want_history, want_model) = oracle_em_fit(init.clone(), rows, split_size, 5, 1e-8);
+        let fit = em_fit_with(&mut runner, init, 5, 1e-8).unwrap();
         assert_eq!(
             bits(&fit.loglik_history),
             bits(&want_history),
@@ -386,8 +376,9 @@ fn mr_em_job_equals_the_per_point_loop_at_every_split_residue_and_thread_count()
     let data = blob_rows(600);
     let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
     // Splits of 64..=71 records: every lane-group residue in the mapper's
-    // one-block-per-split scan, with a ragged last split.
-    for split_size in 64..=71 {
+    // one-block-per-split scan, with a ragged last split; then splits of
+    // one and of two blocks, the second one ragged.
+    for split_size in (64..=71).chain([BLOCK, 1000]) {
         let what = format!("split_size={split_size}");
         assert_mr_em_job(&blob_cores(), &rows, &[1, 3], split_size, &what);
     }
@@ -411,46 +402,75 @@ fn mr_em_job_equals_the_per_point_loop_at_every_split_residue_and_thread_count()
 
 // ------------------------------------------------------------ attach/init --
 
-/// The two-round initialization, point by point: support-set moments,
-/// then every uncovered point pushed onto the accumulator of its
-/// Mahalanobis-nearest round-1 component (first minimum).
-fn oracle_initialize(cores: &[ClusterCore], rows: &[&[f64]], arel: &[usize]) -> MixtureModel {
-    let mut accs = fresh(cores.len(), arel.len());
-    let project = |row: &[f64]| -> Vec<f64> { arel.iter().map(|&a| row[a]).collect() };
-    let mut uncovered = Vec::new();
-    for row in rows {
-        let mut in_any = false;
-        for (acc, core) in accs.iter_mut().zip(cores) {
-            if core.signature.contains(row) {
-                acc.push(&project(row), 1.0);
-                in_any = true;
+/// Per 512-row block a partial from `block`, then the partials merged in
+/// block order from empty accumulators, skipping empty partials.
+fn oracle_fold(
+    rows: &[&[f64]],
+    k: usize,
+    d: usize,
+    block: impl Fn(&[&[f64]], &mut [CovarianceAccumulator]),
+) -> Vec<CovarianceAccumulator> {
+    let mut total = fresh(k, d);
+    for chunk in rows.chunks(BLOCK) {
+        let mut part = fresh(k, d);
+        block(chunk, &mut part);
+        for (t, acc) in total.iter_mut().zip(&part) {
+            if acc.count() > 0 {
+                t.merge(acc);
             }
         }
-        if !in_any {
-            uncovered.push(project(row));
-        }
     }
+    total
+}
+
+/// The two-round initialization, point by point in 512-row blocks: the
+/// support-set moments give the round-1 model, then every uncovered point
+/// is pushed onto the accumulator of its Mahalanobis-nearest round-1
+/// component (first minimum), and that fold is merged into the moments.
+fn oracle_initialize(cores: &[ClusterCore], rows: &[&[f64]], arel: &[usize]) -> MixtureModel {
+    let (k, d) = (cores.len(), arel.len());
+    let project = |row: &[f64]| -> Vec<f64> { arel.iter().map(|&a| row[a]).collect() };
+    let mut moments = oracle_fold(rows, k, d, |block, accs| {
+        for row in block {
+            for (acc, core) in accs.iter_mut().zip(cores) {
+                if core.signature.contains(row) {
+                    acc.push(&project(row), 1.0);
+                }
+            }
+        }
+    });
     let eval = MixtureModel {
         arel: arel.to_vec(),
-        components: finish_components(&accs),
+        components: finish_components(&moments),
     }
     .evaluator();
-    let mut y = Vec::new();
-    for x in &uncovered {
-        let mut nearest = 0;
-        let mut best = f64::INFINITY;
-        for c in 0..cores.len() {
-            let dist = eval.mahalanobis_sq_scratch(c, x, &mut y);
-            if dist.total_cmp(&best).is_lt() {
-                nearest = c;
-                best = dist;
+    let attached = oracle_fold(rows, k, d, |block, accs| {
+        let mut y = Vec::new();
+        for row in block {
+            if cores.iter().any(|core| core.signature.contains(row)) {
+                continue;
             }
+            let x = project(row);
+            let mut nearest = 0;
+            let mut best = f64::INFINITY;
+            for c in 0..k {
+                let dist = eval.mahalanobis_sq_scratch(c, &x, &mut y);
+                if dist.total_cmp(&best).is_lt() {
+                    nearest = c;
+                    best = dist;
+                }
+            }
+            accs[nearest].push(&x, 1.0);
         }
-        accs[nearest].push(x, 1.0);
+    });
+    for (total, acc) in moments.iter_mut().zip(&attached) {
+        if acc.count() > 0 {
+            total.merge(acc);
+        }
     }
     MixtureModel {
         arel: arel.to_vec(),
-        components: finish_components(&accs),
+        components: finish_components(&moments),
     }
 }
 
@@ -484,25 +504,27 @@ fn initialization_attaches_like_the_per_point_loop() {
 
 #[test]
 fn serial_and_single_split_mr_initialization_agree_bit_for_bit() {
-    // The two sides attach through the same scan but sum differently:
-    // serial pushes the attached points onto the round-1 sums, the MR
-    // driver merges a separate round-2 partial into them. Snapping the
-    // data to a 2⁻¹⁰ grid makes every sum exact, so the summation order
-    // drops out and the models must be equal to the last bit.
-    let data: Vec<Vec<f64>> = blob_rows(3000)
-        .iter()
-        .map(|row| row.iter().map(|v| (v * 1024.0).round() / 1024.0).collect())
-        .collect();
+    // Both sides fold the same 512-row block partials in block order
+    // whenever the MR splits are whole blocks — one split, or a multiple
+    // of 512 rows — so the models are equal to the last bit on raw data.
+    let data = blob_rows(3000);
     let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
     let serial = initialize_from_cores(&blob_cores(), &rows, &[1, 3]);
     for threads in THREADS {
-        let engine = Engine::new(MrConfig {
-            split_size: 100_000,
-            threads,
-            ..MrConfig::default()
-        });
-        let mr = initialize_from_cores_mr(&engine, &blob_cores(), &rows, &[1, 3]).unwrap();
-        assert_eq!(model_bits(&mr), model_bits(&serial), "threads={threads}");
+        for split_size in [BLOCK, 4 * BLOCK, 100_000] {
+            let engine = Engine::new(MrConfig {
+                split_size,
+                threads,
+                ..MrConfig::default()
+            });
+            let mut runner = JobRunner::new(&engine, &rows);
+            let mr = initialize_with(&mut runner, &blob_cores(), &[1, 3]).unwrap();
+            assert_eq!(
+                model_bits(&mr),
+                model_bits(&serial),
+                "split_size={split_size}, threads={threads}"
+            );
+        }
     }
 }
 

@@ -1,5 +1,5 @@
 //! Bit-identity of the block-parallel serial-path kernels (DESIGN.md
-//! §11): the EM E-step ([`estep_blocked`]), the columnar binning scan
+//! §11): the EM E-step ([`PoolRunner`]), the columnar binning scan
 //! ([`build_histograms_columnar_threads`]), the EM projection scan
 //! ([`project_rows_blocked`]), and the signature-proving pass inside
 //! [`generate_cluster_cores`] must produce outputs that are
@@ -14,8 +14,8 @@
 use p3c_suite::core::config::P3cParams;
 use p3c_suite::core::cores::generate_cluster_cores;
 use p3c_suite::core::em::{
-    em_fit, em_fit_threads, estep_blocked, initialize_from_cores, project_rows_blocked, Component,
-    MixtureModel,
+    em_fit, em_fit_threads, initialize_from_cores, project_rows_blocked, Component, EmPass,
+    EmRunner, MixtureModel, PoolRunner,
 };
 use p3c_suite::core::histogram::build_histograms_columnar_threads;
 use p3c_suite::core::{Interval, Signature};
@@ -85,14 +85,19 @@ fn test_model() -> MixtureModel {
 fn estep_is_bit_identical_across_thread_counts() {
     let model = test_model();
     let eval = model.evaluator();
-    // Block size is 128 points: cover sub-block, exact-block, ragged
+    let estep = |rows: &[&[f64]], threads| {
+        let Ok(step) = PoolRunner::new(rows, threads).run_pass(&EmPass::Estep(&eval));
+        (step.accs, step.loglik)
+    };
+    // Blocks are 512 points: cover sub-block, exact-block, ragged
     // multi-block, and larger ragged cases.
-    for n in [1usize, 127, 128, 129, 1000, 2500] {
+    for n in [1usize, 511, 512, 513, 1000, 2500] {
         let mut next = stream(n as u64 + 7);
-        let proj: Vec<f64> = (0..n * 2).map(|_| next()).collect();
-        let (base_accs, base_ll) = estep_blocked(&eval, &proj, 1);
+        let data: Vec<Vec<f64>> = (0..n).map(|_| vec![0.0, next(), 0.0, next()]).collect();
+        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+        let (base_accs, base_ll) = estep(&rows, 1);
         for threads in [2usize, 8] {
-            let (accs, ll) = estep_blocked(&eval, &proj, threads);
+            let (accs, ll) = estep(&rows, threads);
             assert_eq!(
                 ll.to_bits(),
                 base_ll.to_bits(),
