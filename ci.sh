@@ -166,17 +166,21 @@ grep -q "^mr-light: 5 clusters" target/ci/cluster-mr-light.out
 diff <(sed '1s/^mr-light: //' target/ci/cluster-mr-light.out) \
     <(sed '1s/^light: //' target/ci/cluster-light.out)
 
-# The full pipeline on one 8192-row split: P3C+-MR's EM folds the same
-# 512-row block partials as P3C+'s, and MVB's median of split estimates
-# is the one split's estimate, so mr prints what p3cplus prints.
-echo "==> cluster smoke: mr prints what p3cplus prints on one split (6000x20)"
-for algo in mr p3cplus; do
-    ./target/release/p3c cluster --synthetic 6000x20 -k 3 --seed 1 -e \
-        -a "$algo" > "target/ci/cluster-$algo.out" 2> "target/ci/cluster-$algo.err"
-    test ! -s "target/ci/cluster-$algo.err"
+# The full pipeline, on one split and on three 8192-row splits: P3C+-MR's
+# EM folds the same 512-row block partials as P3C+'s, and its MVB
+# medians are taken over the same 8192-row chunks, so mr prints what
+# p3cplus prints.
+for shape in "6000x20 -k 3 --seed 1" "20000x50 -k 5 --seed 7"; do
+    echo "==> cluster smoke: mr prints what p3cplus prints ($shape)"
+    for algo in mr p3cplus; do
+        # shellcheck disable=SC2086 # $shape is the word list
+        ./target/release/p3c cluster --synthetic $shape -e \
+            -a "$algo" > "target/ci/cluster-$algo.out" 2> "target/ci/cluster-$algo.err"
+        test ! -s "target/ci/cluster-$algo.err"
+    done
+    diff <(sed '1s/^mr: //' target/ci/cluster-mr.out) \
+        <(sed '1s/^p3c+: //' target/ci/cluster-p3cplus.out)
 done
-diff <(sed '1s/^mr: //' target/ci/cluster-mr.out) \
-    <(sed '1s/^p3c+: //' target/ci/cluster-p3cplus.out)
 
 # The kernels' AVX2 tier is bit-identical to the baseline (DESIGN.md
 # §13). A second `p3c` built for x86-64-v3 lets the compiler use AVX2,

@@ -13,10 +13,12 @@ pub enum BinRuleChoice {
     FreedmanDiaconis,
     /// Freedman–Diaconis with the *exact* per-attribute IQR — the variant
     /// the paper skips as "data and computationally intensive" (§4.1.1).
-    /// An extension: the serial pipelines compute per-attribute quartiles
-    /// directly; the MR pipelines add one quartile job (per-split
-    /// quartiles, median-of-medians reducer). Bin counts are capped at 4×
-    /// the simplified rule to keep near-constant attributes tractable.
+    /// An extension: each attribute's quartiles are taken per
+    /// [`crate::chunk_median::MEDIAN_CHUNK_POINTS`]-row chunk, and q1 and
+    /// q3 are each the median over the chunks weighted by their rows —
+    /// serially in one column scan, in the MR pipelines by one quartile
+    /// job over the same chunks. Bin counts are capped at 4× the
+    /// simplified rule to keep near-constant attributes tractable.
     FreedmanDiaconisIqr,
 }
 
@@ -45,8 +47,11 @@ pub enum OutlierMethod {
     /// Concentration-step MCD (minimum covariance determinant) — an
     /// *extension*: the paper leaves the exact MVE estimator unevaluated
     /// as too expensive (end of Section 7.4.1); MCD concentration is the
-    /// standard tractable robustification in that direction (Rousseeuw's
-    /// FastMCD C-step, iterated a fixed number of times).
+    /// standard tractable robustification in that direction. Rousseeuw's
+    /// FastMCD C-step keeps the ⌈n/2⌉ nearest points, a threshold at the
+    /// median squared distance; here [`crate::outlier::MCD_STEPS`] such
+    /// threshold steps run from the EM component, with the chunk medians
+    /// of MVB.
     Mcd,
 }
 

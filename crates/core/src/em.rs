@@ -8,9 +8,9 @@
 //! Mahalanobis-nearest core and the statistics recomputed.
 //!
 //! Every data pass — both initialization rounds and each E-step — is one
-//! function over a block of [`EM_BLOCK_POINTS`] rows ([`EmPass::block`])
+//! function over a block of [`EM_BLOCK_POINTS`] rows (`EmPass::block`)
 //! whose partials fold in ascending block order from empty
-//! ([`EmPass::fold`]). One driver ([`em_phase`], [`initialize_with`],
+//! (`EmPass::fold`). One driver ([`em_phase`], [`initialize_with`],
 //! [`em_fit_with`]) runs the passes through an [`EmRunner`]: the worker
 //! pool for the serial pipelines, MR jobs for P3C+-MR. Both sum in the
 //! same tree, so the two models are equal bit for bit whenever the MR
@@ -581,8 +581,8 @@ impl EmPartial {
 }
 
 /// One data pass of EM (paper Sections 3.2.2 and 5.4), computed per
-/// [`EM_BLOCK_POINTS`]-row block by [`EmPass::block`] and folded by
-/// [`EmPass::fold`].
+/// [`EM_BLOCK_POINTS`]-row block by `EmPass::block` and folded by
+/// `EmPass::fold`.
 #[derive(Clone, Copy)]
 pub enum EmPass<'a> {
     /// Initialization round 1: each core's support set, unit weights.
@@ -679,8 +679,8 @@ fn fresh_accs(k: usize, d: usize) -> Vec<CovarianceAccumulator> {
 /// driver and *where* the blocks are computed. [`PoolRunner`] folds the
 /// blocks on the worker pool (the serial pipelines);
 /// [`crate::mr::em::JobRunner`] maps them in MR jobs (P3C+-MR). Either
-/// way a pass is [`EmPass::block`] over every global [`EM_BLOCK_POINTS`]
-/// block, folded in ascending block order by [`EmPass::fold`]: the
+/// way a pass is `EmPass::block` over every global [`EM_BLOCK_POINTS`]
+/// block, folded in ascending block order by `EmPass::fold`: the
 /// summation form of Chu et al. with the block as its unit.
 pub trait EmRunner {
     /// What a failed pass reports.

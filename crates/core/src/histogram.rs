@@ -5,6 +5,8 @@
 //! rule. The MapReduce variant lives in [`crate::mr::histogram`] and
 //! must produce bit-identical counts (tested there).
 
+use crate::chunk_median::ChunkQuartiles;
+use p3c_stats::descriptive::quartiles;
 use p3c_stats::Histogram;
 
 /// All per-attribute histograms of a dataset.
@@ -93,6 +95,20 @@ pub(crate) fn build_histograms_blocks_threads(
     }
     let bins = bins_per_attr.iter().copied().max().unwrap_or(1).max(1);
     AttributeHistograms { histograms, bins }
+}
+
+/// The exact-IQR bin rule's chunk statistic: attribute `attr`'s
+/// quartiles over the rows of one chunk
+/// ([`crate::chunk_median::chunks`]) and the chunk's row count; `None`
+/// under two rows. `column` is scratch.
+pub(crate) fn chunk_quartiles(
+    rows: &[&[f64]],
+    attr: usize,
+    column: &mut Vec<f64>,
+) -> Option<ChunkQuartiles> {
+    column.clear();
+    column.extend(rows.iter().map(|row| row[attr]));
+    Some((quartiles(column)?, rows.len()))
 }
 
 #[cfg(test)]

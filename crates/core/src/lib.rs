@@ -40,6 +40,7 @@
 
 #![warn(missing_docs)]
 
+pub mod chunk_median;
 pub mod config;
 pub mod cores;
 pub mod em;

@@ -5,9 +5,9 @@
 //!
 //! Each pass is one job. Its mapper cuts the split into
 //! [`EM_BLOCK_POINTS`]-row blocks and emits one [`EmPartial`] per block,
-//! computed by the serial pipelines' own [`EmPass::block`]; every
+//! computed by the serial pipelines' own `EmPass::block`; every
 //! partial goes under one key, so one reducer receives them in split
-//! order and folds them with [`EmPass::fold`]. When `split_size` is a
+//! order and folds them with `EmPass::fold`. When `split_size` is a
 //! multiple of [`EM_BLOCK_POINTS`] (or the input is one split) the
 //! mappers' blocks are the global blocks and the fold runs in global
 //! block order — the serial tree, so the model equals `P3cPlus`'s bit

@@ -5,9 +5,9 @@
 //! bit-identical to the serial
 //! [`crate::histogram::build_histograms_columnar_threads`].
 
-use crate::histogram::AttributeHistograms;
+use crate::chunk_median::{chunks, median_quartiles, ChunkQuartiles, MEDIAN_CHUNK_POINTS};
+use crate::histogram::{chunk_quartiles, AttributeHistograms};
 use p3c_mapreduce::{Emitter, Engine, Mapper, MrError, Reducer};
-use p3c_stats::descriptive::{median_in_place, quartiles};
 use p3c_stats::Histogram;
 use std::sync::Arc;
 
@@ -72,34 +72,38 @@ pub fn histogram_job(
 }
 
 /// The IQR job of the exact-IQR Freedman–Diaconis extension: mappers
-/// compute per-split per-attribute quartiles; the reducer takes the
-/// median of the split estimates (the same split-median aggregation the
-/// paper's MVB statistics use). Returns per-attribute `(q1, q3)`.
+/// emit every attribute's quartiles per
+/// [`MEDIAN_CHUNK_POINTS`]-row chunk of their split; the reducer takes
+/// the weighted median over chunks of q1 and of q3
+/// (`chunk_median::median_quartiles`) — the serial rule's chunks whenever the
+/// splits are whole chunks. Returns per-attribute `(q1, q3)`.
 pub fn iqr_job(engine: &Engine, rows: &[&[f64]]) -> Result<Vec<(f64, f64)>, MrError> {
-    struct QuartileMapper;
-    impl<'a> Mapper<&'a [f64], usize, (f64, f64)> for QuartileMapper {
-        fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, (f64, f64)>) {
+    struct QuartileJob;
+    impl<'a> Mapper<&'a [f64], usize, ChunkQuartiles> for QuartileJob {
+        fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, ChunkQuartiles>) {
             let d = split.first().map_or(0, |r| r.len());
-            let mut column = Vec::with_capacity(split.len());
-            for attr in 0..d {
-                column.clear();
-                column.extend(split.iter().map(|r| r[attr]));
-                if let Some(q) = quartiles(&column) {
-                    out.emit(attr, q);
+            let mut column = Vec::with_capacity(MEDIAN_CHUNK_POINTS);
+            for chunk in chunks(split) {
+                for attr in 0..d {
+                    if let Some(q) = chunk_quartiles(chunk, attr, &mut column) {
+                        out.emit(attr, q);
+                    }
                 }
             }
         }
     }
-    struct QuartileReducer;
-    impl Reducer<usize, (f64, f64), (usize, (f64, f64))> for QuartileReducer {
-        fn reduce(&self, key: &usize, values: Vec<(f64, f64)>, out: &mut Vec<(usize, (f64, f64))>) {
-            let mut q1s: Vec<f64> = values.iter().map(|&(q1, _)| q1).collect();
-            let mut q3s: Vec<f64> = values.iter().map(|&(_, q3)| q3).collect();
-            out.push((*key, (median_in_place(&mut q1s), median_in_place(&mut q3s))));
+    impl Reducer<usize, ChunkQuartiles, (usize, (f64, f64))> for QuartileJob {
+        fn reduce(
+            &self,
+            key: &usize,
+            values: Vec<ChunkQuartiles>,
+            out: &mut Vec<(usize, (f64, f64))>,
+        ) {
+            out.extend(median_quartiles(&values).map(|q| (*key, q)));
         }
     }
     let d = rows.first().map_or(0, |r| r.len());
-    let result = engine.run("p3c-iqr", rows, &QuartileMapper, &QuartileReducer)?;
+    let result = engine.run("p3c-iqr", rows, &QuartileJob, &QuartileJob)?;
     let mut quartiles_out = vec![(0.25, 0.75); d];
     for (attr, q) in result.output {
         quartiles_out[attr] = q;

@@ -16,7 +16,9 @@
 //! * [`em`] — the runner through which [`crate::em`]'s one EM driver
 //!   runs each data pass as a job: both initialization rounds and two
 //!   jobs per iteration (Section 5.4),
-//! * [`outlier`] — the OD job and the three MVB jobs (Section 5.5),
+//! * [`outlier`] — the runner through which [`crate::outlier`]'s one
+//!   outlier driver runs each pass as a job: the MVB and MCD statistics
+//!   jobs and the OD job (Section 5.5),
 //! * [`inspect`] — the attribute-inspection job, whose per-cluster
 //!   summaries carry both the inspection histograms and the min/max of
 //!   interval tightening (Sections 5.6 and 5.7 in one pass),
@@ -33,6 +35,7 @@ pub mod pipeline;
 pub use pipeline::{P3cPlusMr, P3cPlusMrLight};
 
 use crate::em::EmPartial;
+use crate::outlier::Ball;
 use crate::types::{Interval, Signature};
 use p3c_dataset::bytes::{self, DecodeError, Reader};
 use p3c_linalg::CovarianceAccumulator;
@@ -85,6 +88,32 @@ impl Wire for AccMsg {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         read_acc(r).map(AccMsg)
+    }
+}
+
+/// A chunk ball as a shuffle message: the center, the radius, then the
+/// member count.
+impl Weighable for Ball {
+    fn weight(&self) -> usize {
+        4 + 8 * self.center.len() + 16
+    }
+}
+
+impl Wire for Ball {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.center.encode(buf);
+        self.radius.encode(buf);
+        self.members.encode(buf);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let center = Vec::<f64>::decode(r)?;
+        let radius = r.f64()?;
+        let members = usize::decode(r)?;
+        Ok(Ball {
+            center,
+            radius,
+            members,
+        })
     }
 }
 

@@ -13,14 +13,14 @@
 //! whether the chains are recorded, so both choices run the same jobs on
 //! the same inputs.
 
-use crate::config::{BinRuleChoice, OutlierMethod, P3cParams};
+use crate::config::{BinRuleChoice, P3cParams};
 use crate::cores::ClusterCore;
 use crate::em::em_phase;
 use crate::mr::coregen::JobCounter;
 use crate::mr::em::JobRunner;
 use crate::mr::histogram::{histogram_job, iqr_job};
 use crate::mr::inspect::{inspection_job, InspectionItem};
-use crate::mr::outlier::{od_job_mcd, od_job_mvb, od_job_naive};
+use crate::mr::outlier::od_jobs;
 use crate::p3cplus::{
     core_phase_from_histograms, empty_result, finalize_clusters, P3cResult, PipelineStats,
 };
@@ -79,13 +79,9 @@ impl<'e> P3cPlusMr<'e> {
                     em_phase(&mut JobRunner::new(engine, rows), &cores, params)
                 })?;
                 let assignment = chain.step("outlier-detection", |engine| {
-                    let eval = Arc::new(fit.model.evaluator());
+                    let eval = fit.model.evaluator();
                     let (alpha, arel_len) = (params.alpha_outlier, fit.model.arel.len());
-                    match params.outlier {
-                        OutlierMethod::Naive => od_job_naive(engine, eval, rows, alpha, arel_len),
-                        OutlierMethod::Mvb => od_job_mvb(engine, eval, rows, alpha, arel_len),
-                        OutlierMethod::Mcd => od_job_mcd(engine, eval, rows, alpha, arel_len, 2),
-                    }
+                    od_jobs(engine, &eval, rows, params.outlier, alpha, arel_len)
                 })?;
                 let summaries = chain.step("attribute-inspection", |engine| {
                     // Each row's cluster as a one-element slice of `ids`;

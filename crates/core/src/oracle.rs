@@ -6,21 +6,31 @@
 //!
 //! Core generation (Algorithm 1) shares only [`SupportTester`], the
 //! Poisson and effect-size comparison of one support with one
-//! expectation.
+//! expectation. The outlier oracles share only the per-point distance
+//! functions the lane kernels are checked against (`tests/lane_kernels.rs`).
 
+use crate::chunk_median::MEDIAN_CHUNK_POINTS;
 use crate::config::P3cParams;
+use crate::config::{BinRuleChoice, OutlierMethod};
 use crate::cores::{
     generate_cluster_cores, generate_cluster_cores_with, CoreGenResult, LevelCounter,
     SupportTester, MAX_LEVELS,
 };
+use crate::em::{Component, DensityEvaluator, MixtureModel};
 use crate::histogram::build_histograms_columnar_threads;
 use crate::mr::coregen::JobCounter;
-use crate::p3cplus::bins_per_attribute_columnar;
+use crate::outlier::{
+    assign_clusters, detect_outliers, detect_outliers_mvb, Ball, BallPass, Estimates, OdRunner,
+    PoolRunner, MCD_STEPS,
+};
+use crate::p3cplus::{bins_per_attribute_columnar, iqr_bins};
 use crate::relevance::relevant_intervals;
 use crate::support::count_supports_naive;
 use crate::types::{Interval, Signature};
 use p3c_datagen::{generate, SyntheticSpec};
+use p3c_linalg::{Cholesky, CovarianceAccumulator, Matrix};
 use p3c_mapreduce::{Engine, MrConfig};
+use p3c_stats::ChiSquared;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
@@ -313,4 +323,366 @@ fn the_naive_algorithm_1_finds_the_planted_pair() {
     // The 300 planted rows and the uniform rows that fall in bin 2 on
     // both attributes.
     assert!(oracle.cores[0].1 >= 300.0);
+}
+
+// ------------------------------------------------- outlier detection --
+
+/// The median by sorting: the middle value, or the mean of the two
+/// middle values.
+fn sorted_median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        0.5 * (values[mid - 1] + values[mid])
+    }
+}
+
+/// Each cluster's ball (paper §5.5) with every median taken per
+/// `chunk_rows`-row chunk, then over the chunks as the median of the
+/// chunk values each repeated once per member of the chunk; `usize::MAX`
+/// takes the exact median over all members. `mcd` `None`: MVB's dimension-wise
+/// median center and median Euclidean distance radius. Otherwise MCD's
+/// median squared distance under each cluster's estimate there, or
+/// under its EM component where there is none.
+pub(crate) fn naive_balls(
+    eval: &DensityEvaluator,
+    rows: &[Vec<f64>],
+    hard: &[usize],
+    chunk_rows: usize,
+    mcd: Option<&Estimates>,
+) -> Vec<Option<Ball>> {
+    let mut chunk_balls: Vec<Vec<Ball>> = vec![Vec::new(); eval.num_components()];
+    let mut y = Vec::new();
+    for (chunk, hard) in rows.chunks(chunk_rows).zip(hard.chunks(chunk_rows)) {
+        for (c, balls) in chunk_balls.iter_mut().enumerate() {
+            let mut members: Vec<Vec<f64>> = Vec::new();
+            for (row, &h) in chunk.iter().zip(hard) {
+                if h == c {
+                    members.push(eval.project(row));
+                }
+            }
+            if members.is_empty() {
+                continue;
+            }
+            let mut center = Vec::new();
+            let mut distances = Vec::new();
+            if let Some(estimates) = mcd {
+                for p in &members {
+                    distances.push(match estimates.get(c) {
+                        Some(Some((mean, chol))) => chol.mahalanobis_sq_scratch(p, mean, &mut y),
+                        _ => eval.mahalanobis_sq_scratch(c, p, &mut y),
+                    });
+                }
+            } else {
+                for j in 0..eval.arel_len() {
+                    center.push(sorted_median(members.iter().map(|p| p[j]).collect()));
+                }
+                for p in &members {
+                    let mut sq = 0.0;
+                    for (a, b) in p.iter().zip(&center) {
+                        sq += (a - b) * (a - b);
+                    }
+                    distances.push(f64::sqrt(sq));
+                }
+            }
+            let radius = sorted_median(distances);
+            let members = members.len();
+            balls.push(Ball {
+                center,
+                radius,
+                members,
+            });
+        }
+    }
+    chunk_balls
+        .iter()
+        .map(|balls| {
+            let dim = balls.first()?.center.len();
+            let per_member = |value: &dyn Fn(&Ball) -> f64| {
+                let mut all = Vec::new();
+                for b in balls {
+                    all.extend(std::iter::repeat_n(value(b), b.members));
+                }
+                sorted_median(all)
+            };
+            let center = (0..dim).map(|j| per_member(&|b| b.center[j])).collect();
+            let radius = per_member(&|b| b.radius);
+            let members = balls.iter().map(|b| b.members).sum();
+            Some(Ball {
+                center,
+                radius,
+                members,
+            })
+        })
+        .collect()
+}
+
+/// MVB's estimates: each cluster's moments over its members inside its
+/// ball, pushed one row at a time in row order.
+pub(crate) fn naive_in_ball_estimates(
+    eval: &DensityEvaluator,
+    rows: &[Vec<f64>],
+    hard: &[usize],
+    balls: &[Option<Ball>],
+) -> Estimates {
+    let mut accs = vec![CovarianceAccumulator::new(eval.arel_len()); balls.len()];
+    for (row, &c) in rows.iter().zip(hard) {
+        let x = eval.project(row);
+        if let Some(ball) = &balls[c] {
+            if p3c_linalg::dist(&x, &ball.center) <= ball.radius + 1e-12 {
+                accs[c].push(&x, 1.0);
+            }
+        }
+    }
+    accs.iter().map(naive_fit).collect()
+}
+
+/// Mean and factor of the unbiased, ridged covariance of `acc`.
+fn naive_fit(acc: &CovarianceAccumulator) -> Option<(Vec<f64>, Cholesky)> {
+    let mut cov = acc.covariance()?;
+    cov.add_ridge(1e-9);
+    Some((acc.mean()?, Cholesky::new_regularized(&cov)?))
+}
+
+/// Row by row: `-1` where the row's squared distance under its
+/// cluster's estimate exceeds `crit`; a cluster without an estimate
+/// keeps its rows.
+pub(crate) fn naive_verdicts(
+    eval: &DensityEvaluator,
+    rows: &[Vec<f64>],
+    hard: &[usize],
+    estimates: &Estimates,
+    crit: f64,
+) -> Vec<i64> {
+    let mut y = Vec::new();
+    rows.iter()
+        .zip(hard)
+        .map(|(row, &c)| match &estimates[c] {
+            Some((mean, chol))
+                if chol.mahalanobis_sq_scratch(&eval.project(row), mean, &mut y) > crit =>
+            {
+                -1
+            }
+            _ => c as i64,
+        })
+        .collect()
+}
+
+/// FastMCD's concentration (Rousseeuw and Van Driessen): from the full
+/// set, up to `max_steps` times fit the subset and keep the ⌈n/2⌉
+/// points nearest under the fit; then the fit of the last subset.
+/// `None` under `d + 2` points.
+pub(crate) fn fast_mcd(points: &[Vec<f64>], max_steps: usize) -> Option<(Vec<f64>, Cholesky)> {
+    let (n, d) = (points.len(), points.first()?.len());
+    if n < d + 2 {
+        return None;
+    }
+    let h = n.div_ceil(2).max(d + 1);
+    let fit = |subset: &[usize]| {
+        let mut acc = CovarianceAccumulator::new(d);
+        for &i in subset {
+            acc.push(&points[i], 1.0);
+        }
+        naive_fit(&acc)
+    };
+    let mut subset: Vec<usize> = (0..n).collect();
+    let mut y = Vec::new();
+    for _ in 0..max_steps {
+        let (mean, chol) = fit(&subset)?;
+        let mut order: Vec<(f64, usize)> = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (chol.mahalanobis_sq_scratch(p, &mean, &mut y), i))
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut next: Vec<usize> = order[..h].iter().map(|&(_, i)| i).collect();
+        next.sort_unstable();
+        if next == subset {
+            break;
+        }
+        subset = next;
+    }
+    fit(&subset)
+}
+
+/// `n` rows over 3 attributes: three in four in one of two tight blobs
+/// on attributes 0 and 2, the rest uniform; and the two-component
+/// model over `A_rel = {0, 2}` centred on the blobs.
+fn outlier_set(n: usize) -> (Vec<Vec<f64>>, MixtureModel) {
+    let mut rows = planted(3, n, &[]);
+    for (i, row) in rows.iter_mut().enumerate() {
+        let blob = [[0.2, 0.3], [0.7, 0.6]][i % 2];
+        if i % 4 != 3 {
+            row[0] = blob[0] + 0.1 * (row[0] - 0.5);
+            row[2] = blob[1] + 0.1 * (row[2] - 0.5);
+        }
+    }
+    let mut cov = Matrix::identity(2);
+    cov[(0, 0)] = 0.01;
+    cov[(1, 1)] = 0.01;
+    let component = |mean: Vec<f64>| Component {
+        mean,
+        cov: cov.clone(),
+        weight: 0.5,
+    };
+    let model = MixtureModel {
+        arel: vec![0, 2],
+        components: vec![component(vec![0.2, 0.3]), component(vec![0.7, 0.6])],
+    };
+    (rows, model)
+}
+
+#[test]
+fn pool_chunk_medians_equal_the_naive_chunk_oracle() {
+    let chunk = MEDIAN_CHUNK_POINTS;
+    let (all, model) = outlier_set(3 * chunk + 5);
+    let eval = model.evaluator();
+    for n in [1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5] {
+        let data = &all[..n];
+        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+        let hard = assign_clusters(&eval, &rows);
+        let mvb = naive_balls(&eval, data, &hard, chunk, None);
+        let em_thresholds = naive_balls(&eval, data, &hard, chunk, Some(&Vec::new()));
+        for threads in [1, 2, 8] {
+            let what = format!("n = {n}, threads = {threads}");
+            let mut runner = PoolRunner {
+                eval: &eval,
+                rows: &rows,
+                hard: &hard,
+                threads,
+            };
+            let Ok(balls) = runner.balls(BallPass::Mvb);
+            assert_eq!(balls, mvb, "MVB centers and radii, {what}");
+            let Ok(thresholds) = runner.balls(BallPass::Mcd(&[]));
+            assert_eq!(thresholds, em_thresholds, "MCD thresholds, {what}");
+            // The second concentration step scores under robust estimates.
+            let Ok(estimates) = runner.moments(BallPass::Mvb, &balls);
+            let Ok(thresholds) = runner.balls(BallPass::Mcd(&estimates));
+            let oracle = naive_balls(&eval, data, &hard, chunk, Some(&estimates));
+            assert_eq!(thresholds, oracle, "MCD thresholds under MVB, {what}");
+        }
+    }
+}
+
+#[test]
+fn global_median_mvb_equals_the_chunk_rule_up_to_one_chunk() {
+    let chunk = MEDIAN_CHUNK_POINTS;
+    let (all, model) = outlier_set(chunk);
+    let eval = model.evaluator();
+    let crit = ChiSquared::new(2.0).critical_value(0.001);
+    for n in [1, 500, chunk - 1, chunk] {
+        let data = &all[..n];
+        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+        let hard = assign_clusters(&eval, &rows);
+        let balls = naive_balls(&eval, data, &hard, usize::MAX, None);
+        let estimates = naive_in_ball_estimates(&eval, data, &hard, &balls);
+        let verdicts = naive_verdicts(&eval, data, &hard, &estimates, crit);
+        assert_eq!(
+            detect_outliers_mvb(&eval, &rows, &hard, 0.001, 2),
+            verdicts,
+            "n = {n}"
+        );
+        let mut runner = PoolRunner {
+            eval: &eval,
+            rows: &rows,
+            hard: &hard,
+            threads: 2,
+        };
+        let Ok(chunked) = runner.balls(BallPass::Mvb);
+        assert_eq!(chunked, balls, "n = {n}");
+        if n > 500 {
+            assert!(verdicts.contains(&-1), "n = {n}: no outlier");
+        }
+    }
+}
+
+#[test]
+fn a_lone_member_in_a_ragged_chunk_does_not_move_the_estimates() {
+    // The 8 193rd row is the only row of its chunk, a member of cluster
+    // 0 far from its blob: it weighs one member against the first
+    // chunk's thousands, so the first 8 192 verdicts are those of the
+    // 8 192-row run, and the far row itself is flagged.
+    let chunk = MEDIAN_CHUNK_POINTS;
+    let (mut all, model) = outlier_set(chunk);
+    all.push(vec![0.0, 0.5, 0.0]);
+    let eval = model.evaluator();
+    let rows: Vec<&[f64]> = all.iter().map(|r| r.as_slice()).collect();
+    let hard = assign_clusters(&eval, &rows);
+    assert_eq!(hard[chunk], 0);
+    for method in [OutlierMethod::Mvb, OutlierMethod::Mcd] {
+        let full = detect_outliers(&eval, &rows[..chunk], &hard[..chunk], method, 0.001, 2, 2);
+        let ragged = detect_outliers(&eval, &rows, &hard, method, 0.001, 2, 2);
+        assert_eq!(ragged[..chunk], full[..], "{method:?}");
+        assert_eq!(ragged[chunk], -1, "{method:?}");
+    }
+    // The exact-IQR bin rule: two far rows in a ragged chunk leave the
+    // quartiles of the full chunk.
+    let mut data = planted(3, chunk, &[]);
+    let quartiles: Vec<(f64, f64)> = (0..3)
+        .map(|j| {
+            let column: Vec<f64> = data.iter().map(|r| r[j]).collect();
+            p3c_stats::descriptive::quartiles(&column).unwrap()
+        })
+        .collect();
+    data.extend([vec![50.0; 3], vec![60.0; 3]]);
+    let n = data.len();
+    let params = P3cParams {
+        bin_rule: BinRuleChoice::FreedmanDiaconisIqr,
+        ..P3cParams::default()
+    };
+    let expected: Vec<usize> = quartiles
+        .iter()
+        .map(|(q1, q3)| iqr_bins(n, q3 - q1))
+        .collect();
+    let data = p3c_dataset::Dataset::from_rows(data);
+    assert_eq!(bins_per_attribute_columnar(&data, &params), expected);
+}
+
+#[test]
+fn threshold_mcd_and_fast_mcd_concentrate_on_the_bulk() {
+    // 80 % tight bulk at (0, 0), 20 % contamination at (10, 10), under
+    // the plain mean and covariance of all of it (what EM would give):
+    // both concentration rules must move the mean onto the bulk.
+    let mut points: Vec<Vec<f64>> = (0..80)
+        .map(|i| vec![(i % 9) as f64 * 0.01, (i % 7) as f64 * 0.01])
+        .collect();
+    for i in 0..20 {
+        points.push(vec![10.0 + (i % 3) as f64 * 0.01, 10.0]);
+    }
+    let (fast_mean, _) = fast_mcd(&points, 4).unwrap();
+    assert!(fast_mean.iter().all(|&m| m < 0.5), "FastMCD {fast_mean:?}");
+
+    let mut acc = CovarianceAccumulator::new(2);
+    for p in &points {
+        acc.push(p, 1.0);
+    }
+    let model = MixtureModel {
+        arel: vec![0, 1],
+        components: vec![Component {
+            mean: acc.mean().unwrap(),
+            cov: acc.covariance().unwrap(),
+            weight: 1.0,
+        }],
+    };
+    let eval = model.evaluator();
+    let rows: Vec<&[f64]> = points.iter().map(|r| r.as_slice()).collect();
+    let hard = vec![0; points.len()];
+    let mut runner = PoolRunner {
+        eval: &eval,
+        rows: &rows,
+        hard: &hard,
+        threads: 1,
+    };
+    let mut estimates = Vec::new();
+    for _ in 0..MCD_STEPS {
+        let pass = BallPass::Mcd(&estimates);
+        let Ok(balls) = runner.balls(pass);
+        let Ok(next) = runner.moments(pass, &balls);
+        estimates = next;
+    }
+    let (mean, _) = estimates[0].as_ref().unwrap();
+    assert!(mean.iter().all(|&m| m < 0.5), "threshold MCD {mean:?}");
+    assert!(fast_mcd(&points[..3], 4).is_none(), "n < d + 2 must fail");
 }

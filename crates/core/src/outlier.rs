@@ -2,15 +2,30 @@
 //!
 //! A member `x` of cluster `C` is an outlier iff its squared Mahalanobis
 //! distance to `C` exceeds the χ² critical value with `|A_rel|` degrees of
-//! freedom at `α = 0.001`. Two estimators for `(μ_C, Σ_C)`:
+//! freedom at `α = 0.001`. Three estimators for `(μ_C, Σ_C)`:
 //!
 //! * **naive** — straight from the EM Gaussians (suffers from masking:
 //!   outliers inflate the covariance that is supposed to expose them);
 //! * **MVB** — minimum volume ball: center = dimension-wise median of the
 //!   cluster, radius = median distance to the center; mean/covariance are
 //!   then computed from the points *inside the ball* only (the paper's
-//!   tractable approximation of the minimum-volume-ellipsoid estimator).
+//!   tractable approximation of the minimum-volume-ellipsoid estimator);
+//! * **MCD** (extension) — [`MCD_STEPS`] concentration steps from the EM
+//!   component: each keeps the points at or under the median squared
+//!   Mahalanobis distance (FastMCD's C-step keeps the ⌈n/2⌉ nearest) and
+//!   refits on them.
+//!
+//! Every median is taken by the chunk rule of [`crate::chunk_median`]:
+//! per 8 192-row chunk of the input, then over the chunks, each weighted
+//! by its members; moments fold in chunk order. One driver
+//! ([`outlier_phase`]) runs the passes through an [`OdRunner`]: the
+//! worker pool (`PoolRunner`) for the serial pipelines, MR jobs
+//! (`mr::outlier::JobRunner`) for P3C+-MR. Both compute the same chunks
+//! whenever the MR splits are whole chunks, so the verdicts are equal
+//! bit for bit (DESIGN.md §13).
 
+use crate::chunk_median::{chunks, median_ball};
+use crate::config::OutlierMethod;
 use crate::em::{DensityEvaluator, EstepScratch};
 use p3c_linalg::{Cholesky, CovarianceAccumulator, LaneScratch};
 use p3c_stats::descriptive::{dimensionwise_median, median_in_place};
@@ -19,305 +34,359 @@ use p3c_stats::ChiSquared;
 /// Per-point result: the EM cluster (index) or `-1` for outliers.
 pub type Assignment = Vec<i64>;
 
-/// The assign scan over one input split (serially: the whole input):
-/// projects every row into one contiguous `A_rel` block and
-/// hard-assigns each point to its maximum-density component
-/// ([`DensityEvaluator::assign_block_lanes`]). Returns the projected
-/// block with the assignment so a following
-/// [`cluster_distances`] scan does not project again.
-pub(crate) fn project_and_assign(
-    eval: &DensityEvaluator,
-    rows: &[&[f64]],
-) -> (Vec<f64>, Vec<usize>) {
-    let proj = eval.project_block(rows);
-    let mut assignment = Vec::new();
-    eval.assign_block_lanes(&proj, &mut EstepScratch::new(), &mut assignment);
-    (proj, assignment)
-}
+/// Concentration steps of the MCD estimator, chosen on Figure 4's MCD
+/// column (EXPERIMENTS.md).
+pub const MCD_STEPS: usize = 4;
 
-/// Hard-assigns every row to its maximum-density component.
+/// A cluster's robust `(mean, Cholesky)` estimate; `None` marks a
+/// degenerate cluster, whose points are all kept.
+pub type Estimate = Option<(Vec<f64>, Cholesky)>;
+
+/// One [`Estimate`] per cluster.
+pub type Estimates = Vec<Estimate>;
+
+/// Hard-assigns every row to its maximum-density component: the rows
+/// projected into one contiguous `A_rel` block, scored by
+/// [`DensityEvaluator::assign_block_lanes`].
 pub fn assign_clusters(eval: &DensityEvaluator, rows: &[&[f64]]) -> Vec<usize> {
-    project_and_assign(eval, rows).1
+    let mut assignment = Vec::new();
+    let proj = eval.project_block(rows);
+    eval.assign_block_lanes(&proj, &mut EstepScratch::new(), &mut assignment);
+    assignment
 }
 
 /// A cluster's Mahalanobis geometry: mean and covariance factor.
-pub(crate) type Geometry<'g> = (&'g [f64], &'g Cholesky);
+type Geometry<'g> = (&'g [f64], &'g Cholesky);
 
-/// The members of every cluster of a split, gathered once: per cluster
-/// `c < k`, the indices `i` with `assignment[i] == c` in point order,
-/// and their `A_rel` coordinates packed into one contiguous row-major
-/// block — the input form of [`Cholesky::mahalanobis_sq_block`]. The
-/// robust estimators read their clusters from the same blocks the
-/// distance scan scores.
+/// The members of every cluster of one chunk, gathered once: per cluster
+/// `c < k`, the chunk indices `i` with `assignment[i] == c` in point
+/// order, and their `A_rel` coordinates packed into one contiguous
+/// row-major block — the input form of [`Cholesky::mahalanobis_sq_block`].
 pub(crate) struct Members {
     d: usize,
-    points: usize,
     idx: Vec<Vec<usize>>,
     blocks: Vec<Vec<f64>>,
 }
 
 impl Members {
-    /// Groups the `assignment.len()` points into `k` clusters in one
-    /// pass; `gather(i, buf)` appends point `i`'s `d` coordinates.
-    pub(crate) fn gather(
-        assignment: &[usize],
-        k: usize,
-        d: usize,
-        mut gather: impl FnMut(usize, &mut Vec<f64>),
-    ) -> Self {
+    /// Groups a chunk's rows into their clusters under the hard
+    /// assignment `hard`, projecting each onto `A_rel`, in one pass.
+    pub(crate) fn of_rows(eval: &DensityEvaluator, rows: &[&[f64]], hard: &[usize]) -> Self {
+        let k = eval.num_components();
         let mut idx = vec![Vec::new(); k];
         let mut blocks = vec![Vec::new(); k];
-        for (i, &c) in assignment.iter().enumerate() {
+        for (i, (row, &c)) in rows.iter().zip(hard).enumerate() {
             idx[c].push(i);
-            gather(i, &mut blocks[c]);
+            eval.project_append(row, &mut blocks[c]);
         }
-        Self {
-            d,
-            points: assignment.len(),
-            idx,
-            blocks,
-        }
-    }
-
-    /// Cluster `c`'s members as one row-major block.
-    pub(crate) fn block(&self, c: usize) -> &[f64] {
-        &self.blocks[c]
+        let d = eval.arel_len();
+        Self { d, idx, blocks }
     }
 
     /// Cluster `c`'s members, one `A_rel` point each.
-    pub(crate) fn points(&self, c: usize) -> impl Iterator<Item = &[f64]> {
+    fn points(&self, c: usize) -> impl Iterator<Item = &[f64]> {
         self.blocks[c].chunks_exact(self.d)
     }
 
-    /// The grouped cluster-distance scan: the squared Mahalanobis
-    /// distance of every point to the geometry of *its own* cluster, in
-    /// point order. Each cluster's block is scored through
-    /// [`Cholesky::mahalanobis_sq_block`] and scattered back; per point
-    /// that is the float operation sequence of
-    /// [`Cholesky::mahalanobis_sq_scratch`]. Clusters without a geometry
-    /// (`None`: a degenerate robust estimate) score `NEG_INFINITY`,
-    /// which no threshold exceeds, so their points are never outliers.
-    pub(crate) fn distances<'g>(
-        &self,
-        geometry: impl Fn(usize) -> Option<Geometry<'g>>,
-    ) -> Vec<f64> {
-        let mut dists = vec![f64::NEG_INFINITY; self.points];
+    /// Cluster `c`'s squared Mahalanobis distances under `geometry`, in
+    /// member order; per point the float operation sequence of
+    /// [`Cholesky::mahalanobis_sq_scratch`].
+    fn distances(&self, c: usize, (mean, chol): Geometry<'_>) -> Vec<f64> {
         let mut out = Vec::new();
-        let mut scratch = LaneScratch::new();
-        for (c, (idx, block)) in self.idx.iter().zip(&self.blocks).enumerate() {
-            let Some((mean, chol)) = geometry(c) else {
-                continue;
-            };
-            chol.mahalanobis_sq_block(block, mean, &mut scratch, &mut out);
-            for (&i, &d2) in idx.iter().zip(&out) {
-                dists[i] = d2;
-            }
-        }
-        dists
+        chol.mahalanobis_sq_block(&self.blocks[c], mean, &mut LaneScratch::new(), &mut out);
+        out
+    }
+
+    /// Each cluster's chunk value, `None` where `stat` has none.
+    fn per_cluster<T>(&self, stat: impl Fn(usize) -> Option<T>) -> Vec<Option<T>> {
+        (0..self.idx.len())
+            .map(|c| {
+                if self.idx[c].is_empty() {
+                    None
+                } else {
+                    stat(c)
+                }
+            })
+            .collect()
     }
 }
 
-/// Every row's cluster members, projected into `A_rel` once.
-fn project_members(eval: &DensityEvaluator, rows: &[&[f64]], assignment: &[usize]) -> Members {
-    Members::gather(
-        assignment,
-        eval.num_components(),
-        eval.arel_len(),
-        |i, buf| eval.project_append(rows[i], buf),
-    )
-}
-
-/// Final verdicts: a point whose distance exceeds `crit` is an outlier
-/// (`-1`), every other point keeps its cluster.
-pub(crate) fn verdicts(assignment: &[usize], dists: &[f64], crit: f64) -> Assignment {
-    assignment
-        .iter()
-        .zip(dists)
-        .map(|(&c, &d2)| if d2 > crit { -1 } else { c as i64 })
-        .collect()
-}
-
-/// Flags every member whose distance to its cluster's geometry exceeds
-/// the χ² critical value at `alpha`.
-fn detect<'g>(
-    members: &Members,
-    assignment: &[usize],
-    geometry: impl Fn(usize) -> Option<Geometry<'g>>,
-    alpha: f64,
-    arel_len: usize,
-) -> Assignment {
-    let crit = ChiSquared::new(arel_len.max(1) as f64).critical_value(alpha);
-    verdicts(assignment, &members.distances(geometry), crit)
-}
-
-/// Naive outlier detection: Mahalanobis against the EM parameters.
-pub fn detect_outliers_naive(
-    eval: &DensityEvaluator,
-    rows: &[&[f64]],
-    assignment: &[usize],
-    alpha: f64,
-    arel_len: usize,
-) -> Assignment {
-    let members = project_members(eval, rows, assignment);
-    let geometry = |c| Some(eval.geometry(c));
-    detect(&members, assignment, geometry, alpha, arel_len)
-}
-
-/// The MVB (minimum volume ball) statistics of one cluster, in `A_rel`
-/// coordinates.
-#[derive(Debug, Clone)]
-pub struct MvbStats {
-    /// Ball center in `A_rel` coordinates.
+/// A cluster's ball in one chunk, or its median over the chunks: the
+/// members at most `radius` from `center` in the metric of its
+/// [`BallPass`]. MVB's center is the dimension-wise median of the
+/// members; MCD's ball is around the current estimate, so `center`
+/// stays empty. The radius is the median distance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ball {
+    /// Center in `A_rel` coordinates (empty for MCD).
     pub center: Vec<f64>,
-    /// Ball radius.
+    /// Radius (MCD: a squared Mahalanobis distance).
     pub radius: f64,
+    /// The cluster's members behind the ball: its weight in the median
+    /// over the chunks.
+    pub members: usize,
 }
 
-/// Computes the MVB of a set of projected points: dimension-wise median
-/// center and median distance radius. `None` for empty input.
-pub fn mvb_of(points: &[&[f64]]) -> Option<MvbStats> {
-    let center = dimensionwise_median(points)?;
-    let mut dists: Vec<f64> = points
-        .iter()
-        .map(|p| p3c_linalg::dist(p, &center))
-        .collect();
-    let radius = median_in_place(&mut dists);
-    Some(MvbStats { center, radius })
+/// The robust estimator's ball: each chunk's balls are combined over the
+/// chunks by [`OdRunner::balls`], and the moments of the members inside
+/// the combined balls merged in chunk order by [`OdRunner::moments`].
+#[derive(Clone, Copy)]
+pub enum BallPass<'a> {
+    /// MVB: Euclidean distance from the dimension-wise median center.
+    Mvb,
+    /// One MCD concentration step: squared Mahalanobis distance under
+    /// each cluster's estimate here, or under its EM component where
+    /// there is none (before the first step, or after a degenerate one).
+    Mcd(&'a [Estimate]),
 }
 
-/// Robust per-cluster mean/covariance from the points inside each
-/// cluster's MVB; clusters are given by `assignment` (indices into
-/// `0..k`). Returns one `(mean, Cholesky)` per cluster, or `None` entries
-/// for degenerate clusters (fallback: treat all its points as inliers).
-pub fn robust_cluster_estimates(
-    eval: &DensityEvaluator,
-    rows: &[&[f64]],
-    assignment: &[usize],
-    k: usize,
-) -> Vec<Option<(Vec<f64>, Cholesky)>> {
-    let members = Members::gather(assignment, k, eval.arel_len(), |i, buf| {
-        eval.project_append(rows[i], buf)
-    });
-    mvb_estimates(&members)
-}
+impl BallPass<'_> {
+    /// Cluster `c`'s distances from `center` in the pass's metric, in
+    /// member order.
+    fn distances(
+        &self,
+        eval: &DensityEvaluator,
+        m: &Members,
+        c: usize,
+        center: &[f64],
+    ) -> Vec<f64> {
+        match *self {
+            BallPass::Mvb => m.points(c).map(|p| p3c_linalg::dist(p, center)).collect(),
+            BallPass::Mcd(estimates) => match estimates.get(c) {
+                Some(Some((mean, chol))) => m.distances(c, (mean, chol)),
+                _ => m.distances(c, eval.geometry(c)),
+            },
+        }
+    }
 
-/// The MVB estimate of each cluster of `members`: the moments of the
-/// points inside the cluster's ball.
-fn mvb_estimates(members: &Members) -> Vec<Option<(Vec<f64>, Cholesky)>> {
-    (0..members.blocks.len())
-        .map(|c| {
-            let pts: Vec<&[f64]> = members.points(c).collect();
-            let mvb = mvb_of(&pts)?;
-            let mut acc = CovarianceAccumulator::new(mvb.center.len());
-            for p in pts {
-                if p3c_linalg::dist(p, &mvb.center) <= mvb.radius + 1e-12 {
+    /// Each cluster's ball in one chunk.
+    pub(crate) fn balls(&self, eval: &DensityEvaluator, m: &Members) -> Vec<Option<Ball>> {
+        m.per_cluster(|c| {
+            let center = match self {
+                BallPass::Mvb => dimensionwise_median(&m.points(c).collect::<Vec<_>>())?,
+                BallPass::Mcd(_) => Vec::new(),
+            };
+            let radius = median_in_place(&mut self.distances(eval, m, c, &center));
+            let members = m.idx[c].len();
+            Some(Ball {
+                center,
+                radius,
+                members,
+            })
+        })
+    }
+
+    /// Each cluster's moments over its members in one chunk that lie in
+    /// its ball (with `1e-12` of slack against rounding); `None` where
+    /// none does.
+    pub(crate) fn moments(
+        &self,
+        eval: &DensityEvaluator,
+        m: &Members,
+        balls: &[Option<Ball>],
+    ) -> Vec<Option<CovarianceAccumulator>> {
+        m.per_cluster(|c| {
+            let ball = balls[c].as_ref()?;
+            let mut acc = CovarianceAccumulator::new(m.d);
+            for (p, dist) in m.points(c).zip(self.distances(eval, m, c, &ball.center)) {
+                if dist <= ball.radius + 1e-12 {
                     acc.push(p, 1.0);
                 }
             }
-            fit_geometry(&acc)
+            (acc.count() > 0).then_some(acc)
         })
-        .collect()
+    }
 }
 
-/// The `(mean, Cholesky)` geometry of a robust subset's moments
+/// The combine step of a moment pass: one cluster's chunk moments merged
+/// in chunk order from empty, and their `(mean, Cholesky)` geometry
 /// (unbiased covariance, ridged); `None` when they are degenerate.
-pub(crate) fn fit_geometry(acc: &CovarianceAccumulator) -> Option<(Vec<f64>, Cholesky)> {
-    let mean = acc.mean()?;
-    let mut cov = acc.covariance()?;
-    cov.add_ridge(1e-9);
-    let chol = Cholesky::new_regularized(&cov)?;
-    Some((mean, chol))
-}
-
-/// One MCD concentration step (FastMCD's C-step): fit mean/covariance on
-/// the current subset, then keep the `h` points of the cluster with the
-/// smallest Mahalanobis distances under that fit. Iterating can only
-/// shrink the covariance determinant, so a few steps concentrate the
-/// estimate onto the densest half of the cluster.
-///
-/// `block` holds the points row-major, `d` coordinates apiece. Returns
-/// robust `(mean, Cholesky)` estimates, or `None` for degenerate inputs
-/// (fewer than `d + 2` points).
-pub fn mcd_estimate(
-    block: &[f64],
+pub(crate) fn fold_moments<'a>(
     d: usize,
-    h_fraction: f64,
-    max_steps: usize,
+    parts: impl IntoIterator<Item = &'a CovarianceAccumulator>,
 ) -> Option<(Vec<f64>, Cholesky)> {
-    let n = block.len().checked_div(d).unwrap_or(0);
-    if n < d + 2 {
-        return None;
+    let mut total = CovarianceAccumulator::new(d);
+    for part in parts {
+        total.merge(part);
     }
-    let point = |i: usize| &block[i * d..(i + 1) * d];
-    let h = ((n as f64 * h_fraction).ceil() as usize).clamp(d + 1, n);
-    // Start from the full set.
-    let mut subset: Vec<usize> = (0..n).collect();
-    let mut current: Option<(Vec<f64>, Cholesky)> = None;
-    let (mut lanes, mut scores) = (LaneScratch::new(), Vec::new());
-    for _ in 0..max_steps.max(1) {
-        let mut acc = CovarianceAccumulator::new(d);
-        for &i in &subset {
-            acc.push(point(i), 1.0);
-        }
-        let (mean, chol) = fit_geometry(&acc)?;
-        // Order all cluster points by Mahalanobis distance; keep h.
-        chol.mahalanobis_sq_block(block, &mean, &mut lanes, &mut scores);
-        let mut dists: Vec<(f64, usize)> = scores.iter().copied().zip(0..n).collect();
-        dists.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let next: Vec<usize> = dists.iter().take(h).map(|&(_, i)| i).collect();
-        let converged = {
-            let mut a = subset.clone();
-            let mut b = next.clone();
-            a.sort_unstable();
-            b.sort_unstable();
-            a == b
-        };
-        current = Some((mean, chol));
-        subset = next;
-        if converged {
-            break;
-        }
-    }
-    // Final fit on the concentrated subset.
-    let mut acc = CovarianceAccumulator::new(d);
-    for &i in &subset {
-        acc.push(point(i), 1.0);
-    }
-    let mean = acc.mean()?;
-    let mut cov = acc.covariance()?;
+    let mut cov = total.covariance()?;
     cov.add_ridge(1e-9);
-    match Cholesky::new_regularized(&cov) {
-        Some(chol) => Some((mean, chol)),
-        None => current,
+    Some((total.mean()?, Cholesky::new_regularized(&cov)?))
+}
+
+/// The final scan: a member whose squared distance to its cluster's
+/// geometry exceeds `crit` is an outlier (`-1`), every other keeps its
+/// cluster. The geometry is the EM component (`estimates` `None`: naive)
+/// or the robust estimate, whose degenerate clusters keep all their
+/// points.
+#[derive(Clone, Copy)]
+pub struct VerdictPass<'a> {
+    /// The robust estimates, `None` for the EM components.
+    pub estimates: Option<&'a Estimates>,
+    /// The χ² critical value.
+    pub crit: f64,
+}
+
+impl VerdictPass<'_> {
+    /// The pass over one chunk's members, in point order.
+    pub(crate) fn chunk(&self, eval: &DensityEvaluator, m: &Members) -> Assignment {
+        let mut out = vec![0; m.idx.iter().map(Vec::len).sum()];
+        for (c, idx) in m.idx.iter().enumerate() {
+            let geometry = match self.estimates {
+                None => Some(eval.geometry(c)),
+                Some(estimates) => estimates[c].as_ref().map(|(mean, chol)| (&mean[..], chol)),
+            };
+            let d2 = geometry.map(|g| m.distances(c, g)).unwrap_or_default();
+            for (j, &i) in idx.iter().enumerate() {
+                let flagged = d2.get(j).is_some_and(|&d2| d2 > self.crit);
+                out[i] = if flagged { -1 } else { c as i64 };
+            }
+        }
+        out
     }
 }
 
-/// A robust per-cluster `(mean, Cholesky)` estimate as a scan geometry;
-/// degenerate clusters (`None`) keep all their points.
-pub(crate) fn robust_geometry(
-    estimates: &[Option<(Vec<f64>, Cholesky)>],
-    c: usize,
-) -> Option<Geometry<'_>> {
-    estimates[c].as_ref().map(|(mean, chol)| (&mean[..], chol))
+/// Runs the outlier stage's passes over the rows: the seam between the
+/// driver and *where* the chunks are computed. Every pass is its chunk
+/// function over each chunk (`chunk_median::chunks`), combined
+/// per cluster in chunk order.
+pub trait OdRunner {
+    /// What a failed pass reports.
+    type Error;
+
+    /// Each cluster's weighted median over the chunks of its chunk
+    /// balls (`chunk_median::median_ball`).
+    fn balls(&mut self, pass: BallPass<'_>) -> Result<Vec<Option<Ball>>, Self::Error>;
+
+    /// Each cluster's estimate from the pass's chunk moments, merged in
+    /// chunk order.
+    fn moments(
+        &mut self,
+        pass: BallPass<'_>,
+        balls: &[Option<Ball>],
+    ) -> Result<Estimates, Self::Error>;
+
+    /// Every row's verdict, in row order.
+    fn verdicts(&mut self, pass: VerdictPass<'_>) -> Result<Assignment, Self::Error>;
 }
 
-/// MCD-based outlier detection (extension; see [`mcd_estimate`]).
-pub fn detect_outliers_mcd(
+/// The outlier stage of P3C+: the `method`'s robust estimates — none
+/// for naive, MVB's in-ball moments, or MCD's [`MCD_STEPS`]
+/// concentration steps from the EM components — then the χ² verdicts at
+/// `alpha` with `arel_len` degrees of freedom. The serial and the MR
+/// pipelines both run it; only their runner differs.
+pub fn outlier_phase<R: OdRunner>(
+    runner: &mut R,
+    method: OutlierMethod,
+    alpha: f64,
+    arel_len: usize,
+) -> Result<Assignment, R::Error> {
+    let estimates = match method {
+        OutlierMethod::Naive => None,
+        OutlierMethod::Mvb => {
+            let balls = runner.balls(BallPass::Mvb)?;
+            Some(runner.moments(BallPass::Mvb, &balls)?)
+        }
+        OutlierMethod::Mcd => {
+            let mut estimates = Vec::new();
+            for _ in 0..MCD_STEPS {
+                let pass = BallPass::Mcd(&estimates);
+                let balls = runner.balls(pass)?;
+                estimates = runner.moments(pass, &balls)?;
+            }
+            Some(estimates)
+        }
+    };
+    runner.verdicts(VerdictPass {
+        estimates: estimates.as_ref(),
+        crit: ChiSquared::new(arel_len.max(1) as f64).critical_value(alpha),
+    })
+}
+
+/// The in-process [`OdRunner`]: the chunks run on the engine worker pool
+/// ([`p3c_mapreduce::parallel_for_blocks`]) under the pipeline's hard
+/// assignment, each chunk projected onto `A_rel` as a pass reads it — no
+/// full projection is held — and the chunk values come back in chunk
+/// order. The same chunks and the same combine for every `threads`
+/// value, so the verdicts are bit-identical across thread counts.
+pub(crate) struct PoolRunner<'a> {
+    pub(crate) eval: &'a DensityEvaluator,
+    pub(crate) rows: &'a [&'a [f64]],
+    /// The rows' hard assignment.
+    pub(crate) hard: &'a [usize],
+    pub(crate) threads: usize,
+}
+
+impl PoolRunner<'_> {
+    /// `f` over every chunk's members, in chunk order.
+    fn each_chunk<T: Send>(&self, f: impl Fn(&Members) -> T + Sync) -> Vec<T> {
+        let chunks: Vec<_> = chunks(self.rows).zip(chunks(self.hard)).collect();
+        p3c_mapreduce::parallel_for_blocks(self.threads, chunks.len(), |b| {
+            let (rows, hard) = chunks[b];
+            f(&Members::of_rows(self.eval, rows, hard))
+        })
+    }
+
+    /// Each cluster's chunk values, in chunk order.
+    fn per_cluster<T: Send>(&self, f: impl Fn(&Members) -> Vec<Option<T>> + Sync) -> Vec<Vec<T>> {
+        let mut out: Vec<Vec<T>> = (0..self.eval.num_components())
+            .map(|_| Vec::new())
+            .collect();
+        for chunk in self.each_chunk(f) {
+            for (values, value) in out.iter_mut().zip(chunk) {
+                values.extend(value);
+            }
+        }
+        out
+    }
+}
+
+impl OdRunner for PoolRunner<'_> {
+    type Error = std::convert::Infallible;
+
+    fn balls(&mut self, pass: BallPass<'_>) -> Result<Vec<Option<Ball>>, Self::Error> {
+        let balls = self.per_cluster(|m| pass.balls(self.eval, m));
+        Ok(balls.iter().map(|b| median_ball(b)).collect())
+    }
+
+    fn moments(
+        &mut self,
+        pass: BallPass<'_>,
+        balls: &[Option<Ball>],
+    ) -> Result<Estimates, Self::Error> {
+        let parts = self.per_cluster(|m| pass.moments(self.eval, m, balls));
+        let d = self.eval.arel_len();
+        Ok(parts.iter().map(|p| fold_moments(d, p)).collect())
+    }
+
+    fn verdicts(&mut self, pass: VerdictPass<'_>) -> Result<Assignment, Self::Error> {
+        Ok(self.each_chunk(|m| pass.chunk(self.eval, m)).concat())
+    }
+}
+
+/// Outlier detection with `method` over `rows`, hard-assigned by
+/// `assignment` ([`assign_clusters`]), on `threads` pool workers: the
+/// verdicts are the same for every `threads`.
+pub fn detect_outliers(
     eval: &DensityEvaluator,
     rows: &[&[f64]],
     assignment: &[usize],
+    method: OutlierMethod,
     alpha: f64,
     arel_len: usize,
+    threads: usize,
 ) -> Assignment {
-    let members = project_members(eval, rows, assignment);
-    let estimates: Vec<Option<(Vec<f64>, Cholesky)>> = (0..eval.num_components())
-        .map(|c| mcd_estimate(members.block(c), eval.arel_len(), 0.5, 4))
-        .collect();
-    let geometry = |c| robust_geometry(&estimates, c);
-    detect(&members, assignment, geometry, alpha, arel_len)
+    let mut runner = PoolRunner {
+        eval,
+        rows,
+        hard: assignment,
+        threads,
+    };
+    let Ok(verdicts) = outlier_phase(&mut runner, method, alpha, arel_len);
+    verdicts
 }
 
-/// MVB-based outlier detection.
+/// MVB-based outlier detection on the calling thread.
 pub fn detect_outliers_mvb(
     eval: &DensityEvaluator,
     rows: &[&[f64]],
@@ -325,10 +394,15 @@ pub fn detect_outliers_mvb(
     alpha: f64,
     arel_len: usize,
 ) -> Assignment {
-    let members = project_members(eval, rows, assignment);
-    let estimates = mvb_estimates(&members);
-    let geometry = |c| robust_geometry(&estimates, c);
-    detect(&members, assignment, geometry, alpha, arel_len)
+    detect_outliers(
+        eval,
+        rows,
+        assignment,
+        OutlierMethod::Mvb,
+        alpha,
+        arel_len,
+        1,
+    )
 }
 
 #[cfg(test)]
@@ -364,178 +438,120 @@ mod tests {
         }
     }
 
-    #[test]
-    fn naive_detects_planted_outliers() {
+    /// `method` on the planted set under the single-component model.
+    fn detect_planted(method: OutlierMethod, alpha: f64) -> Assignment {
         let data = rows_with_outliers();
         let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
         let eval = single_component_model().evaluator();
         let assignment = assign_clusters(&eval, &rows);
-        let result = detect_outliers_naive(&eval, &rows, &assignment, 0.001, 2);
-        assert_eq!(result[200], -1);
-        assert_eq!(result[201], -1);
-        // The bulk must remain members.
-        let inliers = result.iter().filter(|&&a| a == 0).count();
-        assert!(inliers >= 195, "only {inliers} inliers");
+        detect_outliers(&eval, &rows, &assignment, method, alpha, 2, 1)
     }
 
     #[test]
-    fn mvb_detects_planted_outliers() {
-        let data = rows_with_outliers();
+    fn every_method_detects_planted_outliers() {
+        // The bulk must remain members.
+        for (method, bulk) in [
+            (OutlierMethod::Naive, 195),
+            (OutlierMethod::Mvb, 180),
+            (OutlierMethod::Mcd, 180),
+        ] {
+            let result = detect_planted(method, 0.001);
+            assert_eq!(result[200], -1, "{method:?}");
+            assert_eq!(result[201], -1, "{method:?}");
+            let inliers = result.iter().filter(|&&a| a == 0).count();
+            assert!(inliers >= bulk, "{method:?}: only {inliers} inliers");
+        }
+    }
+
+    /// Naive and `method` on 140 bulk points and 60 contaminating ones
+    /// (`spread` wide) under the plain mean and covariance of all 200 —
+    /// what EM would deliver: the contamination inflates the naive
+    /// covariance so much that it is masked. Returns how many of the 60
+    /// each catches.
+    fn caught_under_masking(method: OutlierMethod, spread: f64) -> (usize, usize) {
+        let mut data = Vec::new();
+        for i in 0..140 {
+            let t = i as f64 / 140.0;
+            data.push(vec![0.48 + 0.04 * t, 0.52 - 0.04 * t]);
+        }
+        for i in 0..60 {
+            let t = i as f64 / 60.0;
+            data.push(vec![0.9 + spread * t, 0.05 + spread * t]);
+        }
         let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        let eval = single_component_model().evaluator();
-        let assignment = assign_clusters(&eval, &rows);
-        let result = detect_outliers_mvb(&eval, &rows, &assignment, 0.001, 2);
-        assert_eq!(result[200], -1);
-        assert_eq!(result[201], -1);
-        let inliers = result.iter().filter(|&&a| a == 0).count();
-        assert!(inliers >= 180, "only {inliers} inliers");
+        let mut acc = CovarianceAccumulator::new(2);
+        for r in &rows {
+            acc.push(r, 1.0);
+        }
+        let model = MixtureModel {
+            arel: vec![0, 1],
+            components: vec![Component {
+                mean: acc.mean().unwrap(),
+                cov: acc.covariance().unwrap(),
+                weight: 1.0,
+            }],
+        };
+        let eval = model.evaluator();
+        let assignment = vec![0usize; rows.len()];
+        let caught = |method| {
+            let verdicts = detect_outliers(&eval, &rows, &assignment, method, 0.001, 2, 1);
+            verdicts[140..].iter().filter(|&&a| a == -1).count()
+        };
+        (caught(OutlierMethod::Naive), caught(method))
     }
 
     #[test]
     fn mvb_resists_masking_better_than_naive() {
-        // Heavy contamination: 30% of points far away, inflating the naive
-        // covariance so much that the contaminated region gets masked.
-        let mut data = Vec::new();
-        for i in 0..140 {
-            let t = i as f64 / 140.0;
-            data.push(vec![0.48 + 0.04 * t, 0.52 - 0.04 * t]);
-        }
-        for i in 0..60 {
-            let t = i as f64 / 60.0;
-            data.push(vec![0.9 + 0.1 * t * 0.5, 0.05 + 0.1 * t * 0.5]);
-        }
-        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        // A naive full-sample estimate (what EM would deliver here).
-        let mut acc = CovarianceAccumulator::new(2);
-        for r in &rows {
-            acc.push(r, 1.0);
-        }
-        let model = MixtureModel {
-            arel: vec![0, 1],
-            components: vec![Component {
-                mean: acc.mean().unwrap(),
-                cov: acc.covariance().unwrap(),
-                weight: 1.0,
-            }],
-        };
-        let eval = model.evaluator();
-        let assignment = vec![0usize; rows.len()];
-        let naive = detect_outliers_naive(&eval, &rows, &assignment, 0.001, 2);
-        let mvb = detect_outliers_mvb(&eval, &rows, &assignment, 0.001, 2);
-        let naive_caught = naive[140..].iter().filter(|&&a| a == -1).count();
-        let mvb_caught = mvb[140..].iter().filter(|&&a| a == -1).count();
-        assert!(
-            mvb_caught > naive_caught,
-            "MVB caught {mvb_caught}, naive caught {naive_caught}"
-        );
-        assert!(mvb_caught >= 55, "MVB caught only {mvb_caught}/60");
-    }
-
-    #[test]
-    fn mcd_detects_planted_outliers() {
-        let data = rows_with_outliers();
-        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        let eval = single_component_model().evaluator();
-        let assignment = assign_clusters(&eval, &rows);
-        let result = detect_outliers_mcd(&eval, &rows, &assignment, 0.001, 2);
-        assert_eq!(result[200], -1);
-        assert_eq!(result[201], -1);
-        let inliers = result.iter().filter(|&&a| a == 0).count();
-        assert!(inliers >= 180, "only {inliers} inliers");
+        let (naive, mvb) = caught_under_masking(OutlierMethod::Mvb, 0.05);
+        assert!(mvb > naive, "MVB caught {mvb}, naive caught {naive}");
+        assert!(mvb >= 55, "MVB caught only {mvb}/60");
     }
 
     #[test]
     fn mcd_resists_masking_like_mvb() {
-        // Same heavy-contamination setup as the MVB masking test.
-        let mut data = Vec::new();
-        for i in 0..140 {
-            let t = i as f64 / 140.0;
-            data.push(vec![0.48 + 0.04 * t, 0.52 - 0.04 * t]);
-        }
-        for i in 0..60 {
-            let t = i as f64 / 60.0;
-            data.push(vec![0.9 + 0.05 * t, 0.05 + 0.05 * t]);
-        }
-        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        let mut acc = CovarianceAccumulator::new(2);
-        for r in &rows {
-            acc.push(r, 1.0);
-        }
-        let model = MixtureModel {
-            arel: vec![0, 1],
-            components: vec![Component {
-                mean: acc.mean().unwrap(),
-                cov: acc.covariance().unwrap(),
-                weight: 1.0,
-            }],
-        };
-        let eval = model.evaluator();
-        let assignment = vec![0usize; rows.len()];
-        let naive = detect_outliers_naive(&eval, &rows, &assignment, 0.001, 2);
-        let mcd = detect_outliers_mcd(&eval, &rows, &assignment, 0.001, 2);
-        let naive_caught = naive[140..].iter().filter(|&&a| a == -1).count();
-        let mcd_caught = mcd[140..].iter().filter(|&&a| a == -1).count();
-        assert!(
-            mcd_caught > naive_caught,
-            "MCD {mcd_caught} vs naive {naive_caught}"
-        );
-        assert!(mcd_caught >= 55, "MCD caught only {mcd_caught}/60");
+        let (naive, mcd) = caught_under_masking(OutlierMethod::Mcd, 0.05);
+        assert!(mcd > naive, "MCD {mcd} vs naive {naive}");
+        assert!(mcd >= 55, "MCD caught only {mcd}/60");
     }
 
     #[test]
-    fn mcd_estimate_concentrates_on_bulk() {
-        // 80% tight bulk at (0,0), 20% contamination at (10,10): the MCD
-        // mean must sit on the bulk, unlike the plain mean.
-        let mut pts: Vec<Vec<f64>> = (0..80)
-            .map(|i| vec![(i % 9) as f64 * 0.01, (i % 7) as f64 * 0.01])
-            .collect();
-        for i in 0..20 {
-            pts.push(vec![10.0 + (i % 3) as f64 * 0.01, 10.0]);
+    fn degenerate_clusters_keep_their_points() {
+        // One member: its ball holds one point, whose moments have no
+        // covariance, so neither robust estimator flags it.
+        let rows: Vec<&[f64]> = vec![&[0.9, 0.1]];
+        let eval = single_component_model().evaluator();
+        for method in [OutlierMethod::Mvb, OutlierMethod::Mcd] {
+            let verdicts = detect_outliers(&eval, &rows, &[0], method, 0.001, 2, 1);
+            assert_eq!(verdicts, [0], "{method:?}");
         }
-        let block: Vec<f64> = pts.concat();
-        let (mean, _) = mcd_estimate(&block, 2, 0.5, 4).unwrap();
-        assert!(mean[0] < 0.5, "MCD mean pulled to contamination: {mean:?}");
-        assert!(mean[1] < 0.5);
+        let naive = detect_outliers(&eval, &rows, &[0], OutlierMethod::Naive, 0.001, 2, 1);
+        assert_eq!(naive, [-1]);
     }
 
     #[test]
-    fn mcd_estimate_degenerate_inputs() {
-        assert!(mcd_estimate(&[], 2, 0.5, 3).is_none());
-        let two = [0.0, 0.0, 1.0, 1.0];
-        assert!(
-            mcd_estimate(&two, 2, 0.5, 3).is_none(),
-            "n < d + 2 must fail"
-        );
-    }
-
-    #[test]
-    fn mvb_stats_are_medians() {
-        let pts: Vec<&[f64]> = vec![
+    fn mvb_balls_are_medians() {
+        let rows: Vec<&[f64]> = vec![
             &[0.0, 0.0],
             &[1.0, 0.0],
             &[2.0, 0.0],
             &[3.0, 0.0],
             &[100.0, 0.0],
         ];
-        let mvb = mvb_of(&pts).unwrap();
-        assert_eq!(mvb.center, vec![2.0, 0.0]);
+        let eval = single_component_model().evaluator();
+        let balls = BallPass::Mvb.balls(&eval, &Members::of_rows(&eval, &rows, &[0; 5]));
         // Distances to (2,0): [2,1,0,1,98] → median 1.
-        assert_eq!(mvb.radius, 1.0);
-    }
-
-    #[test]
-    fn mvb_of_empty_is_none() {
-        assert!(mvb_of(&[]).is_none());
+        let ball = Ball {
+            center: vec![2.0, 0.0],
+            radius: 1.0,
+            members: 5,
+        };
+        assert_eq!(balls, [Some(ball)]);
     }
 
     #[test]
     fn all_points_kept_at_loose_alpha() {
-        let data = rows_with_outliers();
-        let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        let eval = single_component_model().evaluator();
-        let assignment = assign_clusters(&eval, &rows);
         // α extremely small → critical value huge → nobody is an outlier.
-        let result = detect_outliers_naive(&eval, &rows, &assignment, 1e-300_f64.max(1e-12), 2);
+        let result = detect_planted(OutlierMethod::Naive, 1e-12);
         let out = result.iter().filter(|&&a| a == -1).count();
         assert!(out <= 2);
     }

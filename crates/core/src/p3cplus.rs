@@ -5,17 +5,16 @@
 //! with a job. The serial pipelines also power the per-partition work of
 //! the BoW baseline.
 
-use crate::config::{BinRuleChoice, OutlierMethod, P3cParams};
+use crate::chunk_median::{chunks, median_quartiles, ChunkQuartiles, MEDIAN_CHUNK_POINTS};
+use crate::config::{BinRuleChoice, P3cParams};
 use crate::cores::{
     attach_expected_supports, generate_cluster_cores_with, ClusterCore, CoreGenStats, LevelCounter,
     ScanCounter,
 };
 use crate::em::{em_phase, PoolRunner};
-use crate::histogram::build_histograms_columnar_threads;
+use crate::histogram::{build_histograms_columnar_threads, chunk_quartiles};
 use crate::inspect::ClusterSummary;
-use crate::outlier::{
-    assign_clusters, detect_outliers_mcd, detect_outliers_mvb, detect_outliers_naive,
-};
+use crate::outlier::{assign_clusters, detect_outliers};
 use crate::redundancy::filter_redundant_proven;
 use crate::relevance::relevant_intervals;
 use crate::support::SupportIndex;
@@ -93,17 +92,9 @@ impl P3cPlus {
         let hard = assign_clusters(&eval, &rows);
 
         // Outlier detection.
-        let assignment = match self.params.outlier {
-            OutlierMethod::Naive => {
-                detect_outliers_naive(&eval, &rows, &hard, self.params.alpha_outlier, arel.len())
-            }
-            OutlierMethod::Mvb => {
-                detect_outliers_mvb(&eval, &rows, &hard, self.params.alpha_outlier, arel.len())
-            }
-            OutlierMethod::Mcd => {
-                detect_outliers_mcd(&eval, &rows, &hard, self.params.alpha_outlier, arel.len())
-            }
-        };
+        let (outlier, alpha) = (self.params.outlier, self.params.alpha_outlier);
+        let threads = self.params.threads;
+        let assignment = detect_outliers(&eval, &rows, &hard, outlier, alpha, arel.len(), threads);
         stats.outliers = assignment.iter().filter(|&&a| a == -1).count();
 
         // Attribute inspection + interval tightening per cluster, every
@@ -372,9 +363,10 @@ pub(crate) fn core_phase_from_histograms<C: LevelCounter>(
 }
 
 /// Per-attribute bin counts under the configured rule. The uniform rules
-/// return a constant vector; the exact-IQR extension computes each
-/// attribute's quartiles from a strided column scan over the flat buffer
-/// (serially — the MR pipelines use a job instead).
+/// return a constant vector; the exact-IQR extension takes each
+/// attribute's quartiles per [`MEDIAN_CHUNK_POINTS`]-row chunk and the
+/// weighted median over chunks of q1 and of q3 (`chunk_median::median_quartiles`;
+/// serially — the MR pipelines run the same chunks in a job).
 pub fn bins_per_attribute_columnar(data: &Dataset, params: &P3cParams) -> Vec<usize> {
     let (n, d) = (data.len(), data.dim());
     match params.bin_rule {
@@ -382,12 +374,14 @@ pub fn bins_per_attribute_columnar(data: &Dataset, params: &P3cParams) -> Vec<us
             vec![params.bin_rule.to_rule().num_bins(n).max(1); d]
         }
         BinRuleChoice::FreedmanDiaconisIqr => {
-            let mut column = Vec::with_capacity(n);
+            let rows = data.row_refs();
+            let mut column = Vec::with_capacity(MEDIAN_CHUNK_POINTS);
             (0..d)
                 .map(|j| {
-                    column.clear();
-                    column.extend(data.column(j));
-                    let iqr = p3c_stats::descriptive::iqr(&column).unwrap_or(0.5);
+                    let quartiles: Vec<ChunkQuartiles> = chunks(&rows)
+                        .filter_map(|chunk| chunk_quartiles(chunk, j, &mut column))
+                        .collect();
+                    let iqr = median_quartiles(&quartiles).map_or(0.5, |(q1, q3)| q3 - q1);
                     iqr_bins(n, iqr)
                 })
                 .collect()

@@ -4,7 +4,9 @@
 //! entirely from medians: the ball center is the dimension-wise median of a
 //! cluster's points and its radius the median of the distances to that
 //! center; the MapReduce variant (Section 5.5) additionally takes medians
-//! *across split-local estimates* in the reducer.
+//! *across split-local estimates* in the reducer, which P3C+ makes a
+//! [`weighted_median`] over fixed-size chunks of the input in both
+//! pipelines.
 
 /// Median of a slice (destructive on a copy; `select_nth_unstable`-based).
 ///
@@ -33,6 +35,29 @@ pub fn median_in_place(v: &mut [f64]) -> f64 {
         let lo = v[..mid].iter().copied().fold(f64::NEG_INFINITY, f64::max);
         0.5 * (lo + hi)
     }
+}
+
+/// Weighted median of `(value, weight)` pairs: the median of the
+/// multiset in which each value occurs `weight` times. In value order it
+/// is the first value whose cumulative weight passes half the total, or
+/// the mean of it and the next value where the cumulative weight is
+/// exactly half, so equal weights give [`median_in_place`]'s result bit
+/// for bit. Weights must be positive; sorts `values`.
+pub fn weighted_median(values: &mut [(f64, usize)]) -> f64 {
+    assert!(!values.is_empty());
+    values.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let total: usize = values.iter().map(|v| v.1).sum();
+    let mut below = 0;
+    for (i, &(value, weight)) in values.iter().enumerate() {
+        below += weight;
+        if 2 * below > total {
+            return value;
+        }
+        if 2 * below == total {
+            return 0.5 * (value + values[i + 1].0);
+        }
+    }
+    unreachable!("weights must be positive")
 }
 
 /// Dimension-wise median `Md_d(X)` of a set of d-dimensional points
@@ -154,6 +179,36 @@ mod tests {
         let mut b = a;
         b.reverse();
         assert_eq!(median(&a), median(&b));
+    }
+
+    #[test]
+    fn weighted_median_is_the_median_of_the_repeated_values() {
+        let expand = |pairs: &[(f64, usize)]| -> f64 {
+            let mut all: Vec<f64> = pairs
+                .iter()
+                .flat_map(|&(v, w)| std::iter::repeat_n(v, w))
+                .collect();
+            median_in_place(&mut all)
+        };
+        for pairs in [
+            vec![(5.0, 1)],
+            vec![(1.0, 8192), (100.0, 1)],
+            vec![(100.0, 1), (1.0, 8192)],
+            vec![(2.0, 3), (1.0, 3)],
+            vec![(3.0, 1), (1.0, 2), (2.0, 3)],
+            vec![(0.5, 4), (0.25, 4), (0.75, 4), (1.0, 4)],
+            vec![(-1.0, 7), (4.0, 2), (4.0, 5), (9.0, 1)],
+        ] {
+            assert_eq!(
+                weighted_median(&mut pairs.clone()),
+                expand(&pairs),
+                "{pairs:?}"
+            );
+        }
+        // Equal weights: the plain median, even lengths included.
+        let mut values = [4.0, 1.0, 3.0, 2.0];
+        let mut pairs: Vec<(f64, usize)> = values.iter().map(|&v| (v, 9)).collect();
+        assert_eq!(weighted_median(&mut pairs), median_in_place(&mut values));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Cross-crate integration tests: the full algorithm stack from data
 //! generation through clustering to quality measurement.
 
+use p3c_suite::core::chunk_median::MEDIAN_CHUNK_POINTS;
 use p3c_suite::core::config::{BinRuleChoice, OutlierMethod, P3cParams};
 use p3c_suite::core::em::{em_phase, EmFit, PoolRunner};
 use p3c_suite::core::incremental::{IncrementalLight, ReclusterPath};
 use p3c_suite::core::mr::em::JobRunner;
 use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
+use p3c_suite::core::outlier::MCD_STEPS;
 use p3c_suite::core::p3c::P3c;
 use p3c_suite::core::p3cplus::{P3cPlus, P3cPlusLight};
 use p3c_suite::datagen::{generate, SyntheticSpec};
@@ -163,25 +165,20 @@ fn mr_em_model_equals_serial_at_block_aligned_split_sizes() {
         outlier: OutlierMethod::Naive,
         ..P3cParams::default()
     };
-    // MVB's split centers and radii and the exact-IQR job's split
-    // quartiles are medians of per-split estimates (the paper's MR
-    // design), so these two follow `split_size` whatever the EM tree:
-    // they equal serial at one split.
-    let split_median_params = [
+    // MVB's centers and radii, MCD's thresholds and the exact-IQR
+    // quartiles are medians over 8192-row chunks in both pipelines, so
+    // these equal serial at every split of whole chunks.
+    let chunk_median_params = [
         P3cParams::default(),
+        P3cParams {
+            outlier: OutlierMethod::Mcd,
+            ..P3cParams::default()
+        },
         P3cParams {
             bin_rule: BinRuleChoice::FreedmanDiaconisIqr,
             ..naive.clone()
         },
     ];
-    // MR MCD is another estimator even at one split: two concentration
-    // steps whose threshold is the median distance, against serial's
-    // four FastMCD C-steps keeping the ⌈n/2⌉ nearest points. Its cores
-    // and EM agree; its outliers need not.
-    let mcd = P3cParams {
-        outlier: OutlierMethod::Mcd,
-        ..P3cParams::default()
-    };
     for spec in full_pipeline_sets() {
         let what = format!(
             "n = {}, d = {}, k = {}, noise = {}, seed = {}",
@@ -214,27 +211,22 @@ fn mr_em_model_equals_serial_at_block_aligned_split_sizes() {
                 "{what}, split {split_size}"
             );
         }
-        let one_split = |params: &P3cParams| {
-            let engine = Engine::new(MrConfig {
-                split_size: spec.n,
-                ..MrConfig::default()
-            });
-            let mr = P3cPlusMr::new(&engine, params.clone())
-                .cluster(&data.dataset)
-                .unwrap();
-            (P3cPlus::new(params.clone()).cluster(&data.dataset), mr)
-        };
-        for params in &split_median_params {
-            let (serial, mr) = one_split(params);
-            assert_eq!(mr.cores, serial.cores, "{what}, {params:?}");
-            assert_eq!(mr.clustering, serial.clustering, "{what}, {params:?}");
+        for params in &chunk_median_params {
+            let serial = P3cPlus::new(params.clone()).cluster(&data.dataset);
+            for split_size in [MEDIAN_CHUNK_POINTS, spec.n] {
+                let engine = Engine::new(MrConfig {
+                    split_size,
+                    ..MrConfig::default()
+                });
+                let mr = P3cPlusMr::new(&engine, params.clone())
+                    .cluster(&data.dataset)
+                    .unwrap();
+                let what = format!("{what}, {params:?}, split {split_size}");
+                assert_eq!(mr.cores, serial.cores, "{what}");
+                assert_eq!(mr.clustering, serial.clustering, "{what}");
+                assert_eq!(mr.stats.em_iterations, serial.stats.em_iterations, "{what}");
+            }
         }
-        let (serial, mr) = one_split(&mcd);
-        assert_eq!(mr.cores, serial.cores, "{what}, MCD");
-        assert_eq!(
-            mr.stats.em_iterations, serial.stats.em_iterations,
-            "{what}, MCD"
-        );
     }
 }
 
@@ -332,9 +324,14 @@ fn mcd_extension_runs_end_to_end_serial_and_mr() {
     let serial = P3cPlus::new(params.clone()).cluster(&data.dataset);
     assert_eq!(serial.clustering.num_clusters(), 3);
     assert!(e4sc(&serial.clustering, &data.ground_truth) > 0.6);
-    let eng = engine();
+    // One split of a whole chunk: MR runs the serial chunks.
+    let eng = Engine::new(MrConfig {
+        split_size: MEDIAN_CHUNK_POINTS,
+        ..MrConfig::default()
+    });
     let mr = P3cPlusMr::new(&eng, params).cluster(&data.dataset).unwrap();
     assert_eq!(mr.clustering.num_clusters(), 3);
+    assert_eq!(mr.clustering, serial.clustering);
     // MCD charges its concentration jobs to the ledger.
     let mcd_jobs = eng
         .cluster_metrics()
@@ -342,7 +339,7 @@ fn mcd_extension_runs_end_to_end_serial_and_mr() {
         .iter()
         .filter(|j| j.job_name.starts_with("p3c-mcd") || j.job_name == "p3c-od-mcd")
         .count();
-    assert_eq!(mcd_jobs, 5, "2 steps × 2 jobs + OD job");
+    assert_eq!(mcd_jobs, 2 * MCD_STEPS + 1, "2 jobs per step + OD job");
 }
 
 #[test]

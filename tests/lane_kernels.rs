@@ -22,23 +22,20 @@
 //! models at d ∈ {1, 2, 5, 10, 25} cover `mr-full-narrow`'s 10 and the
 //! Figure 7 shape's 25 relevant attributes.
 
+use p3c_suite::core::config::OutlierMethod;
 use p3c_suite::core::cores::ClusterCore;
 use p3c_suite::core::em::{
     em_fit_with, finish_components, initialize_from_cores, initialize_with, Component,
     DensityEvaluator, EmPass, EmRunner, MixtureModel, PoolRunner,
 };
 use p3c_suite::core::mr::em::JobRunner;
-use p3c_suite::core::mr::outlier::{od_job_mcd, od_job_mvb, od_job_naive};
-use p3c_suite::core::outlier::{
-    assign_clusters, detect_outliers_mcd, detect_outliers_mvb, detect_outliers_naive,
-    robust_cluster_estimates,
-};
+use p3c_suite::core::mr::outlier::od_jobs;
+use p3c_suite::core::outlier::{assign_clusters, detect_outliers, MCD_STEPS};
 use p3c_suite::core::{Interval, Signature};
 use p3c_suite::linalg::{Cholesky, CovarianceAccumulator, Matrix};
 use p3c_suite::mapreduce::{Engine, MrConfig};
 use p3c_suite::stats::descriptive::median_in_place;
 use p3c_suite::stats::ChiSquared;
-use std::sync::Arc;
 
 /// Cheap deterministic value stream (xorshift64*) — no RNG crate needed
 /// and stable across platforms.
@@ -603,58 +600,47 @@ fn oracle_flag(
         .collect()
 }
 
-/// `mcd_estimate(points, 0.5, 4)` with the cluster scored point by point.
-fn oracle_mcd_estimate(points: &[Vec<f64>]) -> Option<(Vec<f64>, Cholesky)> {
-    let n = points.len();
-    let d = points.first()?.len();
-    if n < d + 2 {
-        return None;
-    }
-    let h = ((n as f64 * 0.5).ceil() as usize).clamp(d + 1, n);
-    let moments = |subset: &[usize]| {
-        let mut acc = CovarianceAccumulator::new(d);
-        for &i in subset {
-            acc.push(&points[i], 1.0);
-        }
-        acc
-    };
-    let mut subset: Vec<usize> = (0..n).collect();
-    let mut current = None;
-    for _ in 0..4 {
-        let (mean, chol) = fit(&moments(&subset))?;
-        let mut y = Vec::new();
-        let mut dists: Vec<(f64, usize)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (chol.mahalanobis_sq_scratch(p, &mean, &mut y), i))
+/// MVB's estimates with exact medians over each cluster (the chunk
+/// rule's, on inputs of at most one chunk): the dimension-wise median
+/// center, the median distance radius, and the moments of the members
+/// inside the ball, row by row.
+fn oracle_mvb_estimates(eval: &DensityEvaluator, rows: &[&[f64]], hard: &[usize]) -> Estimates {
+    let (k, d) = (eval.num_components(), eval.arel_len());
+    let mut accs = fresh(k, d);
+    for (c, acc) in accs.iter_mut().enumerate() {
+        let members: Vec<Vec<f64>> = (0..rows.len())
+            .filter(|&i| hard[i] == c)
+            .map(|i| eval.project(rows[i]))
             .collect();
-        dists.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let next: Vec<usize> = dists.iter().take(h).map(|&(_, i)| i).collect();
-        let sorted = |s: &[usize]| {
-            let mut s = s.to_vec();
-            s.sort_unstable();
-            s
+        if members.is_empty() {
+            continue;
+        }
+        let center: Vec<f64> = (0..d)
+            .map(|j| median_in_place(&mut members.iter().map(|p| p[j]).collect::<Vec<_>>()))
+            .collect();
+        let dist = |p: &[f64]| {
+            let mut sq = 0.0;
+            for (a, b) in p.iter().zip(&center) {
+                sq += (a - b) * (a - b);
+            }
+            f64::sqrt(sq)
         };
-        let converged = sorted(&subset) == sorted(&next);
-        current = Some((mean, chol));
-        subset = next;
-        if converged {
-            break;
+        let radius = median_in_place(&mut members.iter().map(|p| dist(p)).collect::<Vec<_>>());
+        for p in &members {
+            if dist(p) <= radius + 1e-12 {
+                acc.push(p, 1.0);
+            }
         }
     }
-    let acc = moments(&subset);
-    let mean = acc.mean()?;
-    let mut cov = acc.covariance()?;
-    cov.add_ridge(1e-9);
-    match Cholesky::new_regularized(&cov) {
-        Some(chol) => Some((mean, chol)),
-        None => current,
-    }
+    accs.iter()
+        .map(|acc| if acc.count() > 0 { fit(acc) } else { None })
+        .collect()
 }
 
-/// The estimates `od_job_mcd` reaches on a single split after `steps`
-/// concentration steps: per cluster the median distance is the
-/// threshold, the moments of the points at or below it the next fit.
+/// The MCD estimates on an input of at most one chunk after `steps`
+/// concentration steps from the EM components: per cluster the median distance is the
+/// threshold, the moments of the points at or below it (with the
+/// ball's `1e-12` of slack) the next fit.
 fn oracle_mcd_job_estimates(
     eval: &DensityEvaluator,
     rows: &[&[f64]],
@@ -680,7 +666,7 @@ fn oracle_mcd_job_estimates(
             }
             let threshold = median_in_place(&mut own);
             for (i, row) in rows.iter().enumerate() {
-                if hard[i] == c && dists[i] <= threshold {
+                if hard[i] == c && dists[i] <= threshold + 1e-12 {
                     acc.push(&eval.project(row), 1.0);
                 }
             }
@@ -695,7 +681,7 @@ fn oracle_mcd_job_estimates(
 
 #[test]
 fn outlier_scans_equal_the_per_point_loop_serial_and_mr() {
-    let eval = Arc::new(test_model().evaluator());
+    let eval = test_model().evaluator();
     // 302 and 307 rows: different residues in every per-cluster block.
     for n in [300usize, 305] {
         let data = outlier_rows(n);
@@ -706,34 +692,26 @@ fn outlier_scans_equal_the_per_point_loop_serial_and_mr() {
 
 /// Every serial and MR outlier scan over `rows` against the per-point
 /// oracles, for any evaluator.
-fn assert_outlier_scans(eval: &Arc<DensityEvaluator>, rows: &[&[f64]], what: &str) {
+fn assert_outlier_scans(eval: &DensityEvaluator, rows: &[&[f64]], what: &str) {
     let (k, arel_len) = (eval.num_components(), eval.arel_len());
     let hard = oracle_assign(eval, rows);
     assert_eq!(assign_clusters(eval, rows), hard, "{what}");
     let naive = oracle_flag(eval, rows, &hard, &vec![None; k], false);
-    let mvb_estimates = robust_cluster_estimates(eval, rows, &hard, k);
+    let mvb_estimates = oracle_mvb_estimates(eval, rows, &hard);
     let mvb = oracle_flag(eval, rows, &hard, &mvb_estimates, true);
-    let mut members: Vec<Vec<Vec<f64>>> = vec![Vec::new(); k];
-    for (row, &c) in rows.iter().zip(&hard) {
-        members[c].push(eval.project(row));
-    }
-    let mcd_estimates: Estimates = members.iter().map(|m| oracle_mcd_estimate(m)).collect();
+    let mcd_estimates = oracle_mcd_job_estimates(eval, rows, &hard, MCD_STEPS);
     let mcd = oracle_flag(eval, rows, &hard, &mcd_estimates, true);
-    let mcd_job_estimates = oracle_mcd_job_estimates(eval, rows, &hard, 2);
-    let mcd_job = oracle_flag(eval, rows, &hard, &mcd_job_estimates, true);
-    for verdicts in [&naive, &mvb, &mcd, &mcd_job] {
+    let oracles = [
+        (OutlierMethod::Naive, naive),
+        (OutlierMethod::Mvb, mvb),
+        (OutlierMethod::Mcd, mcd),
+    ];
+    for (_, verdicts) in &oracles {
         assert!(
             verdicts.contains(&-1) && verdicts.iter().any(|&v| v >= 0),
             "{what}"
         );
     }
-
-    let detected = [
-        detect_outliers_naive(eval, rows, &hard, 0.001, arel_len),
-        detect_outliers_mvb(eval, rows, &hard, 0.001, arel_len),
-        detect_outliers_mcd(eval, rows, &hard, 0.001, arel_len),
-    ];
-    assert_eq!(detected, [naive.clone(), mvb.clone(), mcd], "{what}");
 
     for threads in THREADS {
         let engine = |split_size| {
@@ -743,16 +721,23 @@ fn assert_outlier_scans(eval: &Arc<DensityEvaluator>, rows: &[&[f64]], what: &st
                 ..MrConfig::default()
             })
         };
-        // 47-record splits: ragged lane-group tails in every mapper. The
-        // robust jobs run on one split, whose split-local statistics are
-        // the exact statistics of the oracle.
-        let got = od_job_naive(&engine(47), Arc::clone(eval), rows, 0.001, arel_len).unwrap();
-        assert_eq!(got, naive, "naive OD job, {what}, threads={threads}");
-        let single = engine(100_000);
-        let got = od_job_mvb(&single, Arc::clone(eval), rows, 0.001, arel_len).unwrap();
-        assert_eq!(got, mvb, "MVB OD job, {what}, threads={threads}");
-        let got = od_job_mcd(&single, Arc::clone(eval), rows, 0.001, arel_len, 2).unwrap();
-        assert_eq!(got, mcd_job, "MCD OD job, {what}, threads={threads}");
+        for (method, oracle) in &oracles {
+            let got = detect_outliers(eval, rows, &hard, *method, 0.001, arel_len, threads);
+            assert_eq!(&got, oracle, "serial {method:?}, {what}, threads={threads}");
+            // 47-record splits: ragged lane-group tails in every mapper.
+            // The robust jobs run on one split, whose chunk statistics
+            // are the exact statistics of the oracle.
+            let split = if *method == OutlierMethod::Naive {
+                47
+            } else {
+                100_000
+            };
+            let got = od_jobs(&engine(split), eval, rows, *method, 0.001, arel_len).unwrap();
+            assert_eq!(
+                &got, oracle,
+                "{method:?} OD jobs, {what}, threads={threads}"
+            );
+        }
     }
 }
 
@@ -765,6 +750,6 @@ fn outlier_scans_equal_the_per_point_loop_on_generated_models() {
         data.push(vec![60.0; d + 2]);
         data.push(vec![-45.0; d + 2]);
         let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        assert_outlier_scans(&Arc::new(model.evaluator()), &rows, &format!("d={d}"));
+        assert_outlier_scans(&model.evaluator(), &rows, &format!("d={d}"));
     }
 }
